@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.clusters import make_pool, make_setting
+from repro.clusters import make_pool, make_setting, make_specialist_pool
 from repro.matching import (
     MatchingProblem,
     SolverConfig,
@@ -53,6 +53,23 @@ def test_relaxed_solve(benchmark, instance):
 
 def test_rounding(benchmark, instance):
     p, sol = instance
+    X = benchmark(lambda: round_assignment(sol.X, p))
+    assert X.sum() == p.N
+
+
+@pytest.fixture(scope="module")
+def wide_instance():
+    """The serve_wide window shape: 24 specialist clusters x 64 tasks."""
+    clusters = make_specialist_pool(24)
+    tasks = TaskPool(64, rng=0).tasks
+    T = np.stack([c.true_times(tasks) for c in clusters])
+    A = np.stack([c.true_reliabilities(tasks) for c in clusters])
+    p = MatchingProblem(T=T, A=A, gamma=feasible_gamma(T, A, quantile=0.4))
+    return p, solve_relaxed(p, SolverConfig(max_iters=400))
+
+
+def test_rounding_wide(benchmark, wide_instance):
+    p, sol = wide_instance
     X = benchmark(lambda: round_assignment(sol.X, p))
     assert X.sum() == p.N
 

@@ -71,10 +71,11 @@ class Cluster:
         return self.rel.reliability(task.spec, self.true_time(task))
 
     def true_times(self, tasks: "list[Task]") -> np.ndarray:
-        return np.array([self.true_time(t) for t in tasks])
+        return self.perf.execution_times([t.spec for t in tasks])
 
     def true_reliabilities(self, tasks: "list[Task]") -> np.ndarray:
-        return np.array([self.true_reliability(t) for t in tasks])
+        specs = [t.spec for t in tasks]
+        return self.rel.reliabilities(specs, self.perf.execution_times(specs))
 
     # -- noisy measurement ------------------------------------------------ #
 

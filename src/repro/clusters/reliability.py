@@ -56,13 +56,13 @@ class ReliabilityModel:
         pressure = spec.memory_gb / self.hardware.memory_gb
         mem_ok = math.exp(-self.memory_fail_scale * max(0.0, pressure - 0.7) * 10.0)
         a = self.hardware.base_reliability * survival * mem_ok
-        return float(np.clip(a, _MIN_RELIABILITY, _MAX_RELIABILITY))
+        return min(max(a, _MIN_RELIABILITY), _MAX_RELIABILITY)
 
     def reliabilities(self, specs: "list[ModelSpec]", times: np.ndarray) -> np.ndarray:
         """Vectorized convenience over a task list."""
         if len(specs) != len(times):
             raise ValueError("specs and times must have matching lengths")
-        return np.array([self.reliability(s, float(t)) for s, t in zip(specs, times)])
+        return np.array([self.reliability(s, t) for s, t in zip(specs, times.tolist())])
 
 
 def sample_success(

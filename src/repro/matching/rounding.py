@@ -13,13 +13,28 @@ passes:
    of makespan increase;
 2. **local search** (optional) — single-task reassignments that strictly
    reduce the objective while keeping feasibility, until a local optimum.
+
+For the sequential makespan ``max_i x_iᵀt_i`` the local search tries only
+the bottleneck cluster's tasks, which is exact, not a heuristic.  Moving
+task j from ``src`` to ``i`` leaves every other cluster's load
+bit-unchanged and can only raise cluster i's (X is 0/1, T > 0: one term of
+a fixed-order sum goes 0 → t, and float addition is monotone).  A move is
+accepted only when the new max is below ``base − 1e-12``, so ``src`` must
+be the *only* cluster whose load is ≥ ``base − 1e-12``.  Two or more such
+clusters: no move can be accepted, stop.  Exactly one: sweeping its tasks in
+ascending (j, i) finds the same first improving move as sweeping all
+N·(M−1).  The linear cost (a move off *any* cluster can lower the sum) and
+ζ-parallel loads (``ζ_i(k_i)`` can shrink cluster i's load when a task is
+added) break the argument, so those problems pass every task through the
+same loop.  ``tests/test_rounding_exact.py`` holds the full sweep as the
+oracle and asserts identical output.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.matching.objectives import decision_cost, reliability_value
+from repro.matching.objectives import cluster_loads, decision_cost, reliability_value
 from repro.matching.problem import MatchingProblem
 from repro.telemetry import get_recorder
 
@@ -110,22 +125,31 @@ def _repair_reliability(X: np.ndarray, problem: MatchingProblem, max_moves: int)
 def _local_search(X: np.ndarray, problem: MatchingProblem, max_moves: int) -> np.ndarray:
     """First-improvement single-task reassignment descent on the objective,
     rejecting moves that would violate the reliability constraint (when the
-    incoming matching satisfies it)."""
+    incoming matching satisfies it).  Sequential makespan problems sweep
+    only the bottleneck cluster's tasks (exact — see module doc)."""
     X = X.copy()
     feasible_required = reliability_value(X, problem) >= 0
+    bottleneck_only = problem.cost == "makespan" and not problem.is_parallel
     for _ in range(max_moves):
         base = decision_cost(X, problem)
         labels = labels_from_assignment(X)
+        candidates = range(problem.N)
+        if bottleneck_only:
+            hot = np.flatnonzero(cluster_loads(X, problem) >= base - 1e-12)
+            if hot.size > 1:
+                return X  # tied bottlenecks: no single move lowers the max
+            candidates = np.flatnonzero(labels == hot[0])
         improved = False
-        for j in range(problem.N):
+        for j in candidates:
             src = labels[j]
             for i in range(problem.M):
                 if i == src:
                     continue
                 X[src, j] = 0.0
                 X[i, j] = 1.0
-                ok = (not feasible_required) or reliability_value(X, problem) >= 0
-                if ok and decision_cost(X, problem) < base - 1e-12:
+                if decision_cost(X, problem) < base - 1e-12 and (
+                    not feasible_required or reliability_value(X, problem) >= 0
+                ):
                     improved = True
                     break
                 X[i, j] = 0.0

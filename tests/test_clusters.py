@@ -19,6 +19,7 @@ from repro.clusters import (
     make_cluster,
     make_pool,
     make_setting,
+    make_specialist_pool,
 )
 from repro.workloads import Family, ModelSpec, sample_spec, sample_specs
 
@@ -183,6 +184,29 @@ class TestClusterAndRegistry:
         assert len(names) == len(set(names)) >= 5
         shapes = {ARCHETYPES[n][1] for n in names}
         assert len(shapes) >= 3  # response-shape diversity (Fig. 2 motif)
+
+    def test_batched_truth_equals_per_task_truth(self, task_pool):
+        """``true_times`` / ``true_reliabilities`` share the per-task
+        arithmetic: the window's T and A must equal it bit for bit, also
+        where the reliability clamps at its floor or ceiling."""
+        flaky = _hw(name="flaky", base_reliability=0.5, hazard_per_hour=50.0)
+        solid = _hw(name="solid", base_reliability=1.0, hazard_per_hour=0.0,
+                    memory_gb=4096.0)
+        fleets = [make_setting(name) for name in SETTINGS]
+        fleets.append(make_specialist_pool(24))
+        fleets.append([Cluster(i, PerfModel(hardware=hw), ReliabilityModel(hardware=hw))
+                       for i, hw in enumerate((flaky, solid))])
+        tasks = task_pool.tasks
+        clamped = set()
+        for fleet in fleets:
+            for c in fleet:
+                times = c.true_times(tasks)
+                rels = c.true_reliabilities(tasks)
+                assert times.dtype == rels.dtype == np.float64
+                assert times.tolist() == [c.true_time(t) for t in tasks]
+                assert rels.tolist() == [c.true_reliability(t) for t in tasks]
+                clamped.update(rels[(rels == 0.05) | (rels == 0.999)].tolist())
+        assert clamped == {0.05, 0.999}
 
     def test_heterogeneity_produces_crossings(self, task_pool):
         """At least two clusters must each be the fastest for some task —

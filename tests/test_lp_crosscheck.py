@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.matching import (
@@ -47,22 +47,25 @@ def _linprog_reference(problem: MatchingProblem) -> tuple[np.ndarray, float]:
     return res.x.reshape(M, N), float(res.fun)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20, deadline=None, derandomize=True)
 @given(st.integers(0, 100_000))
 def test_linear_cost_solver_matches_scipy_lp(seed):
     rng = np.random.default_rng(seed)
     T = rng.uniform(0.1, 4.0, (3, 5))
     A = rng.uniform(0.55, 0.999, (3, 5))
+    # Only instances whose LP optimum leaves the reliability constraint
+    # strictly inactive are comparable: on active-face optima a fixed-λ
+    # interior method cannot (and should not) reach the exact LP value.
+    # An inactive constraint makes the LP optimum the unconstrained one
+    # (every task on its fastest cluster), so cap γ below that matching's
+    # reliability and every draw qualifies — no `assume` filtering.
+    fastest = float(A[T.argmin(axis=0), np.arange(5)].sum() / (3 * 5))
     problem = MatchingProblem(
-        T=T, A=A, gamma=feasible_gamma(T, A, quantile=0.3),
+        T=T, A=A, gamma=min(feasible_gamma(T, A, quantile=0.3), fastest - 2e-3),
         cost="linear", lam=1e-6,  # barrier negligible: pure LP
     )
     X_lp, lp_value = _linprog_reference(problem)
-    # Restrict to instances whose LP optimum leaves the reliability
-    # constraint strictly inactive: on active-face optima a fixed-λ
-    # interior method cannot (and should not) reach the exact LP value.
-    lp_slack = float(np.sum(X_lp * problem.A) / (3 * 5) - problem.gamma)
-    assume(lp_slack > 1e-3)
+    assert problem.reliability_slack(X_lp) > 1e-3
     # Frank-Wolfe carries a duality-gap certificate and its vertex oracle
     # is exact for linear objectives — the right solver to compare against
     # an LP reference.
@@ -70,7 +73,7 @@ def test_linear_cost_solver_matches_scipy_lp(seed):
     assert linear_cost(X_ours, problem) <= 1.02 * lp_value + 1e-6
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20, deadline=None, derandomize=True)
 @given(st.integers(0, 100_000))
 def test_rounded_linear_decision_matches_lp_vertex(seed):
     """With the linear cost the LP optimum is (generically) integral; our
