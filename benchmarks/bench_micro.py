@@ -51,6 +51,36 @@ def test_relaxed_solve(benchmark, instance):
     assert result.objective < np.inf
 
 
+def test_relaxed_solve_serve_shape(benchmark):
+    """The serve_steady hot path: setting-A 3x16 windows at the serving
+    tolerances, each solve warm-started from the previous window's
+    solution.  Reports µs per Algorithm-1 iteration (``extra_info``).
+    With ``--benchmark-disable`` it runs once: the CI non-timing smoke."""
+    clusters = make_setting("A")
+    pool = TaskPool(64, rng=0)
+    rng = np.random.default_rng(1)
+    problems = []
+    for _ in range(20):
+        tasks = [pool.tasks[i] for i in rng.choice(len(pool.tasks), 16, replace=False)]
+        T = np.stack([c.true_times(tasks) for c in clusters])
+        A = np.stack([c.true_reliabilities(tasks) for c in clusters])
+        problems.append(MatchingProblem(T=T, A=A, gamma=feasible_gamma(T, A, quantile=0.4)))
+    cfg = SolverConfig(tol=1e-4, max_iters=400)
+
+    def chain():
+        x0, iters, trials = None, 0, 0
+        for p in problems:
+            sol = solve_relaxed(p, cfg, x0=x0)
+            x0, iters, trials = sol.X, iters + sol.iterations, trials + sol.trials
+        return iters, trials
+
+    iters, trials = benchmark(chain)
+    assert trials >= iters > 0
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        benchmark.extra_info["us_per_iteration"] = 1e6 * benchmark.stats["min"] / iters
+        benchmark.extra_info["trials_per_iteration"] = trials / iters
+
+
 def test_rounding(benchmark, instance):
     p, sol = instance
     X = benchmark(lambda: round_assignment(sol.X, p))

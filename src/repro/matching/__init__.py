@@ -31,6 +31,7 @@ from repro.matching.frank_wolfe import FrankWolfeConfig, solve_frank_wolfe
 from repro.matching.kkt import KKTGradients, kkt_jacobians, kkt_vjp
 from repro.matching.objectives import (
     BarrierDerivatives,
+    BarrierEval,
     barrier_gradient,
     barrier_second_derivatives,
     barrier_value,
@@ -75,6 +76,7 @@ __all__ = [
     "linear_cost",
     "smooth_makespan",
     "reliability_value",
+    "BarrierEval",
     "barrier_value",
     "barrier_gradient",
     "BarrierDerivatives",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.matching.objectives import barrier_gradient, barrier_value
+from repro.matching.objectives import BarrierEval
 from repro.matching.problem import MatchingProblem
 from repro.matching.relaxed import RelaxedSolution
 
@@ -69,12 +69,13 @@ def solve_frank_wolfe(
     if not problem.is_strictly_feasible(X):
         X = problem.feasible_start()
 
-    f_cur = barrier_value(X, problem)
+    ev = BarrierEval(problem)
+    f_cur, state = ev.value(X)
     history = np.empty(cfg.max_iters + 1)
     history[0] = f_cur
     it = 0
     for it in range(1, cfg.max_iters + 1):
-        grad = barrier_gradient(X, problem)
+        grad = ev.gradient(X, state)
         V = _vertex_oracle(grad)
         direction = V - X
         gap = float(-np.sum(grad * direction))  # ⟨∇F, X − V⟩ ≥ 0
@@ -86,7 +87,7 @@ def solve_frank_wolfe(
         accepted = False
         for _ in range(cfg.backtrack):
             X_new = X + step * direction
-            f_new = barrier_value(X_new, problem)
+            f_new, state_new = ev.value(X_new)
             if np.isfinite(f_new) and f_new < f_cur - 1e-15:
                 accepted = True
                 break
@@ -95,7 +96,7 @@ def solve_frank_wolfe(
             history = history[:it]
             return RelaxedSolution(X=X, objective=f_cur, iterations=it - 1,
                                    converged=True, history=history.copy())
-        X, f_cur = X_new, f_new
+        X, f_cur, state = X_new, f_new, state_new
         history[it] = f_cur
     return RelaxedSolution(X=X, objective=f_cur, iterations=it, converged=False,
                            history=history[: it + 1].copy())

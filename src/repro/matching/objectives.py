@@ -16,6 +16,7 @@ All gradients are verified against finite differences in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
     "decision_cost",
     "penalty_value",
     "reliability_value",
+    "BarrierEval",
     "barrier_value",
     "barrier_gradient",
     "BarrierDerivatives",
@@ -102,74 +104,109 @@ def reliability_value(X: np.ndarray, problem: MatchingProblem) -> float:
 _XLOG_EPS = 1e-12
 
 
-def _entropy_term(X: np.ndarray, tau: float) -> float:
-    """τ Σ x log x with the 0·log 0 = 0 convention."""
-    if tau == 0.0:
-        return 0.0
-    Xc = np.maximum(X, _XLOG_EPS)
-    return float(tau * np.sum(Xc * np.log(Xc)))
+class BarrierEval:
+    """Eq. (9) and its gradient for one problem, with carried state.
+
+    The per-problem constants (``T``, ``A``, ``λA``, ``MN``, the
+    cost/penalty/ζ dispatch) are hoisted once.  ``value(X)`` returns ``F``
+    *and* the intermediates it had to compute anyway — ``(slack, sums,
+    zeta, counts, e, esum, logX)``: the reliability slack, row sums
+    ``x_iᵀt_i``, ζ values and fractional counts (``None`` when
+    sequential), the max-shifted ``exp(βc − max βc)`` with its sum
+    (``None`` for linear cost) and ``log max(X, ε)`` (``None`` when τ = 0).
+    ``gradient(X, state)`` builds ∇F from that state instead of
+    recomputing it.  Reuse is exact: the state holds the very arrays the
+    stateless evaluation would rebuild from the same ``X`` with the same
+    operations in the same order (LSE and softmax share ``e``/``esum``),
+    so a line search that threads an accepted trial's state into the next
+    gradient reproduces the per-call results bit for bit.  ``X`` must not
+    be mutated between the two calls.
+    """
+
+    def __init__(self, problem: MatchingProblem) -> None:
+        self.T, self.A = problem.T, problem.A
+        self.MN = problem.M * problem.N
+        self.gamma, self.beta, self.lam = problem.gamma, problem.beta, problem.lam
+        self.tau, self.lamA = problem.entropy, problem.lam * problem.A
+        self.linear = problem.cost == "linear"
+        self.hinge = problem.penalty == "hinge"
+        self.zetas = problem.speedup if problem.is_parallel else None
+
+    def value(self, X: np.ndarray) -> tuple[float, tuple | None]:
+        """``(F(X), state)``; ``(+inf, None)`` outside the log barrier's
+        domain (g ≤ 0), so line searches reject such steps unspecialized."""
+        slack = float((X * self.A).sum() / self.MN - self.gamma)
+        if self.hinge:
+            pen = self.lam * max(0.0, -slack)
+        elif slack <= 0:
+            return float("inf"), None
+        else:
+            pen = -self.lam * float(np.log(slack))
+            if not math.isfinite(pen):
+                return float("inf"), None
+        sums = np.einsum("ij,ij->i", X, self.T)
+        c = sums
+        zeta = counts = e = esum = logX = None
+        if self.zetas is not None:
+            counts = X.sum(axis=1)
+            zeta = np.array([float(s.value(np.array(k))) for s, k in zip(self.zetas, counts)])
+            c = zeta * sums
+        if self.linear:
+            cost = float(c.sum())
+        else:
+            bc = self.beta * c
+            shift = bc.max()
+            e = np.exp(bc - shift)
+            esum = e.sum()
+            cost = float(np.log(esum) + shift) / self.beta
+        ent = 0.0
+        if self.tau:
+            Xc = np.maximum(X, _XLOG_EPS)
+            logX = np.log(Xc)
+            ent = float(self.tau * (Xc * logX).sum())
+        return cost + pen + ent, (slack, sums, zeta, counts, e, esum, logX)
+
+    def gradient(self, X: np.ndarray, state: tuple | None = None) -> np.ndarray:
+        """∇_X F from the state ``value(X)`` returned (evaluated here when
+        not given).  With ``w = softmax(β c)`` the smoothed-max term
+        contributes ``w_i · ∂c_i/∂x_ij`` where ``∂c_i/∂x_ij = ζ'_i(k_i)·s_i
+        + ζ_i(k_i)·t_ij`` (just ``t_ij`` in the sequential case); the
+        barrier term contributes ``−λ a_ij / (MN·g)``."""
+        if state is None:
+            state = self.value(X)[1]
+            if state is None:
+                raise ValueError("barrier gradient evaluated at an infeasible point (g <= 0)")
+        slack, sums, zeta, counts, e, esum, logX = state
+        dc = self.T
+        if zeta is not None:
+            dz = [float(s.derivative(np.array(k))) for s, k in zip(self.zetas, counts)]
+            dzeta = np.array(dz)
+            dc = dzeta[:, None] * sums[:, None] + zeta[:, None] * self.T
+        # Linear cost is w ≡ 1: a fresh writable copy of dc, same bits.
+        grad = dc * 1.0 if self.linear else (e / esum)[:, None] * dc
+        if not self.hinge:
+            grad -= self.lamA / (self.MN * slack)
+        elif slack < 0:
+            # d/dX λ(γ − g) = −λ A / (MN); zero subgradient when satisfied —
+            # exactly the vanishing-gradient pathology Table 1 probes.
+            grad -= self.lamA / self.MN
+        if self.tau:
+            grad += self.tau * (1.0 + logX)
+        return grad
 
 
 def barrier_value(X: np.ndarray, problem: MatchingProblem) -> float:
     """Eq. (9): ``F(X, T, A) = f̃(X, T) − λ log(g(X, A))`` plus the optional
     entropy regularizer ``τ Σ x log x`` (see :class:`MatchingProblem`),
     dispatching on the problem's ``cost``/``penalty`` ablation knobs.
-
-    Returns ``+inf`` outside the log barrier's domain (g ≤ 0) so line
-    searches can reject infeasible steps without special-casing.
-    """
-    pen = penalty_value(X, problem)
-    if not np.isfinite(pen):
-        return float("inf")
-    return smooth_cost(X, problem) + pen + _entropy_term(X, problem.entropy)
-
-
-def _load_details(
-    X: np.ndarray, problem: MatchingProblem
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Return (c, sums, zeta, dzeta): loads and ζ values/derivatives at the
-    current fractional counts (zeta=1, dzeta=0 in the sequential case)."""
-    sums = np.einsum("ij,ij->i", X, problem.T)
-    M = problem.M
-    if not problem.is_parallel:
-        ones = np.ones(M)
-        return sums, sums, ones, np.zeros(M)
-    counts = X.sum(axis=1)
-    sp = problem.speedup_tuple()
-    zeta = np.array([float(s.value(np.array(k))) for s, k in zip(sp, counts)])
-    dzeta = np.array([float(s.derivative(np.array(k))) for s, k in zip(sp, counts)])
-    return zeta * sums, sums, zeta, dzeta
+    One-shot wrapper over :class:`BarrierEval` (``+inf`` when g ≤ 0)."""
+    return BarrierEval(problem).value(X)[0]
 
 
 def barrier_gradient(X: np.ndarray, problem: MatchingProblem) -> np.ndarray:
-    """∇_X F for Eq. (9), valid for both sequential and parallel objectives.
-
-    With ``w = softmax(β c)`` the smoothed-max term contributes
-    ``w_i · ∂c_i/∂x_ij`` where ``∂c_i/∂x_ij = ζ'_i(k_i)·s_i + ζ_i(k_i)·t_ij``
-    (the first term vanishing in the sequential case); the barrier term
-    contributes ``−λ a_ij / (MN·g)``.
-    """
-    c, sums, zeta, dzeta = _load_details(X, problem)
-    if problem.cost == "linear":
-        w = np.ones(problem.M)
-    else:
-        w = softmax_np(problem.beta * c)
-    # dc_i/dx_ij rows: ζ'_i s_i (constant per row) + ζ_i t_ij.
-    dc = dzeta[:, None] * sums[:, None] + zeta[:, None] * problem.T
-    grad = w[:, None] * dc
-    slack = reliability_value(X, problem)
-    if problem.penalty == "hinge":
-        if slack < 0:
-            # d/dX λ(γ − g) = −λ A / (MN); zero subgradient when satisfied —
-            # exactly the vanishing-gradient pathology Table 1 probes.
-            grad -= problem.lam * problem.A / (problem.M * problem.N)
-    else:
-        if slack <= 0:
-            raise ValueError("barrier gradient evaluated at an infeasible point (g <= 0)")
-        grad -= problem.lam * problem.A / (problem.M * problem.N * slack)
-    if problem.entropy:
-        grad += problem.entropy * (1.0 + np.log(np.maximum(X, _XLOG_EPS)))
-    return grad
+    """∇_X F for Eq. (9), valid for both sequential and parallel objectives;
+    one-shot wrapper over :meth:`BarrierEval.gradient`."""
+    return BarrierEval(problem).gradient(X)
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,8 @@ class MatchingProblem:
     #: term; ``"hinge"`` is Table 1's ablation (2) — the hard penalty
     #: ``λ · max(0, γ − g(X, A))``.
     penalty: str = "log_barrier"
+    #: Backs :attr:`is_parallel`; derived in ``__post_init__`` on every build.
+    _parallel: bool = field(init=False, repr=False, compare=False, default=False)
 
     def __post_init__(self) -> None:
         T = check_matrix(self.T, name="T")
@@ -78,6 +80,8 @@ class MatchingProblem:
                     f"need 1 or M={T.shape[0]} speedup functions, got {len(sp)}"
                 )
             object.__setattr__(self, "speedup", sp)
+            parallel = any(not isinstance(s, IdentitySpeedup) for s in sp)
+            object.__setattr__(self, "_parallel", parallel)
 
     # ------------------------------------------------------------------ #
 
@@ -94,9 +98,7 @@ class MatchingProblem:
     @property
     def is_parallel(self) -> bool:
         """Whether the non-convex parallel-execution objective applies."""
-        return self.speedup is not None and any(
-            not isinstance(s, IdentitySpeedup) for s in self.speedup
-        )
+        return self._parallel
 
     def speedup_tuple(self) -> tuple[SpeedupFunction, ...]:
         """ζ functions, defaulting to identity for the sequential setting."""

@@ -22,12 +22,13 @@ feasible, mirroring interior-point practice.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.matching.objectives import barrier_gradient, barrier_value
+from repro.matching.objectives import BarrierEval
 from repro.matching.problem import MatchingProblem
 from repro.nn.functional import softmax_np
 from repro.telemetry import ITER_BUCKETS, TIME_BUCKETS_S, get_recorder
@@ -77,6 +78,8 @@ class RelaxedSolution:
     #: repeated rejections — the scalar analogue of the batch solver's
     #: ``adaptive_trials`` step-memory line search.
     halvings: int = 0
+    #: Total line-search evaluations of F over the solve (≥ ``iterations``).
+    trials: int = 0
 
 
 def project_simplex_columns(X: np.ndarray) -> np.ndarray:
@@ -118,9 +121,17 @@ def solve_relaxed(
         Warm start (must be strictly feasible); defaults to the uniform
         assignment.  Warm starting from a previous solve is how the
         zeroth-order estimator keeps its perturbed solves cheap.
+
+    Each trial's :meth:`BarrierEval.value` state is carried into the next
+    iteration's gradient, so F's intermediates are evaluated once per
+    accepted step.  The mirror update clips its exponent to ±50 except
+    where that is provably a no-op: under ``normalize_steps`` the step is
+    ``lr / max|∇F|``, so ``|step·∇F| ≤ lr·(1 + 2u)`` (two roundings) at
+    every halving, which stays below 50 for any ``lr ≤ 49``.
     """
     cfg = config or SolverConfig()
-    X = problem.feasible_start() if x0 is None else np.array(x0, dtype=np.float64)
+    cold = problem.feasible_start()
+    X = cold if x0 is None else np.array(x0, dtype=np.float64)
     if X.shape != (problem.M, problem.N):
         raise ValueError(f"x0 must have shape {(problem.M, problem.N)}, got {X.shape}")
     if not problem.is_strictly_feasible(X):
@@ -129,24 +140,24 @@ def solve_relaxed(
         # blend weight toward the interior point, so walk toward it just
         # far enough to re-enter the barrier domain — keeping most of the
         # warm information — before giving up and starting cold.
-        interior = problem.feasible_start()
         for alpha in (0.25, 0.5, 0.75):
-            blended = (1.0 - alpha) * X + alpha * interior
+            blended = (1.0 - alpha) * X + alpha * cold
             if problem.is_strictly_feasible(blended):
                 X = blended
                 break
         else:
-            X = interior
+            X = cold
 
-    f_cur = barrier_value(X, problem)
-    if x0 is not None:
+    ev = BarrierEval(problem)
+    f_cur, state = ev.value(X)
+    if X is not cold:
         # Hedge the warm start: one extra evaluation at the cold start
         # guarantees a stale seed can never open the descent from a worse
-        # point than the solver would have used anyway.
-        cold = problem.feasible_start()
-        f_cold = barrier_value(cold, problem)
+        # point than the solver would have used anyway.  Its state is
+        # carried like any accepted trial's if the cold point wins.
+        f_cold, cold_state = ev.value(cold)
         if f_cold < f_cur:
-            X, f_cur = cold, f_cold
+            X, f_cur, state = cold, f_cold, cold_state
     history = np.empty(cfg.max_iters + 1)
     history[0] = f_cur
     best_X, best_f = X, f_cur
@@ -163,6 +174,7 @@ def solve_relaxed(
         if tele:
             rec.counter_add("solve/calls")
             rec.observe("solve/iterations", sol.iterations, bounds=ITER_BUCKETS)
+            rec.observe("solve/trials", sol.trials, bounds=ITER_BUCKETS)
             rec.observe("solve/line_search_s", ls_time, bounds=TIME_BUCKETS_S)
             if not sol.converged:
                 rec.counter_add("solve/nonconverged")
@@ -171,24 +183,30 @@ def solve_relaxed(
     # near-uniform matrix contracts to the barycenter), so it runs in
     # non-monotone mode tracking the best iterate, exactly like Algorithm 1.
     monotone = cfg.projection != "softmax"
+    mirror = cfg.projection == "mirror"
+    normalize = cfg.normalize_steps and mirror
+    clip = not (normalize and cfg.lr <= 49.0)  # see the docstring
     last_halvings = 0
+    trials = 0
     for it in range(1, cfg.max_iters + 1):
-        grad = barrier_gradient(X, problem)
+        grad = ev.gradient(X, state)
         step = cfg.lr
-        if cfg.normalize_steps and cfg.projection == "mirror":
+        if normalize:
             step = cfg.lr / max(float(np.abs(grad).max()), 1e-9)
         accepted = False
         if tele:
             ls_t0 = time.perf_counter()
         for h in range(cfg.backtrack):
-            if cfg.projection == "mirror":
+            if mirror:
                 # Multiplicative-weights update; clip the exponent for safety.
-                Z = X * np.exp(-np.clip(step * grad, -50.0, 50.0))
+                expo = step * grad
+                Z = X * np.exp(-(np.clip(expo, -50.0, 50.0) if clip else expo))
                 X_new = Z / Z.sum(axis=0, keepdims=True)
             else:
                 X_new = _project(X - step * grad, cfg.projection)
-            f_new = barrier_value(X_new, problem)
-            if np.isfinite(f_new) and (not monotone or f_new <= f_cur + 1e-12):
+            f_new, state_new = ev.value(X_new)
+            trials += 1
+            if math.isfinite(f_new) and (not monotone or f_new <= f_cur + 1e-12):
                 accepted = True
                 last_halvings = h
                 break
@@ -200,9 +218,9 @@ def solve_relaxed(
             history[it] = best_f
             return _emit(RelaxedSolution(X=best_X, objective=best_f, iterations=it,
                                          converged=True, history=history.copy(),
-                                         halvings=last_halvings))
+                                         halvings=last_halvings, trials=trials))
         improvement = f_cur - f_new
-        X, f_cur = X_new, f_new
+        X, f_cur, state = X_new, f_new, state_new
         if f_cur < best_f:
             best_X, best_f = X, f_cur
         history[it] = f_cur
@@ -212,10 +230,10 @@ def solve_relaxed(
                 history = history[: it + 1]
                 return _emit(RelaxedSolution(X=best_X, objective=best_f, iterations=it,
                                              converged=True, history=history.copy(),
-                                             halvings=last_halvings))
+                                             halvings=last_halvings, trials=trials))
         else:
             stall = 0
     return _emit(RelaxedSolution(
         X=best_X, objective=best_f, iterations=it, converged=False,
-        history=history[: it + 1].copy(), halvings=last_halvings
+        history=history[: it + 1].copy(), halvings=last_halvings, trials=trials
     ))

@@ -384,11 +384,40 @@ class TestIntegration:
                             entropy=0.05)
         rec = Recorder("summary", run="t")
         with rec.activate():
-            solve_relaxed(p, SolverConfig(max_iters=200))
+            sol = solve_relaxed(p, SolverConfig(max_iters=200))
         agg = rec.aggregate()
         assert agg["counters"]["solve/calls"]["value"] == 1
         hist = agg["histograms"]["solve/iterations"]
         assert hist["count"] == 1 and hist["sum"] >= 1
+        # Line-search evaluations: at least one per iteration.
+        trials = agg["histograms"]["solve/trials"]
+        assert trials["count"] == 1
+        assert trials["sum"] == sol.trials >= sol.iterations == hist["sum"]
+
+    def test_trials_metric_stays_out_of_the_dispatch_trace(self):
+        """``solve/trials`` is observation only: the dispatch trace is the
+        same bytes with the recorder on or off and never mentions it."""
+        from repro.clusters import make_setting
+        from repro.methods import TSM, FitContext, MatchSpec
+        from repro.predictors.training import TrainConfig
+        from repro.serve import Dispatcher, PoissonLoad
+        from repro.workloads import TaskPool
+
+        pool = TaskPool(12, rng=0)
+        clusters = make_setting("A")
+        spec = MatchSpec(solver=SolverConfig(tol=1e-4, max_iters=100))
+        ctx = FitContext.build(clusters, pool.split(0.6, rng=1)[0], spec, rng=2)
+        method = TSM(train_config=TrainConfig(epochs=2)).fit(ctx)
+        events = PoissonLoad(pool, 30.0).draw(1.5, np.random.default_rng(3))
+
+        off = Dispatcher(clusters, method, spec).run(list(events), rng=4)
+        rec = Recorder("summary", run="t")
+        with rec.activate():
+            on = Dispatcher(clusters, method, spec).run(list(events), rng=4)
+        hists = rec.aggregate()["histograms"]
+        assert hists["solve/trials"]["sum"] >= hists["solve/iterations"]["sum"] > 0
+        assert on.trace_bytes() == off.trace_bytes()
+        assert b"trials" not in on.trace_bytes()
 
     def test_run_metadata_fields(self):
         meta = run_metadata(config={"a": 1}, seeds=np.array([3, 4]))
