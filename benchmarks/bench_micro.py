@@ -26,11 +26,13 @@ from repro.matching import (
     kkt_vjp,
     solve_branch_and_bound,
     solve_relaxed,
+    solve_relaxed_blocks,
     zo_vjp,
 )
 from repro.matching.rounding import round_assignment
 from repro.nn import MLP, Adam, Tensor, mse_loss
 from repro.sim import simulate_matching
+from repro.telemetry import Recorder
 from repro.workloads import GraphEmbedder, TaskPool, sample_specs
 
 
@@ -79,6 +81,48 @@ def test_relaxed_solve_serve_shape(benchmark):
     if benchmark.stats is not None:  # None under --benchmark-disable
         benchmark.extra_info["us_per_iteration"] = 1e6 * benchmark.stats["min"] / iters
         benchmark.extra_info["trials_per_iteration"] = trials / iters
+
+
+@pytest.mark.parametrize("m_clusters,n_tasks,pool_size", [
+    (24, 64, 256),  # the serve_wide window: four 6-cluster blocks, 9-25 tasks
+    (200, 200, 512),  # padding cost at scale: four 50-cluster blocks
+    (200, 400, 512),
+])
+def test_blocks_ragged_window(benchmark, m_clusters, n_tasks, pool_size):
+    """Blocks-mode windows whose blocks have unequal task counts: five
+    windows drawn from a pool, cold, at the serving tolerances.  Reports
+    (``extra_info``) ``solve_relaxed_batch`` calls and groups per window,
+    padding per real element and µs per window.  With
+    ``--benchmark-disable`` it runs once: the CI non-timing smoke."""
+    clusters = make_specialist_pool(m_clusters)
+    pool = TaskPool(pool_size, rng=0).tasks
+    T_all = np.stack([c.true_times(pool) for c in clusters])
+    A_all = np.stack([c.true_reliabilities(pool) for c in clusters])
+    rng = np.random.default_rng(1)
+    problems = []
+    for _ in range(5):
+        cols = rng.choice(pool_size, n_tasks, replace=False)
+        T, A = T_all[:, cols], A_all[:, cols]
+        problems.append(MatchingProblem(T=T, A=A, gamma=feasible_gamma(T, A, quantile=0.5)))
+    cfg = SolverConfig(tol=1e-4, max_iters=400)
+
+    sols = benchmark(lambda: [solve_relaxed_blocks(p, cfg) for p in problems])
+    assert all(s.n_blocks > s.batched_groups == 1 and s.trials >= s.iterations for s in sols)
+    rec = Recorder("summary", run="bench")
+    with rec.activate():
+        for p in problems:
+            solve_relaxed_blocks(p, cfg)
+    agg = rec.aggregate()
+    pad = agg["histograms"]["blocks/pad_frac"]
+    assert pad["sum"] > 0  # the windows are ragged
+    benchmark.extra_info["batch_calls_per_window"] = (
+        agg["counters"]["batch_solve/calls"]["value"] / len(problems))
+    benchmark.extra_info["groups_per_window"] = (
+        agg["histograms"]["blocks/groups"]["sum"] / len(problems))
+    benchmark.extra_info["blocks_per_window"] = sum(s.n_blocks for s in sols) / len(problems)
+    benchmark.extra_info["pad_frac"] = pad["sum"] / pad["count"]
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        benchmark.extra_info["us_per_window"] = 1e6 * benchmark.stats["min"] / len(problems)
 
 
 def test_rounding(benchmark, instance):

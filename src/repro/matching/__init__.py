@@ -8,6 +8,7 @@ and Algorithm 2 zeroth-order gradient estimation.
 
 from repro.matching.annealing import AnnealingConfig, solve_annealing
 from repro.matching.batch import (
+    BatchBarrierEval,
     BatchProblem,
     BatchSolution,
     batch_barrier_gradient,
@@ -98,6 +99,7 @@ __all__ = [
     "BatchProblem",
     "BatchSolution",
     "solve_relaxed_batch",
+    "BatchBarrierEval",
     "batch_barrier_value",
     "batch_barrier_gradient",
     "batch_reliability_slack",

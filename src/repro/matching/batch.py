@@ -7,7 +7,9 @@ rounds.  Solving them one-by-one wastes the vector units; this module runs
 mirror descent on a whole *batch* of instances simultaneously — all arrays
 carry a leading batch dimension and every update is a fused
 elementwise/`einsum` expression, following the hpc-parallel guidance
-(vectorize the outer loop, not just the inner one).
+(vectorize the outer loop, not just the inner one).  Instances share a
+cluster count but may be *ragged* in tasks (``BatchProblem.widths``): the
+blocks of one serving window, padded to the widest, are one batch.
 
 Semantics match :func:`repro.matching.relaxed.solve_relaxed` with the
 ``"mirror"`` projection and normalized steps:
@@ -28,8 +30,9 @@ case falls back to the scalar path automatically.
 
 from __future__ import annotations
 
+import copy
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +42,7 @@ __all__ = [
     "BatchProblem",
     "BatchSolution",
     "solve_relaxed_batch",
+    "BatchBarrierEval",
     "batch_barrier_value",
     "batch_barrier_gradient",
     "batch_reliability_slack",
@@ -48,9 +52,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BatchProblem:
-    """A batch of B same-shape sequential matching instances."""
+    """A batch of B sequential matching instances over M clusters each.
 
-    T: np.ndarray  # (B, M, N) strictly positive
+    Instances may be *ragged*: instance ``b`` has ``widths[b]`` real tasks
+    and its remaining columns are padding holding ``T = A = 0``.  A padding
+    column adds exactly 0.0 to every load and reliability sum and gets a
+    zero gradient, so each instance is its unpadded program with
+    ``M·widths[b]`` in place of ``M·N``.
+    """
+
+    T: np.ndarray  # (B, M, N) strictly positive on real columns
     A: np.ndarray  # (B, M, N) in [0, 1]
     gamma: np.ndarray  # (B,)
     beta: float = 5.0
@@ -62,6 +73,13 @@ class BatchProblem:
     #: error per objective — the zeroth-order estimator's perturbation
     #: stacks, whose O(δ) smoothing bias dwarfs the rounding noise.
     dtype: np.dtype = np.float64
+    #: Real task count per instance, (B,) integers in [1, N]; every
+    #: instance is N wide when absent.
+    widths: np.ndarray | None = None
+    #: Derived: per-instance ``M·width`` in ``dtype`` and the (B, 1, N)
+    #: real-column mask (``None`` when no instance is padded).
+    mn: np.ndarray = field(init=False, repr=False, compare=False)
+    real: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.dtype not in (np.float32, np.float64):
@@ -71,10 +89,17 @@ class BatchProblem:
         g = np.atleast_1d(np.asarray(self.gamma, dtype=self.dtype))
         if T.ndim != 3 or A.shape != T.shape:
             raise ValueError("T and A must be (B, M, N) arrays of equal shape")
-        if g.shape != (T.shape[0],):
-            raise ValueError(f"gamma must have shape ({T.shape[0]},), got {g.shape}")
-        if np.any(T <= 0):
+        B, M, N = T.shape
+        if g.shape != (B,):
+            raise ValueError(f"gamma must have shape ({B},), got {g.shape}")
+        w = np.full(B, N) if self.widths is None else np.asarray(self.widths)
+        if w.shape != (B,) or w.dtype.kind not in "iu" or np.any((w < 1) | (w > N)):
+            raise ValueError(f"widths must be ({B},) integers in [1, {N}]")
+        real = (np.arange(N) < w[:, None])[:, None, :]
+        if np.any((T <= 0) & real):
             raise ValueError("execution times must be strictly positive")
+        if np.any(((T != 0) | (A != 0)) & ~real):
+            raise ValueError("padding columns must hold T = A = 0")
         if np.any((A < 0) | (A > 1)):
             raise ValueError("reliabilities must lie in [0, 1]")
         if self.beta <= 0 or self.lam <= 0 or self.entropy < 0:
@@ -82,6 +107,9 @@ class BatchProblem:
         object.__setattr__(self, "T", T)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "gamma", g)
+        object.__setattr__(self, "widths", w)
+        object.__setattr__(self, "mn", (M * w).astype(self.dtype))
+        object.__setattr__(self, "real", None if np.all(w == N) else real)
 
     @property
     def B(self) -> int:
@@ -109,6 +137,9 @@ class BatchSolution:
     objective: np.ndarray  # (B,)
     iterations: int
     converged: np.ndarray | None = None  # (B,) bool
+    #: Instance-evaluations of F by the trial cascade over the solve (each
+    #: iteration costs one per active instance plus one per halving retry).
+    trials: int = 0
 
 
 _XEPS = 1e-12
@@ -140,100 +171,109 @@ def clamp_predictions_batch(
     return T, A, np.minimum(gamma, attainable)
 
 
-# --------------------------------------------------------------------- #
-# Array-level objective helpers.  X may carry extra leading dimensions
-# beyond (b, M, N) — the trial cascade exploits this by evaluating all
-# halvings in one call with X of shape (H, b, M, N).
-# --------------------------------------------------------------------- #
+class BatchBarrierEval:
+    """Eq. (9) and its gradient for a (sub)batch, with carried state.
 
-
-def _slack(X: np.ndarray, A: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    M, N = X.shape[-2], X.shape[-1]
-    return np.einsum("...mn,...mn->...", X, A) / (M * N) - gamma
-
-
-def _value_from(
-    X: np.ndarray,
-    loads: np.ndarray,
-    slack: np.ndarray,
-    beta: float,
-    lam: float,
-    entropy: float,
-) -> np.ndarray:
-    """Barrier objective from precomputed loads/slack; +inf where infeasible."""
-    z = beta * loads
-    shift = z.max(axis=-1, keepdims=True)
-    lse = (np.log(np.exp(z - shift).sum(axis=-1)) + shift[..., 0]) / beta
-    out = np.where(slack > 0, lse - lam * np.log(np.maximum(slack, _XEPS)), np.inf)
-    if entropy:
-        Xc = np.maximum(X, _XEPS)
-        out = out + entropy * np.sum(Xc * np.log(Xc), axis=(-2, -1))
-    return out
-
-
-def _value(
-    X: np.ndarray,
-    T: np.ndarray,
-    A: np.ndarray,
-    gamma: np.ndarray,
-    beta: float,
-    lam: float,
-    entropy: float,
-) -> np.ndarray:
-    """Barrier objective per instance; +inf where infeasible.
-
-    ``X`` may carry extra leading dimensions beyond ``T``/``A``/``gamma``
-    (einsum broadcasts the ellipsis axes) — the trial cascade calls this
-    with X of shape (H, b, M, N) against (b, M, N) instance data.
+    The batch analogue of :class:`repro.matching.objectives.BarrierEval`:
+    per-batch constants (``T``, ``A``, ``γ``, ``M·width``, ``λA/(M·width)``)
+    are hoisted once, ``value(X)`` returns ``F`` per instance *and* the
+    intermediates it had to compute anyway — ``(slack, e, esum, logX)``:
+    the reliability slack, the max-shifted ``exp(βc − max βc)`` with its
+    sum, and ``log max(X, ε)`` (``None`` when τ = 0, zero on padding
+    columns) — and ``gradient(state)`` builds ∇F from them instead of
+    recomputing loads, softmax or logs (LSE and softmax share
+    ``e``/``esum``).  Every state array leads with the instance axis, so a
+    line search scatters an accepted retry's state with ``s[acc] = r[ok]``
+    and the active set compacts it with ``s[keep]`` (:meth:`take` does the
+    same for the constants).
     """
-    loads = np.einsum("...mn,...mn->...m", X, T)
-    return _value_from(X, loads, _slack(X, A, gamma), beta, lam, entropy)
 
+    def __init__(self, p: BatchProblem) -> None:
+        self.T, self.A, self.gamma, self.mn, self.real = p.T, p.A, p.gamma, p.mn, p.real
+        self.beta, self.lam, self.tau = p.beta, p.lam, p.entropy
+        # λ/(M·width) divided in float64, then cast: on an unpadded batch
+        # the bits of the weak-scalar product ``(lam / (M * N)) * A``.
+        self.lamA = (p.lam / (p.M * p.widths)).astype(p.dtype)[:, None, None] * p.A
 
-def _gradient(
-    X: np.ndarray,
-    T: np.ndarray,
-    A: np.ndarray,
-    slack: np.ndarray,
-    beta: float,
-    lam: float,
-    entropy: float,
-) -> np.ndarray:
-    M, N = X.shape[-2], X.shape[-1]
-    loads = np.einsum("...mn,...mn->...m", X, T)
-    z = beta * loads
-    z -= z.max(axis=-1, keepdims=True)
-    w = np.exp(z)
-    w /= w.sum(axis=-1, keepdims=True)
-    grad = w[..., None] * T
-    grad = grad - (lam / (M * N)) * A / slack[..., None, None]
-    if entropy:
-        grad += entropy * (1.0 + np.log(np.maximum(X, _XEPS)))
-    return grad
+    def take(self, idx: np.ndarray) -> "BatchBarrierEval":
+        """The evaluator of instances ``idx`` only."""
+        sub = copy.copy(self)
+        sub.T, sub.A, sub.gamma = self.T[idx], self.A[idx], self.gamma[idx]
+        sub.mn, sub.lamA = self.mn[idx], self.lamA[idx]
+        if self.real is not None:
+            sub.real = self.real[idx]
+        return sub
+
+    def slack(self, X: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """Eq. (4) reliability surplus ``Σ x·a / (M·width) − γ``."""
+        return np.einsum("...mn,...mn->...", X, self.A[rows]) / self.mn[rows] - self.gamma[rows]
+
+    def value(self, X: np.ndarray, rows=slice(None)) -> tuple[np.ndarray, tuple]:
+        """``(F, state)`` of iterates ``X`` for instances ``rows`` (all by
+        default); ``F`` is ``+inf`` where g ≤ 0.  ``X`` may carry extra
+        leading dimensions (einsum broadcasts the ellipsis axes)."""
+        slack = self.slack(X, rows)
+        z = self.beta * np.einsum("...mn,...mn->...m", X, self.T[rows])
+        shift = z.max(axis=-1, keepdims=True)
+        e = np.exp(z - shift)
+        esum = e.sum(axis=-1)
+        lse = (np.log(esum) + shift[..., 0]) / self.beta
+        f = np.where(slack > 0, lse - self.lam * np.log(np.maximum(slack, _XEPS)), np.inf)
+        logX = None
+        if self.tau:
+            Xc = np.maximum(X, _XEPS)
+            logX = np.log(Xc)
+            if self.real is not None:
+                logX *= self.real[rows]
+            f = f + self.tau * np.einsum("...mn,...mn->...", Xc, logX)
+        return f, (slack, e, esum, logX)
+
+    def gradient(self, state: tuple, slack: np.ndarray | None = None) -> np.ndarray:
+        """∇_X F from the state ``value(X)`` returned: ``softmax(βc)_i·t_ij −
+        λ a_ij / (M·width·g)`` plus the entropy term on real columns.
+        ``slack`` overrides the state's reliability slack."""
+        s, e, esum, logX = state
+        grad = (e / esum[..., None])[..., None] * self.T
+        grad -= self.lamA / (s if slack is None else slack)[..., None, None]
+        if self.tau:
+            ent = self.tau * (1.0 + logX)
+            if self.real is not None:
+                ent *= self.real
+            grad += ent
+        return grad
 
 
 def batch_barrier_value(X: np.ndarray, p: BatchProblem) -> np.ndarray:
-    """Eq. (9) barrier objective of every instance (``+inf`` if infeasible)."""
-    return _value(X, p.T, p.A, p.gamma, p.beta, p.lam, p.entropy)
+    """Eq. (9) barrier objective of every instance (``+inf`` if infeasible);
+    one-shot wrapper over :class:`BatchBarrierEval`."""
+    return BatchBarrierEval(p).value(X)[0]
 
 
 def batch_barrier_gradient(
     X: np.ndarray, p: BatchProblem, slack: np.ndarray | None = None
 ) -> np.ndarray:
-    """∇_X F of every instance.
+    """∇_X F of every instance; one-shot wrapper over
+    :meth:`BatchBarrierEval.gradient`.
 
     ``slack`` overrides the reliability slack used by the barrier term —
     the training loop passes a floored slack so gradients stay finite at
     mildly infeasible iterates (see ``MFCPConfig.slack_floor``).
     """
-    if slack is None:
-        slack = np.maximum(_slack(X, p.A, p.gamma), _XEPS)
-    return _gradient(X, p.T, p.A, slack, p.beta, p.lam, p.entropy)
+    ev = BatchBarrierEval(p)
+    state = ev.value(X)[1]
+    return ev.gradient(state, np.maximum(state[0], _XEPS) if slack is None else slack)
 
 
 def batch_reliability_slack(X: np.ndarray, p: BatchProblem) -> np.ndarray:
     """Eq. (4) reliability surplus g(X, A) − γ per instance."""
-    return _slack(X, p.A, p.gamma)
+    return BatchBarrierEval(p).slack(X)
+
+
+def _reset_padding(X: np.ndarray, p: BatchProblem) -> np.ndarray:
+    """Put the uniform ``1/M`` column into every padding column, in place."""
+    if p.real is not None:
+        np.copyto(X, 1.0 / p.M, where=~p.real)
+    return X
 
 
 def _feasible_start_batch(p: BatchProblem) -> np.ndarray:
@@ -245,8 +285,8 @@ def _feasible_start_batch(p: BatchProblem) -> np.ndarray:
     b_idx = np.repeat(np.arange(B), N)
     n_idx = np.tile(np.arange(N), B)
     greedy[b_idx, p.A.argmax(axis=1).ravel(), n_idx] = 1.0
-    s_u = np.einsum("bmn,bmn->b", uniform, p.A) / (M * N) - p.gamma
-    s_g = np.einsum("bmn,bmn->b", greedy, p.A) / (M * N) - p.gamma
+    s_u = np.einsum("bmn,bmn->b", uniform, p.A) / p.mn - p.gamma
+    s_g = np.einsum("bmn,bmn->b", greedy, p.A) / p.mn - p.gamma
     if np.any(s_g <= 0):
         raise ValueError("some instances have an unattainable gamma")
     target = 0.25 * s_g
@@ -255,7 +295,23 @@ def _feasible_start_batch(p: BatchProblem) -> np.ndarray:
     alpha_f = (0.0 - s_u) / denom
     alpha = np.clip(np.maximum(alpha_t, alpha_f + 0.25 * (1 - alpha_f)), 0.0, 1 - 1e-6)
     alpha = alpha[:, None, None]
-    return (1.0 - alpha) * uniform + alpha * greedy
+    return _reset_padding((1.0 - alpha) * uniform + alpha * greedy, p)
+
+
+def _scatter(dst: tuple, i: np.ndarray, src: tuple, j: np.ndarray) -> None:
+    """``dst[i] = src[j]`` through every array of an Eq.-9 state."""
+    for d, s in zip(dst, src):
+        if d is not None:
+            d[i] = s[j]
+
+
+def _mirror_step(X: np.ndarray, grad: np.ndarray, neg_step: np.ndarray) -> np.ndarray:
+    """``X·exp(−step·∇F)`` per instance, renormalized per task column."""
+    expo = neg_step[:, None, None] * grad
+    np.exp(expo, out=expo)
+    Z = X * expo
+    Z /= Z.sum(axis=1, keepdims=True)
+    return Z
 
 
 def solve_relaxed_batch(
@@ -294,24 +350,24 @@ def solve_relaxed_batch(
         raise ValueError("lr, max_iters must be > 0 and halvings >= 1")
     if tol < 0 or patience < 1:
         raise ValueError("tol must be >= 0 and patience >= 1")
-    X = _feasible_start_batch(problem) if x0 is None else np.array(x0, dtype=problem.T.dtype)
-    if X.shape != problem.T.shape:
-        raise ValueError(f"x0 must have shape {problem.T.shape}, got {X.shape}")
-    B, M, N = problem.B, problem.M, problem.N
-    # Repair any infeasible warm starts by swapping in the blend start.
-    slack0 = _slack(X, problem.A, problem.gamma)
-    if np.any(slack0 <= 0):
-        fresh = _feasible_start_batch(problem)
-        X = np.where((slack0 <= 0)[:, None, None], fresh, X)
+    if x0 is None:
+        X = _feasible_start_batch(problem)
+    else:
+        X = np.array(x0, dtype=problem.T.dtype)
+        if X.shape != problem.T.shape:
+            raise ValueError(f"x0 must have shape {problem.T.shape}, got {X.shape}")
+        _reset_padding(X, problem)
+    ev = BatchBarrierEval(problem)
+    fa, st = ev.value(X)
+    if np.any(st[0] <= 0):
+        # Repair any infeasible warm starts by swapping in the blend start.
+        X = np.where((st[0] <= 0)[:, None, None], _feasible_start_batch(problem), X)
+        fa, st = ev.value(X)
 
-    beta, lam, entropy = problem.beta, problem.lam, problem.entropy
-    MN = M * N
-    out_X = X.copy()
-    loads_a = np.einsum("bmn,bmn->bm", X, problem.T)
-    slack_a = np.einsum("bmn,bmn->b", X, problem.A) / MN - problem.gamma
-    out_f = _value_from(X, loads_a, slack_a, beta, lam, entropy)
+    B = problem.B
+    out_X, out_f = X.copy(), fa.copy()
     converged = np.zeros(B, dtype=bool)
-    max_it_used = 0
+    max_it_used = trials = 0
     # Python-float steps: weak scalars under NEP 50, so float32 batches
     # are not silently promoted back to float64 by the cascade.
     steps = [lr / 2.0**h for h in range(halvings)]
@@ -320,42 +376,25 @@ def solve_relaxed_batch(
     steps_arr = np.asarray(steps, dtype=problem.T.dtype)
     k = np.zeros(B, dtype=np.intp) if adaptive_trials else None
 
-    # Active-set state (compacted copies; `active` maps back to batch slots).
-    # loads/slack/logX ride along so the accepted trial's objective pieces
-    # are reused for the next iteration's gradient instead of recomputed.
     # Telemetry: hoisted once per solve (one branch when disabled); the
     # per-iteration cascade-level bookkeeping below only runs when enabled.
     rec = get_recorder()
     tele = rec.enabled
     ls_time = 0.0
 
+    # Active-set state (compacted copies; `active` maps back to batch slots).
+    # `ev` and the Eq.-9 state `st` of the current iterates ride along, so
+    # the accepted trial's pieces feed the next iteration's gradient.
     active = np.arange(B)
-    Xa, fa = X, out_f.copy()
-    Ta, Aa, ga = problem.T, problem.A, problem.gamma
-    lamAa = (lam / MN) * Aa  # hoisted barrier-gradient constant
-    log_a = np.log(np.maximum(X, _XEPS)) if entropy else None
+    Xa = X
     stall = np.zeros(B, dtype=np.int64)
-
-    def _val(loads: np.ndarray, slack: np.ndarray, ent: np.ndarray | float) -> np.ndarray:
-        z = beta * loads
-        shift = z.max(axis=-1, keepdims=True)
-        lse = (np.log(np.exp(z - shift).sum(axis=-1)) + shift[..., 0]) / beta
-        return np.where(slack > 0, lse - lam * np.log(np.maximum(slack, _XEPS)), np.inf) + ent
 
     for it in range(max_iters):
         if active.size == 0:
             break
-        # ∇F from the carried loads/slack (Eq. 9 pieces of the current X).
-        z = beta * loads_a
-        z -= z.max(axis=-1, keepdims=True)
-        w = np.exp(z, out=z)
-        w /= w.sum(axis=-1, keepdims=True)
         # Accepted iterates always have slack > 0 (the value is +inf
-        # otherwise), so divide directly like the scalar barrier_gradient.
-        grad = w[:, :, None] * Ta
-        grad -= lamAa / slack_a[:, None, None]
-        if entropy:
-            grad += entropy * (1.0 + log_a)
+        # otherwise), so the barrier term divides by it directly.
+        grad = ev.gradient(st)
         # Normalized steps (see SolverConfig.normalize_steps): bound the
         # multiplicative update per instance regardless of barrier stiffness.
         # They also bound |expo| by lr, so no overflow clamp is needed below.
@@ -367,19 +406,9 @@ def solve_relaxed_batch(
         # only.  Cascade mode always opens at the full step; adaptive
         # mode opens at each instance's remembered level.
         neg_s1 = -steps_arr[k] if adaptive_trials else -steps[0]
-        expo = (neg_s1 / scale)[:, None, None] * grad
-        np.exp(expo, out=expo)
-        Z = Xa * expo
-        Z /= Z.sum(axis=1, keepdims=True)
-        loads_new = np.einsum("bmn,bmn->bm", Z, Ta)
-        slack_new = np.einsum("bmn,bmn->b", Z, Aa) / MN - ga
-        if entropy:
-            Zc = np.maximum(Z, _XEPS)
-            log_new = np.log(Zc)
-            ent_new = entropy * np.einsum("bmn,bmn->b", Zc, log_new)
-        else:
-            log_new, ent_new = None, 0.0
-        f_new = _val(loads_new, slack_new, ent_new)  # (b,)
+        Z = _mirror_step(Xa, grad, neg_s1 / scale)
+        f_new, st_new = ev.value(Z)  # (b,)
+        trials += active.size
         any_ok = f_new <= fa + 1e-12
         lvl = k.copy() if adaptive_trials else None  # accepted level
         # Cascade-mode accepted-level tracking (telemetry only; adaptive
@@ -403,28 +432,15 @@ def solve_relaxed_batch(
                 if r.size == 0:
                     break
                 neg_s = -steps_arr[lvl_r] if adaptive_trials else -steps[h]
-                expo_r = (neg_s / scale[r])[:, None, None] * grad[r]
-                np.exp(expo_r, out=expo_r)
-                Zr = Xa[r] * expo_r
-                Zr /= Zr.sum(axis=1, keepdims=True)
-                loads_r = np.einsum("rmn,rmn->rm", Zr, Ta[r])
-                slack_r = np.einsum("rmn,rmn->r", Zr, Aa[r]) / MN - ga[r]
-                if entropy:
-                    Zrc = np.maximum(Zr, _XEPS)
-                    log_r = np.log(Zrc)
-                    ent_r = entropy * np.einsum("rmn,rmn->r", Zrc, log_r)
-                else:
-                    log_r, ent_r = None, 0.0
-                f_r = _val(loads_r, slack_r, ent_r)
+                Zr = _mirror_step(Xa[r], grad[r], neg_s / scale[r])
+                f_r, st_r = ev.value(Zr, r)
+                trials += r.size
                 ok = f_r <= fa[r] + 1e-12
                 if ok.any():
                     acc = r[ok]
                     Z[acc] = Zr[ok]
                     f_new[acc] = f_r[ok]
-                    loads_new[acc] = loads_r[ok]
-                    slack_new[acc] = slack_r[ok]
-                    if entropy:
-                        log_new[acc] = log_r[ok]
+                    _scatter(st_new, acc, st_r, ok)
                     any_ok[acc] = True
                     if adaptive_trials:
                         lvl[acc] = lvl_r[ok]
@@ -439,10 +455,7 @@ def solve_relaxed_batch(
                 # No trial improved: keep the current iterate (frozen below).
                 Z[rem] = Xa[rem]
                 f_new[rem] = fa[rem]
-                loads_new[rem] = loads_a[rem]
-                slack_new[rem] = slack_a[rem]
-                if entropy:
-                    log_new[rem] = log_a[rem]
+                _scatter(st_new, rem, st, rem)
         if tele:
             ls_time += time.perf_counter() - ls_t0
             acc_lvls = (lvl if adaptive_trials else lvl_rec)[any_ok]
@@ -455,7 +468,6 @@ def solve_relaxed_batch(
             # Step memory with decrease-on-accept: retry one level larger
             # next iteration so the step size can grow back.
             np.maximum(lvl - 1, 0, out=k, where=any_ok)
-        Xa = Z
         max_it_used = it + 1
         if tol > 0:
             # Scalar stall rule: reset on a >= tol improvement, freeze
@@ -468,8 +480,7 @@ def solve_relaxed_batch(
             frozen |= ~any_ok
         else:
             frozen = ~any_ok
-        loads_a, slack_a, log_a = loads_new, slack_new, log_new
-        fa = f_new
+        Xa, fa, st = Z, f_new, st_new
         if np.any(frozen):
             done = active[frozen]
             out_X[done] = Xa[frozen]
@@ -477,11 +488,8 @@ def solve_relaxed_batch(
             converged[done] = True
             keep = ~frozen
             active, Xa, fa, stall = active[keep], Xa[keep], fa[keep], stall[keep]
-            loads_a, slack_a = loads_a[keep], slack_a[keep]
-            if entropy:
-                log_a = log_a[keep]
-            Ta, Aa, ga = problem.T[active], problem.A[active], problem.gamma[active]
-            lamAa = lamAa[keep]
+            st = tuple(None if s is None else s[keep] for s in st)
+            ev = ev.take(keep)
             if adaptive_trials:
                 k = k[keep]
 
@@ -496,5 +504,6 @@ def solve_relaxed_batch(
         rec.counter_add("batch_solve/frozen_instances", float(converged.sum()))
         rec.counter_add("batch_solve/line_search_s", ls_time)
     return BatchSolution(
-        X=out_X, objective=out_f, iterations=max_it_used, converged=converged
+        X=out_X, objective=out_f, iterations=max_it_used, converged=converged,
+        trials=trials,
     )

@@ -68,6 +68,8 @@ def batch_kkt_vjp(
     P = M * N
     if X_star.shape != (B, M, N) or grad_X.shape != (B, M, N):
         raise ValueError(f"X_star and grad_X must have shape {(B, M, N)}")
+    if problem.real is not None:
+        raise ValueError("the stacked KKT system assumes M*N variables: no ragged batches")
     T, A = problem.T, problem.A
     beta, lam = problem.beta, problem.lam
 

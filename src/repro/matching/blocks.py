@@ -24,13 +24,14 @@ edges stay available to the solver), so the only restriction relative to
 the dense solve is "no cross-block assignment" — exact for genuinely
 disconnected instances, and a measured, benchmarked gap otherwise.
 
-Blocks of identical shape are stacked and solved by one
+Blocks with the same cluster count are padded to the widest block's task
+count and solved by one ragged
 :func:`repro.matching.batch.solve_relaxed_batch` call (float32 by
 default, per-instance freezing, step-memory trial cascade), so a
 200-cluster window decomposing into four 50-cluster blocks costs one
 vectorized descent instead of a single stiff 200-cluster one — each block
 gets its own normalized step scale instead of inheriting the stiffest
-block's.
+block's, and the descent is as deep as the slowest block, not the sum.
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ __all__ = [
 #: Strictly positive floor for seeded columns (mirror updates need every
 #: coordinate alive) — matches repro.serve.cache._COL_FLOOR.
 _SEED_FLOOR = 1e-6
+#: ``blocks/pad_frac`` boundaries (padding elements per real element).
+_PAD_BUCKETS = (0.0, 0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0)
 
 
 @dataclass(frozen=True)
@@ -277,9 +280,11 @@ def solve_relaxed_blocks(
 ) -> BlockSolution:
     """Decompose, batch-solve, and reassemble one window's relaxed program.
 
-    Blocks of identical shape are stacked into one
-    :class:`~repro.matching.batch.BatchProblem` per shape and solved by a
-    single :func:`~repro.matching.batch.solve_relaxed_batch` call.  A
+    Blocks with the same cluster count are padded to the widest block and
+    stacked into one ragged :class:`~repro.matching.batch.BatchProblem`,
+    solved by a single :func:`~repro.matching.batch.solve_relaxed_batch`
+    call — one descent per window when all blocks have equally many
+    clusters.  A
     warm start ``x0`` (full (M, N), e.g. from the serving cache or the
     learned warm-start head) is sliced per block and *hedged* per
     instance against the cold interior start — the batch analogue of
@@ -315,28 +320,36 @@ def solve_relaxed_blocks(
                 f"x0 must have shape {(problem.M, problem.N)}, got {x0.shape}"
             )
 
-    # Group blocks by shape so each group is one batched solve.
-    groups: dict[tuple[int, int], list[int]] = {}
+    # Group blocks by cluster count: one ragged batched solve per group,
+    # tasks padded to the group's widest block.  (Rows are not padded: a
+    # zero-time padding cluster would need masking out of every softmax.)
+    groups: dict[int, list[int]] = {}
     for b, blk in enumerate(structure.blocks):
-        groups.setdefault(blk.shape, []).append(b)
+        groups.setdefault(len(blk.cluster_idx), []).append(b)
 
     X_full = np.zeros((problem.M, problem.N))
-    iterations = 0
+    iterations = trials = padded = 0
     converged = True
-    for shape, members in groups.items():
+    for m_g, members in groups.items():
         blks = [structure.blocks[b] for b in members]
-        T_g = np.stack([problem.T[np.ix_(blk.cluster_idx, blk.task_idx)] for blk in blks])
-        A_g = np.stack([problem.A[np.ix_(blk.cluster_idx, blk.task_idx)] for blk in blks])
+        cells = [np.ix_(blk.cluster_idx, blk.task_idx) for blk in blks]
+        widths = np.array([len(blk.task_idx) for blk in blks])
+        k_max = int(widths.max())
+        shape = (len(blks), m_g, k_max)
+        padded += m_g * int((k_max - widths).sum())
+        T_g, A_g = np.zeros(shape), np.zeros(shape)
+        seed = None if x0 is None else np.full(shape, 1.0 / m_g)
+        for g, ix in enumerate(cells):
+            T_g[g, :, : widths[g]] = problem.T[ix]
+            A_g[g, :, : widths[g]] = problem.A[ix]
+            if seed is not None:
+                seed[g, :, : widths[g]] = x0[ix]
         bp = BatchProblem(
-            T=T_g, A=A_g, gamma=gammas[members], beta=problem.beta,
-            lam=problem.lam, entropy=problem.entropy, dtype=bcfg.np_dtype,
+            T=T_g, A=A_g, gamma=gammas[members], beta=problem.beta, lam=problem.lam,
+            entropy=problem.entropy, dtype=bcfg.np_dtype, widths=widths,
         )
-        seed = None
-        if x0 is not None:
-            seed = np.stack([
-                x0[np.ix_(blk.cluster_idx, blk.task_idx)] for blk in blks
-            ]).astype(bcfg.np_dtype)
-            seed = np.maximum(seed, _SEED_FLOOR)
+        if seed is not None:
+            seed = np.maximum(seed.astype(bcfg.np_dtype), _SEED_FLOOR)
             seed /= seed.sum(axis=1, keepdims=True)
             # Cold-start hedge, per instance: an infeasible (+inf) or
             # simply worse seed is replaced by the interior blend start.
@@ -351,20 +364,25 @@ def solve_relaxed_blocks(
             adaptive_trials=bcfg.adaptive_trials,
         )
         iterations = max(iterations, sol.iterations)
+        trials += sol.trials
         converged = converged and bool(np.all(sol.converged))
-        for g, blk in enumerate(blks):
-            X_full[np.ix_(blk.cluster_idx, blk.task_idx)] = sol.X[g]
+        for g, ix in enumerate(cells):
+            X_full[ix] = sol.X[g, :, : widths[g]]
 
     objective = float(barrier_value(X_full, problem))
     if tele:
         rec.counter_add("blocks/solves")
         rec.observe("blocks/count", structure.n_blocks, bounds=SIZE_BUCKETS)
+        rec.observe("blocks/groups", len(groups), bounds=SIZE_BUCKETS)
+        rec.observe("blocks/pad_frac", padded / sum(m * k for m, k in structure.shapes),
+                    bounds=_PAD_BUCKETS)
         rec.observe("blocks/iterations", iterations, bounds=ITER_BUCKETS)
+        rec.observe("solve/trials", trials, bounds=ITER_BUCKETS)
         for m_b, k_b in structure.shapes:
             rec.observe("blocks/block_tasks", k_b, bounds=SIZE_BUCKETS)
     return BlockSolution(
         X=X_full, objective=objective, iterations=iterations,
         converged=converged, history=np.asarray([objective]), halvings=0,
-        n_blocks=structure.n_blocks, block_shapes=structure.shapes,
+        trials=trials, n_blocks=structure.n_blocks, block_shapes=structure.shapes,
         batched_groups=len(groups), scalar_fallback=False,
     )

@@ -330,6 +330,8 @@ def zo_vjp_cross(
         raise ValueError(f"clusters must be (K,) indices into [0, {M})")
     if X_base.shape != (K, M, N) or grad_X.shape != (K, M, N):
         raise ValueError(f"X_base and grad_X must have shape {(K, M, N)}")
+    if batch.real is not None:
+        raise ValueError("perturbation stacks are built N wide: no ragged batches")
 
     n_draws = max(cfg.samples // 2 if cfg.antithetic else cfg.samples, 1)
     signs = np.array((1.0, -1.0) if cfg.antithetic else (1.0,))

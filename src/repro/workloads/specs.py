@@ -58,10 +58,20 @@ class ModelSpec:
     dataset: str = "synthetic"
     train_epochs: int = 200  # full-run length; a "task" is one training run
 
-    # Derived workload attributes, filled in __post_init__.
+    # Derived workload attributes, filled in __post_init__ (ground-truth
+    # cluster models read them for every (cluster, task) pair of a window).
     flops_per_sample: float = field(default=0.0, compare=False)
     params: float = field(default=0.0, compare=False)
     activation_mem_gb: float = field(default=0.0, compare=False)
+    #: FLOPs of the whole training run (all epochs).
+    total_flops: float = field(default=0.0, compare=False)
+    #: Peak device memory: parameters + optimizer state + activations.
+    memory_gb: float = field(default=0.0, compare=False)
+    #: FLOPs per parameter byte at the task's batch size.  Weights are
+    #: fetched once per step and reused across the batch, so intensity
+    #: scales with batch size — the standard roofline argument for why
+    #: small-batch training is memory-bound.
+    arithmetic_intensity: float = field(default=0.0, compare=False)
 
     def __post_init__(self) -> None:
         if self.depth <= 0 or self.width <= 0 or self.batch_size <= 0:
@@ -74,6 +84,12 @@ class ModelSpec:
         object.__setattr__(self, "flops_per_sample", flops)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "activation_mem_gb", act)
+        object.__setattr__(self, "total_flops", self.epoch_flops * self.train_epochs)
+        # fp32 weights + Adam moments, plus activations.
+        object.__setattr__(self, "memory_gb", params * 4 * 3 / 1e9 + act * self.batch_size)
+        object.__setattr__(
+            self, "arithmetic_intensity", flops * self.batch_size / max(params * 4.0, 1.0)
+        )
 
     # ------------------------------------------------------------------ #
 
@@ -83,29 +99,8 @@ class ModelSpec:
         return 3.0 * self.flops_per_sample * self.dataset_samples
 
     @property
-    def total_flops(self) -> float:
-        """FLOPs of the whole training run (all epochs)."""
-        return self.epoch_flops * self.train_epochs
-
-    @property
     def steps_per_epoch(self) -> int:
         return max(1, math.ceil(self.dataset_samples / self.batch_size))
-
-    @property
-    def memory_gb(self) -> float:
-        """Peak device memory: parameters + optimizer state + activations."""
-        param_gb = self.params * 4 * 3 / 1e9  # fp32 weights + Adam moments
-        return param_gb + self.activation_mem_gb * self.batch_size
-
-    @property
-    def arithmetic_intensity(self) -> float:
-        """FLOPs per parameter byte at the task's batch size.
-
-        Weights are fetched once per step and reused across the batch, so
-        intensity scales with batch size — the standard roofline argument
-        for why small-batch training is memory-bound.
-        """
-        return self.flops_per_sample * self.batch_size / max(self.params * 4.0, 1.0)
 
     def describe(self) -> str:
         return (

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from repro.clusters import (
     make_setting,
     make_specialist_pool,
 )
-from repro.workloads import Family, ModelSpec, sample_spec, sample_specs
+from repro.workloads import Family, ModelSpec, TaskPool, sample_spec, sample_specs
 
 
 def _hw(**kw):
@@ -207,6 +209,44 @@ class TestClusterAndRegistry:
                 assert rels.tolist() == [c.true_reliability(t) for t in tasks]
                 clamped.update(rels[(rels == 0.05) | (rels == 0.999)].tolist())
         assert clamped == {0.05, 0.999}
+
+    def test_precomputed_spec_attributes_keep_the_truth_digest(self):
+        """``ModelSpec`` fills ``total_flops`` / ``memory_gb`` /
+        ``arithmetic_intensity`` once; the ground truth must be the bytes
+        the per-read property formulas gave."""
+
+        class PropertySpec:
+            """The spec as it was: the three attributes recomputed per read."""
+
+            def __init__(self, spec):
+                self._spec = spec
+
+            def __getattr__(self, name):
+                return getattr(self._spec, name)
+
+            @property
+            def total_flops(self):
+                return self.epoch_flops * self.train_epochs
+
+            @property
+            def memory_gb(self):
+                param_gb = self.params * 4 * 3 / 1e9
+                return param_gb + self.activation_mem_gb * self.batch_size
+
+            @property
+            def arithmetic_intensity(self):
+                return self.flops_per_sample * self.batch_size / max(self.params * 4.0, 1.0)
+
+        def digest(specs):
+            h = hashlib.sha256()
+            for c in make_specialist_pool(24):
+                times = c.perf.execution_times(specs)
+                h.update(times.tobytes())
+                h.update(c.rel.reliabilities(specs, times).tobytes())
+            return h.hexdigest()
+
+        specs = [t.spec for t in TaskPool(256, rng=0).tasks]
+        assert digest(specs) == digest([PropertySpec(s) for s in specs])
 
     def test_heterogeneity_produces_crossings(self, task_pool):
         """At least two clusters must each be the fastest for some task —

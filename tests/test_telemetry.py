@@ -394,30 +394,54 @@ class TestIntegration:
         assert trials["count"] == 1
         assert trials["sum"] == sol.trials >= sol.iterations == hist["sum"]
 
-    def test_trials_metric_stays_out_of_the_dispatch_trace(self):
-        """``solve/trials`` is observation only: the dispatch trace is the
-        same bytes with the recorder on or off and never mentions it."""
-        from repro.clusters import make_setting
+    @staticmethod
+    def _dispatch_recorder_on_off(clusters, dcfg=None, *, pool_size=12, epochs=2,
+                                  rate=30.0, hours=1.5):
+        """One short dispatch run twice — recorder off, then on; returns
+        the recorder's histograms after asserting identical trace bytes."""
         from repro.methods import TSM, FitContext, MatchSpec
         from repro.predictors.training import TrainConfig
         from repro.serve import Dispatcher, PoissonLoad
         from repro.workloads import TaskPool
 
-        pool = TaskPool(12, rng=0)
-        clusters = make_setting("A")
+        pool = TaskPool(pool_size, rng=0)
         spec = MatchSpec(solver=SolverConfig(tol=1e-4, max_iters=100))
         ctx = FitContext.build(clusters, pool.split(0.6, rng=1)[0], spec, rng=2)
-        method = TSM(train_config=TrainConfig(epochs=2)).fit(ctx)
-        events = PoissonLoad(pool, 30.0).draw(1.5, np.random.default_rng(3))
+        method = TSM(train_config=TrainConfig(epochs=epochs)).fit(ctx)
+        events = PoissonLoad(pool, rate).draw(hours, np.random.default_rng(3))
 
-        off = Dispatcher(clusters, method, spec).run(list(events), rng=4)
+        off = Dispatcher(clusters, method, spec, dcfg).run(list(events), rng=4)
         rec = Recorder("summary", run="t")
         with rec.activate():
-            on = Dispatcher(clusters, method, spec).run(list(events), rng=4)
-        hists = rec.aggregate()["histograms"]
-        assert hists["solve/trials"]["sum"] >= hists["solve/iterations"]["sum"] > 0
+            on = Dispatcher(clusters, method, spec, dcfg).run(list(events), rng=4)
         assert on.trace_bytes() == off.trace_bytes()
         assert b"trials" not in on.trace_bytes()
+        return rec.aggregate()["histograms"]
+
+    def test_trials_metric_stays_out_of_the_dispatch_trace(self):
+        """``solve/trials`` is observation only: the dispatch trace is the
+        same bytes with the recorder on or off and never mentions it."""
+        from repro.clusters import make_setting
+
+        hists = self._dispatch_recorder_on_off(make_setting("A"))
+        assert hists["solve/trials"]["sum"] >= hists["solve/iterations"]["sum"] > 0
+
+    def test_blocks_mode_trials_and_padding_metrics(self):
+        """Blocks mode reports the cascade's instance-evaluations under the
+        same ``solve/trials`` name, and how ragged its windows were."""
+        from repro.clusters import make_specialist_pool
+        from repro.serve import DispatcherConfig
+
+        # Predictors trained enough for the viability graph to split.
+        hists = self._dispatch_recorder_on_off(
+            make_specialist_pool(8), DispatcherConfig(max_batch=32, solve_mode="blocks"),
+            pool_size=64, epochs=30, rate=200.0, hours=0.5)
+        windows = hists["blocks/count"]["count"]
+        assert windows > 0 and hists["blocks/count"]["sum"] > windows  # real splits
+        assert hists["solve/trials"]["count"] == windows
+        assert hists["solve/trials"]["sum"] >= hists["blocks/iterations"]["sum"] > 0
+        assert hists["blocks/groups"]["count"] == hists["blocks/pad_frac"]["count"] == windows
+        assert hists["blocks/pad_frac"]["sum"] > 0  # unequal task counts were padded
 
     def test_run_metadata_fields(self):
         meta = run_metadata(config={"a": 1}, seeds=np.array([3, 4]))
