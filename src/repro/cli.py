@@ -34,18 +34,11 @@ Commands
     endpoints (several merge into the fleet view with a per-shard
     breakdown; ``--log`` renders from JSONL run logs instead): queue
     depth, seed sources, per-stage latency budgets, SLO burn rates.
-``serve bench``
-    Cold-vs-warm serving soak benchmark (``--smoke`` for the CI-sized
-    run, ``--output`` to write a ``BENCH_serve.json``-shaped report,
-    ``--flamegraph`` to export the profiled pass's collapsed stacks).
 ``fleet run``
     Route one arrival stream across N per-shard dispatchers
     (consistent-hash or load-aware routing, replicate or family
     partition) and summarize the merged fleet outcome.
     ``--telemetry jsonl`` writes one replayable log per shard.
-``fleet bench``
-    Throughput-vs-shard-count sweep on the warm soak workload
-    (``--shards 1,2,4,8``); writes the ``"sharding"`` scaling curve.
 ``fleet replay``
     Rebuild a whole fleet run from its per-shard JSONL logs, re-drive
     it (router included), and verify counters, routing determinism and
@@ -161,8 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="cache",
                        help="window seed source: last-window cache, cache + "
                             "online-trained learned head on misses, or cold")
-    p_run.add_argument("--no-warm-start", action="store_true",
-                       help="legacy alias for --warm-start off")
     p_run.add_argument("--solve-mode", choices=["scalar", "blocks"],
                        default="scalar",
                        help="dense per-window solve, or block-decomposed "
@@ -236,16 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_top.add_argument("--once", action="store_true",
                        help="render a single frame and exit (scriptable)")
 
-    p_bench = serve_sub.add_parser("bench", parents=[common],
-                                   help="cold-vs-warm serving soak benchmark")
-    p_bench.add_argument("--smoke", action="store_true",
-                         help="CI-sized run (short horizon, small pool)")
-    p_bench.add_argument("--output", default=None, metavar="PATH",
-                         help="write the JSON report here")
-    p_bench.add_argument("--flamegraph", default=None, metavar="PATH",
-                         help="write the profiled pass's collapsed-stack "
-                              "profile here")
-
     p_fleet = sub.add_parser("fleet",
                              help="sharded multi-dispatcher platform")
     fleet_sub = p_fleet.add_subparsers(dest="fleet_command", required=True)
@@ -285,18 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-task journey tracing across the fleet "
                              "(routing decision included; stitch with "
                              "'repro trace show --log s0 --log s1 ...')")
-
-    p_fbench = fleet_sub.add_parser(
-        "bench", parents=[common],
-        help="throughput-vs-shard-count sweep on the warm soak workload")
-    p_fbench.add_argument("--shards", default="1,2,4,8", metavar="N,N,...",
-                          help="comma-separated shard counts to sweep")
-    p_fbench.add_argument("--routing", choices=["hash", "load"],
-                          default="hash")
-    p_fbench.add_argument("--smoke", action="store_true",
-                          help="CI-sized run (short horizon, small pool)")
-    p_fbench.add_argument("--output", default=None, metavar="PATH",
-                          help="write the JSON report here")
 
     p_freplay = fleet_sub.add_parser(
         "replay", help="re-drive a fleet run from its per-shard JSONL logs")
@@ -543,45 +512,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return top(args.urls, interval=args.interval,
                    iterations=1 if args.once else None)
 
-    if args.serve_command == "bench":
-        from repro.serve import run_serve_benchmark
-
-        report = run_serve_benchmark(
-            setting=args.setting,
-            pattern=args.pattern,
-            rate_per_hour=args.rate,
-            horizon_hours=args.horizon,
-            pool_size=args.pool_size,
-            max_batch=args.max_batch,
-            max_wait_hours=args.max_wait,
-            queue_capacity=args.queue_capacity,
-            seed=args.seed,
-            smoke=args.smoke,
-            out_path=args.output,
-            flamegraph_path=args.flamegraph,
-        )
-        for mode in ("cold", "warm"):
-            m = report[mode]
-            lat = m["assignment_latency_s"]
-            print(f"{mode:>4}: windows={m['windows']} "
-                  f"iters_mean={m['solve_iterations_mean']:.1f} "
-                  f"throughput={m['throughput_tasks_per_s']:.0f} tasks/s "
-                  f"p50={lat['p50'] * 1e3:.1f}ms p95={lat['p95'] * 1e3:.1f}ms "
-                  f"p99={lat['p99'] * 1e3:.1f}ms")
-        print(f"warm-start solver-iteration speedup: "
-              f"{report['warm_start_iters_speedup']}x")
-        prof = report["profiled"]
-        print(f"latency budget coverage_p95: "
-              f"{prof['profile']['coverage_p95']:.3f}  "
-              f"profiler overhead bounds: "
-              f"off {prof['overhead']['off_frac_bound']} / "
-              f"on {prof['overhead']['on_frac_bound']}")
-        if args.flamegraph:
-            print(f"wrote {args.flamegraph}")
-        if args.output:
-            print(f"wrote {args.output}")
-        return 0
-
     # serve run
     from repro.serve import ServeConfig, build_platform
     from repro.telemetry import recording
@@ -617,7 +547,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_wait_hours=args.max_wait,
         queue_capacity=args.queue_capacity,
         shed_policy=args.shed_policy,
-        warm_start="off" if args.no_warm_start else args.warm_start,
+        warm_start=args.warm_start,
         solve_mode=args.solve_mode,
         profile=args.profile or args.flamegraph is not None,
         monitor=monitor_cfg,
@@ -767,46 +697,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
               "determinism and fleet conservation match the logs")
         return 0
 
-    if args.fleet_command == "bench":
-        from repro.fleet import run_sharding_benchmark
-
-        try:
-            shard_counts = tuple(int(s) for s in args.shards.split(",") if s)
-        except ValueError:
-            print(f"--shards must be comma-separated ints, got "
-                  f"{args.shards!r}", file=sys.stderr)
-            return 2
-        report = run_sharding_benchmark(
-            shard_counts=shard_counts,
-            setting=args.setting,
-            pattern=args.pattern,
-            rate_per_hour=args.rate,
-            horizon_hours=args.horizon,
-            pool_size=args.pool_size,
-            max_batch=args.max_batch,
-            max_wait_hours=args.max_wait,
-            queue_capacity=args.queue_capacity,
-            seed=args.seed,
-            routing=args.routing,
-            smoke=args.smoke,
-            out_path=args.output,
-        )
-        anchor = report["anchor"]
-        print(f"anchor (1 shard @ {anchor['rate_per_hour']:.0f}/h soak): "
-              f"trace {anchor['trace_sha256'][:16]}…")
-        print(f"sweep @ {report['offered_rate_per_hour']:.0f}/h "
-              f"({report['saturation']:.0f}x saturation):")
-        for e in report["entries"]:
-            print(f"shards={e['shards']:>2}: windows={e['windows']} "
-                  f"matched={e['matched']} shed={e['shed']} "
-                  f"throughput={e['throughput_tasks_per_s']:.0f} tasks/s "
-                  f"p95={e['p95_decide_ms']:.1f}ms "
-                  f"(speedup "
-                  f"{report['speedup_vs_1shard'][str(e['shards'])]}x)")
-        if args.output:
-            print(f"wrote {args.output}")
-        return 0
-
     # fleet run
     from repro.fleet import FleetConfig, FleetController
     from repro.serve import ServeConfig
@@ -948,8 +838,8 @@ def _cmd_retrain(args: argparse.Namespace) -> int:
     print(f"re-driving {len(replay.arrivals)} logged arrivals with "
           f"{args.mode} refits every {args.period} window(s) ...")
     platform = build_platform(config)
-    events = replay.stream(platform.pool).draw(float("inf"))
-    stats = platform.run(events, outages=replay.outages or None)
+    stats = platform.run(replay.events(platform.pool),
+                         outages=replay.outages or None)
     print(stats.summary())
     _print_retrain_outcome(platform.controller, platform.registry, stats)
     print(f"registry persisted at {args.registry}")

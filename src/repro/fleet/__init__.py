@@ -13,11 +13,7 @@ per-shard JSONL logs.
 """
 
 from repro.fleet.config import PARTITIONS, FleetConfig
-from repro.fleet.controller import (
-    FleetController,
-    FleetStats,
-    run_sharding_benchmark,
-)
+from repro.fleet.controller import FleetController, FleetStats
 from repro.fleet.replay import FleetReplay
 from repro.fleet.retrain import FleetRetrainController, FleetRetrainOutcome
 from repro.fleet.router import (
@@ -34,7 +30,6 @@ __all__ = [
     "PARTITIONS",
     "FleetController",
     "FleetStats",
-    "run_sharding_benchmark",
     "FleetReplay",
     "FleetRetrainController",
     "FleetRetrainOutcome",

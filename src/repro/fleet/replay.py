@@ -31,9 +31,8 @@ from pathlib import Path
 
 from repro.fleet.config import FleetConfig
 from repro.fleet.controller import FleetController, FleetStats
-from repro.monitor.replay import REQUIRED_PARAMS, RUN_STAT_FIELDS, TraceReplay
+from repro.monitor.replay import TraceReplay, swap_schedule
 from repro.serve.dispatcher import Outage
-from repro.telemetry.jsonl import load_run, meta_of
 
 __all__ = ["FleetReplay"]
 
@@ -41,49 +40,19 @@ __all__ = ["FleetReplay"]
 def _load_shard(path: "str | Path") -> "tuple[dict, TraceReplay]":
     """Parse one shard log into ``(fleet_params, TraceReplay)``.
 
-    Unlike :meth:`TraceReplay.from_log` this tolerates a shard that
-    routed zero arrivals — an empty sub-stream is a legitimate slice of
-    a fleet run (the merged replay re-routes it to emptiness again).
+    Goes through the shared :meth:`TraceReplay.parse`, which unlike
+    :meth:`TraceReplay.from_log` tolerates a shard that routed zero
+    arrivals — an empty sub-stream is a legitimate slice of a fleet run
+    (the merged replay re-routes it to emptiness again).
     """
-    events = load_run(path)
-    meta = meta_of(events)
-    serve = meta.get("serve")
-    fleet = meta.get("fleet")
-    if not isinstance(serve, dict):
-        raise ValueError(f"{path}: meta header has no 'serve' parameter dict")
+    replay = TraceReplay.parse(path)
+    fleet = replay.meta.get("fleet")
     if not isinstance(fleet, dict):
         raise ValueError(
             f"{path}: meta header has no 'fleet' parameter dict — was this "
             "log written by FleetController.run(telemetry=...)?")
-    if serve.get("shard") is None:
+    if replay.params.get("shard") is None:
         raise ValueError(f"{path}: serve params carry no shard identity")
-    missing = [k for k in REQUIRED_PARAMS if k not in serve]
-    if missing:
-        raise ValueError(f"{path}: serve params missing {missing}")
-    arrivals: "list[tuple[float, int]]" = []
-    outages: "list[Outage]" = []
-    run_stats = None
-    swaps = []
-    journey_events: "list[dict]" = []
-    for ev in events:
-        if ev.get("type") != "event":
-            continue
-        name = ev.get("name")
-        if name == "serve/arrival":
-            arrivals.append((float(ev["t"]), int(ev["task_id"])))
-        elif name == "serve/outage":
-            outages.append(Outage(cluster_id=int(ev["cluster_id"]),
-                                  start=float(ev["start"]),
-                                  end=float(ev["end"])))
-        elif name == "serve/run_stats":
-            run_stats = {k: ev[k] for k in RUN_STAT_FIELDS if k in ev}
-        elif name == "serve/hot_swap":
-            swaps.append(ev)
-        elif name == "journey":
-            journey_events.append(ev)
-    replay = TraceReplay(serve, arrivals, outages, run_stats, meta)
-    replay._swaps = swaps
-    replay._journey_events = journey_events
     return fleet, replay
 
 
@@ -208,37 +177,12 @@ class FleetReplay:
         accepts a prebuilt :func:`repro.serve.build_stack` result so
         tests replaying one fleet repeatedly train the predictor once.
         """
-        swaps = self.fleet_swaps()
-        registry = None
-        swap_schedule = None
-        if swaps:
-            if registry_root is None:
-                raise ValueError(
-                    "logs contain fleet hot-swaps; replay needs the original "
-                    "checkpoint registry — pass registry_root=...")
-            from repro.serve.registry import ModelRegistry
-
-            registry = ModelRegistry(registry_root)
-            swap_schedule = {}
-            for ev in swaps:
-                version = str(ev["version"])
-                if version not in registry:
-                    raise ValueError(
-                        f"logged swap @window {ev.get('window')} names "
-                        f"version {version!r}, not in registry {registry_root}")
-                logged = ev.get("digest")
-                stored = registry.info(version).digest
-                if logged is not None and stored != logged:
-                    raise ValueError(
-                        f"registry {registry_root} version {version} digest "
-                        f"{stored!r} != logged {logged!r} — checkpoint "
-                        "changed since the run")
-                swap_schedule[int(ev["window"])] = version
+        registry, schedule = swap_schedule(self.fleet_swaps(), registry_root)
         controller = FleetController(self.config, stack=stack)
         pool = controller.pool
         events = [(t, pool[tid]) for t, tid in self.merged_arrivals()]
         return controller.run(events, outages=self.merged_outages() or None,
-                              swap_schedule=swap_schedule, registry=registry)
+                              swap_schedule=schedule, registry=registry)
 
     def verify(self, stats: FleetStats) -> "list[str]":
         """Mismatches between a fleet replay and the logged run.

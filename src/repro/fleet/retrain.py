@@ -7,11 +7,12 @@ different weights.  :class:`FleetRetrainController` centralizes the
 loop instead:
 
 1. **observe** — one fleet pass over the arrival stream with a
-   :class:`_ShardHarvester` on every shard; all realized labels land in
-   a *single* fleet :class:`~repro.retrain.buffer.ReplayBuffer`
-   (routing partitions arrivals, so the ``(task_id, arrival)`` label
-   keys never collide across shards), while each harvester privately
-   caches its shard's recent decision windows and served-error series;
+   :class:`~repro.retrain.harvest.WindowHarvester` on every shard; all
+   realized labels land in a *single* fleet
+   :class:`~repro.retrain.buffer.ReplayBuffer` (routing partitions
+   arrivals, so the ``(task_id, arrival)`` label keys never collide
+   across shards), while each harvester privately caches its shard's
+   recent decision windows and served-error series;
 2. **refit** — one central :class:`~repro.retrain.policy.RefitJob`
    trains a single candidate on the pooled cross-shard labels;
 3. **canary panel** — the candidate is shadow-scored per shard
@@ -38,7 +39,6 @@ mean the same thing on every shard.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,61 +46,18 @@ import numpy as np
 from repro.fleet.config import FleetConfig
 from repro.fleet.controller import FleetController, FleetStats
 from repro.retrain.buffer import ReplayBuffer
-from repro.retrain.canary import CanaryGate, CanaryWindow
-from repro.retrain.loop import RetrainConfig, _pairs_of_method
+from repro.retrain.harvest import WindowHarvester
+from repro.retrain.loop import (
+    RetrainConfig,
+    _bootstrap_registry,
+    _pairs_of_method,
+    build_refit,
+)
 from repro.retrain.policy import RefitJob
-from repro.serve.dispatcher import ServeCallback, WindowSnapshot
 from repro.serve.registry import ModelRegistry
 from repro.utils.rng import as_generator
 
-__all__ = ["FleetRetrainController", "FleetRetrainOutcome", "_ShardHarvester"]
-
-
-class _ShardHarvester(ServeCallback):
-    """Per-shard eyes of the fleet loop: labels, windows, served error.
-
-    Harvests every window into the *shared* fleet buffer, and privately
-    keeps what must stay per-shard: the recent
-    :class:`~repro.retrain.canary.CanaryWindow` cache (each shard
-    canaries on its own traffic) and the per-window served log-time MSE
-    series (each shard guards against its own baseline).  The MSE
-    formula is exactly :meth:`RetrainController._track_served_error`'s.
-    """
-
-    def __init__(self, buffer: ReplayBuffer, pair_index: "dict[int, int]",
-                 *, canary_windows: int) -> None:
-        self.buffer = buffer
-        self.pair_index = pair_index
-        self.windows: "deque[CanaryWindow]" = deque(maxlen=canary_windows)
-        self.window_mse: "list[tuple[int, float]]" = []
-        self.max_label_end = 0.0
-
-    def on_requeue(self, task_id: int, arrival: float, t: float) -> None:
-        self.buffer.discard(task_id, arrival)
-
-    def on_window(self, snapshot: WindowSnapshot) -> None:
-        self.buffer.harvest(snapshot)
-        if snapshot.end.size:
-            self.max_label_end = max(self.max_label_end,
-                                     float(np.max(snapshot.end)))
-        if snapshot.features is not None:
-            self.windows.append(CanaryWindow(
-                window=snapshot.window,
-                pair_rows=tuple(self.pair_index[cid]
-                                for cid in snapshot.cluster_ids),
-                T=snapshot.T, A=snapshot.A, gamma=snapshot.gamma,
-                Z=snapshot.features,
-            ))
-        if snapshot.T_hat is None:
-            return
-        rows = np.argmax(snapshot.X, axis=0)
-        ok = snapshot.success & (snapshot.realized_hours > 0)
-        if not ok.any():
-            return
-        t_hat = snapshot.T_hat[rows[ok], np.flatnonzero(ok)]
-        err = (np.log(np.maximum(t_hat, 1e-12))
-               - np.log(snapshot.realized_hours[ok]))
-        self.window_mse.append((snapshot.window, float(np.mean(err ** 2))))
+__all__ = ["FleetRetrainController", "FleetRetrainOutcome"]
 
 
 def _guard_verdict(window_mse: "list[tuple[int, float]]", swap_window: int,
@@ -171,21 +128,15 @@ class FleetRetrainController:
                              for c in self.fleet.shard_clusters[0]]
         self._pair_index = {cid: i for i, cid in enumerate(self._cluster_ids)}
         self._base_method = self.fleet.shard_methods[0]
-        _pairs_of_method(self._base_method)  # fail fast on oracle methods
-        if not self.registry.versions():
-            info = self.registry.save(self._base_method, config=self.retrain,
-                                      tag="bootstrap")
-            self.registry.set_live(info.version)
-        elif self.registry.live() is None:
-            self.registry.set_live(self.registry.latest())
+        _bootstrap_registry(self.registry, self._base_method, self.retrain)
 
     # ------------------------------------------------------------------ #
     # Phases.
     # ------------------------------------------------------------------ #
 
-    def _harvesters(self, buffer: ReplayBuffer) -> "list[_ShardHarvester]":
+    def _harvesters(self, buffer: ReplayBuffer) -> "list[WindowHarvester]":
         return [
-            _ShardHarvester(buffer, self._pair_index,
+            WindowHarvester(buffer, self._pair_index,
                             canary_windows=self.retrain.canary_windows)
             for _ in range(self.config.n_shards)
         ]
@@ -210,42 +161,24 @@ class FleetRetrainController:
         ``(None, [])`` when the evidence floor is not met.
         """
         cfg = self.retrain
-        rng = as_generator(cfg.seed)
-        ready = buffer.ready(now)
-        if len(ready) < cfg.min_labels:
+        refit = build_refit(buffer, now, _pairs_of_method(self._base_method),
+                            self._cluster_ids, cfg, as_generator(cfg.seed))
+        if refit is None:
             return None, []
-        sampled = buffer.sample(now, cfg.sample_size, rng,
-                                half_life_hours=cfg.half_life_hours)
-        train, holdout = buffer.split_holdout(sampled, cfg.holdout_fraction)
-        try:
-            job = RefitJob.build(
-                _pairs_of_method(self._base_method), self._cluster_ids,
-                ReplayBuffer.datasets(train), mode=cfg.mode,
-                config=cfg.train_config(), rng=rng,
-                min_cluster_labels=cfg.min_cluster_labels,
-            )
-        except ValueError:
-            return None, []
+        job, _, holdout = refit
         while not job.done:
             job.run_steps(cfg.steps_per_window)
         return job, holdout
 
     def canary_panel(self, job: RefitJob, holdout,
-                     harvesters: "list[_ShardHarvester]"):
+                     harvesters: "list[WindowHarvester]"):
         """Phase 3: per-shard shadow scoring, fleet-global verdict.
 
         Fail-closed: the fleet promotes only if every shard with cached
         decision windows passes its gate *and* at least one shard had
         evidence.  Shards that routed no traffic abstain.
         """
-        cfg = self.retrain
-        gate = CanaryGate(
-            min_holdout=cfg.canary_min_holdout,
-            time_ratio_max=cfg.time_ratio_max,
-            brier_ratio_max=cfg.brier_ratio_max,
-            regret_ratio_max=cfg.regret_ratio_max,
-            solver_config=self.config.serve.solver_config(),
-        )
+        gate = self.retrain.canary_gate(self.config.serve.solver_config())
         live_pairs = _pairs_of_method(self._base_method)
         verdicts: "list[dict]" = []
         evaluated = False

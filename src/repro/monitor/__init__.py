@@ -37,7 +37,7 @@ from repro.monitor.live import (
     top,
 )
 from repro.monitor.quality import DEFAULT_SLOS, Alert, MonitorConfig, QualityMonitor
-from repro.monitor.replay import ReplayStream, TraceReplay
+from repro.monitor.replay import TraceReplay
 from repro.monitor.sinks import AlertSink, CallableSink, FileTailSink
 from repro.monitor.slo import SLOMonitor, SLORule, SLOStatus
 
@@ -61,7 +61,6 @@ __all__ = [
     "prometheus_text",
     "sanitize_name",
     "TraceReplay",
-    "ReplayStream",
     "MetricsServer",
     "serve_snapshot",
     "merge_snapshots",

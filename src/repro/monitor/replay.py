@@ -31,7 +31,6 @@ description of the run:
 from __future__ import annotations
 
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 from repro.serve.config import ServeConfig
@@ -43,10 +42,11 @@ from repro.serve.dispatcher import (
     ServeCallback,
     ServeStats,
 )
+from repro.serve.registry import ModelRegistry
 from repro.telemetry.jsonl import load_run, meta_of
 from repro.workloads.taskpool import Task, TaskPool
 
-__all__ = ["ReplayStream", "TraceReplay"]
+__all__ = ["TraceReplay", "swap_schedule"]
 
 #: Fields checked by :meth:`TraceReplay.verify`, mirroring the
 #: ``serve/run_stats`` breadcrumb the dispatcher emits at end of run.
@@ -55,8 +55,7 @@ RUN_STAT_FIELDS = (
     "unserved", "windows", "swaps", "max_queue_depth",
 )
 
-#: Keys a meta header must carry to be replayable (the legacy core of
-#: the serve parameter dict; newer logs add monitor/retrain sections).
+#: Keys a meta header's serve parameter dict must carry to be replayable.
 REQUIRED_PARAMS = (
     "setting", "pool_size", "seed", "train_epochs", "solver_tol",
     "solver_max_iters", "max_batch", "max_wait_hours", "queue_capacity",
@@ -64,19 +63,42 @@ REQUIRED_PARAMS = (
 )
 
 
-@dataclass(frozen=True)
-class ReplayStream:
-    """A logged arrival sequence as an :class:`repro.sim.ArrivalStream`.
+def swap_schedule(swaps: "list[dict]", registry_root: "str | None"):
+    """``(registry, {window: version})`` rebuilt from logged swap breadcrumbs.
 
-    ``draw`` replays the recorded ``(hour, task)`` pairs verbatim — the
-    generator argument is accepted for protocol compatibility and
-    ignored, and arrivals beyond ``horizon_hours`` are clipped.
+    Schedule-driven hot-swaps replay against the *original* checkpoint
+    registry (or a copy): every logged version must exist there with the
+    logged weights digest, checked before any replay runs — a registry
+    whose checkpoints were retrained since the run fails fast instead of
+    silently replaying different weights.  ``(None, None)`` for a
+    swap-free log.
     """
-
-    arrivals: "tuple[tuple[float, Task], ...]"
-
-    def draw(self, horizon_hours: float, rng=None) -> "list[tuple[float, Task]]":
-        return [(t, task) for t, task in self.arrivals if t <= horizon_hours]
+    if not swaps:
+        return None, None
+    if registry_root is None:
+        raise ValueError(
+            "logged hot-swaps need the original checkpoint registry to "
+            "replay against — pass replay(registry_root=...) pointing at it"
+        )
+    registry = ModelRegistry(registry_root)
+    schedule: "dict[int, str]" = {}
+    for ev in swaps:
+        version = str(ev["version"])
+        if version not in registry:
+            raise ValueError(
+                f"logged swap @window {ev.get('window')} names version "
+                f"{version!r}, not present in registry {registry_root}"
+            )
+        logged = ev.get("digest")
+        stored = registry.info(version).digest
+        if logged is not None and stored != logged:
+            raise ValueError(
+                f"registry {registry_root} version {version} digest "
+                f"{stored!r} does not match the logged swap digest "
+                f"{logged!r} — checkpoint changed since the run"
+            )
+        schedule[int(ev["window"])] = version
+    return registry, schedule
 
 
 class TraceReplay:
@@ -97,8 +119,15 @@ class TraceReplay:
         self._journey_events: "list[dict]" = []
 
     @classmethod
-    def from_log(cls, path: "str | Path") -> "TraceReplay":
-        """Parse a run log; raises ``ValueError`` when it is not replayable."""
+    def parse(cls, path: "str | Path") -> "TraceReplay":
+        """Parse one run log's meta header and breadcrumb streams.
+
+        The one run-log parser: :meth:`from_log` adds the "has arrivals"
+        requirement on top, :class:`repro.fleet.FleetReplay` loads every
+        shard log through it as is (a shard that routed zero arrivals is
+        a legitimate slice of a fleet run).  Raises ``ValueError`` when
+        the meta header is not a serving run's.
+        """
         events = load_run(path)
         meta = meta_of(events)
         params = meta.get("serve")
@@ -131,11 +160,17 @@ class TraceReplay:
                 swaps.append(ev)
             elif name == "journey":
                 journey_events.append(ev)
-        if not arrivals:
-            raise ValueError(f"{path}: no serve/arrival events — nothing to replay")
         replay = cls(params, arrivals, outages, run_stats, meta)
         replay._swaps = swaps
         replay._journey_events = journey_events
+        return replay
+
+    @classmethod
+    def from_log(cls, path: "str | Path") -> "TraceReplay":
+        """Parse a run log; raises ``ValueError`` when it is not replayable."""
+        replay = cls.parse(path)
+        if not replay.arrivals:
+            raise ValueError(f"{path}: no serve/arrival events — nothing to replay")
         return replay
 
     # ------------------------------------------------------------------ #
@@ -170,9 +205,9 @@ class TraceReplay:
         return audit_journeys(self.journeys(), expect=self.run_stats,
                               sample=self.journey_sample)
 
-    def stream(self, pool: TaskPool) -> ReplayStream:
+    def events(self, pool: TaskPool) -> "list[tuple[float, Task]]":
         """The logged arrivals resolved against a reconstructed pool."""
-        return ReplayStream(tuple((t, pool[tid]) for t, tid in self.arrivals))
+        return [(t, pool[tid]) for t, tid in self.arrivals]
 
     def replay(
         self,
@@ -193,13 +228,9 @@ class TraceReplay:
         Hot-swaps logged *without* a retrain section came from an
         external ``swap_schedule`` whose checkpoints the log does not
         carry.  For those, ``registry_root`` names the *original*
-        registry (or a copy): each logged swap's version is looked up
-        there and its stored weights digest checked against the logged
-        breadcrumb before any replay runs — a registry whose checkpoints
-        were retrained since the run fails fast instead of silently
-        replaying different weights.  The schedule is then rebuilt from
-        the breadcrumbs and the replay re-applies the same swaps at the
-        same windows.  Without ``registry_root`` such logs remain
+        registry (or a copy); :func:`swap_schedule` checks it against
+        the logged breadcrumbs and the replay re-applies the same swaps
+        at the same windows.  Without ``registry_root`` such logs remain
         non-replayable.
 
         ``stack`` accepts a prebuilt :func:`repro.serve.build_stack`
@@ -217,38 +248,10 @@ class TraceReplay:
                                                registry_root=tmp)
                     return self._drive(platform.dispatcher, platform.pool, extra)
             return self._drive(platform.dispatcher, platform.pool, extra)
-        if self._swaps and registry_root is None:
-            raise ValueError(
-                "log contains serve/hot_swap events but no retrain config; "
-                "schedule-driven hot-swaps need the original checkpoint "
-                "registry — pass replay(registry_root=...) pointing at it"
-            )
-        registry = None
-        swap_schedule = None
-        if self._swaps:
-            from repro.serve.registry import ModelRegistry
-
-            registry = ModelRegistry(registry_root)
-            swap_schedule = {}
-            for ev in self._swaps:
-                version = str(ev["version"])
-                if version not in registry:
-                    raise ValueError(
-                        f"logged swap @window {ev.get('window')} names version "
-                        f"{version!r}, not present in registry {registry_root}"
-                    )
-                logged = ev.get("digest")
-                stored = registry.info(version).digest
-                if logged is not None and stored != logged:
-                    raise ValueError(
-                        f"registry {registry_root} version {version} digest "
-                        f"{stored!r} does not match the logged swap digest "
-                        f"{logged!r} — checkpoint changed since the run"
-                    )
-                swap_schedule[int(ev["window"])] = version
+        registry, schedule = swap_schedule(self._swaps, registry_root)
         pool, clusters, method, spec, config = stack or _build_stack(self.config)
         dispatcher = Dispatcher(clusters, method, spec, config,
-                                registry=registry, swap_schedule=swap_schedule,
+                                registry=registry, swap_schedule=schedule,
                                 callbacks=callbacks)
         return self._drive(dispatcher, pool, [])
 
@@ -256,8 +259,7 @@ class TraceReplay:
                extra_callbacks: "list[ServeCallback]") -> ServeStats:
         for cb in extra_callbacks:
             dispatcher.callbacks.append(cb)
-        events = self.stream(pool).draw(float("inf"))
-        return dispatcher.run(events, rng=self.config.seed + 4,
+        return dispatcher.run(self.events(pool), rng=self.config.seed + 4,
                               outages=self.outages or None)
 
     def verify(self, stats: ServeStats) -> "list[str]":

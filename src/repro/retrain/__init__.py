@@ -8,6 +8,9 @@ gate with automatic rollback —
 
 - :mod:`repro.retrain.buffer` — label harvesting: deduplicated,
   causality-safe replay buffer over window snapshots;
+- :mod:`repro.retrain.harvest` — :class:`WindowHarvester`: labels,
+  canary windows and served error of one dispatcher's windows, shared by
+  the single and the fleet controller;
 - :mod:`repro.retrain.policy` — :class:`RefitJob`: full or warm-started
   incremental candidate refits, trained a few minibatches per dispatch
   window so the matcher never blocks;
@@ -16,7 +19,8 @@ gate with automatic rollback —
   the live model;
 - :mod:`repro.retrain.loop` — :class:`RetrainController`: the serve
   callback running trigger → refit → canary → hot-swap → guard/rollback
-  against the versioned :class:`~repro.serve.registry.ModelRegistry`.
+  against the versioned :class:`~repro.serve.registry.ModelRegistry`;
+  :func:`build_refit` arms a refit for it and for the fleet controller.
 
 Build the whole stack with :func:`repro.serve.build_platform` and a
 :class:`RetrainConfig`, or wire a controller by hand::
@@ -30,7 +34,8 @@ Build the whole stack with :func:`repro.serve.build_platform` and a
 
 from repro.retrain.buffer import Label, LabelDataset, ReplayBuffer
 from repro.retrain.canary import CanaryDecision, CanaryGate, CanaryWindow
-from repro.retrain.loop import RetrainConfig, RetrainController
+from repro.retrain.harvest import WindowHarvester
+from repro.retrain.loop import RetrainConfig, RetrainController, build_refit
 from repro.retrain.policy import RefitJob
 from repro.retrain.warmstart import (
     WarmStartTrainer,
@@ -43,6 +48,8 @@ __all__ = [
     "LabelDataset",
     "ReplayBuffer",
     "RefitJob",
+    "WindowHarvester",
+    "build_refit",
     "CanaryWindow",
     "CanaryDecision",
     "CanaryGate",

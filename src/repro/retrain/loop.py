@@ -32,7 +32,6 @@ layer (:mod:`repro.monitor.replay`) verifies for swapped runs.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -41,14 +40,15 @@ from repro.matching.relaxed import SolverConfig
 from repro.predictors.models import PredictorPair
 from repro.predictors.training import TrainConfig
 from repro.retrain.buffer import Label, ReplayBuffer
-from repro.retrain.canary import CanaryGate, CanaryWindow
+from repro.retrain.canary import CanaryGate
+from repro.retrain.harvest import WindowHarvester
 from repro.retrain.policy import REFIT_MODES, RefitJob
 from repro.serve.dispatcher import Dispatcher, ServeCallback, ServeStats, WindowSnapshot
 from repro.serve.registry import ModelRegistry
 from repro.telemetry import get_recorder
 from repro.utils.rng import as_generator
 
-__all__ = ["RetrainConfig", "RetrainController"]
+__all__ = ["RetrainConfig", "RetrainController", "build_refit"]
 
 TRIGGERS = ("drift", "periodic", "both", "manual")
 
@@ -117,6 +117,13 @@ class RetrainConfig:
                            batch_size=self.batch_size,
                            weight_decay=self.weight_decay)
 
+    def canary_gate(self, solver_config: "SolverConfig | None") -> CanaryGate:
+        return CanaryGate(min_holdout=self.canary_min_holdout,
+                          time_ratio_max=self.time_ratio_max,
+                          brier_ratio_max=self.brier_ratio_max,
+                          regret_ratio_max=self.regret_ratio_max,
+                          solver_config=solver_config)
+
 
 def _pairs_of_method(method: object) -> "list[PredictorPair]":
     for attr in ("pairs", "_pairs"):
@@ -127,6 +134,53 @@ def _pairs_of_method(method: object) -> "list[PredictorPair]":
         f"{type(method).__name__} exposes no predictor pairs; the retraining "
         "loop needs a prediction-driven method (TSM/MFCP)"
     )
+
+
+def _bootstrap_registry(registry: ModelRegistry, method: object,
+                        config: RetrainConfig) -> None:
+    """Give every later refit a parent to record — and a rollback target.
+
+    An empty registry gets the currently fitted model registered and
+    promoted; a populated one without a live pointer promotes its latest.
+    """
+    _pairs_of_method(method)  # fail fast on oracle-style methods
+    if not registry.versions():
+        info = registry.save(method, config=config, tag="bootstrap")
+        registry.set_live(info.version)
+    elif registry.live() is None:
+        registry.set_live(registry.latest())
+
+
+def build_refit(
+    buffer: ReplayBuffer,
+    now: float,
+    live_pairs: "list[PredictorPair]",
+    cluster_ids: "list[int]",
+    config: RetrainConfig,
+    rng: np.random.Generator,
+) -> "tuple[RefitJob, list[Label], list[Label]] | None":
+    """Sample → split hold-out → :meth:`RefitJob.build` on ``buffer``.
+
+    Returns ``(job, train, holdout)``, or ``None`` when the evidence
+    floor is not met (too few observable labels at ``now``, or no
+    cluster with ``min_cluster_labels``) — the caller should wait for
+    more traffic.  Draws from ``rng`` in a fixed order (the sample, then
+    the job's spawns), which the replay layer's swap digests depend on.
+    """
+    if len(buffer.ready(now)) < config.min_labels:
+        return None
+    sampled = buffer.sample(now, config.sample_size, rng,
+                            half_life_hours=config.half_life_hours)
+    train, holdout = buffer.split_holdout(sampled, config.holdout_fraction)
+    try:
+        job = RefitJob.build(
+            live_pairs, cluster_ids, ReplayBuffer.datasets(train),
+            mode=config.mode, config=config.train_config(), rng=rng,
+            min_cluster_labels=config.min_cluster_labels,
+        )
+    except ValueError:
+        return None
+    return job, train, holdout
 
 
 class RetrainController(ServeCallback):
@@ -142,17 +196,12 @@ class RetrainController(ServeCallback):
         self.config = cfg = config or RetrainConfig()
         self.registry = registry
         self.buffer = ReplayBuffer(capacity=cfg.capacity)
-        self.gate = CanaryGate(
-            min_holdout=cfg.canary_min_holdout,
-            time_ratio_max=cfg.time_ratio_max,
-            brier_ratio_max=cfg.brier_ratio_max,
-            regret_ratio_max=cfg.regret_ratio_max,
-            solver_config=solver_config,
-        )
+        self.evidence = WindowHarvester(self.buffer, {},
+                                        canary_windows=cfg.canary_windows)
+        self.gate = cfg.canary_gate(solver_config)
         self._rng = as_generator(cfg.seed)
         self.state = "idle"  # idle | training | guard
         self.dispatcher: "Dispatcher | None" = None
-        self._pair_index: "dict[int, int]" = {}
         self._cluster_ids: "list[int]" = []
         self._drift_reason: "str | None" = None
         self._manual_reason: "str | None" = None
@@ -160,14 +209,11 @@ class RetrainController(ServeCallback):
         self._last_trigger_window = 0
         self._job: "RefitJob | None" = None
         self._holdout: "list[Label]" = []
-        self._windows: "deque[CanaryWindow]" = deque(maxlen=cfg.canary_windows)
-        # Per-window served time-prediction MSE (log space) — guard metric.
-        self._window_mse: "deque[tuple[int, float]]" = deque(
-            maxlen=2 * cfg.guard_windows)
         #: Full ``(window, served log-time MSE)`` history — one tuple per
-        #: window with completed tasks; the before/after evidence tests
-        #: and examples use to show a swap actually helped.
-        self.window_errors: "list[tuple[int, float]]" = []
+        #: window with completed tasks; the guard metric, and the
+        #: before/after evidence tests and examples use to show a swap
+        #: actually helped.
+        self.window_errors = self.evidence.window_mse
         self._guard: "dict | None" = None
         # Audit trail for tests/examples: every verdict the loop produced.
         self.events: "list[dict]" = []
@@ -191,14 +237,9 @@ class RetrainController(ServeCallback):
             raise ValueError("dispatcher and controller registries differ")
         self.dispatcher = dispatcher
         self._cluster_ids = [c.cluster_id for c in dispatcher.clusters]
-        self._pair_index = {cid: i for i, cid in enumerate(self._cluster_ids)}
-        _pairs_of_method(dispatcher.method)  # fail fast on oracle-style methods
-        if not self.registry.versions():
-            info = self.registry.save(dispatcher.method, config=self.config,
-                                      tag="bootstrap")
-            self.registry.set_live(info.version)
-        elif self.registry.live() is None:
-            self.registry.set_live(self.registry.latest())
+        self.evidence.pair_index = {
+            cid: i for i, cid in enumerate(self._cluster_ids)}
+        _bootstrap_registry(self.registry, dispatcher.method, self.config)
         return self
 
     def notify_drift(self, alert: object = None) -> None:
@@ -216,10 +257,10 @@ class RetrainController(ServeCallback):
     # ------------------------------------------------------------------ #
 
     def on_requeue(self, task_id: int, arrival: float, t: float) -> None:
-        self.buffer.discard(task_id, arrival)
+        self.evidence.on_requeue(task_id, arrival, t)
 
     def on_window(self, snapshot: WindowSnapshot) -> None:
-        self.buffer.harvest(snapshot)
+        self.evidence.on_window(snapshot)
         jt = getattr(self.dispatcher, "journeys", None)
         if jt is not None:
             # Retrain provenance: each batch member's label entered the
@@ -229,8 +270,6 @@ class RetrainController(ServeCallback):
                 jt.record(int(tid), float(snapshot.arrival[j]), "harvested",
                           snapshot.time, window=snapshot.window,
                           buffer_size=len(self.buffer))
-        self._cache_window(snapshot)
-        self._track_served_error(snapshot)
         if self.state == "training":
             self._advance_training(snapshot)
         elif self.state == "guard":
@@ -251,35 +290,10 @@ class RetrainController(ServeCallback):
     # Window bookkeeping.
     # ------------------------------------------------------------------ #
 
-    def _cache_window(self, snapshot: WindowSnapshot) -> None:
-        if snapshot.features is None:
-            return
-        self._windows.append(CanaryWindow(
-            window=snapshot.window,
-            pair_rows=tuple(self._pair_index[cid] for cid in snapshot.cluster_ids),
-            T=snapshot.T, A=snapshot.A, gamma=snapshot.gamma,
-            Z=snapshot.features,
-        ))
-
-    def _track_served_error(self, snapshot: WindowSnapshot) -> None:
-        """Log-space time-prediction MSE of this window's served decisions."""
-        if snapshot.T_hat is None:
-            return
-        rows = np.argmax(snapshot.X, axis=0)
-        ok = snapshot.success & (snapshot.realized_hours > 0)
-        if not ok.any():
-            return
-        t_hat = snapshot.T_hat[rows[ok], np.flatnonzero(ok)]
-        err = np.log(np.maximum(t_hat, 1e-12)) - np.log(snapshot.realized_hours[ok])
-        self._window_mse.append((snapshot.window, float(np.mean(err ** 2))))
-        self.window_errors.append(self._window_mse[-1])
-
-    def served_mse(self, last: "int | None" = None) -> float:
+    def served_mse(self, last: int) -> float:
         """Mean served time-prediction MSE over the last ``last`` windows."""
-        vals = [m for _, m in self._window_mse]
-        if last is not None:
-            vals = vals[-last:]
-        return float(np.mean(vals)) if vals else float("nan")
+        tail = self.window_errors[-last:]
+        return float(np.mean([m for _, m in tail])) if tail else float("nan")
 
     # ------------------------------------------------------------------ #
     # Trigger → job.
@@ -303,27 +317,16 @@ class RetrainController(ServeCallback):
     def _start_job(self, snapshot: WindowSnapshot, reason: str) -> None:
         cfg = self.config
         rec = get_recorder()
-        ready = self.buffer.ready(snapshot.time)
-        if len(ready) < cfg.min_labels:
+        refit = build_refit(
+            self.buffer, snapshot.time, _pairs_of_method(self.dispatcher.method),
+            self._cluster_ids, cfg, self._rng)
+        if refit is None:
             # Not enough evidence yet; retry after a short backoff rather
             # than burning a trigger every window.
             self._cooldown_until = snapshot.window + max(1, cfg.cooldown_windows // 4)
             self._drift_reason = self._drift_reason or reason
             return
-        sampled = self.buffer.sample(snapshot.time, cfg.sample_size, self._rng,
-                                     half_life_hours=cfg.half_life_hours)
-        train, holdout = self.buffer.split_holdout(sampled, cfg.holdout_fraction)
-        live_pairs = _pairs_of_method(self.dispatcher.method)
-        try:
-            job = RefitJob.build(
-                live_pairs, self._cluster_ids, ReplayBuffer.datasets(train),
-                mode=cfg.mode, config=cfg.train_config(), rng=self._rng,
-                min_cluster_labels=cfg.min_cluster_labels,
-            )
-        except ValueError:
-            self._cooldown_until = snapshot.window + max(1, cfg.cooldown_windows // 4)
-            self._drift_reason = self._drift_reason or reason
-            return
+        job, train, holdout = refit
         self._job = job
         self._holdout = holdout
         self._last_trigger_window = snapshot.window
@@ -358,8 +361,8 @@ class RetrainController(ServeCallback):
         live_pairs = _pairs_of_method(self.dispatcher.method)
         holdout = [l for l in self._holdout if l.end <= snapshot.time]
         decision = self.gate.evaluate(
-            job.pairs, live_pairs, self._pair_index, holdout,
-            list(self._windows),
+            job.pairs, live_pairs, self.evidence.pair_index, holdout,
+            list(self.evidence.windows),
         )
         metrics = {**decision.metrics(),
                    "refit_steps": float(job.steps_done),
@@ -414,8 +417,8 @@ class RetrainController(ServeCallback):
         # windows served by the new model count toward the verdict.
         if snapshot.window <= guard["after_window"]:
             return
-        if self._window_mse and self._window_mse[-1][0] == snapshot.window:
-            guard["collected"].append(self._window_mse[-1][1])
+        if self.window_errors and self.window_errors[-1][0] == snapshot.window:
+            guard["collected"].append(self.window_errors[-1][1])
         if len(guard["collected"]) < cfg.guard_windows:
             return
         post = float(np.mean(guard["collected"]))

@@ -10,8 +10,8 @@ service (ROADMAP north star; see DESIGN.md §10):
   relaxed columns + step memory) and predictor forward memoization;
 - :mod:`repro.serve.registry` — versioned predictor checkpoint registry
   with mid-run hot-swap;
-- :mod:`repro.serve.loadgen` — Poisson/bursty/diurnal load generation and
-  the ``repro serve bench`` throughput/latency soak benchmark;
+- :mod:`repro.serve.loadgen` — Poisson/bursty/diurnal load generation
+  (speed is measured by ``python3 -m benchmarks.platform``);
 - :mod:`repro.serve.config` — the typed :class:`ServeConfig` facade and
   :func:`build_platform`, the one-call constructor wiring dispatcher,
   quality monitor, checkpoint registry, and the closed-loop retraining
@@ -38,8 +38,6 @@ from repro.serve.loadgen import (
     DiurnalLoad,
     PoissonLoad,
     make_load,
-    run_scaling_benchmark,
-    run_serve_benchmark,
 )
 from repro.serve.config import Platform, ServeConfig, build_platform, build_stack
 from repro.serve.registry import (
@@ -75,6 +73,4 @@ __all__ = [
     "BurstyLoad",
     "DiurnalLoad",
     "make_load",
-    "run_serve_benchmark",
-    "run_scaling_benchmark",
 ]

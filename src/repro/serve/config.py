@@ -69,11 +69,10 @@ class ServeConfig:
     max_wait_hours: float = 0.25
     queue_capacity: int = 128
     shed_policy: str = "reject"
-    #: Window-seed source: ``"cache"`` (last-window columns, the historical
-    #: ``True``), ``"learned"`` (cache first, then the online-trained
+    #: Window-seed source: ``"cache"`` (last-window columns),
+    #: ``"learned"`` (cache first, then the online-trained
     #: :class:`~repro.serve.warmstart.WarmStartHead` on misses), or
-    #: ``"off"`` (always cold, the historical ``False``).  Booleans are
-    #: accepted and normalized for back-compat with old logs/callers.
+    #: ``"off"`` (always cold).
     warm_start: str = "cache"
     #: ``"scalar"`` = dense per-window solve (default; byte-identical
     #: traces), ``"blocks"`` = block-decomposed batched solve.
@@ -112,9 +111,6 @@ class ServeConfig:
         if self.shed_policy not in _SHED_POLICIES:
             raise ValueError(
                 f"shed_policy must be one of {_SHED_POLICIES}, got {self.shed_policy!r}")
-        if isinstance(self.warm_start, bool):  # legacy boolean knob
-            object.__setattr__(self, "warm_start",
-                               "cache" if self.warm_start else "off")
         if self.warm_start not in _WARM_STARTS:
             raise ValueError(
                 f"warm_start must be one of {_WARM_STARTS}, got {self.warm_start!r}")
@@ -188,7 +184,6 @@ class ServeConfig:
             max_wait_hours=float(params["max_wait_hours"]),
             queue_capacity=int(params["queue_capacity"]),
             shed_policy=str(params["shed_policy"]),
-            # Legacy logs store a boolean; __post_init__ normalizes it.
             warm_start=params["warm_start"],
             solve_mode=str(params.get("solve_mode", "scalar")),
             profile=bool(params.get("profile", False)),

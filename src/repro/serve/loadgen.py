@@ -1,4 +1,4 @@
-"""Load generation and the serving throughput/latency benchmark.
+"""Load generation: the arrival processes the serving tier is driven by.
 
 Three arrival processes cover the traffic regimes a resource exchange
 platform sees in production:
@@ -10,38 +10,19 @@ platform sees in production:
 - :class:`DiurnalLoad` — a sinusoidal day/night rate profile realized by
   thinning, modelling the human-driven daily cycle.
 
-All three implement the ``draw(horizon_hours, rng)`` protocol consumed by
-both :func:`repro.sim.online.simulate_online` and
-:class:`repro.serve.dispatcher.Dispatcher`, and all draws are fully
-determined by the passed generator.
-
-:func:`run_serve_benchmark` is the end-to-end soak benchmark behind
-``repro serve bench``: it trains a predictor stack, replays the same
-arrival stream through the dispatcher cold (no warm-start cache), warm,
-warm + quality monitor, warm + stage profiler, and warm + full journey
-tracing (causality-audited), and reports sustained
-matching throughput, p50/p95/p99 assignment latency, the warm/cold
-solver-iteration ratio, and the profiled run's latency budget (per-stage
-percentiles, ``coverage_p95``, hook-call overhead bounds) — the numbers
-committed to ``BENCH_serve.json``.  Solver iterations are read back from
-the telemetry ``serve/solve_iterations`` histogram so the benchmark
-measures exactly what production telemetry would.
+A load is anything with ``draw(horizon_hours, rng) -> [(hour, task), ...]``;
+:class:`repro.serve.dispatcher.Dispatcher` consumes the drawn list, and
+all draws are fully determined by the passed generator.  Throughput and
+latency are measured by ``python3 -m benchmarks.platform``, not here.
 """
 
 from __future__ import annotations
 
-import hashlib
-import io
-import json
 import math
-import os
-import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from repro.telemetry.metrics import quantile
 from repro.utils.rng import as_generator
 from repro.workloads.taskpool import Task, TaskPool
 
@@ -50,8 +31,6 @@ __all__ = [
     "BurstyLoad",
     "DiurnalLoad",
     "make_load",
-    "run_serve_benchmark",
-    "run_scaling_benchmark",
 ]
 
 
@@ -177,398 +156,3 @@ def make_load(pattern: str, pool: TaskPool, rate_per_hour: float):
         return DiurnalLoad(pool, peak_rate=1.6 * rate_per_hour,
                            trough_rate=0.4 * rate_per_hour)
     raise ValueError(f"unknown load pattern {pattern!r}")
-
-
-# --------------------------------------------------------------------- #
-# The serving benchmark (repro serve bench).
-# --------------------------------------------------------------------- #
-
-
-def run_serve_benchmark(
-    *,
-    setting: str = "A",
-    pattern: str = "poisson",
-    rate_per_hour: float = 60.0,
-    horizon_hours: float = 12.0,
-    pool_size: int = 64,
-    max_batch: int = 16,
-    max_wait_hours: float = 0.25,
-    queue_capacity: int = 128,
-    train_epochs: int = 120,
-    solver_tol: float = 1e-4,
-    solver_max_iters: int = 400,
-    seed: int = 0,
-    smoke: bool = False,
-    out_path: "str | os.PathLike[str] | None" = None,
-    flamegraph_path: "str | os.PathLike[str] | None" = None,
-) -> dict:
-    """Cold-vs-warm serving soak; returns (and optionally writes) the report.
-
-    The same arrival stream and execution RNG replay through fresh
-    dispatchers — warm-start cache off, then on, then on with the quality
-    monitor, then on with the stage profiler — so the iteration counts
-    are paired and every observer mode is gated against the plain warm
-    trace.  ``smoke=True`` shrinks every knob for CI.
-    ``flamegraph_path`` writes the profiled run's collapsed-stack profile
-    there (speedscope / ``flamegraph.pl`` format).
-
-    ``solver_tol``/``solver_max_iters`` define the *serving-grade* solver
-    configuration: latency-bound deployments stop the barrier descent at a
-    looser tolerance than the offline experiments (the rounded assignment
-    is long since stable in the 1e-7 tail), which is also the regime where
-    a warm start pays — the seeded solve opens near the optimum and the
-    early-stop rule fires quickly.
-    """
-    from repro.clusters import make_setting
-    from repro.matching.relaxed import SolverConfig
-    from repro.methods import FitContext, MatchSpec, TSM
-    from repro.predictors.training import TrainConfig
-    from repro.serve.dispatcher import Dispatcher, DispatcherConfig
-    from repro.telemetry import recording
-
-    if smoke:
-        rate_per_hour = min(rate_per_hour, 30.0)
-        horizon_hours = min(horizon_hours, 2.0)
-        pool_size = min(pool_size, 40)
-        train_epochs = min(train_epochs, 40)
-
-    pool = TaskPool(pool_size, rng=seed)
-    clusters = make_setting(setting)
-    train_tasks, _ = pool.split(0.6, rng=seed + 1)
-    spec = MatchSpec(solver=SolverConfig(tol=solver_tol, max_iters=solver_max_iters))
-    ctx = FitContext.build(clusters, train_tasks, spec, rng=seed + 2)
-    method = TSM(train_config=TrainConfig(epochs=train_epochs)).fit(ctx)
-    load = make_load(pattern, pool, rate_per_hour)
-    events = load.draw(horizon_hours, as_generator(seed + 3))
-
-    # The monitored mode replays the warm configuration with the quality
-    # monitor attached (imported lazily: serve must not depend on monitor
-    # except here, at the benchmark seam).  It gates two invariants:
-    # observation never changes behavior (trace hash equals the warm
-    # run's) and monitoring costs < 5% of dispatcher wall time.  The
-    # profiled mode replays the warm configuration once more with the
-    # stage profiler attached and gates the same trace-identity invariant
-    # plus the latency-budget coverage floor.
-    from repro.monitor import MonitorConfig, QualityMonitor
-    from repro.telemetry.profiler import NULL_PROFILER, StageProfiler
-
-    from repro.telemetry.journey import JourneyRecorder
-    from repro.telemetry.journey import audit_journeys as _audit_journeys
-
-    modes: dict[str, dict] = {}
-    monitors: dict[str, QualityMonitor] = {}
-    hists_by_mode: dict[str, dict] = {}
-    profiler: "StageProfiler | None" = None
-    journeys_rec: "JourneyRecorder | None" = None
-    journeys_stats = None
-    for mode, warm in (("cold", False), ("warm", True), ("monitored", True),
-                       ("profiled", True), ("journeys", True)):
-        cfg = DispatcherConfig(
-            max_batch=max_batch,
-            max_wait_hours=max_wait_hours,
-            queue_capacity=queue_capacity,
-            warm_start=warm,
-            memoize_predictions=warm,  # memo rides with the cache mode
-        )
-        callbacks = None
-        if mode == "profiled":
-            profiler = StageProfiler()
-        if mode == "monitored":
-            # Serving-grade knobs: hindsight re-solves amortized over many
-            # windows and stopped at a coarser tolerance than deployment
-            # solves — the gap decomposition needs ~1e-3 accuracy, not a
-            # deployment-quality optimum.
-            monitors[mode] = QualityMonitor(MonitorConfig(
-                sample_every=25,
-                solver_config=SolverConfig(tol=1e-3, max_iters=150),
-            ))
-            callbacks = [monitors[mode]]
-        with recording(mode="summary", run=f"serve-bench-{mode}",
-                       stream=io.StringIO()) as rec:
-            dispatcher = Dispatcher(clusters, method, spec, cfg,
-                                    callbacks=callbacks,
-                                    profiler=profiler if mode == "profiled" else None)
-            if mode == "journeys":
-                # sample=1.0 so the conservation audit is exact, and
-                # keep=True because the summary-mode recorder drops
-                # event lines — the audit reads the in-process copies.
-                journeys_rec = JourneyRecorder(
-                    1.0, slo_wait_hours=4.0 * max_wait_hours, keep=True)
-                dispatcher.journeys = journeys_rec
-            wall0 = time.perf_counter()
-            stats = dispatcher.run(events, rng=seed + 4)
-            run_wall_s = time.perf_counter() - wall0
-            hists = rec.aggregate()["histograms"]
-        hists_by_mode[mode] = hists
-        iters_hist = hists.get("serve/solve_iterations", {"count": 0, "sum": 0.0})
-        iters_mean = (
-            iters_hist["sum"] / iters_hist["count"] if iters_hist["count"] else 0.0
-        )
-        decide_total_s = float(sum(stats.decide_seconds))
-        modes[mode] = {
-            "run_wall_s": round(run_wall_s, 4),
-            "callback_seconds": round(stats.callback_seconds, 4),
-            "trace_sha256": hashlib.sha256(stats.trace_bytes()).hexdigest(),
-            "windows": stats.windows,
-            "matched": stats.matched,
-            "completed": stats.completed,
-            "failed": stats.failed,
-            "shed": stats.shed,
-            "max_queue_depth": stats.max_queue_depth,
-            "solve_iterations_mean": round(iters_mean, 3),
-            "decide_total_s": round(decide_total_s, 4),
-            "throughput_tasks_per_s": round(
-                stats.matched / decide_total_s if decide_total_s else 0.0, 1
-            ),
-            "assignment_latency_s": {
-                k: round(v, 6) for k, v in stats.latency_percentiles().items()
-            },
-            "mean_wait_hours": round(stats.mean_wait_hours, 4),
-            "cache": stats.cache,
-            "memo": stats.memo,
-        }
-        if mode == "journeys":
-            journeys_stats = stats
-        if mode in monitors:
-            summary = monitors[mode].summary()
-            modes[mode]["monitor_overhead_frac"] = round(
-                stats.callback_seconds / run_wall_s if run_wall_s else 0.0, 4
-            )
-            modes[mode]["alerts"] = summary["alerts"]
-            modes[mode]["windows_sampled"] = summary["attribution"]["sampled"]
-        if mode == "profiled":
-            budget = stats.profile
-            modes[mode]["profile"] = {
-                "coverage_p95": round(budget["coverage_p95"], 4),
-                "unattributed_frac": round(budget["unattributed"]["frac"], 4),
-                "e2e_p95_s": round(budget["e2e"]["p95"], 6),
-                "stages": {
-                    path: {
-                        "total_s": round(s["total_s"], 4),
-                        "self_s": round(s["self_s"], 4),
-                        "p95_s": round(s["p95"], 6),
-                        "calls": s["calls"],
-                    }
-                    for path, s in budget["stages"].items()
-                },
-                "sim_stages": {
-                    name: {
-                        "total_hours": round(s["total_hours"], 4),
-                        "p95_hours": round(s["p95"], 4),
-                        "calls": s["calls"],
-                    }
-                    for name, s in budget["sim_stages"].items()
-                },
-            }
-
-    assert profiler is not None
-    if flamegraph_path is not None:
-        profiler.write_flamegraph(flamegraph_path)
-
-    # Profiler overhead, bounded the bench_micro way: count the hook calls
-    # the profiled run actually made, microbenchmark one disabled and one
-    # live hook call, and compare the products against the paired run
-    # walls.  Never a wall-clock diff between two runs — on CI machines
-    # that signal is noise-dominated.
-    n = 50_000
-    t0 = time.perf_counter()
-    for _ in range(n):
-        with NULL_PROFILER.stage("bench"):
-            pass
-    noop_s = (time.perf_counter() - t0) / n
-    probe = StageProfiler()
-    t0 = time.perf_counter()
-    for _ in range(n):
-        with probe.stage("bench"):
-            pass
-    live_s = (time.perf_counter() - t0) / n
-    hook_calls = profiler.events_recorded
-    warm_wall = modes["warm"]["run_wall_s"]
-    prof_wall = modes["profiled"]["run_wall_s"]
-    modes["profiled"]["overhead"] = {
-        "hook_calls": hook_calls,
-        "noop_call_ns": round(noop_s * 1e9, 1),
-        "live_call_ns": round(live_s * 1e9, 1),
-        "off_frac_bound": round(hook_calls * noop_s / warm_wall, 6) if warm_wall else 0.0,
-        "on_frac_bound": round(hook_calls * live_s / prof_wall, 6) if prof_wall else 0.0,
-    }
-
-    # Journey tracing: causality audit over the kept journeys, and the
-    # same microbenched overhead methodology.  Journeys off is a single
-    # `is None` check per hook site; journeys on is a record() call.
-    assert journeys_rec is not None and journeys_stats is not None
-    journeys_rec.finish()
-    expect = {name: getattr(journeys_stats, name)
-              for name in ("arrived", "matched", "completed", "failed",
-                           "shed", "requeued", "unserved")}
-    audit_problems = _audit_journeys(journeys_rec.kept, expect=expect,
-                                     sample=1.0)
-    probe_off = None
-    t0 = time.perf_counter()
-    for _ in range(n):
-        if probe_off is not None:
-            raise AssertionError
-    off_check_s = (time.perf_counter() - t0) / n
-    probe = JourneyRecorder(1.0, slo_wait_hours=4.0 * max_wait_hours)
-    t0 = time.perf_counter()
-    for i in range(n // 2):
-        probe.record(i, 0.25, "admitted", 0.25, queue_depth=1)
-        probe.record(i, 0.25, "completed", 0.5, window=0, cluster_id=0,
-                     requeues=0)
-    live_record_s = (time.perf_counter() - t0) / (2 * (n // 2))
-    j_calls = journeys_rec.events_recorded
-    j_wall = modes["journeys"]["run_wall_s"]
-    modes["journeys"].update({
-        "audit_pass": not audit_problems,
-        "audit_problems": audit_problems[:10],
-        "journeys_emitted": journeys_rec.journeys_emitted,
-        "journeys_forced": journeys_rec.journeys_forced,
-        "exemplar_buckets": len(journeys_rec.exemplars()),
-        "overhead": {
-            "hook_calls": j_calls,
-            "off_check_ns": round(off_check_s * 1e9, 1),
-            "live_record_ns": round(live_record_s * 1e9, 1),
-            "off_frac_bound": round(j_calls * off_check_s / warm_wall, 6)
-            if warm_wall else 0.0,
-            "on_frac_bound": round(j_calls * live_record_s / j_wall, 6)
-            if j_wall else 0.0,
-        },
-    })
-
-    # Serving percentiles re-read through the public histogram quantile —
-    # the benchmark reports exactly what a scrape of the telemetry
-    # aggregate would show (bucket upper bounds, not exact order stats).
-    latency_hist = hists_by_mode["monitored"].get("serve/assignment_latency_s")
-    if latency_hist is not None:
-        modes["monitored"]["assignment_latency_hist"] = {
-            "p50": quantile(latency_hist, 0.5),
-            "p95": quantile(latency_hist, 0.95),
-            "p99": quantile(latency_hist, 0.99),
-        }
-
-    cold_it = modes["cold"]["solve_iterations_mean"]
-    warm_it = modes["warm"]["solve_iterations_mean"]
-    report = {
-        "benchmark": "online serving soak: micro-batching dispatcher, warm vs cold solver",
-        "setting": setting,
-        "pattern": pattern,
-        "rate_per_hour": rate_per_hour,
-        "horizon_hours": horizon_hours,
-        "pool_size": pool_size,
-        "max_batch": max_batch,
-        "max_wait_hours": max_wait_hours,
-        "queue_capacity": queue_capacity,
-        "solver_tol": solver_tol,
-        "solver_max_iters": solver_max_iters,
-        "seed": seed,
-        "arrivals": len(events),
-        "cold": modes["cold"],
-        "warm": modes["warm"],
-        "monitored": modes["monitored"],
-        "profiled": modes["profiled"],
-        "journeys": modes["journeys"],
-        "warm_start_iters_speedup": round(cold_it / warm_it, 2) if warm_it else None,
-    }
-    if out_path is not None:
-        path = Path(out_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return report
-
-
-def run_scaling_benchmark(
-    *,
-    sizes: "tuple[tuple[int, int], ...] | None" = None,
-    seed: int = 0,
-    solver_tol: float = 1e-4,
-    solver_max_iters: int = 3000,
-    smoke: bool = False,
-    out_path: "str | os.PathLike[str] | None" = None,
-) -> dict:
-    """Scalar-vs-blocks window-solve sweep over growing (tasks, clusters).
-
-    One cold solve per mode on each instance — exactly the cache-miss
-    window the decomposition targets.  Instances use the specialist fleet
-    (:func:`repro.clusters.make_specialist_pool`): family-sharded cluster
-    pools whose viability graph splits into per-family components, the
-    regime the ROADMAP's sharded-platform item serves.  ``sizes`` are
-    ``(n_tasks, m_clusters)`` pairs; the defaults sweep to 200x200.
-
-    ``solver_max_iters`` defaults far above the serving-grade cap so the
-    tolerance early-stop — not the cap — ends both solves and the
-    iteration counts are comparable; on stiff 200-task instances the
-    dense solver genuinely needs thousands of normalized steps.
-    """
-    from repro.clusters import make_specialist_pool
-    from repro.matching.blocks import solve_relaxed_blocks
-    from repro.matching.relaxed import SolverConfig, solve_relaxed
-    from repro.methods import MatchSpec
-
-    if sizes is None:
-        sizes = ((32, 8), (64, 16)) if smoke else (
-            (48, 12), (96, 24), (128, 48), (200, 200))
-    solver = SolverConfig(tol=solver_tol, max_iters=solver_max_iters)
-    spec = MatchSpec(solver=solver)
-    entries = []
-    for n_tasks, m_clusters in sizes:
-        pool = TaskPool(n_tasks, rng=seed)
-        clusters = make_specialist_pool(m_clusters)
-        tasks = pool.tasks
-        T = np.stack([c.true_times(tasks) for c in clusters])
-        A = np.stack([c.true_reliabilities(tasks) for c in clusters])
-        problem = spec.build_problem(T, A)
-
-        wall0 = time.perf_counter()
-        scalar = solve_relaxed(problem, solver)
-        scalar_wall = time.perf_counter() - wall0
-        wall0 = time.perf_counter()
-        blocks = solve_relaxed_blocks(problem, solver)
-        blocks_wall = time.perf_counter() - wall0
-
-        ratio = scalar.iterations / blocks.iterations if blocks.iterations else None
-        entries.append({
-            "tasks": n_tasks,
-            "clusters": m_clusters,
-            "scalar": {
-                "iterations": scalar.iterations,
-                "converged": bool(scalar.converged),
-                "wall_s": round(scalar_wall, 4),
-                "objective": round(float(scalar.objective), 6),
-            },
-            "blocks": {
-                "iterations": blocks.iterations,
-                "converged": bool(blocks.converged),
-                "wall_s": round(blocks_wall, 4),
-                "objective": round(float(blocks.objective), 6),
-                "n_blocks": blocks.n_blocks,
-                "block_shapes": [list(s) for s in blocks.block_shapes],
-                "batched_groups": blocks.batched_groups,
-            },
-            "iters_ratio": round(ratio, 2) if ratio else None,
-            # Negative = the decomposed solve reached a *better* barrier
-            # value (per-block step normalization is not dominated by the
-            # globally stiffest component).
-            "objective_gap_rel": round(
-                (float(blocks.objective) - float(scalar.objective))
-                / max(abs(float(scalar.objective)), 1e-12), 6),
-        })
-    ratios = [e["iters_ratio"] for e in entries if e["iters_ratio"]]
-    report = {
-        "benchmark": ("window-solve scaling: dense scalar vs block-decomposed "
-                      "batched solve, cold starts on specialist fleets"),
-        "solver_tol": solver_tol,
-        "solver_max_iters": solver_max_iters,
-        "seed": seed,
-        "entries": entries,
-        "min_iters_ratio": round(min(ratios), 2) if ratios else None,
-        "max_iters_ratio": round(max(ratios), 2) if ratios else None,
-    }
-    if out_path is not None:
-        path = Path(out_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return report

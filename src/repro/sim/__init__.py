@@ -2,13 +2,6 @@
 
 from repro.sim.engine import ExecutionConfig, simulate_matching
 from repro.sim.events import Event, Simulator
-from repro.sim.online import (
-    ArrivalStream,
-    OnlineConfig,
-    OnlineStats,
-    PoissonArrivals,
-    simulate_online,
-)
 from repro.sim.trace import SimulationResult, TaskOutcome, TaskRecord
 
 __all__ = [
@@ -19,9 +12,4 @@ __all__ = [
     "SimulationResult",
     "TaskOutcome",
     "TaskRecord",
-    "ArrivalStream",
-    "PoissonArrivals",
-    "OnlineConfig",
-    "OnlineStats",
-    "simulate_online",
 ]

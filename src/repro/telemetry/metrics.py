@@ -140,8 +140,7 @@ def quantile(histogram: "Histogram | dict", q: float) -> float:
     ``Recorder.aggregate()``/``aggregate_events``).  The estimate is the
     upper boundary of the bucket containing the ``q``-quantile — exact to
     bucket resolution, and the single shared implementation behind the
-    recorder's console summary, ``bench_serve.py`` and the quality
-    monitor.
+    recorder's console summary and the quality monitor.
 
     The result is always a finite float:
 

@@ -23,7 +23,7 @@ end-to-end handling latency into named stages and answers exactly that:
   wall time and the sum of depth-1 stage durations is reported as
   ``unattributed`` — the budget's honesty term.  The headline
   ``coverage_p95`` is p95(attributed) / p95(end-to-end) across windows;
-  the serve benchmark gates it at >= 0.95;
+  ``benchmarks/bench_serve.py`` gates it at >= 0.95;
 - **flamegraph export** — :meth:`collapsed_stacks` emits the standard
   collapsed-stack format (``frame;frame count``, counts in integer
   microseconds of *self* time), directly loadable by speedscope and
@@ -32,8 +32,9 @@ end-to-end handling latency into named stages and answers exactly that:
 The profiler records wall-clock only and draws no randomness, so a
 profiled run's assignment trace is byte-identical to an unprofiled one;
 when off, the dispatcher holds :data:`NULL_PROFILER`, whose methods are
-no-ops (a few calls per *window*, not per task — gated with the
-telemetry off-mode overhead bound in ``benchmarks/bench_serve.py``).
+no-ops (a few calls per *window*, not per task — gated by
+``benchmarks/bench_serve.py::test_observer_overhead_smoke``; the
+platform benchmark's ``telemetry.*_ns`` metrics read the per-call cost).
 """
 
 from __future__ import annotations

@@ -30,9 +30,16 @@ from repro.fleet import (
     full_down_intervals,
     make_router,
 )
+from repro.monitor import MonitorConfig, TraceReplay
 from repro.nn.layers import Linear
 from repro.retrain.loop import RetrainConfig, _pairs_of_method
-from repro.serve import Dispatcher, Outage, ServeConfig, build_stack
+from repro.serve import (
+    Dispatcher,
+    ModelRegistry,
+    Outage,
+    ServeConfig,
+    build_stack,
+)
 from repro.serve.loadgen import make_load
 from repro.utils.rng import as_generator
 from repro.workloads.specs import Family
@@ -208,6 +215,11 @@ def test_fleet_config_roundtrip_and_validation():
     with pytest.raises(ValueError, match="serve.retrain"):
         FleetConfig(serve=SERVE.with_overrides(
             retrain=RetrainConfig(trigger="manual")))
+    # Nothing the controller never wires may ride meta["serve"] as truth.
+    with pytest.raises(ValueError, match="serve.monitor"):
+        FleetConfig(serve=SERVE.with_overrides(monitor=MonitorConfig()))
+    with pytest.raises(ValueError, match="learned"):
+        FleetConfig(serve=SERVE.with_overrides(warm_start="learned"))
 
 
 def test_shard_config_stamps_identity():
@@ -431,6 +443,45 @@ def test_fleet_replay_rejects_mixed_logs(stack, tmp_path):
                                tmp_path / "b" / "run-s1.jsonl"])
     with pytest.raises(ValueError, match="needs logs for shards"):
         FleetReplay.from_logs([tmp_path / "a" / "run-s0.jsonl"])
+
+
+def test_empty_shard_log_loads_for_fleet_replay_only(stack, tmp_path):
+    """One parser, two policies: a shard that routed nothing is a valid
+    slice of a fleet run, but not a serving run to replay on its own."""
+    cfg = FleetConfig(n_shards=2, serve=SERVE)
+    controller = FleetController(cfg, stack=stack)
+    task = controller.pool.tasks[0]  # one task id hashes to one shard
+    events = [(0.1 * (i + 1), task) for i in range(12)]
+    stats = controller.run(events, telemetry="jsonl", out_dir=tmp_path,
+                           run_prefix="lopsided")
+    logs = sorted(glob.glob(str(tmp_path / "lopsided-s*.jsonl")))
+    (empty,) = [sid for sid, s in enumerate(stats.per_shard) if not s.arrived]
+    replay = FleetReplay.from_logs(logs)
+    assert replay.shards[empty].arrivals == []
+    assert replay.verify(replay.replay(stack=stack)) == []
+    with pytest.raises(ValueError, match="nothing to replay"):
+        TraceReplay.from_log(logs[empty])
+
+
+def test_changed_checkpoint_fails_both_replays_alike(stack, tmp_path):
+    cfg = FleetConfig(n_shards=2, serve=SERVE)
+    controller = FleetController(cfg, stack=stack)
+    registry = ModelRegistry(tmp_path / "registry")
+    version = registry.save(stack[2], tag="deploy").version
+    controller.run(fleet_events(controller.pool), registry=registry,
+                   swap_schedule={1: version}, telemetry="jsonl",
+                   out_dir=tmp_path, run_prefix="swapped")
+    logs = sorted(glob.glob(str(tmp_path / "swapped-s*.jsonl")))
+    # Same version name, different weights: retrained since the run.
+    imposter = ModelRegistry(tmp_path / "imposter")
+    imposter.save(build_stack(SERVE.with_overrides(seed=7, train_epochs=1))[2])
+    messages = []
+    for replay in (FleetReplay.from_logs(logs), TraceReplay.from_log(logs[0])):
+        with pytest.raises(ValueError, match="digest") as exc:
+            replay.replay(stack=stack,
+                          registry_root=str(tmp_path / "imposter"))
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
 
 
 # --------------------------------------------------------------------- #

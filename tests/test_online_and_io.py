@@ -1,4 +1,4 @@
-"""Tests for the online platform loop, trace I/O, calibration metrics, CLI."""
+"""Tests for trace I/O, calibration metrics and the CLI."""
 
 from __future__ import annotations
 
@@ -8,89 +8,12 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main as cli_main
-from repro.clusters import make_setting
 from repro.metrics import (
     per_task_rank_accuracy,
     reliability_calibration,
     time_accuracy,
 )
-from repro.methods import FitContext, MatchSpec, TAM
-from repro.sim import OnlineConfig, OnlineStats, PoissonArrivals, simulate_online
-from repro.workloads import TaskPool, export_trace, load_trace, trace_to_datasets
-
-
-@pytest.fixture(scope="module")
-def online_setup():
-    pool = TaskPool(30, rng=51)
-    clusters = make_setting("A")
-    spec = MatchSpec()
-    ctx = FitContext.build(clusters, pool.tasks[:20], spec, rng=1)
-    method = TAM().fit(ctx)
-    return pool, clusters, spec, method
-
-
-class TestPoissonArrivals:
-    def test_rate_validation(self, task_pool):
-        with pytest.raises(ValueError):
-            PoissonArrivals(task_pool, rate_per_hour=0)
-
-    def test_draw_counts_scale_with_rate(self, task_pool, rng):
-        lo = PoissonArrivals(task_pool, 2.0).draw(50.0, np.random.default_rng(0))
-        hi = PoissonArrivals(task_pool, 8.0).draw(50.0, np.random.default_rng(0))
-        assert len(hi) > len(lo)
-        assert all(0 <= t < 50.0 for t, _ in lo)
-        assert sorted(t for t, _ in lo) == [t for t, _ in lo]
-
-    def test_horizon_validation(self, task_pool, rng):
-        with pytest.raises(ValueError):
-            PoissonArrivals(task_pool, 2.0).draw(0.0, rng)
-
-
-class TestOnlineLoop:
-    def test_stats_consistency(self, online_setup):
-        pool, clusters, spec, method = online_setup
-        stats = simulate_online(
-            clusters, method, PoissonArrivals(pool, 5.0), spec,
-            OnlineConfig(window_hours=0.5, horizon_hours=6.0), rng=3,
-        )
-        assert stats.jobs_finished == stats.jobs_arrived
-        assert 0 < stats.success_rate <= 1.0
-        assert stats.mean_flow_hours >= stats.mean_wait_hours >= 0
-        assert 0 < stats.utilization <= 1.0
-
-    def test_no_failures_mode(self, online_setup):
-        pool, clusters, spec, method = online_setup
-        stats = simulate_online(
-            clusters, method, PoissonArrivals(pool, 4.0), spec,
-            OnlineConfig(window_hours=1.0, horizon_hours=5.0, failures=False,
-                         jitter_std=0.0), rng=4,
-        )
-        assert stats.success_rate == 1.0
-
-    def test_higher_load_increases_waiting(self, online_setup):
-        pool, clusters, spec, method = online_setup
-        waits = []
-        for rate in (2.0, 20.0):
-            stats = simulate_online(
-                clusters, method, PoissonArrivals(pool, rate), spec,
-                OnlineConfig(window_hours=0.5, horizon_hours=8.0, failures=False,
-                             jitter_std=0.0), rng=5,
-            )
-            waits.append(stats.mean_wait_hours)
-        assert waits[1] > waits[0]
-
-    def test_empty_stats_raise(self):
-        s = OnlineStats()
-        with pytest.raises(ValueError):
-            s.success_rate
-        with pytest.raises(ValueError):
-            s.utilization
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            OnlineConfig(window_hours=0)
-        with pytest.raises(ValueError):
-            OnlineConfig(jitter_std=-1)
+from repro.workloads import export_trace, load_trace, trace_to_datasets
 
 
 class TestTraceIO:

@@ -480,18 +480,17 @@ class TestServeConfig:
         assert dcfg.solve_mode == "blocks"
         assert dcfg.learned_seeds and dcfg.warm_start
 
-    def test_legacy_bool_warm_start_normalizes(self):
-        # Old logs / callers passed warm_start=True/False; the typed
-        # config coerces to the tri-state and round-trips as strings.
-        assert ServeConfig(warm_start=True).warm_start == "cache"
-        assert ServeConfig(warm_start=False).warm_start == "off"
-        off = ServeConfig(warm_start=False)
+    def test_bool_warm_start_rejected(self):
+        # The tri-state string is the only spelling: a boolean fails the
+        # same membership check as any other unknown value.
+        for flag in (True, False):
+            with pytest.raises(ValueError, match="warm_start"):
+                ServeConfig(warm_start=flag)
+        off = ServeConfig(warm_start="off")
         assert not off.dispatcher_config().warm_start
-        legacy = off.to_params()
-        legacy["warm_start"] = False
-        assert ServeConfig.from_params(legacy) == off
-        legacy.pop("solve_mode")  # pre-blocks logs
-        assert ServeConfig.from_params(legacy).solve_mode == "scalar"
+        params = off.to_params()
+        params.pop("solve_mode")  # pre-blocks logs
+        assert ServeConfig.from_params(params).solve_mode == "scalar"
 
     def test_legacy_helpers_removed(self):
         # The PR-5 deprecation shims are gone: ServeConfig / build_stack

@@ -11,7 +11,10 @@ Covers the four serving components end to end:
 
 from __future__ import annotations
 
+import hashlib
 import io
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,18 +34,20 @@ from repro.serve import (
     Outage,
     PoissonLoad,
     PredictionMemo,
+    ServeConfig,
     WarmStartCache,
     batch_size_bucket,
+    build_stack,
     make_cache_key,
     make_load,
 )
-from repro.sim import ArrivalStream
 from repro.telemetry import recording
 from repro.utils.rng import as_generator
 from repro.workloads import TaskPool
 
 #: Serving-grade solver: looser tol than the offline experiments so the
-#: tests run in seconds (see run_serve_benchmark's docstring).
+#: tests run in seconds (the rounded assignment is long since stable in
+#: the 1e-7 tail).
 SOLVER = SolverConfig(tol=1e-4, max_iters=300)
 
 
@@ -80,9 +85,7 @@ class TestLoadgen:
     @pytest.mark.parametrize("pattern", ["poisson", "bursty", "diurnal"])
     def test_make_load_draws_sorted_within_horizon(self, pattern):
         pool = TaskPool(8, rng=0)
-        load = make_load(pattern, pool, 40.0)
-        assert isinstance(load, ArrivalStream)
-        events = load.draw(4.0, as_generator(1))
+        events = make_load(pattern, pool, 40.0).draw(4.0, as_generator(1))
         times = [t for t, _ in events]
         assert times == sorted(times)
         assert all(0.0 < t < 4.0 for t in times)
@@ -501,6 +504,30 @@ class TestDispatcher:
         # Requeued orphans are shed-exempt: arrived == served + shed holds
         # and nothing vanished even with both pressures active.
         assert stats.requeued > 0 and stats.shed > 0
+
+    def test_higher_load_increases_waiting(self, stack):
+        pool = stack[0]
+        cfg = DispatcherConfig(max_batch=8, failures=False, jitter_std=0.0)
+        waits = [
+            _run(stack, _events(pool, rate=rate, horizon=8.0, seed=5),
+                 cfg=cfg).mean_wait_hours
+            for rate in (2.0, 20.0)
+        ]
+        assert waits[1] > waits[0]
+
+    def test_warm_soak_reproduces_committed_anchor(self):
+        """The 12 h Poisson 60/h soak on the default stack hashes to the
+        digest committed in ``BENCH_serve.json`` — the anchor the platform
+        benchmark's ``serve_steady`` verify reads."""
+        config = ServeConfig()
+        pool, clusters, method, spec, dcfg = build_stack(config)
+        events = make_load("poisson", pool, 60.0).draw(
+            12.0, as_generator(config.seed + 3))
+        stats = Dispatcher(clusters, method, spec, dcfg).run(
+            events, rng=config.seed + 4)
+        bench = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
+        anchor = json.loads(bench.read_text())["warm"]["trace_sha256"]
+        assert hashlib.sha256(stats.trace_bytes()).hexdigest() == anchor
 
     def test_warm_start_helps_and_matches_cold_service(self, stack):
         pool = stack[0]
