@@ -186,6 +186,30 @@ def test_mlp_training_step(benchmark):
     assert np.isfinite(benchmark(step))
 
 
+def test_pretrain_bank(benchmark):
+    """The ``train_mfcp`` warm start: 8 clusters x 2 heads as two stacked
+    banks, n = 112 measured tasks, 10 epochs of 4 minibatches.  Reports µs
+    per head per minibatch step (``extra_info``).  With
+    ``--benchmark-disable`` it runs once: the CI non-timing smoke."""
+    from repro.methods import FitContext, MatchSpec
+    from repro.predictors import fit_pairs
+    from repro.predictors.training import TrainConfig
+
+    train, _ = TaskPool(160, rng=0).split(0.7, rng=1)
+    ctx = FitContext.build(make_pool(8, rng=3), train, MatchSpec(), rng=2)
+    cfg = TrainConfig(epochs=10)
+
+    pairs = benchmark(lambda: fit_pairs(
+        ctx.datasets, ctx.feature_dim, (32, 32), ctx.standardizer, cfg,
+        np.random.default_rng(5)))
+    assert len(train) == 112 and len(pairs) == 8
+    Z = ctx.features(train[:5])
+    assert all(np.isfinite(p.predict(Z)).all() for p in pairs)
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        head_steps = 2 * len(pairs) * cfg.epochs * -(-len(train) // cfg.batch_size)
+        benchmark.extra_info["us_per_head_step"] = 1e6 * benchmark.stats["min"] / head_steps
+
+
 def test_graph_embedding(benchmark):
     specs = sample_specs(8, rng=5)
     embedder = GraphEmbedder()
@@ -211,8 +235,12 @@ def test_discrete_event_round(benchmark):
 # Measures the regret-training core (solve + vjp + optimizer phases) of
 # MFCP at M=8 clusters, N=20 tasks per round, for both gradient modes,
 # with the fused cross-cluster batched round against the per-cluster
-# scalar round.  MSE pretraining is identical code in both paths and is
-# excluded.  ``python benchmarks/bench_micro.py`` records the numbers in
+# scalar round.  MSE pretraining is identical code in both paths (one
+# stacked bank per head kind) and is excluded from the ratio; the whole
+# fit and its pretraining share are recorded beside it (``fit_s``,
+# ``pretrain_s``), and the gate for training speed end to end is the
+# platform benchmark's ``train_mfcp`` workload.  ``python
+# benchmarks/bench_micro.py`` records the numbers in
 # BENCH_train_round.json at the repo root.
 # --------------------------------------------------------------------- #
 
@@ -222,8 +250,9 @@ _TR_M, _TR_N = 8, 20
 
 def _train_round_case(
     gradient: str, batched: bool, *, epochs: int
-) -> tuple[float, dict, list]:
-    """Fit MFCP once; return (core seconds, per-phase timings, loss history)."""
+) -> tuple[float, dict, list, float]:
+    """Fit MFCP once; return (core seconds, per-phase timings, loss history,
+    whole-fit seconds)."""
     from repro.methods import MFCP, MFCPConfig, MatchSpec, FitContext
     from repro.predictors.training import TrainConfig
 
@@ -247,7 +276,7 @@ def _train_round_case(
     total = time.perf_counter() - t0
     timings = dict(method.timings)
     core = total - timings.get("pretrain", 0.0) - timings.get("validation", 0.0)
-    return core, timings, method.loss_history
+    return core, timings, method.loss_history, total
 
 
 def measure_train_round(gradient: str, *, epochs: int = 5, repeats: int = 5) -> dict:
@@ -259,9 +288,11 @@ def measure_train_round(gradient: str, *, epochs: int = 5, repeats: int = 5) -> 
             _train_round_case(gradient, batched, epochs=epochs)
             for _ in range(repeats)
         ]
-        core, timings, hist = min(runs, key=lambda r: r[0])
+        core, timings, hist, fit_s = min(runs, key=lambda r: r[0])
         rec["batched" if batched else "scalar"] = {
             "core_s": round(core, 4),
+            "fit_s": round(fit_s, 4),
+            "pretrain_s": round(timings.get("pretrain", 0.0), 4),
             "s_per_epoch": round(core / epochs, 4),
             "phases_s": {k: round(v, 4) for k, v in sorted(timings.items())},
             "loss_first_last": [float(hist[0]), float(hist[-1])],
@@ -328,7 +359,9 @@ def test_train_round_fused_smoke():
     """Smoke check (CI): the fused batched round beats the scalar path for
     both gradient modes and its loss trajectory is finite."""
     for gradient in ("analytic", "forward"):
-        rec = measure_train_round(gradient, epochs=2, repeats=1)
+        # Two repeats, not one: the process's first multi-threaded LAPACK
+        # call can stall ~1 s on an idle VM, and it lands in the batched vjp.
+        rec = measure_train_round(gradient, epochs=2, repeats=2)
         assert rec["speedup"] > 1.2, f"{gradient}: only {rec['speedup']:.2f}x"
         for key in ("scalar", "batched"):
             assert all(np.isfinite(rec[key]["loss_first_last"]))
@@ -341,7 +374,8 @@ def main() -> None:
         "round_size": _TR_N,
         "epochs": 5,
         "repeats": 5,
-        "metric": "min over repeats of (fit wall clock − pretrain − validation)",
+        "metric": "min over repeats of core_s = fit wall clock − pretrain − validation "
+                  "(fit_s, pretrain_s: that run's whole fit and its pretraining)",
         "gradients": {},
     }
     for gradient in ("analytic", "forward"):

@@ -45,7 +45,6 @@ from repro.matching.relaxed import solve_relaxed
 from repro.matching.rounding import round_assignment
 from repro.methods.base import FitContext
 from repro.methods.mfcp import MFCP, MFCPConfig
-from repro.nn import clip_grad_norm
 from repro.utils.rng import spawn
 
 __all__ = ["SPOPlus", "BlackboxDiff", "PerturbedOpt", "make_dfl_methods"]
@@ -64,14 +63,14 @@ class SPOPlus(MFCP):
     ground truth, exactly like MFCP's Algorithm-2 line 3 protocol).
     """
 
+    _clip_reliability = False  # plain MSE-anchor step
+
     def __init__(self, config: MFCPConfig | None = None,
                  hidden: tuple[int, ...] = (32, 32)) -> None:
         super().__init__("analytic", config, hidden)
         self.name = "SPO+"
 
-    def _train_round(self, ctx: FitContext, Z, true_problem, opt_time, opt_rel,
-                     update_time, update_rel):  # type: ignore[override]
-        cfg = self.config
+    def _train_round(self, ctx: FitContext, Z, t_hat, a_hat, true_problem):
         M, N = true_problem.M, true_problem.N
         T_true = np.array(true_problem.T)
         A_true = np.array(true_problem.A)
@@ -79,34 +78,21 @@ class SPOPlus(MFCP):
         lin_problem = replace(true_problem, cost="linear")
         X_star_true = self._oracle(lin_problem)
         total_loss = 0.0
+        grad_t = np.empty((M, N))
 
         for i in range(M):
-            t_hat = self._pairs[i].time.forward(Z)
-            a_hat = self._pairs[i].reliability.forward(Z)
-
             # SPO+ subgradient on cluster i's cost row.
             T_spo = T_true.copy()
-            T_spo[i] = 2.0 * t_hat.data - T_true[i]
+            T_spo[i] = 2.0 * t_hat[i] - T_true[i]
             X_spo = self._oracle(lin_problem.with_predictions(T_spo, A_true))
-            grad_t = 2.0 * (X_star_true[i] - X_spo[i])
+            grad_t[i] = 2.0 * (X_star_true[i] - X_spo[i])
 
             total_loss += float(
                 linear_cost(X_spo, lin_problem) - linear_cost(X_star_true, lin_problem)
             ) / N
-
-            if update_time:
-                opt_time[i].zero_grad()
-                t_hat.backward(grad_t)
-                clip_grad_norm(opt_time[i].params, cfg.grad_clip)
-                opt_time[i].step()
-            if update_rel:
-                # Reliability head keeps its MSE anchor (SPO+ has no
-                # constraint-side theory); a_true serves as the target.
-                opt_rel[i].zero_grad()
-                residual = 2.0 * (a_hat.data - A_true[i]) / N
-                a_hat.backward(residual)
-                opt_rel[i].step()
-        return total_loss / M
+        # Reliability head keeps its MSE anchor (SPO+ has no
+        # constraint-side theory); a_true serves as the target.
+        return total_loss / M, grad_t, 2.0 * (a_hat - A_true) / N
 
     def _oracle(self, problem: MatchingProblem) -> np.ndarray:
         sol = solve_relaxed(problem, self._spec.solver if self._spec else None)
@@ -126,6 +112,8 @@ class BlackboxDiff(MFCP):
     objective's cost vector); the reliability head keeps an MSE anchor.
     """
 
+    _clip_reliability = False  # plain MSE-anchor step
+
     def __init__(self, config: MFCPConfig | None = None,
                  hidden: tuple[int, ...] = (32, 32),
                  interpolation: float = 5.0) -> None:
@@ -135,22 +123,19 @@ class BlackboxDiff(MFCP):
         self.name = "DBB"
         self.interpolation = interpolation
 
-    def _train_round(self, ctx: FitContext, Z, true_problem, opt_time, opt_rel,
-                     update_time, update_rel):  # type: ignore[override]
-        cfg = self.config
+    def _train_round(self, ctx: FitContext, Z, t_hat, a_hat, true_problem):
         M, N = true_problem.M, true_problem.N
         T_true = np.array(true_problem.T)
         A_true = np.array(true_problem.A)
         oracle_sol = solve_relaxed(true_problem, ctx.spec.solver)
         total_loss = 0.0
+        grad_t = np.empty((M, N))
 
         for i in range(M):
-            t_hat = self._pairs[i].time.forward(Z)
-            a_hat = self._pairs[i].reliability.forward(Z)
             T_hat = T_true.copy()
             A_hat = A_true.copy()
-            T_hat[i] = t_hat.data
-            A_hat[i] = a_hat.data
+            T_hat[i] = t_hat[i]
+            A_hat[i] = a_hat[i]
             pred_problem = true_problem.with_predictions(T_hat, A_hat)
             sol = solve_relaxed(pred_problem, ctx.spec.solver, x0=oracle_sol.X)
             g_X = self._upstream_gradient(sol.X, true_problem)
@@ -164,19 +149,8 @@ class BlackboxDiff(MFCP):
                 pred_problem.with_predictions(T_pert, A_hat),
                 ctx.spec.solver, x0=sol.X,
             )
-            grad_t = -(sol_pert.X[i] - sol.X[i]) / lam
-
-            if update_time:
-                opt_time[i].zero_grad()
-                t_hat.backward(grad_t)
-                clip_grad_norm(opt_time[i].params, cfg.grad_clip)
-                opt_time[i].step()
-            if update_rel:
-                opt_rel[i].zero_grad()
-                residual = 2.0 * (a_hat.data - A_true[i]) / N
-                a_hat.backward(residual)
-                opt_rel[i].step()
-        return total_loss / M
+            grad_t[i] = -(sol_pert.X[i] - sol.X[i]) / lam
+        return total_loss / M, grad_t, 2.0 * (a_hat - A_true) / N
 
 
 class PerturbedOpt(MFCP):
@@ -201,9 +175,7 @@ class PerturbedOpt(MFCP):
         self.sigma = sigma
         self.samples = samples
 
-    def _train_round(self, ctx: FitContext, Z, true_problem, opt_time, opt_rel,
-                     update_time, update_rel):  # type: ignore[override]
-        cfg = self.config
+    def _train_round(self, ctx: FitContext, Z, t_hat, a_hat, true_problem):
         M, N = true_problem.M, true_problem.N
         T_true = np.array(true_problem.T)
         A_true = np.array(true_problem.A)
@@ -211,18 +183,17 @@ class PerturbedOpt(MFCP):
         oracle_cost = smooth_cost(oracle_sol.X, true_problem)
         rng = spawn(ctx.rng)
         total_loss = 0.0
+        grad_t, grad_a = np.empty((M, N)), np.empty((M, N))
 
         for i in range(M):
-            t_hat = self._pairs[i].time.forward(Z)
-            a_hat = self._pairs[i].reliability.forward(Z)
             losses = np.empty(self.samples)
             Zt = rng.normal(size=(self.samples, N))
             Za = rng.normal(size=(self.samples, N))
             for s in range(self.samples):
                 T_hat = T_true.copy()
                 A_hat = A_true.copy()
-                T_hat[i] = np.maximum(t_hat.data + self.sigma * Zt[s], 1e-4)
-                A_hat[i] = np.clip(a_hat.data + self.sigma * Za[s], 0.0, 1.0)
+                T_hat[i] = np.maximum(t_hat[i] + self.sigma * Zt[s], 1e-4)
+                A_hat[i] = np.clip(a_hat[i] + self.sigma * Za[s], 0.0, 1.0)
                 pred = true_problem.with_predictions(T_hat, A_hat)
                 sol = solve_relaxed(pred, ctx.spec.solver, x0=oracle_sol.X)
                 # Loss of the perturbed decision under the truth; the slack
@@ -230,20 +201,9 @@ class PerturbedOpt(MFCP):
                 losses[s] = self._perturbed_loss(sol.X, true_problem, oracle_cost)
             baseline = losses.mean()
             total_loss += baseline
-            grad_t = ((losses - baseline)[:, None] * Zt).mean(axis=0) / self.sigma
-            grad_a = ((losses - baseline)[:, None] * Za).mean(axis=0) / self.sigma
-
-            if update_time:
-                opt_time[i].zero_grad()
-                t_hat.backward(grad_t)
-                clip_grad_norm(opt_time[i].params, cfg.grad_clip)
-                opt_time[i].step()
-            if update_rel:
-                opt_rel[i].zero_grad()
-                a_hat.backward(grad_a)
-                clip_grad_norm(opt_rel[i].params, cfg.grad_clip)
-                opt_rel[i].step()
-        return total_loss / M
+            grad_t[i] = ((losses - baseline)[:, None] * Zt).mean(axis=0) / self.sigma
+            grad_a[i] = ((losses - baseline)[:, None] * Za).mean(axis=0) / self.sigma
+        return total_loss / M, grad_t, grad_a
 
     def _perturbed_loss(
         self, X: np.ndarray, true_problem: MatchingProblem, oracle_cost: float

@@ -20,6 +20,10 @@ Training pipeline (Fig. 3 / Algorithm 2):
    The prediction gradients are then backpropagated through the predictor
    networks by the autograd tape, and ω and φ are updated on alternating
    epochs ("we fix ω when optimizing φ, and fix φ when optimizing ω").
+   The M same-shape heads of a kind are one stacked
+   :class:`~repro.predictors.models.HeadBank`: one forward before the
+   round's solves, one backward/clip/Adam step after its pullbacks (the
+   heads are independent, so this is Algorithm 2's per-cluster update).
 
 **Fused batched round** (default, ``MFCPConfig.batched``): Algorithm 2's
 literal per-cluster loop solves M relaxed instances (plus, for MFCP-FG,
@@ -29,9 +33,8 @@ into one :class:`repro.matching.batch.BatchProblem`, solves them in a
 single vectorized mirror-descent program warm-started from the oracle
 solution, pulls all M upstream gradients back in one stacked KKT adjoint
 (:func:`repro.matching.batch_vjp.batch_kkt_vjp`) or one cross-cluster
-zeroth-order batch (:func:`repro.matching.zeroth_order.zo_vjp_cross`),
-and only then touches Python-level autograd for the M small predictor
-updates.  Non-convex ζ objectives (and the Table 1 ablation knobs) fall
+zeroth-order batch (:func:`repro.matching.zeroth_order.zo_vjp_cross`).
+Non-convex ζ objectives (and the Table 1 ablation knobs) fall
 back to the scalar path automatically; see DESIGN.md "Batched training
 path" for the exact semantics deltas.
 
@@ -64,10 +67,10 @@ from repro.matching.problem import MatchingProblem
 from repro.matching.relaxed import SolverConfig, solve_relaxed
 from repro.matching.zeroth_order import ZeroOrderConfig, zo_vjp, zo_vjp_cross
 from repro.methods.base import BaseMethod, FitContext, MatchSpec
-from repro.nn import Adam, clip_grad_norm
+from repro.nn import Adam, Tensor
 from repro import telemetry
-from repro.predictors.models import PredictorPair
-from repro.predictors.training import TrainConfig, train_reliability, train_time_mse
+from repro.predictors.models import HeadBank, PredictorPair, predict_pairs
+from repro.predictors.training import TrainConfig, fit_pairs
 from repro.utils.rng import spawn
 from repro.workloads.taskpool import Task
 
@@ -126,6 +129,11 @@ class MFCPConfig:
 
 class MFCP(BaseMethod):
     """MFCP-AD (``gradient="analytic"``) and MFCP-FG (``gradient="forward"``)."""
+
+    #: Whether :meth:`_train_round`'s reliability update is norm-clipped like
+    #: its time update (overrides that give the reliability head a plain MSE
+    #: anchor step say no; the fused round is MFCP's own and always clips).
+    _clip_reliability = True
 
     def __init__(
         self,
@@ -189,18 +197,25 @@ class MFCP(BaseMethod):
         cfg = self.config
         self._phase_totals = {}
         # 1. Warm start with MSE pretraining.
-        self._pairs = []
         with self._phase("pretrain"):
-            for ds in ctx.datasets:
-                pair = PredictorPair(ctx.feature_dim, self.hidden,
-                                     standardizer=ctx.standardizer, rng=spawn(ctx.rng))
-                train_time_mse(pair.time, ds.Z, ds.t, cfg.pretrain, spawn(ctx.rng))
-                train_reliability(pair.reliability, ds.Z, ds.a, cfg.pretrain, spawn(ctx.rng))
-                self._pairs.append(pair)
+            self._pairs = fit_pairs(ctx.datasets, ctx.feature_dim, self.hidden,
+                                    ctx.standardizer, cfg.pretrain, ctx.rng)
 
-        # 2. Regret training.
-        opt_time = [Adam(p.time.parameters(), lr=cfg.lr) for p in self._pairs]
-        opt_rel = [Adam(p.reliability.parameters(), lr=cfg.lr) for p in self._pairs]
+        # 2. Regret training: the M heads of a kind are one bank under one
+        # Adam.  The banks live for this call only (see HeadBank).
+        time_bank = HeadBank([p.time for p in self._pairs])
+        rel_bank = HeadBank([p.reliability for p in self._pairs])
+        opt_time = Adam(time_bank.params, lr=cfg.lr)
+        opt_rel = Adam(rel_bank.params, lr=cfg.lr)
+
+        def update(bank: HeadBank, opt: Adam, out: Tensor, grad: np.ndarray,
+                   clip: bool = True) -> None:
+            opt.zero_grad()
+            out.backward(grad)
+            if clip:
+                bank.clip_grad_norm(cfg.grad_clip)
+            opt.step()
+
         n_train = len(ctx.train_tasks)
         round_size = min(cfg.round_size, n_train)
         Z_all = ctx.features(ctx.train_tasks)
@@ -210,18 +225,21 @@ class MFCP(BaseMethod):
         # Held-out validation rounds for model selection (fixed once so all
         # epoch snapshots are scored on the same instances).
         val_rng = spawn(ctx.rng)
-        val_rounds = []
+        val_idx, val_problems = [], []
         for _ in range(cfg.validation_rounds):
             idx = val_rng.choice(n_train, size=round_size, replace=False)
             try:
-                val_rounds.append(
-                    (Z_all[idx],
-                     ctx.spec.build_problem(T_all[:, idx], A_all[:, idx], training=True))
-                )
+                val_problems.append(
+                    ctx.spec.build_problem(T_all[:, idx], A_all[:, idx], training=True))
             except ValueError:
                 continue
-        best_score = self._validation_score(ctx, val_rounds) if val_rounds else None
-        best_state = self._snapshot() if val_rounds else None
+            val_idx.append(idx)
+        val_Z = Z_all[np.stack(val_idx)] if val_problems else None  # (R, N, F)
+        best_score = (self._validation_score(ctx, val_Z, val_problems)
+                      if val_problems else None)
+        best_state = self._snapshot() if val_problems else None
+        # Validation score of the weights as they are now; None once they move.
+        score = best_score
 
         batched = self._can_batch(ctx.spec)
         if cfg.batched and not batched:
@@ -239,8 +257,6 @@ class MFCP(BaseMethod):
                 true_problem = ctx.spec.build_problem(T_true, A_true, training=True)
             except ValueError:
                 continue  # degenerate round (γ unattainable); resample next epoch
-            update_time = (not cfg.alternate) or (epoch % 2 == 0)
-            update_rel = (not cfg.alternate) or (epoch % 2 == 1)
             if batched and true_problem.is_parallel:
                 # The batch solver only covers the convex sequential
                 # barrier; ζ rounds silently ran the scalar path before —
@@ -252,24 +268,36 @@ class MFCP(BaseMethod):
                         "train/scalar_fallback", method=self.name,
                         reason="non-convex (zeta) round",
                     )
-            round_fn = (
-                self._train_round_batched
-                if batched and not true_problem.is_parallel
-                else self._train_round
-            )
-            epoch_loss = round_fn(
-                ctx, Z, true_problem, opt_time, opt_rel, update_time, update_rel
-            )
+            fused = batched and not true_problem.is_parallel
+            round_fn = self._train_round_batched if fused else self._train_round
+            # Alg. 2 line 3 for every cluster at once: row i of (t̂, â) is
+            # cluster i's prediction of this round.
+            with self._phase("optimizer"):
+                t_hat = time_bank.forward(time_bank.prepare(Z))
+                a_hat = rel_bank.forward(rel_bank.prepare(Z))
+            epoch_loss, dts, das = round_fn(ctx, Z, t_hat.data, a_hat.data, true_problem)
+            # Heads are independent, so one update after all M pullbacks is
+            # the per-cluster update of Algorithm 2.
+            update_time = (not cfg.alternate) or (epoch % 2 == 0)
+            update_rel = (not cfg.alternate) or (epoch % 2 == 1)
+            with self._phase("optimizer"):
+                if update_time:
+                    update(time_bank, opt_time, t_hat, dts)
+                if update_rel:
+                    update(rel_bank, opt_rel, a_hat, das,
+                           clip=fused or self._clip_reliability)
+            score = None
             self.loss_history.append(epoch_loss)
             telemetry.observe("train/epoch_regret_proxy", epoch_loss)
-            if val_rounds and (epoch + 1) % cfg.validate_every == 0:
-                score = self._validation_score(ctx, val_rounds)
+            if val_problems and (epoch + 1) % cfg.validate_every == 0:
+                score = self._validation_score(ctx, val_Z, val_problems)
                 if score < best_score:  # type: ignore[operator]
                     best_score = score
                     best_state = self._snapshot()
-        if val_rounds and best_state is not None:
-            final = self._validation_score(ctx, val_rounds)
-            if final > best_score:  # type: ignore[operator]
+        if val_problems and best_state is not None:
+            if score is None:
+                score = self._validation_score(ctx, val_Z, val_problems)
+            if score > best_score:  # type: ignore[operator]
                 self._restore(best_state)
 
     # ------------------------------------------------------------------ #
@@ -280,13 +308,12 @@ class MFCP(BaseMethod):
         self,
         ctx: FitContext,
         Z: np.ndarray,
+        t_hat: np.ndarray,
+        a_hat: np.ndarray,
         true_problem: MatchingProblem,
-        opt_time: list[Adam],
-        opt_rel: list[Adam],
-        update_time: bool,
-        update_rel: bool,
-    ) -> float:
-        """One epoch: every cluster's predictors get one regret update."""
+    ) -> tuple[float, np.ndarray, np.ndarray]:
+        """One epoch, cluster by cluster: the loss and the ``(M, N)`` regret
+        gradients w.r.t. every cluster's predictions ``(t̂, â)``."""
         cfg = self.config
         M, N = true_problem.M, true_problem.N
         T_true = np.array(true_problem.T)
@@ -294,16 +321,14 @@ class MFCP(BaseMethod):
         with self._phase("solve"):
             oracle_sol = solve_relaxed(true_problem, ctx.spec.solver)
         total_loss = 0.0
+        dts, das = np.empty((M, N)), np.empty((M, N))
 
         for i in range(M):
             # Alg. 2 line 3: only cluster i's rows are predicted.
-            with self._phase("optimizer"):
-                t_hat = self._pairs[i].time.forward(Z)
-                a_hat = self._pairs[i].reliability.forward(Z)
             T_hat = T_true.copy()
             A_hat = A_true.copy()
-            T_hat[i] = t_hat.data
-            A_hat[i] = a_hat.data
+            T_hat[i] = t_hat[i]
+            A_hat[i] = a_hat[i]
             pred_problem = true_problem.with_predictions(T_hat, A_hat)
             with self._phase("solve"):
                 sol = solve_relaxed(pred_problem, ctx.spec.solver, x0=oracle_sol.X)
@@ -314,26 +339,14 @@ class MFCP(BaseMethod):
             with self._phase("vjp"):
                 if self.gradient == "analytic":
                     kg = kkt_vjp(sol.X, pred_problem, g_X)
-                    dt, da = kg.dT[i], kg.dA[i]
+                    dts[i], das[i] = kg.dT[i], kg.dA[i]
                 else:
                     zg = zo_vjp(
                         pred_problem, sol, i, g_X,
                         cfg.zero_order, solver_config=ctx.spec.solver, rng=spawn(ctx.rng),
                     )
-                    dt, da = zg.dt, zg.da
-
-            with self._phase("optimizer"):
-                if update_time:
-                    opt_time[i].zero_grad()
-                    t_hat.backward(dt)
-                    clip_grad_norm(opt_time[i].params, cfg.grad_clip)
-                    opt_time[i].step()
-                if update_rel:
-                    opt_rel[i].zero_grad()
-                    a_hat.backward(da)
-                    clip_grad_norm(opt_rel[i].params, cfg.grad_clip)
-                    opt_rel[i].step()
-        return total_loss / M
+                    dts[i], das[i] = zg.dt, zg.da
+        return total_loss / M, dts, das
 
     # ------------------------------------------------------------------ #
     # Fused batched round: all M clusters in one cross-cluster solve.
@@ -343,24 +356,19 @@ class MFCP(BaseMethod):
         self,
         ctx: FitContext,
         Z: np.ndarray,
+        t_hat: np.ndarray,
+        a_hat: np.ndarray,
         true_problem: MatchingProblem,
-        opt_time: list[Adam],
-        opt_rel: list[Adam],
-        update_time: bool,
-        update_rel: bool,
-    ) -> float:
-        """One epoch as a single batched NumPy program (see module docs)."""
+    ) -> tuple[float, np.ndarray, np.ndarray]:
+        """:meth:`_train_round` as a single batched NumPy program (see
+        module docs)."""
         cfg = self.config
         M, N = true_problem.M, true_problem.N
         T_true = np.array(true_problem.T)
         A_true = np.array(true_problem.A)
         scfg: SolverConfig = ctx.spec.solver
 
-        # Forward passes stay per-cluster (each pair owns its weights); the
-        # semi-predicted matrices are assembled by one diagonal row write.
-        with self._phase("optimizer"):
-            t_hats = [p.time.forward(Z) for p in self._pairs]
-            a_hats = [p.reliability.forward(Z) for p in self._pairs]
+        # The semi-predicted matrices are assembled by one diagonal row write.
         diag = np.arange(M)
         # Instances 0..M−1 are the semi-predicted problems; instance M is
         # the oracle (fully measured) problem, so the whole epoch — oracle
@@ -370,8 +378,8 @@ class MFCP(BaseMethod):
         # nothing at the optimum of these convex programs — see DESIGN.md.)
         T_stack = np.broadcast_to(T_true, (M + 1, M, N)).copy()
         A_stack = np.broadcast_to(A_true, (M + 1, M, N)).copy()
-        T_stack[diag, diag] = np.stack([t.data for t in t_hats])
-        A_stack[diag, diag] = np.stack([a.data for a in a_hats])
+        T_stack[diag, diag] = t_hat
+        A_stack[diag, diag] = a_hat
         T_b, A_b, gammas = clamp_predictions_batch(T_stack, A_stack, true_problem.gamma)
         full_batch = BatchProblem(
             T=T_b, A=A_b, gamma=gammas,
@@ -428,20 +436,7 @@ class MFCP(BaseMethod):
                     cfg.zero_order, solver_config=scfg, rng=spawn(ctx.rng),
                 )
                 dts, das = zg.dt, zg.da
-
-        with self._phase("optimizer"):
-            for i in range(M):
-                if update_time:
-                    opt_time[i].zero_grad()
-                    t_hats[i].backward(dts[i])
-                    clip_grad_norm(opt_time[i].params, cfg.grad_clip)
-                    opt_time[i].step()
-                if update_rel:
-                    opt_rel[i].zero_grad()
-                    a_hats[i].backward(das[i])
-                    clip_grad_norm(opt_rel[i].params, cfg.grad_clip)
-                    opt_rel[i].step()
-        return total_loss
+        return total_loss, dts, das
 
     # ------------------------------------------------------------------ #
 
@@ -454,58 +449,38 @@ class MFCP(BaseMethod):
             pair.time.load_state_dict(ts)
             pair.reliability.load_state_dict(rs)
 
-    def _validation_score(self, ctx: FitContext, val_rounds: list) -> float:
+    def _validation_score(
+        self, ctx: FitContext, val_Z: np.ndarray, val_problems: list[MatchingProblem]
+    ) -> float:
         """Mean deployment regret proxy of the current predictors over the
-        held-out rounds: solve the predicted problem, round, score under
-        the truth (smaller is better)."""
-        from repro.matching.objectives import decision_cost
-        from repro.matching.rounding import round_assignment
-
-        with self._phase("validation"):
-            if self._can_batch(ctx.spec) and not any(
-                p.is_parallel for _, p in val_rounds
-            ):
-                return self._validation_score_batched(ctx, val_rounds)
-            total = 0.0
-            for Z, true_problem in val_rounds:
-                T_hat, A_hat = self._predict_rows(Z)
-                pred_problem = true_problem.with_predictions(T_hat, A_hat)
-                sol = solve_relaxed(pred_problem, ctx.spec.solver)
-                X = round_assignment(sol.X, pred_problem)
-                total += decision_cost(X, true_problem) / true_problem.N
-            return total / len(val_rounds)
-
-    def _validation_score_batched(self, ctx: FitContext, val_rounds: list) -> float:
-        """All held-out rounds solved in one batch (same scoring rule)."""
+        held-out rounds (``val_Z``: their ``(R, N, F)`` features): solve
+        the predicted problem, round, score under the truth (smaller is
+        better)."""
         from repro.matching.objectives import decision_cost
         from repro.matching.rounding import round_assignment
 
         scfg = ctx.spec.solver
-        preds = [self._predict_rows(Z) for Z, _ in val_rounds]
-        T_hat = np.stack([p[0] for p in preds])
-        A_hat = np.stack([p[1] for p in preds])
-        gammas = np.array([p.gamma for _, p in val_rounds])
-        T_b, A_b, g_b = clamp_predictions_batch(T_hat, A_hat, gammas)
-        bp = BatchProblem(
-            T=T_b, A=A_b, gamma=g_b,
-            beta=val_rounds[0][1].beta,
-            lam=val_rounds[0][1].lam,
-            entropy=val_rounds[0][1].entropy,
-        )
-        sol = solve_relaxed_batch(
-            bp, lr=scfg.lr, max_iters=scfg.max_iters, tol=scfg.tol,
-            patience=scfg.patience,
-        )
-        total = 0.0
-        for b, (Z, true_problem) in enumerate(val_rounds):
-            pred_problem = true_problem.with_predictions(T_hat[b], A_hat[b])
-            X = round_assignment(sol.X[b], pred_problem)
-            total += decision_cost(X, true_problem) / true_problem.N
-        return total / len(val_rounds)
-
-    def _predict_rows(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        rows = [(p.time.predict(Z), p.reliability.predict(Z)) for p in self._pairs]
-        return np.stack([r[0] for r in rows]), np.stack([r[1] for r in rows])
+        with self._phase("validation"):
+            T_hat, A_hat = predict_pairs(self._pairs, val_Z)  # (R, M, N)
+            pred_problems = [true.with_predictions(T_hat[b], A_hat[b])
+                             for b, true in enumerate(val_problems)]
+            if self._can_batch(ctx.spec) and not any(p.is_parallel for p in val_problems):
+                # All held-out rounds solved in one batch (same scoring rule).
+                T_b, A_b, g_b = clamp_predictions_batch(
+                    T_hat, A_hat, np.array([p.gamma for p in val_problems]))
+                first = val_problems[0]
+                bp = BatchProblem(T=T_b, A=A_b, gamma=g_b, beta=first.beta,
+                                  lam=first.lam, entropy=first.entropy)
+                relaxed = solve_relaxed_batch(
+                    bp, lr=scfg.lr, max_iters=scfg.max_iters, tol=scfg.tol,
+                    patience=scfg.patience,
+                ).X
+            else:
+                relaxed = [solve_relaxed(p, scfg).X for p in pred_problems]
+            total = 0.0
+            for X, pred, true in zip(relaxed, pred_problems, val_problems):
+                total += decision_cost(round_assignment(X, pred), true) / true.N
+            return total / len(val_problems)
 
     def _upstream_gradient(
         self, X_star: np.ndarray, true_problem: MatchingProblem
@@ -550,6 +525,4 @@ class MFCP(BaseMethod):
     def predict(self, tasks: list[Task]) -> tuple[np.ndarray, np.ndarray]:
         if not self._pairs:
             raise RuntimeError("MFCP.predict called before fit")
-        Z = np.stack([t.features for t in tasks])
-        rows = [pair.predict(Z) for pair in self._pairs]
-        return np.stack([r[0] for r in rows]), np.stack([r[1] for r in rows])
+        return predict_pairs(self._pairs, np.stack([t.features for t in tasks]))

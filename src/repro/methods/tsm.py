@@ -10,9 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.methods.base import BaseMethod, FitContext
-from repro.predictors.models import PredictorPair
-from repro.predictors.training import TrainConfig, train_reliability, train_time_mse
-from repro.utils.rng import spawn
+from repro.predictors.models import PredictorPair, predict_pairs
+from repro.predictors.training import TrainConfig, fit_pairs
 from repro.workloads.taskpool import Task
 
 __all__ = ["TSM"]
@@ -32,24 +31,13 @@ class TSM(BaseMethod):
         self._pairs: list[PredictorPair] = []
 
     def _fit(self, ctx: FitContext) -> None:
-        self._pairs = []
-        for ds in ctx.datasets:
-            pair = PredictorPair(
-                ctx.feature_dim, self.hidden,
-                standardizer=ctx.standardizer, rng=spawn(ctx.rng),
-            )
-            train_time_mse(pair.time, ds.Z, ds.t, self.train_config, spawn(ctx.rng))
-            train_reliability(pair.reliability, ds.Z, ds.a, self.train_config, spawn(ctx.rng))
-            self._pairs.append(pair)
+        self._pairs = fit_pairs(ctx.datasets, ctx.feature_dim, self.hidden,
+                                ctx.standardizer, self.train_config, ctx.rng)
 
     def predict(self, tasks: list[Task]) -> tuple[np.ndarray, np.ndarray]:
         if not self._pairs:
             raise RuntimeError("TSM.predict called before fit")
-        Z = np.stack([t.features for t in tasks])
-        rows = [pair.predict(Z) for pair in self._pairs]
-        T_hat = np.stack([r[0] for r in rows])
-        A_hat = np.stack([r[1] for r in rows])
-        return T_hat, A_hat
+        return predict_pairs(self._pairs, np.stack([t.features for t in tasks]))
 
     @property
     def pairs(self) -> list[PredictorPair]:

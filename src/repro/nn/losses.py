@@ -17,12 +17,18 @@ from repro.nn.tensor import Tensor, as_tensor
 __all__ = ["mse_loss", "mae_loss", "huber_loss", "bce_loss"]
 
 
-def mse_loss(pred: Tensor, target: "Tensor | np.ndarray") -> Tensor:
-    """Mean squared error, Eq. (1): ``(1/n) ||target − pred||²``."""
+def mse_loss(
+    pred: Tensor, target: "Tensor | np.ndarray", axis: int | None = None
+) -> Tensor:
+    """Mean squared error, Eq. (1): ``(1/n) ||target − pred||²``.
+
+    ``axis=-1`` on stacked ``(H, n)`` predictions gives one loss per row
+    (the :class:`~repro.predictors.models.HeadBank` training step).
+    """
     pred = as_tensor(pred)
     target = as_tensor(target)
     diff = pred - target.detach()
-    return (diff * diff).mean()
+    return (diff * diff).mean(axis=axis)
 
 
 def mae_loss(pred: Tensor, target: "Tensor | np.ndarray") -> Tensor:
@@ -46,15 +52,18 @@ def huber_loss(pred: Tensor, target: "Tensor | np.ndarray", delta: float = 1.0) 
     return ops.where(small, quadratic, linear).mean()
 
 
-def bce_loss(pred: Tensor, target: "Tensor | np.ndarray", eps: float = 1e-7) -> Tensor:
+def bce_loss(
+    pred: Tensor, target: "Tensor | np.ndarray", eps: float = 1e-7,
+    axis: int | None = None,
+) -> Tensor:
     """Binary cross-entropy on probabilities in (0, 1).
 
     Predictions are clipped to ``[eps, 1-eps]`` for numerical safety; the
     clip has zero gradient only at saturated predictions, which is the
-    desired behaviour.
+    desired behaviour.  ``axis`` as in :func:`mse_loss`.
     """
     pred = as_tensor(pred)
     target = as_tensor(target).detach()
     p = ops.clip(pred, eps, 1.0 - eps)
     t = target.data
-    return -(ops.log(p) * t + ops.log(1.0 - p) * (1.0 - t)).mean()
+    return -(ops.log(p) * t + ops.log(1.0 - p) * (1.0 - t)).mean(axis=axis)

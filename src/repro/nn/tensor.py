@@ -306,7 +306,24 @@ class Tensor:
         a, b = self, other
         a_data, b_data = a.data, b.data
         if a_data.ndim > 2 or b_data.ndim > 2:
-            raise ValueError("matmul supports 1-D and 2-D operands only")
+            # Stacked operands: one matrix product per leading index.
+            if a_data.ndim != b_data.ndim:
+                raise ValueError(
+                    f"stacked matmul needs operands of equal rank, got "
+                    f"{a_data.ndim}-D @ {b_data.ndim}-D"
+                )
+
+            def backward_stacked(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
+                # A constant operand (the input batch) is not differentiated;
+                # unbroadcast sums a leading axis that was stretched from 1.
+                ga = gb = None
+                if a.requires_grad:
+                    ga = unbroadcast(g @ np.swapaxes(b_data, -1, -2), a_data.shape)
+                if b.requires_grad:
+                    gb = unbroadcast(np.swapaxes(a_data, -1, -2) @ g, b_data.shape)
+                return ga, gb
+
+            return Tensor._from_op(a_data @ b_data, (a, b), backward_stacked)
 
         def backward(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
             # Promote to 2-D, compute, then squeeze back — handles the four

@@ -1,0 +1,512 @@
+"""The stacked predictor bank must reproduce the per-head loops exactly.
+
+Everything that trains or evaluates the M clusters' same-shape heads now
+runs *stacked* (``HeadBank``: ``(H, in, out)`` parameters, one tape, one
+Adam).  The per-head path it replaced is kept here verbatim as the oracle:
+
+- ``_oracle_train_time_mse`` / ``_oracle_train_reliability`` — the old
+  minibatch loops (one tape and one Adam per head; they additionally
+  return their optimizer so Adam moments can be compared);
+- ``_oracle_regret_update`` — the old "forward / zero_grad / backward /
+  clip_grad_norm / step" block, one head at a time;
+- ``_OracleMFCP`` — the old ``MFCP._fit`` skeleton (per-head pretraining,
+  2M optimizers, per-pair predictions one validation round at a time, the
+  closing validation always re-solved) around the shared round functions.
+
+Weights, Adam moments, loss histories and predictions must match bit for
+bit: stacking is exact because NumPy's batched ``matmul`` runs the same
+per-item GEMM/GEMV as the 2-D call and reductions keep their axis order —
+which is what this file asserts rather than assumes of the BLAS at hand.
+"""
+
+from __future__ import annotations
+
+import copy
+import pickle
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from repro.clusters import make_setting
+from repro.matching.zeroth_order import ZeroOrderConfig
+from repro.methods import MFCP, TSM, FitContext, MatchSpec, MFCPConfig
+from repro.nn import Adam, bce_loss, clip_grad_norm, mse_loss, ops
+from repro.predictors import (
+    BankTrainer,
+    HeadBank,
+    PredictorPair,
+    ReliabilityPredictor,
+    TimePredictor,
+    fit_heads,
+    predict_pairs,
+)
+from repro.predictors.dataset import Standardizer
+from repro.predictors.training import StepwiseTrainer, TrainConfig, TrainResult
+from repro.serve.registry import ModelRegistry
+from repro.utils.rng import as_generator, spawn
+from repro.workloads import TaskPool
+
+# --------------------------------------------------------------------- #
+# Oracles: the per-head code this PR replaced, verbatim.
+# --------------------------------------------------------------------- #
+
+
+def _minibatches(n, batch_size, rng):
+    order = rng.permutation(n)
+    return [order[i : i + batch_size] for i in range(0, n, batch_size)]
+
+
+def _oracle_train_time_mse(predictor, Z, t, config, rng):
+    cfg = config or TrainConfig()
+    rng = as_generator(rng)
+    Z = np.asarray(Z, dtype=np.float64)
+    log_t = np.log(np.asarray(t, dtype=np.float64))
+    opt = Adam(predictor.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+    history = np.empty(cfg.epochs)
+    for epoch in range(cfg.epochs):
+        epoch_loss = 0.0
+        batches = _minibatches(len(Z), cfg.batch_size, rng)
+        for idx in batches:
+            opt.zero_grad()
+            pred = ops.log(predictor.forward(Z[idx]))
+            loss = mse_loss(pred, log_t[idx])
+            loss.backward()
+            opt.step()
+            epoch_loss += loss.item() * len(idx)
+        history[epoch] = epoch_loss / len(Z)
+    return TrainResult(final_loss=float(history[-1]), history=history), opt
+
+
+def _oracle_train_reliability(predictor, Z, a, config, rng, *, loss="mse"):
+    cfg = config or TrainConfig()
+    rng = as_generator(rng)
+    Z = np.asarray(Z, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
+    loss_fn = mse_loss if loss == "mse" else bce_loss
+    opt = Adam(predictor.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+    history = np.empty(cfg.epochs)
+    for epoch in range(cfg.epochs):
+        epoch_loss = 0.0
+        for idx in _minibatches(len(Z), cfg.batch_size, rng):
+            opt.zero_grad()
+            pred = predictor.forward(Z[idx])
+            value = loss_fn(pred, a[idx])
+            value.backward()
+            opt.step()
+            epoch_loss += value.item() * len(idx)
+        history[epoch] = epoch_loss / len(Z)
+    return TrainResult(final_loss=float(history[-1]), history=history), opt
+
+
+def _oracle_regret_update(heads, opts, Z, grads, grad_clip):
+    """One regret step per head; ``grad_clip=None`` is the unclipped
+    (SPO+/DBB reliability) variant.  Returns the stacked forward values."""
+    outs = []
+    for head, opt, g in zip(heads, opts, grads):
+        out = head.forward(Z)
+        opt.zero_grad()
+        out.backward(g)
+        if grad_clip is not None:
+            clip_grad_norm(opt.params, grad_clip)
+        opt.step()
+        outs.append(out.data)
+    return np.stack(outs)
+
+
+# --------------------------------------------------------------------- #
+# Helpers.
+# --------------------------------------------------------------------- #
+
+
+def _data(n, d=6, seed=0):
+    rng = as_generator(seed)
+    Z = rng.normal(size=(n, d)) * 3.0 + 1.0
+    t = np.exp(rng.normal(size=n) * 0.4 + 0.3)
+    a = rng.uniform(0.05, 0.98, size=n)
+    return Z, t, a
+
+
+def _twin_heads(kind, H, hidden, d=6, distinct_standardizers=False):
+    """Two identically initialised lists of H heads (bank side, oracle side)."""
+    def build():
+        heads = []
+        for h in range(H):
+            std = None
+            if distinct_standardizers:
+                std = Standardizer.fit(_data(40, d, seed=100 + h)[0])
+            heads.append(kind(d, hidden, standardizer=std, rng=1000 + h))
+        return heads
+    return build(), build()
+
+
+def _assert_same_weights(heads_a, heads_b):
+    for a, b in zip(heads_a, heads_b):
+        sa, sb = a.state_dict(), b.state_dict()
+        assert sa.keys() == sb.keys()
+        for name in sa:
+            assert np.array_equal(sa[name], sb[name]), name
+
+
+def _assert_same_moments(bank_opt, head_opts):
+    """Bank Adam state (H leading axis) vs the per-head optimizers'."""
+    for h, opt in enumerate(head_opts):
+        assert opt.steps == bank_opt.steps
+        for k in range(len(opt.params)):
+            for stacked, own in ((bank_opt._m[k], opt._m[k]), (bank_opt._v[k], opt._v[k])):
+                assert np.array_equal(stacked[h].reshape(own.shape), own)
+
+
+# --------------------------------------------------------------------- #
+# Pretraining: the one stacked minibatch step vs the per-head loops.
+# --------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize("H", [1, 3, 8, 24])
+@pytest.mark.parametrize("hidden", [(8,), (32, 32)])
+@pytest.mark.parametrize("loss", ["log_mse", "mse", "bce"])
+def test_bank_training_matches_per_head_loops(H, hidden, loss):
+    n, cfg = 112, TrainConfig(epochs=2, batch_size=32)  # ragged tail of 16
+    kind = TimePredictor if loss == "log_mse" else ReliabilityPredictor
+    heads, twins = _twin_heads(kind, H, hidden, distinct_standardizers=(H == 3))
+    sets = [_data(n, seed=h) for h in range(H)]
+    Zs = [s[0] for s in sets]
+    ys = [s[1] if loss == "log_mse" else s[2] for s in sets]
+
+    trainer = BankTrainer(heads, Zs, ys, cfg, [as_generator(50 + h) for h in range(H)],
+                          loss=loss)
+    trainer.run_steps(trainer.total_steps)
+    assert trainer.done and trainer.steps_done == 2 * 4
+
+    oracle_opts = []
+    for h, twin in enumerate(twins):
+        if loss == "log_mse":
+            res, opt = _oracle_train_time_mse(twin, Zs[h], ys[h], cfg, as_generator(50 + h))
+        else:
+            res, opt = _oracle_train_reliability(twin, Zs[h], ys[h], cfg,
+                                                 as_generator(50 + h), loss=loss)
+        got = trainer.results()[h]
+        assert np.array_equal(got.history, res.history)
+        assert got.final_loss == res.final_loss
+        oracle_opts.append(opt)
+    _assert_same_weights(heads, twins)
+    _assert_same_moments(trainer.opt, oracle_opts)
+    probe = _data(9, seed=77)[0]
+    for head, twin in zip(heads, twins):
+        assert np.array_equal(head.predict(probe), twin.predict(probe))
+
+
+def test_bank_owns_the_storage_during_a_fit():
+    heads, _ = _twin_heads(TimePredictor, 3, (8,))
+    Z, t, _ = _data(20)
+    trainer = BankTrainer(heads, [Z] * 3, [t] * 3, TrainConfig(epochs=1, batch_size=8),
+                          [0, 1, 2])
+    trainer.run_steps(2)
+    for h, head in enumerate(heads):
+        own = list(head.parameters())
+        for k, stacked in enumerate(trainer.bank.params):
+            assert np.shares_memory(own[k].data, stacked.data)
+            assert np.array_equal(own[k].data, stacked.data[h].reshape(own[k].shape))
+    # Writes through a head (model selection restores snapshots mid-fit)
+    # land in the bank.
+    state = {k: v + 1.0 for k, v in heads[1].state_dict().items()}
+    heads[1].load_state_dict(state)
+    assert np.array_equal(trainer.bank.params[0].data[1], state["net.net.m0.weight"])
+
+
+def test_stepwise_trainer_in_awkward_budgets_is_the_blocking_loop():
+    Z, t, a = _data(50, seed=3)
+    cfg = TrainConfig(epochs=3, batch_size=16)  # 4 steps/epoch, tail of 2
+    for kind, y, loss, oracle in (
+        (TimePredictor, t, "log_mse", _oracle_train_time_mse),
+        (ReliabilityPredictor, a, "mse", _oracle_train_reliability),
+    ):
+        (head,), (twin,) = _twin_heads(kind, 1, (8,))
+        trainer = StepwiseTrainer(head, Z, y, cfg, as_generator(11), loss=loss)
+        budgets = iter([1, 5, 2, 3, 100])
+        losses = []
+        while not trainer.done:
+            before = trainer.steps_done
+            trainer.run_steps(next(budgets))
+            losses.append(trainer.last_loss)
+            assert trainer.steps_done > before
+        res, opt = oracle(twin, Z, y, cfg, as_generator(11))
+        assert np.array_equal(trainer.result().history, res.history)
+        assert isinstance(trainer.last_loss, float) and np.isfinite(losses).all()
+        _assert_same_weights([head], [twin])
+        _assert_same_moments(trainer.opt, [opt])
+
+
+def test_unequal_dataset_lengths_fall_into_one_bank_per_length():
+    lengths = [112, 40, 112, 7, 40]
+    heads, twins = _twin_heads(TimePredictor, len(lengths), (8,))
+    sets = [_data(n, seed=h) for h, n in enumerate(lengths)]
+    cfg = TrainConfig(epochs=2, batch_size=32)
+    results = fit_heads(heads, [s[0] for s in sets], [s[1] for s in sets], cfg,
+                        [as_generator(h) for h in range(len(lengths))], loss="log_mse")
+    for h, twin in enumerate(twins):
+        res, _ = _oracle_train_time_mse(twin, sets[h][0], sets[h][1], cfg, as_generator(h))
+        assert np.array_equal(results[h].history, res.history)
+    _assert_same_weights(heads, twins)
+    with pytest.raises(ValueError):
+        BankTrainer(heads[:2], [sets[0][0], sets[1][0]], [sets[0][1], sets[1][1]],
+                    cfg, [0, 1])
+
+
+# --------------------------------------------------------------------- #
+# Regret phase: one bank forward + backward((H, N)) + per-head clip + step.
+# --------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize("kind", [TimePredictor, ReliabilityPredictor])
+@pytest.mark.parametrize("H", [1, 3, 8, 24])
+def test_regret_update_matches_per_head_block(kind, H):
+    N, grad_clip = 5, 5.0
+    heads, twins = _twin_heads(kind, H, (32, 32), distinct_standardizers=(H == 8))
+    bank = HeadBank(heads)
+    bank_opt = Adam(bank.params, lr=1e-3)
+    head_opts = [Adam(t.parameters(), lr=1e-3) for t in twins]
+    rng = as_generator(5)
+    # Even heads get a gradient far above the clip norm, odd heads far below.
+    scale = np.where(np.arange(H) % 2 == 0, 1e3, 1e-8)[:, None]
+    for step in range(4):
+        Z = _data(N, seed=200 + step)[0]
+        grads = rng.normal(size=(H, N)) * scale
+        clip = grad_clip if step != 2 else None  # step 2: the unclipped variant
+        out = bank.forward(bank.prepare(Z))
+        bank_opt.zero_grad()
+        out.backward(grads)
+        if clip is not None:
+            norms = bank.clip_grad_norm(clip)
+            assert np.array_equal(norms > clip, np.arange(H) % 2 == 0)
+        bank_opt.step()
+        expected = _oracle_regret_update(twins, head_opts, Z, grads, clip)
+        assert np.array_equal(out.data, expected)
+        _assert_same_weights(heads, twins)
+    _assert_same_moments(bank_opt, head_opts)
+
+
+class _OracleMFCP(MFCP):
+    """``MFCP._fit`` as it was: per-head pretraining, one Adam per head,
+    per-pair predictions, every validation (the closing one included)
+    solved afresh.  Only the round functions are shared with the shipped
+    class, through their ``(Z, t̂, â, truth) -> (loss, dts, das)`` contract."""
+
+    def _fit(self, ctx):
+        cfg = self.config
+        self._phase_totals = {}
+        self._pairs = []
+        for ds in ctx.datasets:
+            pair = PredictorPair(ctx.feature_dim, self.hidden,
+                                 standardizer=ctx.standardizer, rng=spawn(ctx.rng))
+            _oracle_train_time_mse(pair.time, ds.Z, ds.t, cfg.pretrain, spawn(ctx.rng))
+            _oracle_train_reliability(pair.reliability, ds.Z, ds.a, cfg.pretrain,
+                                      spawn(ctx.rng))
+            self._pairs.append(pair)
+        opt_time = [Adam(p.time.parameters(), lr=cfg.lr) for p in self._pairs]
+        opt_rel = [Adam(p.reliability.parameters(), lr=cfg.lr) for p in self._pairs]
+        n_train = len(ctx.train_tasks)
+        round_size = min(cfg.round_size, n_train)
+        Z_all = ctx.features(ctx.train_tasks)
+        T_all = np.stack([ds.t for ds in ctx.datasets])
+        A_all = np.stack([ds.a for ds in ctx.datasets])
+        val_rng = spawn(ctx.rng)
+        val_rounds = []
+        for _ in range(cfg.validation_rounds):
+            idx = val_rng.choice(n_train, size=round_size, replace=False)
+            val_rounds.append(
+                (Z_all[idx],
+                 ctx.spec.build_problem(T_all[:, idx], A_all[:, idx], training=True)))
+        self.validations = 0
+        best_score = self._oracle_score(ctx, val_rounds) if val_rounds else None
+        best_state = self._snapshot() if val_rounds else None
+        batched = self._can_batch(ctx.spec)
+        self.loss_history = []
+        for epoch in range(cfg.epochs):
+            idx = ctx.rng.choice(n_train, size=round_size, replace=False)
+            Z = Z_all[idx]
+            true_problem = ctx.spec.build_problem(T_all[:, idx], A_all[:, idx], training=True)
+            update_time = (not cfg.alternate) or (epoch % 2 == 0)
+            update_rel = (not cfg.alternate) or (epoch % 2 == 1)
+            round_fn = self._train_round_batched if batched else self._train_round
+            t_hats = [p.time.forward(Z) for p in self._pairs]
+            a_hats = [p.reliability.forward(Z) for p in self._pairs]
+            loss, dts, das = round_fn(ctx, Z, np.stack([t.data for t in t_hats]),
+                                      np.stack([a.data for a in a_hats]), true_problem)
+            for i in range(len(self._pairs)):
+                if update_time:
+                    opt_time[i].zero_grad()
+                    t_hats[i].backward(dts[i])
+                    clip_grad_norm(opt_time[i].params, cfg.grad_clip)
+                    opt_time[i].step()
+                if update_rel:
+                    opt_rel[i].zero_grad()
+                    a_hats[i].backward(das[i])
+                    clip_grad_norm(opt_rel[i].params, cfg.grad_clip)
+                    opt_rel[i].step()
+            self.loss_history.append(loss)
+            if val_rounds and (epoch + 1) % cfg.validate_every == 0:
+                score = self._oracle_score(ctx, val_rounds)
+                if score < best_score:
+                    best_score = score
+                    best_state = self._snapshot()
+        if val_rounds and best_state is not None:
+            final = self._oracle_score(ctx, val_rounds)
+            if final > best_score:
+                self._restore(best_state)
+
+    def _predict_rows(self, Z):
+        rows = [(p.time.predict(Z), p.reliability.predict(Z)) for p in self._pairs]
+        return np.stack([r[0] for r in rows]), np.stack([r[1] for r in rows])
+
+    def _oracle_score(self, ctx, val_rounds):
+        from repro.matching.batch import (
+            BatchProblem,
+            clamp_predictions_batch,
+            solve_relaxed_batch,
+        )
+        from repro.matching.objectives import decision_cost
+        from repro.matching.relaxed import solve_relaxed
+        from repro.matching.rounding import round_assignment
+
+        self.validations += 1
+        total = 0.0
+        if self._can_batch(ctx.spec):
+            scfg = ctx.spec.solver
+            preds = [self._predict_rows(Z) for Z, _ in val_rounds]
+            T_hat = np.stack([p[0] for p in preds])
+            A_hat = np.stack([p[1] for p in preds])
+            gammas = np.array([p.gamma for _, p in val_rounds])
+            T_b, A_b, g_b = clamp_predictions_batch(T_hat, A_hat, gammas)
+            bp = BatchProblem(
+                T=T_b, A=A_b, gamma=g_b,
+                beta=val_rounds[0][1].beta,
+                lam=val_rounds[0][1].lam,
+                entropy=val_rounds[0][1].entropy,
+            )
+            sol = solve_relaxed_batch(
+                bp, lr=scfg.lr, max_iters=scfg.max_iters, tol=scfg.tol,
+                patience=scfg.patience,
+            )
+            for b, (Z, true_problem) in enumerate(val_rounds):
+                pred_problem = true_problem.with_predictions(T_hat[b], A_hat[b])
+                X = round_assignment(sol.X[b], pred_problem)
+                total += decision_cost(X, true_problem) / true_problem.N
+            return total / len(val_rounds)
+        for Z, true_problem in val_rounds:
+            T_hat, A_hat = self._predict_rows(Z)
+            pred_problem = true_problem.with_predictions(T_hat, A_hat)
+            sol = solve_relaxed(pred_problem, ctx.spec.solver)
+            X = round_assignment(sol.X, pred_problem)
+            total += decision_cost(X, true_problem) / true_problem.N
+        return total / len(val_rounds)
+
+
+def _fresh_ctx():
+    pool = TaskPool(40, rng=21)
+    train, _ = pool.split(0.7, rng=1)
+    return FitContext.build(make_setting("A"), train, MatchSpec(), rng=2)
+
+
+_FIT_CFG = MFCPConfig(
+    epochs=4, round_size=6, pretrain=TrainConfig(epochs=3), validate_every=2,
+    validation_rounds=2,
+    zero_order=ZeroOrderConfig(samples=4, delta=0.05, warm_start_iters=40, vectorized=True),
+)
+
+
+@pytest.mark.parametrize("gradient,alternate,batched", [
+    ("analytic", False, True), ("analytic", True, False), ("forward", True, True),
+])
+def test_mfcp_fit_matches_per_head_fit(gradient, alternate, batched):
+    cfg = replace(_FIT_CFG, alternate=alternate, batched=batched)
+    got = MFCP(gradient, cfg).fit(_fresh_ctx())
+    want = _OracleMFCP(gradient, cfg).fit(_fresh_ctx())
+    assert got.loss_history == want.loss_history
+    for p, q in zip(got._pairs, want._pairs):
+        _assert_same_weights([p.time, p.reliability], [q.time, q.reliability])
+    # epochs % validate_every == 0: the closing validation is the last
+    # epoch's, reused (the oracle solved it twice).
+    assert want.validations == 1 + 2 + 1
+    # No bank outlives the fit, and the fitted method survives a pickle.
+    assert not any(isinstance(v, HeadBank) for v in vars(got).values())
+    tasks = _fresh_ctx().train_tasks[:7]
+    for a, b in zip(pickle.loads(pickle.dumps(got)).predict(tasks), got.predict(tasks)):
+        assert np.array_equal(a, b)
+
+
+def test_closing_validation_is_recomputed_when_the_last_epoch_was_not_validated(monkeypatch):
+    calls = []
+    real = MFCP._validation_score
+    monkeypatch.setattr(MFCP, "_validation_score",
+                        lambda self, *a: calls.append(1) or real(self, *a))
+    MFCP("analytic", replace(_FIT_CFG, epochs=3)).fit(_fresh_ctx())
+    assert len(calls) == 1 + 1 + 1  # start, epoch 2, closing
+    calls.clear()
+    MFCP("analytic", _FIT_CFG).fit(_fresh_ctx())
+    assert len(calls) == 1 + 2  # start, epochs 2 and 4; closing reused
+
+
+# --------------------------------------------------------------------- #
+# Stateless stacked inference.
+# --------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize("distinct_standardizers", [False, True])
+def test_predict_pairs_matches_per_pair_predictions(distinct_standardizers):
+    pairs = []
+    shared = Standardizer.fit(_data(40)[0])
+    for i in range(8):
+        std = Standardizer.fit(_data(40, seed=i)[0]) if distinct_standardizers else shared
+        pair = PredictorPair(6, (32, 32), standardizer=std, rng=i)
+        if distinct_standardizers:  # as after registry.load_into
+            pair.reliability.standardizer = replace(std)
+        pairs.append(pair)
+    for N in (1, 2, 7, 16, 33, 64):
+        Z = _data(N, seed=N)[0]
+        T_hat, A_hat = predict_pairs(pairs, Z)
+        rows = [p.predict(Z) for p in pairs]
+        assert np.array_equal(T_hat, np.stack([r[0] for r in rows]))
+        assert np.array_equal(A_hat, np.stack([r[1] for r in rows]))
+    # Held-out rounds as one (R, N, F) call (MFCP validation): each round
+    # as if predicted alone — which one call on the concatenated rows is
+    # not, to the last bit, with this BLAS.
+    rounds = [_data(6, seed=300 + r)[0] for r in range(4)]
+    whole = predict_pairs(pairs, np.stack(rounds))
+    for r, Z in enumerate(rounds):
+        for P, piece in zip(whole, predict_pairs(pairs, Z)):
+            assert P.shape == (4, 8, 6) and np.array_equal(P[r], piece)
+
+
+def test_deepcopied_method_reads_the_checkpoint_loaded_into_it(tmp_path):
+    """NumPy views do not survive ``copy.deepcopy``: a bank cached on the
+    method would keep predicting from storage ``load_into`` no longer
+    writes.  Inference stacks the pairs' current weights on every call."""
+    cfg = TrainConfig(epochs=2)
+    fitted = TSM(train_config=cfg).fit(_fresh_ctx())
+    other = TSM(train_config=replace(cfg, epochs=1)).fit(_fresh_ctx())
+    registry = ModelRegistry(tmp_path / "registry")
+    version = registry.save(other).version
+    tasks = _fresh_ctx().train_tasks[:9]
+    Z = np.stack([t.features for t in tasks])
+    before = fitted.predict(tasks)
+
+    clone = copy.deepcopy(fitted)
+    registry.load_into(clone, version)
+    for got, want, old in zip(clone.predict(tasks), other.predict(tasks), before):
+        assert np.array_equal(got, want)
+        assert not np.array_equal(got, old)
+    rows = [p.predict(Z) for p in clone.pairs]
+    assert np.array_equal(clone.predict(tasks)[0], np.stack([r[0] for r in rows]))
+    assert np.array_equal(clone.predict(tasks)[1], np.stack([r[1] for r in rows]))
+    for got, old in zip(fitted.predict(tasks), before):  # the original is untouched
+        assert np.array_equal(got, old)
+
+
+def test_bank_rejects_mixed_or_empty_heads():
+    with pytest.raises(ValueError):
+        HeadBank([])
+    with pytest.raises(ValueError):
+        HeadBank([TimePredictor(4, rng=0), ReliabilityPredictor(4, rng=0)])
+    with pytest.raises(ValueError):
+        HeadBank([TimePredictor(4, (8,), rng=0), TimePredictor(4, (16,), rng=0)])

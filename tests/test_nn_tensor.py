@@ -117,6 +117,48 @@ class TestArithmeticGradients:
         (Tensor(a_val) @ v).sum().backward()
         np.testing.assert_allclose(v.grad, a_val.sum(axis=0))
 
+    def test_stacked_matmul_grads(self):
+        rng = np.random.default_rng(3)
+        a_val = rng.normal(size=(3, 4, 5))
+        b_val = rng.normal(size=(3, 5, 2))
+        w = rng.normal(size=(3, 4, 2))  # makes every output entry count differently
+        a = Tensor(a_val, requires_grad=True)
+        b = Tensor(b_val, requires_grad=True)
+        ((a @ b) * w).sum().backward()
+        num_a = numeric_grad(lambda v: float(((v @ b_val) * w).sum()), a_val)
+        num_b = numeric_grad(lambda v: float(((a_val @ v) * w).sum()), b_val)
+        np.testing.assert_allclose(a.grad, num_a, rtol=1e-5, atol=1e-7)
+        np.testing.assert_allclose(b.grad, num_b, rtol=1e-5, atol=1e-7)
+        # A leading axis stretched from 1 has its gradient summed back.
+        one = Tensor(a_val[:1], requires_grad=True)
+        ((one @ Tensor(b_val)) * w).sum().backward()
+        num_one = numeric_grad(lambda v: float(((v @ b_val) * w).sum()), a_val[:1])
+        np.testing.assert_allclose(one.grad, num_one, rtol=1e-5, atol=1e-7)
+
+    def test_stacked_matmul_stride0_left_operand(self):
+        # One (N, F) matrix shared by H stacked layers through a stride-0
+        # view — how a predictor bank feeds one round to every head.
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(4, 5))
+        shared = np.broadcast_to(x, (3, 4, 5))
+        assert shared.strides[0] == 0
+        b_val = rng.normal(size=(3, 5, 2))
+        w = rng.normal(size=(3, 4, 2))
+        left = Tensor(shared)
+        b = Tensor(b_val, requires_grad=True)
+        ((left @ b) * w).sum().backward()
+        num_b = numeric_grad(lambda v: float(((shared @ v) * w).sum()), b_val)
+        np.testing.assert_allclose(b.grad, num_b, rtol=1e-5, atol=1e-7)
+        for h in range(3):  # per item, exactly the 2-D product's gradient
+            np.testing.assert_array_equal(b.grad[h], x.T @ w[h])
+        assert left.grad is None
+
+    def test_stacked_matmul_rejects_unequal_ranks(self):
+        with pytest.raises(ValueError, match="equal rank"):
+            Tensor(np.ones((2, 3, 4))) @ Tensor(np.ones((4, 5)))
+        with pytest.raises(ValueError, match="equal rank"):
+            Tensor(np.ones(4)) @ Tensor(np.ones((2, 4, 5)))
+
     def test_broadcast_add_grad(self):
         a = Tensor(np.ones((3, 4)), requires_grad=True)
         b = Tensor(np.ones(4), requires_grad=True)
