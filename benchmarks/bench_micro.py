@@ -10,9 +10,7 @@ Run: ``pytest benchmarks/bench_micro.py --benchmark-only``
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,76 +227,25 @@ def test_discrete_event_round(benchmark):
     assert result.makespan > 0
 
 
-# --------------------------------------------------------------------- #
-# Fused training round: batched vs scalar MFCP epochs.
-#
-# Measures the regret-training core (solve + vjp + optimizer phases) of
-# MFCP at M=8 clusters, N=20 tasks per round, for both gradient modes,
-# with the fused cross-cluster batched round against the per-cluster
-# scalar round.  MSE pretraining is identical code in both paths (one
-# stacked bank per head kind) and is excluded from the ratio; the whole
-# fit and its pretraining share are recorded beside it (``fit_s``,
-# ``pretrain_s``), and the gate for training speed end to end is the
-# platform benchmark's ``train_mfcp`` workload.  ``python
-# benchmarks/bench_micro.py`` records the numbers in
-# BENCH_train_round.json at the repo root.
-# --------------------------------------------------------------------- #
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_train_round.json"
-_TR_M, _TR_N = 8, 20
-
-
-def _train_round_case(
-    gradient: str, batched: bool, *, epochs: int
-) -> tuple[float, dict, list, float]:
-    """Fit MFCP once; return (core seconds, per-phase timings, loss history,
-    whole-fit seconds)."""
+def _mfcp_core_seconds(gradient: str, *, epochs: int) -> float:
+    """Fit MFCP once at M=8 clusters, N=20 tasks per round; the regret-
+    training core's seconds (fit wall clock − pretrain − validation).  The
+    gate for training speed end to end is the platform benchmark's
+    ``train_mfcp`` workload."""
     from repro.methods import MFCP, MFCPConfig, MatchSpec, FitContext
     from repro.predictors.training import TrainConfig
 
-    pool = TaskPool(80, rng=21)
-    clusters = make_pool(_TR_M, rng=3)
-    train, _ = pool.split(0.7, rng=1)
-    ctx = FitContext.build(clusters, train, MatchSpec(), rng=2)
-    cfg = MFCPConfig(
-        epochs=epochs,
-        round_size=_TR_N,
-        pretrain=TrainConfig(epochs=40),
-        zero_order=ZeroOrderConfig(
-            samples=8, delta=0.05, warm_start_iters=60, vectorized=True
-        ),
+    train, _ = TaskPool(80, rng=21).split(0.7, rng=1)
+    ctx = FitContext.build(make_pool(8, rng=3), train, MatchSpec(), rng=2)
+    method = MFCP(gradient, MFCPConfig(
+        epochs=epochs, round_size=20, pretrain=TrainConfig(epochs=40),
+        zero_order=ZeroOrderConfig(samples=8, delta=0.05, warm_start_iters=60),
         validation_rounds=0,
-        batched=batched,
-    )
-    method = MFCP(gradient, cfg)
+    ))
     t0 = time.perf_counter()
     method.fit(ctx)
     total = time.perf_counter() - t0
-    timings = dict(method.timings)
-    core = total - timings.get("pretrain", 0.0) - timings.get("validation", 0.0)
-    return core, timings, method.loss_history, total
-
-
-def measure_train_round(gradient: str, *, epochs: int = 5, repeats: int = 5) -> dict:
-    """Best-of-``repeats`` (minimum, as for any wall-clock microbenchmark)
-    training core time, scalar vs batched, plus the speedup ratio."""
-    rec: dict = {}
-    for batched in (False, True):
-        runs = [
-            _train_round_case(gradient, batched, epochs=epochs)
-            for _ in range(repeats)
-        ]
-        core, timings, hist, fit_s = min(runs, key=lambda r: r[0])
-        rec["batched" if batched else "scalar"] = {
-            "core_s": round(core, 4),
-            "fit_s": round(fit_s, 4),
-            "pretrain_s": round(timings.get("pretrain", 0.0), 4),
-            "s_per_epoch": round(core / epochs, 4),
-            "phases_s": {k: round(v, 4) for k, v in sorted(timings.items())},
-            "loss_first_last": [float(hist[0]), float(hist[-1])],
-        }
-    rec["speedup"] = round(rec["scalar"]["core_s"] / rec["batched"]["core_s"], 2)
-    return rec
+    return total - method.timings.get("pretrain", 0.0) - method.timings.get("validation", 0.0)
 
 
 # --------------------------------------------------------------------- #
@@ -319,13 +266,11 @@ def measure_telemetry_overhead(
 
     from repro import telemetry
 
-    off_core = min(
-        _train_round_case(gradient, True, epochs=epochs)[0] for _ in range(repeats)
-    )
+    off_core = min(_mfcp_core_seconds(gradient, epochs=epochs) for _ in range(repeats))
 
     sink = StringIO()
     with telemetry.recording(mode="summary", run="bench_overhead", stream=sink) as rec:
-        _train_round_case(gradient, True, epochs=epochs)
+        _mfcp_core_seconds(gradient, epochs=epochs)
         events = rec.events_recorded
 
     n = 100_000
@@ -353,46 +298,3 @@ def test_telemetry_off_overhead_smoke():
         f"exceeds 2% ({rec['events_per_fit']} events x {rec['noop_call_ns']} ns "
         f"vs {rec['off_core_s']} s core)"
     )
-
-
-def test_train_round_fused_smoke():
-    """Smoke check (CI): the fused batched round beats the scalar path for
-    both gradient modes and its loss trajectory is finite."""
-    for gradient in ("analytic", "forward"):
-        # Two repeats, not one: the process's first multi-threaded LAPACK
-        # call can stall ~1 s on an idle VM, and it lands in the batched vjp.
-        rec = measure_train_round(gradient, epochs=2, repeats=2)
-        assert rec["speedup"] > 1.2, f"{gradient}: only {rec['speedup']:.2f}x"
-        for key in ("scalar", "batched"):
-            assert all(np.isfinite(rec[key]["loss_first_last"]))
-
-
-def main() -> None:
-    results = {
-        "benchmark": "MFCP training round, batched vs scalar",
-        "m_clusters": _TR_M,
-        "round_size": _TR_N,
-        "epochs": 5,
-        "repeats": 5,
-        "metric": "min over repeats of core_s = fit wall clock − pretrain − validation "
-                  "(fit_s, pretrain_s: that run's whole fit and its pretraining)",
-        "gradients": {},
-    }
-    for gradient in ("analytic", "forward"):
-        rec = measure_train_round(gradient, epochs=5, repeats=5)
-        results["gradients"][gradient] = rec
-        label = "MFCP-AD" if gradient == "analytic" else "MFCP-FG"
-        print(
-            f"{label}: scalar {rec['scalar']['s_per_epoch']*1e3:.1f} ms/epoch, "
-            f"batched {rec['batched']['s_per_epoch']*1e3:.1f} ms/epoch "
-            f"-> {rec['speedup']:.2f}x"
-        )
-    results["telemetry_overhead"] = measure_telemetry_overhead("analytic")
-    frac = results["telemetry_overhead"]["overhead_frac"]
-    print(f"telemetry off-mode overhead bound: {100 * frac:.3f}% of core time")
-    BENCH_JSON.write_text(json.dumps(results, indent=2) + "\n")
-    print(f"wrote {BENCH_JSON}")
-
-
-if __name__ == "__main__":
-    main()

@@ -14,6 +14,7 @@ from repro.matching.batch import (
     batch_barrier_gradient,
     batch_barrier_value,
     batch_reliability_slack,
+    batchable,
     clamp_predictions_batch,
     solve_relaxed_batch,
 )
@@ -96,6 +97,7 @@ __all__ = [
     "solve_annealing",
     "FrankWolfeConfig",
     "solve_frank_wolfe",
+    "batchable",
     "BatchProblem",
     "BatchSolution",
     "solve_relaxed_batch",

@@ -24,8 +24,10 @@ Semantics match :func:`repro.matching.relaxed.solve_relaxed` with the
   further gradient or value work while the rest of the batch runs on.
 
 Supported objective: the sequential (convex) makespan barrier — exactly
-what the training loop batches in the convex benchmarks; the non-convex ζ
-case falls back to the scalar path automatically.
+what the training loop batches in the convex benchmarks.  :func:`batchable`
+is the one test of that, and every call site that may batch (MFCP's fused
+round and validation, the block solve, ``zo_vjp(vectorized=True)``) asks it
+and otherwise stays on the scalar path.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import numpy as np
 from repro.telemetry import ITER_BUCKETS, LEVEL_BUCKETS, SIZE_BUCKETS, get_recorder
 
 __all__ = [
+    "batchable",
     "BatchProblem",
     "BatchSolution",
     "solve_relaxed_batch",
@@ -48,6 +51,17 @@ __all__ = [
     "batch_reliability_slack",
     "clamp_predictions_batch",
 ]
+
+
+def batchable(problem, solver) -> bool:
+    """Whether this module solves the program ``solve_relaxed(problem,
+    solver)`` solves: the sequential makespan cost under the log barrier,
+    by mirror descent with normalized steps.  A ζ speedup, the linear cost,
+    the hinge penalty or another projection is the scalar solver's alone —
+    the batch kernel would silently solve a different program."""
+    return (not problem.is_parallel
+            and problem.cost == "makespan" and problem.penalty == "log_barrier"
+            and solver.projection == "mirror" and solver.normalize_steps)
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,7 @@ from repro.matching.batch import (
     BatchProblem,
     _feasible_start_batch,
     batch_barrier_value,
+    batchable,
     solve_relaxed_batch,
 )
 from repro.matching.objectives import barrier_value
@@ -291,16 +292,17 @@ def solve_relaxed_blocks(
     ``solve_relaxed``'s cold-start hedge, so a bad seed can never open
     the descent from a worse point than a cold solve would.
 
-    Problems the batch machinery cannot express (parallel speedups,
-    linear-cost / hinge-penalty ablations) fall back to the scalar path
-    unchanged.
+    Problems the batch machinery cannot express
+    (:func:`~repro.matching.batch.batchable`: parallel speedups, linear-cost
+    / hinge-penalty ablations, a non-mirror projection) fall back to the
+    scalar path unchanged.
     """
     cfg = config or SolverConfig()
     bcfg = block_config or BlockConfig()
     rec = get_recorder()
     tele = rec.enabled
 
-    if problem.is_parallel or problem.cost != "makespan" or problem.penalty != "log_barrier":
+    if not batchable(problem, cfg):
         sol = solve_relaxed(problem, cfg, x0=x0)
         if tele:
             rec.counter_add("blocks/scalar_fallback")

@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.matching.batch import (
     BatchProblem,
+    batchable,
     clamp_predictions_batch,
     solve_relaxed_batch,
 )
@@ -52,9 +53,10 @@ class ZeroOrderConfig:
     delta: float = 0.05  # Δ
     warm_start_iters: int = 60  # K₂: iterations for each perturbed solve
     antithetic: bool = True  # pair +v/−v draws (variance reduction)
-    #: Solve all perturbed instances simultaneously via the vectorized
-    #: batch solver (convex sequential objective only; the non-convex ζ
-    #: case automatically falls back to the scalar path).
+    #: :func:`zo_vjp` only: solve all perturbed instances in one batch —
+    #: :func:`zo_vjp_cross` over the single base instance — where the batch
+    #: kernel expresses the program (:func:`repro.matching.batch.batchable`);
+    #: any other program keeps the scalar solves below, bit for bit.
     vectorized: bool = False
     #: Precision of the fused cross-cluster perturbation stack
     #: (:func:`zo_vjp_cross` only).  float32 halves the memory traffic of
@@ -131,12 +133,20 @@ def zo_vjp(
         raise ValueError(f"cluster index {cluster} out of range [0, {M})")
     if grad_X.shape != (M, N):
         raise ValueError(f"grad_X must have shape {(M, N)}")
-    if cfg.vectorized and not base_problem.is_parallel:
-        return _zo_vjp_batched(base_problem, base_solution, cluster, grad_X, cfg, rng)
+    scfg = solver_config or SolverConfig()
+    if cfg.vectorized and batchable(base_problem, scfg):
+        # The fused estimator with one base instance (K = 1).
+        one = BatchProblem(
+            T=base_problem.T[None], A=base_problem.A[None], gamma=base_problem.gamma,
+            beta=base_problem.beta, lam=base_problem.lam, entropy=base_problem.entropy,
+        )
+        zg = zo_vjp_cross(one, base_solution.X[None], np.array([cluster]),
+                          grad_X[None], cfg, solver_config=scfg, rng=rng)
+        return ZeroOrderGradients(dt=zg.dt[0], da=zg.da[0], solves=zg.solves)
 
     # Inherit *all* solver fields (normalize_steps, backtrack, patience, …)
     # and only shorten the iteration budget for the warm-started re-solves.
-    warm_cfg = replace(solver_config or SolverConfig(), max_iters=cfg.warm_start_iters)
+    warm_cfg = replace(scfg, max_iters=cfg.warm_start_iters)
 
     X_base = base_solution.X
     g_flat = grad_X.ravel()
@@ -196,89 +206,19 @@ def zo_vjp(
 
 
 def _record_estimate(
-    rec, solves: int, batch: int, diffs_t: np.ndarray, diffs_a: np.ndarray,
-    n_estimates: int = 1,
+    rec, solves: int, batch: int, diffs_t: np.ndarray, diffs_a: np.ndarray
 ) -> None:
     """Telemetry of a zeroth-order estimate: inner-solve counts, the
     perturbation batch size dispatched, and the sample variance of the
     directional differences (the quantity Theorem 3's Δ* balances against
     the smoothing bias — high values flag noisy gradients)."""
-    rec.counter_add("zo/estimates", n_estimates)
+    rec.counter_add("zo/estimates")
     rec.counter_add("zo/solves", solves)
     rec.observe("zo/perturbation_batch", batch, bounds=SIZE_BUCKETS)
     if diffs_t.size > 1:
         rec.observe("zo/sample_var_t", float(diffs_t.var()), bounds=VARIANCE_BUCKETS)
     if diffs_a.size > 1:
         rec.observe("zo/sample_var_a", float(diffs_a.var()), bounds=VARIANCE_BUCKETS)
-
-
-def _zo_vjp_batched(
-    base_problem: MatchingProblem,
-    base_solution: RelaxedSolution,
-    cluster: int,
-    grad_X: np.ndarray,
-    cfg: ZeroOrderConfig,
-    rng: np.random.Generator,
-) -> ZeroOrderGradients:
-    """Vectorized Algorithm 2: all perturbed instances solved in one batch.
-
-    Builds 2·S perturbed copies (S time-perturbations, S reliability-
-    perturbations; antithetic pairs count within S) of the base instance
-    and dispatches them to :func:`repro.matching.batch.solve_relaxed_batch`
-    warm-started from the base solution.  Statistically equivalent to the
-    scalar path; typically 3-6x faster on the training hot loop.
-    """
-    M, N = base_problem.M, base_problem.N
-    T_hat = np.array(base_problem.T)
-    A_hat = np.array(base_problem.A)
-    g_flat = grad_X.ravel()
-    base_contract = float(base_solution.X.ravel() @ g_flat)
-
-    n_draws = max(cfg.samples // 2 if cfg.antithetic else cfg.samples, 1)
-    signs = np.array((1.0, -1.0) if cfg.antithetic else (1.0,))
-    G = signs.size
-    directions = rng.normal(size=(n_draws, 2, N))
-    v_t, v_a = directions[:, 0], directions[:, 1]  # (n_draws, N)
-
-    # Assemble the batch with one broadcasted allocation per matrix stack and
-    # fancy-indexed row writes; layout (draw, sign, kind) with kind 0 = time-
-    # perturbed, 1 = reliability-perturbed.
-    shape = (n_draws, G, 2, M, N)
-    T_batch = np.broadcast_to(T_hat, shape).copy()
-    A_batch = np.broadcast_to(A_hat, shape).copy()
-    T_batch[:, :, 0, cluster, :] = T_hat[cluster] + (
-        cfg.delta * signs[None, :, None] * v_t[:, None, :]
-    )
-    A_batch[:, :, 1, cluster, :] = A_hat[cluster] + (
-        cfg.delta * signs[None, :, None] * v_a[:, None, :]
-    )
-    B = n_draws * G * 2
-    # clamp_predictions_batch floors the perturbed times, clips the perturbed
-    # reliabilities and re-clamps γ per instance, exactly as the scalar path's
-    # with_predictions does for each perturbed problem.
-    T_arr, A_arr, gammas = clamp_predictions_batch(
-        T_batch.reshape(B, M, N), A_batch.reshape(B, M, N), base_problem.gamma
-    )
-    batch = BatchProblem(
-        T=T_arr,
-        A=A_arr,
-        gamma=gammas,
-        beta=base_problem.beta,
-        lam=base_problem.lam,
-        entropy=base_problem.entropy,
-    )
-    x0 = np.broadcast_to(base_solution.X, (B, M, N)).copy()
-    sol = solve_relaxed_batch(batch, max_iters=cfg.warm_start_iters, x0=x0)
-
-    contracts = (sol.X.reshape(B, -1) @ g_flat).reshape(n_draws, G, 2)
-    diffs = (contracts - base_contract) / (cfg.delta * signs[None, :, None])
-    dt = np.einsum("dg,dn->n", diffs[:, :, 0], v_t)
-    da = np.einsum("dg,dn->n", diffs[:, :, 1], v_a)
-    total = n_draws * G
-    rec = get_recorder()
-    if rec.enabled:
-        _record_estimate(rec, B, B, diffs[:, :, 0].ravel(), diffs[:, :, 1].ravel())
-    return ZeroOrderGradients(dt=dt / total, da=da / total, solves=B)
 
 
 @dataclass(frozen=True)

@@ -27,10 +27,12 @@ landscape (extension experiment E5 in DESIGN.md):
 
    with a mean baseline gives the gradient.
 
-All three share MFCP's warm-start pretraining and its training-round
-sampler (inherited from :class:`~repro.methods.mfcp.MFCP`), differing only
-in how the regret signal reaches the predictor — an apples-to-apples
-comparison of the differentiation strategy itself.
+All three share MFCP's warm-start pretraining, its training-round sampler
+and its update and validation code (inherited from
+:class:`~repro.methods.mfcp.MFCP`), and override the one hook its fit calls
+per epoch, :meth:`~repro.methods.mfcp.MFCP._round` — they differ only in
+how the regret signal reaches the predictor, an apples-to-apples comparison
+of the differentiation strategy itself.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ class SPOPlus(MFCP):
         super().__init__("analytic", config, hidden)
         self.name = "SPO+"
 
-    def _train_round(self, ctx: FitContext, Z, t_hat, a_hat, true_problem):
+    def _round(self, ctx: FitContext, Z, t_hat, a_hat, true_problem):
         M, N = true_problem.M, true_problem.N
         T_true = np.array(true_problem.T)
         A_true = np.array(true_problem.A)
@@ -123,7 +125,7 @@ class BlackboxDiff(MFCP):
         self.name = "DBB"
         self.interpolation = interpolation
 
-    def _train_round(self, ctx: FitContext, Z, t_hat, a_hat, true_problem):
+    def _round(self, ctx: FitContext, Z, t_hat, a_hat, true_problem):
         M, N = true_problem.M, true_problem.N
         T_true = np.array(true_problem.T)
         A_true = np.array(true_problem.A)
@@ -175,7 +177,7 @@ class PerturbedOpt(MFCP):
         self.sigma = sigma
         self.samples = samples
 
-    def _train_round(self, ctx: FitContext, Z, t_hat, a_hat, true_problem):
+    def _round(self, ctx: FitContext, Z, t_hat, a_hat, true_problem):
         M, N = true_problem.M, true_problem.N
         T_true = np.array(true_problem.T)
         A_true = np.array(true_problem.A)

@@ -25,24 +25,25 @@ Training pipeline (Fig. 3 / Algorithm 2):
    round's solves, one backward/clip/Adam step after its pullbacks (the
    heads are independent, so this is Algorithm 2's per-cluster update).
 
-**Fused batched round** (default, ``MFCPConfig.batched``): Algorithm 2's
-literal per-cluster loop solves M relaxed instances (plus, for MFCP-FG,
-M×2S perturbed ones) sequentially — yet they are same-shape copies of the
-identical convex barrier program.  The batched path assembles all of them
-into one :class:`repro.matching.batch.BatchProblem`, solves them in a
-single vectorized mirror-descent program warm-started from the oracle
-solution, pulls all M upstream gradients back in one stacked KKT adjoint
-(:func:`repro.matching.batch_vjp.batch_kkt_vjp`) or one cross-cluster
-zeroth-order batch (:func:`repro.matching.zeroth_order.zo_vjp_cross`).
-Non-convex ζ objectives (and the Table 1 ablation knobs) fall
-back to the scalar path automatically; see DESIGN.md "Batched training
-path" for the exact semantics deltas.
+**Fused batched round**: Algorithm 2's literal per-cluster loop solves M
+relaxed instances (plus, for MFCP-FG, M×2S perturbed ones) sequentially —
+yet they are same-shape copies of the identical convex barrier program.
+The batched path assembles all of them into one
+:class:`repro.matching.batch.BatchProblem`, solves them in a single
+vectorized mirror-descent program, pulls all M upstream gradients back in
+one stacked KKT adjoint (:func:`repro.matching.batch_vjp.batch_kkt_vjp`)
+or one cross-cluster zeroth-order batch
+(:func:`repro.matching.zeroth_order.zo_vjp_cross`).  :meth:`MFCP._round`
+picks it per round exactly when the batch kernel expresses the round's
+program (:func:`repro.matching.batch.batchable`); non-convex ζ objectives
+and the Table 1 ablation knobs run the per-cluster loop.  See DESIGN.md
+"Batched training path" for the exact semantics deltas.
 
 Per-phase wall-clock totals are recorded as telemetry spans
 (``train/pretrain`` / ``train/solve`` / ``train/vjp`` /
 ``train/optimizer`` / ``train/validation``; see :mod:`repro.telemetry`)
-so speedups are measured, not asserted — ``benchmarks/bench_micro.py``
-reports them.  :attr:`MFCP.timings` remains available as a derived
+so speedups are measured, not asserted — the platform benchmark's
+``train_mfcp`` workload reads them.  :attr:`MFCP.timings` remains available as a derived
 per-phase view of the last fit for backward compatibility.
 """
 
@@ -57,6 +58,7 @@ import numpy as np
 from repro.matching.batch import (
     BatchProblem,
     batch_barrier_gradient,
+    batchable,
     clamp_predictions_batch,
     solve_relaxed_batch,
 )
@@ -66,7 +68,7 @@ from repro.matching.objectives import barrier_gradient, reliability_value
 from repro.matching.problem import MatchingProblem
 from repro.matching.relaxed import SolverConfig, solve_relaxed
 from repro.matching.zeroth_order import ZeroOrderConfig, zo_vjp, zo_vjp_cross
-from repro.methods.base import BaseMethod, FitContext, MatchSpec
+from repro.methods.base import BaseMethod, FitContext
 from repro.nn import Adam, Tensor
 from repro import telemetry
 from repro.predictors.models import HeadBank, PredictorPair, predict_pairs
@@ -108,13 +110,6 @@ class MFCPConfig:
     #: start; 0 disables.
     validation_rounds: int = 4
     validate_every: int = 5
-    #: Fuse each training epoch into one cross-cluster batched solve (and
-    #: one batched adjoint / zeroth-order batch).  Applies only to the
-    #: convex sequential makespan barrier with the mirror projection; the
-    #: non-convex ζ objective and the Table 1 ablation knobs automatically
-    #: stay on the scalar per-cluster loop.  Set False to force the
-    #: paper-literal Algorithm 2 loop everywhere (escape hatch).
-    batched: bool = True
 
     def __post_init__(self) -> None:
         if self.epochs <= 0 or self.round_size <= 0:
@@ -130,9 +125,9 @@ class MFCPConfig:
 class MFCP(BaseMethod):
     """MFCP-AD (``gradient="analytic"``) and MFCP-FG (``gradient="forward"``)."""
 
-    #: Whether :meth:`_train_round`'s reliability update is norm-clipped like
-    #: its time update (overrides that give the reliability head a plain MSE
-    #: anchor step say no; the fused round is MFCP's own and always clips).
+    #: Whether the round's reliability update is norm-clipped like its time
+    #: update (:meth:`_round` overrides that give the reliability head a
+    #: plain MSE anchor step say no).
     _clip_reliability = True
 
     def __init__(
@@ -174,19 +169,6 @@ class MFCP(BaseMethod):
                 self._phase_totals[key] = (
                     self._phase_totals.get(key, 0.0) + time.perf_counter() - t0
                 )
-
-    def _can_batch(self, spec: MatchSpec) -> bool:
-        """Whether the fused batched round matches the scalar semantics:
-        convex sequential makespan barrier, mirror projection with
-        normalized steps (the batch solver's only mode)."""
-        s = spec.solver
-        return (
-            self.config.batched
-            and spec.cost == "makespan"
-            and spec.penalty == "log_barrier"
-            and s.projection == "mirror"
-            and s.normalize_steps
-        )
 
     def _fit(self, ctx: FitContext) -> None:
         if self.gradient == "analytic" and ctx.spec.speedup is not None:
@@ -241,13 +223,6 @@ class MFCP(BaseMethod):
         # Validation score of the weights as they are now; None once they move.
         score = best_score
 
-        batched = self._can_batch(ctx.spec)
-        if cfg.batched and not batched:
-            telemetry.event(
-                "train/scalar_fallback", method=self.name,
-                reason="spec not batchable (cost/penalty/projection)",
-            )
-        fallback_warned = False
         self.loss_history = []
         for epoch in range(cfg.epochs):
             idx = ctx.rng.choice(n_train, size=round_size, replace=False)
@@ -257,25 +232,12 @@ class MFCP(BaseMethod):
                 true_problem = ctx.spec.build_problem(T_true, A_true, training=True)
             except ValueError:
                 continue  # degenerate round (γ unattainable); resample next epoch
-            if batched and true_problem.is_parallel:
-                # The batch solver only covers the convex sequential
-                # barrier; ζ rounds silently ran the scalar path before —
-                # now the fallback is a first-class, queryable event.
-                telemetry.counter_add("train/scalar_fallback_rounds")
-                if not fallback_warned:
-                    fallback_warned = True
-                    telemetry.event(
-                        "train/scalar_fallback", method=self.name,
-                        reason="non-convex (zeta) round",
-                    )
-            fused = batched and not true_problem.is_parallel
-            round_fn = self._train_round_batched if fused else self._train_round
             # Alg. 2 line 3 for every cluster at once: row i of (t̂, â) is
             # cluster i's prediction of this round.
             with self._phase("optimizer"):
                 t_hat = time_bank.forward(time_bank.prepare(Z))
                 a_hat = rel_bank.forward(rel_bank.prepare(Z))
-            epoch_loss, dts, das = round_fn(ctx, Z, t_hat.data, a_hat.data, true_problem)
+            epoch_loss, dts, das = self._round(ctx, Z, t_hat.data, a_hat.data, true_problem)
             # Heads are independent, so one update after all M pullbacks is
             # the per-cluster update of Algorithm 2.
             update_time = (not cfg.alternate) or (epoch % 2 == 0)
@@ -284,8 +246,7 @@ class MFCP(BaseMethod):
                 if update_time:
                     update(time_bank, opt_time, t_hat, dts)
                 if update_rel:
-                    update(rel_bank, opt_rel, a_hat, das,
-                           clip=fused or self._clip_reliability)
+                    update(rel_bank, opt_rel, a_hat, das, clip=self._clip_reliability)
             score = None
             self.loss_history.append(epoch_loss)
             telemetry.observe("train/epoch_regret_proxy", epoch_loss)
@@ -300,6 +261,24 @@ class MFCP(BaseMethod):
             if score > best_score:  # type: ignore[operator]
                 self._restore(best_state)
 
+    def _round(
+        self,
+        ctx: FitContext,
+        Z: np.ndarray,
+        t_hat: np.ndarray,
+        a_hat: np.ndarray,
+        true_problem: MatchingProblem,
+    ) -> tuple[float, np.ndarray, np.ndarray]:
+        """One epoch's loss and ``(M, N)`` regret gradients w.r.t. every
+        cluster's predictions ``(t̂, â)`` — the one hook :meth:`_fit` calls,
+        and what a method with its own training signal overrides.  MFCP
+        fuses the round where the batch kernel expresses its program."""
+        if batchable(true_problem, ctx.spec.solver):
+            return self._train_round_batched(ctx, Z, t_hat, a_hat, true_problem)
+        # Queryable, not silent: ζ rounds and ablation specs land here.
+        telemetry.counter_add("train/scalar_fallback_rounds")
+        return self._train_round(ctx, Z, t_hat, a_hat, true_problem)
+
     # ------------------------------------------------------------------ #
     # Scalar (paper-literal) round: one cluster at a time.
     # ------------------------------------------------------------------ #
@@ -312,8 +291,7 @@ class MFCP(BaseMethod):
         a_hat: np.ndarray,
         true_problem: MatchingProblem,
     ) -> tuple[float, np.ndarray, np.ndarray]:
-        """One epoch, cluster by cluster: the loss and the ``(M, N)`` regret
-        gradients w.r.t. every cluster's predictions ``(t̂, â)``."""
+        """:meth:`_round`, cluster by cluster (Algorithm 2 as printed)."""
         cfg = self.config
         M, N = true_problem.M, true_problem.N
         T_true = np.array(true_problem.T)
@@ -360,8 +338,8 @@ class MFCP(BaseMethod):
         a_hat: np.ndarray,
         true_problem: MatchingProblem,
     ) -> tuple[float, np.ndarray, np.ndarray]:
-        """:meth:`_train_round` as a single batched NumPy program (see
-        module docs)."""
+        """:meth:`_round` as a single batched NumPy program (see module
+        docs)."""
         cfg = self.config
         M, N = true_problem.M, true_problem.N
         T_true = np.array(true_problem.T)
@@ -464,7 +442,7 @@ class MFCP(BaseMethod):
             T_hat, A_hat = predict_pairs(self._pairs, val_Z)  # (R, M, N)
             pred_problems = [true.with_predictions(T_hat[b], A_hat[b])
                              for b, true in enumerate(val_problems)]
-            if self._can_batch(ctx.spec) and not any(p.is_parallel for p in val_problems):
+            if batchable(val_problems[0], scfg):  # one spec: all rounds alike
                 # All held-out rounds solved in one batch (same scoring rule).
                 T_b, A_b, g_b = clamp_predictions_batch(
                     T_hat, A_hat, np.array([p.gamma for p in val_problems]))

@@ -25,6 +25,7 @@ the caller decides what to do (emit an alert, ``reset()``, cool down).
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -138,6 +139,9 @@ class QuantileWindow:
 
     _reference: "list[float]" = field(default_factory=list, init=False, repr=False)
     _current: "deque[float]" = field(default_factory=deque, init=False, repr=False)
+    #: ``_current`` in ascending order, kept beside it: every sample is
+    #: one ``bisect`` in and one out, not a sort of the whole window.
+    _sorted: "list[float]" = field(default_factory=list, init=False, repr=False)
     _ref_q: "float | None" = field(default=None, init=False)
 
     def __post_init__(self) -> None:
@@ -146,35 +150,38 @@ class QuantileWindow:
         if self.window < 2 or self.factor <= 1.0:
             raise ValueError("need window >= 2 and factor > 1")
 
-    @staticmethod
-    def _quantile(xs: "list[float]", q: float) -> float:
-        ordered = sorted(xs)
-        idx = min(len(ordered) - 1, int(q * len(ordered)))
-        return ordered[idx]
+    def _quantile(self, ordered: "list[float]") -> float:
+        return ordered[min(len(ordered) - 1, int(self.q * len(ordered)))]
 
     @property
     def stat(self) -> float:
         """Current-to-reference quantile ratio (0 while warming up)."""
         if self._ref_q is None or len(self._current) < self.window:
             return 0.0
-        cur = self._quantile(list(self._current), self.q)
-        return cur / max(self._ref_q, self.floor)
+        return self._quantile(self._sorted) / max(self._ref_q, self.floor)
 
     def update(self, x: float) -> bool:
         if self._ref_q is None:
             self._reference.append(x)
             if len(self._reference) == self.window:
-                self._ref_q = self._quantile(self._reference, self.q)
+                self._ref_q = self._quantile(sorted(self._reference))
             return False
         self._current.append(x)
+        insort(self._sorted, x)
         if len(self._current) > self.window:
-            self._current.popleft()
+            old = self._current.popleft()
+            i = bisect_left(self._sorted, old)
+            if i < len(self._sorted) and self._sorted[i] == old:
+                del self._sorted[i]
+            else:  # a NaN (it orders nowhere) is or was in the window
+                self._sorted = sorted(self._current)
         return len(self._current) == self.window and self.stat > self.factor
 
     def reset(self) -> None:
         """Re-arm against a *fresh* reference (post-retrain semantics)."""
         self._reference.clear()
         self._current.clear()
+        self._sorted.clear()
         self._ref_q = None
 
 

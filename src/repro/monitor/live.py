@@ -39,7 +39,8 @@ from typing import Any, Callable, TextIO
 
 from repro.monitor.export import prometheus_text
 from repro.telemetry.metrics import quantile
-from repro.telemetry.registry import merge_aggregates
+from repro.telemetry.profiler import budget_gauges
+from repro.telemetry.registry import merge_aggregates, series_key
 
 __all__ = [
     "MetricsServer",
@@ -283,22 +284,9 @@ def _scrape_aggregate(snap: dict) -> dict:
         for key in agg.get("gauges", {}))
     if profile and profile.get("windows") and not drained:
         gauges = dict(agg.get("gauges", {}))
-        for path, s in profile["stages"].items():
-            key = f'serve/stage_total_s{{stage="{path}"}}'
-            gauges[key] = {"value": s["total_s"], "calls": s["calls"],
-                           "labels": {"stage": path}}
-            key = f'serve/stage_p95_s{{stage="{path}"}}'
-            gauges[key] = {"value": s["p95"], "calls": s["calls"],
-                           "labels": {"stage": path}}
-        unattr = profile.get("unattributed", {})
-        gauges['serve/stage_total_s{stage="unattributed"}'] = {
-            "value": unattr.get("total_s", 0.0), "calls": profile["windows"],
-            "labels": {"stage": "unattributed"},
-        }
-        gauges["serve/profile_coverage_p95"] = {
-            "value": profile.get("coverage_p95", 0.0),
-            "calls": profile["windows"],
-        }
+        for name, labels, value, calls in budget_gauges(profile):
+            gauges[series_key(name, labels)] = {
+                "value": value, "calls": calls, **({"labels": labels} if labels else {})}
         agg["gauges"] = gauges
     return agg
 

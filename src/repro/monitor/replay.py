@@ -37,6 +37,7 @@ from repro.serve.config import ServeConfig
 from repro.serve.config import build_platform as _build_platform
 from repro.serve.config import build_stack as _build_stack
 from repro.serve.dispatcher import (
+    RUN_STAT_FIELDS,
     Dispatcher,
     Outage,
     ServeCallback,
@@ -47,13 +48,6 @@ from repro.telemetry.jsonl import load_run, meta_of
 from repro.workloads.taskpool import Task, TaskPool
 
 __all__ = ["TraceReplay", "swap_schedule"]
-
-#: Fields checked by :meth:`TraceReplay.verify`, mirroring the
-#: ``serve/run_stats`` breadcrumb the dispatcher emits at end of run.
-RUN_STAT_FIELDS = (
-    "arrived", "matched", "completed", "failed", "shed", "requeued",
-    "unserved", "windows", "swaps", "max_queue_depth",
-)
 
 #: Keys a meta header's serve parameter dict must carry to be replayable.
 REQUIRED_PARAMS = (

@@ -5,7 +5,7 @@ service (ROADMAP north star; see DESIGN.md §10):
 
 - :mod:`repro.serve.dispatcher` — event-driven micro-batching dispatch
   loop with bounded admission, load shedding, and cluster dropout/rejoin
-  handling;
+  handling (:class:`ServeLoop` is its stepable per-run state machine);
 - :mod:`repro.serve.cache` — warm-start solver cache (previous window's
   relaxed columns + step memory) and predictor forward memoization;
 - :mod:`repro.serve.registry` — versioned predictor checkpoint registry
@@ -29,6 +29,7 @@ from repro.serve.dispatcher import (
     DispatcherConfig,
     Outage,
     ServeCallback,
+    ServeLoop,
     ServeRecord,
     ServeStats,
     WindowSnapshot,
@@ -59,6 +60,7 @@ __all__ = [
     "ServeRecord",
     "ServeStats",
     "ServeCallback",
+    "ServeLoop",
     "WindowSnapshot",
     "WarmStartCache",
     "WarmStartHead",

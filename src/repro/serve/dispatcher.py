@@ -32,6 +32,9 @@ module provides that loop over simulated time:
   swap leaves a ``serve/hot_swap`` breadcrumb carrying the checkpoint's
   deterministic weights digest, so swapped runs stay replayable.
 
+The loop is an explicit state machine, :class:`ServeLoop` — per-run state
+plus ``arrive`` / ``cluster_down`` / ``cluster_up`` / ``advance`` /
+``finish`` handlers; :meth:`Dispatcher.run` sorts a stream and delivers it.
 Everything is driven by seeded RNG streams and processed in a fixed event
 order, so a run is bit-reproducible: :meth:`ServeStats.trace_bytes` is the
 canonical assignment trace two equal-seed runs must agree on byte-for-byte
@@ -42,34 +45,47 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from itertools import islice
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.clusters.cluster import Cluster
 from repro.matching.objectives import reliability_value
+from repro.matching.problem import MatchingProblem
 from repro.matching.rounding import labels_from_assignment
 from repro.methods.base import BaseMethod, MatchSpec
 from repro.serve.cache import PredictionMemo, WarmStartCache, make_cache_key
 from repro.serve.registry import ModelRegistry
 from repro.telemetry import ITER_BUCKETS, SIZE_BUCKETS, TIME_BUCKETS_S, get_recorder
-from repro.telemetry.profiler import NULL_PROFILER, StageProfiler
+from repro.telemetry.journey import JourneyRecorder
+from repro.telemetry.profiler import NULL_PROFILER, StageProfiler, budget_gauges
 from repro.utils.rng import as_generator
 from repro.workloads.taskpool import Task
 
 __all__ = [
     "Outage",
+    "RUN_STAT_FIELDS",
     "DispatcherConfig",
     "ServeRecord",
     "ServeStats",
     "WindowSnapshot",
     "ServeCallback",
     "Dispatcher",
+    "ServeLoop",
 ]
 
 _EPS = 1e-12
+
+#: Scalar outcome of a whole run — the conservation identity's terms plus
+#: the dispatch count: what the closing ``serve/run_stats`` event carries
+#: and a replay must reproduce exactly.
+RUN_STAT_FIELDS = (
+    "arrived", "matched", "completed", "failed", "shed", "requeued",
+    "unserved", "windows", "swaps", "max_queue_depth",
+)
 
 
 @dataclass(frozen=True)
@@ -334,7 +350,7 @@ class ServeCallback:
         """The run drained; ``stats`` is final (records sorted)."""
 
 
-@dataclass
+@dataclass(eq=False)
 class _Queued:
     task: Task
     arrival: float
@@ -343,16 +359,26 @@ class _Queued:
 
 
 @dataclass
-class _Scheduled:
-    task: Task
-    window: int
-    cluster_id: int
-    arrival: float
-    dispatched: float
-    start: float
-    end: float
-    success: bool
-    requeues: int
+class _Window:
+    """One window in flight: form's fields, then decide's, then schedule's."""
+
+    index: int
+    now: float  # dispatch time in platform hours
+    ups: "list[Cluster]"
+    batch: "list[_Queued]"
+    tasks: "list[Task]"
+    T: np.ndarray  # true expected times, rows follow ``ups``
+    A: np.ndarray
+    problem: MatchingProblem
+    X: "np.ndarray | None" = None
+    predictions: "tuple[np.ndarray, np.ndarray] | None" = None
+    relaxed: object = None  # the decision's RelaxedSolution / BlockSolution
+    iterations: int = 0
+    seed_src: "str | None" = None
+    labels: "np.ndarray | None" = None  # cluster row per task, batch order
+    starts: "np.ndarray | None" = None
+    ends: "np.ndarray | None" = None
+    successes: "np.ndarray | None" = None
 
 
 class Dispatcher:
@@ -422,8 +448,6 @@ class Dispatcher:
         #: task that outwaited four dispatch deadlines is tail, not noise.
         self.journeys: "JourneyRecorder | None" = None
         if self.config.journey_sample > 0.0:
-            from repro.telemetry.journey import JourneyRecorder
-
             self.journeys = JourneyRecorder(
                 self.config.journey_sample,
                 slo_wait_hours=4.0 * self.config.max_wait_hours)
@@ -449,6 +473,10 @@ class Dispatcher:
             raise ValueError("request_swap requires a registry")
         self._pending_swap = (str(version), str(reason))
 
+    def start(self, rng=None, outages: "Sequence[Outage] | None" = None) -> "ServeLoop":
+        """Open one run; ``outages`` are validated and logged, not delivered."""
+        return ServeLoop(self, rng, outages)
+
     def run(
         self,
         events: "Iterable[tuple[float, Task]]",
@@ -463,453 +491,425 @@ class Dispatcher:
         back up at fixed times.  The queue is flushed at the end of the
         stream; only tasks with no up cluster left remain ``unserved``.
         """
-        cfg = self.config
-        rng = as_generator(rng)
-        stats = ServeStats()
-        rec = get_recorder()
-        prof = self.profiler if self.profiler is not None else NULL_PROFILER
-        jt = self.journeys
-
-        # Merged primary event list.  Priority orders simultaneous events
-        # deterministically: rejoins first (capacity returns), then
-        # arrivals, then dropouts.
-        evs: list[tuple[float, int, int, str, object]] = []
-        for i, (t, task) in enumerate(events):
-            evs.append((float(t), 1, i, "arrive", task))
+        loop = self.start(rng, outages)
+        # Priority orders simultaneous events deterministically: rejoins
+        # first (capacity returns), then arrivals, then dropouts.
+        evs = [(float(t), 1, i, loop.arrive, task)
+               for i, (t, task) in enumerate(events)]
         for i, o in enumerate(outages or ()):
-            if not any(c.cluster_id == o.cluster_id for c in self.clusters):
-                raise ValueError(f"outage for unknown cluster {o.cluster_id}")
-            evs.append((o.end, 0, i, "up", o.cluster_id))
-            evs.append((o.start, 2, i, "down", o.cluster_id))
-        evs.sort(key=lambda e: (e[0], e[1], e[2]))
+            evs.append((o.end, 0, i, loop.cluster_up, o.cluster_id))
+            evs.append((o.start, 2, i, loop.cluster_down, o.cluster_id))
+        evs.sort(key=itemgetter(0, 1, 2))
+        for t, _prio, _seq, handler, payload in evs:
+            handler(t, payload)
+        return loop.finish()
 
-        # Replay breadcrumbs (JSONL mode): the outage schedule up front,
-        # one event per arrival below — together with the run header they
-        # are what :class:`repro.monitor.replay.TraceReplay` inverts back
-        # into an arrival stream + outage schedule.
-        if rec.enabled:
-            for o in outages or ():
-                rec.event("serve/outage", cluster_id=o.cluster_id,
-                          start=o.start, end=o.end)
 
-        queue: "deque[_Queued]" = deque()
-        down: set[int] = set()
-        free_at = {c.cluster_id: 0.0 for c in self.clusters}
-        schedule: dict[int, list[_Scheduled]] = {c.cluster_id: [] for c in self.clusters}
-        busy_until = 0.0
-        t_last = 0.0
+class ServeLoop:
+    """The state of one serving run and the handlers that move it.
+
+    Call the handlers in non-decreasing time order, simultaneous events as
+    rejoins, arrivals, dropouts (what :meth:`Dispatcher.run` sorts into);
+    each first dispatches every window ripe by its time, so between calls
+    nothing is lost and nothing was dispatched before it arrived.  Weights,
+    cache, memo and observers stay on the dispatcher, where serve callbacks
+    reach them; the rest is per run, and :meth:`finish` ends it, once.
+    """
+
+    def __init__(self, dispatcher: Dispatcher, rng=None, outages=None) -> None:
+        self.dispatcher = dispatcher
+        self.cfg = dispatcher.config
+        self.rng = as_generator(rng)
+        self.stats = ServeStats()
+        self.rec = get_recorder()
+        self.prof = dispatcher.profiler or NULL_PROFILER
+        self.jt = dispatcher.journeys
+        self.queue: "deque[_Queued]" = deque()
+        self.down: "set[int]" = set()
+        self.free_at = {c.cluster_id: 0.0 for c in dispatcher.clusters}
+        #: Per cluster, its jobs not orphaned since: (task, record-to-be).
+        self.schedule: "dict[int, list[tuple[Task, ServeRecord]]]" = {
+            c.cluster_id: [] for c in dispatcher.clusters}
+        self.busy_until = 0.0  # deciding a window until then (backpressure)
         # Last simulated time the up-set changed (dropout or rejoin).  No
         # dispatch may predate it: a window that ripened while every
         # cluster was down must wait for the rejoin, and orphans requeued
         # by a dropout must not be re-dispatched before the dropout.
-        fleet_changed_at = 0.0
+        self.fleet_changed_at = 0.0
+        self.now = 0.0
+        # Replay breadcrumbs (JSONL mode): the outage schedule up front,
+        # one event per arrival later — together with the run header they
+        # are what :class:`repro.monitor.replay.TraceReplay` inverts back
+        # into an arrival stream + outage schedule.
+        for o in outages or ():
+            self._known(o.cluster_id)
+        if self.rec.enabled:
+            for o in outages or ():
+                self.rec.event("serve/outage", cluster_id=o.cluster_id,
+                               start=o.start, end=o.end)
 
-        def any_up() -> bool:
-            return len(down) < len(self.clusters)
+    def advance(self, t: float) -> None:
+        """Dispatch every window that ripens at or before ``t``."""
+        if t < self.now:
+            raise ValueError(f"time went backwards: {t} after {self.now}")
+        while (r := self._ripe_at()) is not None and r <= t + _EPS:
+            self._dispatch(r)
+        self.now = t
 
-        def note_depth() -> None:
-            stats.max_queue_depth = max(stats.max_queue_depth, len(queue))
+    def arrive(self, t: float, task: Task) -> None:
+        """Admit ``task`` at hour ``t``, or shed per the admission policy."""
+        self.advance(t)
+        queue = self.queue
+        if self.rec.enabled:
+            self.rec.event("serve/arrival", t=t, task_id=task.task_id)
+        self.stats.arrived += 1
+        if len(queue) >= self.cfg.queue_capacity:
+            # drop_oldest evicts the longest-waiting *admitted* job;
+            # re-queued orphans are protected (zero-loss guarantee), so
+            # with only orphans queued the arrival itself is rejected.
+            victim = None
+            if self.cfg.shed_policy == "drop_oldest":
+                victim = next((q for q in queue if q.requeues == 0), None)
+            if victim is None:
+                self._shed(task, t, "reject", queue_depth=len(queue))
+                return
+            queue.remove(victim)
+            self._shed(victim.task, victim.arrival, "drop_oldest",
+                       evicted_by=int(task.task_id))
+        queue.append(_Queued(task, arrival=t, enqueued_at=t))
+        if self.jt is not None:
+            self.jt.record(task.task_id, t, "admitted", t, queue_depth=len(queue))
+        self.stats.max_queue_depth = max(self.stats.max_queue_depth, len(queue))
 
-        def ripe_at() -> "float | None":
-            """Earliest simulated time the next window can dispatch."""
-            if not queue or not any_up():
-                return None
-            if len(queue) >= cfg.max_batch:
-                # Size-triggered: as soon as not busy, but never before
-                # every job of the would-be batch (the queue's first
-                # max_batch entries) was enqueued — else the trace would
-                # record dispatched < arrival.
-                newest = max(q.enqueued_at for q in islice(queue, cfg.max_batch))
-                return max(busy_until, newest, fleet_changed_at)
-            earliest = min(q.enqueued_at for q in queue)
-            return max(earliest + cfg.max_wait_hours, busy_until, fleet_changed_at)
+    def cluster_down(self, t: float, cluster_id: int) -> None:
+        """Dropout: the cluster's unfinished jobs re-queue at the front."""
+        cid = self._known(cluster_id)
+        self.advance(t)
+        self.down.add(cid)
+        self.fleet_changed_at = t
+        jobs = self.schedule[cid]
+        self.schedule[cid] = [job for job in jobs if job[1].end <= t + _EPS]
+        orphans = [job for job in jobs if job[1].end > t + _EPS]
+        # Earliest-started orphan ends up at the queue front.
+        orphans.sort(key=lambda job: (job[1].start, job[1].task_id), reverse=True)
+        for task, r in orphans:
+            self.queue.appendleft(_Queued(
+                task, arrival=r.arrival, enqueued_at=t, requeues=r.requeues + 1))
+            self.stats.requeued += 1
+            if self.rec.enabled:
+                self.rec.counter_add("serve/requeued")
+            if self.jt is not None:
+                self.jt.record(r.task_id, r.arrival, "requeued", t, window=r.window,
+                               cluster_id=r.cluster_id, requeues=r.requeues + 1)
+            self._notify("on_requeue", r.task_id, r.arrival, t)
+            self.stats.max_queue_depth = max(self.stats.max_queue_depth, len(self.queue))
 
-        def shed_one() -> None:
-            stats.shed += 1
-            if rec.enabled:
-                rec.counter_add("serve/shed")
+    def cluster_up(self, t: float, cluster_id: int) -> None:
+        """Return a cluster to the matchable set."""
+        cid = self._known(cluster_id)
+        self.advance(t)
+        self.down.discard(cid)
+        self.fleet_changed_at = t
+        # Every job kept through the outage ended at or before its
+        # start, and the orphans were re-queued to run elsewhere —
+        # the rejoined cluster starts clean at the rejoin time.
+        self.free_at[cid] = t
 
-        def admit(task: Task, now: float) -> None:
-            stats.arrived += 1
-            if len(queue) >= cfg.queue_capacity:
-                if cfg.shed_policy == "reject":
-                    shed_one()
-                    if jt is not None:
-                        jt.record(task.task_id, now, "shed", now,
-                                  reason="reject", queue_depth=len(queue))
-                    return
-                # drop_oldest: evict the longest-waiting *admitted* job;
-                # re-queued orphans are protected (zero-loss guarantee).
-                victim_idx = next(
-                    (i for i, q in enumerate(queue) if q.requeues == 0), None
-                )
-                if victim_idx is None:
-                    shed_one()
-                    if jt is not None:
-                        jt.record(task.task_id, now, "shed", now,
-                                  reason="reject", queue_depth=len(queue))
-                    return
-                victim = queue[victim_idx]
-                del queue[victim_idx]
-                shed_one()
-                if jt is not None:
-                    jt.record(victim.task.task_id, victim.arrival, "shed",
-                              now, reason="drop_oldest",
-                              evicted_by=int(task.task_id))
-            queue.append(_Queued(task, arrival=now, enqueued_at=now))
-            if jt is not None:
-                jt.record(task.task_id, now, "admitted", now,
-                          queue_depth=len(queue))
-            note_depth()
-
-        def requeue(s: _Scheduled, now: float) -> None:
-            queue.appendleft(_Queued(
-                s.task, arrival=s.arrival, enqueued_at=now, requeues=s.requeues + 1
-            ))
-            stats.requeued += 1
-            if rec.enabled:
-                rec.counter_add("serve/requeued")
-            if jt is not None:
-                jt.record(s.task.task_id, s.arrival, "requeued", now,
-                          window=s.window, cluster_id=s.cluster_id,
-                          requeues=s.requeues + 1)
-            if self.callbacks:
-                cb0 = time.perf_counter()
-                for cb in self.callbacks:
-                    cb.on_requeue(s.task.task_id, s.arrival, now)
-                stats.callback_seconds += time.perf_counter() - cb0
-            note_depth()
-
-        def apply_swap(window: int, version: str, reason: str) -> None:
-            info = self.registry.load_into(self.method, version)
-            if self.memo is not None:
-                self.memo.bump()
-            if self.cache is not None:
-                # Cached columns were optima of the *old* model's
-                # predicted problem; keeping them would let post-swap
-                # windows report warm "hits" seeded from a stale
-                # objective.  Start the new model cold.
-                self.cache.clear()
-            self.swap_epoch += 1
-            if cfg.learned_seeds:
-                # The old head predicted the old model's relaxed optima;
-                # swap in the checkpoint's bundled head, or drop to cold
-                # seeding until the trainer refits on post-swap windows.
-                self.warm_model = self.registry.load_warm_start(info.version)
-            stats.swaps += 1
-            stats.swap_events.append({
-                "window": window, "version": info.version,
-                "digest": info.digest, "reason": reason,
-            })
-            if rec.enabled:
-                rec.event("serve/hot_swap", window=window, version=info.version,
-                          digest=info.digest, reason=reason)
-
-        def dispatch_window(now: float) -> None:
-            nonlocal busy_until
-            prof.begin_window()
-            with prof.stage("form"):
-                ups = [c for c in self.clusters if c.cluster_id not in down]
-                k = min(cfg.max_batch, len(queue))
-                window = stats.windows
-                if self.swap_schedule and window in self.swap_schedule:
-                    apply_swap(window, self.swap_schedule[window], "schedule")
-                if self._pending_swap is not None:
-                    version, reason = self._pending_swap
-                    self._pending_swap = None
-                    apply_swap(window, version, reason)
-                if rec.enabled:
-                    rec.observe("serve/queue_depth", len(queue), bounds=SIZE_BUCKETS)
-                batch = [queue.popleft() for _ in range(k)]
-                tasks = [q.task for q in batch]
-                T = np.stack([c.true_times(tasks) for c in ups])
-                A = np.stack([c.true_reliabilities(tasks) for c in ups])
-                problem = self.spec.build_problem(T, A)
-            if prof.enabled:
-                # Simulated-time components of task latency: how long each
-                # task of this batch sat in the admission queue, and how
-                # long the formed batch waited for its dispatch trigger
-                # after its newest member arrived.  Platform hours, not
-                # wall clock — reported in the budget's own section.
-                for q in batch:
-                    prof.observe_sim("admission_wait", now - q.enqueued_at)
-                prof.observe_sim(
-                    "batch_wait", now - max(q.enqueued_at for q in batch))
-
-            t0 = time.perf_counter()
-            iters = 0
-            predictions = None
-            relaxed_X = None
-            seed_src = None
-            decision = None
-            if self._default_decide:
-                # Methods predict rows for the *full* fleet they were
-                # fitted on; with clusters down the rows must be subset to
-                # the up clusters to match the window's problem shape.
-                # Observers also need the predicted matrices, so with
-                # callbacks registered the forward pass always happens
-                # here (decide_full would otherwise run the identical
-                # predict internally — same result, just not exposed).
-                need_subset = len(ups) != len(self.clusters)
-                with prof.stage("predict"):
-                    if self.memo is not None:
-                        predictions = self.memo.predict(self.method, tasks)
-                    elif need_subset or self.callbacks:
-                        predictions = self.method.predict(tasks)
-                    if predictions is not None and need_subset:
-                        pos = {c.cluster_id: i for i, c in enumerate(self.clusters)}
-                        idx = [pos[c.cluster_id] for c in ups]
-                        predictions = (predictions[0][idx], predictions[1][idx])
-                x0 = None
-                solver = None
-                seed_src = "cold"
-                key = make_cache_key([c.cluster_id for c in ups], k)
-                with prof.stage("seed"):
-                    if self.cache is not None:
-                        x0 = self.cache.seed(key, tasks, len(ups))
-                        solver = self.cache.solver_config(key, self.spec.solver)
-                        if x0 is not None:
-                            seed_src = "cache"
-                    if x0 is None and cfg.learned_seeds and self.warm_model is not None:
-                        x0 = self.warm_model.seed(tasks, [c.cluster_id for c in ups])
-                        if x0 is not None:
-                            seed_src = "learned"
-                with prof.stage("solve"):
-                    decision = self.method.decide_full(
-                        problem, tasks, x0=x0, solver=solver, predictions=predictions,
-                        solve_mode=cfg.solve_mode, block_config=self.block_config,
-                        profiler=self.profiler,
-                    )
-                with prof.stage("commit"):
-                    if self.cache is not None:
-                        self.cache.store(key, tasks, decision.relaxed)
-                    X = decision.X
-                    relaxed_X = decision.relaxed.X
-                    iters = decision.relaxed.iterations
-                    stats.solver_iterations.append(iters)
-                    stats.seed_sources[seed_src] = (
-                        stats.seed_sources.get(seed_src, 0) + 1)
-                    if rec.enabled:
-                        rec.counter_add(f"serve/seed_{seed_src}")
-                        if seed_src == "learned":
-                            # Seed quality: how much of the seed's per-task
-                            # argmax placement survived the solve.
-                            agree = float(np.mean(
-                                x0.argmax(axis=0) == relaxed_X.argmax(axis=0)))
-                            rec.observe("serve/seed_agreement", agree,
-                                        bounds=(0.1, 0.25, 0.5, 0.75, 0.9, 0.99))
-            else:
-                with prof.stage("solve"):
-                    X = self.method.decide(problem, tasks)
-            latency = time.perf_counter() - t0
-
-            stats.windows += 1
-            stats.matched += k
-            stats.decide_seconds.append(latency)
-            stats.batch_sizes.append(k)
-            if rec.enabled:
-                rec.counter_add("serve/windows")
-                rec.observe("serve/batch_size", k, bounds=SIZE_BUCKETS)
-                rec.observe("serve/assignment_latency_s", latency,
-                            bounds=TIME_BUCKETS_S)
-                if self._default_decide:
-                    rec.observe("serve/solve_iterations", iters, bounds=ITER_BUCKETS)
-
-            with prof.stage("schedule"):
-                labels = labels_from_assignment(X)
-                order = np.argsort(labels, kind="stable")
-                starts = np.empty(k)
-                ends = np.empty(k)
-                successes = np.empty(k, dtype=bool)
-                for j in order:
-                    i = int(labels[j])
-                    cluster = ups[i]
-                    q = batch[int(j)]
-                    start = max(free_at[cluster.cluster_id], now)
-                    # The window's truth matrices already hold this pair.
-                    duration = float(T[i, j])
-                    if cfg.jitter_std > 0:
-                        duration *= float(np.exp(rng.normal(0.0, cfg.jitter_std)))
-                    success = (not cfg.failures) or (
-                        rng.random() < float(A[i, j])
-                    )
-                    busy = duration if success else duration * float(
-                        rng.uniform(0.05, 0.95))
-                    end = start + busy
-                    free_at[cluster.cluster_id] = end
-                    starts[int(j)], ends[int(j)] = start, end
-                    successes[int(j)] = success
-                    schedule[cluster.cluster_id].append(_Scheduled(
-                        task=q.task, window=window, cluster_id=cluster.cluster_id,
-                        arrival=q.arrival, dispatched=now, start=start, end=end,
-                        success=success, requeues=q.requeues,
-                    ))
-                busy_until = now + cfg.dispatch_overhead_hours
-
-            if jt is not None:
-                # Two journey events per batch member: the window-level
-                # decision (membership, wait, seed source, solve shape)
-                # and the committed schedule.  Recorded before callbacks
-                # run so a harvest lands after its window's schedule.
-                blocks = (getattr(decision.relaxed, "n_blocks", None)
-                          if decision is not None
-                          and cfg.solve_mode == "blocks" else None)
-                for j, q in enumerate(batch):
-                    jt.record(q.task.task_id, q.arrival, "dispatched", now,
-                              window=window, wait_hours=now - q.enqueued_at,
-                              batch=k, seed=seed_src,
-                              solve_mode=cfg.solve_mode, iterations=iters,
-                              blocks=blocks)
-                    jt.record(q.task.task_id, q.arrival, "scheduled", now,
-                              window=window,
-                              cluster_id=ups[int(labels[j])].cluster_id,
-                              start=float(starts[j]), end=float(ends[j]),
-                              requeues=q.requeues)
-
-            if self.callbacks:
-                cb0 = time.perf_counter()
-                with prof.stage("callbacks"):
-                    snapshot = WindowSnapshot(
-                        window=window,
-                        time=now,
-                        cluster_ids=tuple(c.cluster_id for c in ups),
-                        task_ids=tuple(t.task_id for t in tasks),
-                        T=T,
-                        A=A,
-                        T_hat=None if predictions is None else predictions[0],
-                        A_hat=None if predictions is None else predictions[1],
-                        X=X,
-                        gamma=problem.gamma,
-                        reliability_slack=reliability_value(X, problem),
-                        arrival=np.array([q.arrival for q in batch]),
-                        start=starts,
-                        end=ends,
-                        realized_hours=ends - starts,
-                        success=successes,
-                        requeues=np.array([q.requeues for q in batch]),
-                        queue_depth=len(queue),
-                        arrived_total=stats.arrived,
-                        shed_total=stats.shed,
-                        features=np.stack([t.features for t in tasks]),
-                        X_relaxed=relaxed_X,
-                    )
-                    for cb in self.callbacks:
-                        cb.on_window(snapshot)
-                stats.callback_seconds += time.perf_counter() - cb0
-            prof.end_window()
-
-        def drain(t_limit: float) -> None:
-            """Dispatch every window that ripens at or before ``t_limit``."""
-            while True:
-                r = ripe_at()
-                if r is None or r > t_limit + _EPS:
-                    return
-                dispatch_window(r)
-
-        # ---------------- main event loop over simulated time ---------- #
-        for t, _prio, _seq, kind, payload in evs:
-            drain(t)
-            t_last = max(t_last, t)
-            if kind == "arrive":
-                if rec.enabled:
-                    rec.event("serve/arrival", t=t,
-                              task_id=payload.task_id)  # type: ignore[union-attr]
-                admit(payload, t)  # type: ignore[arg-type]
-            elif kind == "down":
-                cid = int(payload)  # type: ignore[arg-type]
-                down.add(cid)
-                fleet_changed_at = t
-                kept = [s for s in schedule[cid] if s.end <= t + _EPS]
-                orphans = [s for s in schedule[cid] if s.end > t + _EPS]
-                schedule[cid] = kept
-                # Earliest-started orphan ends up at the queue front.
-                for s in sorted(orphans, key=lambda s: (s.start, s.task.task_id),
-                                reverse=True):
-                    requeue(s, t)
-            else:  # "up"
-                cid = int(payload)  # type: ignore[arg-type]
-                down.discard(cid)
-                fleet_changed_at = t
-                # Every job kept through the outage ended at or before its
-                # start, and the orphans were re-queued to run elsewhere —
-                # the rejoined cluster starts clean at the rejoin time.
-                free_at[cid] = t
-
-        # Flush: serve everything still queued (unless no cluster is up).
-        while queue and any_up():
-            r = ripe_at()
-            assert r is not None
-            dispatch_window(max(r, t_last))
-        stats.unserved = len(queue)
+    def finish(self) -> ServeStats:
+        """Flush the queue (unless no cluster is up) and close the books."""
+        stats, jt = self.stats, self.jt
+        while self.queue and len(self.down) < len(self.free_at):
+            self._dispatch(max(self._ripe_at(), self.now))
+        stats.unserved = len(self.queue)
         if jt is not None:
-            for q in queue:
-                jt.record(q.task.task_id, q.arrival, "unserved", t_last,
+            for q in self.queue:
+                jt.record(q.task.task_id, q.arrival, "unserved", self.now,
                           requeues=q.requeues)
-
-        # Finalize execution records (deterministic order, then by task id).
-        for c in self.clusters:
-            for s in schedule[c.cluster_id]:
-                stats.records.append(ServeRecord(
-                    task_id=s.task.task_id, window=s.window, cluster_id=s.cluster_id,
-                    arrival=s.arrival, dispatched=s.dispatched, start=s.start,
-                    end=s.end, success=s.success, requeues=s.requeues,
-                ))
-                if s.success:
-                    stats.completed += 1
-                else:
-                    stats.failed += 1
+        for jobs in self.schedule.values():
+            for _task, r in jobs:
+                stats.records.append(r)
                 if jt is not None:
-                    jt.record(s.task.task_id, s.arrival,
-                              "completed" if s.success else "failed", s.end,
-                              window=s.window, cluster_id=s.cluster_id,
-                              requeues=s.requeues)
-                stats.total_wait_hours += s.start - s.arrival
-                stats.total_flow_hours += s.end - s.arrival
+                    jt.record(r.task_id, r.arrival,
+                              "completed" if r.success else "failed", r.end,
+                              window=r.window, cluster_id=r.cluster_id,
+                              requeues=r.requeues)
+                stats.total_wait_hours += r.start - r.arrival
+                stats.total_flow_hours += r.end - r.arrival
+        stats.completed = sum(r.success for r in stats.records)
+        stats.failed = len(stats.records) - stats.completed
+        # Deterministic order: by task id, then window.
         stats.records.sort(key=lambda r: (r.task_id, r.window))
-        if self.cache is not None:
-            stats.cache = self.cache.stats()
-        if self.memo is not None:
-            stats.memo = self.memo.stats()
-        if prof.enabled:
-            stats.profile = prof.budget()
-            if rec.enabled:
-                # Stage-budget series for the scrape endpoint / run log:
-                # one labeled gauge per stage path.  Wall-clock values —
-                # they live in metrics, never in the trace.
-                for path, s in stats.profile["stages"].items():
-                    rec.gauge_set("serve/stage_total_s", s["total_s"],
-                                  labels={"stage": path})
-                    rec.gauge_set("serve/stage_p95_s", s["p95"],
-                                  labels={"stage": path})
-                unattr = stats.profile["unattributed"]
-                rec.gauge_set("serve/stage_total_s",
-                              unattr.get("total_s", 0.0),
-                              labels={"stage": "unattributed"})
-                rec.gauge_set("serve/profile_coverage_p95",
-                              stats.profile["coverage_p95"])
+        d, rec = self.dispatcher, self.rec
+        if d.cache is not None:
+            stats.cache = d.cache.stats()
+        if d.memo is not None:
+            stats.memo = d.memo.stats()
+        if self.prof.enabled:
+            stats.profile = self.prof.budget()
         if rec.enabled:
+            if self.prof.enabled:
+                for name, labels, value, _calls in budget_gauges(stats.profile):
+                    rec.gauge_set(name, value, labels=labels)
             rec.counter_add("serve/arrived", stats.arrived)
             rec.counter_add("serve/completed", stats.completed)
             rec.counter_add("serve/failed", stats.failed)
-            if self.cache is not None:
-                rec.counter_add("serve/cache_hits", self.cache.hits)
-                rec.counter_add("serve/cache_misses", self.cache.misses)
-            # Scalar outcome of the whole run: what a replay must
-            # reproduce exactly (the conservation identity's terms plus
-            # the dispatch count).
-            rec.event(
-                "serve/run_stats",
-                arrived=stats.arrived, matched=stats.matched,
-                completed=stats.completed, failed=stats.failed,
-                shed=stats.shed, requeued=stats.requeued,
-                unserved=stats.unserved, windows=stats.windows,
-                swaps=stats.swaps, max_queue_depth=stats.max_queue_depth,
-            )
+            if d.cache is not None:
+                rec.counter_add("serve/cache_hits", d.cache.hits)
+                rec.counter_add("serve/cache_misses", d.cache.misses)
+            rec.event("serve/run_stats",
+                      **{name: getattr(stats, name) for name in RUN_STAT_FIELDS})
         if jt is not None:
             jt.finish()
-        if self.callbacks:
-            cb0 = time.perf_counter()
-            for cb in self.callbacks:
-                cb.on_finish(stats)
-            stats.callback_seconds += time.perf_counter() - cb0
+        self._notify("on_finish", stats)
         return stats
+
+    def _known(self, cluster_id: int) -> int:
+        cid = int(cluster_id)
+        if cid not in self.free_at:
+            raise ValueError(f"outage for unknown cluster {cluster_id}")
+        return cid
+
+    def _ripe_at(self) -> "float | None":
+        """Earliest simulated time the next window can dispatch."""
+        cfg, queue = self.cfg, self.queue
+        if not queue or len(self.down) == len(self.free_at):
+            return None
+        if len(queue) >= cfg.max_batch:
+            # Size-triggered: as soon as not busy, but never before
+            # every job of the would-be batch (the queue's first
+            # max_batch entries) was enqueued — else the trace would
+            # record dispatched < arrival.
+            newest = max(q.enqueued_at for q in islice(queue, cfg.max_batch))
+            return max(self.busy_until, newest, self.fleet_changed_at)
+        earliest = min(q.enqueued_at for q in queue)
+        return max(earliest + cfg.max_wait_hours, self.busy_until, self.fleet_changed_at)
+
+    def _notify(self, hook: str, *args, since: "float | None" = None) -> None:
+        """Call every serve callback's ``hook``, timed (from ``since``, if given)."""
+        if not self.dispatcher.callbacks:
+            return
+        t0 = time.perf_counter() if since is None else since
+        for cb in self.dispatcher.callbacks:
+            getattr(cb, hook)(*args)
+        self.stats.callback_seconds += time.perf_counter() - t0
+
+    def _shed(self, task: Task, arrival: float, reason: str, **detail) -> None:
+        self.stats.shed += 1
+        if self.rec.enabled:
+            self.rec.counter_add("serve/shed")
+        if self.jt is not None:
+            self.jt.record(task.task_id, arrival, "shed", self.now,
+                           reason=reason, **detail)
+
+    def _swap(self, window: int, version: str, reason: str) -> None:
+        """Hot-swap ``version`` in, voiding what derives from the old weights."""
+        d = self.dispatcher
+        info = d.registry.load_into(d.method, version)
+        if d.memo is not None:
+            d.memo.bump()
+        if d.cache is not None:
+            # Cached columns were optima of the *old* model's predicted
+            # problem; keeping them would let post-swap windows report
+            # warm "hits" seeded from a stale objective.  Start the new
+            # model cold.
+            d.cache.clear()
+        d.swap_epoch += 1
+        if self.cfg.learned_seeds:
+            # The old head predicted the old model's relaxed optima; swap
+            # in the checkpoint's bundled head, or drop to cold seeding
+            # until the trainer refits on post-swap windows.
+            d.warm_model = d.registry.load_warm_start(info.version)
+        event = {"window": window, "version": info.version,
+                 "digest": info.digest, "reason": reason}
+        self.stats.swaps += 1
+        self.stats.swap_events.append(event)
+        if self.rec.enabled:
+            self.rec.event("serve/hot_swap", **event)
+
+    def _dispatch(self, now: float) -> None:
+        self.prof.begin_window()
+        w = self._form(now)
+        self._decide(w)
+        self._schedule(w)
+        self._observe(w)
+        self.prof.end_window()
+
+    def _form(self, now: float) -> _Window:
+        """Apply due hot-swaps, pop the batch, build its true problem."""
+        d, prof, queue = self.dispatcher, self.prof, self.queue
+        with prof.stage("form"):
+            ups = [c for c in d.clusters if c.cluster_id not in self.down]
+            index = self.stats.windows
+            if index in d.swap_schedule:
+                self._swap(index, d.swap_schedule[index], "schedule")
+            if d._pending_swap is not None:
+                version, reason = d._pending_swap
+                d._pending_swap = None
+                self._swap(index, version, reason)
+            if self.rec.enabled:
+                self.rec.observe("serve/queue_depth", len(queue), bounds=SIZE_BUCKETS)
+            batch = [queue.popleft() for _ in range(min(self.cfg.max_batch, len(queue)))]
+            tasks = [q.task for q in batch]
+            T = np.stack([c.true_times(tasks) for c in ups])
+            A = np.stack([c.true_reliabilities(tasks) for c in ups])
+            problem = d.spec.build_problem(T, A)
+        if prof.enabled:
+            # Simulated-time components of task latency: how long each
+            # task of this batch sat in the admission queue, and how
+            # long the formed batch waited for its dispatch trigger
+            # after its newest member arrived.  Platform hours, not
+            # wall clock — reported in the budget's own section.
+            for q in batch:
+                prof.observe_sim("admission_wait", now - q.enqueued_at)
+            prof.observe_sim("batch_wait", now - max(q.enqueued_at for q in batch))
+        return _Window(index, now, ups, batch, tasks, T, A, problem)
+
+    def _decide(self, w: _Window) -> None:
+        """Choose the window's assignment ``w.X`` and account for it."""
+        d, stats, rec = self.dispatcher, self.stats, self.rec
+        t0 = time.perf_counter()
+        if d._default_decide:
+            self._decide_default(w)
+        else:
+            with self.prof.stage("solve"):
+                w.X = d.method.decide(w.problem, w.tasks)
+        latency = time.perf_counter() - t0
+        k = len(w.batch)
+        stats.windows += 1
+        stats.matched += k
+        stats.decide_seconds.append(latency)
+        stats.batch_sizes.append(k)
+        if rec.enabled:
+            rec.counter_add("serve/windows")
+            rec.observe("serve/batch_size", k, bounds=SIZE_BUCKETS)
+            rec.observe("serve/assignment_latency_s", latency, bounds=TIME_BUCKETS_S)
+            if d._default_decide:
+                rec.observe("serve/solve_iterations", w.iterations, bounds=ITER_BUCKETS)
+
+    def _decide_default(self, w: _Window) -> None:
+        """Predict → seed → solve → commit: the memo and the cache hook in here."""
+        d, prof, stats, rec = self.dispatcher, self.prof, self.stats, self.rec
+        ups, tasks = w.ups, w.tasks
+        # Methods predict rows for the *full* fleet they were fitted on;
+        # with clusters down the rows must be subset to the up clusters
+        # to match the window's problem shape.  Observers also need the
+        # predicted matrices, so with callbacks registered the forward
+        # pass always happens here (decide_full would otherwise run the
+        # identical predict internally — same result, just not exposed).
+        need_subset = len(ups) != len(d.clusters)
+        with prof.stage("predict"):
+            if d.memo is not None:
+                w.predictions = d.memo.predict(d.method, tasks)
+            elif need_subset or d.callbacks:
+                w.predictions = d.method.predict(tasks)
+            if w.predictions is not None and need_subset:
+                pos = {c.cluster_id: i for i, c in enumerate(d.clusters)}
+                idx = [pos[c.cluster_id] for c in ups]
+                w.predictions = (w.predictions[0][idx], w.predictions[1][idx])
+        x0 = solver = None
+        w.seed_src = "cold"
+        up_ids = [c.cluster_id for c in ups]
+        key = make_cache_key(up_ids, len(tasks))
+        with prof.stage("seed"):
+            if d.cache is not None:
+                x0 = d.cache.seed(key, tasks, len(ups))
+                solver = d.cache.solver_config(key, d.spec.solver)
+                if x0 is not None:
+                    w.seed_src = "cache"
+            if x0 is None and self.cfg.learned_seeds and d.warm_model is not None:
+                x0 = d.warm_model.seed(tasks, up_ids)
+                if x0 is not None:
+                    w.seed_src = "learned"
+        with prof.stage("solve"):
+            decision = d.method.decide_full(
+                w.problem, tasks, x0=x0, solver=solver, predictions=w.predictions,
+                solve_mode=self.cfg.solve_mode, block_config=d.block_config,
+                profiler=d.profiler,
+            )
+        with prof.stage("commit"):
+            if d.cache is not None:
+                d.cache.store(key, tasks, decision.relaxed)
+            w.X, w.relaxed = decision.X, decision.relaxed
+            w.iterations = decision.relaxed.iterations
+            stats.solver_iterations.append(w.iterations)
+            stats.seed_sources[w.seed_src] = stats.seed_sources.get(w.seed_src, 0) + 1
+            if rec.enabled:
+                rec.counter_add(f"serve/seed_{w.seed_src}")
+                if w.seed_src == "learned":
+                    # Seed quality: how much of the seed's per-task
+                    # argmax placement survived the solve.
+                    agree = float(np.mean(
+                        x0.argmax(axis=0) == w.relaxed.X.argmax(axis=0)))
+                    rec.observe("serve/seed_agreement", agree,
+                                bounds=(0.1, 0.25, 0.5, 0.75, 0.9, 0.99))
+
+    def _schedule(self, w: _Window) -> None:
+        """Execute ``w.X``: per-cluster FIFO starts, sampled outcomes."""
+        cfg, rng, now, free_at = self.cfg, self.rng, w.now, self.free_at
+        with self.prof.stage("schedule"):
+            k = len(w.batch)
+            w.labels = labels = labels_from_assignment(w.X)
+            w.starts, w.ends = starts, ends = np.empty(k), np.empty(k)
+            w.successes = successes = np.empty(k, dtype=bool)
+            for j in np.argsort(labels, kind="stable"):
+                i, j = int(labels[j]), int(j)
+                cid = w.ups[i].cluster_id
+                q = w.batch[j]
+                start = max(free_at[cid], now)
+                duration = float(w.T[i, j])
+                if cfg.jitter_std > 0:
+                    duration *= float(np.exp(rng.normal(0.0, cfg.jitter_std)))
+                success = (not cfg.failures) or (rng.random() < float(w.A[i, j]))
+                busy = duration if success else duration * float(rng.uniform(0.05, 0.95))
+                end = start + busy
+                free_at[cid] = end
+                starts[j], ends[j], successes[j] = start, end, success
+                self.schedule[cid].append((q.task, ServeRecord(
+                    task_id=q.task.task_id, window=w.index, cluster_id=cid,
+                    arrival=q.arrival, dispatched=now, start=start, end=end,
+                    success=success, requeues=q.requeues,
+                )))
+            self.busy_until = now + cfg.dispatch_overhead_hours
+
+    def _observe(self, w: _Window) -> None:
+        """Show the scheduled window to the journeys, then the callbacks."""
+        jt, cfg, now, batch = self.jt, self.cfg, w.now, w.batch
+        if jt is not None:
+            # Two journey events per batch member: the window-level
+            # decision (membership, wait, seed source, solve shape)
+            # and the committed schedule.  Recorded before callbacks
+            # run so a harvest lands after its window's schedule.
+            blocks = (getattr(w.relaxed, "n_blocks", None)
+                      if cfg.solve_mode == "blocks" else None)
+            for j, q in enumerate(batch):
+                jt.record(q.task.task_id, q.arrival, "dispatched", now,
+                          window=w.index, wait_hours=now - q.enqueued_at,
+                          batch=len(batch), seed=w.seed_src,
+                          solve_mode=cfg.solve_mode, iterations=w.iterations,
+                          blocks=blocks)
+                jt.record(q.task.task_id, q.arrival, "scheduled", now, window=w.index,
+                          cluster_id=w.ups[int(w.labels[j])].cluster_id,
+                          start=float(w.starts[j]), end=float(w.ends[j]),
+                          requeues=q.requeues)
+        if not self.dispatcher.callbacks:
+            return  # no observer: no snapshot is built
+        t0 = time.perf_counter()
+        with self.prof.stage("callbacks"):
+            self._notify("on_window", WindowSnapshot(
+                window=w.index, time=now,
+                cluster_ids=tuple(c.cluster_id for c in w.ups),
+                task_ids=tuple(t.task_id for t in w.tasks),
+                T=w.T, A=w.A,
+                T_hat=None if w.predictions is None else w.predictions[0],
+                A_hat=None if w.predictions is None else w.predictions[1],
+                X=w.X, gamma=w.problem.gamma,
+                reliability_slack=reliability_value(w.X, w.problem),
+                arrival=np.array([q.arrival for q in batch]),
+                start=w.starts, end=w.ends, realized_hours=w.ends - w.starts,
+                success=w.successes,
+                requeues=np.array([q.requeues for q in batch]),
+                queue_depth=len(self.queue),
+                arrived_total=self.stats.arrived, shed_total=self.stats.shed,
+                features=np.stack([t.features for t in w.tasks]),
+                X_relaxed=None if w.relaxed is None else w.relaxed.X,
+            ), since=t0)

@@ -44,7 +44,22 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["StageProfiler", "NullStageProfiler", "NULL_PROFILER"]
+__all__ = ["StageProfiler", "NullStageProfiler", "NULL_PROFILER", "budget_gauges"]
+
+
+def budget_gauges(budget: dict):
+    """A :meth:`StageProfiler.budget` as gauge series, ``(name, labels,
+    value, calls)`` each: total and p95 per stage path, the unattributed
+    residual, and the p95 coverage.  Wall-clock values — they live in
+    metrics (the dispatcher writes them when a run drains, the scrape
+    endpoint folds them in mid-run), never in the trace."""
+    for path, s in budget["stages"].items():
+        yield "serve/stage_total_s", {"stage": path}, s["total_s"], s["calls"]
+        yield "serve/stage_p95_s", {"stage": path}, s["p95"], s["calls"]
+    yield ("serve/stage_total_s", {"stage": "unattributed"},
+           budget.get("unattributed", {}).get("total_s", 0.0), budget["windows"])
+    yield ("serve/profile_coverage_p95", None,
+           budget.get("coverage_p95", 0.0), budget["windows"])
 
 
 class _NullStage:

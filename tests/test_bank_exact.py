@@ -47,6 +47,8 @@ from repro.serve.registry import ModelRegistry
 from repro.utils.rng import as_generator, spawn
 from repro.workloads import TaskPool
 
+from tests.conftest import PerClusterMFCP
+
 # --------------------------------------------------------------------- #
 # Oracles: the per-head code this PR replaced, verbatim.
 # --------------------------------------------------------------------- #
@@ -290,7 +292,10 @@ class _OracleMFCP(MFCP):
     """``MFCP._fit`` as it was: per-head pretraining, one Adam per head,
     per-pair predictions, every validation (the closing one included)
     solved afresh.  Only the round functions are shared with the shipped
-    class, through their ``(Z, t̂, â, truth) -> (loss, dts, das)`` contract."""
+    class, through their ``(Z, t̂, â, truth) -> (loss, dts, das)`` contract;
+    ``fused`` picks which of the two runs."""
+
+    fused = True
 
     def _fit(self, ctx):
         cfg = self.config
@@ -320,7 +325,6 @@ class _OracleMFCP(MFCP):
         self.validations = 0
         best_score = self._oracle_score(ctx, val_rounds) if val_rounds else None
         best_state = self._snapshot() if val_rounds else None
-        batched = self._can_batch(ctx.spec)
         self.loss_history = []
         for epoch in range(cfg.epochs):
             idx = ctx.rng.choice(n_train, size=round_size, replace=False)
@@ -328,7 +332,7 @@ class _OracleMFCP(MFCP):
             true_problem = ctx.spec.build_problem(T_all[:, idx], A_all[:, idx], training=True)
             update_time = (not cfg.alternate) or (epoch % 2 == 0)
             update_rel = (not cfg.alternate) or (epoch % 2 == 1)
-            round_fn = self._train_round_batched if batched else self._train_round
+            round_fn = self._train_round_batched if self.fused else self._train_round
             t_hats = [p.time.forward(Z) for p in self._pairs]
             a_hats = [p.reliability.forward(Z) for p in self._pairs]
             loss, dts, das = round_fn(ctx, Z, np.stack([t.data for t in t_hats]),
@@ -366,38 +370,29 @@ class _OracleMFCP(MFCP):
             solve_relaxed_batch,
         )
         from repro.matching.objectives import decision_cost
-        from repro.matching.relaxed import solve_relaxed
         from repro.matching.rounding import round_assignment
 
         self.validations += 1
         total = 0.0
-        if self._can_batch(ctx.spec):
-            scfg = ctx.spec.solver
-            preds = [self._predict_rows(Z) for Z, _ in val_rounds]
-            T_hat = np.stack([p[0] for p in preds])
-            A_hat = np.stack([p[1] for p in preds])
-            gammas = np.array([p.gamma for _, p in val_rounds])
-            T_b, A_b, g_b = clamp_predictions_batch(T_hat, A_hat, gammas)
-            bp = BatchProblem(
-                T=T_b, A=A_b, gamma=g_b,
-                beta=val_rounds[0][1].beta,
-                lam=val_rounds[0][1].lam,
-                entropy=val_rounds[0][1].entropy,
-            )
-            sol = solve_relaxed_batch(
-                bp, lr=scfg.lr, max_iters=scfg.max_iters, tol=scfg.tol,
-                patience=scfg.patience,
-            )
-            for b, (Z, true_problem) in enumerate(val_rounds):
-                pred_problem = true_problem.with_predictions(T_hat[b], A_hat[b])
-                X = round_assignment(sol.X[b], pred_problem)
-                total += decision_cost(X, true_problem) / true_problem.N
-            return total / len(val_rounds)
-        for Z, true_problem in val_rounds:
-            T_hat, A_hat = self._predict_rows(Z)
-            pred_problem = true_problem.with_predictions(T_hat, A_hat)
-            sol = solve_relaxed(pred_problem, ctx.spec.solver)
-            X = round_assignment(sol.X, pred_problem)
+        scfg = ctx.spec.solver
+        preds = [self._predict_rows(Z) for Z, _ in val_rounds]
+        T_hat = np.stack([p[0] for p in preds])
+        A_hat = np.stack([p[1] for p in preds])
+        gammas = np.array([p.gamma for _, p in val_rounds])
+        T_b, A_b, g_b = clamp_predictions_batch(T_hat, A_hat, gammas)
+        bp = BatchProblem(
+            T=T_b, A=A_b, gamma=g_b,
+            beta=val_rounds[0][1].beta,
+            lam=val_rounds[0][1].lam,
+            entropy=val_rounds[0][1].entropy,
+        )
+        sol = solve_relaxed_batch(
+            bp, lr=scfg.lr, max_iters=scfg.max_iters, tol=scfg.tol,
+            patience=scfg.patience,
+        )
+        for b, (Z, true_problem) in enumerate(val_rounds):
+            pred_problem = true_problem.with_predictions(T_hat[b], A_hat[b])
+            X = round_assignment(sol.X[b], pred_problem)
             total += decision_cost(X, true_problem) / true_problem.N
         return total / len(val_rounds)
 
@@ -419,9 +414,11 @@ _FIT_CFG = MFCPConfig(
     ("analytic", False, True), ("analytic", True, False), ("forward", True, True),
 ])
 def test_mfcp_fit_matches_per_head_fit(gradient, alternate, batched):
-    cfg = replace(_FIT_CFG, alternate=alternate, batched=batched)
-    got = MFCP(gradient, cfg).fit(_fresh_ctx())
-    want = _OracleMFCP(gradient, cfg).fit(_fresh_ctx())
+    cfg = replace(_FIT_CFG, alternate=alternate)
+    got = (MFCP if batched else PerClusterMFCP)(gradient, cfg).fit(_fresh_ctx())
+    want = _OracleMFCP(gradient, cfg)
+    want.fused = batched
+    want.fit(_fresh_ctx())
     assert got.loss_history == want.loss_history
     for p, q in zip(got._pairs, want._pairs):
         _assert_same_weights([p.time, p.reliability], [q.time, q.reliability])

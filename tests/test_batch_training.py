@@ -9,10 +9,9 @@ Three layers are pinned down here:
 2. :func:`batch_kkt_vjp` agrees with the scalar :func:`kkt_vjp` per
    instance (one stacked saddle solve vs B independent ones).
 3. The MFCP fused round: the batched path trains to the same losses as
-   the scalar (paper-literal) round within stochastic tolerance, honours
-   the ``batched=False`` escape hatch, and automatically falls back to
-   the scalar round for the non-convex parallel (ζ) objective where no
-   batched convex solver applies.
+   the scalar (paper-literal) round within stochastic tolerance, and
+   automatically falls back to the scalar round for the non-convex
+   parallel (ζ) objective where no batched convex solver applies.
 """
 
 from __future__ import annotations
@@ -39,6 +38,8 @@ from repro.matching.speedup import ExponentialDecaySpeedup
 from repro.methods import MFCP, MFCPConfig, MatchSpec, FitContext
 from repro.predictors.training import TrainConfig
 from repro.workloads import TaskPool
+
+from tests.conftest import PerClusterMFCP
 
 
 def _random_problems(seed: int, B: int = 5, M: int = 4, N: int = 9,
@@ -210,7 +211,7 @@ class TestMFCPBatchedRound:
     @pytest.mark.parametrize("gradient", ["analytic", "forward"])
     def test_batched_losses_track_scalar(self, gradient):
         mb = MFCP(gradient, self.CFG).fit(self._fresh_ctx())
-        ms = MFCP(gradient, replace(self.CFG, batched=False)).fit(self._fresh_ctx())
+        ms = PerClusterMFCP(gradient, self.CFG).fit(self._fresh_ctx())
         assert len(mb.loss_history) == len(ms.loss_history)
         assert all(np.isfinite(v) for v in mb.loss_history)
         # Same rounds, same pretrained starting point: the first-epoch
@@ -220,21 +221,16 @@ class TestMFCPBatchedRound:
             ms.loss_history[0], abs=1e-4
         )
 
-    def test_escape_hatch_disables_fused_round(self, ctx):
-        m = MFCP("analytic", replace(self.CFG, batched=False))
-        assert not m._can_batch(ctx.spec)
-        m.fit(ctx)
-        assert all(np.isfinite(v) for v in m.loss_history)
-
-    def test_parallel_objective_falls_back_to_scalar_round(self, ctx):
+    def test_parallel_objective_falls_back_to_scalar_round(self, ctx, monkeypatch):
         # ζ speedup ⇒ non-convex objective: no batched convex solver, so
         # the fused path must defer to the per-cluster scalar round (FG
         # only; AD rejects parallel specs outright).
         spec = replace(ctx.spec, speedup=(ExponentialDecaySpeedup(),))
         pctx = replace(ctx, spec=spec)
         m = MFCP("forward", self.CFG)
-        assert m._can_batch(spec)  # the spec alone does not forbid it ...
-        m.fit(pctx)  # ... the per-round is_parallel check does
+        monkeypatch.setattr(MFCP, "_train_round_batched", None)  # calling it raises
+        m.fit(pctx)
+        assert len(m.loss_history) == self.CFG.epochs
         assert all(np.isfinite(v) for v in m.loss_history)
 
     def test_timing_counters_populated(self, ctx):

@@ -18,6 +18,8 @@ Covers the decomposition invariants the serving hot path relies on:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -172,10 +174,12 @@ class TestBlockSolveEquivalence:
         ablation = MatchingProblem(T=problem.T, A=problem.A,
                                    gamma=problem.gamma, cost="linear")
         cfg = SolverConfig(max_iters=300, tol=1e-6)
-        sol = solve_relaxed_blocks(ablation, cfg)
-        assert sol.scalar_fallback
-        assert sol.objective == pytest.approx(
-            solve_relaxed(ablation, cfg).objective, abs=1e-9)
+        # ... and for a projection the mirror-descent batch kernel is not.
+        for p, c in ((ablation, cfg), (problem, replace(cfg, projection="euclidean"))):
+            sol = solve_relaxed_blocks(p, c)
+            assert sol.scalar_fallback
+            assert sol.objective == pytest.approx(
+                solve_relaxed(p, c).objective, abs=1e-9)
 
 
 class TestSeedHedge:

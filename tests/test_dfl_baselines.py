@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.clusters import make_setting
 from repro.matching.zeroth_order import ZeroOrderConfig
 from repro.methods import (
+    MFCP,
     BlackboxDiff,
     FitContext,
     MatchSpec,
@@ -25,12 +28,16 @@ FAST = MFCPConfig(
 )
 
 
-@pytest.fixture(scope="module")
-def ctx():
+def _fresh_ctx():
     pool = TaskPool(30, rng=41)
     clusters = make_setting("A")
     train, _ = pool.split(0.7, rng=1)
     return FitContext.build(clusters, train, MatchSpec(), rng=2)
+
+
+@pytest.fixture(scope="module")
+def ctx():
+    return _fresh_ctx()
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +77,26 @@ class TestDFLBaselines:
         assert np.all((A_hat >= 0) & (A_hat <= 1))
         ratio = T_hat / np.array(problem.T)
         assert np.all(ratio > 0.02) and np.all(ratio < 50.0)
+
+
+@pytest.mark.parametrize("cls", [SPOPlus, BlackboxDiff, PerturbedOpt])
+def test_baseline_trains_through_its_own_round(cls, monkeypatch):
+    """With nothing but the defaults chosen (setting A is a program MFCP
+    fuses), every epoch goes through the baseline's own round and the fit
+    lands on other weights than MFCP's."""
+    cfg = replace(MFCPConfig(), epochs=4, pretrain=TrainConfig(epochs=10))
+    calls = []
+    own = cls._round
+    monkeypatch.setattr(cls, "_round", lambda self, *a: calls.append(1) or own(self, *a))
+    baseline = cls(cfg).fit(_fresh_ctx())
+    assert len(calls) == cfg.epochs
+    mfcp = MFCP(baseline.gradient, cfg).fit(_fresh_ctx())
+    for head in ("time", "reliability"):
+        assert any(
+            not np.array_equal(a, b)
+            for p, q in zip(baseline._pairs, mfcp._pairs)
+            for a, b in zip(getattr(p, head).state_dict().values(),
+                            getattr(q, head).state_dict().values()))
 
 
 class TestConstruction:

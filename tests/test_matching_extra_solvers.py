@@ -17,6 +17,7 @@ from repro.matching import (
     MatchingProblem,
     SolverConfig,
     ZeroOrderConfig,
+    batchable,
     feasible_gamma,
     kkt_vjp,
     makespan,
@@ -178,6 +179,29 @@ class TestBatchedZeroOrder:
         z1 = zo_vjp(p, sol, 1, gX, cfg, rng=9)
         z2 = zo_vjp(p, sol, 1, gX, cfg, rng=9)
         np.testing.assert_allclose(z1.dt, z2.dt)
+
+    @pytest.mark.parametrize("problem_knobs,solver", [
+        ({"cost": "linear"}, SolverConfig()),
+        ({"penalty": "hinge", "lam": 5.0}, SolverConfig()),
+        ({}, SolverConfig(projection="euclidean")),
+        ({}, SolverConfig(normalize_steps=False)),
+    ])
+    def test_programs_the_batch_kernel_cannot_express_stay_scalar(
+            self, rng, problem_knobs, solver):
+        """``vectorized=True`` must not hand a linear-cost, hinge-penalty or
+        differently projected program to the makespan/log-barrier batch
+        solver: there it is the scalar estimate, bit for bit."""
+        p = replace(random_problem(rng, n=6), entropy=0.02, **problem_knobs)
+        assert not batchable(p, solver)
+        sol = solve_relaxed(p, solver)
+        gX = rng.normal(size=(p.M, p.N))
+        cfg = ZeroOrderConfig(samples=8, delta=0.05)
+        scalar = zo_vjp(p, sol, 0, gX, cfg, solver_config=solver, rng=3)
+        vectorized = zo_vjp(p, sol, 0, gX, replace(cfg, vectorized=True),
+                            solver_config=solver, rng=3)
+        assert np.array_equal(vectorized.dt, scalar.dt)
+        assert np.array_equal(vectorized.da, scalar.da)
+        assert vectorized.solves == scalar.solves
 
     def test_parallel_objective_falls_back_to_scalar(self, rng):
         from repro.matching import ExponentialDecaySpeedup

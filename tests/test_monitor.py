@@ -20,6 +20,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.monitor import (
@@ -126,6 +128,77 @@ class TestDriftDetectors:
 # --------------------------------------------------------------------- #
 # SLO burn-rate rules.
 # --------------------------------------------------------------------- #
+
+
+class _ResortingQuantileWindow(QuantileWindow):
+    """The detector as it was — the whole window re-sorted for every
+    sample — kept verbatim as the oracle."""
+
+    @property
+    def stat(self) -> float:
+        if self._ref_q is None or len(self._current) < self.window:
+            return 0.0
+        ordered = sorted(list(self._current))
+        cur = ordered[min(len(ordered) - 1, int(self.q * len(ordered)))]
+        return cur / max(self._ref_q, self.floor)
+
+    def update(self, x: float) -> bool:
+        if self._ref_q is None:
+            self._reference.append(x)
+            if len(self._reference) == self.window:
+                ordered = sorted(self._reference)
+                self._ref_q = ordered[min(len(ordered) - 1, int(self.q * len(ordered)))]
+            return False
+        self._current.append(x)
+        if len(self._current) > self.window:
+            self._current.popleft()
+        return len(self._current) == self.window and self.stat > self.factor
+
+    def reset(self) -> None:
+        self._reference.clear()
+        self._current.clear()
+        self._ref_q = None
+
+
+_SAMPLE = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.1, 0.1, 0.25, 3.0, float("inf")]),  # ties
+    st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+)
+
+
+class TestQuantileWindowKeepsItsWindowSorted:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        q=st.sampled_from([0.5, 0.9, 0.99]),
+        window=st.integers(2, 12),
+        factor=st.sampled_from([1.5, 2.5]),
+        stream=st.lists(st.one_of(_SAMPLE, st.just("reset")), max_size=120),
+        rearm=st.booleans(),
+    )
+    def test_same_alarms_and_statistic_as_the_resorting_detector(
+            self, q, window, factor, stream, rearm):
+        new = QuantileWindow(q=q, window=window, factor=factor)
+        old = _ResortingQuantileWindow(q=q, window=window, factor=factor)
+        for x in stream:
+            if x == "reset":
+                new.reset(), old.reset()
+                continue
+            fired = new.update(x)
+            assert fired == old.update(x)
+            assert new.stat == old.stat
+            assert new._sorted == sorted(new._current)
+            if fired and rearm:  # what DriftBank does on an alarm
+                new.reset(), old.reset()
+
+    def test_a_nan_sample_leaves_with_its_window(self):
+        new = QuantileWindow(q=0.9, window=5, factor=1.5)
+        old = _ResortingQuantileWindow(q=0.9, window=5, factor=1.5)
+        rng = np.random.default_rng(3)
+        stream = [float(x) for x in rng.uniform(0.0, 1.0, 40)]
+        stream[12] = stream[13] = float("nan")
+        for k, x in enumerate(stream):
+            assert new.update(x) == old.update(x) or 12 <= k < 18
+        assert new.stat == old.stat and new._sorted == sorted(new._current)
 
 
 class TestSLO:
