@@ -1,5 +1,6 @@
 """A5 — solver ablation: mirror descent vs Frank–Wolfe vs Euclidean vs the
-paper-literal softmax rule vs simulated annealing, on identical instances.
+paper-literal softmax rule, on identical instances scored against the
+exact branch-and-bound optimum.
 
 Reports, per engine, the mean relaxed objective, the mean *rounded* true
 makespan (what deployment cares about), and wall time — quantifying the
@@ -15,14 +16,12 @@ import time
 import numpy as np
 
 from repro.matching import (
-    AnnealingConfig,
     FrankWolfeConfig,
     MatchingProblem,
     SolverConfig,
     feasible_gamma,
     makespan,
     round_assignment,
-    solve_annealing,
     solve_branch_and_bound,
     solve_frank_wolfe,
     solve_relaxed,
@@ -53,8 +52,6 @@ def test_a5_solver_comparison(benchmark):
             solve_relaxed(p, SolverConfig(projection="softmax")).X, p),
         "frank-wolfe": lambda p: round_assignment(
             solve_frank_wolfe(p, FrankWolfeConfig()).X, p),
-        "annealing": lambda p: solve_annealing(
-            p, AnnealingConfig(steps=2500), rng=0).X,
     }
 
     def study():

@@ -63,16 +63,3 @@ class ReliabilityModel:
         if len(specs) != len(times):
             raise ValueError("specs and times must have matching lengths")
         return np.array([self.reliability(s, t) for s, t in zip(specs, times.tolist())])
-
-
-def sample_success(
-    reliability: float, rng: np.random.Generator, n_trials: int = 1
-) -> np.ndarray:
-    """Draw Bernoulli success outcomes with probability ``reliability``.
-
-    Used by the discrete-event simulator and by the noisy measurement
-    pipeline (the platform estimates â from repeated runs).
-    """
-    if not 0.0 <= reliability <= 1.0:
-        raise ValueError(f"reliability must be in [0, 1], got {reliability}")
-    return rng.random(n_trials) < reliability

@@ -26,7 +26,7 @@ Partition modes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
 from repro.fleet.router import ROUTING_POLICIES
@@ -112,21 +112,21 @@ class FleetConfig:
 
     @classmethod
     def from_params(cls, params: dict) -> "FleetConfig":
-        serve = params.get("serve")
-        if serve is not None and not isinstance(serve, ServeConfig):
-            serve = dict(serve)
-            # Per-shard logs stamp the shard into meta["serve"]; the
-            # fleet-level config is shard-agnostic by construction.
-            serve.pop("shard", None)
-            serve.pop("instance", None)
-            serve = ServeConfig.from_params(serve)
+        """Inverse of :meth:`to_params`; a missing key raises
+        ``ValueError`` naming it."""
+        missing = [f.name for f in fields(cls) if f.name not in params]
+        if missing:
+            raise ValueError(f"fleet params missing {missing}")
+        # Per-shard logs stamp the shard into meta["serve"]; the
+        # fleet-level config is shard-agnostic by construction.
+        serve = {**params["serve"], "shard": None, "instance": None}
         return cls(
             n_shards=int(params["n_shards"]),
             routing=str(params["routing"]),
             partition=str(params["partition"]),
-            pool_m=int(params.get("pool_m", 8)),
-            replicas=int(params.get("replicas", 64)),
-            serve=serve if serve is not None else ServeConfig(),
+            pool_m=int(params["pool_m"]),
+            replicas=int(params["replicas"]),
+            serve=ServeConfig.from_params(serve),
         )
 
     def with_overrides(self, **changes: Any) -> "FleetConfig":

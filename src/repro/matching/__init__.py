@@ -6,7 +6,6 @@ solver, exact discrete solvers, rounding, Eq. (15) KKT differentiation,
 and Algorithm 2 zeroth-order gradient estimation.
 """
 
-from repro.matching.annealing import AnnealingConfig, solve_annealing
 from repro.matching.batch import (
     BatchBarrierEval,
     BatchProblem,
@@ -58,14 +57,12 @@ from repro.matching.rounding import (
 from repro.matching.speedup import (
     ExponentialDecaySpeedup,
     IdentitySpeedup,
-    PowerLawSpeedup,
     SpeedupFunction,
 )
 from repro.matching.zeroth_order import (
     CrossZeroOrderGradients,
     ZeroOrderConfig,
     ZeroOrderGradients,
-    optimal_perturbation,
     zo_vjp,
     zo_vjp_cross,
 )
@@ -93,8 +90,6 @@ __all__ = [
     "ExactSolution",
     "solve_bruteforce",
     "solve_branch_and_bound",
-    "AnnealingConfig",
-    "solve_annealing",
     "FrankWolfeConfig",
     "solve_frank_wolfe",
     "batchable",
@@ -123,9 +118,7 @@ __all__ = [
     "CrossZeroOrderGradients",
     "zo_vjp",
     "zo_vjp_cross",
-    "optimal_perturbation",
     "IdentitySpeedup",
     "ExponentialDecaySpeedup",
-    "PowerLawSpeedup",
     "SpeedupFunction",
 ]

@@ -30,7 +30,6 @@ __all__ = [
     "smooth_makespan",
     "smooth_cost",
     "decision_cost",
-    "penalty_value",
     "reliability_value",
     "BarrierEval",
     "barrier_value",
@@ -83,17 +82,6 @@ def decision_cost(X: np.ndarray, problem: MatchingProblem) -> float:
     if problem.cost == "linear":
         return linear_cost(X, problem)
     return makespan(X, problem)
-
-
-def penalty_value(X: np.ndarray, problem: MatchingProblem) -> float:
-    """Constraint term: ``−λ log(g)`` (interior point) or the ablation's
-    hinge ``λ max(0, −g)``; +inf signals barrier infeasibility."""
-    slack = reliability_value(X, problem)
-    if problem.penalty == "hinge":
-        return problem.lam * max(0.0, -slack)
-    if slack <= 0:
-        return float("inf")
-    return -problem.lam * float(np.log(slack))
 
 
 def reliability_value(X: np.ndarray, problem: MatchingProblem) -> float:

@@ -18,7 +18,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-__all__ = ["SpeedupFunction", "IdentitySpeedup", "ExponentialDecaySpeedup", "PowerLawSpeedup"]
+__all__ = ["SpeedupFunction", "IdentitySpeedup", "ExponentialDecaySpeedup"]
 
 
 @runtime_checkable
@@ -82,30 +82,3 @@ class ExponentialDecaySpeedup:
     def derivative(self, k: np.ndarray) -> np.ndarray:
         hinge, dhinge = self._hinge(k)
         return -(1.0 - self.floor) * self.rate * np.exp(-self.rate * hinge) * dhinge
-
-
-@dataclass(frozen=True)
-class PowerLawSpeedup:
-    """Alternative ζ: ``k^(−p)`` saturating at ``floor`` — models Amdahl-style
-    diminishing returns; used in ablations to test sensitivity to the ζ family.
-    """
-
-    exponent: float = 0.3
-    floor: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.exponent <= 0:
-            raise ValueError(f"exponent must be > 0, got {self.exponent}")
-        if not 0.0 < self.floor <= 1.0:
-            raise ValueError(f"floor must be in (0, 1], got {self.floor}")
-
-    def value(self, k: np.ndarray) -> np.ndarray:
-        k = np.maximum(np.asarray(k, dtype=np.float64), 1.0)
-        return np.maximum(k**-self.exponent, self.floor)
-
-    def derivative(self, k: np.ndarray) -> np.ndarray:
-        k = np.asarray(k, dtype=np.float64)
-        kc = np.maximum(k, 1.0)
-        raw = -self.exponent * kc ** (-self.exponent - 1.0)
-        active = (k > 1.0) & (kc**-self.exponent > self.floor)
-        return np.where(active, raw, 0.0)

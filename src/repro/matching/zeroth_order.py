@@ -41,7 +41,6 @@ __all__ = [
     "CrossZeroOrderGradients",
     "zo_vjp",
     "zo_vjp_cross",
-    "optimal_perturbation",
 ]
 
 
@@ -93,14 +92,6 @@ class ZeroOrderGradients:
     dt: np.ndarray  # shape (N,)
     da: np.ndarray  # shape (N,)
     solves: int  # number of inner matching solves performed
-
-
-def optimal_perturbation(sigma_f: float, beta_smooth: float, samples: int) -> float:
-    """The paper's Δ* = (2σ_F² / (β² S))^{1/4} balancing bias and variance
-    (discussion after Theorem 3)."""
-    if sigma_f <= 0 or beta_smooth <= 0 or samples <= 0:
-        raise ValueError("sigma_f, beta_smooth and samples must be positive")
-    return float((2.0 * sigma_f**2 / (beta_smooth**2 * samples)) ** 0.25)
 
 
 def zo_vjp(

@@ -4,7 +4,6 @@ from repro.methods.ablations import MFCPHardPenalty, MFCPLinearLoss, make_table1
 from repro.methods.base import BaseMethod, Decision, FitContext, MatchSpec
 from repro.methods.dfl_baselines import BlackboxDiff, PerturbedOpt, SPOPlus, make_dfl_methods
 from repro.methods.mfcp import MFCP, MFCPConfig
-from repro.methods.oracle import Oracle
 from repro.methods.tam import TAM
 from repro.methods.tsm import TSM
 from repro.methods.ucb import UCB
@@ -26,5 +25,4 @@ __all__ = [
     "BlackboxDiff",
     "PerturbedOpt",
     "make_dfl_methods",
-    "Oracle",
 ]

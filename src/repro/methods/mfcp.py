@@ -43,8 +43,8 @@ Per-phase wall-clock totals are recorded as telemetry spans
 (``train/pretrain`` / ``train/solve`` / ``train/vjp`` /
 ``train/optimizer`` / ``train/validation``; see :mod:`repro.telemetry`)
 so speedups are measured, not asserted — the platform benchmark's
-``train_mfcp`` workload reads them.  :attr:`MFCP.timings` remains available as a derived
-per-phase view of the last fit for backward compatibility.
+``train_mfcp`` workload reads them.  :attr:`MFCP.timings` is a derived
+per-phase view of the last fit.
 """
 
 from __future__ import annotations
@@ -153,13 +153,13 @@ class MFCP(BaseMethod):
     def timings(self) -> dict[str, float]:
         """Per-phase wall-clock seconds of the last fit (pretrain / solve /
         vjp / optimizer / validation) — a derived view of the ``train/*``
-        telemetry spans, kept so PR 1's benchmark code works unchanged."""
+        telemetry spans that the platform benchmark reads."""
         return dict(self._phase_totals)
 
     @contextmanager
     def _phase(self, key: str):
         """One training phase: opens the ``train/<key>`` telemetry span and
-        mirrors its wall clock into the :attr:`timings` compat view (which
+        mirrors its wall clock into the :attr:`timings` view (which
         must keep accumulating even when telemetry is off)."""
         t0 = time.perf_counter()
         with telemetry.span(f"train/{key}"):

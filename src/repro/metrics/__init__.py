@@ -13,9 +13,9 @@ from repro.metrics.regret import (
     regret,
     regret_breakdown,
 )
-from repro.metrics.reliability import constraint_satisfied, mean_assigned_reliability
+from repro.metrics.reliability import mean_assigned_reliability
 from repro.metrics.report import MetricSample, MethodReport, aggregate, comparison_table
-from repro.metrics.utilization import cluster_utilization, load_imbalance
+from repro.metrics.utilization import cluster_utilization
 
 __all__ = [
     "regret",
@@ -23,9 +23,7 @@ __all__ = [
     "RegretBreakdown",
     "deployment_matching",
     "mean_assigned_reliability",
-    "constraint_satisfied",
     "cluster_utilization",
-    "load_imbalance",
     "MetricSample",
     "MethodReport",
     "aggregate",

@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.utils.validation import check_assignment_matrix, check_matrix
 
-__all__ = ["mean_assigned_reliability", "constraint_satisfied"]
+__all__ = ["mean_assigned_reliability"]
 
 
 def mean_assigned_reliability(X: np.ndarray, A_true: np.ndarray) -> float:
@@ -26,9 +26,3 @@ def mean_assigned_reliability(X: np.ndarray, A_true: np.ndarray) -> float:
     if X.shape != A_true.shape:
         raise ValueError(f"shape mismatch: X {X.shape} vs A {A_true.shape}")
     return float(np.sum(X * A_true) / X.shape[1])
-
-
-def constraint_satisfied(X: np.ndarray, A_true: np.ndarray, gamma: float) -> bool:
-    """Whether Eq. (4)'s constraint holds under the *true* reliabilities."""
-    M, N = np.asarray(A_true).shape
-    return float(np.sum(np.asarray(X) * np.asarray(A_true)) / (M * N)) >= gamma

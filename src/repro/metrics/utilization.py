@@ -19,7 +19,7 @@ import numpy as np
 from repro.matching.objectives import cluster_loads
 from repro.matching.problem import MatchingProblem
 
-__all__ = ["cluster_utilization", "load_imbalance"]
+__all__ = ["cluster_utilization"]
 
 
 def cluster_utilization(X: np.ndarray, problem: MatchingProblem) -> float:
@@ -29,13 +29,3 @@ def cluster_utilization(X: np.ndarray, problem: MatchingProblem) -> float:
     if span <= 0:
         raise ValueError("utilization undefined for an all-zero load vector")
     return float(loads.sum() / (problem.M * span))
-
-
-def load_imbalance(X: np.ndarray, problem: MatchingProblem) -> float:
-    """Coefficient of variation of cluster loads (0 = perfectly balanced);
-    a complementary diagnostic used in the scaling study."""
-    loads = cluster_loads(np.asarray(X, dtype=np.float64), problem)
-    mean = loads.mean()
-    if mean <= 0:
-        raise ValueError("imbalance undefined for an all-zero load vector")
-    return float(loads.std() / mean)

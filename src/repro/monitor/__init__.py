@@ -38,7 +38,7 @@ from repro.monitor.live import (
 )
 from repro.monitor.quality import DEFAULT_SLOS, Alert, MonitorConfig, QualityMonitor
 from repro.monitor.replay import TraceReplay
-from repro.monitor.sinks import AlertSink, CallableSink, FileTailSink
+from repro.monitor.sinks import AlertSink, FileTailSink
 from repro.monitor.slo import SLOMonitor, SLORule, SLOStatus
 
 __all__ = [
@@ -57,7 +57,6 @@ __all__ = [
     "DEFAULT_SLOS",
     "AlertSink",
     "FileTailSink",
-    "CallableSink",
     "prometheus_text",
     "sanitize_name",
     "TraceReplay",

@@ -13,7 +13,7 @@ renders version 0.0.4 text exposition:
 - spans     → ``<name>_seconds_total`` / ``<name>_calls_total`` /
   ``<name>_errors_total``
 
-Labeled series (schema-2 aggregates key them as ``name{k="v",...}``)
+Labeled series (aggregates key them as ``name{k="v",...}``)
 render under one shared metric name with their label sets preserved —
 histogram bucket lines merge ``le`` into the series labels — and one
 ``# TYPE`` header per metric family.

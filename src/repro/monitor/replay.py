@@ -49,14 +49,6 @@ from repro.workloads.taskpool import Task, TaskPool
 
 __all__ = ["TraceReplay", "swap_schedule"]
 
-#: Keys a meta header's serve parameter dict must carry to be replayable.
-REQUIRED_PARAMS = (
-    "setting", "pool_size", "seed", "train_epochs", "solver_tol",
-    "solver_max_iters", "max_batch", "max_wait_hours", "queue_capacity",
-    "shed_policy", "warm_start",
-)
-
-
 def swap_schedule(swaps: "list[dict]", registry_root: "str | None"):
     """``(registry, {window: version})`` rebuilt from logged swap breadcrumbs.
 
@@ -108,7 +100,7 @@ class TraceReplay:
         self.run_stats = dict(run_stats) if run_stats else None
         self.meta = dict(meta or {})
         self._swaps: "list[dict]" = []
-        #: Raw ``journey`` event lines from the log (schema 3; empty for
+        #: Raw ``journey`` event lines from the log (empty for
         #: journey-free runs).  Grouped on demand by :meth:`journeys`.
         self._journey_events: "list[dict]" = []
 
@@ -130,9 +122,6 @@ class TraceReplay:
                 f"{path}: meta header has no 'serve' parameter dict — "
                 "was this log written by 'repro serve run --telemetry jsonl'?"
             )
-        missing = [k for k in REQUIRED_PARAMS if k not in params]
-        if missing:
-            raise ValueError(f"{path}: serve params missing {missing}")
         arrivals: "list[tuple[float, int]]" = []
         outages: "list[Outage]" = []
         run_stats = None
@@ -154,7 +143,10 @@ class TraceReplay:
                 swaps.append(ev)
             elif name == "journey":
                 journey_events.append(ev)
-        replay = cls(params, arrivals, outages, run_stats, meta)
+        try:
+            replay = cls(params, arrivals, outages, run_stats, meta)
+        except ValueError as exc:  # e.g. a serve param every writer writes is missing
+            raise ValueError(f"{path}: {exc}") from exc
         replay._swaps = swaps
         replay._journey_events = journey_events
         return replay

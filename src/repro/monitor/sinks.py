@@ -2,8 +2,9 @@
 
 :class:`~repro.monitor.quality.QualityMonitor` collects alerts on itself
 and mirrors them into telemetry events; sinks are the third leg — pushing
-each alert to the outside world (a tail-able file, a paging webhook) the
-moment it fires.  Two properties matter more than the transports:
+each alert to the outside world (a tail-able file is the transport
+shipped here) the moment it fires.  Two properties matter more than the
+transports:
 
 - **fan-out** — every registered sink sees every alert, in registration
   order;
@@ -19,14 +20,13 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (quality imports us)
     from repro.monitor.quality import Alert
 
-__all__ = ["AlertSink", "FileTailSink", "CallableSink", "alert_to_dict"]
+__all__ = ["AlertSink", "FileTailSink", "alert_to_dict"]
 
 
 def alert_to_dict(alert: "Alert") -> dict:
@@ -66,75 +66,3 @@ class FileTailSink:
         with open(self.path, "a") as fh:
             fh.write(json.dumps(alert_to_dict(alert), sort_keys=True) + "\n")
         self.emitted += 1
-
-
-class CallableSink:
-    """Adapter turning any callable into a sink (webhook stub, test spy).
-
-    The callable receives the alert *dict* (not the dataclass): that is
-    the payload a real webhook POST would carry, and it keeps lambda
-    consumers decoupled from the Alert class.
-
-    Real webhook endpoints flake, so delivery is retried up to
-    ``max_attempts`` times with exponential backoff (``backoff_s``,
-    ``2 * backoff_s``, ...).  When every attempt fails the alert is
-    appended to the ``dead_letter`` JSONL file (payload + error + attempt
-    count — an operator can replay the file once the endpoint recovers)
-    and the last error is re-raised so the monitor's per-sink isolation
-    still counts the failure.  The defaults keep the historical
-    one-shot behaviour for plain in-process callables cheap: a raising
-    ``fn`` just gets two quick retries and no file unless asked for.
-    """
-
-    def __init__(
-        self,
-        fn: "Callable[[dict], None]",
-        name: str = "callable",
-        *,
-        max_attempts: int = 3,
-        backoff_s: float = 0.05,
-        dead_letter: "str | os.PathLike[str] | None" = None,
-        sleep: "Callable[[float], None] | None" = None,
-    ) -> None:
-        if max_attempts <= 0:
-            raise ValueError("max_attempts must be positive")
-        if backoff_s < 0:
-            raise ValueError("backoff_s must be >= 0")
-        self.fn = fn
-        self.name = name
-        self.max_attempts = int(max_attempts)
-        self.backoff_s = float(backoff_s)
-        self.dead_letter = Path(dead_letter) if dead_letter is not None else None
-        if self.dead_letter is not None:
-            self.dead_letter.parent.mkdir(parents=True, exist_ok=True)
-        # Injectable for tests (assert the backoff schedule without waiting).
-        self._sleep = sleep if sleep is not None else time.sleep
-        self.emitted = 0
-        self.retries = 0
-        self.dead_lettered = 0
-
-    def emit(self, alert: "Alert") -> None:
-        payload = alert_to_dict(alert)
-        last_error: "Exception | None" = None
-        for attempt in range(self.max_attempts):
-            if attempt:
-                self.retries += 1
-                self._sleep(self.backoff_s * 2 ** (attempt - 1))
-            try:
-                self.fn(payload)
-            except Exception as exc:  # noqa: BLE001 - endpoint errors are opaque
-                last_error = exc
-                continue
-            self.emitted += 1
-            return
-        self.dead_lettered += 1
-        if self.dead_letter is not None:
-            with open(self.dead_letter, "a") as fh:
-                fh.write(json.dumps({
-                    "sink": self.name,
-                    "alert": payload,
-                    "error": repr(last_error),
-                    "attempts": self.max_attempts,
-                }, sort_keys=True) + "\n")
-        assert last_error is not None
-        raise last_error

@@ -10,9 +10,7 @@ against finite differences in ``tests/test_nn_*``.
 from repro.nn import functional, init, ops
 from repro.nn.layers import (
     MLP,
-    Dropout,
     Identity,
-    LeakyReLU,
     Linear,
     Module,
     Parameter,
@@ -20,12 +18,11 @@ from repro.nn.layers import (
     Sequential,
     Sigmoid,
     Softplus,
-    Tanh,
 )
-from repro.nn.losses import bce_loss, huber_loss, mae_loss, mse_loss
-from repro.nn.optim import SGD, Adam, CosineLR, Optimizer, StepLR, clip_grad_norm
+from repro.nn.losses import bce_loss, mse_loss
+from repro.nn.optim import Adam, Optimizer, clip_grad_norm
 from repro.nn.serialization import load_module, save_module
-from repro.nn.tensor import Tensor, as_tensor, concatenate, is_grad_enabled, no_grad, stack
+from repro.nn.tensor import Tensor, as_tensor, concatenate, no_grad, stack
 
 __all__ = [
     "Tensor",
@@ -33,7 +30,6 @@ __all__ = [
     "stack",
     "concatenate",
     "no_grad",
-    "is_grad_enabled",
     "ops",
     "functional",
     "init",
@@ -41,23 +37,15 @@ __all__ = [
     "Parameter",
     "Linear",
     "ReLU",
-    "Tanh",
     "Sigmoid",
     "Softplus",
-    "LeakyReLU",
     "Identity",
-    "Dropout",
     "Sequential",
     "MLP",
     "mse_loss",
-    "mae_loss",
-    "huber_loss",
     "bce_loss",
     "Optimizer",
-    "SGD",
     "Adam",
-    "StepLR",
-    "CosineLR",
     "clip_grad_norm",
     "save_module",
     "load_module",

@@ -1,100 +1,18 @@
-"""Composite differentiable functions: softmax, log-sum-exp, barriers.
+"""Plain-NumPy softmax and log-sum-exp for the solver hot paths.
 
-These implement the exact mathematical building blocks of the paper:
-
-- :func:`logsumexp` / :func:`smooth_max` — the Eq. (8) smoothing
+- :func:`logsumexp_np` — the Eq. (8) smoothing
   ``f̃(X,T) = (1/β) log Σ_i exp(β x_iᵀ t_i)``;
-- :func:`softmax` — the per-task projection used by Algorithm 1;
-- :func:`log_barrier` — the Eq. (9) interior-point term
-  ``-λ log(g(X,A))``.
+- :func:`softmax_np` — the per-task projection used by Algorithm 1.
 
-All use the standard max-shift trick for numerical stability and are
-differentiable end-to-end via the Tensor tape.
+Both use the standard max-shift trick for numerical stability and build
+no tape.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.tensor import Tensor, as_tensor
-from repro.nn import ops
-
-__all__ = [
-    "softmax",
-    "log_softmax",
-    "logsumexp",
-    "smooth_max",
-    "log_barrier",
-    "softmax_np",
-    "logsumexp_np",
-]
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Differentiable softmax along ``axis`` with max-shift stabilization."""
-    x = as_tensor(x)
-    shifted = x - x.data.max(axis=axis, keepdims=True)  # constant shift: no grad needed
-    e = ops.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable ``log(softmax(x))``."""
-    x = as_tensor(x)
-    return x - logsumexp(x, axis=axis, keepdims=True)
-
-
-def logsumexp(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    """Differentiable ``log Σ exp(x)`` with max-shift stabilization."""
-    x = as_tensor(x)
-    shift = x.data.max(axis=axis, keepdims=True)
-    shifted = x - shift
-    s = ops.exp(shifted).sum(axis=axis, keepdims=True)
-    out = ops.log(s) + shift
-    if not keepdims and axis is not None:
-        out = _squeeze(out, axis)
-    elif not keepdims and axis is None:
-        out = out.reshape()
-    return out
-
-
-def _squeeze(x: Tensor, axis: int) -> Tensor:
-    new_shape = list(x.shape)
-    del new_shape[axis if axis >= 0 else len(new_shape) + axis]
-    return x.reshape(*new_shape)
-
-
-def smooth_max(values: Tensor, beta: float) -> Tensor:
-    """Eq. (8): smooth approximation of ``max_i values_i``.
-
-    ``smooth_max(v, β) = (1/β) log Σ_i exp(β v_i)``.  Satisfies
-    ``max(v) <= smooth_max(v, β) <= max(v) + log(M)/β`` (Theorem 1), which
-    the test suite checks numerically.
-    """
-    if beta <= 0:
-        raise ValueError(f"beta must be > 0, got {beta}")
-    values = as_tensor(values)
-    return logsumexp(values * beta) * (1.0 / beta)
-
-
-def log_barrier(slack: Tensor, lam: float) -> Tensor:
-    """Eq. (9) logarithmic barrier ``-λ log(slack)`` for ``slack > 0``.
-
-    The caller guarantees strict feasibility (``slack > 0``); the solver's
-    line search enforces it.  A negative or zero slack raises, surfacing
-    infeasible iterates loudly instead of returning NaN.
-    """
-    if lam <= 0:
-        raise ValueError(f"lambda must be > 0, got {lam}")
-    slack = as_tensor(slack)
-    if np.any(slack.data <= 0):
-        raise ValueError("log barrier requires strictly positive slack")
-    return ops.log(slack) * (-lam)
-
-
-# --------------------------------------------------------------------- #
-# Plain-NumPy twins used on solver hot paths (no tape overhead)
-# --------------------------------------------------------------------- #
+__all__ = ["softmax_np", "logsumexp_np"]
 
 
 def softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.utils.rng import as_generator
 
-__all__ = ["xavier_uniform", "xavier_normal", "he_uniform", "he_normal", "zeros"]
+__all__ = ["xavier_uniform", "he_uniform", "zeros"]
 
 
 def _fans(shape: tuple[int, ...]) -> tuple[int, int]:
@@ -24,27 +24,12 @@ def xavier_uniform(shape: tuple[int, int], rng: np.random.Generator | int | None
     return rng.uniform(-a, a, size=shape)
 
 
-def xavier_normal(shape: tuple[int, int], rng: np.random.Generator | int | None = None) -> np.ndarray:
-    """Glorot/Xavier normal: N(0, 2 / (fan_in + fan_out))."""
-    rng = as_generator(rng)
-    fan_in, fan_out = _fans(shape)
-    std = np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
 def he_uniform(shape: tuple[int, int], rng: np.random.Generator | int | None = None) -> np.ndarray:
     """He/Kaiming uniform for ReLU networks: U(-a, a), a = sqrt(6 / fan_in)."""
     rng = as_generator(rng)
     fan_in, _ = _fans(shape)
     a = np.sqrt(6.0 / fan_in)
     return rng.uniform(-a, a, size=shape)
-
-
-def he_normal(shape: tuple[int, int], rng: np.random.Generator | int | None = None) -> np.ndarray:
-    """He/Kaiming normal for ReLU networks: N(0, 2 / fan_in)."""
-    rng = as_generator(rng)
-    fan_in, _ = _fans(shape)
-    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
 
 def zeros(shape: tuple[int, ...], rng: object = None) -> np.ndarray:

@@ -23,12 +23,9 @@ __all__ = [
     "Module",
     "Linear",
     "ReLU",
-    "Tanh",
     "Sigmoid",
     "Softplus",
-    "LeakyReLU",
     "Identity",
-    "Dropout",
     "Sequential",
     "MLP",
 ]
@@ -174,10 +171,6 @@ class ReLU(_Activation):
     _fn = staticmethod(ops.relu)
 
 
-class Tanh(_Activation):
-    _fn = staticmethod(ops.tanh)
-
-
 class Sigmoid(_Activation):
     _fn = staticmethod(ops.sigmoid)
 
@@ -186,40 +179,9 @@ class Softplus(_Activation):
     _fn = staticmethod(ops.softplus)
 
 
-class LeakyReLU(Module):
-    def __init__(self, negative_slope: float = 0.01) -> None:
-        super().__init__()
-        self.negative_slope = negative_slope
-
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.leaky_relu(x, self.negative_slope)
-
-
 class Identity(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x
-
-
-class Dropout(Module):
-    """Inverted dropout; active only in training mode.
-
-    A per-module generator keeps masks reproducible given the construction
-    seed, independent of global state.
-    """
-
-    def __init__(self, p: float = 0.5, *, rng: np.random.Generator | int | None = None) -> None:
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = p
-        self._rng = as_generator(rng)
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.p == 0.0:
-            return x
-        keep = 1.0 - self.p
-        mask = (self._rng.random(x.shape) < keep).astype(np.float64) / keep
-        return x * mask
 
 
 class Sequential(Module):
@@ -247,10 +209,8 @@ class Sequential(Module):
 
 _ACTIVATIONS: dict[str, type[Module]] = {
     "relu": ReLU,
-    "tanh": Tanh,
     "sigmoid": Sigmoid,
     "softplus": Softplus,
-    "leaky_relu": LeakyReLU,
     "identity": Identity,
 }
 
@@ -273,7 +233,7 @@ class MLP(Module):
     out_features:
         Output dimension (1 for the paper's scalar predictors).
     activation:
-        Hidden activation name (``relu``/``tanh``/...).
+        Hidden activation name (``relu``/``sigmoid``/``softplus``/``identity``).
     output:
         Output head: ``identity``, ``softplus`` (positive, time predictor)
         or ``sigmoid`` (unit interval, reliability predictor).
@@ -295,7 +255,7 @@ class MLP(Module):
         if output not in _OUTPUT_HEADS:
             raise ValueError(f"unknown output head {output!r}; options: {sorted(_OUTPUT_HEADS)}")
         rng = as_generator(rng)
-        init = "he_uniform" if activation in ("relu", "leaky_relu") else "xavier_uniform"
+        init = "he_uniform" if activation == "relu" else "xavier_uniform"
         dims = [in_features, *hidden, out_features]
         layers: list[Module] = []
         for i in range(len(dims) - 1):

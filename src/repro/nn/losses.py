@@ -14,7 +14,7 @@ import numpy as np
 from repro.nn import ops
 from repro.nn.tensor import Tensor, as_tensor
 
-__all__ = ["mse_loss", "mae_loss", "huber_loss", "bce_loss"]
+__all__ = ["mse_loss", "bce_loss"]
 
 
 def mse_loss(
@@ -29,27 +29,6 @@ def mse_loss(
     target = as_tensor(target)
     diff = pred - target.detach()
     return (diff * diff).mean(axis=axis)
-
-
-def mae_loss(pred: Tensor, target: "Tensor | np.ndarray") -> Tensor:
-    """Mean absolute error (L1)."""
-    pred = as_tensor(pred)
-    target = as_tensor(target)
-    return ops.abs_(pred - target.detach()).mean()
-
-
-def huber_loss(pred: Tensor, target: "Tensor | np.ndarray", delta: float = 1.0) -> Tensor:
-    """Huber loss: quadratic within ``delta`` of the target, linear outside."""
-    if delta <= 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
-    pred = as_tensor(pred)
-    target = as_tensor(target)
-    diff = pred - target.detach()
-    absdiff = ops.abs_(diff)
-    quadratic = diff * diff * 0.5
-    linear = absdiff * delta - 0.5 * delta * delta
-    small = absdiff.data <= delta
-    return ops.where(small, quadratic, linear).mean()
 
 
 def bce_loss(

@@ -15,16 +15,12 @@ __all__ = [
     "exp",
     "log",
     "sqrt",
-    "abs_",
-    "tanh",
     "sigmoid",
     "relu",
-    "leaky_relu",
     "softplus",
     "clip",
     "maximum",
     "minimum",
-    "where",
 ]
 
 
@@ -58,27 +54,6 @@ def sqrt(x: Tensor) -> Tensor:
     return Tensor._from_op(out_data, (x,), backward)
 
 
-def abs_(x: Tensor) -> Tensor:
-    """Absolute value; subgradient 0 at the kink."""
-    x = as_tensor(x)
-    x_data = x.data
-
-    def backward(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
-        return (g * np.sign(x_data),)
-
-    return Tensor._from_op(np.abs(x_data), (x,), backward)
-
-
-def tanh(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    out_data = np.tanh(x.data)
-
-    def backward(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
-        return (g * (1.0 - out_data * out_data),)
-
-    return Tensor._from_op(out_data, (x,), backward)
-
-
 def sigmoid(x: Tensor) -> Tensor:
     """Numerically stable logistic sigmoid."""
     x = as_tensor(x)
@@ -104,17 +79,6 @@ def relu(x: Tensor) -> Tensor:
         return (g * mask,)
 
     return Tensor._from_op(x_data * mask, (x,), backward)
-
-
-def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
-    x = as_tensor(x)
-    x_data = x.data
-    slope = np.where(x_data > 0, 1.0, negative_slope)
-
-    def backward(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
-        return (g * slope,)
-
-    return Tensor._from_op(x_data * slope, (x,), backward)
 
 
 def softplus(x: Tensor, beta: float = 1.0) -> Tensor:
@@ -166,19 +130,3 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
 def minimum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise min (mirror of :func:`maximum`)."""
     return -maximum(-as_tensor(a), -as_tensor(b))
-
-
-def where(cond: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    """Select ``a`` where ``cond`` else ``b``; ``cond`` is a constant mask."""
-    a, b = as_tensor(a), as_tensor(b)
-    mask = np.asarray(cond, dtype=bool)
-
-    def backward(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
-        from repro.nn.tensor import unbroadcast
-
-        return (
-            unbroadcast(np.where(mask, g, 0.0), a.shape),
-            unbroadcast(np.where(mask, 0.0, g), b.shape),
-        )
-
-    return Tensor._from_op(np.where(mask, a.data, b.data), (a, b), backward)

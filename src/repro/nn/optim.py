@@ -1,4 +1,4 @@
-"""First-order optimizers and learning-rate schedules.
+"""The Adam optimizer and gradient clipping.
 
 All optimizers operate on :class:`~repro.nn.layers.Parameter` leaves and
 mutate their raw ``.data`` buffers between graph constructions — each
@@ -15,10 +15,7 @@ from repro.nn.layers import Parameter
 
 __all__ = [
     "Optimizer",
-    "SGD",
     "Adam",
-    "StepLR",
-    "CosineLR",
     "clip_grad_norm",
 ]
 
@@ -41,46 +38,6 @@ class Optimizer:
 
     def step(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(
-        self,
-        params: Iterable[Parameter],
-        lr: float = 1e-2,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-        nesterov: bool = False,
-    ) -> None:
-        super().__init__(params, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        if weight_decay < 0:
-            raise ValueError(f"weight decay must be >= 0, got {weight_decay}")
-        if nesterov and momentum == 0.0:
-            raise ValueError("nesterov requires momentum > 0")
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self.nesterov = nesterov
-        self._velocity: list[np.ndarray] = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        self.steps += 1
-        for p, v in zip(self.params, self._velocity):
-            if p.grad is None:
-                continue
-            g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            if self.momentum:
-                v *= self.momentum
-                v += g
-                update = g + self.momentum * v if self.nesterov else v
-            else:
-                update = g
-            p.data -= self.lr * update
 
 
 class Adam(Optimizer):
@@ -120,43 +77,6 @@ class Adam(Optimizer):
             v *= b2
             v += (1.0 - b2) * (g * g)
             p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-
-class StepLR:
-    """Multiply the optimizer's lr by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.5) -> None:
-        if step_size <= 0:
-            raise ValueError(f"step_size must be > 0, got {step_size}")
-        if not 0.0 < gamma <= 1.0:
-            raise ValueError(f"gamma must be in (0, 1], got {gamma}")
-        self.optimizer = optimizer
-        self.step_size = step_size
-        self.gamma = gamma
-        self._epoch = 0
-        self._base_lr = optimizer.lr
-
-    def step(self) -> None:
-        self._epoch += 1
-        self.optimizer.lr = self._base_lr * self.gamma ** (self._epoch // self.step_size)
-
-
-class CosineLR:
-    """Cosine annealing from the initial lr down to ``eta_min`` over ``t_max`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, t_max: int, eta_min: float = 0.0) -> None:
-        if t_max <= 0:
-            raise ValueError(f"t_max must be > 0, got {t_max}")
-        self.optimizer = optimizer
-        self.t_max = t_max
-        self.eta_min = eta_min
-        self._epoch = 0
-        self._base_lr = optimizer.lr
-
-    def step(self) -> None:
-        self._epoch = min(self._epoch + 1, self.t_max)
-        cos = 0.5 * (1.0 + np.cos(np.pi * self._epoch / self.t_max))
-        self.optimizer.lr = self.eta_min + (self._base_lr - self.eta_min) * cos
 
 
 def clip_grad_norm(params: "Sequence[Parameter] | Iterable[Parameter]", max_norm: float) -> float:

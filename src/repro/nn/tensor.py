@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["Tensor", "unbroadcast", "as_tensor", "no_grad", "is_grad_enabled"]
+__all__ = ["Tensor", "unbroadcast", "as_tensor", "no_grad"]
 
 ArrayLike = "np.ndarray | float | int | Sequence[float] | Tensor"
 
@@ -52,11 +52,6 @@ class no_grad:
     def __exit__(self, *exc: object) -> None:
         global _GRAD_ENABLED
         _GRAD_ENABLED = self._prev
-
-
-def is_grad_enabled() -> bool:
-    """Return whether new operations are currently recorded on the tape."""
-    return _GRAD_ENABLED
 
 
 def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -40,7 +40,6 @@ from repro.retrain.policy import RefitJob
 from repro.retrain.warmstart import (
     WarmStartTrainer,
     WarmStartTrainerConfig,
-    fit_warm_start_head,
 )
 
 __all__ = [
@@ -57,5 +56,4 @@ __all__ = [
     "RetrainController",
     "WarmStartTrainer",
     "WarmStartTrainerConfig",
-    "fit_warm_start_head",
 ]

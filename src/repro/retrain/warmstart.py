@@ -33,7 +33,7 @@ from repro.serve.dispatcher import ServeCallback, WindowSnapshot
 from repro.serve.warmstart import WarmStartHead
 from repro.telemetry import get_recorder
 
-__all__ = ["WarmStartTrainer", "WarmStartTrainerConfig", "fit_warm_start_head"]
+__all__ = ["WarmStartTrainer", "WarmStartTrainerConfig"]
 
 
 @dataclass(frozen=True)
@@ -55,32 +55,6 @@ class WarmStartTrainerConfig:
             raise ValueError("max_labels must be >= min_labels")
         if self.epochs <= 0 or self.lr <= 0:
             raise ValueError("epochs and lr must be positive")
-
-
-def fit_warm_start_head(
-    snapshots: "list[WindowSnapshot]",
-    cluster_ids: "list[int]",
-    *,
-    config: "WarmStartTrainerConfig | None" = None,
-) -> WarmStartHead:
-    """Offline fit: one head from a harvested snapshot list.
-
-    Convenience for replaying a recorded run into a head (e.g. to bundle
-    with a registry checkpoint).  Uses the same harvesting rules as the
-    online trainer; raises when no snapshot yields labels.
-    """
-    cfg = config or WarmStartTrainerConfig()
-    fleet = tuple(int(c) for c in cluster_ids)
-    labels: "dict[int, tuple[np.ndarray, np.ndarray]]" = {}
-    for snap in snapshots:
-        _harvest(snap, fleet, labels, cfg.max_labels)
-    if not labels:
-        raise ValueError("no full-fleet snapshots with relaxed solutions to fit on")
-    Z = np.stack([z for z, _ in labels.values()])
-    C = np.stack([c for _, c in labels.values()])
-    head = WarmStartHead(Z.shape[1], fleet, l2=cfg.l2,
-                         min_confidence=cfg.min_confidence)
-    return head.fit(Z, C, epochs=cfg.epochs, lr=cfg.lr)
 
 
 def _harvest(

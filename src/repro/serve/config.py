@@ -1,10 +1,8 @@
 """Typed serving configuration and the one-call platform builder.
 
-Historically a serving run was described by a loose parameter *dict*
-(``serve_params``) threaded through the CLI, the JSONL meta header, and
-the replay layer — stringly-typed, unvalidated, and silently ignoring
-typos.  :class:`ServeConfig` replaces it: one frozen dataclass holding
-every stack knob, with nested :class:`~repro.monitor.quality.
+:class:`ServeConfig` describes a serving run to the CLI, the JSONL meta
+header and the replay layer: one frozen dataclass holding every stack
+knob, with nested :class:`~repro.monitor.quality.
 MonitorConfig` and :class:`~repro.retrain.RetrainConfig` sections for
 the observability and closed-loop-learning subsystems, validated at
 construction and JSON round-trippable (``to_params``/``from_params`` —
@@ -24,7 +22,7 @@ touches the higher layers.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import TYPE_CHECKING, Any
 
 from repro.matching.relaxed import SolverConfig
@@ -53,10 +51,9 @@ _SOLVE_MODES = ("scalar", "blocks")
 class ServeConfig:
     """Complete, validated description of one serving run.
 
-    The flat fields mirror the legacy ``serve_params`` keys one-to-one
-    (existing JSONL logs parse with :meth:`from_params` unchanged); the
-    ``monitor``/``retrain`` sections opt into the observability and
-    closed-loop retraining subsystems.
+    The flat fields are the stack's knobs; the ``monitor``/``retrain``
+    sections opt into the observability and closed-loop retraining
+    subsystems.
     """
 
     setting: str = "A"
@@ -156,10 +153,13 @@ class ServeConfig:
 
     @classmethod
     def from_params(cls, params: dict) -> "ServeConfig":
-        """Inverse of :meth:`to_params`; tolerates legacy dicts that
-        predate the ``monitor``/``retrain``/``registry_root`` keys."""
-        monitor = params.get("monitor")
-        if monitor is not None and not hasattr(monitor, "sample_every"):
+        """Inverse of :meth:`to_params`; a missing key raises
+        ``ValueError`` naming it."""
+        missing = [f.name for f in fields(cls) if f.name not in params]
+        if missing:
+            raise ValueError(f"serve params missing {missing}")
+        monitor = params["monitor"]
+        if monitor is not None:
             from repro.monitor.quality import MonitorConfig
             from repro.monitor.slo import SLORule
 
@@ -168,8 +168,8 @@ class ServeConfig:
             monitor["solver_config"] = SolverConfig(**sc) if sc else None
             monitor["slos"] = tuple(SLORule(**r) for r in monitor.get("slos", ()))
             monitor = MonitorConfig(**monitor)
-        retrain = params.get("retrain")
-        if retrain is not None and not hasattr(retrain, "trigger"):
+        retrain = params["retrain"]
+        if retrain is not None:
             from repro.retrain.loop import RetrainConfig
 
             retrain = RetrainConfig.from_params(retrain)
@@ -185,14 +185,14 @@ class ServeConfig:
             queue_capacity=int(params["queue_capacity"]),
             shed_policy=str(params["shed_policy"]),
             warm_start=params["warm_start"],
-            solve_mode=str(params.get("solve_mode", "scalar")),
-            profile=bool(params.get("profile", False)),
+            solve_mode=str(params["solve_mode"]),
+            profile=bool(params["profile"]),
             monitor=monitor,
             retrain=retrain,
-            registry_root=params.get("registry_root"),
-            shard=params.get("shard"),
-            instance=params.get("instance"),
-            journey_sample=float(params.get("journey_sample", 0.0)),
+            registry_root=params["registry_root"],
+            shard=params["shard"],
+            instance=params["instance"],
+            journey_sample=float(params["journey_sample"]),
         )
 
     def with_overrides(self, **changes: Any) -> "ServeConfig":

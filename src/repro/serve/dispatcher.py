@@ -562,6 +562,7 @@ class ServeLoop:
         queue = self.queue
         if self.rec.enabled:
             self.rec.event("serve/arrival", t=t, task_id=task.task_id)
+            self.rec.counter_add("serve/arrived")
         self.stats.arrived += 1
         if len(queue) >= self.cfg.queue_capacity:
             # drop_oldest evicts the longest-waiting *admitted* job;
@@ -650,7 +651,6 @@ class ServeLoop:
             if self.prof.enabled:
                 for name, labels, value, _calls in budget_gauges(stats.profile):
                     rec.gauge_set(name, value, labels=labels)
-            rec.counter_add("serve/arrived", stats.arrived)
             rec.counter_add("serve/completed", stats.completed)
             rec.counter_add("serve/failed", stats.failed)
             if d.cache is not None:

@@ -74,7 +74,7 @@ from repro.telemetry.registry import (
     series_key,
     split_series_key,
 )
-from repro.telemetry.spans import NULL_SPAN, Span, current_path
+from repro.telemetry.spans import NULL_SPAN, Span
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -93,7 +93,6 @@ __all__ = [
     "run_metadata",
     "Span",
     "NULL_SPAN",
-    "current_path",
     "Counter",
     "Gauge",
     "Histogram",

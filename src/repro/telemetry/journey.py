@@ -33,8 +33,7 @@ Design invariants:
 
 Journey events ride the normal JSONL event stream as
 ``{"type": "event", "name": "journey", "trace": ..., "state": ...}``
-lines (schema 3; schema-2 readers that ignore unknown event names parse
-them unchanged).  Wait-bucket **exemplars** link the p95/p99 tail of the
+lines.  Wait-bucket **exemplars** link the p95/p99 tail of the
 queue-wait distribution to concrete trace IDs; they are summarized in a
 single ``journey_exemplars`` event at end of run and surfaced by
 ``repro serve top`` and the ``/snapshot`` endpoint.

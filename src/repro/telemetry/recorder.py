@@ -19,7 +19,7 @@ attribute check in the disabled mode (asserted by the <2% overhead gate in
 
 JSONL schema (versioned; see DESIGN.md §8 and §14):
 
-- line 1: ``{"schema": 2, "type": "meta", "run": ..., "git_sha": ...,
+- line 1: ``{"schema": 3, "type": "meta", "run": ..., "git_sha": ...,
   "config": ..., "seeds": ..., ...}``
 - span close: ``{"type": "span", "seq": n, "path": ..., "dur_s": ...,
   "ok": ...}``
@@ -28,11 +28,10 @@ JSONL schema (versioned; see DESIGN.md §8 and §14):
   per instrument (sorted by kind then name) and a final
   ``{"type": "span_summary", ...}`` line per span path (sorted by path).
 
-Schema 2 (this PR) extends schema 1 with *labeled series*: a metric
-line's ``name`` is the full series key (``metric{k="v",...}`` for labeled
-series) and labeled states carry a ``labels`` object.  Unlabeled series
-serialize byte-identically to schema 1, and schema-1 logs remain loadable
-(:func:`repro.telemetry.jsonl.load_run` accepts both).
+A metric line's ``name`` is the full series key (``metric{k="v",...}``
+for labeled series) and labeled states carry a ``labels`` object.
+Per-task ``journey`` / ``journey_exemplars`` lines
+(:mod:`repro.telemetry.journey`) are plain events.
 
 Events carry a monotonically increasing ``seq`` and metric/summary lines
 are emitted in sorted order, so the *content ordering* of a run log is
@@ -73,12 +72,8 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 3
-#: Schemas :func:`repro.telemetry.jsonl.load_run` accepts.  2 is a
-#: strict superset of 1 (unlabeled series are identical in both); 3
-#: adds per-task ``journey`` / ``journey_exemplars`` event lines
-#: (:mod:`repro.telemetry.journey`) — plain events, so schema-2 readers
-#: that key off event names parse a journey-free schema-3 log unchanged.
-SUPPORTED_SCHEMAS = (1, 2, 3)
+#: Schemas :func:`repro.telemetry.jsonl.load_run` accepts.
+SUPPORTED_SCHEMAS = (SCHEMA_VERSION,)
 MODES = ("off", "summary", "jsonl")
 DEFAULT_DIR = Path("results") / "telemetry"
 

@@ -1,10 +1,9 @@
 """Labeled metric series: the registry behind the run recorder.
 
-The PR-2 instruments were *bare singletons* — one :class:`Counter` per
-name, no dimensions.  A sharded platform needs the same metric name to
-carry several concurrent series (``serve/windows{shard="0"}`` vs
-``{shard="1"}``), and a fleet view needs series from different recorders
-to merge without collisions.  :class:`MetricRegistry` provides both:
+A sharded platform needs the same metric name to carry several
+concurrent series (``serve/windows{shard="0"}`` vs ``{shard="1"}``), and
+a fleet view needs series from different recorders to merge without
+collisions.  :class:`MetricRegistry` provides both:
 
 - **labeled series** — every instrument call may carry a ``labels`` dict
   (e.g. ``{"shard": "0", "predictor_version": "v3"}``).  A registry can
@@ -24,8 +23,7 @@ to merge without collisions.  :class:`MetricRegistry` provides both:
   ``aggregate_events(load_run(path))`` reconstructions) into one view:
   counters and histograms sum, spans accumulate, gauges keep the last
   writer.  Series keyed by distinct labels never collide, so per-shard
-  series survive the merge losslessly — the pre-work for the ROADMAP's
-  sharded multi-dispatcher item.
+  series survive the merge losslessly.
 """
 
 from __future__ import annotations

@@ -24,15 +24,10 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover
     from repro.telemetry.recorder import Recorder
 
-__all__ = ["Span", "NULL_SPAN", "current_path"]
+__all__ = ["Span", "NULL_SPAN"]
 
 #: Path of the innermost open span ("" at top level).
 _PATH: ContextVar[str] = ContextVar("repro_telemetry_path", default="")
-
-
-def current_path() -> str:
-    """Path of the innermost open span, or ``""`` outside any span."""
-    return _PATH.get()
 
 
 class Span:

@@ -14,13 +14,11 @@ from repro.theory.smoothing import (
     smooth_max_gap,
     sweep_beta,
     theorem1_bound,
-    verify_theorem1,
 )
 
 __all__ = [
     "smooth_max_gap",
     "theorem1_bound",
-    "verify_theorem1",
     "SmoothingSweep",
     "sweep_beta",
     "FeasibilityStats",

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.nn.functional import logsumexp_np
 
-__all__ = ["smooth_max_gap", "theorem1_bound", "verify_theorem1", "SmoothingSweep", "sweep_beta"]
+__all__ = ["smooth_max_gap", "theorem1_bound", "SmoothingSweep", "sweep_beta"]
 
 
 def smooth_max_gap(values: np.ndarray, beta: float) -> float:
@@ -34,12 +34,6 @@ def theorem1_bound(m: int, beta: float) -> float:
     if m <= 0 or beta <= 0:
         raise ValueError("m and beta must be positive")
     return float(np.log(m) / beta)
-
-
-def verify_theorem1(values: np.ndarray, beta: float, *, atol: float = 1e-12) -> bool:
-    """Check ``0 ≤ f̃ − max ≤ log(M)/β`` on one instance."""
-    gap = smooth_max_gap(values, beta)
-    return -atol <= gap <= theorem1_bound(len(np.asarray(values)), beta) + atol
 
 
 @dataclass(frozen=True)

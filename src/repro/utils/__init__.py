@@ -5,33 +5,23 @@ legacy ``repro.utils.timer`` shims were removed after a deprecation
 cycle.
 """
 
-from repro.utils.csvio import write_reports_csv, write_series_csv
-from repro.utils.rng import as_generator, iter_seeds, spawn, spawn_many, stream_of
+from repro.utils.rng import as_generator, spawn
 from repro.utils.tables import Table, format_mean_std, render_series
 from repro.utils.validation import (
     check_array,
     check_assignment_matrix,
-    check_in_range,
     check_matrix,
     check_positive,
-    check_probability,
 )
 
 __all__ = [
     "as_generator",
-    "iter_seeds",
     "spawn",
-    "spawn_many",
-    "stream_of",
     "Table",
     "format_mean_std",
     "render_series",
     "check_array",
     "check_assignment_matrix",
-    "check_in_range",
     "check_matrix",
     "check_positive",
-    "check_probability",
-    "write_reports_csv",
-    "write_series_csv",
 ]

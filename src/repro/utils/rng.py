@@ -10,15 +10,11 @@ single experiment seed.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
-
 import numpy as np
 
 __all__ = [
     "as_generator",
     "spawn",
-    "spawn_many",
-    "seed_sequence",
 ]
 
 
@@ -34,11 +30,6 @@ def as_generator(seed: int | np.random.Generator | None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def seed_sequence(seed: int | None) -> np.random.SeedSequence:
-    """Build the root :class:`~numpy.random.SeedSequence` for a run."""
-    return np.random.SeedSequence(seed)
-
-
 def spawn(rng: np.random.Generator) -> np.random.Generator:
     """Derive a single independent child generator from ``rng``.
 
@@ -51,53 +42,3 @@ def spawn(rng: np.random.Generator) -> np.random.Generator:
         (child,) = ss.spawn(1)
         return np.random.default_rng(child)
     return np.random.default_rng(rng.integers(0, 2**63 - 1))
-
-
-def spawn_many(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Derive ``n`` independent child generators from ``rng``."""
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    ss = rng.bit_generator.seed_seq  # type: ignore[attr-defined]
-    if isinstance(ss, np.random.SeedSequence):
-        return [np.random.default_rng(c) for c in ss.spawn(n)]
-    seeds = rng.integers(0, 2**63 - 1, size=n)
-    return [np.random.default_rng(int(s)) for s in seeds]
-
-
-def stream_of(seed: int, *labels: str | int) -> np.random.Generator:
-    """Deterministic named stream: the same ``(seed, labels)`` pair always
-    yields the same generator, regardless of call order.
-
-    Useful when two subsystems must not share a stream but neither owns the
-    other (e.g. workload sampling vs. failure draws inside one experiment).
-    """
-    entropy = [seed] + [_label_to_int(lbl) for lbl in labels]
-    return np.random.default_rng(np.random.SeedSequence(entropy))
-
-
-def _label_to_int(label: str | int) -> int:
-    if isinstance(label, int):
-        return label
-    # Stable, platform-independent FNV-1a 64-bit hash of the label text
-    # (plain Python ints with an explicit wrap — no overflow warnings).
-    mask = (1 << 64) - 1
-    h = 1469598103934665603  # offset basis
-    for byte in label.encode("utf-8"):
-        h ^= byte
-        h = (h * 1099511628211) & mask
-    return h
-
-
-def iter_seeds(base_seed: int, n: int) -> Iterator[int]:
-    """Yield ``n`` deterministic per-repetition seeds for multi-seed runs."""
-    ss = np.random.SeedSequence(base_seed)
-    for child in ss.spawn(n):
-        yield int(child.generate_state(1, dtype=np.uint64)[0] % (2**31 - 1))
-
-
-def check_seeds(seeds: Sequence[int]) -> list[int]:
-    """Validate a user-supplied seed list (non-empty, all ints)."""
-    out = [int(s) for s in seeds]
-    if not out:
-        raise ValueError("seed list must be non-empty")
-    return out

@@ -7,7 +7,7 @@ with the HPC guidance of keeping hot paths branch-light.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -15,8 +15,6 @@ __all__ = [
     "check_array",
     "check_matrix",
     "check_positive",
-    "check_probability",
-    "check_in_range",
     "check_assignment_matrix",
 ]
 
@@ -67,31 +65,6 @@ def check_positive(value: float, *, name: str = "value", strict: bool = True) ->
     return v
 
 
-def check_probability(value: float, *, name: str = "probability") -> float:
-    """Validate a scalar in [0, 1]."""
-    v = float(value)
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {v}")
-    return v
-
-
-def check_in_range(
-    value: float,
-    lo: float,
-    hi: float,
-    *,
-    name: str = "value",
-    inclusive: bool = True,
-) -> float:
-    """Validate ``lo <= value <= hi`` (or strict inequalities)."""
-    v = float(value)
-    ok = (lo <= v <= hi) if inclusive else (lo < v < hi)
-    if not ok:
-        op = "<=" if inclusive else "<"
-        raise ValueError(f"{name} must satisfy {lo} {op} {name} {op} {hi}, got {v}")
-    return v
-
-
 def check_assignment_matrix(
     x: Any,
     *,
@@ -120,15 +93,3 @@ def check_assignment_matrix(
             raise ValueError(f"{name} must be binary")
         return rounded
     return arr
-
-
-def check_lengths_match(*pairs: tuple[str, Sequence[Any]]) -> int:
-    """Validate that all named sequences share one length; return it."""
-    if not pairs:
-        raise ValueError("no sequences supplied")
-    n = len(pairs[0][1])
-    for name, seq in pairs:
-        if len(seq) != n:
-            lengths = ", ".join(f"{nm}={len(sq)}" for nm, sq in pairs)
-            raise ValueError(f"length mismatch ({lengths})")
-    return n

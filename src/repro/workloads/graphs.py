@@ -19,14 +19,12 @@ Topologies per family:
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import networkx as nx
 import numpy as np
 
 from repro.workloads.specs import Family, ModelSpec
 
-__all__ = ["OP_TYPES", "build_graph", "graph_summary"]
+__all__ = ["OP_TYPES", "build_graph"]
 
 #: Operator vocabulary — index order defines the one-hot layout used by the
 #: feature embedding, so it must stay stable.
@@ -214,30 +212,6 @@ def _build_mlp(spec: ModelSpec) -> nx.DiGraph:
     out = _node(g, next_id, "output")
     g.add_edge(prev, out)
     return g
-
-
-def graph_summary(g: nx.DiGraph) -> dict[str, float]:
-    """Aggregate graph statistics used in tests and sanity reports."""
-    flops = sum(data["flops"] for _, data in g.nodes(data=True))
-    params = sum(data["params"] for _, data in g.nodes(data=True))
-    mem = sum(data["mem"] for _, data in g.nodes(data=True))
-    depth = float(nx.dag_longest_path_length(g))
-    return {
-        "nodes": float(g.number_of_nodes()),
-        "edges": float(g.number_of_edges()),
-        "flops": float(flops),
-        "params": float(params),
-        "mem": float(mem),
-        "critical_path": depth,
-    }
-
-
-def iter_op_counts(g: nx.DiGraph) -> Iterator[tuple[str, int]]:
-    """Yield (op_type, count) pairs in stable OP_TYPES order."""
-    counts = dict.fromkeys(OP_TYPES, 0)
-    for _, data in g.nodes(data=True):
-        counts[data["op"]] += 1
-    yield from counts.items()
 
 
 def node_feature_matrix(g: nx.DiGraph) -> np.ndarray:

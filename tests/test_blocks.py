@@ -41,7 +41,6 @@ from repro.serve.warmstart import WarmStartHead
 from repro.retrain.warmstart import (
     WarmStartTrainer,
     WarmStartTrainerConfig,
-    fit_warm_start_head,
 )
 from repro.workloads import TaskPool
 
@@ -345,10 +344,3 @@ class TestWarmStartTrainer:
         trainer.on_window(snaps[2])
         assert trainer.invalidated == 1
         assert len(trainer._labels) == 4  # only the post-swap window
-
-    def test_offline_fit_helper(self):
-        snaps = self._snapshots(6)
-        head = fit_warm_start_head(snaps, list(range(4)))
-        assert head.trained
-        with pytest.raises(ValueError):
-            fit_warm_start_head([], list(range(4)))

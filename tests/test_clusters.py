@@ -138,7 +138,7 @@ class TestReliabilityModel:
         with pytest.raises(ValueError):
             rm.reliability(sample_spec(0), -1.0)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(st.floats(0.0, 50.0))
     def test_property_reliability_in_range(self, hours):
         rm = ReliabilityModel(hardware=_hw())

@@ -94,61 +94,6 @@ class TestSchedulerOrderings:
             ExecutionConfig(order="random")
 
 
-class TestOracleMethod:
-    def test_oracle_near_zero_regret(self, task_pool, setting_a):
-        from repro.matching import makespan
-        from repro.methods import FitContext, MatchSpec, Oracle
-
-        spec = MatchSpec()
-        ctx = FitContext.build(setting_a, task_pool.tasks[:12], spec, rng=0)
-        oracle = Oracle().fit(ctx)
-        tasks = task_pool.tasks[12:17]
-        T = np.stack([c.true_times(tasks) for c in setting_a])
-        A = np.stack([c.true_reliabilities(tasks) for c in setting_a])
-        problem = spec.build_problem(T, A)
-        T_hat, A_hat = oracle.predict(tasks)
-        np.testing.assert_allclose(T_hat, T)
-        X = oracle.decide(problem, tasks)
-        np.testing.assert_allclose(X.sum(axis=0), np.ones(5))
-
-    def test_oracle_requires_fit(self, task_pool, setting_a):
-        from repro.methods import MatchSpec, Oracle
-
-        with pytest.raises(RuntimeError):
-            Oracle().predict(task_pool.tasks[:3])
-
-
-class TestCsvExport:
-    def test_reports_csv(self, tmp_path):
-        from repro.metrics import MetricSample, aggregate
-        from repro.utils import write_reports_csv
-
-        reports = {"TSM": aggregate("TSM", [MetricSample(0.1, 0.9, 0.5)])}
-        path = tmp_path / "out.csv"
-        write_reports_csv(reports, path, extra={"setting": "A"})
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("setting,method,regret_mean")
-        assert lines[1].startswith("A,TSM,0.1")
-
-    def test_series_csv(self, tmp_path):
-        from repro.metrics import MetricSample, aggregate
-        from repro.utils import write_series_csv
-
-        results = {5: {"TSM": aggregate("TSM", [MetricSample(0.1, 0.9, 0.5)])},
-                   10: {"TSM": aggregate("TSM", [MetricSample(0.2, 0.8, 0.6)])}}
-        path = tmp_path / "series.csv"
-        write_series_csv("N", results, path, metric="utilization")
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 3
-        assert "utilization_mean" in lines[0]
-
-    def test_series_csv_validates_metric(self, tmp_path):
-        from repro.utils import write_series_csv
-
-        with pytest.raises(ValueError):
-            write_series_csv("N", {}, tmp_path / "x.csv", metric="speed")
-
-
 class TestFig2:
     def test_matching_focused_fixes_crossing_task(self):
         from repro.experiments.fig2 import run_fig2

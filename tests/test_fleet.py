@@ -202,6 +202,9 @@ def test_fleet_config_roundtrip_and_validation():
     params = cfg.to_params()
     params["serve"]["shard"] = "2"
     assert FleetConfig.from_params(params) == cfg
+    params.pop("replicas")
+    with pytest.raises(ValueError, match="missing.*replicas"):
+        FleetConfig.from_params(params)
     with pytest.raises(ValueError, match="n_shards"):
         FleetConfig(n_shards=0)
     with pytest.raises(ValueError, match="routing"):

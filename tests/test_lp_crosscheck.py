@@ -47,7 +47,7 @@ def _linprog_reference(problem: MatchingProblem) -> tuple[np.ndarray, float]:
     return res.x.reshape(M, N), float(res.fun)
 
 
-@settings(max_examples=20, deadline=None, derandomize=True)
+@settings(max_examples=20)
 @given(st.integers(0, 100_000))
 def test_linear_cost_solver_matches_scipy_lp(seed):
     rng = np.random.default_rng(seed)
@@ -73,7 +73,7 @@ def test_linear_cost_solver_matches_scipy_lp(seed):
     assert linear_cost(X_ours, problem) <= 1.02 * lp_value + 1e-6
 
 
-@settings(max_examples=20, deadline=None, derandomize=True)
+@settings(max_examples=20)
 @given(st.integers(0, 100_000))
 def test_rounded_linear_decision_matches_lp_vertex(seed):
     """With the linear cost the LP optimum is (generically) integral; our

@@ -1,5 +1,5 @@
-"""Tests for the extension solvers: Frank–Wolfe, simulated annealing, and
-the vectorized batch solver (+ batched zeroth-order estimation)."""
+"""Tests for the extension solvers: Frank–Wolfe and the vectorized batch
+solver (+ batched zeroth-order estimation)."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.matching import (
-    AnnealingConfig,
     BatchProblem,
     FrankWolfeConfig,
     MatchingProblem,
@@ -21,9 +20,7 @@ from repro.matching import (
     feasible_gamma,
     kkt_vjp,
     makespan,
-    reliability_value,
     round_assignment,
-    solve_annealing,
     solve_branch_and_bound,
     solve_frank_wolfe,
     solve_relaxed,
@@ -63,43 +60,6 @@ class TestFrankWolfe:
             FrankWolfeConfig(max_iters=0)
         with pytest.raises(ValueError):
             FrankWolfeConfig(init_step=1.5)
-
-
-class TestAnnealing:
-    def test_finds_exact_optimum_on_small_instances(self, rng):
-        hits = 0
-        for k in range(5):
-            p = random_problem(rng, n=5)
-            exact = solve_branch_and_bound(p)
-            ann = solve_annealing(p, AnnealingConfig(steps=3000), rng=k)
-            assert ann.feasible
-            assert ann.objective >= exact.objective - 1e-9
-            hits += ann.objective == pytest.approx(exact.objective, abs=1e-9)
-        assert hits >= 3  # usually exact on tiny instances
-
-    def test_respects_constraint(self, rng):
-        p = random_problem(rng, gamma_quantile=0.7)
-        ann = solve_annealing(p, rng=0)
-        if ann.feasible:
-            assert reliability_value(ann.X, p) >= -1e-9
-
-    def test_cold_start_works(self, rng):
-        p = random_problem(rng)
-        ann = solve_annealing(p, rng=0, warm_start=False)
-        assert ann.feasible
-
-    def test_infeasible_detected(self, rng):
-        T = rng.uniform(0.5, 2.0, (3, 4))
-        A = np.full((3, 4), 0.5)
-        p = MatchingProblem(T=T, A=A, gamma=0.9)
-        ann = solve_annealing(p, rng=0, warm_start=False)
-        assert not ann.feasible
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            AnnealingConfig(steps=0)
-        with pytest.raises(ValueError):
-            AnnealingConfig(t_start=0.01, t_end=0.1)
 
 
 class TestBatchSolver:
@@ -142,7 +102,7 @@ class TestBatchSolver:
         with pytest.raises(ValueError):
             solve_relaxed_batch(BatchProblem(T=T, A=A, gamma=np.array([0.9])))
 
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10)
     @given(st.integers(0, 10_000))
     def test_property_batch_objective_close_to_scalar(self, seed):
         rng = np.random.default_rng(seed)

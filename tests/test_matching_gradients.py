@@ -15,7 +15,6 @@ from repro.matching import (
     ZeroOrderConfig,
     kkt_jacobians,
     kkt_vjp,
-    optimal_perturbation,
     solve_relaxed,
     zo_vjp,
 )
@@ -139,15 +138,6 @@ class TestZeroOrder:
             ZeroOrderConfig(samples=0)
         with pytest.raises(ValueError):
             ZeroOrderConfig(delta=-1)
-
-    def test_optimal_perturbation_formula(self):
-        # Δ* = (2σ²/(β²S))^{1/4}, increasing in σ, decreasing in S and β.
-        base = optimal_perturbation(1.0, 5.0, 8)
-        assert optimal_perturbation(2.0, 5.0, 8) > base
-        assert optimal_perturbation(1.0, 5.0, 32) < base
-        assert optimal_perturbation(1.0, 10.0, 8) < base
-        with pytest.raises(ValueError):
-            optimal_perturbation(0.0, 5.0, 8)
 
     def test_deterministic_given_rng(self, solved, rng):
         p, sol = solved

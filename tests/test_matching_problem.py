@@ -137,7 +137,7 @@ class TestWithPredictions:
         assert q.gamma == pytest.approx(p.gamma)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(
     arrays(np.float64, (3, 4), elements=st.floats(0.1, 5.0)),
     arrays(np.float64, (3, 4), elements=st.floats(0.5, 1.0)),

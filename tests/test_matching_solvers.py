@@ -51,7 +51,7 @@ class TestProjection:
         X /= X.sum(axis=0, keepdims=True)
         np.testing.assert_allclose(project_simplex_columns(X), X, atol=1e-12)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(arrays(np.float64, (3, 4), elements=st.floats(-5, 5, allow_nan=False)))
     def test_property_projection_is_closest_point(self, X):
         """The projection must beat any random simplex point in distance."""
@@ -186,7 +186,7 @@ class TestExactSolvers:
             solve_branch_and_bound(p, node_limit=5)
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 @given(st.integers(0, 10_000))
 def test_property_relax_round_within_factor_of_exact(seed):
     """End-to-end heuristic quality: relax+round stays within 2× of the

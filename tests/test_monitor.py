@@ -167,7 +167,7 @@ _SAMPLE = st.one_of(
 
 
 class TestQuantileWindowKeepsItsWindowSorted:
-    @settings(max_examples=150, deadline=None, derandomize=True)
+    @settings(max_examples=150)
     @given(
         q=st.sampled_from([0.5, 0.9, 0.99]),
         window=st.integers(2, 12),
@@ -507,6 +507,14 @@ class TestTraceReplay:
             rec.event("something", x=1)
         with pytest.raises(ValueError, match="serve"):
             TraceReplay.from_log(tmp_path / "not-serve.jsonl")
+        # A serve dict short of a key every writer writes: the error
+        # names the log and the key.
+        partial = {k: v for k, v in REPLAY_PARAMS.items() if k != "warm_start"}
+        with recording(mode="jsonl", run="partial", out_dir=tmp_path,
+                       meta={"serve": partial}, stream=io.StringIO()):
+            pass
+        with pytest.raises(ValueError, match=r"partial\.jsonl.*missing.*warm_start"):
+            TraceReplay.from_log(tmp_path / "partial.jsonl")
 
     def test_from_log_rejects_empty_arrivals(self, tmp_path):
         import io

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.nn import MLP, Adam, Tensor, mse_loss, no_grad, ops
-from repro.nn.functional import logsumexp, smooth_max, softmax
+from repro.nn.functional import logsumexp_np, softmax_np
 
 
 class TestReflectedOperators:
@@ -100,19 +100,13 @@ class TestGraphStructure:
 
 class TestNumericalExtremes:
     def test_softmax_with_huge_logits(self):
-        out = softmax(Tensor(np.array([1e4, 0.0, -1e4])))
-        assert np.all(np.isfinite(out.data))
-        np.testing.assert_allclose(out.data.sum(), 1.0)
+        out = softmax_np(np.array([1e4, 0.0, -1e4]))
+        assert np.all(np.isfinite(out))
+        np.testing.assert_allclose(out.sum(), 1.0)
 
     def test_logsumexp_negative_infinity_like(self):
-        out = logsumexp(Tensor(np.array([-1e6, -1e6])))
+        out = logsumexp_np(np.array([-1e6, -1e6]))
         assert np.isfinite(out.item())
-
-    def test_smooth_max_tiny_beta_approaches_mean_plus_log(self):
-        v = np.array([1.0, 2.0, 3.0])
-        out = smooth_max(Tensor(v), beta=1e-6).item()
-        # (1/β) log Σ e^{βv} → log(M)/β + mean-ish; just check massive upper bound
-        assert out > v.max()
 
     def test_exp_overflow_protected_in_predictor_path(self):
         from repro.predictors import TimePredictor

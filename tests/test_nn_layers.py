@@ -8,20 +8,14 @@ import pytest
 from repro.nn import (
     MLP,
     Adam,
-    CosineLR,
-    Dropout,
     Linear,
     Module,
     Parameter,
     Sequential,
-    SGD,
-    StepLR,
     Tensor,
     bce_loss,
     clip_grad_norm,
-    huber_loss,
     load_module,
-    mae_loss,
     mse_loss,
     save_module,
 )
@@ -94,41 +88,16 @@ class TestLinearAndMLP:
             m.load_state_dict({"bogus": np.zeros(3)})
 
     def test_train_eval_modes_propagate(self):
-        m = Sequential(Linear(2, 2, rng=0), Dropout(0.5, rng=1))
+        m = Sequential(Linear(2, 2, rng=0), MLP(2, (2,), 1, rng=1))
         m.eval()
         assert all(not mod.training for mod in m)
         m.train()
         assert all(mod.training for mod in m)
 
-    def test_dropout_inactive_in_eval(self):
-        d = Dropout(0.9, rng=0)
-        d.eval()
-        x = Tensor(np.ones(100))
-        np.testing.assert_allclose(d(x).data, np.ones(100))
-
-    def test_dropout_validates(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
-
-
 class TestLosses:
     def test_mse_zero_at_target(self):
         p = Tensor([1.0, 2.0])
         assert mse_loss(p, np.array([1.0, 2.0])).item() == 0.0
-
-    def test_mae_matches_manual(self):
-        p = Tensor([1.0, 3.0])
-        assert mae_loss(p, np.array([2.0, 1.0])).item() == pytest.approx(1.5)
-
-    def test_huber_quadratic_then_linear(self):
-        small = huber_loss(Tensor([0.5]), np.array([0.0]), delta=1.0).item()
-        assert small == pytest.approx(0.125)
-        large = huber_loss(Tensor([3.0]), np.array([0.0]), delta=1.0).item()
-        assert large == pytest.approx(2.5)
-
-    def test_huber_validates_delta(self):
-        with pytest.raises(ValueError):
-            huber_loss(Tensor([1.0]), np.array([0.0]), delta=0.0)
 
     def test_bce_bounds_and_direction(self):
         good = bce_loss(Tensor([0.9]), np.array([1.0])).item()
@@ -136,13 +105,10 @@ class TestLosses:
         assert 0 < good < bad
 
     def test_losses_backprop(self):
-        for loss_fn in (mse_loss, mae_loss, huber_loss):
+        for loss_fn in (mse_loss, bce_loss):
             t = Tensor([0.3, 0.7], requires_grad=True)
             loss_fn(t, np.array([1.0, 0.0])).backward()
             assert t.grad is not None
-        t = Tensor([0.3, 0.7], requires_grad=True)
-        bce_loss(t, np.array([1.0, 0.0])).backward()
-        assert t.grad is not None
 
 
 class TestOptimizers:
@@ -160,14 +126,6 @@ class TestOptimizers:
             opt.step()
         return p.data
 
-    def test_sgd_converges(self):
-        final = self.run(lambda ps: SGD(ps, lr=0.1))
-        np.testing.assert_allclose(final, 0.0, atol=1e-6)
-
-    def test_sgd_momentum_converges(self):
-        final = self.run(lambda ps: SGD(ps, lr=0.01, momentum=0.9), steps=400)
-        np.testing.assert_allclose(final, 0.0, atol=1e-6)
-
     def test_adam_converges(self):
         final = self.run(lambda ps: Adam(ps, lr=0.1), steps=400)
         np.testing.assert_allclose(final, 0.0, atol=1e-4)
@@ -175,32 +133,11 @@ class TestOptimizers:
     def test_optimizer_validations(self):
         p = [Parameter(np.zeros(2))]
         with pytest.raises(ValueError):
-            SGD([], lr=0.1)
+            Adam([], lr=0.1)
         with pytest.raises(ValueError):
-            SGD(p, lr=-1)
-        with pytest.raises(ValueError):
-            SGD(p, lr=0.1, momentum=1.5)
-        with pytest.raises(ValueError):
-            SGD(p, lr=0.1, nesterov=True)
+            Adam(p, lr=-1)
         with pytest.raises(ValueError):
             Adam(p, betas=(1.0, 0.9))
-
-    def test_step_lr_halves(self):
-        p = [Parameter(np.zeros(2))]
-        opt = SGD(p, lr=1.0)
-        sched = StepLR(opt, step_size=2, gamma=0.5)
-        sched.step()
-        assert opt.lr == 1.0
-        sched.step()
-        assert opt.lr == 0.5
-
-    def test_cosine_lr_reaches_min(self):
-        p = [Parameter(np.zeros(2))]
-        opt = SGD(p, lr=1.0)
-        sched = CosineLR(opt, t_max=10, eta_min=0.1)
-        for _ in range(10):
-            sched.step()
-        assert opt.lr == pytest.approx(0.1)
 
     def test_clip_grad_norm(self):
         p = Parameter(np.zeros(3))
@@ -217,7 +154,7 @@ class TestOptimizers:
 
 
 class TestInitializers:
-    @pytest.mark.parametrize("name", ["xavier_uniform", "xavier_normal", "he_uniform", "he_normal"])
+    @pytest.mark.parametrize("name", ["xavier_uniform", "he_uniform"])
     def test_shapes_and_scale(self, name):
         fn = getattr(initializers, name)
         w = fn((100, 50), rng=0)
@@ -232,6 +169,6 @@ class TestInitializers:
         np.testing.assert_allclose(initializers.zeros((3, 2)), np.zeros((3, 2)))
 
     def test_deterministic_given_seed(self):
-        a = initializers.he_normal((4, 4), rng=42)
-        b = initializers.he_normal((4, 4), rng=42)
+        a = initializers.he_uniform((4, 4), rng=42)
+        b = initializers.he_uniform((4, 4), rng=42)
         np.testing.assert_allclose(a, b)

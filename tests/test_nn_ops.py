@@ -1,5 +1,5 @@
-"""Finite-difference and property tests for elementwise ops and functional
-composites (softmax, log-sum-exp, barriers)."""
+"""Finite-difference and property tests for elementwise ops and the
+tape-free softmax / log-sum-exp."""
 
 from __future__ import annotations
 
@@ -8,17 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import special
 
 from repro.nn import Tensor, ops
-from repro.nn.functional import (
-    log_barrier,
-    log_softmax,
-    logsumexp,
-    logsumexp_np,
-    smooth_max,
-    softmax,
-    softmax_np,
-)
+from repro.nn.functional import logsumexp_np, softmax_np
+from repro.theory import smooth_max_gap
 
 
 def numeric_grad(f, x, eps=1e-6):
@@ -48,7 +42,6 @@ class TestElementwiseGradients:
             (ops.exp, (-2, 2)),
             (ops.log, (0.5, 5)),
             (ops.sqrt, (0.5, 5)),
-            (ops.tanh, (-3, 3)),
             (ops.sigmoid, (-5, 5)),
             (ops.softplus, (-5, 5)),
         ],
@@ -60,14 +53,6 @@ class TestElementwiseGradients:
     def test_relu_grad_away_from_kink(self):
         x = np.array([-2.0, -0.5, 0.5, 2.0])
         check_grad(lambda t: ops.relu(t).sum(), x)
-
-    def test_leaky_relu_values(self):
-        out = ops.leaky_relu(Tensor([-1.0, 2.0]), 0.1)
-        np.testing.assert_allclose(out.data, [-0.1, 2.0])
-
-    def test_abs_grad(self):
-        x = np.array([-2.0, 3.0, -0.5])
-        check_grad(lambda t: ops.abs_(t).sum(), x)
 
     def test_clip_grad_mask(self):
         t = Tensor([-2.0, 0.5, 2.0], requires_grad=True)
@@ -83,13 +68,6 @@ class TestElementwiseGradients:
         out = ops.minimum(Tensor([1.0, 5.0]), Tensor([3.0, 2.0]))
         np.testing.assert_allclose(out.data, [1.0, 2.0])
 
-    def test_where_grad(self):
-        a = Tensor([1.0, 2.0], requires_grad=True)
-        b = Tensor([3.0, 4.0], requires_grad=True)
-        ops.where(np.array([True, False]), a, b).sum().backward()
-        np.testing.assert_allclose(a.grad, [1.0, 0.0])
-        np.testing.assert_allclose(b.grad, [0.0, 1.0])
-
     def test_sigmoid_extreme_stability(self):
         out = ops.sigmoid(Tensor([-800.0, 800.0]))
         assert np.all(np.isfinite(out.data))
@@ -104,68 +82,29 @@ class TestElementwiseGradients:
 class TestFunctional:
     def test_softmax_normalizes(self):
         x = RNG.normal(size=(3, 4))
-        s = softmax(Tensor(x), axis=0)
-        np.testing.assert_allclose(s.data.sum(axis=0), np.ones(4))
-
-    def test_softmax_grad(self):
-        x = RNG.normal(size=(3, 4))
-        w = RNG.normal(size=(3, 4))
-        check_grad(lambda t: (softmax(t, axis=0) * w).sum(), x)
-
-    def test_log_softmax_consistency(self):
-        x = RNG.normal(size=(2, 5))
-        ls = log_softmax(Tensor(x), axis=1).data
-        np.testing.assert_allclose(np.exp(ls).sum(axis=1), np.ones(2))
-
-    def test_logsumexp_grad(self):
-        x = RNG.normal(size=6)
-        check_grad(lambda t: logsumexp(t), x)
+        np.testing.assert_allclose(softmax_np(x, axis=0).sum(axis=0), np.ones(4))
 
     def test_logsumexp_shift_stability(self):
-        x = np.array([1000.0, 1000.0])
-        out = logsumexp(Tensor(x))
+        out = logsumexp_np(np.array([1000.0, 1000.0]))
         assert out.item() == pytest.approx(1000.0 + np.log(2))
 
-    def test_smooth_max_bounds(self):
-        x = RNG.uniform(0, 5, size=7)
-        for beta in (1.0, 5.0, 50.0):
-            sm = smooth_max(Tensor(x), beta).item()
-            assert x.max() <= sm <= x.max() + np.log(len(x)) / beta + 1e-12
-
-    def test_smooth_max_rejects_bad_beta(self):
-        with pytest.raises(ValueError):
-            smooth_max(Tensor([1.0]), 0.0)
-
-    def test_log_barrier_grad(self):
-        x = RNG.uniform(0.5, 2.0, size=4)
-        check_grad(lambda t: log_barrier(t, 0.1).sum(), x)
-
-    def test_log_barrier_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            log_barrier(Tensor([0.0]), 0.1)
-        with pytest.raises(ValueError):
-            log_barrier(Tensor([1.0]), -1.0)
-
-    def test_numpy_twins_match_tensor_versions(self):
+    def test_numpy_twins_match_scipy(self):
         x = RNG.normal(size=(3, 5))
-        np.testing.assert_allclose(softmax_np(x, axis=0), softmax(Tensor(x), axis=0).data)
-        np.testing.assert_allclose(
-            logsumexp_np(x, axis=1), logsumexp(Tensor(x), axis=1).data
-        )
+        np.testing.assert_allclose(softmax_np(x, axis=0), special.softmax(x, axis=0))
+        np.testing.assert_allclose(logsumexp_np(x, axis=1), special.logsumexp(x, axis=1))
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(
     arrays(np.float64, st.integers(2, 8), elements=st.floats(-20, 20, allow_nan=False)),
     st.floats(0.5, 50.0),
 )
 def test_property_smooth_max_theorem1(v, beta):
     """Property: max(v) <= smooth_max(v, β) <= max(v) + log(M)/β."""
-    sm = smooth_max(Tensor(v), beta).item()
-    assert v.max() - 1e-9 <= sm <= v.max() + np.log(len(v)) / beta + 1e-9
+    assert -1e-9 <= smooth_max_gap(v, beta) <= np.log(len(v)) / beta + 1e-9
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(arrays(np.float64, (3, 4), elements=st.floats(-30, 30, allow_nan=False)))
 def test_property_softmax_simplex(x):
     s = softmax_np(x, axis=0)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.nn import Tensor, concatenate, no_grad, stack
-from repro.nn.tensor import is_grad_enabled, unbroadcast
+from repro.nn.tensor import unbroadcast
 
 
 def numeric_grad(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -223,14 +223,13 @@ class TestNoGrad:
     def test_no_grad_blocks_tape(self):
         t = Tensor([1.0], requires_grad=True)
         with no_grad():
-            assert not is_grad_enabled()
             out = t * 2
         assert not out.requires_grad
 
     def test_no_grad_restores(self):
         with no_grad():
             pass
-        assert is_grad_enabled()
+        assert (Tensor([1.0], requires_grad=True) * 2).requires_grad
 
 
 class TestUnbroadcast:
@@ -247,7 +246,7 @@ class TestUnbroadcast:
         np.testing.assert_allclose(unbroadcast(g, (1, 3)), np.full((1, 3), 2.0))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(finite_arrays)
 def test_property_sum_gradient_is_ones(x):
     t = Tensor(x, requires_grad=True)
@@ -255,7 +254,7 @@ def test_property_sum_gradient_is_ones(x):
     np.testing.assert_allclose(t.grad, np.ones_like(x))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(finite_arrays)
 def test_property_linear_gradient_matches_coefficient(x):
     t = Tensor(x, requires_grad=True)
@@ -263,7 +262,7 @@ def test_property_linear_gradient_matches_coefficient(x):
     np.testing.assert_allclose(t.grad, np.full_like(x, 3.5))
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(finite_arrays)
 def test_property_max_le_logsumexp(x):
     """Tape-level check that max(v) participates correctly in graphs."""

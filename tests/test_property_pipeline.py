@@ -32,7 +32,7 @@ def instance(seed: int, m: int = 3, n: int = 5, q: float = 0.4) -> MatchingProbl
     return MatchingProblem(T=T, A=A, gamma=feasible_gamma(T, A, quantile=q))
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(st.integers(0, 100_000))
 def test_deployment_produces_valid_feasible_matching(seed):
     p = instance(seed)
@@ -44,7 +44,7 @@ def test_deployment_produces_valid_feasible_matching(seed):
     assert reliability_value(X, p) >= -1e-9
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(st.integers(0, 100_000))
 def test_exact_oracle_lower_bounds_deployment(seed):
     p = instance(seed)
@@ -54,7 +54,7 @@ def test_exact_oracle_lower_bounds_deployment(seed):
     assert makespan(X, p) >= exact.objective - 1e-9
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(st.integers(0, 100_000))
 def test_metrics_in_range_for_any_deployment(seed):
     p = instance(seed)
@@ -65,7 +65,7 @@ def test_metrics_in_range_for_any_deployment(seed):
     assert 0.0 <= r <= 1.0
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 @given(st.integers(0, 100_000), st.floats(0.0, 0.8))
 def test_gamma_monotonicity_of_assigned_reliability(seed, q_hi):
     """Raising γ cannot decrease the relaxed solution's constraint value."""
@@ -78,7 +78,7 @@ def test_gamma_monotonicity_of_assigned_reliability(seed, q_hi):
     assert val_hi >= val_lo - 5e-2  # soft monotonicity (barrier weighting)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(st.integers(0, 100_000))
 def test_deployment_deterministic(seed):
     p = instance(seed)
@@ -87,7 +87,7 @@ def test_deployment_deterministic(seed):
     np.testing.assert_array_equal(X1, X2)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(st.integers(0, 100_000), st.floats(1.1, 5.0))
 def test_uniform_time_scaling_invariance(seed, scale):
     """Scaling all times by a constant scales the makespan and preserves
@@ -101,7 +101,7 @@ def test_uniform_time_scaling_invariance(seed, scale):
     assert makespan(X2, p2) == pytest.approx(scale * makespan(X1, p), rel=0.25)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(st.integers(0, 100_000))
 def test_rounding_never_leaves_simplex(seed):
     p = instance(seed)

@@ -31,7 +31,6 @@ import numpy as np
 import pytest
 
 from repro.monitor import (
-    CallableSink,
     FileTailSink,
     MonitorConfig,
     QualityMonitor,
@@ -455,12 +454,14 @@ class TestServeConfig:
         params = json.loads(json.dumps(config.to_params()))
         assert ServeConfig.from_params(params) == config
 
-    def test_from_params_tolerates_legacy_dicts(self):
-        legacy = ServeConfig(pool_size=20).to_params()
-        for key in ("monitor", "retrain", "registry_root"):
-            legacy.pop(key)
-        config = ServeConfig.from_params(legacy)
-        assert config.monitor is None and config.retrain is None
+    def test_from_params_names_a_missing_key(self):
+        # Every writer writes every key; a dict without one is not a
+        # serve parameter dict, and the error says which key.
+        for key in ("setting", "solve_mode", "monitor", "journey_sample"):
+            params = ServeConfig(pool_size=20).to_params()
+            params.pop(key)
+            with pytest.raises(ValueError, match=f"missing.*{key}"):
+                ServeConfig.from_params(params)
 
     def test_with_overrides(self):
         base = ServeConfig()
@@ -488,9 +489,6 @@ class TestServeConfig:
                 ServeConfig(warm_start=flag)
         off = ServeConfig(warm_start="off")
         assert not off.dispatcher_config().warm_start
-        params = off.to_params()
-        params.pop("solve_mode")  # pre-blocks logs
-        assert ServeConfig.from_params(params).solve_mode == "scalar"
 
     def test_legacy_helpers_removed(self):
         # The PR-5 deprecation shims are gone: ServeConfig / build_stack
@@ -523,11 +521,12 @@ class _ExplodingSink:
         raise RuntimeError("sink down")
 
 
-def _alert():
-    from repro.monitor.quality import Alert
+class _SpySink:
+    def __init__(self):
+        self.seen = []
 
-    return Alert(window=3, time=1.5, kind="drift", signal="time_error",
-                 detector="page-hinkley", value=0.42, message="drifted")
+    def emit(self, alert):
+        self.seen.append(alert)
 
 
 def _monitored_run(retrain_stack, sinks):
@@ -548,85 +547,27 @@ def _monitored_run(retrain_stack, sinks):
 class TestAlertSinks:
     def test_fan_out_reaches_every_sink(self, retrain_stack, tmp_path):
         path = tmp_path / "alerts.jsonl"
-        seen = []
-        monitor = _monitored_run(
-            retrain_stack, [FileTailSink(path), CallableSink(seen.append)])
+        spy = _SpySink()
+        monitor = _monitored_run(retrain_stack, [FileTailSink(path), spy])
         assert monitor.alerts, "fixture must raise at least one alert"
         lines = [json.loads(l) for l in path.read_text().splitlines()]
-        assert len(lines) == len(monitor.alerts) == len(seen)
+        assert len(lines) == len(monitor.alerts) == len(spy.seen)
         assert lines[0]["kind"] == monitor.alerts[0].kind
-        assert seen[0]["window"] == monitor.alerts[0].window
+        assert spy.seen[0].window == monitor.alerts[0].window
 
     def test_failing_sink_is_isolated(self, retrain_stack):
-        seen = []
-        monitor = _monitored_run(
-            retrain_stack, [_ExplodingSink(), CallableSink(seen.append)])
+        spy = _SpySink()
+        monitor = _monitored_run(retrain_stack, [_ExplodingSink(), spy])
         assert monitor.alerts, "fixture must raise at least one alert"
         # The healthy sink got every alert; failures were counted, and
         # the run itself was never interrupted.
-        assert len(seen) == len(monitor.alerts)
+        assert spy.seen == monitor.alerts
         assert monitor.sink_errors["_ExplodingSink"] == len(monitor.alerts)
         assert monitor.summary()["sink_errors"]["_ExplodingSink"] > 0
 
     def test_add_sink_chains(self, tmp_path):
-        seen = []
-        monitor = QualityMonitor().add_sink(CallableSink(seen.append))
+        monitor = QualityMonitor().add_sink(_SpySink())
         assert monitor.sinks
-
-    def test_callable_sink_retries_transient_failures(self):
-        calls, naps = [], []
-
-        def flaky(payload):
-            calls.append(payload)
-            if len(calls) < 3:
-                raise RuntimeError("endpoint 503")
-
-        sink = CallableSink(flaky, max_attempts=3, backoff_s=0.1,
-                            sleep=naps.append)
-        sink.emit(_alert())
-        assert sink.emitted == 1 and sink.retries == 2
-        assert sink.dead_lettered == 0
-        # Exponential schedule: backoff_s, 2*backoff_s.
-        assert naps == [0.1, 0.2]
-
-    def test_callable_sink_dead_letters_after_exhaustion(self, tmp_path):
-        dead = tmp_path / "dead.jsonl"
-
-        def down(payload):
-            raise RuntimeError("endpoint down")
-
-        sink = CallableSink(down, "pager", max_attempts=2, backoff_s=0.0,
-                            dead_letter=dead, sleep=lambda s: None)
-        alert = _alert()
-        with pytest.raises(RuntimeError, match="endpoint down"):
-            sink.emit(alert)
-        assert sink.dead_lettered == 1 and sink.emitted == 0
-        (record,) = [json.loads(l) for l in dead.read_text().splitlines()]
-        assert record["sink"] == "pager"
-        assert record["attempts"] == 2
-        assert "endpoint down" in record["error"]
-        assert record["alert"]["kind"] == alert.kind
-        # The operator replay path: feeding the payload back through a
-        # healthy sink delivers the original alert dict.
-        seen = []
-        CallableSink(seen.append).fn(record["alert"])
-        assert seen == [record["alert"]]
-
-    def test_monitor_counts_dead_lettered_sink_errors(self, retrain_stack,
-                                                      tmp_path):
-        dead = tmp_path / "dead.jsonl"
-
-        def down(payload):
-            raise RuntimeError("endpoint down")
-
-        sink = CallableSink(down, max_attempts=2, backoff_s=0.0,
-                            dead_letter=dead, sleep=lambda s: None)
-        monitor = _monitored_run(retrain_stack, [sink])
-        assert monitor.alerts, "fixture must raise at least one alert"
-        # Isolation intact: every alert dead-lettered AND counted.
-        assert sink.dead_lettered == len(monitor.alerts)
-        assert monitor.sink_errors["CallableSink"] == len(monitor.alerts)
-        assert len(dead.read_text().splitlines()) == len(monitor.alerts)
 
 
 # --------------------------------------------------------------------- #

@@ -34,6 +34,7 @@ from repro.serve import (
     Outage,
     PoissonLoad,
     PredictionMemo,
+    ServeCallback,
     ServeConfig,
     WarmStartCache,
     batch_size_bucket,
@@ -515,6 +516,26 @@ class TestDispatcher:
         ]
         assert waits[1] > waits[0]
 
+    def test_arrived_counter_is_live(self, stack):
+        """``serve/arrived`` is counted at admission, so a mid-run scrape
+        (``serve top``, ``/metrics``) reads it, not zero until the end."""
+        pool, clusters, spec, method = stack
+        seen = []
+
+        class Scrape(ServeCallback):
+            def on_window(self, snapshot):
+                counters = rec.aggregate()["counters"]
+                seen.append((counters["serve/arrived"]["value"],
+                             snapshot.arrived_total))
+
+        with recording(mode="summary", stream=io.StringIO()) as rec:
+            stats = Dispatcher(clusters, method, spec, callbacks=[Scrape()]).run(
+                _events(pool), rng=4)
+            final = rec.aggregate()["counters"]["serve/arrived"]["value"]
+        assert len(seen) > 1 and seen[0][1] < stats.arrived
+        assert all(live == total for live, total in seen)
+        assert final == stats.arrived
+
     def test_warm_soak_reproduces_committed_anchor(self):
         """The 12 h Poisson 60/h soak on the default stack hashes to the
         digest committed in ``BENCH_serve.json`` — the anchor the platform
@@ -737,9 +758,6 @@ class TestProfiledServing:
 
         config = ServeConfig(pool_size=16, train_epochs=2, profile=True)
         assert ServeConfig.from_params(config.to_params()).profile is True
-        assert ServeConfig.from_params({
-            k: v for k, v in config.to_params().items() if k != "profile"
-        }).profile is False  # older param dicts: profiling defaults off
         platform = build_platform(config)
         assert platform.profiler is not None
         assert platform.dispatcher.profiler is platform.profiler

@@ -173,7 +173,7 @@ class ServeLoopMachine(RuleBasedStateMachine):
 
 
 ServeLoopMachine.TestCase.settings = settings(
-    max_examples=100, stateful_step_count=30, deadline=None, derandomize=True)
+    max_examples=100, stateful_step_count=30)
 TestServeLoopMachine = ServeLoopMachine.TestCase
 
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.matching.speedup import (
     ExponentialDecaySpeedup,
     IdentitySpeedup,
-    PowerLawSpeedup,
     SpeedupFunction,
 )
 
@@ -57,34 +56,9 @@ class TestExponentialDecay:
         with pytest.raises(ValueError):
             ExponentialDecaySpeedup(smoothing=0.0)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.floats(0.0, 100.0))
     def test_property_range(self, k):
         z = ExponentialDecaySpeedup(floor=0.6)
         v = float(z.value(np.array(k)))
         assert 0.6 - 1e-9 <= v <= 1.0 + 1e-9
-
-
-class TestPowerLaw:
-    def test_floor_respected(self):
-        z = PowerLawSpeedup(exponent=0.5, floor=0.5)
-        assert float(z.value(np.array(100.0))) == pytest.approx(0.5)
-
-    def test_no_speedup_below_one_task(self):
-        z = PowerLawSpeedup()
-        assert float(z.value(np.array(0.3))) == pytest.approx(1.0)
-
-    def test_derivative_zero_at_floor(self):
-        z = PowerLawSpeedup(exponent=0.5, floor=0.5)
-        assert float(z.derivative(np.array(100.0))) == 0.0
-
-    def test_derivative_matches_fd_in_active_region(self):
-        z = PowerLawSpeedup(exponent=0.3, floor=0.1)
-        for k in (2.0, 5.0):
-            assert float(z.derivative(np.array(k))) == pytest.approx(fd(z, k), abs=1e-5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PowerLawSpeedup(exponent=0.0)
-        with pytest.raises(ValueError):
-            PowerLawSpeedup(floor=1.5)

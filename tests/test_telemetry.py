@@ -24,7 +24,6 @@ from repro.telemetry import (
     StageProfiler,
     aggregate_events,
     aggregate_runs,
-    current_path,
     get_recorder,
     load_run,
     merge_aggregates,
@@ -47,17 +46,17 @@ class TestSpans:
     def test_nesting_builds_paths(self):
         rec = Recorder("summary", run="t")
         with rec.activate():
-            assert current_path() == ""
             with rec.span("train"):
-                assert current_path() == "train"
                 with rec.span("epoch"):
-                    assert current_path() == "train/epoch"
                     with rec.span("solve"):
-                        assert current_path() == "train/epoch/solve"
-                assert current_path() == "train"
-            assert current_path() == ""
+                        pass
+                with rec.span("eval"):  # opens under "train" again
+                    pass
+            with rec.span("report"):  # and at top level again
+                pass
         agg = rec.aggregate()["spans"]
-        assert set(agg) == {"train", "train/epoch", "train/epoch/solve"}
+        assert set(agg) == {"train", "train/epoch", "train/epoch/solve",
+                            "train/eval", "report"}
         assert agg["train/epoch/solve"]["calls"] == 1
 
     def test_exception_safety(self):
@@ -68,8 +67,10 @@ class TestSpans:
                     with rec.span("inner"):
                         raise RuntimeError("boom")
             # the path contextvar is restored even through the raise
-            assert current_path() == ""
+            with rec.span("after"):
+                pass
         agg = rec.aggregate()["spans"]
+        assert "after" in agg
         assert agg["outer"]["errors"] == 1
         assert agg["outer/inner"]["errors"] == 1
 
@@ -89,7 +90,8 @@ class TestSpans:
     def test_module_level_span_without_recorder_is_null(self):
         assert telemetry.span("anything") is NULL_SPAN
         with telemetry.span("x") as s:
-            assert current_path() == ""  # no contextvar writes
+            with Recorder("summary", run="t").span("real") as real:
+                assert real.path == "real"  # no contextvar writes by the null span
         assert s.elapsed == 0.0
 
 
@@ -288,11 +290,12 @@ class TestJsonlRoundTrip:
         p.write_text('{"type": "span"}\n')
         with pytest.raises(ValueError, match="meta header"):
             load_run(p)
-        p.write_text('{"type": "meta", "schema": 99}\n')
-        with pytest.raises(ValueError, match="schema"):
-            load_run(p)
+        for schema in (1, 2, 99):  # nothing writes 1 or 2; 3 is the one schema
+            p.write_text('{"type": "meta", "schema": %d}\n' % schema)
+            with pytest.raises(ValueError, match="unsupported schema"):
+                load_run(p)
         # Corruption *before* the tail is an error, not truncation.
-        p.write_text('{"schema": 1, "type": "meta"}\nnot json\n{"type": "event"}\n')
+        p.write_text('{"schema": 3, "type": "meta"}\nnot json\n{"type": "event"}\n')
         with pytest.raises(ValueError, match="invalid JSON"):
             load_run(p)
 
@@ -305,7 +308,7 @@ class TestJsonlRoundTrip:
         with pytest.raises(ValueError, match="empty run log"):
             load_run(p)
         # A log that is *only* a partial line is empty after tolerance.
-        p.write_text('{"schema": 1, "type": "me')
+        p.write_text('{"schema": 3, "type": "me')
         with pytest.raises(ValueError, match="empty run log"):
             load_run(p)
 
@@ -457,7 +460,7 @@ class TestIntegration:
 
 
 # --------------------------------------------------------------------- #
-# Labeled series and the metric registry (schema 2).
+# Labeled series and the metric registry.
 # --------------------------------------------------------------------- #
 
 
@@ -508,8 +511,7 @@ class TestMetricRegistry:
         assert key == 'serve/windows{predictor_version="v3",shard="0"}'
 
     def test_unlabeled_state_has_no_labels_field(self):
-        """Schema-1 compatibility: an unlabeled registry serializes
-        byte-identically to the old bare instruments."""
+        """An unlabeled series serializes as the bare instrument state."""
         reg = MetricRegistry()
         reg.counter_add("n", 2.0)
         state = reg.snapshot()["counters"]["n"]

@@ -12,7 +12,6 @@ from repro.theory import (
     smooth_max_gap,
     sweep_beta,
     theorem1_bound,
-    verify_theorem1,
     nonconvex_convergence_study,
 )
 
@@ -23,9 +22,6 @@ class TestTheorem1:
         for beta in (0.5, 5.0, 50.0):
             gap = smooth_max_gap(v, beta)
             assert 0 <= gap <= theorem1_bound(6, beta) + 1e-12
-
-    def test_verify_helper(self, rng):
-        assert verify_theorem1(rng.uniform(0, 3, 4), beta=2.0)
 
     def test_sweep_converges(self):
         sweep = sweep_beta([1.0, 5.0, 25.0, 125.0], m=3, instances=20, rng=0)

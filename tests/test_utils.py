@@ -15,16 +15,11 @@ from repro.utils import (
     as_generator,
     check_array,
     check_assignment_matrix,
-    check_in_range,
     check_matrix,
     check_positive,
-    check_probability,
     format_mean_std,
-    iter_seeds,
     render_series,
     spawn,
-    spawn_many,
-    stream_of,
 )
 
 
@@ -42,27 +37,6 @@ class TestRng:
         parent = as_generator(1)
         c1, c2 = spawn(parent), spawn(parent)
         assert not np.allclose(c1.random(5), c2.random(5))
-
-    def test_spawn_many(self):
-        children = spawn_many(as_generator(2), 4)
-        assert len(children) == 4
-        draws = [c.random() for c in children]
-        assert len(set(draws)) == 4
-
-    def test_spawn_many_validates(self):
-        with pytest.raises(ValueError):
-            spawn_many(as_generator(0), -1)
-
-    def test_stream_of_deterministic_and_label_sensitive(self):
-        a = stream_of(7, "failures").random(3)
-        b = stream_of(7, "failures").random(3)
-        c = stream_of(7, "workload").random(3)
-        np.testing.assert_allclose(a, b)
-        assert not np.allclose(a, c)
-
-    def test_iter_seeds_deterministic(self):
-        assert list(iter_seeds(3, 4)) == list(iter_seeds(3, 4))
-        assert len(set(iter_seeds(3, 8))) == 8
 
 
 class TestValidation:
@@ -88,16 +62,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             check_positive(0.0)
         assert check_positive(0.0, strict=False) == 0.0
-
-    def test_check_probability(self):
-        assert check_probability(0.5) == 0.5
-        with pytest.raises(ValueError):
-            check_probability(1.1)
-
-    def test_check_in_range(self):
-        assert check_in_range(2.0, 1.0, 3.0) == 2.0
-        with pytest.raises(ValueError):
-            check_in_range(1.0, 1.0, 3.0, inclusive=False)
 
     def test_check_assignment_matrix(self):
         X = np.array([[1.0, 0.0], [0.0, 1.0]])
