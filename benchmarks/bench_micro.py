@@ -28,7 +28,9 @@ from repro.matching import (
     zo_vjp,
 )
 from repro.matching.rounding import round_assignment
+from repro.methods import TSM, MatchSpec
 from repro.nn import MLP, Adam, Tensor, mse_loss
+from repro.serve import Dispatcher
 from repro.sim import simulate_matching
 from repro.telemetry import Recorder
 from repro.workloads import GraphEmbedder, TaskPool, sample_specs
@@ -121,6 +123,50 @@ def test_blocks_ragged_window(benchmark, m_clusters, n_tasks, pool_size):
     benchmark.extra_info["pad_frac"] = pad["sum"] / pad["count"]
     if benchmark.stats is not None:  # None under --benchmark-disable
         benchmark.extra_info["us_per_window"] = 1e6 * benchmark.stats["min"] / len(problems)
+
+
+class _CountedCluster:
+    """A cluster that counts the ground-truth calls made on it."""
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+        self.cluster_id = inner.cluster_id
+        self.calls = 0
+
+    def true_times(self, tasks):
+        self.calls += 1
+        return self._inner.true_times(tasks)
+
+    def true_reliabilities(self, tasks):
+        self.calls += 1
+        return self._inner.true_reliabilities(tasks)
+
+
+def test_window_form_wide(benchmark):
+    """Forming the serve_wide window (24 specialists x 64 tasks drawn with
+    replacement) a second time: every column comes from the dispatcher's
+    truth table and no cluster model is evaluated — asserted on the call
+    counts, not on a time.  ``extra_info`` has µs per formed window next
+    to what evaluating it afresh costs."""
+    clusters = [_CountedCluster(c) for c in make_specialist_pool(24)]
+    pool = TaskPool(256, rng=0).tasks
+    window = [pool[i] for i in np.random.default_rng(1).integers(0, 256, 64)]
+    dispatcher = Dispatcher(clusters, TSM(), MatchSpec())  # the method is never asked
+
+    t0 = time.perf_counter()
+    T, A = dispatcher.true_matrices(window)
+    fresh_s = time.perf_counter() - t0
+    assert [c.calls for c in clusters] == [2] * 24  # one T and one A read each
+    assert dispatcher.truth.misses == 64 and len(dispatcher.truth) == len({t.task_id for t in window}) < 64
+
+    again = benchmark(lambda: dispatcher.true_matrices(window))
+    assert [c.calls for c in clusters] == [2] * 24
+    assert dispatcher.truth.hits >= 64
+    assert again[0].tobytes() == T.tobytes() and again[1].tobytes() == A.tobytes()
+    assert again[0] is not T and again[0].base is None  # fresh, no view
+    benchmark.extra_info["fresh_us_per_window"] = 1e6 * fresh_s
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        benchmark.extra_info["table_us_per_window"] = 1e6 * benchmark.stats["min"]
 
 
 def test_rounding(benchmark, instance):

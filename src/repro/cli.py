@@ -611,6 +611,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"mean solver iterations/window: {stats.mean_solver_iterations:.1f}")
     if stats.cache:
         print(f"warm-start cache: {stats.cache}")
+    if stats.truth:
+        print(f"ground-truth table: {stats.truth}")
     if stats.seed_sources:
         print(f"seed sources: {stats.seed_sources}")
     if stats.profile:

@@ -201,43 +201,26 @@ def analyze_blocks(
     if mass <= problem.gamma * M * N * (1.0 + 1e-9):
         viable[problem.A.argmax(axis=0), np.arange(N)] = True
 
-    # Union-find over clusters; each task unions its viable rows.
-    parent = np.arange(M)
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    rows_per_task: list[np.ndarray] = []
-    for j in range(N):
-        rows = np.flatnonzero(viable[:, j])
-        rows_per_task.append(rows)
-        root = find(int(rows[0]))
-        for i in rows[1:]:
-            parent[find(int(i))] = root
-
+    # Connected components, found on the cluster side: two clusters touch
+    # when some task is viable on both, and squaring the boolean relation
+    # until it stops growing closes it (at most log2(M) + 1 products).
+    V = viable.astype(np.float32)
+    reach = V @ V.T > 0
+    while True:
+        R = reach.astype(np.float32)
+        wider = R @ R > 0
+        if np.array_equal(wider, reach):
+            break
+        reach = wider
     used = viable.any(axis=1)
-    roots: dict[int, int] = {}
-    cluster_groups: list[list[int]] = []
-    task_groups: list[list[int]] = []
-    for i in range(M):
-        if not used[i]:
-            continue
-        r = find(i)
-        if r not in roots:
-            roots[r] = len(cluster_groups)
-            cluster_groups.append([])
-            task_groups.append([])
-        cluster_groups[roots[r]].append(i)
-    for j in range(N):
-        task_groups[roots[find(int(rows_per_task[j][0]))]].append(j)
-
+    # A component goes by its first cluster (a closed row's first True), an
+    # idle cluster by -1; a task belongs where its first viable cluster does.
+    root = np.where(used, reach.argmax(axis=1), -1)
+    task_root = root[viable.argmax(axis=0)]
     blocks = tuple(
-        Block(cluster_idx=np.asarray(ci, dtype=np.intp),
-              task_idx=np.asarray(tj, dtype=np.intp))
-        for ci, tj in zip(cluster_groups, task_groups)
+        Block(cluster_idx=np.flatnonzero(root == r),
+              task_idx=np.flatnonzero(task_root == r))
+        for r in np.unique(root[used])
     )
     return BlockStructure(
         viable=viable, blocks=blocks, idle_clusters=np.flatnonzero(~used)

@@ -21,6 +21,11 @@ per signal, consumed by :class:`repro.monitor.quality.QualityMonitor`:
 Every detector is deterministic given its input stream: ``update``
 returns ``True`` on the sample that crosses the alarm threshold, and
 the caller decides what to do (emit an alert, ``reset()``, cool down).
+The arithmetic of a detector lives in its ``scan(xs, i)``: consume the
+floats ``xs[i:]`` up to and including the first one that alarms and
+return that one's index (``len(xs)`` when none does) — a window's worth
+of samples costs one call with the state in locals, and ``update(x)`` is
+a scan of one.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Sequence
 
 __all__ = ["PageHinkley", "Cusum", "QuantileWindow", "DriftBank"]
 
@@ -64,11 +70,23 @@ class PageHinkley:
 
     def update(self, x: float) -> bool:
         """Consume one sample; ``True`` when the alarm threshold crosses."""
-        self.n += 1
-        self.mean += (x - self.mean) / self.n
-        self.cum += x - self.mean - self.delta
-        self.cum_min = min(self.cum_min, self.cum)
-        return self.n >= self.min_samples and self.stat > self.threshold
+        return self.scan((x,)) == 0
+
+    def scan(self, xs: "Sequence[float]", i: int = 0) -> int:
+        n, mean, cum, cum_min = self.n, self.mean, self.cum, self.cum_min
+        delta, threshold, min_samples = self.delta, self.threshold, self.min_samples
+        for i in range(i, len(xs)):
+            x = xs[i]
+            n += 1
+            mean += (x - mean) / n
+            cum += x - mean - delta
+            cum_min = min(cum_min, cum)
+            if n >= min_samples and cum - cum_min > threshold:
+                break
+        else:
+            i = len(xs)
+        self.n, self.mean, self.cum, self.cum_min = n, mean, cum, cum_min
+        return i
 
     def reset(self) -> None:
         """Forget everything (post-alarm re-arm or post-retrain restart)."""
@@ -107,14 +125,26 @@ class Cusum:
         return max(self.g_pos, self.g_neg)
 
     def update(self, x: float) -> bool:
-        self.n += 1
-        if self.n <= self.warmup:
-            self.reference += (x - self.reference) / self.n
-            return False
-        dev = x - self.reference
-        self.g_pos = max(0.0, self.g_pos + dev - self.drift)
-        self.g_neg = max(0.0, self.g_neg - dev - self.drift)
-        return self.stat > self.threshold
+        return self.scan((x,)) == 0
+
+    def scan(self, xs: "Sequence[float]", i: int = 0) -> int:
+        n, reference, g_pos, g_neg = self.n, self.reference, self.g_pos, self.g_neg
+        drift, threshold, warmup = self.drift, self.threshold, self.warmup
+        for i in range(i, len(xs)):
+            x = xs[i]
+            n += 1
+            if n <= warmup:
+                reference += (x - reference) / n
+                continue
+            dev = x - reference
+            g_pos = max(0.0, g_pos + dev - drift)
+            g_neg = max(0.0, g_neg - dev - drift)
+            if max(g_pos, g_neg) > threshold:
+                break
+        else:
+            i = len(xs)
+        self.n, self.reference, self.g_pos, self.g_neg = n, reference, g_pos, g_neg
+        return i
 
     def reset(self) -> None:
         self.n = 0
@@ -161,21 +191,29 @@ class QuantileWindow:
         return self._quantile(self._sorted) / max(self._ref_q, self.floor)
 
     def update(self, x: float) -> bool:
-        if self._ref_q is None:
-            self._reference.append(x)
-            if len(self._reference) == self.window:
-                self._ref_q = self._quantile(sorted(self._reference))
-            return False
-        self._current.append(x)
-        insort(self._sorted, x)
-        if len(self._current) > self.window:
-            old = self._current.popleft()
-            i = bisect_left(self._sorted, old)
-            if i < len(self._sorted) and self._sorted[i] == old:
-                del self._sorted[i]
-            else:  # a NaN (it orders nowhere) is or was in the window
-                self._sorted = sorted(self._current)
-        return len(self._current) == self.window and self.stat > self.factor
+        return self.scan((x,)) == 0
+
+    def scan(self, xs: "Sequence[float]", i: int = 0) -> int:
+        window, current = self.window, self._current
+        for i in range(i, len(xs)):
+            x = xs[i]
+            if self._ref_q is None:
+                self._reference.append(x)
+                if len(self._reference) == window:
+                    self._ref_q = self._quantile(sorted(self._reference))
+                continue
+            current.append(x)
+            insort(self._sorted, x)
+            if len(current) > window:
+                old = current.popleft()
+                k = bisect_left(self._sorted, old)
+                if k < len(self._sorted) and self._sorted[k] == old:
+                    del self._sorted[k]
+                else:  # a NaN (it orders nowhere) is or was in the window
+                    self._sorted = sorted(current)
+            if len(current) == window and self.stat > self.factor:
+                return i
+        return len(xs)
 
     def reset(self) -> None:
         """Re-arm against a *fresh* reference (post-retrain semantics)."""
@@ -193,6 +231,7 @@ class DriftBank:
     sustained shift produces one alarm per detector, not one per sample
     (re-arming against post-shift data keeps them quiet until the next
     regime change — exactly the cooldown a retraining trigger wants).
+    ``update_many`` is ``update`` over a sequence, sample for sample.
     """
 
     def __init__(self, signal: str, detectors: "dict[str, object]") -> None:
@@ -204,14 +243,29 @@ class DriftBank:
         self.fired: "list[tuple[int, str]]" = []  # (sample index, detector)
 
     def update(self, x: float) -> "list[str]":
-        self.samples += 1
-        hits: "list[str]" = []
-        for name, det in self.detectors.items():
-            if det.update(x):  # type: ignore[attr-defined]
-                hits.append(name)
-                self.fired.append((self.samples, name))
+        return [name for _, name, _ in self.update_many((x,))]
+
+    def update_many(self, values) -> "list[tuple[int, str, float]]":
+        """Feed ``values`` in order; one ``(offset, detector, stat)`` per alarm.
+
+        Alarms come back as sample-by-sample ``update`` raises them — by
+        offset into ``values``, then in detector order — and ``stat`` is
+        what that caller reads off the detector next: its statistic right
+        after the re-arm.  The detectors share no state, so each scans the
+        whole sequence on its own, re-armed after every alarm.
+        """
+        xs = [float(v) for v in values]
+        hits: "list[tuple[int, int, str, float]]" = []
+        for rank, (name, det) in enumerate(self.detectors.items()):
+            i = det.scan(xs, 0)  # type: ignore[attr-defined]
+            while i < len(xs):
                 det.reset()  # type: ignore[attr-defined]
-        return hits
+                hits.append((i, rank, name, det.stat))  # type: ignore[attr-defined]
+                i = det.scan(xs, i + 1)  # type: ignore[attr-defined]
+        hits.sort()
+        self.fired.extend((self.samples + i + 1, name) for i, _, name, _ in hits)
+        self.samples += len(xs)
+        return [(i, name, stat) for i, _, name, stat in hits]
 
     def state(self) -> dict:
         return {

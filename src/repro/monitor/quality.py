@@ -33,6 +33,7 @@ dispatcher: observing a run must not change it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -51,6 +52,12 @@ __all__ = ["Alert", "MonitorConfig", "QualityMonitor", "DEFAULT_SLOS"]
 #: Regret/error values are small per-task hour quantities; reuse the
 #: telemetry time buckets (they span 1e-4 .. 1e2 with log spacing).
 _GAP_BUCKETS = TIME_BUCKETS_S
+
+_DRIFT_MESSAGES = {
+    "time_error": "execution-time prediction error drifted",
+    "reliability_error": "reliability calibration drifted",
+}
+
 
 DEFAULT_SLOS: "tuple[SLORule, ...]" = (
     # At most 10% of tasks may wait longer than the wait bound.
@@ -237,7 +244,7 @@ class QualityMonitor(ServeCallback):
 
         # --- drift signals ------------------------------------------- #
         if snapshot.T_hat is not None:
-            assigned = np.argmax(snapshot.X, axis=0)  # cluster row per task
+            assigned = snapshot.X.argmax(axis=0)  # cluster row per task
             cols = np.arange(snapshot.X.shape[1])
             placed = snapshot.X[assigned, cols] > 0  # shed-from-window guard
             t_hat = snapshot.T_hat[assigned, cols]
@@ -245,31 +252,28 @@ class QualityMonitor(ServeCallback):
             time_err = np.abs(t_hat - snapshot.realized_hours) / np.maximum(
                 snapshot.realized_hours, 1e-6
             )
-            a_hat = snapshot.A_hat[assigned, cols] if snapshot.A_hat is not None else None
-            for j in cols:
-                if not placed[j]:
-                    continue
-                for name in self.banks["time_error"].update(float(time_err[j])):
-                    self._alert(
-                        snapshot.window, snapshot.time, "drift", "time_error",
-                        name, self.banks["time_error"].detectors[name].stat,
-                        "execution-time prediction error drifted",
-                    )
-                    self._maybe_suggest_retrain(snapshot, "time_error", [name])
-                if a_hat is not None:
-                    calib = float(a_hat[j]) - float(bool(snapshot.success[j]))
-                    for name in self.banks["reliability_error"].update(calib):
-                        self._alert(
-                            snapshot.window, snapshot.time, "drift",
-                            "reliability_error", name,
-                            self.banks["reliability_error"].detectors[name].stat,
-                            "reliability calibration drifted",
-                        )
-                        self._maybe_suggest_retrain(
-                            snapshot, "reliability_error", [name])
-            if rec.enabled and placed.any():
+            # One pass per bank over the placed tasks, then the alarms in
+            # the order a task-by-task feed raises them: by task, its
+            # time-error alarms before its calibration alarms.
+            placed_err = time_err[placed]
+            hits = [(j, 0, "time_error", name, stat) for j, name, stat
+                    in self.banks["time_error"].update_many(placed_err.tolist())]
+            if snapshot.A_hat is not None:
+                # Signed calibration error: â minus the 0/1 outcome.
+                calib = snapshot.A_hat[assigned, cols] - snapshot.success
+                hits += [(j, 1, "reliability_error", name, stat) for j, name, stat
+                         in self.banks["reliability_error"].update_many(
+                             calib[placed].tolist())]
+            hits.sort(key=itemgetter(0, 1))
+            for _, _, signal, name, stat in hits:
+                self._alert(snapshot.window, snapshot.time, "drift", signal, name,
+                            stat, _DRIFT_MESSAGES[signal])
+                self._maybe_suggest_retrain(snapshot, signal, [name])
+            if rec.enabled and placed_err.size:
+                # ``placed_err.mean()``, minus its Python-level wrapper.
                 rec.observe("monitor/time_error",
-                            float(time_err[placed].mean()), bounds=_GAP_BUCKETS)
+                            float(np.add.reduce(placed_err) / placed_err.size),
+                            bounds=_GAP_BUCKETS)
 
         # --- regret attribution -------------------------------------- #
         attribution = self.attributor.attribute(snapshot)
@@ -295,7 +299,7 @@ class QualityMonitor(ServeCallback):
         waits = snapshot.wait_hours
         k = len(snapshot.task_ids)
         slo_obs = [
-            ("wait", int(np.sum(waits > self.config.wait_bound_hours)), k),
+            ("wait", sum(w > self.config.wait_bound_hours for w in waits.tolist()), k),
             ("shed", snapshot.shed_total - self._prev_shed_total,
              max(snapshot.arrived_total - self._prev_arrived_total, 1)),
             ("reliability", int(snapshot.reliability_slack < 0.0), 1),

@@ -46,45 +46,64 @@ class SLORule:
 
 
 @dataclass
+class _RollingCounts:
+    """The last ``size`` windows' ``(bad, total)`` pairs and their sums.
+
+    The sums are integers kept in step with the buffer (add on the way in,
+    subtract on the way out), so a burn rate is one division, not a pass
+    over the buffer, and exactly what re-summing would give.
+    """
+
+    size: int
+    buf: "deque[tuple[int, int]]" = field(default_factory=deque, repr=False)
+    bad: int = 0
+    total: int = 0
+
+    def push(self, bad: int, total: int) -> None:
+        self.buf.append((bad, total))
+        self.bad += bad
+        self.total += total
+        if len(self.buf) > self.size:
+            old_bad, old_total = self.buf.popleft()
+            self.bad -= old_bad
+            self.total -= old_total
+
+    def burn(self, objective: float) -> float:
+        if self.total == 0:
+            return 0.0
+        return (self.bad / self.total) / objective
+
+
+@dataclass
 class SLOStatus:
     """Rolling state of one rule (window counts plus current burn)."""
 
     rule: SLORule
-    fast: "deque[tuple[int, int]]" = field(default_factory=deque, repr=False)
-    slow: "deque[tuple[int, int]]" = field(default_factory=deque, repr=False)
     breaching: bool = False  # rising-edge latch
     alerts: int = 0
 
-    @staticmethod
-    def _burn(buf: "deque[tuple[int, int]]", objective: float) -> float:
-        total = sum(t for _, t in buf)
-        if total == 0:
-            return 0.0
-        bad = sum(b for b, _ in buf)
-        return (bad / total) / objective
+    def __post_init__(self) -> None:
+        self.fast = _RollingCounts(self.rule.fast_windows)
+        self.slow = _RollingCounts(self.rule.slow_windows)
 
     @property
     def fast_burn(self) -> float:
-        return self._burn(self.fast, self.rule.objective)
+        return self.fast.burn(self.rule.objective)
 
     @property
     def slow_burn(self) -> float:
-        return self._burn(self.slow, self.rule.objective)
+        return self.slow.burn(self.rule.objective)
 
     def observe(self, bad: int, total: int) -> bool:
         """Push one window's counts; ``True`` on a fresh breach edge."""
         if bad < 0 or total < bad:
             raise ValueError(f"{self.rule.name}: need 0 <= bad <= total")
-        self.fast.append((bad, total))
-        if len(self.fast) > self.rule.fast_windows:
-            self.fast.popleft()
-        self.slow.append((bad, total))
-        if len(self.slow) > self.rule.slow_windows:
-            self.slow.popleft()
+        self.fast.push(bad, total)
+        self.slow.push(bad, total)
         # Cold-start gate: with fewer windows than the fast length even a
         # single bad sample burns "infinitely"; hold alerts until the
         # slow buffer holds at least one fast window's worth of history.
-        warmed = len(self.slow) >= self.rule.fast_windows
+        warmed = len(self.slow.buf) >= self.rule.fast_windows
         burning = warmed and (
             self.fast_burn > self.rule.burn_threshold
             and self.slow_burn > self.rule.burn_threshold

@@ -21,9 +21,13 @@ matching cost), this module recycles two artifacts across windows:
 - :class:`PredictionMemo` — memoized predictor forward passes keyed by
   task id, invalidated wholesale on checkpoint hot-swap (``bump``).  A
   repeated task spec costs a dict lookup instead of 2·M MLP forwards.
+- :class:`ColumnTable` — what the memo is made of: per task id, two
+  columns over the clusters, computed on first sight and stacked into
+  window matrices.  The dispatcher holds a second one for the ground
+  truth (``Dispatcher.truth``), which no hot-swap invalidates.
 
-Both structures are bounded (LRU on insertion order) so a long-running
-dispatcher holds O(1) memory.
+All are bounded (LRU on insertion order) so a long-running dispatcher
+holds O(1) memory.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "CacheKey",
     "WarmStartCache",
+    "ColumnTable",
     "PredictionMemo",
     "batch_size_bucket",
     "make_cache_key",
@@ -207,7 +212,85 @@ class WarmStartCache:
         }
 
 
-class PredictionMemo:
+class ColumnTable:
+    """Bounded per-task store of column pairs, filled on first sight.
+
+    One entry per task id: two ``(M,)`` columns (a task's value on every
+    cluster, for two quantities) and the *owner* the entry was computed
+    for.  :meth:`gather` assembles ``(M, N)`` matrices for a task list from
+    stored columns and has ``compute`` fill in the rest.  ``owner``
+    (``task -> object``) guards reuse by identity: an id that comes back
+    with another owner is a miss, never the old entry's answer.  With
+    ``repeat`` a task that is missing in several slots of one list is
+    handed to ``compute`` once per slot, otherwise once.  Entries leave
+    least-recently-used first once ``capacity`` is exceeded.
+    """
+
+    def __init__(self, capacity: int = 4096, owner=None, repeat: bool = False) -> None:
+        if capacity <= 0:
+            raise ValueError(f"capacity must be positive, got {capacity}")
+        self.capacity = capacity
+        self.hits = 0  # task slots served from the table
+        self.misses = 0  # task slots that waited for ``compute``
+        self._owner = owner or (lambda task: None)
+        self._repeat = repeat
+        self._cols: dict[int, tuple[object, np.ndarray, np.ndarray]] = {}
+
+    def __len__(self) -> int:
+        return len(self._cols)
+
+    def gather(self, tasks: "Sequence[Task]", compute) -> tuple[np.ndarray, np.ndarray]:
+        """Two fresh ``(M, len(tasks))`` matrices, one column per task slot.
+
+        ``compute(missing)`` returns the two ``(M, len(missing))`` matrices
+        of the tasks the table does not hold, in slot order.
+        """
+        cols, owner_of = self._cols, self._owner
+        picked: list = [None] * len(tasks)  # the entry behind every slot
+        missing: "dict[tuple[int, int], list[int]]" = {}  # (id, owner) -> its slots
+        for j, task in enumerate(tasks):
+            owner = owner_of(task)
+            entry = cols.get(task.task_id)
+            if entry is not None and entry[0] is owner:
+                picked[j] = entry
+            else:
+                missing.setdefault((task.task_id, id(owner)), []).append(j)
+        if missing:
+            # A task stands at its last missing slot (the column the memo
+            # has always kept when a batch repeated an id).
+            batch = sorted(j for slots in missing.values()
+                           for j in (slots if self._repeat else slots[-1:]))
+            first, second = compute([tasks[j] for j in batch])
+            column = {j: k for k, j in enumerate(batch)}
+            for slots in missing.values():
+                task, k = tasks[slots[-1]], column[slots[-1]]
+                entry = (owner_of(task), first[:, k].copy(), second[:, k].copy())
+                cols[task.task_id] = entry
+                for j in slots:
+                    picked[j] = entry
+        missed = sum(map(len, missing.values()))
+        self.misses += missed
+        self.hits += len(tasks) - missed
+        out = (np.stack([entry[1] for entry in picked], axis=1),
+               np.stack([entry[2] for entry in picked], axis=1))
+        # LRU recency + capacity bound.
+        for task in tasks:
+            cols[task.task_id] = cols.pop(task.task_id)
+        while len(cols) > self.capacity:
+            cols.pop(next(iter(cols)))
+        return out
+
+    def stats(self) -> dict:
+        total = self.hits + self.misses
+        return {
+            "entries": len(self._cols),
+            "hits": self.hits,
+            "misses": self.misses,
+            "hit_rate": self.hits / total if total else 0.0,
+        }
+
+
+class PredictionMemo(ColumnTable):
     """Memoized predictor forward passes for repeated task specs.
 
     Stores one ``(t̂ column, â column)`` pair per task id — the full
@@ -219,16 +302,14 @@ class PredictionMemo:
     """
 
     def __init__(self, capacity: int = 4096) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
+        # ``repeat``: a forward pass is not bitwise batch-invariant (BLAS
+        # picks its kernel by batch size: 83 of 200 random serving batches
+        # moved T̂ by an ulp when their repeated ids were dropped), and an
+        # ulp decides which of two identical tasks of one window goes where
+        # — the trace digests.  So ``method.predict`` keeps getting one row
+        # per missing slot, as it always has.
+        super().__init__(capacity, repeat=True)
         self.version = 0
-        self.hits = 0
-        self.misses = 0
-        self._cols: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def __len__(self) -> int:
-        return len(self._cols)
 
     def bump(self) -> None:
         """Invalidate the memo (model hot-swap: new weights, new columns)."""
@@ -239,28 +320,7 @@ class PredictionMemo:
         self, method: "BaseMethod", tasks: "Sequence[Task]"
     ) -> tuple[np.ndarray, np.ndarray]:
         """(T̂, Â) for ``tasks``, shape (M, N), reusing cached columns."""
-        missing = [t for t in tasks if t.task_id not in self._cols]
-        if missing:
-            T_m, A_m = method.predict(list(missing))
-            for k, task in enumerate(missing):
-                self._cols[task.task_id] = (T_m[:, k].copy(), A_m[:, k].copy())
-        self.misses += len(missing)
-        self.hits += len(tasks) - len(missing)
-        T_hat = np.stack([self._cols[t.task_id][0] for t in tasks], axis=1)
-        A_hat = np.stack([self._cols[t.task_id][1] for t in tasks], axis=1)
-        # LRU recency + capacity bound.
-        for t in tasks:
-            self._cols[t.task_id] = self._cols.pop(t.task_id)
-        while len(self._cols) > self.capacity:
-            self._cols.pop(next(iter(self._cols)))
-        return T_hat, A_hat
+        return self.gather(tasks, method.predict)
 
     def stats(self) -> dict:
-        total = self.hits + self.misses
-        return {
-            "entries": len(self._cols),
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hits / total if total else 0.0,
-            "version": self.version,
-        }
+        return {**super().stats(), "version": self.version}

@@ -23,6 +23,10 @@ module provides that loop over simulated time:
   :class:`~repro.serve.cache.WarmStartCache` (previous window's columns +
   step memory) and predictor forwards come from the
   :class:`~repro.serve.cache.PredictionMemo`;
+- **windows formed from per-task columns** — the true ``T``/``A`` a window
+  is executed and scored under are stacked from each task's ground-truth
+  columns, kept on the dispatcher (``Dispatcher.truth``) and evaluated on
+  first sight, not rebuilt from the cluster models every window;
 - **checkpoint hot-swap** — a ``swap_schedule`` mapping window index →
   registry version reloads predictor weights *between* windows and bumps
   the memo, modelling periodic retraining without stopping the loop; a
@@ -47,7 +51,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -57,7 +61,7 @@ from repro.matching.objectives import reliability_value
 from repro.matching.problem import MatchingProblem
 from repro.matching.rounding import labels_from_assignment
 from repro.methods.base import BaseMethod, MatchSpec
-from repro.serve.cache import PredictionMemo, WarmStartCache, make_cache_key
+from repro.serve.cache import ColumnTable, PredictionMemo, WarmStartCache, make_cache_key
 from repro.serve.registry import ModelRegistry
 from repro.telemetry import ITER_BUCKETS, SIZE_BUCKETS, TIME_BUCKETS_S, get_recorder
 from repro.telemetry.journey import JourneyRecorder
@@ -198,6 +202,10 @@ class ServeStats:
     seed_sources: dict = field(default_factory=dict)
     cache: dict = field(default_factory=dict)
     memo: dict = field(default_factory=dict)
+    #: The dispatcher's ground-truth column table (entries, hits, misses,
+    #: hit_rate): how many (window, task) slots were formed without
+    #: evaluating the cluster models again.
+    truth: dict = field(default_factory=dict)
     #: Latency budget from an attached :class:`StageProfiler`
     #: (:meth:`StageProfiler.budget`); empty when profiling is off.
     #: Wall-clock only — never part of :meth:`trace_bytes`.
@@ -365,6 +373,7 @@ class _Window:
     index: int
     now: float  # dispatch time in platform hours
     ups: "list[Cluster]"
+    rows: "list[int] | None"  # ``ups`` as rows of the full fleet; None = all up
     batch: "list[_Queued]"
     tasks: "list[Task]"
     T: np.ndarray  # true expected times, rows follow ``ups``
@@ -418,6 +427,11 @@ class Dispatcher:
             self.memo = None
         else:
             self.memo = PredictionMemo() if memo is None else memo
+        #: Ground truth per task: its (t, a) columns over ``self.clusters``,
+        #: evaluated on first sight.  It lives as long as the memo but is
+        #: no model output — hot-swaps leave it alone — and an entry answers
+        #: only for the ``spec`` object it was computed from.
+        self.truth = ColumnTable(owner=attrgetter("spec"))
         self.registry = registry
         self.swap_schedule = dict(swap_schedule or {})
         #: Learned warm-start head (``seed(tasks, cluster_ids)`` protocol,
@@ -472,6 +486,18 @@ class Dispatcher:
         if self.registry is None:
             raise ValueError("request_swap requires a registry")
         self._pending_swap = (str(version), str(reason))
+
+    def true_matrices(
+        self, tasks: "list[Task]", rows: "list[int] | None" = None
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Fresh true ``(T, A)`` of ``tasks``: the whole fleet's rows, or ``rows``."""
+        T, A = self.truth.gather(tasks, self._read_truth)
+        return (T, A) if rows is None else (T[rows], A[rows])
+
+    def _read_truth(self, tasks: "list[Task]") -> "tuple[np.ndarray, np.ndarray]":
+        # The one place serving evaluates the cluster models.
+        return (np.stack([c.true_times(tasks) for c in self.clusters]),
+                np.stack([c.true_reliabilities(tasks) for c in self.clusters]))
 
     def start(self, rng=None, outages: "Sequence[Outage] | None" = None) -> "ServeLoop":
         """Open one run; ``outages`` are validated and logged, not delivered."""
@@ -645,6 +671,7 @@ class ServeLoop:
             stats.cache = d.cache.stats()
         if d.memo is not None:
             stats.memo = d.memo.stats()
+        stats.truth = d.truth.stats()
         if self.prof.enabled:
             stats.profile = self.prof.budget()
         if rec.enabled:
@@ -656,6 +683,8 @@ class ServeLoop:
             if d.cache is not None:
                 rec.counter_add("serve/cache_hits", d.cache.hits)
                 rec.counter_add("serve/cache_misses", d.cache.misses)
+            rec.counter_add("serve/truth_hits", d.truth.hits)
+            rec.counter_add("serve/truth_misses", d.truth.misses)
             rec.event("serve/run_stats",
                       **{name: getattr(stats, name) for name in RUN_STAT_FIELDS})
         if jt is not None:
@@ -738,7 +767,10 @@ class ServeLoop:
         """Apply due hot-swaps, pop the batch, build its true problem."""
         d, prof, queue = self.dispatcher, self.prof, self.queue
         with prof.stage("form"):
-            ups = [c for c in d.clusters if c.cluster_id not in self.down]
+            ups, rows = d.clusters, None
+            if self.down:
+                rows = [i for i, c in enumerate(ups) if c.cluster_id not in self.down]
+                ups = [ups[i] for i in rows]
             index = self.stats.windows
             if index in d.swap_schedule:
                 self._swap(index, d.swap_schedule[index], "schedule")
@@ -750,8 +782,7 @@ class ServeLoop:
                 self.rec.observe("serve/queue_depth", len(queue), bounds=SIZE_BUCKETS)
             batch = [queue.popleft() for _ in range(min(self.cfg.max_batch, len(queue)))]
             tasks = [q.task for q in batch]
-            T = np.stack([c.true_times(tasks) for c in ups])
-            A = np.stack([c.true_reliabilities(tasks) for c in ups])
+            T, A = d.true_matrices(tasks, rows)
             problem = d.spec.build_problem(T, A)
         if prof.enabled:
             # Simulated-time components of task latency: how long each
@@ -762,7 +793,7 @@ class ServeLoop:
             for q in batch:
                 prof.observe_sim("admission_wait", now - q.enqueued_at)
             prof.observe_sim("batch_wait", now - max(q.enqueued_at for q in batch))
-        return _Window(index, now, ups, batch, tasks, T, A, problem)
+        return _Window(index, now, ups, rows, batch, tasks, T, A, problem)
 
     def _decide(self, w: _Window) -> None:
         """Choose the window's assignment ``w.X`` and account for it."""
@@ -796,16 +827,13 @@ class ServeLoop:
         # predicted matrices, so with callbacks registered the forward
         # pass always happens here (decide_full would otherwise run the
         # identical predict internally — same result, just not exposed).
-        need_subset = len(ups) != len(d.clusters)
         with prof.stage("predict"):
             if d.memo is not None:
                 w.predictions = d.memo.predict(d.method, tasks)
-            elif need_subset or d.callbacks:
+            elif w.rows is not None or d.callbacks:
                 w.predictions = d.method.predict(tasks)
-            if w.predictions is not None and need_subset:
-                pos = {c.cluster_id: i for i, c in enumerate(d.clusters)}
-                idx = [pos[c.cluster_id] for c in ups]
-                w.predictions = (w.predictions[0][idx], w.predictions[1][idx])
+            if w.predictions is not None and w.rows is not None:
+                w.predictions = (w.predictions[0][w.rows], w.predictions[1][w.rows])
         x0 = solver = None
         w.seed_src = "cold"
         up_ids = [c.cluster_id for c in ups]
@@ -910,6 +938,6 @@ class ServeLoop:
                 requeues=np.array([q.requeues for q in batch]),
                 queue_depth=len(self.queue),
                 arrived_total=self.stats.arrived, shed_total=self.stats.shed,
-                features=np.stack([t.features for t in w.tasks]),
+                features=np.array([t.features for t in w.tasks]),
                 X_relaxed=None if w.relaxed is None else w.relaxed.X,
             ), since=t0)

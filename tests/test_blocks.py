@@ -35,7 +35,7 @@ from repro.matching import (
     solve_relaxed_blocks,
     viability_mask,
 )
-from repro.matching.blocks import _block_gammas
+from repro.matching.blocks import Block, BlockStructure, _block_gammas
 from repro.serve.dispatcher import WindowSnapshot
 from repro.serve.warmstart import WarmStartHead
 from repro.retrain.warmstart import (
@@ -61,6 +61,150 @@ def _specialist_problem(n_tasks: int = 48, m_clusters: int = 12,
     T = np.stack([c.true_times(pool.tasks) for c in clusters])
     A = np.stack([c.true_reliabilities(pool.tasks) for c in clusters])
     return MatchingProblem(T=T, A=A, gamma=feasible_gamma(T, A, quantile=0.5))
+
+
+def _union_find_blocks(problem, config=None) -> BlockStructure:
+    """``analyze_blocks`` as it was: a Python union-find over the clusters,
+    each task joining its viable rows.  Kept verbatim as the oracle for the
+    array-op component search that replaced it."""
+    cfg = config or BlockConfig()
+    M, N = problem.M, problem.N
+    viable = viability_mask(
+        problem.T, time_dominance=cfg.time_dominance, min_viable=cfg.min_viable
+    )
+    mass = float(np.where(viable, problem.A, 0.0).max(axis=0).sum())
+    if mass <= problem.gamma * M * N * (1.0 + 1e-9):
+        viable[problem.A.argmax(axis=0), np.arange(N)] = True
+
+    # Union-find over clusters; each task unions its viable rows.
+    parent = np.arange(M)
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    rows_per_task: list[np.ndarray] = []
+    for j in range(N):
+        rows = np.flatnonzero(viable[:, j])
+        rows_per_task.append(rows)
+        root = find(int(rows[0]))
+        for i in rows[1:]:
+            parent[find(int(i))] = root
+
+    used = viable.any(axis=1)
+    roots: dict[int, int] = {}
+    cluster_groups: list[list[int]] = []
+    task_groups: list[list[int]] = []
+    for i in range(M):
+        if not used[i]:
+            continue
+        r = find(i)
+        if r not in roots:
+            roots[r] = len(cluster_groups)
+            cluster_groups.append([])
+            task_groups.append([])
+        cluster_groups[roots[r]].append(i)
+    for j in range(N):
+        task_groups[roots[find(int(rows_per_task[j][0]))]].append(j)
+
+    blocks = tuple(
+        Block(cluster_idx=np.asarray(ci, dtype=np.intp),
+              task_idx=np.asarray(tj, dtype=np.intp))
+        for ci, tj in zip(cluster_groups, task_groups)
+    )
+    return BlockStructure(
+        viable=viable, blocks=blocks, idle_clusters=np.flatnonzero(~used)
+    )
+
+
+def _assert_same_structure(problem, config=None) -> BlockStructure:
+    got, ref = analyze_blocks(problem, config), _union_find_blocks(problem, config)
+    assert np.array_equal(got.viable, ref.viable)
+    assert got.n_blocks == ref.n_blocks
+    for g, r in zip(got.blocks, ref.blocks):
+        assert g.cluster_idx.dtype == r.cluster_idx.dtype == np.intp
+        assert np.array_equal(g.cluster_idx, r.cluster_idx)
+        assert np.array_equal(g.task_idx, r.task_idx)
+    assert np.array_equal(got.idle_clusters, ref.idle_clusters)
+    return got
+
+
+def _problem_from_times(T: np.ndarray, A=None, gamma: float = 0.01) -> MatchingProblem:
+    # The default gamma is far below max(A) / M: no reliability re-add.
+    return MatchingProblem(
+        T=T, A=np.full(T.shape, 0.9) if A is None else A, gamma=gamma)
+
+
+class TestComponentsAreTheUnionFind:
+    """The closure-by-squaring search returns the union-find's blocks:
+    ordered by first cluster, indices ascending, idle clusters apart."""
+
+    def test_seeded_specialist_windows(self):
+        clusters = make_specialist_pool(24)
+        pool = TaskPool(256, rng=0).tasks
+        T = np.stack([c.true_times(pool) for c in clusters])
+        A = np.stack([c.true_reliabilities(pool) for c in clusters])
+        sizes = set()
+        for seed in range(44):  # the windows of tests/test_blocks_ragged.py
+            rng = np.random.default_rng(seed)
+            cols = rng.choice(len(pool), size=int(rng.integers(30, 65)), replace=False)
+            Tw = T[:, cols] * rng.uniform(0.9, 1.1, (24, cols.size))
+            Aw = np.clip(A[:, cols] + rng.normal(0, 0.01, (24, cols.size)), 0.05, 0.995)
+            problem = MatchingProblem(
+                T=Tw, A=Aw, gamma=feasible_gamma(Tw, Aw, quantile=0.5))
+            sizes.add(_assert_same_structure(problem).n_blocks)
+        assert max(sizes) >= 4
+        for m in (8, 12):
+            _assert_same_structure(_specialist_problem(m_clusters=m))
+
+    def test_fully_connected(self):
+        got = _assert_same_structure(_dense_problem(1))
+        assert got.n_blocks == 1 and got.idle_clusters.size == 0
+
+    def test_fully_disconnected(self):
+        # Task j runs 100x faster on cluster j % M than anywhere else.
+        M, N = 5, 11
+        T = np.full((M, N), 100.0)
+        T[np.arange(N) % M, np.arange(N)] = 1.0
+        got = _assert_same_structure(
+            _problem_from_times(T), BlockConfig(min_viable=1))
+        assert got.n_blocks == M
+        assert [b.cluster_idx.tolist() for b in got.blocks] == [[i] for i in range(M)]
+
+    def test_all_idle_but_one(self):
+        T = np.full((6, 9), 100.0)
+        T[3] = 1.0
+        got = _assert_same_structure(
+            _problem_from_times(T), BlockConfig(min_viable=1))
+        assert got.n_blocks == 1 and got.blocks[0].cluster_idx.tolist() == [3]
+        assert got.idle_clusters.tolist() == [0, 1, 2, 4, 5]
+
+    def test_long_chains_close(self):
+        # Cluster i shares a task only with i + 1: one component of
+        # diameter M - 1, so the squaring has to run to its fixed point;
+        # the same chain cut in the middle gives two.
+        M = 37
+        T = np.full((M, M - 1), 100.0)
+        j = np.arange(M - 1)
+        T[j, j] = T[j + 1, j] = 1.0
+        assert _assert_same_structure(_problem_from_times(T)).n_blocks == 1
+        cut = np.delete(T, 17, axis=1)
+        got = _assert_same_structure(_problem_from_times(cut))
+        assert [b.shape[0] for b in got.blocks] == [18, 19]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_sparse_masks(self, seed):
+        rng = np.random.default_rng(seed)
+        M, N = int(rng.integers(2, 30)), int(rng.integers(1, 40))
+        T = np.where(rng.random((M, N)) < 0.12, 1.0, 100.0) * rng.uniform(1, 1.5, (M, N))
+        # Odd seeds: gamma high enough that every task's most reliable
+        # cluster is re-added to the mask before the components are read.
+        problem = _problem_from_times(
+            T, rng.uniform(0.5, 0.99, (M, N)), gamma=0.6 if seed % 2 else 0.01)
+        _assert_same_structure(
+            problem, BlockConfig(min_viable=int(rng.integers(1, 3))))
 
 
 class TestStructureAnalyzer:

@@ -239,6 +239,121 @@ class TestSLO:
         with pytest.raises(ValueError):
             mon.observe("r", 3, 2)
 
+    @settings(max_examples=100)
+    @given(
+        fast=st.integers(1, 5), extra=st.integers(0, 6),
+        counts=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=60),
+    )
+    def test_running_sums_are_the_resummed_buffers(self, fast, extra, counts):
+        """The burn rates come from integer sums carried along the rolling
+        buffers; re-summing the last windows (how it was) is the oracle."""
+        rule = SLORule(name="r", objective=0.1, fast_windows=fast,
+                       slow_windows=fast + extra, burn_threshold=2.0)
+        status = SLOMonitor([rule]).status["r"]
+        seen, breaching = [], False
+
+        def burn(pairs):
+            total = sum(t for _, t in pairs)
+            return (sum(b for b, _ in pairs) / total) / rule.objective if total else 0.0
+
+        for bad, more in counts:
+            seen.append((bad, bad + more))
+            edge = status.observe(bad, bad + more)
+            f, s = burn(seen[-fast:]), burn(seen[-(fast + extra):])
+            assert (status.fast_burn, status.slow_burn) == (f, s)
+            burning = len(seen) >= fast and f > 2.0 and s > 2.0
+            assert edge == (burning and not breaching)
+            breaching = burning
+
+
+class _OneAtATimePageHinkley(PageHinkley):
+    """``update`` as it was before ``scan``: one float, state on ``self``."""
+
+    def update(self, x: float) -> bool:
+        self.n += 1
+        self.mean += (x - self.mean) / self.n
+        self.cum += x - self.mean - self.delta
+        self.cum_min = min(self.cum_min, self.cum)
+        return self.n >= self.min_samples and self.stat > self.threshold
+
+
+class _OneAtATimeCusum(Cusum):
+    def update(self, x: float) -> bool:
+        self.n += 1
+        if self.n <= self.warmup:
+            self.reference += (x - self.reference) / self.n
+            return False
+        dev = x - self.reference
+        self.g_pos = max(0.0, self.g_pos + dev - self.drift)
+        self.g_neg = max(0.0, self.g_neg - dev - self.drift)
+        return self.stat > self.threshold
+
+
+class _OneAtATimeBank(DriftBank):
+    """The bank's per-sample loop as it was, reading ``stat`` where the
+    monitor read it: after the fired detector re-armed."""
+
+    def update(self, x: float):
+        self.samples += 1
+        hits = []
+        for name, det in self.detectors.items():
+            if det.update(x):
+                hits.append((name, None))
+                self.fired.append((self.samples, name))
+                det.reset()
+                hits[-1] = (name, det.stat)
+        return hits
+
+
+def _banks(window: int):
+    def detectors(ph, cusum, qw):
+        return {
+            "page_hinkley": ph(delta=0.05, threshold=1.5, min_samples=6),
+            "cusum": cusum(drift=0.05, threshold=1.0, warmup=5),
+            "quantile_window": qw(q=0.9, window=window, factor=1.5),
+        }
+    return (DriftBank("sig", detectors(PageHinkley, Cusum, QuantileWindow)),
+            _OneAtATimeBank("sig", detectors(
+                _OneAtATimePageHinkley, _OneAtATimeCusum, _ResortingQuantileWindow)))
+
+
+class TestUpdateManyIsRepeatedUpdate:
+    @settings(max_examples=150)
+    @given(
+        window=st.integers(2, 9),
+        chunks=st.lists(st.lists(_SAMPLE, max_size=24), max_size=12),
+    )
+    def test_same_alarms_statistics_and_state(self, window, chunks):
+        new, old = _banks(window)
+        for chunk in chunks:
+            got = new.update_many(np.array(chunk, dtype=float))
+            want = [(j, name, stat) for j, x in enumerate(chunk)
+                    for name, stat in old.update(x)]
+            # assert_equal: an ``inf`` sample leaves NaN state, equal to itself.
+            np.testing.assert_equal(got, want)
+            assert new.samples == old.samples and new.fired == old.fired
+            for name, det in new.detectors.items():
+                ref = old.detectors[name]
+                np.testing.assert_equal(det.stat, ref.stat, err_msg=name)
+                for f in ("n", "mean", "cum", "cum_min", "reference", "g_pos", "g_neg"):
+                    if hasattr(det, f):
+                        np.testing.assert_equal(getattr(det, f), getattr(ref, f), err_msg=f)
+
+    def test_a_shift_mid_chunk_alarms_at_the_same_sample(self):
+        rng = np.random.default_rng(5)
+        stream = np.concatenate([np.abs(rng.normal(0.1, 0.03, 90)),
+                                 np.abs(rng.normal(1.2, 0.3, 150))])
+        new, old = _banks(window=16)
+        got = []
+        for lo in range(0, stream.size, 16):  # serving-sized chunks
+            got += [(lo + j, name) for j, name, _ in new.update_many(stream[lo:lo + 16])]
+        want = [(i, name) for i, x in enumerate(stream.tolist())
+                for name, _ in old.update(x)]
+        assert got == want and len({name for _, name in got}) == 3
+        assert new.fired == old.fired == [(i + 1, name) for i, name in want]
+        # ``update`` is ``update_many`` of one.
+        assert new.update(50.0) == [name for name, _ in old.update(50.0)]
+
 
 # --------------------------------------------------------------------- #
 # Regret attribution.

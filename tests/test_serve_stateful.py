@@ -6,7 +6,8 @@ order, both shed policies, queues of 2-6, windows of 1-4, a dispatcher
 that is busy for a while after each window.  The invariants Shah et al.
 reason with hold after *every* transition, not only on finished runs:
 nothing is lost, the queue stays bounded with orphans in front, nothing is
-dispatched before it arrived or onto a cluster that is down.  At the end the books close, the journey audit is clean, and
+dispatched before it arrived or onto a cluster that is down, and every
+window's true ``T``/``A`` are the cluster models' over its up clusters.  At the end the books close, the journey audit is clean, and
 :meth:`Dispatcher.run` — the sorting driver over the same handlers — given
 the same events and outages returns the same trace, byte for byte.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import functools
 
+import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -88,6 +90,7 @@ class ServeLoopMachine(RuleBasedStateMachine):
         self.seed = seed
         self.dispatcher = _dispatcher(self.cfg)
         self.loop = self.dispatcher.start(rng=seed)
+        self.loop._form = self._checked_form(self.loop._form)
         self.t = 0.0
         #: Kind of the last event at ``self.t`` in run()'s order: 0 rejoin,
         #: 1 arrival, 2 dropout, 3 nothing more may share this instant.
@@ -96,6 +99,18 @@ class ServeLoopMachine(RuleBasedStateMachine):
         self.outages: "list[Outage]" = []
         self.down_since: "dict[int, float]" = {}
         self.seen: "set[tuple[int, float]]" = set()
+
+    @staticmethod
+    def _checked_form(form):
+        """Every dispatched window's truth, assembled from the dispatcher's
+        per-task columns, is the matrices evaluated afresh over its ups."""
+        def checked(now):
+            w = form(now)
+            assert np.array_equal(w.T, np.stack([c.true_times(w.tasks) for c in w.ups]))
+            assert np.array_equal(
+                w.A, np.stack([c.true_reliabilities(w.tasks) for c in w.ups]))
+            return w
+        return checked
 
     def _at(self, gap: float, kind: int) -> float:
         """The next event's time.  Simultaneous events must come in the
