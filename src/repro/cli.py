@@ -69,6 +69,10 @@ __all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.fleet.config import PARTITIONS
+    from repro.fleet.router import ROUTING_POLICIES
+    from repro.serve.config import SHED_POLICIES, SOLVE_MODES, WARM_STARTS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="MFCP reproduction: joint prediction and matching for "
@@ -148,14 +152,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = serve_sub.add_parser("run", parents=[common],
                                  help="run the dispatcher once and summarize")
-    p_run.add_argument("--shed-policy", choices=["reject", "drop_oldest"],
-                       default="reject")
-    p_run.add_argument("--warm-start", choices=["cache", "learned", "off"],
-                       default="cache",
+    p_run.add_argument("--shed-policy", choices=SHED_POLICIES, default="reject")
+    p_run.add_argument("--warm-start", choices=WARM_STARTS, default="cache",
                        help="window seed source: last-window cache, cache + "
                             "online-trained learned head on misses, or cold")
-    p_run.add_argument("--solve-mode", choices=["scalar", "blocks"],
-                       default="scalar",
+    p_run.add_argument("--solve-mode", choices=SOLVE_MODES, default="scalar",
                        help="dense per-window solve, or block-decomposed "
                             "batched solve for large windows")
     p_run.add_argument("--train-epochs", type=int, default=120,
@@ -233,10 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_common = argparse.ArgumentParser(add_help=False)
     fleet_common.add_argument("--shards", type=int, default=4,
                               help="number of dispatcher shards")
-    fleet_common.add_argument("--routing", choices=["hash", "load"],
+    fleet_common.add_argument("--routing", choices=ROUTING_POLICIES,
                               default="hash",
                               help="consistent-hash or load-aware routing")
-    fleet_common.add_argument("--partition", choices=["replicate", "family"],
+    fleet_common.add_argument("--partition", choices=PARTITIONS,
                               default="replicate",
                               help="replicate the setting's cluster pool per "
                                    "shard, or family-shard a specialist pool")
@@ -513,7 +514,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                    iterations=1 if args.once else None)
 
     # serve run
-    from repro.serve import ServeConfig, build_platform
+    from repro.serve import build_platform
     from repro.telemetry import recording
     from repro.utils.rng import as_generator
 
@@ -538,24 +539,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"invalid retrain flags: {exc}", file=sys.stderr)
             return 2
-    config = ServeConfig(
-        setting=args.setting,
-        pool_size=args.pool_size,
-        seed=args.seed,
-        train_epochs=args.train_epochs,
-        max_batch=args.max_batch,
-        max_wait_hours=args.max_wait,
-        queue_capacity=args.queue_capacity,
+    config = _serve_config(args).with_overrides(
         shed_policy=args.shed_policy,
         warm_start=args.warm_start,
         solve_mode=args.solve_mode,
-        profile=args.profile or args.flamegraph is not None,
         monitor=monitor_cfg,
         retrain=retrain_cfg,
         registry_root=args.registry if args.retrain else None,
         shard=args.shard,
         instance=args.instance,
-        journey_sample=args.journeys,
     )
     print(f"training TSM predictors ({args.train_epochs} epochs) ...")
     platform = build_platform(config)
@@ -646,6 +638,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _serve_config(args: argparse.Namespace):
+    """The :class:`ServeConfig` of the flags ``serve run`` and ``fleet run`` share."""
+    from repro.serve import ServeConfig
+
+    return ServeConfig(
+        setting=args.setting,
+        pool_size=args.pool_size,
+        seed=args.seed,
+        train_epochs=args.train_epochs,
+        max_batch=args.max_batch,
+        max_wait_hours=args.max_wait,
+        queue_capacity=args.queue_capacity,
+        profile=args.profile or args.flamegraph is not None,
+        journey_sample=args.journeys,
+    )
+
+
 def _print_retrain_outcome(controller, registry, stats) -> None:
     print(f"retrain: buffer {controller.buffer.stats()}")
     for ev in controller.events:
@@ -701,7 +710,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
     # fleet run
     from repro.fleet import FleetConfig, FleetController
-    from repro.serve import ServeConfig
     from repro.utils.rng import as_generator
 
     try:
@@ -710,17 +718,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             routing=args.routing,
             partition=args.partition,
             pool_m=args.pool_m,
-            serve=ServeConfig(
-                setting=args.setting,
-                pool_size=args.pool_size,
-                seed=args.seed,
-                train_epochs=args.train_epochs,
-                max_batch=args.max_batch,
-                max_wait_hours=args.max_wait,
-                queue_capacity=args.queue_capacity,
-                profile=args.profile or args.flamegraph is not None,
-                journey_sample=args.journeys,
-            ),
+            serve=_serve_config(args),
         )
     except ValueError as exc:
         print(f"invalid fleet flags: {exc}", file=sys.stderr)
@@ -785,7 +783,11 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     from repro.monitor import QualityMonitor, TraceReplay
     from repro.telemetry import recording
 
-    replay = TraceReplay.from_log(args.log)
+    try:
+        replay = TraceReplay.from_log(args.log)
+    except ValueError as exc:
+        print(f"cannot replay: {exc}", file=sys.stderr)
+        return 2
     monitor = QualityMonitor() if args.monitor or args.alerts_out else None
     callbacks = [monitor] if monitor else None
     print(f"replaying {len(replay.arrivals)} arrivals "

@@ -171,21 +171,22 @@ def make_setting(name: str) -> list[Cluster]:
     return [make_cluster(a, i) for i, a in enumerate(SETTINGS[name])]
 
 
-def make_pool(
-    m: int, rng: np.random.Generator | int | None = None, *, archetypes: Sequence[str] | None = None
-) -> list[Cluster]:
+def make_pool(m: int, rng: np.random.Generator | int | None = None) -> list[Cluster]:
     """Sample a pool of ``m`` clusters (with replacement beyond catalog size)."""
     if m <= 0:
         raise ValueError(f"m must be positive, got {m}")
     rng = as_generator(rng)
-    names = list(archetypes or ARCHETYPES)
+    names = list(ARCHETYPES)
     chosen = rng.choice(names, size=m, replace=m > len(names))
     return [make_cluster(str(a), i) for i, a in enumerate(chosen)]
 
 
-def make_specialist_pool(
-    m: int, *, on_affinity: float = 1.25, off_affinity: float = 0.10
-) -> list[Cluster]:
+#: A specialist's affinity for its own family and for every other one.
+ON_AFFINITY = 1.25
+OFF_AFFINITY = 0.10
+
+
+def make_specialist_pool(m: int) -> list[Cluster]:
     """A fleet of family-specialized clusters (the sharded-platform regime).
 
     The catalog's generalist affinities (~0.45-1.35) keep every cluster
@@ -197,16 +198,14 @@ def make_specialist_pool(
     specialist per workload :class:`~repro.workloads.specs.Family`,
     round-robin over families and archetypes, keeping each archetype's
     speed, memory, reliability, and response shape but replacing its
-    affinity map with ``on_affinity`` for its own family and
-    ``off_affinity`` for the rest.  The resulting execution-time spread
+    affinity map with ``ON_AFFINITY`` for its own family and
+    ``OFF_AFFINITY`` for the rest.  The resulting execution-time spread
     (≈ ``on/off`` ≥ 10x) makes the viability components split by family —
     the scaling benchmark's block-structured instances.  Deterministic:
     no RNG.
     """
     if m <= 0:
         raise ValueError(f"m must be positive, got {m}")
-    if not (0 < off_affinity < on_affinity):
-        raise ValueError("need 0 < off_affinity < on_affinity")
     families = list(Family)
     arch = list(ARCHETYPES.values())
     clusters = []
@@ -218,7 +217,7 @@ def make_specialist_pool(
             peak_tflops=hw0.peak_tflops,
             mem_bandwidth_gbs=hw0.mem_bandwidth_gbs,
             memory_gb=hw0.memory_gb,
-            family_affinity={f: (on_affinity if f is fam else off_affinity)
+            family_affinity={f: (ON_AFFINITY if f is fam else OFF_AFFINITY)
                              for f in families},
             base_reliability=hw0.base_reliability,
             hazard_per_hour=hw0.hazard_per_hour,

@@ -28,6 +28,9 @@ from repro.telemetry import MODES
 
 __all__ = ["ExperimentConfig", "active_profile", "active_telemetry", "default_config"]
 
+#: N per allocation round (paper: 5 tasks, 3 clusters).
+N_TASKS = 5
+
 
 def active_profile() -> str:
     """"fast" (default) or "full", from the REPRO_PROFILE env var."""
@@ -62,7 +65,6 @@ class ExperimentConfig:
 
     pool_size: int = 80
     train_fraction: float = 0.7
-    n_tasks: int = 5  # N per allocation round (paper: 5 tasks, 3 clusters)
     eval_rounds: int = 12  # test rounds per seed
     seeds: tuple[int, ...] = (0, 1, 2)
     spec: MatchSpec = field(default_factory=MatchSpec)
@@ -74,8 +76,8 @@ class ExperimentConfig:
     oracle_node_limit: int = 400_000
 
     def __post_init__(self) -> None:
-        if self.pool_size <= 0 or self.n_tasks <= 0 or self.eval_rounds <= 0:
-            raise ValueError("pool_size, n_tasks and eval_rounds must be positive")
+        if self.pool_size <= 0 or self.eval_rounds <= 0:
+            raise ValueError("pool_size and eval_rounds must be positive")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
         if not self.seeds:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.clusters.catalog import make_setting
-from repro.experiments.config import ExperimentConfig, default_config
+from repro.experiments.config import N_TASKS, ExperimentConfig, default_config
 from repro.experiments.runner import oracle_matching
 from repro.matching.objectives import makespan
 from repro.methods import MFCP, TSM, FitContext
@@ -65,8 +65,7 @@ def run_diagnostics(
     eval_rng = spawn(rng)
     regrets: dict[str, list[float]] = {m.name: [] for m in methods}
     for _ in range(config.eval_rounds):
-        idx = eval_rng.choice(len(test), size=min(config.n_tasks, len(test)),
-                              replace=False)
+        idx = eval_rng.choice(len(test), size=min(N_TASKS, len(test)), replace=False)
         tasks = [test[int(i)] for i in idx]
         T = T_true[:, idx]
         A = A_true[:, idx]

@@ -30,6 +30,10 @@ __all__ = ["Fig2Result", "run_fig2", "main"]
 #: The three tasks of the figure (feature values in the crossing region).
 TASK_FEATURES = np.array([0.25, 0.52, 0.85])
 
+#: Training-set size and log-normal observation noise of the toy problem.
+N_SAMPLES = 18
+NOISE_STD = 0.10
+
 
 def _true_times(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cluster A: linear in z.  Cluster B: exponential in z (Fig. 2)."""
@@ -62,11 +66,7 @@ class Fig2Result:
         return bool(self.correct.all())
 
 
-def run_fig2(
-    n_samples: int = 18,
-    noise_std: float = 0.10,
-    rng: "np.random.Generator | int | None" = 0,
-) -> dict[str, Fig2Result]:
+def run_fig2(rng: "np.random.Generator | int | None" = 0) -> dict[str, Fig2Result]:
     """Fit MSE and matching-focused linear predictors; allocate the 3 tasks.
 
     The matching-focused weights emphasize samples near the clusters'
@@ -75,10 +75,10 @@ def run_fig2(
     §2.2 describes.
     """
     rng = as_generator(rng)
-    z_train = rng.uniform(0.05, 0.95, n_samples)
+    z_train = rng.uniform(0.05, 0.95, N_SAMPLES)
     t_a_true, t_b_true = _true_times(z_train)
-    t_a_obs = t_a_true * np.exp(rng.normal(0, noise_std, n_samples))
-    t_b_obs = t_b_true * np.exp(rng.normal(0, noise_std, n_samples))
+    t_a_obs = t_a_true * np.exp(rng.normal(0, NOISE_STD, N_SAMPLES))
+    t_b_obs = t_b_true * np.exp(rng.normal(0, NOISE_STD, N_SAMPLES))
 
     # True crossing point of the two response curves (for the weights).
     z_grid = np.linspace(0.05, 0.95, 512)
@@ -91,7 +91,7 @@ def run_fig2(
     out: dict[str, Fig2Result] = {}
     for scheme in ("MSE (predict-then-match)", "matching-focused"):
         if scheme.startswith("MSE"):
-            w = np.ones(n_samples)
+            w = np.ones(N_SAMPLES)
         else:
             # Decision-relevance weights: Gaussian bump at the crossing.
             w = np.exp(-(((z_train - z_cross) / 0.18) ** 2)) + 0.05

@@ -40,16 +40,11 @@ def fig4_methods(config: ExperimentConfig):
     return factory
 
 
-def run_fig4(
-    config: ExperimentConfig | None = None,
-    settings: tuple[str, ...] = SETTINGS,
-    *,
-    verbose: bool = False,
-) -> dict[str, dict[str, MethodReport]]:
+def run_fig4(*, verbose: bool = False) -> dict[str, dict[str, MethodReport]]:
     """Run all settings; returns {setting: {method: report}}."""
-    config = config or default_config()
+    config = default_config()
     results: dict[str, dict[str, MethodReport]] = {}
-    for setting in settings:
+    for setting in SETTINGS:
         if verbose:
             print(f"setting {setting}:")
         results[setting] = run_experiment(

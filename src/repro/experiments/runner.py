@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.clusters.cluster import Cluster
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import N_TASKS, ExperimentConfig, active_telemetry
 from repro.matching.exact import solve_branch_and_bound
 from repro.matching.objectives import makespan, reliability_value
 from repro.matching.problem import MatchingProblem
@@ -115,7 +115,7 @@ def run_seed(
             with telemetry.span(f"fit/{method.name}"):
                 method.fit(ctx)
 
-        n = n_tasks or config.n_tasks
+        n = n_tasks or N_TASKS
         eval_rng = spawn(rng)
         samples: dict[str, list[MetricSample]] = {m.name: [] for m in methods}
         with telemetry.span("eval"):
@@ -135,26 +135,22 @@ def run_experiment(
     *,
     n_tasks: int | None = None,
     verbose: bool = False,
-    telemetry_mode: str | None = None,
     run_name: str = "experiment",
 ) -> dict[str, MethodReport]:
     """Aggregate :func:`run_seed` over every configured seed.
 
-    ``telemetry_mode`` (default: the REPRO_TELEMETRY environment setting,
-    see :func:`repro.experiments.config.active_telemetry`) opens a
+    The REPRO_TELEMETRY environment setting (see
+    :func:`repro.experiments.config.active_telemetry`) opens a
     run-scoped recorder around the whole experiment — unless one is
     already active, in which case the caller's recorder is reused so
     nested experiment invocations land in a single run log.
     """
-    from repro.experiments.config import active_telemetry
-
-    mode = telemetry_mode if telemetry_mode is not None else active_telemetry()
     if telemetry.get_recorder().enabled:
         return _run_experiment_body(
             cluster_factory, method_factory, config, n_tasks, verbose
         )
     meta = telemetry.run_metadata(config=config, seeds=config.seeds)
-    with telemetry.recording(mode=mode, run=run_name, meta=meta):
+    with telemetry.recording(mode=active_telemetry(), run=run_name, meta=meta):
         return _run_experiment_body(
             cluster_factory, method_factory, config, n_tasks, verbose
         )

@@ -61,7 +61,6 @@ def run_gamma_sweep(
 
 def run_beta_sweep(
     config: ExperimentConfig | None = None,
-    betas: tuple[float, ...] = BETAS,
 ) -> dict[float, dict[str, MethodReport]]:
     config = config or default_config()
     return {
@@ -69,13 +68,12 @@ def run_beta_sweep(
             replace(config, spec=replace(config.spec, beta=b)),
             run_name=f"sensitivity_beta{b:g}",
         )
-        for b in betas
+        for b in BETAS
     }
 
 
 def run_lambda_sweep(
     config: ExperimentConfig | None = None,
-    lambdas: tuple[float, ...] = LAMBDAS,
 ) -> dict[float, dict[str, MethodReport]]:
     config = config or default_config()
     return {
@@ -83,7 +81,7 @@ def run_lambda_sweep(
             replace(config, spec=replace(config.spec, lam=lam)),
             run_name=f"sensitivity_lambda{lam:g}",
         )
-        for lam in lambdas
+        for lam in LAMBDAS
     }
 
 

@@ -31,6 +31,7 @@ from typing import Any
 
 from repro.fleet.router import ROUTING_POLICIES
 from repro.serve.config import ServeConfig
+from repro.utils.validation import check_known_keys
 
 __all__ = ["FleetConfig", "PARTITIONS"]
 
@@ -50,8 +51,6 @@ class FleetConfig:
     #: Specialist-pool size for ``partition="family"`` (ignored for
     #: ``"replicate"``); must be at least ``n_shards``.
     pool_m: int = 8
-    #: Virtual nodes per shard on the consistent-hash ring.
-    replicas: int = 64
     #: The per-shard serving stack.  ``shard``/``instance`` must be
     #: unset (the controller stamps them per shard via
     #: :meth:`shard_config`) and ``retrain`` must be ``None`` — fleet
@@ -72,8 +71,6 @@ class FleetConfig:
         if self.partition not in PARTITIONS:
             raise ValueError(
                 f"partition must be one of {PARTITIONS}, got {self.partition!r}")
-        if self.replicas <= 0:
-            raise ValueError(f"replicas must be positive, got {self.replicas}")
         if self.partition == "family" and self.pool_m < self.n_shards:
             raise ValueError(
                 f"family partition needs pool_m >= n_shards "
@@ -106,17 +103,17 @@ class FleetConfig:
             "routing": self.routing,
             "partition": self.partition,
             "pool_m": self.pool_m,
-            "replicas": self.replicas,
             "serve": self.serve.to_params(),
         }
 
     @classmethod
     def from_params(cls, params: dict) -> "FleetConfig":
-        """Inverse of :meth:`to_params`; a missing key raises
-        ``ValueError`` naming it."""
+        """Inverse of :meth:`to_params`; a missing or an unknown key
+        raises ``ValueError`` naming it."""
         missing = [f.name for f in fields(cls) if f.name not in params]
         if missing:
             raise ValueError(f"fleet params missing {missing}")
+        check_known_keys(cls, params, "fleet")
         # Per-shard logs stamp the shard into meta["serve"]; the
         # fleet-level config is shard-agnostic by construction.
         serve = {**params["serve"], "shard": None, "instance": None}
@@ -125,7 +122,6 @@ class FleetConfig:
             routing=str(params["routing"]),
             partition=str(params["partition"]),
             pool_m=int(params["pool_m"]),
-            replicas=int(params["replicas"]),
             serve=ServeConfig.from_params(serve),
         )
 

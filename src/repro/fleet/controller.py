@@ -268,7 +268,7 @@ class FleetController:
         simulated time, so the same stream always splits the same way.
         """
         cfg = self.config
-        router = make_router(cfg.routing, cfg.n_shards, replicas=cfg.replicas,
+        router = make_router(cfg.routing, cfg.n_shards,
                              window_hours=cfg.router_window_hours())
         shard_down = [
             full_down_intervals(per, len(self.shard_clusters[sid]))
@@ -378,18 +378,14 @@ class FleetController:
                         reason=m["reason"], policy=m["policy"])
             shard_events = per_shard_events[sid]
             shard_outs = per_shard_outages[sid] or None
-            if telemetry != "off":
-                with recording(
-                    mode=telemetry,
-                    run=f"{run_prefix}-s{sid}",
-                    out_dir=out_dir,
-                    meta={"serve": shard_cfg.to_params(),
-                          "fleet": cfg.to_params()},
-                    labels=shard_cfg.identity_labels() or None,
-                ):
-                    stats = dispatcher.run(shard_events, rng=serve.seed + 4,
-                                           outages=shard_outs)
-            else:
+            with recording(  # mode "off" leaves any outer recorder active
+                mode=telemetry,
+                run=f"{run_prefix}-s{sid}",
+                out_dir=out_dir,
+                meta={"serve": shard_cfg.to_params(),
+                      "fleet": cfg.to_params()},
+                labels=shard_cfg.identity_labels() or None,
+            ):
                 stats = dispatcher.run(shard_events, rng=serve.seed + 4,
                                        outages=shard_outs)
             per_shard.append(stats)

@@ -48,6 +48,7 @@ from repro.fleet.controller import FleetController, FleetStats
 from repro.retrain.buffer import ReplayBuffer
 from repro.retrain.harvest import WindowHarvester
 from repro.retrain.loop import (
+    GUARD_RATIO,
     RetrainConfig,
     _bootstrap_registry,
     _pairs_of_method,
@@ -75,7 +76,7 @@ def _guard_verdict(window_mse: "list[tuple[int, float]]", swap_window: int,
     post_mse = float(np.mean(post)) if post else float("nan")
     degraded = bool(
         np.isfinite(baseline) and baseline > 0 and np.isfinite(post_mse)
-        and post_mse > config.guard_ratio * baseline)
+        and post_mse > GUARD_RATIO * baseline)
     return {"baseline_mse": baseline, "post_mse": post_mse,
             "n_pre": len(pre), "n_post": len(post), "degraded": degraded}
 
@@ -147,7 +148,7 @@ class FleetRetrainController:
         Returns ``(stats, harvesters, buffer)`` — the labels pooled
         across shards plus each shard's private canary/guard evidence.
         """
-        buffer = ReplayBuffer(capacity=self.retrain.capacity)
+        buffer = ReplayBuffer()
         harvesters = self._harvesters(buffer)
         stats = self.fleet.run(events, outages=outages,
                                callbacks_factory=lambda sid: [harvesters[sid]])
@@ -213,7 +214,7 @@ class FleetRetrainController:
         rollback_version)``.
         """
         cfg = self.retrain
-        buffer = ReplayBuffer(capacity=cfg.capacity)  # discarded; guard only
+        buffer = ReplayBuffer()  # discarded; guard only
         harvesters = self._harvesters(buffer)
         stats = self.fleet.run(
             events, outages=outages, registry=self.registry,

@@ -53,26 +53,27 @@ def _hash64(text: str) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
+#: Virtual nodes per shard on the consistent-hash ring.
+REPLICAS = 64
+
+
 class HashRing:
     """Consistent-hash ring over ``n_shards`` with virtual nodes.
 
-    Each shard owns ``replicas`` points on a 64-bit ring; a key routes to
+    Each shard owns ``REPLICAS`` points on a 64-bit ring; a key routes to
     the owner of the first point at or after its own hash (wrapping).
     With enough replicas per shard the key space splits near-uniformly,
     and growing the fleet from n to n+1 shards remaps only the keys that
     fall into the new shard's arcs — ~1/(n+1) of them.
     """
 
-    def __init__(self, n_shards: int, *, replicas: int = 64) -> None:
+    def __init__(self, n_shards: int) -> None:
         if n_shards <= 0:
             raise ValueError(f"n_shards must be positive, got {n_shards}")
-        if replicas <= 0:
-            raise ValueError(f"replicas must be positive, got {replicas}")
         self.n_shards = n_shards
-        self.replicas = replicas
         points: "list[tuple[int, int]]" = []
         for shard in range(n_shards):
-            for r in range(replicas):
+            for r in range(REPLICAS):
                 points.append((_hash64(f"shard-{shard}#{r}"), shard))
         points.sort()
         self._points = points
@@ -108,8 +109,8 @@ class HashRouter:
 
     policy = "hash"
 
-    def __init__(self, n_shards: int, *, replicas: int = 64) -> None:
-        self.ring = HashRing(n_shards, replicas=replicas)
+    def __init__(self, n_shards: int) -> None:
+        self.ring = HashRing(n_shards)
         self.n_shards = n_shards
         self.rerouted = 0  # arrivals that missed their ring home
 
@@ -145,11 +146,10 @@ class LoadAwareRouter:
 
     policy = "load"
 
-    def __init__(self, n_shards: int, *, replicas: int = 64,
-                 window_hours: float = 1.0) -> None:
+    def __init__(self, n_shards: int, *, window_hours: float = 1.0) -> None:
         if window_hours <= 0:
             raise ValueError(f"window_hours must be positive, got {window_hours}")
-        self.ring = HashRing(n_shards, replicas=replicas)
+        self.ring = HashRing(n_shards)
         self.n_shards = n_shards
         self.window_hours = window_hours
         self.rerouted = 0
@@ -174,14 +174,12 @@ class LoadAwareRouter:
         return best
 
 
-def make_router(policy: str, n_shards: int, *, replicas: int = 64,
-                window_hours: float = 1.0):
+def make_router(policy: str, n_shards: int, *, window_hours: float = 1.0):
     """Fresh router for one run (routers carry per-run state)."""
     if policy == "hash":
-        return HashRouter(n_shards, replicas=replicas)
+        return HashRouter(n_shards)
     if policy == "load":
-        return LoadAwareRouter(n_shards, replicas=replicas,
-                               window_hours=window_hours)
+        return LoadAwareRouter(n_shards, window_hours=window_hours)
     raise ValueError(
         f"routing policy must be one of {ROUTING_POLICIES}, got {policy!r}")
 

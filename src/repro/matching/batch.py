@@ -12,10 +12,10 @@ cluster count but may be *ragged* in tasks (``BatchProblem.widths``): the
 blocks of one serving window, padded to the widest, are one batch.
 
 Semantics match :func:`repro.matching.relaxed.solve_relaxed` with the
-``"mirror"`` projection and normalized steps:
+``"mirror"`` projection:
 
 - the line search is a *vectorized trial cascade*: steps ``lr / 2^h`` for
-  h = 0..halvings−1 are evaluated in one shot (the halving dimension is
+  h = 0..HALVINGS−1 are evaluated in one shot (the halving dimension is
   folded into the batch dimension) and the largest feasible, improving
   step wins independently per instance;
 - per-instance convergence masking: an instance whose objective stops
@@ -52,16 +52,20 @@ __all__ = [
     "clamp_predictions_batch",
 ]
 
+#: Trial-cascade depth of the batched line search (the scalar solver's
+#: backtracking analogue; 6 levels cover lr shrinkage down to 1/32).
+HALVINGS = 6
+
 
 def batchable(problem, solver) -> bool:
     """Whether this module solves the program ``solve_relaxed(problem,
     solver)`` solves: the sequential makespan cost under the log barrier,
-    by mirror descent with normalized steps.  A ζ speedup, the linear cost,
+    by mirror descent.  A ζ speedup, the linear cost,
     the hinge penalty or another projection is the scalar solver's alone —
     the batch kernel would silently solve a different program."""
     return (not problem.is_parallel
             and problem.cost == "makespan" and problem.penalty == "log_barrier"
-            and solver.projection == "mirror" and solver.normalize_steps)
+            and solver.projection == "mirror")
 
 
 @dataclass(frozen=True)
@@ -334,14 +338,13 @@ def solve_relaxed_batch(
     lr: float = 0.5,
     max_iters: int = 200,
     x0: np.ndarray | None = None,
-    halvings: int = 6,
     tol: float = 0.0,
     patience: int = 5,
     adaptive_trials: bool = False,
 ) -> BatchSolution:
     """Mirror descent on every instance of the batch simultaneously.
 
-    Each iteration proposes steps at ``lr / 2^h`` for h = 0..halvings−1 in
+    Each iteration proposes steps at ``lr / 2^h`` for h = 0..HALVINGS−1 in
     one fused evaluation (the halving axis rides along the batch axis);
     the largest step whose iterate is feasible and improving wins,
     independently per instance.  An instance that accepts no step — or,
@@ -360,8 +363,8 @@ def solve_relaxed_batch(
     only used for the zeroth-order perturbation stacks, whose estimates
     are stochastic to begin with (see DESIGN.md, batched training path).
     """
-    if lr <= 0 or max_iters <= 0 or halvings < 1:
-        raise ValueError("lr, max_iters must be > 0 and halvings >= 1")
+    if lr <= 0 or max_iters <= 0:
+        raise ValueError("lr and max_iters must be > 0")
     if tol < 0 or patience < 1:
         raise ValueError("tol must be >= 0 and patience >= 1")
     if x0 is None:
@@ -384,7 +387,7 @@ def solve_relaxed_batch(
     max_it_used = trials = 0
     # Python-float steps: weak scalars under NEP 50, so float32 batches
     # are not silently promoted back to float64 by the cascade.
-    steps = [lr / 2.0**h for h in range(halvings)]
+    steps = [lr / 2.0**h for h in range(HALVINGS)]
     # Per-instance first-trial level for the adaptive policy (dtype of the
     # gathered array matches the batch so the gather does not promote).
     steps_arr = np.asarray(steps, dtype=problem.T.dtype)
@@ -409,7 +412,7 @@ def solve_relaxed_batch(
         # Accepted iterates always have slack > 0 (the value is +inf
         # otherwise), so the barrier term divides by it directly.
         grad = ev.gradient(st)
-        # Normalized steps (see SolverConfig.normalize_steps): bound the
+        # Normalized steps (as in solve_relaxed's mirror rule): bound the
         # multiplicative update per instance regardless of barrier stiffness.
         # They also bound |expo| by lr, so no overflow clamp is needed below.
         scale = np.maximum(np.abs(grad).max(axis=(1, 2)), 1e-9)  # (b,)
@@ -428,7 +431,7 @@ def solve_relaxed_batch(
         # Cascade-mode accepted-level tracking (telemetry only; adaptive
         # mode reuses `lvl`).
         lvl_rec = np.zeros(f_new.size, dtype=np.intp) if tele and lvl is None else None
-        if halvings > 1 and not any_ok.all():
+        if not any_ok.all():
             # Stage 2: halve step by step, each round only for the
             # instances still rejecting — the typical rejector accepts the
             # very next halving, so evaluating all H−1 at once wastes most
@@ -438,9 +441,9 @@ def solve_relaxed_batch(
             # its own next level and drops out once it runs past H−1.
             r = np.flatnonzero(~any_ok)
             lvl_r = (k[r] + 1) if adaptive_trials else None
-            for h in range(1, halvings):
+            for h in range(1, HALVINGS):
                 if adaptive_trials:
-                    alive = lvl_r < halvings
+                    alive = lvl_r < HALVINGS
                     if not alive.all():
                         r, lvl_r = r[alive], lvl_r[alive]
                 if r.size == 0:

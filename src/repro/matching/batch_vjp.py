@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.matching.batch import BatchProblem, batch_reliability_slack
-from repro.matching.kkt import _equality_jacobian, _solve_saddle
+from repro.matching.kkt import RIDGE, _equality_jacobian, _solve_saddle
 
 __all__ = ["BatchKKTGradients", "batch_kkt_vjp"]
 
@@ -48,8 +48,6 @@ def batch_kkt_vjp(
     X_star: np.ndarray,
     problem: BatchProblem,
     grad_X: np.ndarray,
-    *,
-    ridge: float = 1e-8,
 ) -> BatchKKTGradients:
     """Vector–Jacobian products through B argmins in one stacked solve.
 
@@ -61,8 +59,6 @@ def batch_kkt_vjp(
         The batch whose ``T``/``A`` are the prediction matrices.
     grad_X:
         Upstream gradients ``dL/dX*`` per instance, shape (B, M, N).
-    ridge:
-        Tikhonov regularization on H (same default as the scalar route).
     """
     B, M, N = problem.B, problem.M, problem.N
     P = M * N
@@ -97,7 +93,7 @@ def batch_kkt_vjp(
     diag = np.arange(P)
     if problem.entropy:
         H[:, diag, diag] += problem.entropy / np.maximum(x_flat, 1e-12)
-    H[:, diag, diag] += ridge
+    H[:, diag, diag] += RIDGE
 
     D = _equality_jacobian(M, N)
     K = np.zeros((B, P + N, P + N))

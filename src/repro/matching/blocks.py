@@ -67,36 +67,26 @@ __all__ = [
 _SEED_FLOOR = 1e-6
 #: ``blocks/pad_frac`` boundaries (padding elements per real element).
 _PAD_BUCKETS = (0.0, 0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0)
+#: A cluster is viable for a task when its time is within this factor
+#: of the task's best time.  Large values keep the graph dense (one
+#: block = exact dense solve); small values split aggressively.
+TIME_DOMINANCE = 4.0
 
 
 @dataclass(frozen=True)
 class BlockConfig:
     """Knobs of the structure analyzer and the batched block driver."""
 
-    #: A cluster is viable for a task when its time is within this factor
-    #: of the task's best time.  Large values keep the graph dense (one
-    #: block = exact dense solve); small values split aggressively.
-    time_dominance: float = 4.0
     #: Always keep each task's ``min_viable`` fastest clusters viable,
     #: whatever the dominance rule says — no task may end up isolated.
     min_viable: int = 2
-    #: Trial-cascade depth of the batched line search (the scalar solver's
-    #: ``backtrack`` analogue; 6 levels cover lr shrinkage down to 1/32).
-    halvings: int = 6
-    #: Step-memory line search (see ``solve_relaxed_batch``): open each
-    #: iteration at the previously accepted halving level.
-    adaptive_trials: bool = True
     #: Batch precision: "float32" halves memory traffic of large windows;
     #: "float64" for bit-level comparisons against the scalar path.
     dtype: str = "float32"
 
     def __post_init__(self) -> None:
-        if self.time_dominance < 1.0:
-            raise ValueError("time_dominance must be >= 1")
         if self.min_viable < 1:
             raise ValueError("min_viable must be >= 1")
-        if self.halvings < 1:
-            raise ValueError("halvings must be >= 1")
         if self.dtype not in ("float32", "float64"):
             raise ValueError("dtype must be 'float32' or 'float64'")
 
@@ -159,7 +149,7 @@ class BlockSolution(RelaxedSolution):
 
 
 def viability_mask(
-    T: np.ndarray, *, time_dominance: float = 4.0, min_viable: int = 2
+    T: np.ndarray, *, time_dominance: float = TIME_DOMINANCE, min_viable: int = 2
 ) -> np.ndarray:
     """Boolean (M, N) mask of non-dominated task–cluster edges.
 
@@ -194,9 +184,7 @@ def analyze_blocks(
     """
     cfg = config or BlockConfig()
     M, N = problem.M, problem.N
-    viable = viability_mask(
-        problem.T, time_dominance=cfg.time_dominance, min_viable=cfg.min_viable
-    )
+    viable = viability_mask(problem.T, min_viable=cfg.min_viable)
     mass = float(np.where(viable, problem.A, 0.0).max(axis=0).sum())
     if mass <= problem.gamma * M * N * (1.0 + 1e-9):
         viable[problem.A.argmax(axis=0), np.arange(N)] = True
@@ -345,8 +333,7 @@ def solve_relaxed_blocks(
             seed = np.where(worse[:, None, None], cold, seed)
         sol = solve_relaxed_batch(
             bp, lr=cfg.lr, max_iters=cfg.max_iters, x0=seed,
-            halvings=bcfg.halvings, tol=cfg.tol, patience=cfg.patience,
-            adaptive_trials=bcfg.adaptive_trials,
+            tol=cfg.tol, patience=cfg.patience, adaptive_trials=True,
         )
         iterations = max(iterations, sol.iterations)
         trials += sol.trials

@@ -31,7 +31,6 @@ class FrankWolfeConfig:
 
     max_iters: int = 300
     tol: float = 1e-8  # stop when the FW duality gap falls below this
-    backtrack: int = 25
     init_step: float = 1.0  # initial step before backtracking (γ_k ≤ 1)
 
     def __post_init__(self) -> None:
@@ -39,8 +38,6 @@ class FrankWolfeConfig:
             raise ValueError(f"max_iters must be > 0, got {self.max_iters}")
         if not 0.0 < self.init_step <= 1.0:
             raise ValueError(f"init_step must be in (0, 1], got {self.init_step}")
-        if self.backtrack < 1:
-            raise ValueError("backtrack must be >= 1")
 
 
 def _vertex_oracle(grad: np.ndarray) -> np.ndarray:
@@ -52,10 +49,7 @@ def _vertex_oracle(grad: np.ndarray) -> np.ndarray:
 
 
 def solve_frank_wolfe(
-    problem: MatchingProblem,
-    config: FrankWolfeConfig | None = None,
-    *,
-    x0: np.ndarray | None = None,
+    problem: MatchingProblem, config: FrankWolfeConfig | None = None
 ) -> RelaxedSolution:
     """Minimize the barrier objective by conditional gradient.
 
@@ -63,11 +57,7 @@ def solve_frank_wolfe(
     on the optimality gap for convex F — drops below ``tol``.
     """
     cfg = config or FrankWolfeConfig()
-    X = problem.feasible_start() if x0 is None else np.array(x0, dtype=np.float64)
-    if X.shape != (problem.M, problem.N):
-        raise ValueError(f"x0 must have shape {(problem.M, problem.N)}, got {X.shape}")
-    if not problem.is_strictly_feasible(X):
-        X = problem.feasible_start()
+    X = problem.feasible_start()
 
     ev = BarrierEval(problem)
     f_cur, state = ev.value(X)
@@ -85,7 +75,7 @@ def solve_frank_wolfe(
                                    converged=True, history=history.copy())
         step = cfg.init_step
         accepted = False
-        for _ in range(cfg.backtrack):
+        for _ in range(25):  # step halvings per iteration
             X_new = X + step * direction
             f_new, state_new = ev.value(X_new)
             if np.isfinite(f_new) and f_new < f_cur - 1e-15:

@@ -44,6 +44,9 @@ from repro.matching.problem import MatchingProblem
 
 __all__ = ["KKTGradients", "kkt_vjp", "kkt_jacobians"]
 
+#: Tikhonov regularization on H for numerical stability (scalar and batched routes).
+RIDGE = 1e-8
+
 
 @dataclass(frozen=True)
 class KKTGradients:
@@ -82,13 +85,7 @@ def _solve_saddle(
     return sol[:p]
 
 
-def kkt_vjp(
-    X_star: np.ndarray,
-    problem: MatchingProblem,
-    grad_X: np.ndarray,
-    *,
-    ridge: float = 1e-8,
-) -> KKTGradients:
+def kkt_vjp(X_star: np.ndarray, problem: MatchingProblem, grad_X: np.ndarray) -> KKTGradients:
     """Vector–Jacobian product through the argmin (the MFCP-AD backward).
 
     Parameters
@@ -100,8 +97,6 @@ def kkt_vjp(
         ``T̂``/``Â`` (differentiation happens w.r.t. these).
     grad_X:
         Upstream gradient ``dL/dX*`` (M×N).
-    ridge:
-        Tikhonov regularization on H for numerical stability.
 
     Returns
     -------
@@ -112,18 +107,13 @@ def kkt_vjp(
         raise ValueError("X_star and grad_X must have shape (M, N)")
     deriv = barrier_second_derivatives(X_star, problem)
     D = _equality_jacobian(M, N)
-    u = _solve_saddle(deriv.H, D, grad_X.ravel(), ridge)
+    u = _solve_saddle(deriv.H, D, grad_X.ravel(), RIDGE)
     dT = -(deriv.C_T.T @ u).reshape(M, N)
     dA = -(deriv.C_A.T @ u).reshape(M, N)
     return KKTGradients(dT=dT, dA=dA)
 
 
-def kkt_jacobians(
-    X_star: np.ndarray,
-    problem: MatchingProblem,
-    *,
-    ridge: float = 1e-8,
-) -> tuple[np.ndarray, np.ndarray]:
+def kkt_jacobians(X_star: np.ndarray, problem: MatchingProblem) -> tuple[np.ndarray, np.ndarray]:
     """Full Jacobians ``∂vec(X*)/∂vec(T)`` and ``∂vec(X*)/∂vec(A)``.
 
     O((MN)³) — used by tests and the gradient-quality ablation, not by the
@@ -134,7 +124,7 @@ def kkt_jacobians(
     deriv = barrier_second_derivatives(X_star, problem)
     D = _equality_jacobian(M, N)
     K = np.zeros((P + N, P + N))
-    K[:P, :P] = deriv.H + ridge * np.eye(P)
+    K[:P, :P] = deriv.H + RIDGE * np.eye(P)
     K[:P, P:] = D.T
     K[P:, :P] = D
     rhs = np.zeros((P + N, 2 * P))

@@ -132,13 +132,13 @@ class MatchingProblem:
         box and the simplex; reliability feasibility is checked separately)."""
         return np.full((self.M, self.N), 1.0 / self.M)
 
-    def feasible_start(self, margin_fraction: float = 0.25) -> np.ndarray:
+    def feasible_start(self) -> np.ndarray:
         """A strictly feasible interior point for the barrier solver.
 
         Blends the uniform assignment with the reliability-greedy one
         (every task soft-assigned to its most reliable cluster).  The
         slack g(X) is linear in the blend weight α, so the smallest α
-        reaching ``margin_fraction`` of the maximum achievable slack is
+        reaching a quarter of the maximum achievable slack is
         closed-form.  Raises if even the greedy assignment is infeasible —
         then γ is unattainable and the instance is ill-posed.
         """
@@ -152,7 +152,7 @@ class MatchingProblem:
                 f"gamma={self.gamma:.4f} is unattainable: even the most reliable "
                 f"assignment has slack {s_g:.4g}"
             )
-        target = margin_fraction * s_g
+        target = 0.25 * s_g
         if s_u >= target:
             return uniform
         # α at which the blend reaches the margin target; additionally step
@@ -168,9 +168,9 @@ class MatchingProblem:
         """g(X, A) of Eq. (4): mean-reliability surplus over γ."""
         return float(np.sum(X * self.A) / (self.M * self.N) - self.gamma)
 
-    def is_strictly_feasible(self, X: np.ndarray, margin: float = 0.0) -> bool:
+    def is_strictly_feasible(self, X: np.ndarray) -> bool:
         """Whether X is interior w.r.t. the reliability constraint."""
-        return self.reliability_slack(X) > margin
+        return self.reliability_slack(X) > 0.0
 
 
 def feasible_gamma(

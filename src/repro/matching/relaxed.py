@@ -35,6 +35,9 @@ from repro.telemetry import ITER_BUCKETS, TIME_BUCKETS_S, get_recorder
 
 __all__ = ["SolverConfig", "RelaxedSolution", "solve_relaxed", "project_simplex_columns"]
 
+#: Max step halvings per iteration to stay strictly feasible.
+BACKTRACK = 30
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -44,13 +47,7 @@ class SolverConfig:
     max_iters: int = 300
     tol: float = 1e-7  # stop when the objective improves less than this
     projection: str = "mirror"  # "mirror" | "softmax" | "euclidean"
-    backtrack: int = 30  # max step halvings to stay strictly feasible
     patience: int = 5  # consecutive small-improvement iters before stopping
-    #: Scale the mirror step by 1/max|∇F| each iteration.  Near the barrier
-    #: boundary the gradient magnitude explodes; a normalized step keeps the
-    #: multiplicative update bounded and prevents the solver from crawling
-    #: (observed on ~10% of random instances without it).
-    normalize_steps: bool = True
 
     def __post_init__(self) -> None:
         if self.lr <= 0:
@@ -59,8 +56,6 @@ class SolverConfig:
             raise ValueError(f"max_iters must be > 0, got {self.max_iters}")
         if self.projection not in ("mirror", "softmax", "euclidean"):
             raise ValueError(f"unknown projection {self.projection!r}")
-        if self.backtrack < 1:
-            raise ValueError("backtrack must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -125,7 +120,7 @@ def solve_relaxed(
     Each trial's :meth:`BarrierEval.value` state is carried into the next
     iteration's gradient, so F's intermediates are evaluated once per
     accepted step.  The mirror update clips its exponent to ±50 except
-    where that is provably a no-op: under ``normalize_steps`` the step is
+    where that is provably a no-op: the mirror step is normalized to
     ``lr / max|∇F|``, so ``|step·∇F| ≤ lr·(1 + 2u)`` (two roundings) at
     every halving, which stays below 50 for any ``lr ≤ 49``.
     """
@@ -184,19 +179,22 @@ def solve_relaxed(
     # non-monotone mode tracking the best iterate, exactly like Algorithm 1.
     monotone = cfg.projection != "softmax"
     mirror = cfg.projection == "mirror"
-    normalize = cfg.normalize_steps and mirror
-    clip = not (normalize and cfg.lr <= 49.0)  # see the docstring
+    clip = not (mirror and cfg.lr <= 49.0)  # see the docstring
     last_halvings = 0
     trials = 0
     for it in range(1, cfg.max_iters + 1):
         grad = ev.gradient(X, state)
         step = cfg.lr
-        if normalize:
+        if mirror:
+            # Near the barrier boundary the gradient magnitude explodes; a
+            # step scaled by 1/max|∇F| keeps the multiplicative update
+            # bounded and prevents the solver from crawling (observed on
+            # ~10% of random instances without it).
             step = cfg.lr / max(float(np.abs(grad).max()), 1e-9)
         accepted = False
         if tele:
             ls_t0 = time.perf_counter()
-        for h in range(cfg.backtrack):
+        for h in range(BACKTRACK):
             if mirror:
                 # Multiplicative-weights update; clip the exponent for safety.
                 expo = step * grad

@@ -11,7 +11,7 @@ passes:
    reliability constraint, greedily move tasks to more reliable clusters,
    choosing at each step the move with the best reliability gain per unit
    of makespan increase;
-2. **local search** (optional) — single-task reassignments that strictly
+2. **local search** — single-task reassignments that strictly
    reduce the objective while keeping feasibility, until a local optimum.
 
 For the sequential makespan ``max_i x_iᵀt_i`` the local search tries only
@@ -57,22 +57,18 @@ def labels_from_assignment(X: np.ndarray) -> np.ndarray:
     return np.asarray(X).argmax(axis=0)
 
 
-def round_assignment(
-    X: np.ndarray,
-    problem: MatchingProblem,
-    *,
-    repair: bool = True,
-    local_search: bool = True,
-    max_moves: int = 200,
-) -> np.ndarray:
+#: Move budget of each stage (repair, then local search).
+MAX_MOVES = 200
+
+
+def round_assignment(X: np.ndarray, problem: MatchingProblem) -> np.ndarray:
     """Round a relaxed assignment to binary and repair it (see module doc)."""
     labels = labels_from_assignment(X)
     Xb = assignment_from_labels(labels, problem.M)
 
-    if repair and reliability_value(Xb, problem) < 0:
-        Xb = _repair_reliability(Xb, problem, max_moves)
-    if local_search:
-        Xb = _local_search(Xb, problem, max_moves)
+    if reliability_value(Xb, problem) < 0:
+        Xb = _repair_reliability(Xb, problem, MAX_MOVES)
+    Xb = _local_search(Xb, problem, MAX_MOVES)
     rec = get_recorder()
     if rec.enabled:
         # Integrality gap of this round: rounded-vs-relaxed decision cost.

@@ -48,10 +48,9 @@ __all__ = [
 class ZeroOrderConfig:
     """Hyperparameters of the forward-gradient estimator (Alg. 2 inputs)."""
 
-    samples: int = 8  # S
+    samples: int = 8  # S, drawn as S/2 antithetic +v/−v pairs (variance reduction)
     delta: float = 0.05  # Δ
     warm_start_iters: int = 60  # K₂: iterations for each perturbed solve
-    antithetic: bool = True  # pair +v/−v draws (variance reduction)
     #: :func:`zo_vjp` only: solve all perturbed instances in one batch —
     #: :func:`zo_vjp_cross` over the single base instance — where the batch
     #: kernel expresses the program (:func:`repro.matching.batch.batchable`);
@@ -135,7 +134,7 @@ def zo_vjp(
                           grad_X[None], cfg, solver_config=scfg, rng=rng)
         return ZeroOrderGradients(dt=zg.dt[0], da=zg.da[0], solves=zg.solves)
 
-    # Inherit *all* solver fields (normalize_steps, backtrack, patience, …)
+    # Inherit *all* solver fields (projection, tol, patience, …)
     # and only shorten the iteration budget for the warm-started re-solves.
     warm_cfg = replace(scfg, max_iters=cfg.warm_start_iters)
 
@@ -155,10 +154,9 @@ def zo_vjp(
     diffs_a: list[float] = []
 
     # Draw directions; antithetic pairs share one |v| draw.
-    n_draws = cfg.samples // 2 if cfg.antithetic else cfg.samples
-    n_draws = max(n_draws, 1)
+    n_draws = max(cfg.samples // 2, 1)
     directions = rng.normal(size=(n_draws, 2, N))  # [:, 0]=v_t, [:, 1]=v_a
-    signs = (1.0, -1.0) if cfg.antithetic else (1.0,)
+    signs = (1.0, -1.0)
 
     for s in range(n_draws):
         v_t, v_a = directions[s, 0], directions[s, 1]
@@ -264,8 +262,8 @@ def zo_vjp_cross(
     if batch.real is not None:
         raise ValueError("perturbation stacks are built N wide: no ragged batches")
 
-    n_draws = max(cfg.samples // 2 if cfg.antithetic else cfg.samples, 1)
-    signs = np.array((1.0, -1.0) if cfg.antithetic else (1.0,))
+    n_draws = max(cfg.samples // 2, 1)
+    signs = np.array((1.0, -1.0))
     G = signs.size
     directions = rng.normal(size=(K, n_draws, 2, N))
     v_t, v_a = directions[:, :, 0], directions[:, :, 1]  # (K, n_draws, N)

@@ -35,9 +35,8 @@ _HINGE_LAM = 5.0
 class MFCPLinearLoss(MFCP):
     """Table 1 ablation (1): linear (sum) time cost instead of the max."""
 
-    def __init__(self, gradient: str = "analytic", config: MFCPConfig | None = None,
-                 hidden: tuple[int, ...] = (32, 32)) -> None:
-        super().__init__(gradient, config, hidden)
+    def __init__(self, gradient: str = "analytic", config: MFCPConfig | None = None) -> None:
+        super().__init__(gradient, config)
         self.name = "MFCP (linear loss)"
 
     def _fit(self, ctx: FitContext) -> None:
@@ -50,9 +49,8 @@ class MFCPLinearLoss(MFCP):
 class MFCPHardPenalty(MFCP):
     """Table 1 ablation (2): hinge penalty instead of the log barrier."""
 
-    def __init__(self, gradient: str = "analytic", config: MFCPConfig | None = None,
-                 hidden: tuple[int, ...] = (32, 32)) -> None:
-        super().__init__(gradient, config, hidden)
+    def __init__(self, gradient: str = "analytic", config: MFCPConfig | None = None) -> None:
+        super().__init__(gradient, config)
         self.name = "MFCP (hard penalty)"
 
     def _fit(self, ctx: FitContext) -> None:

@@ -26,6 +26,11 @@ from repro.workloads.taskpool import Task
 
 __all__ = ["MatchSpec", "FitContext", "BaseMethod", "Decision"]
 
+#: Hidden layer sizes of every method's per-cluster predictor heads.
+HIDDEN = (32, 32)
+#: τ for training-time solves (keeps KKT well-posed).
+TRAIN_ENTROPY = 0.05
+
 
 @dataclass(frozen=True)
 class MatchSpec:
@@ -40,7 +45,6 @@ class MatchSpec:
     gamma_quantile: float = 0.5
     beta: float = 5.0
     lam: float = 0.01
-    train_entropy: float = 0.05  # τ for training-time solves (keeps KKT well-posed)
     speedup: tuple[SpeedupFunction, ...] | None = None
     solver: SolverConfig = field(default_factory=SolverConfig)
     cost: str = "makespan"  # "linear" for Table 1 ablation (1)
@@ -57,7 +61,7 @@ class MatchSpec:
             gamma=gamma,
             beta=self.beta,
             lam=self.lam,
-            entropy=self.train_entropy if training else 0.0,
+            entropy=TRAIN_ENTROPY if training else 0.0,
             speedup=self.speedup,
             cost=self.cost,
             penalty=self.penalty,

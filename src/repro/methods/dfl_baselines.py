@@ -67,9 +67,8 @@ class SPOPlus(MFCP):
 
     _clip_reliability = False  # plain MSE-anchor step
 
-    def __init__(self, config: MFCPConfig | None = None,
-                 hidden: tuple[int, ...] = (32, 32)) -> None:
-        super().__init__("analytic", config, hidden)
+    def __init__(self, config: MFCPConfig | None = None) -> None:
+        super().__init__("analytic", config)
         self.name = "SPO+"
 
     def _round(self, ctx: FitContext, Z, t_hat, a_hat, true_problem):
@@ -117,9 +116,8 @@ class BlackboxDiff(MFCP):
     _clip_reliability = False  # plain MSE-anchor step
 
     def __init__(self, config: MFCPConfig | None = None,
-                 hidden: tuple[int, ...] = (32, 32),
                  interpolation: float = 5.0) -> None:
-        super().__init__("forward", config, hidden)
+        super().__init__("forward", config)
         if interpolation <= 0:
             raise ValueError(f"interpolation must be > 0, got {interpolation}")
         self.name = "DBB"
@@ -168,9 +166,8 @@ class PerturbedOpt(MFCP):
     """
 
     def __init__(self, config: MFCPConfig | None = None,
-                 hidden: tuple[int, ...] = (32, 32),
                  sigma: float = 0.05, samples: int = 8) -> None:
-        super().__init__("forward", config, hidden)
+        super().__init__("forward", config)
         if sigma <= 0 or samples <= 1:
             raise ValueError("sigma must be > 0 and samples > 1")
         self.name = "DPO"

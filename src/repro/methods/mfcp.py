@@ -68,7 +68,7 @@ from repro.matching.objectives import barrier_gradient, reliability_value
 from repro.matching.problem import MatchingProblem
 from repro.matching.relaxed import SolverConfig, solve_relaxed
 from repro.matching.zeroth_order import ZeroOrderConfig, zo_vjp, zo_vjp_cross
-from repro.methods.base import BaseMethod, FitContext
+from repro.methods.base import HIDDEN, BaseMethod, FitContext
 from repro.nn import Adam, Tensor
 from repro import telemetry
 from repro.predictors.models import HeadBank, PredictorPair, predict_pairs
@@ -78,6 +78,9 @@ from repro.workloads.taskpool import Task
 
 __all__ = ["MFCPConfig", "MFCP"]
 
+#: Per-head gradient-norm clip of the regret updates.
+GRAD_CLIP = 5.0
+
 
 @dataclass(frozen=True)
 class MFCPConfig:
@@ -86,17 +89,11 @@ class MFCPConfig:
     epochs: int = 60  # regret epochs (each touches every cluster)
     round_size: int = 5  # N tasks per sampled training round
     lr: float = 1e-3  # Adam lr for regret updates
-    grad_clip: float = 5.0
     pretrain: TrainConfig = TrainConfig(epochs=120)
     #: vectorized=True dispatches all perturbed solves to the batch solver
     #: on convex instances (identical estimates, ~5-10x faster); the
     #: non-convex ζ objective falls back to scalar solves automatically.
     zero_order: ZeroOrderConfig = ZeroOrderConfig(samples=8, delta=0.05, vectorized=True)
-    #: §3.3 suggests alternating ω/φ updates for stability; empirically the
-    #: joint update is at least as stable and twice as sample-efficient at
-    #: small budgets (see DESIGN.md), so it is the default.  Set True for
-    #: the paper-literal schedule.
-    alternate: bool = False
     #: Floor on the true-problem slack when forming the upstream regret
     #: gradient: a predicted matching that is infeasible under the *true*
     #: reliabilities would make Eq. (12)'s barrier infinite; flooring the
@@ -114,8 +111,8 @@ class MFCPConfig:
     def __post_init__(self) -> None:
         if self.epochs <= 0 or self.round_size <= 0:
             raise ValueError("epochs and round_size must be positive")
-        if self.lr <= 0 or self.grad_clip <= 0:
-            raise ValueError("lr and grad_clip must be positive")
+        if self.lr <= 0:
+            raise ValueError("lr must be positive")
         if self.slack_floor <= 0:
             raise ValueError("slack_floor must be positive")
         if self.validation_rounds < 0 or self.validate_every <= 0:
@@ -134,7 +131,6 @@ class MFCP(BaseMethod):
         self,
         gradient: str = "analytic",
         config: MFCPConfig | None = None,
-        hidden: tuple[int, ...] = (32, 32),
     ) -> None:
         super().__init__()
         if gradient not in ("analytic", "forward"):
@@ -142,7 +138,6 @@ class MFCP(BaseMethod):
         self.gradient = gradient
         self.name = "MFCP-AD" if gradient == "analytic" else "MFCP-FG"
         self.config = config or MFCPConfig()
-        self.hidden = hidden
         self._pairs: list[PredictorPair] = []
         self.loss_history: list[float] = []
         self._phase_totals: dict[str, float] = {}
@@ -180,7 +175,7 @@ class MFCP(BaseMethod):
         self._phase_totals = {}
         # 1. Warm start with MSE pretraining.
         with self._phase("pretrain"):
-            self._pairs = fit_pairs(ctx.datasets, ctx.feature_dim, self.hidden,
+            self._pairs = fit_pairs(ctx.datasets, ctx.feature_dim, HIDDEN,
                                     ctx.standardizer, cfg.pretrain, ctx.rng)
 
         # 2. Regret training: the M heads of a kind are one bank under one
@@ -195,7 +190,7 @@ class MFCP(BaseMethod):
             opt.zero_grad()
             out.backward(grad)
             if clip:
-                bank.clip_grad_norm(cfg.grad_clip)
+                bank.clip_grad_norm(GRAD_CLIP)
             opt.step()
 
         n_train = len(ctx.train_tasks)
@@ -239,14 +234,12 @@ class MFCP(BaseMethod):
                 a_hat = rel_bank.forward(rel_bank.prepare(Z))
             epoch_loss, dts, das = self._round(ctx, Z, t_hat.data, a_hat.data, true_problem)
             # Heads are independent, so one update after all M pullbacks is
-            # the per-cluster update of Algorithm 2.
-            update_time = (not cfg.alternate) or (epoch % 2 == 0)
-            update_rel = (not cfg.alternate) or (epoch % 2 == 1)
+            # the per-cluster update of Algorithm 2.  ω and φ move jointly:
+            # §3.3's alternating schedule was no more stable and half as
+            # sample-efficient at small budgets (see DESIGN.md).
             with self._phase("optimizer"):
-                if update_time:
-                    update(time_bank, opt_time, t_hat, dts)
-                if update_rel:
-                    update(rel_bank, opt_rel, a_hat, das, clip=self._clip_reliability)
+                update(time_bank, opt_time, t_hat, dts)
+                update(rel_bank, opt_rel, a_hat, das, clip=self._clip_reliability)
             score = None
             self.loss_history.append(epoch_loss)
             telemetry.observe("train/epoch_regret_proxy", epoch_loss)

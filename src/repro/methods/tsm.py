@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.methods.base import BaseMethod, FitContext
+from repro.methods.base import HIDDEN, BaseMethod, FitContext
 from repro.predictors.models import PredictorPair, predict_pairs
 from repro.predictors.training import TrainConfig, fit_pairs
 from repro.workloads.taskpool import Task
@@ -20,18 +20,13 @@ __all__ = ["TSM"]
 class TSM(BaseMethod):
     name = "TSM"
 
-    def __init__(
-        self,
-        hidden: tuple[int, ...] = (32, 32),
-        train_config: TrainConfig | None = None,
-    ) -> None:
+    def __init__(self, train_config: TrainConfig | None = None) -> None:
         super().__init__()
-        self.hidden = hidden
         self.train_config = train_config or TrainConfig(epochs=200)
         self._pairs: list[PredictorPair] = []
 
     def _fit(self, ctx: FitContext) -> None:
-        self._pairs = fit_pairs(ctx.datasets, ctx.feature_dim, self.hidden,
+        self._pairs = fit_pairs(ctx.datasets, ctx.feature_dim, HIDDEN,
                                 ctx.standardizer, self.train_config, ctx.rng)
 
     def predict(self, tasks: list[Task]) -> tuple[np.ndarray, np.ndarray]:

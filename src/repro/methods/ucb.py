@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.methods.base import BaseMethod, FitContext
+from repro.methods.base import HIDDEN, BaseMethod, FitContext
 from repro.predictors.training import TrainConfig
 from repro.predictors.uncertainty import (
     EnsembleReliabilityPredictor,
@@ -34,7 +34,6 @@ class UCB(BaseMethod):
         self,
         kappa: float = 1.0,
         ensemble_size: int = 5,
-        hidden: tuple[int, ...] = (32, 32),
         train_config: TrainConfig | None = None,
     ) -> None:
         super().__init__()
@@ -44,7 +43,6 @@ class UCB(BaseMethod):
             raise ValueError("ensemble_size must be > 1 for a usable std estimate")
         self.kappa = kappa
         self.ensemble_size = ensemble_size
-        self.hidden = hidden
         self.train_config = train_config or TrainConfig(epochs=150)
         self._time_ens: list[EnsembleTimePredictor] = []
         self._rel_ens: list[EnsembleReliabilityPredictor] = []
@@ -54,14 +52,14 @@ class UCB(BaseMethod):
         for ds in ctx.datasets:
             self._time_ens.append(
                 EnsembleTimePredictor.fit(
-                    ds.Z, ds.t, k=self.ensemble_size, hidden=self.hidden,
+                    ds.Z, ds.t, k=self.ensemble_size, hidden=HIDDEN,
                     standardizer=ctx.standardizer, config=self.train_config,
                     rng=spawn(ctx.rng),
                 )
             )
             self._rel_ens.append(
                 EnsembleReliabilityPredictor.fit(
-                    ds.Z, ds.a, k=self.ensemble_size, hidden=self.hidden,
+                    ds.Z, ds.a, k=self.ensemble_size, hidden=HIDDEN,
                     standardizer=ctx.standardizer, config=self.train_config,
                     rng=spawn(ctx.rng),
                 )

@@ -34,14 +34,7 @@ def deployment_matching(
     return round_assignment(sol.X, problem)
 
 
-def regret(
-    true_problem: MatchingProblem,
-    T_hat: np.ndarray,
-    A_hat: np.ndarray,
-    *,
-    solver_config: SolverConfig | None = None,
-    X_true: np.ndarray | None = None,
-) -> float:
+def regret(true_problem: MatchingProblem, T_hat: np.ndarray, A_hat: np.ndarray) -> float:
     """Eq. (6) on one allocation round.
 
     Parameters
@@ -50,13 +43,8 @@ def regret(
         Instance carrying the ground-truth T and A.
     T_hat, A_hat:
         Predicted matrices (same shape).
-    X_true:
-        Optional precomputed ground-truth matching — callers evaluating
-        many methods on one instance pass it to avoid re-solving.
     """
-    return regret_breakdown(
-        true_problem, T_hat, A_hat, solver_config=solver_config, X_true=X_true
-    ).regret
+    return regret_breakdown(true_problem, T_hat, A_hat).regret
 
 
 @dataclass(frozen=True)
@@ -71,18 +59,11 @@ class RegretBreakdown:
 
 
 def regret_breakdown(
-    true_problem: MatchingProblem,
-    T_hat: np.ndarray,
-    A_hat: np.ndarray,
-    *,
-    solver_config: SolverConfig | None = None,
-    X_true: np.ndarray | None = None,
+    true_problem: MatchingProblem, T_hat: np.ndarray, A_hat: np.ndarray
 ) -> RegretBreakdown:
     """Full Eq. (6) evaluation with both matchings exposed."""
-    pred_problem = true_problem.with_predictions(T_hat, A_hat)
-    X_pred = deployment_matching(pred_problem, solver_config=solver_config)
-    if X_true is None:
-        X_true = deployment_matching(true_problem, solver_config=solver_config)
+    X_pred = deployment_matching(true_problem.with_predictions(T_hat, A_hat))
+    X_true = deployment_matching(true_problem)
     cost_pred = makespan(X_pred, true_problem)
     cost_true = makespan(X_true, true_problem)
     n = true_problem.N

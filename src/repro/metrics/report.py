@@ -70,12 +70,11 @@ def comparison_table(
     reports: "Mapping[str, MethodReport] | Iterable[MethodReport]",
     *,
     title: str | None = None,
-    digits: int = 3,
 ) -> Table:
     """Render the paper's Method | Regret | Reliability | Utilization table."""
     if isinstance(reports, Mapping):
         reports = list(reports.values())
     table = Table(["Method", "Regret", "Reliability", "Utilization"], title=title)
     for report in reports:
-        table.add_row(report.as_row(digits=digits))
+        table.add_row(report.as_row())
     return table

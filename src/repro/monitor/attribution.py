@@ -15,9 +15,7 @@ carries and decomposes the realized gap into two causes:
   This part is *not* the predictor's fault; separating it keeps drift
   detectors fed by the prediction gap from alerting on solver artifacts.
 
-Both terms are per-task normalized (the Eq. 6 convention).  For windows
-small enough, an exact branch-and-bound solve additionally bounds the
-pipeline slack against the true discrete optimum.
+Both terms are per-task normalized (the Eq. 6 convention).
 
 Sampling is deterministic (every ``sample_every``-th window), never
 random — replaying the same trace reproduces the same attributions
@@ -28,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.matching.exact import solve_branch_and_bound
 from repro.matching.objectives import makespan
 from repro.matching.problem import MatchingProblem
 from repro.matching.relaxed import SolverConfig, solve_relaxed
@@ -50,8 +47,6 @@ class WindowAttribution:
     cost_fractional: float  # f(X_frac, T_true), the relaxed lower anchor
     prediction_gap: float  # (cost_executed - cost_oracle) / N
     rounding_slack: float  # (cost_oracle - cost_fractional) / N
-    cost_exact: "float | None" = None  # true discrete optimum (small windows)
-    exact_slack: "float | None" = None  # (cost_oracle - cost_exact) / N
 
     @property
     def total_gap(self) -> float:
@@ -68,9 +63,6 @@ class RegretAttributor:
     pipeline the dispatcher used.  End-of-block sampling keeps short
     runs from paying a fixed re-solve on window 0, so monitoring cost
     amortizes at the configured rate from the first window on.
-    Windows with at most ``exact_max_tasks`` tasks additionally get an
-    exact branch-and-bound solve — cheap at micro-batch sizes and it
-    turns "rounding slack" from a relative into an absolute statement.
     """
 
     def __init__(
@@ -78,15 +70,11 @@ class RegretAttributor:
         *,
         sample_every: int = 8,
         solver_config: SolverConfig | None = None,
-        exact_max_tasks: int = 0,
     ) -> None:
         if sample_every < 1:
             raise ValueError("sample_every must be >= 1")
-        if exact_max_tasks < 0:
-            raise ValueError("exact_max_tasks must be >= 0")
         self.sample_every = sample_every
         self.solver_config = solver_config or SolverConfig(tol=1e-4, max_iters=300)
-        self.exact_max_tasks = exact_max_tasks
         self.attributions: "list[WindowAttribution]" = []
 
     def wants(self, window: int) -> bool:
@@ -106,12 +94,6 @@ class RegretAttributor:
         cost_oracle = makespan(X_oracle, problem)
         cost_frac = makespan(relaxed.X, problem)
         n = problem.N
-        cost_exact = exact_slack = None
-        if 0 < n <= self.exact_max_tasks:
-            exact = solve_branch_and_bound(problem)
-            if exact.feasible:
-                cost_exact = exact.objective
-                exact_slack = (cost_oracle - cost_exact) / n
         attribution = WindowAttribution(
             window=snapshot.window,
             n_tasks=n,
@@ -121,8 +103,6 @@ class RegretAttributor:
             cost_fractional=cost_frac,
             prediction_gap=(cost_exec - cost_oracle) / n,
             rounding_slack=(cost_oracle - cost_frac) / n,
-            cost_exact=cost_exact,
-            exact_slack=exact_slack,
         )
         self.attributions.append(attribution)
         return attribution

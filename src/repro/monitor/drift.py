@@ -250,17 +250,17 @@ class DriftBank:
 
         Alarms come back as sample-by-sample ``update`` raises them — by
         offset into ``values``, then in detector order — and ``stat`` is
-        what that caller reads off the detector next: its statistic right
-        after the re-arm.  The detectors share no state, so each scans the
-        whole sequence on its own, re-armed after every alarm.
+        the statistic that crossed, read before the re-arm zeroes it.  The
+        detectors share no state, so each scans the whole sequence on its
+        own, re-armed after every alarm.
         """
         xs = [float(v) for v in values]
         hits: "list[tuple[int, int, str, float]]" = []
         for rank, (name, det) in enumerate(self.detectors.items()):
             i = det.scan(xs, 0)  # type: ignore[attr-defined]
             while i < len(xs):
-                det.reset()  # type: ignore[attr-defined]
                 hits.append((i, rank, name, det.stat))  # type: ignore[attr-defined]
+                det.reset()  # type: ignore[attr-defined]
                 i = det.scan(xs, i + 1)  # type: ignore[attr-defined]
         hits.sort()
         self.fired.extend((self.samples + i + 1, name) for i, _, name, _ in hits)

@@ -77,7 +77,7 @@ def _labeled(metric: str, suffix: str, extra: "str | None" = None) -> str:
     return f"{metric}{suffix}"
 
 
-def _families(section: dict, prefix: str) -> "dict[str, list[tuple[str, dict]]]":
+def _families(section: dict) -> "dict[str, list[tuple[str, dict]]]":
     """Group a section's series by sanitized metric name.
 
     Returns ``{metric: [(label_suffix, state), ...]}`` with both levels
@@ -89,7 +89,7 @@ def _families(section: dict, prefix: str) -> "dict[str, list[tuple[str, dict]]]"
     raw_of: "dict[str, str]" = {}
     for key in sorted(section):
         base, suffix = split_series_key(key)
-        metric = sanitize_name(base, prefix)
+        metric = sanitize_name(base)
         seen = raw_of.setdefault(metric, base)
         if seen != base:
             raise ValueError(
@@ -100,22 +100,22 @@ def _families(section: dict, prefix: str) -> "dict[str, list[tuple[str, dict]]]"
     return fams
 
 
-def prometheus_text(aggregate: dict, *, prefix: str = "repro") -> str:
+def prometheus_text(aggregate: dict) -> str:
     """The aggregate as a Prometheus text-format exposition page."""
     lines: "list[str]" = []
 
-    for metric, series in _families(aggregate.get("counters", {}), prefix).items():
+    for metric, series in _families(aggregate.get("counters", {})).items():
         lines.append(f"# TYPE {metric}_total counter")
         for suffix, state in series:
             lines.append(f"{_labeled(metric + '_total', suffix)} "
                          f"{_fmt(state['value'])}")
 
-    for metric, series in _families(aggregate.get("gauges", {}), prefix).items():
+    for metric, series in _families(aggregate.get("gauges", {})).items():
         lines.append(f"# TYPE {metric} gauge")
         for suffix, state in series:
             lines.append(f"{_labeled(metric, suffix)} {_fmt(state['value'])}")
 
-    for metric, series in _families(aggregate.get("histograms", {}), prefix).items():
+    for metric, series in _families(aggregate.get("histograms", {})).items():
         lines.append(f"# TYPE {metric} histogram")
         for suffix, state in series:
             cum = 0
@@ -127,7 +127,7 @@ def prometheus_text(aggregate: dict, *, prefix: str = "repro") -> str:
             lines.append(f"{_labeled(metric + '_sum', suffix)} {_fmt(state['sum'])}")
             lines.append(f"{_labeled(metric + '_count', suffix)} {state['count']}")
 
-    for metric, series in _families(aggregate.get("spans", {}), prefix).items():
+    for metric, series in _families(aggregate.get("spans", {})).items():
         for suffix, state in series:
             lines.append(f"# TYPE {metric}_seconds_total counter")
             lines.append(f"{_labeled(metric + '_seconds_total', suffix)} "

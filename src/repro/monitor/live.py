@@ -384,13 +384,17 @@ class MetricsServer:
 # --------------------------------------------------------------------- #
 
 
+#: Columns of the dashboard's title rule.
+_TOP_WIDTH = 78
+
+
 def _bar(frac: float, width: int = 24) -> str:
     frac = min(max(frac, 0.0), 1.0)
     filled = int(round(frac * width))
     return "#" * filled + "." * (width - filled)
 
 
-def render_top(snap: dict, *, width: int = 78) -> str:
+def render_top(snap: dict) -> str:
     """Render one ``/snapshot`` payload as the terminal dashboard.
 
     Pure text-in/text-out (no sockets, no clearing), so the dashboard
@@ -398,8 +402,8 @@ def render_top(snap: dict, *, width: int = 78) -> str:
     """
     lines: "list[str]" = []
     run = snap.get("run", "serve")
-    lines.append(f"repro serve top — {run}".ljust(width))
-    lines.append("-" * width)
+    lines.append(f"repro serve top — {run}".ljust(_TOP_WIDTH))
+    lines.append("-" * _TOP_WIDTH)
 
     status = snap.get("status", {})
     agg = snap.get("aggregate", {})

@@ -59,6 +59,9 @@ _DRIFT_MESSAGES = {
 }
 
 
+#: Wait-SLO bad-event bound, in platform hours.
+WAIT_BOUND_HOURS = 2.0
+
 DEFAULT_SLOS: "tuple[SLORule, ...]" = (
     # At most 10% of tasks may wait longer than the wait bound.
     SLORule(name="wait", objective=0.10),
@@ -88,31 +91,15 @@ class MonitorConfig:
 
     #: Hindsight re-solve every N-th window (1 = every window).
     sample_every: int = 8
-    #: Exact branch-and-bound bound for windows with at most this many
-    #: tasks (0 disables the exact solve).
-    exact_max_tasks: int = 0
     #: Solver for hindsight re-solves; ``None`` = attributor default.
     solver_config: "SolverConfig | None" = None
-    #: Wait-SLO bad-event bound, in platform hours.
-    wait_bound_hours: float = 2.0
     #: Suppress further ``retrain_suggested`` alerts for this many
     #: windows after one fires (drift on several signals at once should
     #: page once, not once per detector).
     cooldown_windows: int = 50
-    #: SLO rules; replace to customize objectives/windows.
-    slos: "tuple[SLORule, ...]" = DEFAULT_SLOS
-    #: Drift detector knobs for the time-error bank.
+    #: Page–Hinkley knobs of the time-error bank.
     time_delta: float = 0.05
     time_threshold: float = 4.0
-    time_min_samples: int = 40
-    time_quantile_window: int = 64
-    #: CUSUM knobs for the reliability calibration bank.
-    reliability_drift: float = 0.08
-    reliability_threshold: float = 6.0
-    #: Page–Hinkley knobs for the sampled decision-regret bank.
-    regret_delta: float = 0.02
-    regret_threshold: float = 0.5
-    regret_min_samples: int = 5
 
 
 class QualityMonitor(ServeCallback):
@@ -126,34 +113,25 @@ class QualityMonitor(ServeCallback):
     ) -> None:
         self.config = cfg = config or MonitorConfig()
         self.attributor = RegretAttributor(
-            sample_every=cfg.sample_every,
-            solver_config=cfg.solver_config,
-            exact_max_tasks=cfg.exact_max_tasks,
+            sample_every=cfg.sample_every, solver_config=cfg.solver_config
         )
         self.banks = {
             "time_error": DriftBank("time_error", {
                 "page_hinkley": PageHinkley(
                     delta=cfg.time_delta,
                     threshold=cfg.time_threshold,
-                    min_samples=cfg.time_min_samples,
+                    min_samples=40,
                 ),
-                "quantile_window": QuantileWindow(window=cfg.time_quantile_window),
+                "quantile_window": QuantileWindow(window=64),
             }),
             "reliability_error": DriftBank("reliability_error", {
-                "cusum": Cusum(
-                    drift=cfg.reliability_drift,
-                    threshold=cfg.reliability_threshold,
-                ),
+                "cusum": Cusum(drift=0.08, threshold=6.0),
             }),
             "decision_regret": DriftBank("decision_regret", {
-                "page_hinkley": PageHinkley(
-                    delta=cfg.regret_delta,
-                    threshold=cfg.regret_threshold,
-                    min_samples=cfg.regret_min_samples,
-                ),
+                "page_hinkley": PageHinkley(delta=0.02, threshold=0.5, min_samples=5),
             }),
         }
-        self.slo = SLOMonitor(list(cfg.slos))
+        self.slo = SLOMonitor(list(DEFAULT_SLOS))
         self.alerts: "list[Alert]" = []
         self.sinks: "list[AlertSink]" = list(sinks or ())
         self.sink_errors: "dict[str, int]" = {}
@@ -285,13 +263,12 @@ class QualityMonitor(ServeCallback):
                 rec.observe("monitor/rounding_slack",
                             max(attribution.rounding_slack, 0.0),
                             bounds=_GAP_BUCKETS)
-            for name in self.banks["decision_regret"].update(
-                max(attribution.prediction_gap, 0.0)
+            for _, name, stat in self.banks["decision_regret"].update_many(
+                (max(attribution.prediction_gap, 0.0),)
             ):
                 self._alert(
                     snapshot.window, snapshot.time, "drift", "decision_regret",
-                    name, self.banks["decision_regret"].detectors[name].stat,
-                    "sampled decision regret drifted",
+                    name, stat, "sampled decision regret drifted",
                 )
                 self._maybe_suggest_retrain(snapshot, "decision_regret", [name])
 
@@ -299,7 +276,7 @@ class QualityMonitor(ServeCallback):
         waits = snapshot.wait_hours
         k = len(snapshot.task_ids)
         slo_obs = [
-            ("wait", sum(w > self.config.wait_bound_hours for w in waits.tolist()), k),
+            ("wait", sum(w > WAIT_BOUND_HOURS for w in waits.tolist()), k),
             ("shed", snapshot.shed_total - self._prev_shed_total,
              max(snapshot.arrived_total - self._prev_arrived_total, 1)),
             ("reliability", int(snapshot.reliability_slack < 0.0), 1),

@@ -31,6 +31,7 @@ description of the run:
 from __future__ import annotations
 
 import tempfile
+from contextlib import nullcontext
 from pathlib import Path
 
 from repro.serve.config import ServeConfig
@@ -224,16 +225,12 @@ class TraceReplay:
         predictor once.
         """
         if self.config.retrain is not None:
-            extra = list(callbacks or ())
-            if registry_root is not None:
-                platform = _build_platform(self.config, stack=stack,
-                                           registry_root=registry_root)
-            else:
-                with tempfile.TemporaryDirectory(prefix="replay-registry-") as tmp:
-                    platform = _build_platform(self.config, stack=stack,
-                                               registry_root=tmp)
-                    return self._drive(platform.dispatcher, platform.pool, extra)
-            return self._drive(platform.dispatcher, platform.pool, extra)
+            scratch = (tempfile.TemporaryDirectory(prefix="replay-registry-")
+                       if registry_root is None else nullcontext(registry_root))
+            with scratch as root:
+                platform = _build_platform(self.config, stack=stack, registry_root=root)
+                return self._drive(platform.dispatcher, platform.pool,
+                                   list(callbacks or ()))
         registry, schedule = swap_schedule(self._swaps, registry_root)
         pool, clusters, method, spec, config = stack or _build_stack(self.config)
         dispatcher = Dispatcher(clusters, method, spec, config,

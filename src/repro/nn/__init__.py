@@ -19,16 +19,14 @@ from repro.nn.layers import (
     Sigmoid,
     Softplus,
 )
-from repro.nn.losses import bce_loss, mse_loss
+from repro.nn.losses import mse_loss
 from repro.nn.optim import Adam, Optimizer, clip_grad_norm
 from repro.nn.serialization import load_module, save_module
-from repro.nn.tensor import Tensor, as_tensor, concatenate, no_grad, stack
+from repro.nn.tensor import Tensor, as_tensor, no_grad
 
 __all__ = [
     "Tensor",
     "as_tensor",
-    "stack",
-    "concatenate",
     "no_grad",
     "ops",
     "functional",
@@ -43,7 +41,6 @@ __all__ = [
     "Sequential",
     "MLP",
     "mse_loss",
-    "bce_loss",
     "Optimizer",
     "Adam",
     "clip_grad_norm",

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.utils.rng import as_generator
 
-__all__ = ["xavier_uniform", "he_uniform", "zeros"]
+__all__ = ["xavier_uniform", "he_uniform"]
 
 
 def _fans(shape: tuple[int, ...]) -> tuple[int, int]:
@@ -16,7 +16,7 @@ def _fans(shape: tuple[int, ...]) -> tuple[int, int]:
     return fan_in, fan_out
 
 
-def xavier_uniform(shape: tuple[int, int], rng: np.random.Generator | int | None = None) -> np.ndarray:
+def xavier_uniform(shape: tuple[int, int], rng: np.random.Generator | int | None) -> np.ndarray:
     """Glorot/Xavier uniform: U(-a, a), a = sqrt(6 / (fan_in + fan_out))."""
     rng = as_generator(rng)
     fan_in, fan_out = _fans(shape)
@@ -24,14 +24,9 @@ def xavier_uniform(shape: tuple[int, int], rng: np.random.Generator | int | None
     return rng.uniform(-a, a, size=shape)
 
 
-def he_uniform(shape: tuple[int, int], rng: np.random.Generator | int | None = None) -> np.ndarray:
+def he_uniform(shape: tuple[int, int], rng: np.random.Generator | int | None) -> np.ndarray:
     """He/Kaiming uniform for ReLU networks: U(-a, a), a = sqrt(6 / fan_in)."""
     rng = as_generator(rng)
     fan_in, _ = _fans(shape)
     a = np.sqrt(6.0 / fan_in)
     return rng.uniform(-a, a, size=shape)
-
-
-def zeros(shape: tuple[int, ...], rng: object = None) -> np.ndarray:
-    """Zero initialization (biases)."""
-    return np.zeros(shape)

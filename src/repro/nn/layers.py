@@ -129,7 +129,6 @@ class Linear(Module):
         in_features: int,
         out_features: int,
         *,
-        bias: bool = True,
         init: str = "he_uniform",
         rng: np.random.Generator | int | None = None,
     ) -> None:
@@ -143,16 +142,13 @@ class Linear(Module):
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(init_fn((in_features, out_features), rng), name="weight")
-        self.bias = Parameter(np.zeros(out_features), name="bias") if bias else None
+        self.bias = Parameter(np.zeros(out_features), name="bias")
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return x @ self.weight + self.bias
 
     def __repr__(self) -> str:
-        return f"Linear(in={self.in_features}, out={self.out_features}, bias={self.bias is not None})"
+        return f"Linear(in={self.in_features}, out={self.out_features})"
 
 
 class _Activation(Module):

@@ -14,13 +14,10 @@ from repro.nn.tensor import Tensor, as_tensor
 __all__ = [
     "exp",
     "log",
-    "sqrt",
     "sigmoid",
     "relu",
     "softplus",
     "clip",
-    "maximum",
-    "minimum",
 ]
 
 
@@ -42,16 +39,6 @@ def log(x: Tensor) -> Tensor:
         return (g / x_data,)
 
     return Tensor._from_op(np.log(x_data), (x,), backward)
-
-
-def sqrt(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    out_data = np.sqrt(x.data)
-
-    def backward(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
-        return (g * 0.5 / out_data,)
-
-    return Tensor._from_op(out_data, (x,), backward)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -81,15 +68,15 @@ def relu(x: Tensor) -> Tensor:
     return Tensor._from_op(x_data * mask, (x,), backward)
 
 
-def softplus(x: Tensor, beta: float = 1.0) -> Tensor:
-    """``log(1 + exp(beta*x)) / beta`` — smooth positive output head.
+def softplus(x: Tensor) -> Tensor:
+    """``log(1 + exp(x))`` — smooth positive output head.
 
     Used by the execution-time predictor so predicted times stay strictly
-    positive.  Stable form avoids overflow for large ``beta*x``.
+    positive.  Stable form avoids overflow for large ``x``.
     """
     x = as_tensor(x)
-    z = beta * x.data
-    out_data = (np.logaddexp(0.0, z)) / beta
+    z = x.data
+    out_data = np.logaddexp(0.0, z)
     sig = 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
 
     def backward(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
@@ -108,25 +95,3 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
         return (g * mask,)
 
     return Tensor._from_op(np.clip(x_data, lo, hi), (x,), backward)
-
-
-def maximum(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise max; gradient splits equally on exact ties."""
-    a, b = as_tensor(a), as_tensor(b)
-    a_data, b_data = a.data, b.data
-    out_data = np.maximum(a_data, b_data)
-    tie = (a_data == b_data).astype(np.float64)
-    wa = (a_data > b_data).astype(np.float64) + 0.5 * tie
-    wb = (b_data > a_data).astype(np.float64) + 0.5 * tie
-
-    def backward(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
-        from repro.nn.tensor import unbroadcast
-
-        return unbroadcast(g * wa, a.shape), unbroadcast(g * wb, b.shape)
-
-    return Tensor._from_op(out_data, (a, b), backward)
-
-
-def minimum(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise min (mirror of :func:`maximum`)."""
-    return -maximum(-as_tensor(a), -as_tensor(b))

@@ -40,6 +40,10 @@ class Optimizer:
         raise NotImplementedError
 
 
+#: Denominator floor of the Adam update.
+_EPS = 1e-8
+
+
 class Adam(Optimizer):
     """Adam with bias correction (Kingma & Ba)."""
 
@@ -48,7 +52,6 @@ class Adam(Optimizer):
         params: Iterable[Parameter],
         lr: float = 1e-3,
         betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
         weight_decay: float = 0.0,
     ) -> None:
         super().__init__(params, lr)
@@ -56,7 +59,6 @@ class Adam(Optimizer):
         if not (0.0 <= b1 < 1.0 and 0.0 <= b2 < 1.0):
             raise ValueError(f"betas must be in [0, 1), got {betas}")
         self.betas = (float(b1), float(b2))
-        self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
@@ -76,7 +78,7 @@ class Adam(Optimizer):
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * (g * g)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
 
 
 def clip_grad_norm(params: "Sequence[Parameter] | Iterable[Parameter]", max_norm: float) -> float:

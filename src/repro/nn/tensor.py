@@ -24,7 +24,7 @@ Design notes (kept deliberately close to what the paper needs, no more):
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -126,14 +126,6 @@ class Tensor:
             out._parents = parents
             out._backward = backward
         return out
-
-    @staticmethod
-    def zeros(*shape: int, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-    @staticmethod
-    def ones(*shape: int, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.ones(shape), requires_grad=requires_grad)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -447,31 +439,3 @@ def _topo_sort(root: Tensor) -> list[Tensor]:
 def as_tensor(x: "Tensor | np.ndarray | float | Sequence[float]") -> Tensor:
     """Coerce ``x`` to a constant :class:`Tensor` (no copy for Tensors)."""
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis, differentiable in every input."""
-    ts = list(tensors)
-    if not ts:
-        raise ValueError("stack() requires at least one tensor")
-    datas = [t.data for t in ts]
-
-    def backward(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
-        pieces = np.split(g, len(ts), axis=axis)
-        return tuple(np.squeeze(p, axis=axis) for p in pieces)
-
-    return Tensor._from_op(np.stack(datas, axis=axis), tuple(ts), backward)
-
-
-def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate tensors along an existing axis, differentiable."""
-    ts = list(tensors)
-    if not ts:
-        raise ValueError("concatenate() requires at least one tensor")
-    sizes = [t.data.shape[axis] for t in ts]
-    splits = np.cumsum(sizes)[:-1]
-
-    def backward(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
-        return tuple(np.split(g, splits, axis=axis))
-
-    return Tensor._from_op(np.concatenate([t.data for t in ts], axis=axis), tuple(ts), backward)

@@ -3,7 +3,7 @@
 ``train_time_mse`` regresses log-time (the :class:`TimePredictor` head is
 exp(·), so MSE on log targets equals relative-error regression — the right
 loss for quantities spanning orders of magnitude).  ``train_reliability``
-offers the paper's MSE loss and a BCE option.
+is the paper's MSE loss on the probabilities.
 
 There is one minibatch step, :meth:`BankTrainer.step`, and it is stacked:
 H same-kind heads (a :class:`~repro.predictors.models.HeadBank`) advance
@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.nn import Adam, bce_loss, mse_loss, ops
+from repro.nn import Adam, mse_loss, ops
 from repro.predictors.dataset import ClusterDataset, Standardizer
 from repro.predictors.models import HeadBank, PredictorPair, ReliabilityPredictor, TimePredictor
 from repro.utils.rng import as_generator, spawn
@@ -40,9 +40,11 @@ __all__ = [
 ]
 
 #: Head semantics by loss name: ``"log_mse"`` (time head — MSE between the
-#: log of the forward pass and log targets), ``"mse"`` or ``"bce"``
-#: (reliability head on [0, 1] targets).
-_LOSSES = {"log_mse": mse_loss, "mse": mse_loss, "bce": bce_loss}
+#: log of the forward pass and log targets) or ``"mse"`` (reliability head
+#: on [0, 1] targets).
+_LOSSES = ("log_mse", "mse")
+#: L2 penalty of every supervised fit's Adam.
+WEIGHT_DECAY = 1e-5
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,6 @@ class TrainConfig:
     epochs: int = 300
     lr: float = 5e-3
     batch_size: int = 32
-    weight_decay: float = 1e-5
 
     def __post_init__(self) -> None:
         if self.epochs <= 0 or self.batch_size <= 0:
@@ -93,7 +94,7 @@ class BankTrainer:
         loss: str = "log_mse",
     ) -> None:
         if loss not in _LOSSES:
-            raise ValueError(f"loss must be 'log_mse', 'mse' or 'bce', got {loss!r}")
+            raise ValueError(f"loss must be 'log_mse' or 'mse', got {loss!r}")
         if not len(heads) == len(Zs) == len(ys) == len(rngs):
             raise ValueError("need one dataset and one generator per head")
         self.config = config or TrainConfig()
@@ -110,8 +111,7 @@ class BankTrainer:
         if Y.shape[1] == 0:
             raise ValueError("need at least one training sample")
         self.Y = np.log(Y) if loss == "log_mse" else Y
-        self.opt = Adam(self.bank.params, lr=self.config.lr,
-                        weight_decay=self.config.weight_decay)
+        self.opt = Adam(self.bank.params, lr=self.config.lr, weight_decay=WEIGHT_DECAY)
         self.steps_done = 0
         self.epochs_done = 0
         self.last_losses = np.full(len(heads), np.nan)
@@ -152,7 +152,7 @@ class BankTrainer:
         pred = self.bank.forward(self.X[self._rows, idx])
         if self.loss == "log_mse":
             pred = ops.log(pred)
-        value = _LOSSES[self.loss](pred, self.Y[self._rows, idx], axis=-1)
+        value = mse_loss(pred, self.Y[self._rows, idx], axis=-1)
         value.backward(np.ones(len(self.bank)))  # heads are independent
         self.opt.step()
         self.steps_done += 1
@@ -261,13 +261,9 @@ def train_reliability(
     a: np.ndarray,
     config: TrainConfig | None = None,
     rng: np.random.Generator | int | None = None,
-    *,
-    loss: str = "mse",
 ) -> TrainResult:
-    """Fit the reliability head by MSE (the paper's Eq. 1) or BCE."""
-    if loss not in ("mse", "bce"):
-        raise ValueError(f"loss must be 'mse' or 'bce', got {loss!r}")
-    return fit_heads([predictor], [Z], [a], config, [rng], loss=loss)[0]
+    """Fit the reliability head by MSE (the paper's Eq. 1)."""
+    return fit_heads([predictor], [Z], [a], config, [rng], loss="mse")[0]
 
 
 def fit_pairs(

@@ -87,6 +87,10 @@ class LabelDataset:
         return len(self.a)
 
 
+#: Recency half-life of :meth:`ReplayBuffer.sample`'s weights, in hours.
+HALF_LIFE_HOURS = 8.0
+
+
 class ReplayBuffer:
     """Bounded, deduplicated store of realized execution labels."""
 
@@ -169,23 +173,19 @@ class ReplayBuffer:
         now: float,
         size: int,
         rng: np.random.Generator,
-        *,
-        half_life_hours: float = 8.0,
     ) -> "list[Label]":
         """Recency-weighted sample (no replacement) of observable labels.
 
         A label aged ``a`` hours (measured from its ``end``) is weighted
-        ``2^(-a / half_life_hours)``: recent traffic dominates so the
+        ``2^(-a / HALF_LIFE_HOURS)``: recent traffic dominates so the
         refit chases the *current* workload mix, but older labels retain
         mass and keep rare task families represented.
         """
-        if half_life_hours <= 0:
-            raise ValueError("half_life_hours must be positive")
         pool = self.ready(now)
         if len(pool) <= size:
             return pool
         age = np.array([now - l.end for l in pool])
-        weights = np.exp2(-age / half_life_hours)
+        weights = np.exp2(-age / HALF_LIFE_HOURS)
         weights /= weights.sum()
         idx = rng.choice(len(pool), size=size, replace=False, p=weights)
         return [pool[i] for i in sorted(idx)]

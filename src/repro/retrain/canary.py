@@ -20,7 +20,7 @@ candidate against the live model on three axes, all computed offline
   matching" demands of a promotion gate.
 
 The candidate is promoted only if it clears every axis:
-``candidate <= ratio_max * live + abs_slack`` per metric, where the
+``candidate <= ratio_max * live + ABS_SLACK`` per metric, where the
 additive slack keeps near-zero live scores from demanding the
 impossible.  Insufficient holdout is an automatic **fail** — "not enough
 evidence" must never promote.
@@ -40,6 +40,12 @@ from repro.predictors.models import PredictorPair
 from repro.retrain.buffer import Label
 
 __all__ = ["CanaryWindow", "CanaryDecision", "CanaryGate"]
+
+#: Per-axis promotion bounds: ``candidate <= ratio_max * live + ABS_SLACK``.
+TIME_RATIO_MAX = 1.0
+BRIER_RATIO_MAX = 1.05
+REGRET_RATIO_MAX = 1.02
+ABS_SLACK = 1e-3
 
 
 @dataclass(frozen=True)
@@ -138,24 +144,11 @@ class CanaryGate:
         self,
         *,
         min_holdout: int = 12,
-        time_ratio_max: float = 1.0,
-        brier_ratio_max: float = 1.05,
-        regret_ratio_max: float = 1.02,
-        abs_slack: float = 1e-3,
         solver_config: "SolverConfig | None" = None,
     ) -> None:
         if min_holdout < 1:
             raise ValueError("min_holdout must be >= 1")
-        for name, v in (("time_ratio_max", time_ratio_max),
-                        ("brier_ratio_max", brier_ratio_max),
-                        ("regret_ratio_max", regret_ratio_max)):
-            if v <= 0:
-                raise ValueError(f"{name} must be positive")
         self.min_holdout = min_holdout
-        self.time_ratio_max = time_ratio_max
-        self.brier_ratio_max = brier_ratio_max
-        self.regret_ratio_max = regret_ratio_max
-        self.abs_slack = abs_slack
         self.solver_config = solver_config or SolverConfig(tol=1e-4, max_iters=300)
 
     def evaluate(
@@ -196,13 +189,13 @@ class CanaryGate:
                 return False
             if np.isnan(cand) or np.isnan(ref):
                 return True
-            return cand > ratio * ref + self.abs_slack
+            return cand > ratio * ref + ABS_SLACK
 
-        if worse(t_cand, t_live, self.time_ratio_max):
+        if worse(t_cand, t_live, TIME_RATIO_MAX):
             reasons.append("time_mse")
-        if worse(b_cand, b_live, self.brier_ratio_max):
+        if worse(b_cand, b_live, BRIER_RATIO_MAX):
             reasons.append("brier")
-        if worse(r_cand, r_live, self.regret_ratio_max):
+        if worse(r_cand, r_live, REGRET_RATIO_MAX):
             reasons.append("decision_regret")
         return CanaryDecision(
             passed=not reasons, reasons=tuple(reasons),

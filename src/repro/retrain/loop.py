@@ -47,10 +47,14 @@ from repro.serve.dispatcher import Dispatcher, ServeCallback, ServeStats, Window
 from repro.serve.registry import ModelRegistry
 from repro.telemetry import get_recorder
 from repro.utils.rng import as_generator
+from repro.utils.validation import check_known_keys
 
 __all__ = ["RetrainConfig", "RetrainController", "build_refit"]
 
 TRIGGERS = ("drift", "periodic", "both", "manual")
+#: A swap is rolled back when the served error of its guard windows
+#: exceeds this multiple of the pre-swap baseline.
+GUARD_RATIO = 1.5
 
 
 @dataclass(frozen=True)
@@ -62,28 +66,20 @@ class RetrainConfig:
     period_windows: int = 0  # periodic cadence (0 = never), used by periodic/both
     cooldown_windows: int = 16  # windows between retrain attempts
     # Label harvesting / sampling.
-    capacity: int = 4096
     min_labels: int = 32  # observable labels required to arm a refit
     min_cluster_labels: int = 8
     sample_size: int = 256
-    half_life_hours: float = 8.0
     holdout_fraction: float = 0.25
     # Refit optimization (feeds TrainConfig).
     mode: str = "incremental"  # or "full"
     steps_per_window: int = 8  # cooperative minibatch budget per dispatch
     epochs: int = 40
     lr: float = 5e-3
-    batch_size: int = 16
-    weight_decay: float = 1e-5
     # Canary gate.
     canary_min_holdout: int = 12
     canary_windows: int = 6  # recent windows cached for decision-regret replay
-    time_ratio_max: float = 1.0
-    brier_ratio_max: float = 1.05
-    regret_ratio_max: float = 1.02
     # Post-swap guard.
     guard_windows: int = 10
-    guard_ratio: float = 1.5
     # Determinism.
     seed: int = 0
 
@@ -94,15 +90,13 @@ class RetrainConfig:
             raise ValueError(f"mode must be one of {REFIT_MODES}, got {self.mode!r}")
         if self.trigger in ("periodic", "both") and self.period_windows <= 0:
             raise ValueError("periodic trigger requires period_windows > 0")
-        for name in ("capacity", "min_labels", "min_cluster_labels", "sample_size",
-                     "steps_per_window", "epochs", "batch_size",
+        for name in ("min_labels", "min_cluster_labels", "sample_size",
+                     "steps_per_window", "epochs",
                      "canary_min_holdout", "guard_windows"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 < self.holdout_fraction < 1.0:
             raise ValueError("holdout_fraction must be in (0, 1)")
-        if self.guard_ratio <= 0 or self.half_life_hours <= 0:
-            raise ValueError("guard_ratio and half_life_hours must be positive")
 
     # JSON round-trip (serving params in run logs; CLI flag parsing).
     def to_params(self) -> dict:
@@ -110,18 +104,14 @@ class RetrainConfig:
 
     @classmethod
     def from_params(cls, params: dict) -> "RetrainConfig":
+        check_known_keys(cls, params, "retrain")
         return cls(**params)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(epochs=self.epochs, lr=self.lr,
-                           batch_size=self.batch_size,
-                           weight_decay=self.weight_decay)
+        return TrainConfig(epochs=self.epochs, lr=self.lr, batch_size=16)
 
     def canary_gate(self, solver_config: "SolverConfig | None") -> CanaryGate:
         return CanaryGate(min_holdout=self.canary_min_holdout,
-                          time_ratio_max=self.time_ratio_max,
-                          brier_ratio_max=self.brier_ratio_max,
-                          regret_ratio_max=self.regret_ratio_max,
                           solver_config=solver_config)
 
 
@@ -169,8 +159,7 @@ def build_refit(
     """
     if len(buffer.ready(now)) < config.min_labels:
         return None
-    sampled = buffer.sample(now, config.sample_size, rng,
-                            half_life_hours=config.half_life_hours)
+    sampled = buffer.sample(now, config.sample_size, rng)
     train, holdout = buffer.split_holdout(sampled, config.holdout_fraction)
     try:
         job = RefitJob.build(
@@ -190,12 +179,11 @@ class RetrainController(ServeCallback):
         self,
         config: "RetrainConfig | None" = None,
         *,
-        registry: "ModelRegistry | None" = None,
         solver_config: "SolverConfig | None" = None,
     ) -> None:
         self.config = cfg = config or RetrainConfig()
-        self.registry = registry
-        self.buffer = ReplayBuffer(capacity=cfg.capacity)
+        self.registry: "ModelRegistry | None" = None  # the dispatcher's, from bind
+        self.buffer = ReplayBuffer()
         self.evidence = WindowHarvester(self.buffer, {},
                                         canary_windows=cfg.canary_windows)
         self.gate = cfg.canary_gate(solver_config)
@@ -229,12 +217,9 @@ class RetrainController(ServeCallback):
         registered and promoted so every later refit has a parent to
         record — and a rollback target.
         """
-        if dispatcher.registry is None and self.registry is None:
+        if dispatcher.registry is None:
             raise ValueError("retraining requires a dispatcher with a registry")
-        if self.registry is None:
-            self.registry = dispatcher.registry
-        elif dispatcher.registry is not None and dispatcher.registry is not self.registry:
-            raise ValueError("dispatcher and controller registries differ")
+        self.registry = dispatcher.registry
         self.dispatcher = dispatcher
         self._cluster_ids = [c.cluster_id for c in dispatcher.clusters]
         self.evidence.pair_index = {
@@ -242,15 +227,15 @@ class RetrainController(ServeCallback):
         _bootstrap_registry(self.registry, dispatcher.method, self.config)
         return self
 
-    def notify_drift(self, alert: object = None) -> None:
+    def notify_drift(self, alert: object) -> None:
         """Drift-trigger entry point (wired to the quality monitor)."""
         reason = getattr(alert, "message", None) or (
             alert.get("message") if isinstance(alert, dict) else None)
         self._drift_reason = f"drift: {reason}" if reason else "drift"
 
-    def request_retrain(self, reason: str = "manual") -> None:
+    def request_retrain(self) -> None:
         """Arm a refit regardless of the trigger policy (CLI/operator)."""
-        self._manual_reason = reason
+        self._manual_reason = "manual"
 
     # ------------------------------------------------------------------ #
     # Serve callbacks.
@@ -425,7 +410,7 @@ class RetrainController(ServeCallback):
         baseline = guard["baseline"]
         rec = get_recorder()
         degraded = (np.isfinite(baseline) and baseline > 0
-                    and post > cfg.guard_ratio * baseline)
+                    and post > GUARD_RATIO * baseline)
         self._guard = None
         self.state = "idle"
         if not degraded:

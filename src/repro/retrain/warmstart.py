@@ -20,7 +20,7 @@ Causality rules mirror the predictor label harvester
 - a hot-swap voids the buffer (``dispatcher.swap_epoch``): the old
   labels were relaxed optima of the *old* model's predicted problems;
 - labels deduplicate per task id, newest wins, bounded by
-  ``max_labels`` (oldest evicted) — deterministic, no RNG anywhere.
+  ``MAX_LABELS`` (oldest evicted) — deterministic, no RNG anywhere.
 """
 
 from __future__ import annotations
@@ -35,6 +35,9 @@ from repro.telemetry import get_recorder
 
 __all__ = ["WarmStartTrainer", "WarmStartTrainerConfig"]
 
+#: Label buffer cap (oldest evicted).
+MAX_LABELS = 2048
+
 
 @dataclass(frozen=True)
 class WarmStartTrainerConfig:
@@ -42,17 +45,14 @@ class WarmStartTrainerConfig:
 
     min_labels: int = 32  # first fit waits for this many distinct tasks
     refit_every: int = 8  # windows between refits once warmed up
-    max_labels: int = 2048  # label buffer cap (oldest evicted)
     epochs: int = 120
     lr: float = 0.5
-    l2: float = 1e-3
-    min_confidence: float = 1.25  # forwarded to WarmStartHead
 
     def __post_init__(self) -> None:
-        if self.min_labels <= 0 or self.refit_every <= 0 or self.max_labels <= 0:
-            raise ValueError("min_labels, refit_every and max_labels must be positive")
-        if self.max_labels < self.min_labels:
-            raise ValueError("max_labels must be >= min_labels")
+        if self.min_labels <= 0 or self.refit_every <= 0:
+            raise ValueError("min_labels and refit_every must be positive")
+        if MAX_LABELS < self.min_labels:
+            raise ValueError(f"min_labels must be <= {MAX_LABELS}, the label buffer cap")
         if self.epochs <= 0 or self.lr <= 0:
             raise ValueError("epochs and lr must be positive")
 
@@ -61,7 +61,6 @@ def _harvest(
     snap: WindowSnapshot,
     fleet: "tuple[int, ...]",
     labels: "dict[int, tuple[np.ndarray, np.ndarray]]",
-    cap: int,
 ) -> int:
     """Fold one snapshot into the label dict; returns labels added."""
     if snap.X_relaxed is None or snap.features is None:
@@ -75,7 +74,7 @@ def _harvest(
         labels.pop(key, None)
         labels[key] = (snap.features[j], snap.X_relaxed[:, j])
         added += 1
-        while len(labels) > cap:
+        while len(labels) > MAX_LABELS:
             labels.pop(next(iter(labels)))
     return added
 
@@ -117,7 +116,7 @@ class WarmStartTrainer(ServeCallback):
             if rec.enabled:
                 rec.counter_add("warmstart/buffer_invalidated")
         fleet = tuple(c.cluster_id for c in self.dispatcher.clusters)
-        n = _harvest(snapshot, fleet, self._labels, self.config.max_labels)
+        n = _harvest(snapshot, fleet, self._labels)
         self.harvested += n
         if rec.enabled and n:
             rec.counter_add("warmstart/labels_harvested", n)
@@ -132,8 +131,7 @@ class WarmStartTrainer(ServeCallback):
         Z = np.stack([z for z, _ in self._labels.values()])
         C = np.stack([c for _, c in self._labels.values()])
         if self.head is None or self.head.cluster_ids != fleet:
-            self.head = WarmStartHead(Z.shape[1], fleet, l2=cfg.l2,
-                                      min_confidence=cfg.min_confidence)
+            self.head = WarmStartHead(Z.shape[1], fleet)
         self.head.fit(Z, C, epochs=cfg.epochs, lr=cfg.lr)
         self.dispatcher.warm_model = self.head
         self.fits += 1

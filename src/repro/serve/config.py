@@ -33,6 +33,7 @@ from repro.serve.dispatcher import (
     ServeStats,
 )
 from repro.serve.registry import ModelRegistry
+from repro.utils.validation import check_known_keys
 
 if TYPE_CHECKING:  # layering: monitor/retrain import serve, not vice versa
     from repro.monitor.quality import MonitorConfig, QualityMonitor
@@ -42,9 +43,11 @@ if TYPE_CHECKING:  # layering: monitor/retrain import serve, not vice versa
 
 __all__ = ["ServeConfig", "Platform", "build_platform"]
 
-_SHED_POLICIES = ("reject", "drop_oldest")
-_WARM_STARTS = ("cache", "learned", "off")
-_SOLVE_MODES = ("scalar", "blocks")
+SHED_POLICIES = ("reject", "drop_oldest")
+WARM_STARTS = ("cache", "learned", "off")
+SOLVE_MODES = ("scalar", "blocks")
+#: ``from_params`` coercion by field annotation (the module's annotations are strings).
+_COERCE = {"str": str, "int": int, "float": float, "bool": bool}
 
 
 @dataclass(frozen=True)
@@ -105,15 +108,15 @@ class ServeConfig:
                 raise ValueError(f"{name} must be positive")
         if self.solver_tol <= 0 or self.max_wait_hours <= 0:
             raise ValueError("solver_tol and max_wait_hours must be positive")
-        if self.shed_policy not in _SHED_POLICIES:
+        if self.shed_policy not in SHED_POLICIES:
             raise ValueError(
-                f"shed_policy must be one of {_SHED_POLICIES}, got {self.shed_policy!r}")
-        if self.warm_start not in _WARM_STARTS:
+                f"shed_policy must be one of {SHED_POLICIES}, got {self.shed_policy!r}")
+        if self.warm_start not in WARM_STARTS:
             raise ValueError(
-                f"warm_start must be one of {_WARM_STARTS}, got {self.warm_start!r}")
-        if self.solve_mode not in _SOLVE_MODES:
+                f"warm_start must be one of {WARM_STARTS}, got {self.warm_start!r}")
+        if self.solve_mode not in SOLVE_MODES:
             raise ValueError(
-                f"solve_mode must be one of {_SOLVE_MODES}, got {self.solve_mode!r}")
+                f"solve_mode must be one of {SOLVE_MODES}, got {self.solve_mode!r}")
         for name in ("shard", "instance"):  # label values; normalize to str
             value = getattr(self, name)
             if value is not None and not isinstance(value, str):
@@ -128,72 +131,37 @@ class ServeConfig:
 
     def to_params(self) -> dict:
         """The JSON-serializable dict stored in a run log's meta header."""
-        params: "dict[str, Any]" = {
-            "setting": self.setting,
-            "pool_size": self.pool_size,
-            "seed": self.seed,
-            "train_epochs": self.train_epochs,
-            "solver_tol": self.solver_tol,
-            "solver_max_iters": self.solver_max_iters,
-            "max_batch": self.max_batch,
-            "max_wait_hours": self.max_wait_hours,
-            "queue_capacity": self.queue_capacity,
-            "shed_policy": self.shed_policy,
-            "warm_start": self.warm_start,
-            "solve_mode": self.solve_mode,
-            "profile": self.profile,
-            "monitor": asdict(self.monitor) if self.monitor is not None else None,
-            "retrain": self.retrain.to_params() if self.retrain is not None else None,
-            "registry_root": self.registry_root,
-            "shard": self.shard,
-            "instance": self.instance,
-            "journey_sample": self.journey_sample,
-        }
+        params: "dict[str, Any]" = {f.name: getattr(self, f.name) for f in fields(self)}
+        params["monitor"] = asdict(self.monitor) if self.monitor is not None else None
+        params["retrain"] = self.retrain.to_params() if self.retrain is not None else None
         return params
 
     @classmethod
     def from_params(cls, params: dict) -> "ServeConfig":
-        """Inverse of :meth:`to_params`; a missing key raises
-        ``ValueError`` naming it."""
+        """Inverse of :meth:`to_params`; a missing or an unknown key
+        raises ``ValueError`` naming it."""
         missing = [f.name for f in fields(cls) if f.name not in params]
         if missing:
             raise ValueError(f"serve params missing {missing}")
-        monitor = params["monitor"]
-        if monitor is not None:
+        check_known_keys(cls, params, "serve")
+        # Scalars are coerced by their annotation; Optional fields pass through.
+        values = {f.name: _COERCE.get(f.type, lambda v: v)(params[f.name])
+                  for f in fields(cls)}
+        if values["monitor"] is not None:
             from repro.monitor.quality import MonitorConfig
-            from repro.monitor.slo import SLORule
 
-            monitor = dict(monitor)
+            monitor = dict(values["monitor"])
+            check_known_keys(MonitorConfig, monitor, "monitor")
             sc = monitor.get("solver_config")
+            if sc:
+                check_known_keys(SolverConfig, sc, "monitor solver_config")
             monitor["solver_config"] = SolverConfig(**sc) if sc else None
-            monitor["slos"] = tuple(SLORule(**r) for r in monitor.get("slos", ()))
-            monitor = MonitorConfig(**monitor)
-        retrain = params["retrain"]
-        if retrain is not None:
+            values["monitor"] = MonitorConfig(**monitor)
+        if values["retrain"] is not None:
             from repro.retrain.loop import RetrainConfig
 
-            retrain = RetrainConfig.from_params(retrain)
-        return cls(
-            setting=str(params["setting"]),
-            pool_size=int(params["pool_size"]),
-            seed=int(params["seed"]),
-            train_epochs=int(params["train_epochs"]),
-            solver_tol=float(params["solver_tol"]),
-            solver_max_iters=int(params["solver_max_iters"]),
-            max_batch=int(params["max_batch"]),
-            max_wait_hours=float(params["max_wait_hours"]),
-            queue_capacity=int(params["queue_capacity"]),
-            shed_policy=str(params["shed_policy"]),
-            warm_start=params["warm_start"],
-            solve_mode=str(params["solve_mode"]),
-            profile=bool(params["profile"]),
-            monitor=monitor,
-            retrain=retrain,
-            registry_root=params["registry_root"],
-            shard=params["shard"],
-            instance=params["instance"],
-            journey_sample=float(params["journey_sample"]),
-        )
+            values["retrain"] = RetrainConfig.from_params(values["retrain"])
+        return cls(**values)
 
     def with_overrides(self, **changes: Any) -> "ServeConfig":
         """A copy with the given fields replaced (frozen-friendly)."""

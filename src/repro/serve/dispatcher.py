@@ -239,12 +239,13 @@ class ServeStats:
             raise ValueError("no solver windows recorded")
         return float(np.mean(self.solver_iterations))
 
-    def latency_percentiles(self, qs: Sequence[float] = (50, 95, 99)) -> dict:
-        """Wall-clock assignment (decide) latency percentiles in seconds."""
+    def latency_percentiles(self) -> dict:
+        """Wall-clock assignment (decide) latency p50/p95/p99 in seconds."""
+        qs = (50, 95, 99)
         if not self.decide_seconds:
-            return {f"p{int(q)}": 0.0 for q in qs}
+            return {f"p{q}": 0.0 for q in qs}
         arr = np.asarray(self.decide_seconds)
-        return {f"p{int(q)}": float(np.percentile(arr, q)) for q in qs}
+        return {f"p{q}": float(np.percentile(arr, q)) for q in qs}
 
     def trace_bytes(self) -> bytes:
         """Canonical byte serialization of the assignment trace.
@@ -405,8 +406,6 @@ class Dispatcher:
         registry: ModelRegistry | None = None,
         swap_schedule: "dict[int, str] | None" = None,
         callbacks: "Sequence[ServeCallback] | None" = None,
-        warm_model=None,
-        block_config=None,
         profiler: "StageProfiler | None" = None,
     ) -> None:
         if not clusters:
@@ -439,10 +438,7 @@ class Dispatcher:
         #: cache misses when ``config.learned_seeds`` is set; installed
         #: here by the :class:`repro.retrain.warmstart.WarmStartTrainer`
         #: callback or loaded from a registry checkpoint on hot-swap.
-        self.warm_model = warm_model
-        #: Decomposition knobs for ``solve_mode="blocks"`` (``None`` uses
-        #: :class:`repro.matching.blocks.BlockConfig` defaults).
-        self.block_config = block_config
+        self.warm_model = None
         #: Bumped on every applied hot-swap; observers holding labels
         #: harvested from pre-swap windows key invalidation off this.
         self.swap_epoch = 0
@@ -851,8 +847,7 @@ class ServeLoop:
         with prof.stage("solve"):
             decision = d.method.decide_full(
                 w.problem, tasks, x0=x0, solver=solver, predictions=w.predictions,
-                solve_mode=self.cfg.solve_mode, block_config=d.block_config,
-                profiler=d.profiler,
+                solve_mode=self.cfg.solve_mode, profiler=d.profiler,
             )
         with prof.stage("commit"):
             if d.cache is not None:

@@ -197,9 +197,9 @@ class ModelRegistry:
             raise ValueError(f"live version {live} has no parent to roll back to")
         return self.set_live(parent)
 
-    def lineage(self, version: "str | None" = None) -> "list[str]":
-        """Parent chain starting at ``version`` (default live), oldest last."""
-        v = version if version is not None else self.live()
+    def lineage(self) -> "list[str]":
+        """Parent chain starting at the live version, oldest last."""
+        v = self.live()
         chain: "list[str]" = []
         while v is not None and v not in chain:
             chain.append(v)

@@ -46,11 +46,6 @@ class ExecutionConfig:
     failures: bool = False  # draw Bernoulli failures from true reliability
     max_retries: int = 0  # re-queue failed tasks up to this many times
     speedup: SpeedupFunction | None = None  # ζ for parallel mode
-    #: Intra-cluster service order for sequential mode.  The makespan is
-    #: order-invariant, but mean completion/flow time is not: "sjf"
-    #: (shortest job first) minimizes it, "ljf" maximizes it, "fifo" keeps
-    #: the assignment order.
-    order: str = "fifo"  # "fifo" | "sjf" | "ljf"
 
     def __post_init__(self) -> None:
         if self.mode not in ("sequential", "parallel"):
@@ -59,8 +54,6 @@ class ExecutionConfig:
             raise ValueError("jitter_std must be >= 0")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.order not in ("fifo", "sjf", "ljf"):
-            raise ValueError(f"order must be 'fifo', 'sjf' or 'ljf', got {self.order!r}")
 
 
 def simulate_matching(
@@ -175,11 +168,8 @@ def _run_sequential(
 
     for cluster in clusters:
         result.cluster_busy[cluster.cluster_id] = 0.0
-        queue = list(per_cluster[cluster.cluster_id])
-        if cfg.order != "fifo":
-            queue.sort(key=lambda j: cluster.true_time(tasks[j]),
-                       reverse=(cfg.order == "ljf"))
-        sim.schedule(0.0, make_worker(cluster, queue))
+        # Sequential clusters serve their tasks in assignment order.
+        sim.schedule(0.0, make_worker(cluster, list(per_cluster[cluster.cluster_id])))
 
 
 def _run_parallel(

@@ -492,8 +492,7 @@ def merge_exemplar_payloads(payloads: "Iterable[Mapping]") -> "dict | None":
     return merged
 
 
-def render_waterfall(trace: str, events: "list[dict]", *,
-                     width: int = 72) -> str:
+def render_waterfall(trace: str, events: "list[dict]") -> str:
     """Render one journey as a text waterfall (``repro trace show``).
 
     One row per event, offset bars proportional to platform time since
@@ -508,7 +507,7 @@ def render_waterfall(trace: str, events: "list[dict]", *,
         + [float(e["end"]) for e in events if e.get("end") is not None]
     )
     span = max(span_end - t0, 1e-9)
-    bar_w = max(10, width - 46)
+    bar_w = 26  # a 72-column row less the 46 columns of labels
     lines = [
         f"trace {trace}  task {ident.get('task_id')}  "
         f"arrival {t0:.4g}h  span {span:.4g}h"

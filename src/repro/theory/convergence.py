@@ -27,6 +27,9 @@ __all__ = [
     "nonconvex_convergence_study",
 ]
 
+#: Clusters x tasks of the random instance both studies solve.
+_SHAPE = (3, 6)
+
 
 @dataclass(frozen=True)
 class ConvexConvergence:
@@ -35,25 +38,22 @@ class ConvexConvergence:
     gaps: np.ndarray
     rate: float  # geometric mean per-iteration contraction of the gap
 
-    def is_linear(self, threshold: float = 0.999) -> bool:
+    def is_linear(self) -> bool:
         """Linear convergence = strictly contracting optimality gap."""
-        return 0.0 < self.rate < threshold
+        return 0.0 < self.rate < 0.999
 
 
 def convex_convergence_study(
     *,
-    m: int = 3,
-    n: int = 6,
     iters: int = 400,
-    entropy: float = 0.05,
     rng: np.random.Generator | int | None = None,
 ) -> ConvexConvergence:
     """Track the optimality gap of Algorithm 1 on a convex instance."""
     rng = as_generator(rng)
-    T = rng.uniform(0.2, 3.0, size=(m, n))
-    A = rng.uniform(0.6, 0.995, size=(m, n))
+    T = rng.uniform(0.2, 3.0, size=_SHAPE)
+    A = rng.uniform(0.6, 0.995, size=_SHAPE)
     problem = MatchingProblem(
-        T=T, A=A, gamma=feasible_gamma(T, A, quantile=0.4), entropy=entropy
+        T=T, A=A, gamma=feasible_gamma(T, A, quantile=0.4), entropy=0.05
     )
     # Reference optimum: a much longer, tighter solve.
     ref = solve_relaxed(problem, SolverConfig(max_iters=20000, tol=1e-16, patience=200))
@@ -90,15 +90,13 @@ def _projected_grad_norm(X: np.ndarray, problem: MatchingProblem) -> float:
 
 def nonconvex_convergence_study(
     *,
-    m: int = 3,
-    n: int = 6,
     checkpoints: "list[int] | None" = None,
     rng: np.random.Generator | int | None = None,
 ) -> NonConvexConvergence:
     """Measure stationarity decay of Algorithm 1 on the parallel objective."""
     rng = as_generator(rng)
-    T = rng.uniform(0.2, 3.0, size=(m, n))
-    A = rng.uniform(0.6, 0.995, size=(m, n))
+    T = rng.uniform(0.2, 3.0, size=_SHAPE)
+    A = rng.uniform(0.6, 0.995, size=_SHAPE)
     problem = MatchingProblem(
         T=T, A=A, gamma=feasible_gamma(T, A, quantile=0.4),
         speedup=(ExponentialDecaySpeedup(),), entropy=0.02,

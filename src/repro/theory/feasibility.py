@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.matching.problem import MatchingProblem, feasible_gamma
-from repro.matching.relaxed import SolverConfig, solve_relaxed
+from repro.matching.relaxed import solve_relaxed
 from repro.matching.rounding import round_assignment
 from repro.utils.rng import as_generator
 
@@ -34,27 +34,26 @@ class FeasibilityStats:
     rounded_worst_violation: float
 
 
-def _random_instance(
-    m: int, n: int, rng: np.random.Generator, gamma_quantile: float
-) -> MatchingProblem:
-    T = rng.uniform(0.2, 3.0, size=(m, n))
-    A = rng.uniform(0.6, 0.995, size=(m, n))
-    return MatchingProblem(T=T, A=A, gamma=feasible_gamma(T, A, quantile=gamma_quantile))
+#: Clusters x tasks of the random instances.
+_SHAPE = (3, 6)
+
+
+def _random_instance(rng: np.random.Generator) -> MatchingProblem:
+    """One instance with γ at the middle of its attainable range."""
+    T = rng.uniform(0.2, 3.0, size=_SHAPE)
+    A = rng.uniform(0.6, 0.995, size=_SHAPE)
+    return MatchingProblem(T=T, A=A, gamma=feasible_gamma(T, A, quantile=0.5))
 
 
 def feasibility_study(
     lams: "list[float]",
     *,
-    m: int = 3,
-    n: int = 6,
     instances: int = 30,
-    gamma_quantile: float = 0.5,
-    solver: SolverConfig | None = None,
     rng: np.random.Generator | int | None = None,
 ) -> list[FeasibilityStats]:
     """Measure constraint violations of barrier solutions across λ values."""
     rng = as_generator(rng)
-    base_problems = [_random_instance(m, n, rng, gamma_quantile) for _ in range(instances)]
+    base_problems = [_random_instance(rng) for _ in range(instances)]
     out = []
     for lam in lams:
         if lam <= 0:
@@ -62,7 +61,7 @@ def feasibility_study(
         relaxed_viol, rounded_viol = [], []
         for base in base_problems:
             problem = replace(base, lam=lam)
-            sol = solve_relaxed(problem, solver)
+            sol = solve_relaxed(problem)
             relaxed_viol.append(max(0.0, -problem.reliability_slack(sol.X)))
             Xr = round_assignment(sol.X, problem)
             rounded_viol.append(max(0.0, -problem.reliability_slack(Xr)))

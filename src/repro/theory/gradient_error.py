@@ -32,14 +32,18 @@ class GradientErrorPoint:
     cosine: float  # direction agreement with the analytic gradient
 
 
-def _make_problem(rng: np.random.Generator, m: int, n: int) -> MatchingProblem:
+#: Clusters x tasks of the comparison instances.
+_SHAPE = (3, 5)
+
+
+def _make_problem(rng: np.random.Generator) -> MatchingProblem:
     """A well-conditioned instance for gradient comparison: moderate γ and a
     strong entropy term keep the optimum away from simplex vertices, where
     both the analytic reference and the estimator are well-defined (the
     near-boundary regime degrades both and would measure conditioning, not
     estimator quality)."""
-    T = rng.uniform(0.2, 3.0, size=(m, n))
-    A = rng.uniform(0.6, 0.995, size=(m, n))
+    T = rng.uniform(0.2, 3.0, size=_SHAPE)
+    A = rng.uniform(0.6, 0.995, size=_SHAPE)
     return MatchingProblem(
         T=T, A=A, gamma=feasible_gamma(T, A, quantile=0.25), entropy=0.1
     )
@@ -49,10 +53,7 @@ def gradient_error_study(
     deltas: "list[float]",
     sample_counts: "list[int]",
     *,
-    m: int = 3,
-    n: int = 5,
     repeats: int = 5,
-    solver: SolverConfig | None = None,
     rng: np.random.Generator | int | None = None,
 ) -> list[GradientErrorPoint]:
     """Compare zo_vjp to kkt_vjp over a grid of (Δ, S).
@@ -61,12 +62,12 @@ def gradient_error_study(
     instances and upstream gradients.
     """
     rng = as_generator(rng)
-    solver = solver or SolverConfig(max_iters=2000, tol=1e-13, patience=20, lr=0.3)
+    solver = SolverConfig(max_iters=2000, tol=1e-13, patience=20, lr=0.3)
     cases = []
     for _ in range(repeats):
-        problem = _make_problem(rng, m, n)
+        problem = _make_problem(rng)
         sol = solve_relaxed(problem, solver)
-        g_X = rng.normal(size=(m, n))
+        g_X = rng.normal(size=_SHAPE)
         analytic = kkt_vjp(sol.X, problem, g_X)
         ref = np.concatenate([analytic.dT[0], analytic.dA[0]])
         cases.append((problem, sol, g_X, ref))

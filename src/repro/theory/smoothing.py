@@ -53,7 +53,6 @@ def sweep_beta(
     *,
     m: int = 3,
     instances: int = 50,
-    scale: float = 3.0,
     rng: np.random.Generator | int | None = None,
 ) -> SmoothingSweep:
     """Empirically measure the smoothing gap across random load vectors."""
@@ -61,7 +60,7 @@ def sweep_beta(
     betas_arr = np.asarray(betas, dtype=np.float64)
     if np.any(betas_arr <= 0):
         raise ValueError("all betas must be positive")
-    samples = gen.uniform(0.0, scale, size=(instances, m))
+    samples = gen.uniform(0.0, 3.0, size=(instances, m))
     gaps = np.array(
         [max(smooth_max_gap(v, b) for v in samples) for b in betas_arr]
     )

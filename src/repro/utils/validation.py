@@ -7,6 +7,7 @@ with the HPC guidance of keeping hot paths branch-light.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Any
 
 import numpy as np
@@ -16,6 +17,7 @@ __all__ = [
     "check_matrix",
     "check_positive",
     "check_assignment_matrix",
+    "check_known_keys",
 ]
 
 
@@ -24,20 +26,18 @@ def check_array(
     *,
     name: str = "array",
     ndim: int | None = None,
-    dtype: type = np.float64,
-    allow_empty: bool = False,
 ) -> np.ndarray:
     """Coerce ``x`` to a C-contiguous float array and validate its shape.
 
     Raises :class:`ValueError` on NaN/inf entries — silent NaN propagation
     through the solvers produces confusing downstream failures.
     """
-    arr = np.ascontiguousarray(x, dtype=dtype)
+    arr = np.ascontiguousarray(x, dtype=np.float64)
     if ndim is not None and arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    if not allow_empty and arr.size == 0:
+    if arr.size == 0:
         raise ValueError(f"{name} must be non-empty")
-    if np.issubdtype(arr.dtype, np.floating) and not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains NaN or infinite entries")
     return arr
 
@@ -65,21 +65,14 @@ def check_positive(value: float, *, name: str = "value", strict: bool = True) ->
     return v
 
 
-def check_assignment_matrix(
-    x: Any,
-    *,
-    name: str = "X",
-    binary: bool = False,
-    atol: float = 1e-6,
-) -> np.ndarray:
+def check_assignment_matrix(x: Any, *, name: str = "X") -> np.ndarray:
     """Validate an M×N (relaxed) assignment matrix.
 
     Columns must sum to 1 (each task assigned with total mass one) and
-    entries must lie in [0, 1].  With ``binary=True`` entries must be
-    exactly 0/1 within ``atol``.
+    entries must lie in [0, 1] (to 1e-6).
     """
     arr = check_array(x, name=name, ndim=2)
-    if np.any(arr < -atol) or np.any(arr > 1 + atol):
+    if np.any(arr < -1e-6) or np.any(arr > 1 + 1e-6):
         raise ValueError(f"{name} entries must lie in [0, 1]")
     col_sums = arr.sum(axis=0)
     if not np.allclose(col_sums, 1.0, atol=1e-4):
@@ -87,9 +80,12 @@ def check_assignment_matrix(
         raise ValueError(
             f"{name} columns must sum to 1 (task {bad} has mass {col_sums[bad]:.6f})"
         )
-    if binary:
-        rounded = np.round(arr)
-        if not np.allclose(arr, rounded, atol=atol):
-            raise ValueError(f"{name} must be binary")
-        return rounded
     return arr
+
+
+def check_known_keys(cls: type, params: dict, what: str) -> None:
+    """Refuse a parameter dict naming a field the dataclass ``cls`` does
+    not have — a run log written by another version of the code."""
+    unknown = sorted(set(params) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"{what} params have unknown keys {unknown}")

@@ -32,6 +32,8 @@ __all__ = ["GraphEmbedder", "DEFAULT_FEATURE_DIM"]
 
 #: Dimension of the structural (message-passing) part of the embedding.
 _STRUCT_DIM = 10
+#: Number of propagation rounds (receptive field radius).
+_ROUNDS = 3
 #: Number of scalar workload attributes appended to the structural part.
 _NUM_ATTRS = 6
 #: Default total feature dimension exposed to predictors.
@@ -54,10 +56,6 @@ class GraphEmbedder:
     ----------
     hidden_dim:
         Node state width during message passing.
-    rounds:
-        Number of propagation rounds (receptive field radius).
-    struct_dim:
-        Output width of the structural readout.
     seed:
         Seed for the fixed projection weights.  Two embedders with the same
         seed and hyperparameters compute identical features.
@@ -66,15 +64,11 @@ class GraphEmbedder:
     def __init__(
         self,
         hidden_dim: int = 32,
-        rounds: int = 3,
-        struct_dim: int = _STRUCT_DIM,
         seed: int = 7,
     ) -> None:
-        if hidden_dim <= 0 or rounds <= 0 or struct_dim <= 0:
-            raise ValueError("hidden_dim, rounds and struct_dim must be positive")
+        if hidden_dim <= 0:
+            raise ValueError("hidden_dim must be positive")
         self.hidden_dim = hidden_dim
-        self.rounds = rounds
-        self.struct_dim = struct_dim
         self.seed = seed
         rng = as_generator(seed)
         in_dim = len(OP_TYPES) + 3
@@ -83,14 +77,14 @@ class GraphEmbedder:
         self._weights = _MPWeights(
             w_self=rng.normal(0.0, scale_in, size=(in_dim, hidden_dim)),
             w_neigh=rng.normal(0.0, scale_h, size=(hidden_dim, hidden_dim)),
-            w_readout=rng.normal(0.0, scale_h, size=(2 * hidden_dim, struct_dim)),
+            w_readout=rng.normal(0.0, scale_h, size=(2 * hidden_dim, _STRUCT_DIM)),
         )
 
     # ------------------------------------------------------------------ #
 
     @property
     def feature_dim(self) -> int:
-        return self.struct_dim + _NUM_ATTRS
+        return DEFAULT_FEATURE_DIM
 
     def embed_graph(self, g: nx.DiGraph) -> np.ndarray:
         """Structural embedding of an operator graph (no attributes)."""
@@ -103,7 +97,7 @@ class GraphEmbedder:
         norm_adj = adj * inv_sqrt[:, None] * inv_sqrt[None, :]
 
         h = np.tanh(x @ self._weights.w_self)
-        for _ in range(self.rounds):
+        for _ in range(_ROUNDS):
             h = np.tanh(0.5 * h + 0.5 * (norm_adj @ h) @ self._weights.w_neigh)
         pooled = np.concatenate([h.mean(axis=0), h.max(axis=0)])
         return np.tanh(pooled @ self._weights.w_readout)

@@ -10,13 +10,13 @@ training loop consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from repro.utils.rng import as_generator
 from repro.workloads.embedding import GraphEmbedder
-from repro.workloads.specs import FAMILY_LIST, Family, ModelSpec, sample_specs
+from repro.workloads.specs import FAMILY_LIST, ModelSpec, sample_specs
 
 __all__ = ["Task", "TaskPool"]
 
@@ -41,31 +41,26 @@ class TaskPool:
     ----------
     size:
         Number of tasks in the pool.
-    embedder:
-        Feature encoder; defaults to a fresh :class:`GraphEmbedder` with its
-        default seed so pools built with the same arguments are identical.
     rng:
         Generator (or seed) for configuration sampling.
-    balanced_families:
-        When true (default) the pool cycles through model families so small
-        pools still contain CV and NLP style tasks, matching the paper's
-        mixed workload.
+
+    Features come from a fresh :class:`GraphEmbedder` with its default
+    seed, so pools built with the same arguments are identical.  The pool
+    cycles through model families so small pools still contain CV and NLP
+    style tasks, matching the paper's mixed workload.
     """
 
     def __init__(
         self,
         size: int,
         *,
-        embedder: GraphEmbedder | None = None,
         rng: np.random.Generator | int | None = None,
-        balanced_families: bool = True,
     ) -> None:
         if size <= 0:
             raise ValueError(f"pool size must be positive, got {size}")
         rng = as_generator(rng)
-        self.embedder = embedder or GraphEmbedder()
-        families: Sequence[Family] | None = FAMILY_LIST if balanced_families else None
-        specs = sample_specs(size, rng, families=families)
+        self.embedder = GraphEmbedder()
+        specs = sample_specs(size, rng, families=FAMILY_LIST)
         feats = self.embedder.embed_specs(specs)
         self._tasks: list[Task] = [
             Task(task_id=i, spec=s, features=feats[i]) for i, s in enumerate(specs)

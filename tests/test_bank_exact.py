@@ -31,7 +31,9 @@ import pytest
 from repro.clusters import make_setting
 from repro.matching.zeroth_order import ZeroOrderConfig
 from repro.methods import MFCP, TSM, FitContext, MatchSpec, MFCPConfig
-from repro.nn import Adam, bce_loss, clip_grad_norm, mse_loss, ops
+from repro.methods.base import HIDDEN
+from repro.methods.mfcp import GRAD_CLIP
+from repro.nn import Adam, clip_grad_norm, mse_loss, ops
 from repro.predictors import (
     BankTrainer,
     HeadBank,
@@ -42,7 +44,7 @@ from repro.predictors import (
     predict_pairs,
 )
 from repro.predictors.dataset import Standardizer
-from repro.predictors.training import StepwiseTrainer, TrainConfig, TrainResult
+from repro.predictors.training import WEIGHT_DECAY, StepwiseTrainer, TrainConfig, TrainResult
 from repro.serve.registry import ModelRegistry
 from repro.utils.rng import as_generator, spawn
 from repro.workloads import TaskPool
@@ -64,7 +66,7 @@ def _oracle_train_time_mse(predictor, Z, t, config, rng):
     rng = as_generator(rng)
     Z = np.asarray(Z, dtype=np.float64)
     log_t = np.log(np.asarray(t, dtype=np.float64))
-    opt = Adam(predictor.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+    opt = Adam(predictor.parameters(), lr=cfg.lr, weight_decay=WEIGHT_DECAY)
     history = np.empty(cfg.epochs)
     for epoch in range(cfg.epochs):
         epoch_loss = 0.0
@@ -80,20 +82,19 @@ def _oracle_train_time_mse(predictor, Z, t, config, rng):
     return TrainResult(final_loss=float(history[-1]), history=history), opt
 
 
-def _oracle_train_reliability(predictor, Z, a, config, rng, *, loss="mse"):
+def _oracle_train_reliability(predictor, Z, a, config, rng):
     cfg = config or TrainConfig()
     rng = as_generator(rng)
     Z = np.asarray(Z, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
-    loss_fn = mse_loss if loss == "mse" else bce_loss
-    opt = Adam(predictor.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+    opt = Adam(predictor.parameters(), lr=cfg.lr, weight_decay=WEIGHT_DECAY)
     history = np.empty(cfg.epochs)
     for epoch in range(cfg.epochs):
         epoch_loss = 0.0
         for idx in _minibatches(len(Z), cfg.batch_size, rng):
             opt.zero_grad()
             pred = predictor.forward(Z[idx])
-            value = loss_fn(pred, a[idx])
+            value = mse_loss(pred, a[idx])
             value.backward()
             opt.step()
             epoch_loss += value.item() * len(idx)
@@ -166,7 +167,7 @@ def _assert_same_moments(bank_opt, head_opts):
 
 @pytest.mark.parametrize("H", [1, 3, 8, 24])
 @pytest.mark.parametrize("hidden", [(8,), (32, 32)])
-@pytest.mark.parametrize("loss", ["log_mse", "mse", "bce"])
+@pytest.mark.parametrize("loss", ["log_mse", "mse"])
 def test_bank_training_matches_per_head_loops(H, hidden, loss):
     n, cfg = 112, TrainConfig(epochs=2, batch_size=32)  # ragged tail of 16
     kind = TimePredictor if loss == "log_mse" else ReliabilityPredictor
@@ -185,8 +186,7 @@ def test_bank_training_matches_per_head_loops(H, hidden, loss):
         if loss == "log_mse":
             res, opt = _oracle_train_time_mse(twin, Zs[h], ys[h], cfg, as_generator(50 + h))
         else:
-            res, opt = _oracle_train_reliability(twin, Zs[h], ys[h], cfg,
-                                                 as_generator(50 + h), loss=loss)
+            res, opt = _oracle_train_reliability(twin, Zs[h], ys[h], cfg, as_generator(50 + h))
         got = trainer.results()[h]
         assert np.array_equal(got.history, res.history)
         assert got.final_loss == res.final_loss
@@ -302,7 +302,7 @@ class _OracleMFCP(MFCP):
         self._phase_totals = {}
         self._pairs = []
         for ds in ctx.datasets:
-            pair = PredictorPair(ctx.feature_dim, self.hidden,
+            pair = PredictorPair(ctx.feature_dim, HIDDEN,
                                  standardizer=ctx.standardizer, rng=spawn(ctx.rng))
             _oracle_train_time_mse(pair.time, ds.Z, ds.t, cfg.pretrain, spawn(ctx.rng))
             _oracle_train_reliability(pair.reliability, ds.Z, ds.a, cfg.pretrain,
@@ -330,24 +330,20 @@ class _OracleMFCP(MFCP):
             idx = ctx.rng.choice(n_train, size=round_size, replace=False)
             Z = Z_all[idx]
             true_problem = ctx.spec.build_problem(T_all[:, idx], A_all[:, idx], training=True)
-            update_time = (not cfg.alternate) or (epoch % 2 == 0)
-            update_rel = (not cfg.alternate) or (epoch % 2 == 1)
             round_fn = self._train_round_batched if self.fused else self._train_round
             t_hats = [p.time.forward(Z) for p in self._pairs]
             a_hats = [p.reliability.forward(Z) for p in self._pairs]
             loss, dts, das = round_fn(ctx, Z, np.stack([t.data for t in t_hats]),
                                       np.stack([a.data for a in a_hats]), true_problem)
             for i in range(len(self._pairs)):
-                if update_time:
-                    opt_time[i].zero_grad()
-                    t_hats[i].backward(dts[i])
-                    clip_grad_norm(opt_time[i].params, cfg.grad_clip)
-                    opt_time[i].step()
-                if update_rel:
-                    opt_rel[i].zero_grad()
-                    a_hats[i].backward(das[i])
-                    clip_grad_norm(opt_rel[i].params, cfg.grad_clip)
-                    opt_rel[i].step()
+                opt_time[i].zero_grad()
+                t_hats[i].backward(dts[i])
+                clip_grad_norm(opt_time[i].params, GRAD_CLIP)
+                opt_time[i].step()
+                opt_rel[i].zero_grad()
+                a_hats[i].backward(das[i])
+                clip_grad_norm(opt_rel[i].params, GRAD_CLIP)
+                opt_rel[i].step()
             self.loss_history.append(loss)
             if val_rounds and (epoch + 1) % cfg.validate_every == 0:
                 score = self._oracle_score(ctx, val_rounds)
@@ -410,11 +406,11 @@ _FIT_CFG = MFCPConfig(
 )
 
 
-@pytest.mark.parametrize("gradient,alternate,batched", [
-    ("analytic", False, True), ("analytic", True, False), ("forward", True, True),
+@pytest.mark.parametrize("gradient,batched", [
+    ("analytic", True), ("analytic", False), ("forward", True),
 ])
-def test_mfcp_fit_matches_per_head_fit(gradient, alternate, batched):
-    cfg = replace(_FIT_CFG, alternate=alternate)
+def test_mfcp_fit_matches_per_head_fit(gradient, batched):
+    cfg = _FIT_CFG
     got = (MFCP if batched else PerClusterMFCP)(gradient, cfg).fit(_fresh_ctx())
     want = _OracleMFCP(gradient, cfg)
     want.fused = batched

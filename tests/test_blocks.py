@@ -69,9 +69,7 @@ def _union_find_blocks(problem, config=None) -> BlockStructure:
     array-op component search that replaced it."""
     cfg = config or BlockConfig()
     M, N = problem.M, problem.N
-    viable = viability_mask(
-        problem.T, time_dominance=cfg.time_dominance, min_viable=cfg.min_viable
-    )
+    viable = viability_mask(problem.T, min_viable=cfg.min_viable)
     mass = float(np.where(viable, problem.A, 0.0).max(axis=0).sum())
     if mass <= problem.gamma * M * N * (1.0 + 1e-9):
         viable[problem.A.argmax(axis=0), np.arange(N)] = True
@@ -207,6 +205,20 @@ class TestComponentsAreTheUnionFind:
             problem, BlockConfig(min_viable=int(rng.integers(1, 3))))
 
 
+def test_fixed_block_options_hold_the_defaults_they_had():
+    """``asdict(BlockConfig())`` as of 269f618, against the fields that
+    stayed and the constants the others became."""
+    from dataclasses import asdict
+
+    from repro.matching import batch, blocks
+
+    was = {"time_dominance": 4.0, "min_viable": 2, "halvings": 6,
+           "adaptive_trials": True, "dtype": "float32"}
+    assert asdict(BlockConfig()).items() <= was.items()
+    assert blocks.TIME_DOMINANCE == was["time_dominance"]
+    assert batch.HALVINGS == was["halvings"]  # and solve_relaxed_batch's own default
+
+
 class TestStructureAnalyzer:
     def test_viability_mask_keeps_min_viable_fastest(self):
         T = np.array([[1.0, 9.0], [2.0, 1.0], [50.0, 50.0]])
@@ -299,7 +311,7 @@ class TestBlockSolveEquivalence:
         A = np.full((4, 4), 0.9)
         problem = MatchingProblem(T=T, A=A,
                                   gamma=feasible_gamma(T, A, quantile=0.2))
-        bcfg = BlockConfig(time_dominance=4.0, min_viable=1)
+        bcfg = BlockConfig(min_viable=1)
         structure = analyze_blocks(problem, bcfg)
         assert structure.shapes in (((1, 3), (2, 1)), ((2, 1), (1, 3)))
         assert structure.idle_clusters.tolist() == [3]

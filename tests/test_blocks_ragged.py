@@ -78,8 +78,7 @@ def _per_shape_blocks(problem, cfg, bcfg, x0=None):
             seed = np.where(worse[:, None, None], cold, seed)
         sol = solve_relaxed_batch(
             bp, lr=cfg.lr, max_iters=cfg.max_iters, x0=seed,
-            halvings=bcfg.halvings, tol=cfg.tol, patience=cfg.patience,
-            adaptive_trials=bcfg.adaptive_trials,
+            tol=cfg.tol, patience=cfg.patience, adaptive_trials=True,
         )
         iterations = max(iterations, sol.iterations)
         converged = converged and bool(np.all(sol.converged))

@@ -1,5 +1,4 @@
-"""Tests for extension experiments (E7 cluster scaling, diagnostics) and
-the DES scheduler orderings."""
+"""Tests for extension experiments (E7 cluster scaling, diagnostics, Fig. 2)."""
 
 from __future__ import annotations
 
@@ -10,11 +9,9 @@ from repro.clusters import make_setting
 from repro.experiments import ExperimentConfig
 from repro.experiments.cluster_scaling import run_cluster_scaling
 from repro.experiments.diagnostics import run_diagnostics
-from repro.matching.rounding import assignment_from_labels
 from repro.matching.zeroth_order import ZeroOrderConfig
 from repro.methods import MFCPConfig
 from repro.predictors.training import TrainConfig
-from repro.sim import ExecutionConfig, simulate_matching
 from repro.workloads import TaskPool
 
 TINY = ExperimentConfig(
@@ -56,42 +53,6 @@ class TestDiagnostics:
                 assert key in r and np.isfinite(r[key])
             assert 0.0 <= r["rank_accuracy"] <= 1.0
             assert 0.0 <= r["brier"] <= 1.0
-
-
-class TestSchedulerOrderings:
-    @pytest.fixture()
-    def scenario(self, task_pool, setting_a):
-        tasks = task_pool.tasks[:10]
-        X = assignment_from_labels(np.zeros(10, dtype=int), 3)  # all on cluster 0
-        return setting_a, tasks, X
-
-    def _mean_completion(self, result):
-        return float(np.mean([r.end for r in result.records]))
-
-    def test_makespan_order_invariant(self, scenario):
-        clusters, tasks, X = scenario
-        spans = {
-            order: simulate_matching(clusters, tasks, X,
-                                     ExecutionConfig(order=order)).makespan
-            for order in ("fifo", "sjf", "ljf")
-        }
-        assert spans["fifo"] == pytest.approx(spans["sjf"])
-        assert spans["fifo"] == pytest.approx(spans["ljf"])
-
-    def test_sjf_minimizes_mean_completion(self, scenario):
-        clusters, tasks, X = scenario
-        mean_ct = {
-            order: self._mean_completion(
-                simulate_matching(clusters, tasks, X, ExecutionConfig(order=order))
-            )
-            for order in ("fifo", "sjf", "ljf")
-        }
-        assert mean_ct["sjf"] <= mean_ct["fifo"] <= mean_ct["ljf"]
-        assert mean_ct["sjf"] < mean_ct["ljf"]  # strict on heterogeneous tasks
-
-    def test_order_validation(self):
-        with pytest.raises(ValueError):
-            ExecutionConfig(order="random")
 
 
 class TestFig2:

@@ -202,8 +202,11 @@ def test_fleet_config_roundtrip_and_validation():
     params = cfg.to_params()
     params["serve"]["shard"] = "2"
     assert FleetConfig.from_params(params) == cfg
-    params.pop("replicas")
-    with pytest.raises(ValueError, match="missing.*replicas"):
+    # A log another version wrote: a key this FleetConfig does not have.
+    with pytest.raises(ValueError, match=r"fleet params have unknown keys \['replicas'\]"):
+        FleetConfig.from_params({**params, "replicas": 64})
+    params.pop("pool_m")
+    with pytest.raises(ValueError, match="missing.*pool_m"):
         FleetConfig.from_params(params)
     with pytest.raises(ValueError, match="n_shards"):
         FleetConfig(n_shards=0)

@@ -144,7 +144,6 @@ class TestBatchedZeroOrder:
         ({"cost": "linear"}, SolverConfig()),
         ({"penalty": "hinge", "lam": 5.0}, SolverConfig()),
         ({}, SolverConfig(projection="euclidean")),
-        ({}, SolverConfig(normalize_steps=False)),
     ])
     def test_programs_the_batch_kernel_cannot_express_stay_scalar(
             self, rng, problem_knobs, solver):

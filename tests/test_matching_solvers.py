@@ -26,13 +26,14 @@ from repro.matching import (
     solve_bruteforce,
     solve_relaxed,
 )
+from repro.matching.rounding import MAX_MOVES, _local_search, _repair_reliability
 
 from tests.conftest import random_problem
 
 
 class TestSolverConfig:
     @pytest.mark.parametrize(
-        "kw", [dict(lr=0), dict(max_iters=0), dict(projection="newton"), dict(backtrack=0)]
+        "kw", [dict(lr=0), dict(max_iters=0), dict(projection="newton")]
     )
     def test_validation(self, kw):
         with pytest.raises(ValueError):
@@ -129,13 +130,17 @@ class TestRounding:
         X = np.full((p.M, p.N), 1e-3)
         X[worst] = 1.0
         X /= X.sum(axis=0, keepdims=True)
-        Xr = round_assignment(X, p, repair=True)
+        Xr = round_assignment(X, p)
         assert reliability_value(Xr, p) >= -1e-9
 
     def test_local_search_never_worsens(self, rng):
         p = random_problem(rng)
-        X0 = round_assignment(solve_relaxed(p).X, p, local_search=False)
-        X1 = round_assignment(solve_relaxed(p).X, p, local_search=True)
+        X = solve_relaxed(p).X
+        X0 = assignment_from_labels(labels_from_assignment(X), p.M)
+        if reliability_value(X0, p) < 0:
+            X0 = _repair_reliability(X0, p, MAX_MOVES)
+        X1 = round_assignment(X, p)
+        assert np.array_equal(X1, _local_search(X0, p, MAX_MOVES))
         assert makespan(X1, p) <= makespan(X0, p) + 1e-12
 
 

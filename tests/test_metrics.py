@@ -13,7 +13,6 @@ from repro.metrics import (
     aggregate,
     cluster_utilization,
     comparison_table,
-    deployment_matching,
     mean_assigned_reliability,
     regret,
     regret_breakdown,
@@ -39,13 +38,6 @@ class TestRegret:
         b = regret_breakdown(p, np.array(p.T) * 1.3, np.array(p.A))
         assert b.regret == pytest.approx((b.cost_predicted - b.cost_oracle) / p.N)
         np.testing.assert_allclose(b.X_predicted.sum(axis=0), np.ones(p.N))
-
-    def test_precomputed_oracle_used(self, rng):
-        p = random_problem(rng)
-        X_true = deployment_matching(p)
-        r1 = regret(p, np.array(p.T), np.array(p.A), X_true=X_true)
-        r2 = regret(p, np.array(p.T), np.array(p.A))
-        assert r1 == pytest.approx(r2, abs=1e-9)
 
     def test_scale_invariance_of_ranking(self, rng):
         """Scaling all predicted times by a constant cannot change the

@@ -290,18 +290,17 @@ class _OneAtATimeCusum(Cusum):
 
 
 class _OneAtATimeBank(DriftBank):
-    """The bank's per-sample loop as it was, reading ``stat`` where the
-    monitor read it: after the fired detector re-armed."""
+    """The bank's per-sample loop as it was, reading the crossing ``stat``
+    before the fired detector re-arms."""
 
     def update(self, x: float):
         self.samples += 1
         hits = []
         for name, det in self.detectors.items():
             if det.update(x):
-                hits.append((name, None))
+                hits.append((name, det.stat))
                 self.fired.append((self.samples, name))
                 det.reset()
-                hits[-1] = (name, det.stat)
         return hits
 
 
@@ -354,6 +353,17 @@ class TestUpdateManyIsRepeatedUpdate:
         # ``update`` is ``update_many`` of one.
         assert new.update(50.0) == [name for name, _ in old.update(50.0)]
 
+    def test_a_fired_alarm_reports_the_statistic_that_crossed(self):
+        rng = np.random.default_rng(5)
+        stream = np.concatenate([np.abs(rng.normal(0.1, 0.03, 90)),
+                                 np.abs(rng.normal(1.2, 0.3, 150))])
+        bank, _ = _banks(window=16)
+        hits = bank.update_many(stream)
+        assert {name for _, name, _ in hits} == set(bank.detectors)
+        for _, name, stat in hits:
+            det = bank.detectors[name]
+            assert stat > (det.factor if name == "quantile_window" else det.threshold)
+
 
 # --------------------------------------------------------------------- #
 # Regret attribution.
@@ -386,13 +396,13 @@ def _toy_matrices(rng, m=3, k=4, err=0.0):
 
 
 class TestAttribution:
-    def test_decomposition_identity_and_exact_bound(self):
+    def test_decomposition_identity(self):
         rng = np.random.default_rng(0)
         T, A, T_hat, A_hat = _toy_matrices(rng, err=0.5)
         # A deliberately bad executed assignment: everything on cluster 0.
         X = np.zeros_like(T)
         X[0, :] = 1.0
-        attributor = RegretAttributor(sample_every=1, exact_max_tasks=6)
+        attributor = RegretAttributor(sample_every=1)
         out = attributor.attribute(_snapshot(0, T, A, T_hat, A_hat, X))
         assert out is not None
         assert out.total_gap == pytest.approx(
@@ -401,10 +411,6 @@ class TestAttribution:
             (out.cost_executed - out.cost_fractional) / out.n_tasks)
         # Piling every task on one cluster must cost real makespan.
         assert out.prediction_gap > 0.0
-        # The exact optimum lower-bounds the rounded oracle.
-        assert out.cost_exact is not None
-        assert out.cost_exact <= out.cost_oracle + 1e-9
-        assert out.exact_slack >= -1e-9
 
     def test_sampling_is_deterministic_end_of_block(self):
         attributor = RegretAttributor(sample_every=5)
@@ -423,8 +429,6 @@ class TestAttribution:
     def test_validation(self):
         with pytest.raises(ValueError):
             RegretAttributor(sample_every=0)
-        with pytest.raises(ValueError):
-            RegretAttributor(exact_max_tasks=-1)
 
 
 # --------------------------------------------------------------------- #
@@ -443,6 +447,44 @@ def _feed(monitor, *, n_windows, err, rng, success_rate=1.0):
                                     success=success, time=0.1 * (w + 1)))
 
 
+def test_fixed_monitor_options_hold_the_defaults_they_had():
+    """``asdict(MonitorConfig())`` as of 269f618: the fields that stayed keep
+    their defaults, the ones that became constants keep their values."""
+    from dataclasses import asdict
+
+    from repro.monitor import quality
+    from repro.monitor.drift import Cusum, PageHinkley, QuantileWindow
+
+    slo = {"fast_windows": 6, "slow_windows": 30, "burn_threshold": 2.0}
+    was = {
+        "sample_every": 8, "exact_max_tasks": 0, "solver_config": None,
+        "wait_bound_hours": 2.0, "cooldown_windows": 50,
+        "slos": ({"name": "wait", "objective": 0.1, **slo},
+                 {"name": "shed", "objective": 0.05, **slo},
+                 {"name": "reliability", "objective": 0.05, **slo}),
+        "time_delta": 0.05, "time_threshold": 4.0, "time_min_samples": 40,
+        "time_quantile_window": 64, "reliability_drift": 0.08,
+        "reliability_threshold": 6.0, "regret_delta": 0.02, "regret_threshold": 0.5,
+        "regret_min_samples": 5,
+    }
+    now = asdict(MonitorConfig())
+    assert now.items() <= {k: v for k, v in was.items() if k != "slos"}.items()
+    assert len(now) <= 6
+    assert quality.WAIT_BOUND_HOURS == was["wait_bound_hours"]
+    assert tuple(asdict(r) for r in quality.DEFAULT_SLOS) == was["slos"]
+    banks = QualityMonitor().banks
+    assert banks["time_error"].detectors == {
+        "page_hinkley": PageHinkley(delta=was["time_delta"], threshold=was["time_threshold"],
+                                    min_samples=was["time_min_samples"]),
+        "quantile_window": QuantileWindow(window=was["time_quantile_window"])}
+    assert banks["reliability_error"].detectors == {
+        "cusum": Cusum(drift=was["reliability_drift"], threshold=was["reliability_threshold"])}
+    assert banks["decision_regret"].detectors == {
+        "page_hinkley": PageHinkley(delta=was["regret_delta"], threshold=was["regret_threshold"],
+                                    min_samples=was["regret_min_samples"])}
+    assert not hasattr(QualityMonitor().attributor, "exact_max_tasks")
+
+
 class TestQualityMonitor:
     def test_stationary_run_raises_no_drift_alerts(self):
         monitor = QualityMonitor()
@@ -459,7 +501,11 @@ class TestQualityMonitor:
         assert not monitor.retrain_suggested_at
         _feed(monitor, n_windows=40, err=1.5, rng=rng)
         assert monitor.retrain_suggested_at, "degradation never suggested retrain"
-        assert any(a.kind == "drift" for a in monitor.alerts)
+        drift = [a for a in monitor.alerts if a.kind == "drift"]
+        assert {a.signal for a in drift} >= {"time_error", "decision_regret"}
+        for a in drift:  # value is the crossing statistic, not the re-armed one
+            det = monitor.banks[a.signal].detectors[a.detector]
+            assert a.value > (det.factor if a.detector == "quantile_window" else det.threshold)
 
     def test_retrain_cooldown_suppresses_duplicates(self):
         monitor = QualityMonitor(MonitorConfig(cooldown_windows=1000))
@@ -614,7 +660,7 @@ class TestTraceReplay:
         problems = replay.verify(stats)
         assert any("completed" in p for p in problems)
 
-    def test_from_log_rejects_non_serve_logs(self, tmp_path):
+    def test_from_log_rejects_non_serve_logs(self, tmp_path, capsys):
         import io
 
         with recording(mode="jsonl", run="not-serve", out_dir=tmp_path,
@@ -622,6 +668,10 @@ class TestTraceReplay:
             rec.event("something", x=1)
         with pytest.raises(ValueError, match="serve"):
             TraceReplay.from_log(tmp_path / "not-serve.jsonl")
+        # The command says so in one line and exits 2, like its siblings.
+        assert main(["replay", "--log", str(tmp_path / "not-serve.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "not-serve.jsonl" in err
         # A serve dict short of a key every writer writes: the error
         # names the log and the key.
         partial = {k: v for k, v in REPLAY_PARAMS.items() if k != "warm_start"}
@@ -630,6 +680,16 @@ class TestTraceReplay:
             pass
         with pytest.raises(ValueError, match=r"partial\.jsonl.*missing.*warm_start"):
             TraceReplay.from_log(tmp_path / "partial.jsonl")
+        # A serve dict with a key no field carries (a log another version
+        # of the code wrote): refused by file and key, exit code 2.
+        foreign = {**REPLAY_PARAMS, "monitor": {"sample_every": 8, "slos": []}}
+        with recording(mode="jsonl", run="foreign", out_dir=tmp_path,
+                       meta={"serve": foreign}, stream=io.StringIO()):
+            pass
+        with pytest.raises(ValueError, match=r"foreign\.jsonl.*unknown keys \['slos'\]"):
+            TraceReplay.from_log(tmp_path / "foreign.jsonl")
+        assert main(["replay", "--log", str(tmp_path / "foreign.jsonl")]) == 2
+        assert "unknown keys ['slos']" in capsys.readouterr().err
 
     def test_from_log_rejects_empty_arrivals(self, tmp_path):
         import io

@@ -13,7 +13,6 @@ from repro.nn import (
     Parameter,
     Sequential,
     Tensor,
-    bce_loss,
     clip_grad_norm,
     load_module,
     mse_loss,
@@ -99,16 +98,10 @@ class TestLosses:
         p = Tensor([1.0, 2.0])
         assert mse_loss(p, np.array([1.0, 2.0])).item() == 0.0
 
-    def test_bce_bounds_and_direction(self):
-        good = bce_loss(Tensor([0.9]), np.array([1.0])).item()
-        bad = bce_loss(Tensor([0.1]), np.array([1.0])).item()
-        assert 0 < good < bad
-
     def test_losses_backprop(self):
-        for loss_fn in (mse_loss, bce_loss):
-            t = Tensor([0.3, 0.7], requires_grad=True)
-            loss_fn(t, np.array([1.0, 0.0])).backward()
-            assert t.grad is not None
+        t = Tensor([0.3, 0.7], requires_grad=True)
+        mse_loss(t, np.array([1.0, 0.0])).backward()
+        assert t.grad is not None
 
 
 class TestOptimizers:
@@ -164,9 +157,6 @@ class TestInitializers:
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             initializers.he_uniform((3,), rng=0)  # type: ignore[arg-type]
-
-    def test_zeros(self):
-        np.testing.assert_allclose(initializers.zeros((3, 2)), np.zeros((3, 2)))
 
     def test_deterministic_given_seed(self):
         a = initializers.he_uniform((4, 4), rng=42)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.nn import Tensor, concatenate, no_grad, stack
+from repro.nn import Tensor, no_grad
 from repro.nn.tensor import unbroadcast
 
 
@@ -58,10 +58,6 @@ class TestBasics:
         t = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(RuntimeError):
             (t * 2).backward()
-
-    def test_zeros_ones(self):
-        assert np.all(Tensor.zeros(2, 3).data == 0)
-        assert np.all(Tensor.ones(4).data == 1)
 
 
 class TestArithmeticGradients:
@@ -208,15 +204,6 @@ class TestReductionsAndShape:
         t = Tensor(np.arange(5.0), requires_grad=True)
         t[1:3].sum().backward()
         np.testing.assert_allclose(t.grad, [0, 1, 1, 0, 0])
-
-    def test_stack_and_concatenate_grads(self):
-        a = Tensor([1.0, 2.0], requires_grad=True)
-        b = Tensor([3.0, 4.0], requires_grad=True)
-        stack([a, b]).sum().backward()
-        np.testing.assert_allclose(a.grad, [1, 1])
-        a.zero_grad(), b.zero_grad()
-        concatenate([a, b]).sum().backward()
-        np.testing.assert_allclose(b.grad, [1, 1])
 
 
 class TestNoGrad:

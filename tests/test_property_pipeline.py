@@ -14,13 +14,16 @@ from hypothesis import strategies as st
 
 from repro.matching import (
     MatchingProblem,
+    assignment_from_labels,
     feasible_gamma,
+    labels_from_assignment,
     makespan,
     reliability_value,
     solve_branch_and_bound,
     solve_relaxed,
     round_assignment,
 )
+from repro.matching.rounding import MAX_MOVES, _local_search, _repair_reliability
 from repro.metrics import cluster_utilization, mean_assigned_reliability
 from repro.metrics.regret import deployment_matching
 
@@ -106,7 +109,7 @@ def test_uniform_time_scaling_invariance(seed, scale):
 def test_rounding_never_leaves_simplex(seed):
     p = instance(seed)
     sol = solve_relaxed(p)
-    for repair in (False, True):
-        for ls in (False, True):
-            X = round_assignment(sol.X, p, repair=repair, local_search=ls)
-            np.testing.assert_allclose(X.sum(axis=0), np.ones(p.N))
+    X = assignment_from_labels(labels_from_assignment(sol.X), p.M)
+    for stage in (_repair_reliability, _local_search):  # each alone, then the pipeline
+        np.testing.assert_allclose(stage(X, p, MAX_MOVES).sum(axis=0), np.ones(p.N))
+    np.testing.assert_allclose(round_assignment(sol.X, p).sum(axis=0), np.ones(p.N))

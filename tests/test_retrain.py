@@ -30,6 +30,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.matching.relaxed import SolverConfig
 from repro.monitor import (
     FileTailSink,
     MonitorConfig,
@@ -38,6 +39,7 @@ from repro.monitor import (
 )
 from repro.predictors.models import PredictorPair
 from repro.predictors.training import (
+    WEIGHT_DECAY,
     StepwiseTrainer,
     TrainConfig,
     train_reliability,
@@ -434,6 +436,35 @@ class TestCanaryGate:
 # --------------------------------------------------------------------- #
 
 
+def test_fixed_retrain_options_hold_the_defaults_they_had():
+    """``asdict(RetrainConfig())`` as of 269f618, against the fields that
+    stayed and the constants the others became."""
+    from dataclasses import asdict
+
+    from repro.retrain import buffer, canary, loop
+
+    was = {
+        "trigger": "drift", "period_windows": 0, "cooldown_windows": 16, "capacity": 4096,
+        "min_labels": 32, "min_cluster_labels": 8, "sample_size": 256,
+        "half_life_hours": 8.0, "holdout_fraction": 0.25, "mode": "incremental",
+        "steps_per_window": 8, "epochs": 40, "lr": 0.005, "batch_size": 16,
+        "weight_decay": 1e-05, "canary_min_holdout": 12, "canary_windows": 6,
+        "time_ratio_max": 1.0, "brier_ratio_max": 1.05, "regret_ratio_max": 1.02,
+        "guard_windows": 10, "guard_ratio": 1.5, "seed": 0,
+    }
+    now = asdict(RetrainConfig())
+    assert now.items() <= was.items() and len(now) <= 15
+    assert ReplayBuffer().capacity == was["capacity"]
+    assert buffer.HALF_LIFE_HOURS == was["half_life_hours"]
+    train = RetrainConfig().train_config()
+    assert (train.batch_size, train.epochs, train.lr) == (was["batch_size"], 40, 0.005)
+    assert WEIGHT_DECAY == was["weight_decay"]
+    assert (canary.TIME_RATIO_MAX, canary.BRIER_RATIO_MAX, canary.REGRET_RATIO_MAX) == (
+        was["time_ratio_max"], was["brier_ratio_max"], was["regret_ratio_max"])
+    assert canary.ABS_SLACK == 1e-3  # CanaryGate's own default, never a config field
+    assert loop.GUARD_RATIO == was["guard_ratio"]
+
+
 class TestServeConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -462,6 +493,21 @@ class TestServeConfig:
             params.pop(key)
             with pytest.raises(ValueError, match=f"missing.*{key}"):
                 ServeConfig.from_params(params)
+        # ...and one with a key no field carries was written by another
+        # version of the code: refused by name, at every nesting level.
+        full = ServeConfig(
+            pool_size=20, monitor=MonitorConfig(solver_config=SolverConfig()),
+            retrain=RetrainConfig(trigger="manual"), registry_root="/tmp/reg").to_params()
+        for section, what, key in (
+                (full, "serve", "warm_cache"),
+                (full["monitor"], "monitor", "slos"),
+                (full["monitor"]["solver_config"], "monitor solver_config", "backtrack"),
+                (full["retrain"], "retrain", "guard_ratio")):
+            section[key] = 1
+            with pytest.raises(ValueError, match=rf"{what} params have unknown keys \['{key}'\]"):
+                ServeConfig.from_params(full)
+            del section[key]
+        assert ServeConfig.from_params(full).retrain.trigger == "manual"
 
     def test_with_overrides(self):
         base = ServeConfig()

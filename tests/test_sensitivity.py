@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from repro.experiments import ExperimentConfig
-from repro.experiments.sensitivity import run_beta_sweep, run_gamma_sweep, run_lambda_sweep
+from repro.experiments.sensitivity import (
+    BETAS,
+    LAMBDAS,
+    run_beta_sweep,
+    run_gamma_sweep,
+    run_lambda_sweep,
+)
 from repro.matching.zeroth_order import ZeroOrderConfig
 from repro.methods import MFCPConfig
 from repro.predictors.training import TrainConfig
@@ -24,12 +30,12 @@ TINY = ExperimentConfig(
 
 
 @pytest.mark.parametrize("runner,values", [
-    (run_gamma_sweep, (0.2, 0.8)),
-    (run_beta_sweep, (1.0, 20.0)),
-    (run_lambda_sweep, (0.001, 0.1)),
-])
+    (lambda config: run_gamma_sweep(config, (0.2, 0.8)), (0.2, 0.8)),
+    (run_beta_sweep, BETAS),
+    (run_lambda_sweep, LAMBDAS),
+], ids=["run_gamma_sweep-values0", "run_beta_sweep-values1", "run_lambda_sweep-values2"])
 def test_sweeps_produce_reports(runner, values):
-    results = runner(TINY, values)
+    results = runner(TINY)
     assert set(results) == set(values)
     for reports in results.values():
         assert set(reports) == {"TSM", "MFCP-AD"}

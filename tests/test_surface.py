@@ -1,10 +1,21 @@
-"""``src/repro`` holds only what a non-test caller reaches.
+"""``src/repro`` holds only what a caller reaches, and only the options a
+caller sets.
 
-Every public top-level function or class under ``src/repro`` must be
-referenced (as a name, an attribute or an import alias; strings and
+Names: every public top-level function or class under ``src/repro`` must
+be referenced (as a name, an attribute or an import alias; strings and
 package ``__init__`` re-exports do not count) by some file under
 ``src/repro``, ``benchmarks/`` or ``examples/``.  A name only tests use
 is deleted with those tests, unless it is listed here with its reason.
+
+Options: every defaulted parameter of a public function, public method or
+constructor, and every defaulted field of a ``*Config`` / ``*Spec``
+dataclass (``ModelSpec``, a data record, left out), must be set by some
+call under those three directories or ``tests/`` — by keyword, by enough
+positionals, or through ``dataclasses.replace`` / ``with_overrides`` /
+``default_config(**overrides)``.  Calls match by name; ``cls(...)`` and
+``super().__init__(...)`` resolve to the enclosing class, and a subclass
+without a constructor passes its calls on to its base.  An option nobody
+sets becomes a constant, unless ``OPTION_ALLOWED`` gives its reason.
 """
 
 from __future__ import annotations
@@ -39,7 +50,9 @@ def _scan() -> tuple[dict[str, str], set[str]]:
                 if isinstance(node, ast.Name):
                     referenced.add(node.id)
                 elif isinstance(node, ast.Attribute):
-                    referenced.add(node.attr)
+                    # ``np.sqrt`` is NumPy's, not a reference to ``nn.ops.sqrt``.
+                    if not (isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+                        referenced.add(node.attr)
                 elif isinstance(node, ast.alias) and path.name != "__init__.py":
                     referenced.add(node.name.rpartition(".")[2])
     return defined, referenced
@@ -53,3 +66,154 @@ def test_every_public_name_has_a_non_test_caller():
     stale = {name for name in ALLOWED if name not in defined or name in referenced}
     assert not stale, f"allow-list entries that are gone or now have a caller: {stale}"
     assert len(ALLOWED) <= 10
+
+
+# --------------------------------------------------------------------- #
+# Options.
+# --------------------------------------------------------------------- #
+
+OPTION_ALLOWED = {
+    "MetricsServer.host": "deployment setting: the interface the metrics endpoint binds",
+    "fetch_snapshot.timeout": "deployment setting: HTTP timeout of the dashboard's scrape",
+}
+
+#: Calls whose keywords name fields of the config they copy.
+_REPLACERS = ("replace", "with_overrides", "default_config")
+
+
+def _name(node: ast.expr) -> str:
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(_name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def _signature(fn: ast.FunctionDef, bound: bool) -> "list[tuple[str, int | None, bool]]":
+    """``(name, positional index or None for keyword-only, has a default)``."""
+    positional = (fn.args.posonlyargs + fn.args.args)[int(bound):]
+    first_default = len(positional) - len(fn.args.defaults)
+    params = [(a.arg, i, i >= first_default) for i, a in enumerate(positional)]
+    params += [(a.arg, None, d is not None)
+               for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)]
+    return params
+
+
+def _fields(cls: ast.ClassDef, options: bool) -> "list[tuple[str, int | None, bool]]":
+    """A dataclass's generated constructor; fields of a plain record are not options."""
+    out = []
+    for stmt in cls.body:
+        if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+            continue
+        value, default = stmt.value, stmt.value is not None
+        if isinstance(value, ast.Call) and _name(value.func) == "field":
+            kws = {k.arg: k.value for k in value.keywords}
+            if isinstance(kws.get("init"), ast.Constant) and kws["init"].value is False:
+                continue
+            default = "default" in kws or "default_factory" in kws
+        out.append((stmt.target.id, len(out), default and options))
+    return out
+
+
+def _definitions():
+    """``(functions, classes)``: name -> [(label, signature)] of public functions and
+    methods; class name -> (bases, constructor signature or None, is a config)."""
+    functions: "dict[str, list]" = {}
+    classes: "dict[str, tuple]" = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                functions.setdefault(node.name, []).append((node.name, _signature(node, False)))
+            if not isinstance(node, ast.ClassDef):
+                continue
+            config = (_is_dataclass(node) and node.name.endswith(("Config", "Spec"))
+                      and node.name != "ModelSpec")
+            ctor = _fields(node, config) if _is_dataclass(node) else None
+            for fn in node.body:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                decorators = {_name(d) for d in fn.decorator_list}
+                if fn.name == "__init__":
+                    ctor = _signature(fn, True)
+                elif not (fn.name.startswith("_") or node.name.startswith("_")
+                          or decorators & {"property", "setter"}):
+                    functions.setdefault(fn.name, []).append(
+                        (f"{node.name}.{fn.name}", _signature(fn, "staticmethod" not in decorators)))
+            classes[node.name] = ([_name(b) for b in node.bases], ctor, config)
+    return functions, classes
+
+
+def _calls(classes: dict) -> "tuple[dict[str, list], set[str]]":
+    """name -> [(positional count, keywords)] over every caller file, and the
+    keywords of the ``_REPLACERS`` calls."""
+    calls: "dict[str, list]" = {}
+    replaced: "set[str]" = set()
+
+    def visit(node: ast.AST, cls: "str | None") -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                npos = sum(not isinstance(a, ast.Starred) for a in child.args)
+                kws = {k.arg for k in child.keywords if k.arg}
+                names = [_name(f)]
+                if names[0] in _REPLACERS:
+                    replaced.update(kws)
+                if isinstance(f, ast.Name) and f.id == "cls" and cls:
+                    names = [cls]
+                elif names[0] == "partial" and child.args:
+                    names, npos = [_name(child.args[0])], npos - 1
+                elif names[0] == "__init__" and cls and _name(getattr(f.value, "func", f)) == "super":
+                    names = classes[cls][0] if cls in classes else []
+                for name in names:
+                    calls.setdefault(name, []).append((npos, kws))
+            visit(child, child.name if isinstance(child, ast.ClassDef) else cls)
+
+    for top in (SRC, ROOT / "benchmarks", ROOT / "examples", ROOT / "tests"):
+        for path in sorted(top.rglob("*.py")):
+            visit(ast.parse(path.read_text()), None)
+    return calls, replaced
+
+
+def _option_scan() -> "tuple[list[str], list[str]]":
+    """``(every option, the ones no call sets)`` as ``Owner.param``."""
+    functions, classes = _definitions()
+    calls, replaced = _calls(classes)
+
+    def owner(name: "str | None") -> "str | None":
+        """The class up the (single-inheritance) chain that declares the constructor."""
+        while name in classes and classes[name][1] is None:
+            name = next((b for b in classes[name][0] if b in classes), None)
+        return name if name in classes else None
+
+    sites: "dict[str, list]" = {}
+    for name in classes:
+        if owner(name):
+            sites.setdefault(owner(name), []).extend(calls.get(name, []))
+    targets = [(name, ctor, sites.get(name, []), config)
+               for name, (_, ctor, config) in classes.items()
+               if ctor is not None and not name.startswith("_")]
+    targets += [(label, signature, calls.get(name, []), False)
+                for name, overloads in functions.items() for label, signature in overloads]
+    options, unset = [], []
+    for label, signature, where, config in targets:
+        for param, index, default in signature:
+            if not default:
+                continue
+            options.append(f"{label}.{param}")
+            if not (any(param in kws or (index is not None and npos > index)
+                        for npos, kws in where)
+                    or (config and param in replaced)):
+                unset.append(options[-1])
+    return options, unset
+
+
+def test_every_option_is_set_by_some_caller():
+    options, unset = _option_scan()
+    dead = sorted(set(unset) - set(OPTION_ALLOWED))
+    assert not dead, (
+        f"{len(dead)} of {len(options)} options no call under src/, benchmarks/, "
+        f"examples/ or tests/ sets: {dead}")
+    stale = sorted(set(OPTION_ALLOWED) - set(unset))
+    assert not stale, f"allow-list entries that are gone or now have a caller: {stale}"
+    assert len(OPTION_ALLOWED) <= 15

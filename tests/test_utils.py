@@ -51,7 +51,6 @@ class TestValidation:
     def test_check_array_empty(self):
         with pytest.raises(ValueError):
             check_array(np.array([]))
-        assert check_array(np.array([]), allow_empty=True).size == 0
 
     def test_check_matrix_shape(self):
         with pytest.raises(ValueError):
@@ -65,11 +64,9 @@ class TestValidation:
 
     def test_check_assignment_matrix(self):
         X = np.array([[1.0, 0.0], [0.0, 1.0]])
-        np.testing.assert_allclose(check_assignment_matrix(X, binary=True), X)
+        np.testing.assert_allclose(check_assignment_matrix(X), X)
         with pytest.raises(ValueError):
             check_assignment_matrix(np.array([[0.5, 0.5], [0.2, 0.5]]))
-        with pytest.raises(ValueError):
-            check_assignment_matrix(np.array([[0.7, 0.3], [0.3, 0.7]]), binary=True)
 
 
 class TestTables:
