@@ -11,6 +11,7 @@ Run: ``pytest benchmarks/bench_micro.py --benchmark-only``
 from __future__ import annotations
 
 import time
+import timeit
 
 import numpy as np
 import pytest
@@ -167,6 +168,82 @@ def test_window_form_wide(benchmark):
     benchmark.extra_info["fresh_us_per_window"] = 1e6 * fresh_s
     if benchmark.stats is not None:  # None under --benchmark-disable
         benchmark.extra_info["table_us_per_window"] = 1e6 * benchmark.stats["min"]
+
+
+def _chain(clusters, n_tasks: int, windows: int = 20) -> "list[MatchingProblem]":
+    """Windows of ``n_tasks`` drawn from one pool, solved warm-chained."""
+    pool = TaskPool(64, rng=0)
+    rng = np.random.default_rng(1)
+    problems = []
+    for _ in range(windows):
+        tasks = [pool.tasks[i] for i in rng.choice(len(pool.tasks), n_tasks, replace=False)]
+        T = np.stack([c.true_times(tasks) for c in clusters])
+        A = np.stack([c.true_reliabilities(tasks) for c in clusters])
+        problems.append(MatchingProblem(T=T, A=A, gamma=feasible_gamma(T, A, quantile=0.4)))
+    return problems
+
+
+def test_decide_path_cost():
+    """What one window's decide path costs at the benchmark's serving
+    shapes: µs per Algorithm-1 iteration of the scalar driver on
+    warm-chained setting-A 3x16 (``serve_steady``) and 8-cluster 8x3
+    (``serve_churn``) windows, µs per iteration of a 24x64 block window
+    (``serve_wide``) and µs per ``TSM.predict`` of 3 tasks on 8 clusters.
+    Printed (``-s``), best of five; asserted are the iteration and trial
+    counts the timed calls made — equal on every repeat and to what the
+    telemetry recorder counts — not the times."""
+    cfg = SolverConfig(tol=1e-4, max_iters=400)
+
+    def best_s(fn) -> float:
+        return min(timeit.repeat(fn, number=1, repeat=5))
+
+    def scalar_chain(problems):
+        x0, sols = None, []
+        for p in problems:
+            sols.append(solve_relaxed(p, cfg, x0=x0))
+            x0 = sols[-1].X
+        return sols
+
+    lines = []
+    for label, problems in (("scalar 3x16", _chain(make_setting("A"), 16)),
+                            ("scalar 8x3", _chain(make_pool(8, rng=3), 3))):
+        sols = scalar_chain(problems)
+        iters, trials = sum(s.iterations for s in sols), sum(s.trials for s in sols)
+        rec = Recorder("summary", run="bench")
+        with rec.activate():
+            assert [(s.iterations, s.trials) for s in scalar_chain(problems)] == [
+                (s.iterations, s.trials) for s in sols]
+        hist = rec.aggregate()["histograms"]
+        assert (hist["solve/iterations"]["sum"], hist["solve/trials"]["sum"]) == (iters, trials)
+        assert trials >= iters > 10 * len(problems)
+        us = 1e6 * best_s(lambda: scalar_chain(problems)) / iters
+        lines.append(f"{label}: {us:.2f} us/iteration ({iters} iterations, {trials} trials)")
+
+    (window,) = _chain(make_specialist_pool(24), 64, windows=1)
+    sol = solve_relaxed_blocks(window, cfg)
+    rec = Recorder("summary", run="bench")
+    with rec.activate():
+        again = solve_relaxed_blocks(window, cfg)
+    hist = rec.aggregate()["histograms"]
+    assert (again.iterations, again.trials) == (sol.iterations, sol.trials)
+    assert (hist["blocks/iterations"]["sum"], hist["solve/trials"]["sum"]) == (
+        sol.iterations, sol.trials)
+    assert sol.trials >= sol.iterations > 10 and sol.batched_groups == 1
+    us = 1e6 * best_s(lambda: solve_relaxed_blocks(window, cfg)) / sol.iterations
+    lines.append(f"blocks 24x64: {us:.2f} us/iteration "
+                 f"({sol.iterations} iterations, {sol.trials} trials)")
+
+    from repro.methods import FitContext
+    from repro.predictors.training import TrainConfig
+
+    train, _ = TaskPool(40, rng=0).split(0.7, rng=1)
+    tsm = TSM(TrainConfig(epochs=2)).fit(
+        FitContext.build(make_pool(8, rng=3), train, MatchSpec(), rng=2))
+    tasks = train[:3]
+    T_hat, A_hat = tsm.predict(tasks)
+    assert T_hat.shape == A_hat.shape == (8, 3)
+    lines.append(f"TSM.predict 8x3: {1e6 * best_s(lambda: tsm.predict(tasks)):.1f} us/call")
+    print("\n" + "\n".join(lines))
 
 
 def test_rounding(benchmark, instance):

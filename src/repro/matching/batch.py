@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.matching.objectives import c_einsum
 from repro.telemetry import ITER_BUCKETS, LEVEL_BUCKETS, SIZE_BUCKETS, get_recorder
 
 __all__ = [
@@ -110,6 +111,11 @@ class BatchProblem:
         B, M, N = T.shape
         if g.shape != (B,):
             raise ValueError(f"gamma must have shape ({B},), got {g.shape}")
+        # NaN passes every comparison below: a diverged predictor's T̂/Â
+        # would be solved into garbage where MatchingProblem raises.
+        for name, arr in (("T", T), ("A", A), ("gamma", g)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} contains NaN or infinite entries")
         w = np.full(B, N) if self.widths is None else np.asarray(self.widths)
         if w.shape != (B,) or w.dtype.kind not in "iu" or np.any((w < 1) | (w > N)):
             raise ValueError(f"widths must be ({B},) integers in [1, {N}]")
@@ -222,28 +228,32 @@ class BatchBarrierEval:
             sub.real = self.real[idx]
         return sub
 
-    def slack(self, X: np.ndarray, rows=slice(None)) -> np.ndarray:
+    def slack(self, X: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         """Eq. (4) reliability surplus ``Σ x·a / (M·width) − γ``."""
-        return np.einsum("...mn,...mn->...", X, self.A[rows]) / self.mn[rows] - self.gamma[rows]
+        A, mn, gamma = (self.A, self.mn, self.gamma) if rows is None else (
+            self.A[rows], self.mn[rows], self.gamma[rows])
+        return c_einsum("...mn,...mn->...", X, A) / mn - gamma
 
-    def value(self, X: np.ndarray, rows=slice(None)) -> tuple[np.ndarray, tuple]:
-        """``(F, state)`` of iterates ``X`` for instances ``rows`` (all by
-        default); ``F`` is ``+inf`` where g ≤ 0.  ``X`` may carry extra
-        leading dimensions (einsum broadcasts the ellipsis axes)."""
+    def value(self, X: np.ndarray, rows: np.ndarray | None = None) -> tuple[np.ndarray, tuple]:
+        """``(F, state)`` of iterates ``X`` for instances ``rows`` (all when
+        ``None``); ``F`` is ``+inf`` where g ≤ 0.  ``X`` may carry extra
+        leading dimensions (einsum broadcasts the ellipsis axes).  As in
+        :meth:`BarrierEval.value`, reductions are the ufuncs' ``reduce``
+        over the method forms' axes; ``esum`` keeps its reduced axis."""
         slack = self.slack(X, rows)
-        z = self.beta * np.einsum("...mn,...mn->...m", X, self.T[rows])
-        shift = z.max(axis=-1, keepdims=True)
+        z = self.beta * c_einsum("...mn,...mn->...m", X, self.T if rows is None else self.T[rows])
+        shift = np.maximum.reduce(z, -1, keepdims=True)
         e = np.exp(z - shift)
-        esum = e.sum(axis=-1)
-        lse = (np.log(esum) + shift[..., 0]) / self.beta
+        esum = np.add.reduce(e, -1, keepdims=True)
+        lse = ((np.log(esum) + shift) / self.beta)[..., 0]
         f = np.where(slack > 0, lse - self.lam * np.log(np.maximum(slack, _XEPS)), np.inf)
         logX = None
         if self.tau:
             Xc = np.maximum(X, _XEPS)
             logX = np.log(Xc)
             if self.real is not None:
-                logX *= self.real[rows]
-            f = f + self.tau * np.einsum("...mn,...mn->...", Xc, logX)
+                logX *= self.real if rows is None else self.real[rows]
+            f = f + self.tau * c_einsum("...mn,...mn->...", Xc, logX)
         return f, (slack, e, esum, logX)
 
     def gradient(self, state: tuple, slack: np.ndarray | None = None) -> np.ndarray:
@@ -251,7 +261,7 @@ class BatchBarrierEval:
         λ a_ij / (M·width·g)`` plus the entropy term on real columns.
         ``slack`` overrides the state's reliability slack."""
         s, e, esum, logX = state
-        grad = (e / esum[..., None])[..., None] * self.T
+        grad = (e / esum)[..., None] * self.T
         grad -= self.lamA / (s if slack is None else slack)[..., None, None]
         if self.tau:
             ent = self.tau * (1.0 + logX)
@@ -303,9 +313,9 @@ def _feasible_start_batch(p: BatchProblem) -> np.ndarray:
     b_idx = np.repeat(np.arange(B), N)
     n_idx = np.tile(np.arange(N), B)
     greedy[b_idx, p.A.argmax(axis=1).ravel(), n_idx] = 1.0
-    s_u = np.einsum("bmn,bmn->b", uniform, p.A) / p.mn - p.gamma
-    s_g = np.einsum("bmn,bmn->b", greedy, p.A) / p.mn - p.gamma
-    if np.any(s_g <= 0):
+    s_u = c_einsum("bmn,bmn->b", uniform, p.A) / p.mn - p.gamma
+    s_g = c_einsum("bmn,bmn->b", greedy, p.A) / p.mn - p.gamma
+    if (s_g <= 0).any():
         raise ValueError("some instances have an unattainable gamma")
     target = 0.25 * s_g
     denom = np.maximum(s_g - s_u, 1e-12)
@@ -325,10 +335,10 @@ def _scatter(dst: tuple, i: np.ndarray, src: tuple, j: np.ndarray) -> None:
 
 def _mirror_step(X: np.ndarray, grad: np.ndarray, neg_step: np.ndarray) -> np.ndarray:
     """``X·exp(−step·∇F)`` per instance, renormalized per task column."""
-    expo = neg_step[:, None, None] * grad
-    np.exp(expo, out=expo)
-    Z = X * expo
-    Z /= Z.sum(axis=1, keepdims=True)
+    Z = grad * neg_step[:, None, None]
+    np.exp(Z, out=Z)
+    Z *= X
+    Z /= np.add.reduce(Z, 1, keepdims=True)
     return Z
 
 
@@ -376,7 +386,7 @@ def solve_relaxed_batch(
         _reset_padding(X, problem)
     ev = BatchBarrierEval(problem)
     fa, st = ev.value(X)
-    if np.any(st[0] <= 0):
+    if (st[0] <= 0).any():
         # Repair any infeasible warm starts by swapping in the blend start.
         X = np.where((st[0] <= 0)[:, None, None], _feasible_start_batch(problem), X)
         fa, st = ev.value(X)
@@ -415,7 +425,7 @@ def solve_relaxed_batch(
         # Normalized steps (as in solve_relaxed's mirror rule): bound the
         # multiplicative update per instance regardless of barrier stiffness.
         # They also bound |expo| by lr, so no overflow clamp is needed below.
-        scale = np.maximum(np.abs(grad).max(axis=(1, 2)), 1e-9)  # (b,)
+        scale = np.maximum(np.maximum.reduce(np.abs(grad).reshape(active.size, -1), 1), 1e-9)
         if tele:
             ls_t0 = time.perf_counter()
         # Two-stage trial cascade.  Stage 1: the first-trial step for
@@ -439,7 +449,7 @@ def solve_relaxed_batch(
             # the same level (semantics unchanged: the first, i.e. largest,
             # feasible improving step wins); in adaptive mode each carries
             # its own next level and drops out once it runs past H−1.
-            r = np.flatnonzero(~any_ok)
+            r = (~any_ok).nonzero()[0]
             lvl_r = (k[r] + 1) if adaptive_trials else None
             for h in range(1, HALVINGS):
                 if adaptive_trials:
@@ -467,7 +477,7 @@ def solve_relaxed_batch(
                     r = r[~ok]
                 if adaptive_trials:
                     lvl_r = lvl_r + 1
-            rem = np.flatnonzero(~any_ok)
+            rem = (~any_ok).nonzero()[0]
             if rem.size:
                 # No trial improved: keep the current iterate (frozen below).
                 Z[rem] = Xa[rem]
@@ -498,7 +508,7 @@ def solve_relaxed_batch(
         else:
             frozen = ~any_ok
         Xa, fa, st = Z, f_new, st_new
-        if np.any(frozen):
+        if frozen.any():
             done = active[frozen]
             out_X[done] = Xa[frozen]
             out_f[done] = fa[frozen]

@@ -24,6 +24,15 @@ import numpy as np
 from repro.matching.problem import MatchingProblem
 from repro.nn.functional import logsumexp_np, softmax_np
 
+try:
+    # The kernel ``np.einsum(..., optimize=False)`` calls after a Python
+    # dispatch layer that costs more than the kernel itself at serving
+    # shapes (~2.2 vs ~0.9 µs for an 8x3 window, NumPy 2.4 on one
+    # AVX-512 x86-64 core).
+    from numpy._core.multiarray import c_einsum
+except ImportError:  # NumPy < 2
+    from numpy.core.multiarray import c_einsum
+
 __all__ = [
     "cluster_loads",
     "makespan",
@@ -42,7 +51,7 @@ __all__ = [
 
 def cluster_loads(X: np.ndarray, problem: MatchingProblem) -> np.ndarray:
     """Per-cluster completion times ``c_i = ζ_i(k_i) · x_iᵀ t_i`` (length M)."""
-    sums = np.einsum("ij,ij->i", X, problem.T)
+    sums = c_einsum("ij,ij->i", X, problem.T)
     if not problem.is_parallel:
         return sums
     counts = X.sum(axis=1)
@@ -52,12 +61,12 @@ def cluster_loads(X: np.ndarray, problem: MatchingProblem) -> np.ndarray:
 
 def makespan(X: np.ndarray, problem: MatchingProblem) -> float:
     """Eq. (3)/(16): the hard max over cluster completion times."""
-    return float(cluster_loads(X, problem).max())
+    return float(np.maximum.reduce(cluster_loads(X, problem)))
 
 
 def linear_cost(X: np.ndarray, problem: MatchingProblem) -> float:
     """Ablation (1) of Table 1: sum (instead of max) of cluster times."""
-    return float(cluster_loads(X, problem).sum())
+    return float(np.add.reduce(cluster_loads(X, problem)))
 
 
 def smooth_makespan(X: np.ndarray, problem: MatchingProblem) -> float:
@@ -114,7 +123,7 @@ class BarrierEval:
     def __init__(self, problem: MatchingProblem) -> None:
         self.T, self.A = problem.T, problem.A
         self.MN = problem.M * problem.N
-        self.gamma, self.beta, self.lam = problem.gamma, problem.beta, problem.lam
+        self.gamma, self.beta, self.lam = float(problem.gamma), problem.beta, problem.lam
         self.tau, self.lamA = problem.entropy, problem.lam * problem.A
         self.linear = problem.cost == "linear"
         self.hinge = problem.penalty == "hinge"
@@ -122,8 +131,13 @@ class BarrierEval:
 
     def value(self, X: np.ndarray) -> tuple[float, tuple | None]:
         """``(F(X), state)``; ``(+inf, None)`` outside the log barrier's
-        domain (g ≤ 0), so line searches reject such steps unspecialized."""
-        slack = float((X * self.A).sum() / self.MN - self.gamma)
+        domain (g ≤ 0), so line searches reject such steps unspecialized.
+
+        Reductions are the ufuncs' own ``reduce`` over the axes ``.sum()``
+        / ``.max()`` would take and scalars are Python floats: the same
+        IEEE operations in the same order as the method forms, without
+        their Python wrappers (tests/test_decide_path_exact.py)."""
+        slack = float(np.add.reduce(X * self.A, None)) / self.MN - self.gamma
         if self.hinge:
             pen = self.lam * max(0.0, -slack)
         elif slack <= 0:
@@ -132,26 +146,26 @@ class BarrierEval:
             pen = -self.lam * float(np.log(slack))
             if not math.isfinite(pen):
                 return float("inf"), None
-        sums = np.einsum("ij,ij->i", X, self.T)
+        sums = c_einsum("ij,ij->i", X, self.T)
         c = sums
         zeta = counts = e = esum = logX = None
         if self.zetas is not None:
-            counts = X.sum(axis=1)
+            counts = np.add.reduce(X, 1)
             zeta = np.array([float(s.value(np.array(k))) for s, k in zip(self.zetas, counts)])
             c = zeta * sums
         if self.linear:
-            cost = float(c.sum())
+            cost = float(np.add.reduce(c))
         else:
             bc = self.beta * c
-            shift = bc.max()
+            shift = float(np.maximum.reduce(bc))
             e = np.exp(bc - shift)
-            esum = e.sum()
-            cost = float(np.log(esum) + shift) / self.beta
+            esum = float(np.add.reduce(e))
+            cost = (float(np.log(esum)) + shift) / self.beta
         ent = 0.0
         if self.tau:
             Xc = np.maximum(X, _XLOG_EPS)
             logX = np.log(Xc)
-            ent = float(self.tau * (Xc * logX).sum())
+            ent = self.tau * float(np.add.reduce(Xc * logX, None))
         return cost + pen + ent, (slack, sums, zeta, counts, e, esum, logX)
 
     def gradient(self, X: np.ndarray, state: tuple | None = None) -> np.ndarray:
@@ -167,9 +181,8 @@ class BarrierEval:
         slack, sums, zeta, counts, e, esum, logX = state
         dc = self.T
         if zeta is not None:
-            dz = [float(s.derivative(np.array(k))) for s, k in zip(self.zetas, counts)]
-            dzeta = np.array(dz)
-            dc = dzeta[:, None] * sums[:, None] + zeta[:, None] * self.T
+            dzeta = np.array([float(s.derivative(np.array(k))) for s, k in zip(self.zetas, counts)])
+            dc = (dzeta * sums)[:, None] + zeta[:, None] * self.T
         # Linear cost is w ≡ 1: a fresh writable copy of dc, same bits.
         grad = dc * 1.0 if self.linear else (e / esum)[:, None] * dc
         if not self.hinge:

@@ -54,9 +54,9 @@ class MatchingProblem:
     def __post_init__(self) -> None:
         T = check_matrix(self.T, name="T")
         A = check_matrix(self.A, name="A", shape=T.shape)
-        if np.any(T <= 0):
+        if (T <= 0).any():
             raise ValueError("execution times must be strictly positive")
-        if np.any((A < 0) | (A > 1)):
+        if ((A < 0) | (A > 1)).any():
             raise ValueError("reliabilities must lie in [0, 1]")
         check_positive(self.beta, name="beta")
         check_positive(self.lam, name="lam")
@@ -144,7 +144,7 @@ class MatchingProblem:
         """
         uniform = self.uniform_assignment()
         s_u = self.reliability_slack(uniform)
-        greedy = np.zeros((self.M, self.N))
+        greedy = np.zeros(self.T.shape)
         greedy[self.A.argmax(axis=0), np.arange(self.N)] = 1.0
         s_g = self.reliability_slack(greedy)
         if s_g <= 0:
@@ -166,7 +166,7 @@ class MatchingProblem:
 
     def reliability_slack(self, X: np.ndarray) -> float:
         """g(X, A) of Eq. (4): mean-reliability surplus over γ."""
-        return float(np.sum(X * self.A) / (self.M * self.N) - self.gamma)
+        return float(np.add.reduce(X * self.A, None) / self.A.size - self.gamma)
 
     def is_strictly_feasible(self, X: np.ndarray) -> bool:
         """Whether X is interior w.r.t. the reliability constraint."""

@@ -190,16 +190,23 @@ def solve_relaxed(
             # step scaled by 1/max|∇F| keeps the multiplicative update
             # bounded and prevents the solver from crawling (observed on
             # ~10% of random instances without it).
-            step = cfg.lr / max(float(np.abs(grad).max()), 1e-9)
+            step = cfg.lr / max(float(np.maximum.reduce(np.abs(grad), None)), 1e-9)
         accepted = False
         if tele:
             ls_t0 = time.perf_counter()
         for h in range(BACKTRACK):
             if mirror:
-                # Multiplicative-weights update; clip the exponent for safety.
-                expo = step * grad
-                Z = X * np.exp(-(np.clip(expo, -50.0, 50.0) if clip else expo))
-                X_new = Z / Z.sum(axis=0, keepdims=True)
+                # Multiplicative-weights update X·exp(−step·∇F), normalized
+                # per task; clip the exponent for safety.  ∇F·(−step) is
+                # −(step·∇F) bit for bit (rounding is sign-symmetric), and
+                # so is clipping it to the symmetric ±50.
+                Z = grad * -step
+                if clip:
+                    np.clip(Z, -50.0, 50.0, out=Z)
+                np.exp(Z, out=Z)
+                Z *= X
+                Z /= np.add.reduce(Z, 0, keepdims=True)
+                X_new = Z
             else:
                 X_new = _project(X - step * grad, cfg.projection)
             f_new, state_new = ev.value(X_new)

@@ -127,14 +127,18 @@ def _local_search(X: np.ndarray, problem: MatchingProblem, max_moves: int) -> np
     feasible_required = reliability_value(X, problem) >= 0
     bottleneck_only = problem.cost == "makespan" and not problem.is_parallel
     for _ in range(max_moves):
-        base = decision_cost(X, problem)
         labels = labels_from_assignment(X)
         candidates = range(problem.N)
         if bottleneck_only:
-            hot = np.flatnonzero(cluster_loads(X, problem) >= base - 1e-12)
+            # decision_cost's loads and max, kept for the bottleneck test.
+            loads = cluster_loads(X, problem)
+            base = float(np.maximum.reduce(loads))
+            hot = (loads >= base - 1e-12).nonzero()[0]
             if hot.size > 1:
                 return X  # tied bottlenecks: no single move lowers the max
-            candidates = np.flatnonzero(labels == hot[0])
+            candidates = (labels == hot[0]).nonzero()[0]
+        else:
+            base = decision_cost(X, problem)
         improved = False
         for j in candidates:
             src = labels[j]

@@ -101,9 +101,11 @@ class ReliabilityPredictor(_Head):
 
 def _stack_linear(layers: "Sequence[Linear]") -> tuple[np.ndarray, np.ndarray]:
     """Copies of one layer position across heads: ``(H, in, out)`` weights
-    and ``(H, 1, out)`` biases (so the bias gradient sums the sample axis)."""
-    return (np.stack([m.weight.data for m in layers]),
-            np.stack([m.bias.data for m in layers])[:, None, :])
+    and ``(H, 1, out)`` biases (so the bias gradient sums the sample axis).
+    ``np.array`` of equal-shape arrays is ``np.stack``'s result without its
+    per-array Python checks."""
+    return (np.array([m.weight.data for m in layers]),
+            np.array([m.bias.data for m in layers])[:, None, :])
 
 
 def _stacked_features(heads: "Sequence[_Head]", Z: np.ndarray) -> np.ndarray:

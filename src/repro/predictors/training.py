@@ -114,7 +114,6 @@ class BankTrainer:
         self.opt = Adam(self.bank.params, lr=self.config.lr, weight_decay=WEIGHT_DECAY)
         self.steps_done = 0
         self.epochs_done = 0
-        self.last_losses = np.full(len(heads), np.nan)
         self.history: "list[np.ndarray]" = []  # per epoch: (H,) mean sample losses
         self._rows = np.arange(len(heads))[:, None]
         self._order = np.empty((len(heads), 0), dtype=np.intp)  # this epoch's shuffles
@@ -156,13 +155,12 @@ class BankTrainer:
         value.backward(np.ones(len(self.bank)))  # heads are independent
         self.opt.step()
         self.steps_done += 1
-        self.last_losses = value.data
-        self._epoch_loss += self.last_losses * idx.shape[1]
+        self._epoch_loss += value.data * idx.shape[1]
         if self._cursor == n:
             self._cursor = 0
             self.epochs_done += 1
             self.history.append(self._epoch_loss / n)
-        return self.last_losses
+        return value.data
 
     def run_steps(self, budget: int) -> int:
         """Advance at most ``budget`` minibatches; returns how many ran."""
@@ -202,10 +200,6 @@ class StepwiseTrainer(BankTrainer):
         loss: str = "log_mse",
     ) -> None:
         super().__init__([predictor], [Z], [y], config, [rng], loss=loss)
-
-    @property
-    def last_loss(self) -> float:
-        return float(self.last_losses[0])
 
     def step(self) -> float:
         """Run one minibatch; returns its mean loss.  Raises when done."""

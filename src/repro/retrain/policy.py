@@ -156,16 +156,3 @@ class RefitJob:
             ran += 1
         self.steps_done += ran
         return ran
-
-    def summary(self) -> dict:
-        """Scalar description for telemetry and checkpoint metrics."""
-        losses = [tr.last_loss for tr in self.trainers if tr.steps_done]
-        return {
-            "mode": self.mode,
-            "steps_done": self.steps_done,
-            "total_steps": self.total_steps,
-            "n_labels": self.n_labels,
-            "n_trained_clusters": len(self.trained_clusters),
-            "n_skipped_clusters": len(self.skipped_clusters),
-            "mean_last_loss": float(np.mean(losses)) if losses else float("nan"),
-        }

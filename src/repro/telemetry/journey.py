@@ -178,10 +178,15 @@ class JourneyRecorder:
         """Append one journey event; flushes if ``state`` is terminal."""
         self.events_recorded += 1
         key = (int(task_id), float(arrival))
-        ev = {"trace": trace_id(task_id, arrival), "task_id": int(task_id),
-              "arrival": float(arrival), "state": state, "t": float(t)}
+        events = self._pending.get(key)
+        if events is None:
+            events = self._pending[key] = []
+            trace = trace_id(*key)
+        else:  # the ID is a function of the key: hash it once per journey
+            trace = events[0]["trace"]
+        ev = {"trace": trace, "task_id": key[0], "arrival": key[1], "state": state,
+              "t": float(t)}
         ev.update({k: v for k, v in fields.items() if v is not None})
-        events = self._pending.setdefault(key, [])
         events.append(ev)
         if state in ("shed", "requeued", "unserved"):
             # Shed tasks (rejects and drop_oldest evictions), requeued

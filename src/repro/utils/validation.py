@@ -37,7 +37,7 @@ def check_array(
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains NaN or infinite entries")
     return arr
 

@@ -96,6 +96,22 @@ class TestBatchSolver:
         with pytest.raises(ValueError):
             solve_relaxed_batch(bp, x0=np.ones((1, 3, 5)))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["T", "A", "gamma"])
+    def test_non_finite_inputs_rejected(self, rng, field, bad, dtype):
+        """What MatchingProblem refuses, a batch refuses too: NaN passes
+        ``T <= 0``, ``A < 0 | A > 1`` and the padding test."""
+        bp = self._batch(rng, B=3)
+        arrays = {"T": bp.T.copy(), "A": bp.A.copy(), "gamma": bp.gamma.copy()}
+        arrays[field][(1,) + (0,) * (arrays[field].ndim - 1)] = bad
+        with pytest.raises(ValueError, match=f"^{field} contains NaN or infinite entries$"):
+            BatchProblem(**arrays, dtype=dtype)
+        single = {"T": arrays["T"][1], "A": arrays["A"][1], "gamma": float(arrays["gamma"][1])}
+        if field != "gamma":  # MatchingProblem's message, word for word
+            with pytest.raises(ValueError, match=f"^{field} contains NaN or infinite entries$"):
+                MatchingProblem(**single)
+
     def test_unattainable_gamma_rejected(self, rng):
         T = rng.uniform(0.5, 2.0, (1, 3, 4))
         A = np.full((1, 3, 4), 0.5)

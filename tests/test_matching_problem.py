@@ -131,6 +131,23 @@ class TestWithPredictions:
         assert q.reliability_slack(X) > 0
         assert q.gamma < p.gamma
 
+    @pytest.mark.parametrize("which,bad,raises", [
+        ("T", np.nan, True), ("T", np.inf, True), ("T", -np.inf, False),  # floored
+        ("A", np.nan, True), ("A", np.inf, False), ("A", -np.inf, False),  # clipped
+    ])
+    def test_non_finite_predictions(self, rng, which, bad, raises):
+        """A diverged predictor's NaN (and a +inf time) still raise: the
+        floor and the clip pass NaN through to the constructor's checks."""
+        p = random_problem(rng)
+        T_hat, A_hat = np.array(p.T), np.array(p.A)
+        (T_hat if which == "T" else A_hat)[1, 2] = bad
+        if raises:
+            with pytest.raises(ValueError, match=f"^{which} contains NaN or infinite entries$"):
+                p.with_predictions(T_hat, A_hat)
+        else:
+            q = p.with_predictions(T_hat, A_hat)
+            assert np.isfinite(q.T).all() and np.isfinite(q.A).all()
+
     def test_gamma_untouched_when_attainable(self, rng):
         p = random_problem(rng, gamma_quantile=0.2)
         q = p.with_predictions(np.array(p.T), np.array(p.A))
