@@ -154,8 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="run the dispatcher once and summarize")
     p_run.add_argument("--shed-policy", choices=SHED_POLICIES, default="reject")
     p_run.add_argument("--warm-start", choices=WARM_STARTS, default="cache",
-                       help="window seed source: last-window cache, cache + "
-                            "online-trained learned head on misses, or cold")
+                       help="window seed source: last-window cache, or cold")
     p_run.add_argument("--solve-mode", choices=SOLVE_MODES, default="scalar",
                        help="dense per-window solve, or block-decomposed "
                             "batched solve for large windows")

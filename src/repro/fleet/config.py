@@ -57,9 +57,9 @@ class FleetConfig:
     #: retraining is orchestrated centrally by
     #: :class:`repro.fleet.FleetRetrainController`, never by N
     #: independent per-shard controllers racing one registry.
-    #: ``monitor`` and ``warm_start="learned"`` are rejected too: the
-    #: controller wires neither, and the shard logs record ``serve`` as
-    #: replay truth (observers attach through ``callbacks_factory``).
+    #: ``monitor`` is rejected too: the controller wires none, and the
+    #: shard logs record ``serve`` as replay truth (observers attach
+    #: through ``callbacks_factory``).
     serve: ServeConfig = field(default_factory=ServeConfig)
 
     def __post_init__(self) -> None:
@@ -87,10 +87,6 @@ class FleetConfig:
             raise ValueError(
                 "serve.monitor must be None in a FleetConfig — attach "
                 "observers per shard through run(callbacks_factory=...)")
-        if self.serve.warm_start == "learned":
-            raise ValueError(
-                "serve.warm_start must not be 'learned' in a FleetConfig — "
-                "the fleet controller attaches no WarmStartTrainer")
 
     # ------------------------------------------------------------------ #
     # JSON round-trip (meta["fleet"] in per-shard run logs).

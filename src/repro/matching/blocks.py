@@ -257,8 +257,8 @@ def solve_relaxed_blocks(
     solved by a single :func:`~repro.matching.batch.solve_relaxed_batch`
     call — one descent per window when all blocks have equally many
     clusters.  A
-    warm start ``x0`` (full (M, N), e.g. from the serving cache or the
-    learned warm-start head) is sliced per block and *hedged* per
+    warm start ``x0`` (full (M, N), e.g. from the serving cache) is
+    sliced per block and *hedged* per
     instance against the cold interior start — the batch analogue of
     ``solve_relaxed``'s cold-start hedge, so a bad seed can never open
     the descent from a worse point than a cold solve would.

@@ -37,10 +37,6 @@ from repro.retrain.canary import CanaryDecision, CanaryGate, CanaryWindow
 from repro.retrain.harvest import WindowHarvester
 from repro.retrain.loop import RetrainConfig, RetrainController, build_refit
 from repro.retrain.policy import RefitJob
-from repro.retrain.warmstart import (
-    WarmStartTrainer,
-    WarmStartTrainerConfig,
-)
 
 __all__ = [
     "Label",
@@ -54,6 +50,4 @@ __all__ = [
     "CanaryGate",
     "RetrainConfig",
     "RetrainController",
-    "WarmStartTrainer",
-    "WarmStartTrainerConfig",
 ]

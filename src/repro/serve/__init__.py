@@ -47,7 +47,6 @@ from repro.serve.registry import (
     ModelRegistry,
     weights_digest,
 )
-from repro.serve.warmstart import WarmStartHead
 
 __all__ = [
     "ServeConfig",
@@ -63,7 +62,6 @@ __all__ = [
     "ServeLoop",
     "WindowSnapshot",
     "WarmStartCache",
-    "WarmStartHead",
     "PredictionMemo",
     "batch_size_bucket",
     "make_cache_key",

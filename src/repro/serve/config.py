@@ -38,13 +38,12 @@ from repro.utils.validation import check_known_keys
 if TYPE_CHECKING:  # layering: monitor/retrain import serve, not vice versa
     from repro.monitor.quality import MonitorConfig, QualityMonitor
     from repro.retrain.loop import RetrainConfig, RetrainController
-    from repro.retrain.warmstart import WarmStartTrainer
     from repro.telemetry.profiler import StageProfiler
 
 __all__ = ["ServeConfig", "Platform", "build_platform"]
 
 SHED_POLICIES = ("reject", "drop_oldest")
-WARM_STARTS = ("cache", "learned", "off")
+WARM_STARTS = ("cache", "off")
 SOLVE_MODES = ("scalar", "blocks")
 #: ``from_params`` coercion by field annotation (the module's annotations are strings).
 _COERCE = {"str": str, "int": int, "float": float, "bool": bool}
@@ -69,9 +68,7 @@ class ServeConfig:
     max_wait_hours: float = 0.25
     queue_capacity: int = 128
     shed_policy: str = "reject"
-    #: Window-seed source: ``"cache"`` (last-window columns),
-    #: ``"learned"`` (cache first, then the online-trained
-    #: :class:`~repro.serve.warmstart.WarmStartHead` on misses), or
+    #: Window-seed source: ``"cache"`` (last-window columns) or
     #: ``"off"`` (always cold).
     warm_start: str = "cache"
     #: ``"scalar"`` = dense per-window solve (default; byte-identical
@@ -196,7 +193,6 @@ class ServeConfig:
             shed_policy=self.shed_policy,
             warm_start=warm,
             memoize_predictions=warm,
-            learned_seeds=self.warm_start == "learned",
             solve_mode=self.solve_mode,
             journey_sample=self.journey_sample,
         )
@@ -215,7 +211,6 @@ class Platform:
     monitor: "QualityMonitor | None" = None
     controller: "RetrainController | None" = None
     registry: "ModelRegistry | None" = None
-    trainer: "WarmStartTrainer | None" = None
     profiler: "StageProfiler | None" = None
 
     def load(self, pattern: str = "poisson", rate_per_hour: float = 30.0):
@@ -306,12 +301,6 @@ def build_platform(
         callbacks.append(monitor)
     if controller is not None:
         callbacks.append(controller)
-    trainer = None
-    if config.warm_start == "learned":
-        from repro.retrain.warmstart import WarmStartTrainer
-
-        trainer = WarmStartTrainer()
-        callbacks.append(trainer)
     profiler = None
     if config.profile:
         from repro.telemetry.profiler import StageProfiler
@@ -323,10 +312,8 @@ def build_platform(
                             profiler=profiler)
     if controller is not None:
         controller.bind(dispatcher)
-    if trainer is not None:
-        trainer.bind(dispatcher)
     return Platform(
         config=config, pool=pool, clusters=clusters, method=method, spec=spec,
         dispatcher=dispatcher, monitor=monitor, controller=controller,
-        registry=registry, trainer=trainer, profiler=profiler,
+        registry=registry, profiler=profiler,
     )

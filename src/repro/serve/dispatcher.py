@@ -126,9 +126,6 @@ class DispatcherConfig:
     #: components and solve them as one batched float32 instance
     #: (:func:`repro.matching.blocks.solve_relaxed_blocks`).
     solve_mode: str = "scalar"
-    #: Seed cache-miss windows from the learned warm-start head (the
-    #: dispatcher's ``warm_model``) instead of going cold.
-    learned_seeds: bool = False
     #: Per-task journey tracing (:mod:`repro.telemetry.journey`).  The
     #: kept fraction of uneventful journeys; shed / requeued / long-wait
     #: journeys are always kept.  ``0.0`` disables tracing entirely (one
@@ -197,8 +194,8 @@ class ServeStats:
     callback_seconds: float = 0.0
     solver_iterations: list[int] = field(default_factory=list, repr=False)
     batch_sizes: list[int] = field(default_factory=list, repr=False)
-    #: Windows by warm-start seed source: ``{"cache": n, "learned": n,
-    #: "cold": n}`` (default-pipeline windows only).
+    #: Windows by warm-start seed source: ``{"cache": n, "cold": n}``
+    #: (default-pipeline windows only).
     seed_sources: dict = field(default_factory=dict)
     cache: dict = field(default_factory=dict)
     memo: dict = field(default_factory=dict)
@@ -317,11 +314,6 @@ class WindowSnapshot:
     #: loop pairs with ``realized_hours``/``success`` to form training
     #: examples.  ``None`` only for snapshots built by old code paths.
     features: "np.ndarray | None" = None
-    #: Relaxed interior solution of the window's decision solve, shape
-    #: (m, k) — the soft assignment columns the learned warm-start
-    #: trainer (:mod:`repro.retrain.warmstart`) harvests as labels.
-    #: ``None`` for custom-``decide`` methods (no relaxed solve ran).
-    X_relaxed: "np.ndarray | None" = None
 
     @property
     def batch_size(self) -> int:
@@ -433,15 +425,6 @@ class Dispatcher:
         self.truth = ColumnTable(owner=attrgetter("spec"))
         self.registry = registry
         self.swap_schedule = dict(swap_schedule or {})
-        #: Learned warm-start head (``seed(tasks, cluster_ids)`` protocol,
-        #: see :class:`repro.serve.warmstart.WarmStartHead`).  Consulted on
-        #: cache misses when ``config.learned_seeds`` is set; installed
-        #: here by the :class:`repro.retrain.warmstart.WarmStartTrainer`
-        #: callback or loaded from a registry checkpoint on hot-swap.
-        self.warm_model = None
-        #: Bumped on every applied hot-swap; observers holding labels
-        #: harvested from pre-swap windows key invalidation off this.
-        self.swap_epoch = 0
         #: Swap requested mid-run (``(version, reason)``), applied at the
         #: start of the next dispatched window.
         self._pending_swap: "tuple[str, str] | None" = None
@@ -738,12 +721,6 @@ class ServeLoop:
             # warm "hits" seeded from a stale objective.  Start the new
             # model cold.
             d.cache.clear()
-        d.swap_epoch += 1
-        if self.cfg.learned_seeds:
-            # The old head predicted the old model's relaxed optima; swap
-            # in the checkpoint's bundled head, or drop to cold seeding
-            # until the trainer refits on post-swap windows.
-            d.warm_model = d.registry.load_warm_start(info.version)
         event = {"window": window, "version": info.version,
                  "digest": info.digest, "reason": reason}
         self.stats.swaps += 1
@@ -832,18 +809,13 @@ class ServeLoop:
                 w.predictions = (w.predictions[0][w.rows], w.predictions[1][w.rows])
         x0 = solver = None
         w.seed_src = "cold"
-        up_ids = [c.cluster_id for c in ups]
-        key = make_cache_key(up_ids, len(tasks))
+        key = make_cache_key([c.cluster_id for c in ups], len(tasks))
         with prof.stage("seed"):
             if d.cache is not None:
                 x0 = d.cache.seed(key, tasks, len(ups))
                 solver = d.cache.solver_config(key, d.spec.solver)
                 if x0 is not None:
                     w.seed_src = "cache"
-            if x0 is None and self.cfg.learned_seeds and d.warm_model is not None:
-                x0 = d.warm_model.seed(tasks, up_ids)
-                if x0 is not None:
-                    w.seed_src = "learned"
         with prof.stage("solve"):
             decision = d.method.decide_full(
                 w.problem, tasks, x0=x0, solver=solver, predictions=w.predictions,
@@ -858,13 +830,6 @@ class ServeLoop:
             stats.seed_sources[w.seed_src] = stats.seed_sources.get(w.seed_src, 0) + 1
             if rec.enabled:
                 rec.counter_add(f"serve/seed_{w.seed_src}")
-                if w.seed_src == "learned":
-                    # Seed quality: how much of the seed's per-task
-                    # argmax placement survived the solve.
-                    agree = float(np.mean(
-                        x0.argmax(axis=0) == w.relaxed.X.argmax(axis=0)))
-                    rec.observe("serve/seed_agreement", agree,
-                                bounds=(0.1, 0.25, 0.5, 0.75, 0.9, 0.99))
 
     def _schedule(self, w: _Window) -> None:
         """Execute ``w.X``: per-cluster FIFO starts, sampled outcomes."""
@@ -934,5 +899,4 @@ class ServeLoop:
                 queue_depth=len(self.queue),
                 arrived_total=self.stats.arrived, shed_total=self.stats.shed,
                 features=np.array([t.features for t in w.tasks]),
-                X_relaxed=None if w.relaxed is None else w.relaxed.X,
             ), since=t0)

@@ -218,7 +218,6 @@ class ModelRegistry:
         metrics: "dict[str, float] | None" = None,
         tag: "str | None" = None,
         parent: "str | None" = None,
-        warm_start: Any = None,
     ) -> CheckpointInfo:
         """Register the source's current weights as the next version.
 
@@ -227,11 +226,7 @@ class ModelRegistry:
         (validation regret, final loss, ...); ``tag`` is a free-form label
         (e.g. ``"nightly-retrain"``); ``parent`` records the version this
         checkpoint was refit from (retrain lineage — consumed by
-        :meth:`rollback`); ``warm_start`` optionally bundles a trained
-        :class:`~repro.serve.warmstart.WarmStartHead` with the checkpoint
-        (stored as ``warm_start.npz`` plus its digest in the metadata, so
-        a hot-swapped head is verifiable the same way predictor weights
-        are).  Saving never moves the live pointer.
+        :meth:`rollback`).  Saving never moves the live pointer.
         """
         pairs = _pairs_of(source)
         if parent is not None and parent not in self:
@@ -251,14 +246,9 @@ class ModelRegistry:
             if std is not None:
                 np.savez(path / f"cluster{i:03d}_standardizer.npz",
                          mean=std.mean, std=std.std)
-        warm_digest = None
-        if warm_start is not None:
-            warm_start.save(path / "warm_start.npz")
-            warm_digest = warm_start.digest()
         meta = {
             "format": CHECKPOINT_FORMAT,
             "version": version,
-            "warm_start_digest": warm_digest,
             "n_clusters": len(pairs),
             "n_parameters": sum(
                 p.time.num_parameters() + p.reliability.num_parameters() for p in pairs
@@ -310,31 +300,3 @@ class ModelRegistry:
                 pair.time.standardizer = None
                 pair.reliability.standardizer = None
         return info
-
-    def load_warm_start(self, version: "str | None" = None):
-        """The warm-start head bundled with a version, or ``None``.
-
-        ``version=None`` resolves live-then-latest like :meth:`load_into`.
-        Returns ``None`` (rather than raising) when the version carries no
-        head: a post-swap dispatcher falls back to cache/cold seeding.
-        Raises ``ValueError`` when the stored head does not match the
-        digest recorded in the checkpoint metadata (corrupt artifact).
-        """
-        from repro.serve.warmstart import WarmStartHead
-
-        if version is None:
-            version = self.live() or self.latest()
-            if version is None:
-                raise KeyError(f"registry {self.root} has no checkpoints")
-        info = self.info(version)
-        path = info.path / "warm_start.npz"
-        if not path.exists():
-            return None
-        head = WarmStartHead.load(path)
-        expected = info.meta.get("warm_start_digest")
-        if expected is not None and head.digest() != expected:
-            raise ValueError(
-                f"warm-start head of {version} does not match its recorded "
-                f"digest (expected {expected[:12]}…, got {head.digest()[:12]}…)"
-            )
-        return head

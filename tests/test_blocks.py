@@ -1,4 +1,4 @@
-"""Block-decomposed window solves and learned warm starts.
+"""Block-decomposed window solves.
 
 Covers the decomposition invariants the serving hot path relies on:
 
@@ -10,10 +10,7 @@ Covers the decomposition invariants the serving hot path relies on:
   strictly feasible — on decomposable ones, singleton and degenerate
   blocks included;
 - a bad warm seed can never open the solve worse than cold (the batch
-  hedge), matching the scalar solver's contract;
-- the learned warm-start head trains, gates low-confidence seeds,
-  round-trips through npz + digest, and its seeds also fall back to
-  cold harmlessly.
+  hedge), matching the scalar solver's contract.
 """
 
 from __future__ import annotations
@@ -36,12 +33,6 @@ from repro.matching import (
     viability_mask,
 )
 from repro.matching.blocks import Block, BlockStructure, _block_gammas
-from repro.serve.dispatcher import WindowSnapshot
-from repro.serve.warmstart import WarmStartHead
-from repro.retrain.warmstart import (
-    WarmStartTrainer,
-    WarmStartTrainerConfig,
-)
 from repro.workloads import TaskPool
 
 
@@ -358,145 +349,3 @@ class TestSeedHedge:
         seeded = solve_relaxed_blocks(problem, cfg, x0=cold.X)
         assert seeded.iterations <= cold.iterations
         assert seeded.objective <= cold.objective + 1e-6
-
-
-#: Width of Task.features — what the dispatcher hands the head in serving.
-TASK_FEATURE_DIM = TaskPool(1, rng=0).tasks[0].features.shape[0]
-
-
-def _fleet_and_labels(n: int = 64, m: int = 6, d: int = 5, seed: int = 0):
-    """Synthetic learnable mapping: feature argmax decides the cluster."""
-    rng = np.random.default_rng(seed)
-    Z = rng.normal(size=(n, d))
-    target = Z[:, :m].argmax(axis=1) if d >= m else Z.argmax(axis=1) % m
-    C = np.full((n, m), 0.02 / (m - 1))
-    C[np.arange(n), target] = 0.98
-    return Z, C, target
-
-
-class TestWarmStartHead:
-    def test_untrained_head_declines(self):
-        head = WarmStartHead(5, [0, 1, 2])
-        pool = TaskPool(4, rng=0)
-        assert head.seed(pool.tasks, [0, 1, 2]) is None
-
-    def test_fit_predicts_the_planted_mapping(self):
-        Z, C, target = _fleet_and_labels()
-        head = WarmStartHead(5, list(range(6))).fit(Z, C)
-        P = head.predict_columns(Z)
-        np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-9)
-        assert (P.argmax(axis=1) == target).mean() > 0.9
-
-    def test_seed_is_column_stochastic_and_gated(self):
-        Z, C, _ = _fleet_and_labels(d=TASK_FEATURE_DIM)
-        head = WarmStartHead(TASK_FEATURE_DIM, list(range(6))).fit(Z, C)
-        pool = TaskPool(8, rng=1)
-        X0 = head.seed(pool.tasks, list(range(6)))
-        assert X0 is not None and X0.shape == (6, 8)
-        np.testing.assert_allclose(X0.sum(axis=0), 1.0, atol=1e-9)
-        assert (X0 > 0).all()
-        # Unknown cluster in the window -> decline.
-        assert head.seed(pool.tasks, [0, 1, 99]) is None
-        # A head fit on uniform columns is too diffuse to beat the gate.
-        uniform = WarmStartHead(TASK_FEATURE_DIM, list(range(6))).fit(
-            Z, np.full((len(Z), 6), 1.0 / 6.0))
-        assert uniform.seed(pool.tasks, list(range(6))) is None
-
-    def test_save_load_round_trip_and_digest(self, tmp_path):
-        Z, C, _ = _fleet_and_labels()
-        head = WarmStartHead(5, list(range(6)), l2=1e-2).fit(Z, C)
-        path = tmp_path / "head.npz"
-        head.save(path)
-        clone = WarmStartHead.load(path)
-        assert clone.trained and clone.l2 == head.l2
-        assert clone.digest() == head.digest()
-        np.testing.assert_array_equal(clone.predict_columns(Z),
-                                      head.predict_columns(Z))
-        # Refitting on the same labels is deterministic: same digest.
-        assert WarmStartHead(5, list(range(6)), l2=1e-2).fit(Z, C).digest() \
-            == head.digest()
-
-    def test_learned_seed_falls_back_to_cold_in_scalar_solver(self):
-        # An arbitrary (mis)trained head's seed must never leave the
-        # solve worse than cold: solve_relaxed hedges the opening point.
-        problem = _dense_problem(5)
-        rng = np.random.default_rng(0)
-        head = WarmStartHead(TASK_FEATURE_DIM, list(range(problem.M))).fit(
-            rng.normal(size=(32, TASK_FEATURE_DIM)),
-            rng.dirichlet(np.ones(problem.M), size=32))
-        pool = TaskPool(problem.N, rng=2)
-        X0 = head.seed(pool.tasks, list(range(problem.M)))
-        cfg = SolverConfig(max_iters=400, tol=1e-6)
-        cold = solve_relaxed(problem, cfg)
-        seeded = solve_relaxed(problem, cfg,
-                               x0=X0 if X0 is not None else None)
-        assert seeded.objective <= cold.objective + 1e-4
-
-
-def _snapshot(window: int, cluster_ids, task_ids, features, X_relaxed):
-    k = len(task_ids)
-    m = len(cluster_ids)
-    z = np.zeros(k)
-    return WindowSnapshot(
-        window=window, time=float(window), cluster_ids=tuple(cluster_ids),
-        task_ids=tuple(task_ids), T=np.ones((m, k)), A=np.ones((m, k)),
-        T_hat=None, A_hat=None, X=np.zeros((m, k)), gamma=0.5,
-        reliability_slack=0.1, arrival=z, start=z, end=z, realized_hours=z,
-        success=np.ones(k, dtype=bool), requeues=np.zeros(k, dtype=int),
-        queue_depth=0, arrived_total=k, shed_total=0, features=features,
-        X_relaxed=X_relaxed,
-    )
-
-
-class _FakeCluster:
-    def __init__(self, cid: int) -> None:
-        self.cluster_id = cid
-
-
-class _FakeDispatcher:
-    def __init__(self, m: int) -> None:
-        self.clusters = [_FakeCluster(i) for i in range(m)]
-        self.swap_epoch = 0
-        self.warm_model = None
-
-
-class TestWarmStartTrainer:
-    def _snapshots(self, n_windows: int, m: int = 4, k: int = 4, d: int = 5):
-        rng = np.random.default_rng(0)
-        snaps = []
-        for w in range(n_windows):
-            features = rng.normal(size=(k, d))
-            cols = rng.dirichlet(np.ones(m), size=k).T  # (m, k)
-            snaps.append(_snapshot(
-                w, range(m), range(w * k, (w + 1) * k), features, cols))
-        return snaps
-
-    def test_fits_after_min_labels_and_installs_head(self):
-        cfg = WarmStartTrainerConfig(min_labels=8, refit_every=2)
-        dispatcher = _FakeDispatcher(4)
-        trainer = WarmStartTrainer(cfg).bind(dispatcher)
-        for snap in self._snapshots(4):
-            trainer.on_window(snap)
-        assert trainer.fits >= 1
-        assert dispatcher.warm_model is trainer.head
-        assert trainer.head is not None and trainer.head.trained
-
-    def test_degraded_fleet_windows_are_skipped(self):
-        dispatcher = _FakeDispatcher(4)
-        trainer = WarmStartTrainer().bind(dispatcher)
-        snap = self._snapshots(1, m=3)[0]  # only 3 of 4 clusters up
-        trainer.on_window(snap)
-        assert trainer.harvested == 0
-
-    def test_swap_invalidates_buffer(self):
-        cfg = WarmStartTrainerConfig(min_labels=8, refit_every=100)
-        dispatcher = _FakeDispatcher(4)
-        trainer = WarmStartTrainer(cfg).bind(dispatcher)
-        snaps = self._snapshots(3)
-        trainer.on_window(snaps[0])
-        trainer.on_window(snaps[1])
-        assert trainer.harvested == 8
-        dispatcher.swap_epoch += 1  # a hot-swap applied
-        trainer.on_window(snaps[2])
-        assert trainer.invalidated == 1
-        assert len(trainer._labels) == 4  # only the post-swap window

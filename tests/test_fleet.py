@@ -224,8 +224,6 @@ def test_fleet_config_roundtrip_and_validation():
     # Nothing the controller never wires may ride meta["serve"] as truth.
     with pytest.raises(ValueError, match="serve.monitor"):
         FleetConfig(serve=SERVE.with_overrides(monitor=MonitorConfig()))
-    with pytest.raises(ValueError, match="learned"):
-        FleetConfig(serve=SERVE.with_overrides(warm_start="learned"))
 
 
 def test_shard_config_stamps_identity():

@@ -691,6 +691,20 @@ class TestTraceReplay:
         assert main(["replay", "--log", str(tmp_path / "foreign.jsonl")]) == 2
         assert "unknown keys ['slos']" in capsys.readouterr().err
 
+    def test_replay_refuses_a_learned_seed_log(self, tmp_path, capsys):
+        """A log whose run seeded windows from the retired learned head
+        cannot be reproduced: the command says so and exits 2."""
+        import io
+
+        params = {**REPLAY_PARAMS, "warm_start": "learned"}
+        with recording(mode="jsonl", run="learned", out_dir=tmp_path,
+                       meta={"serve": params}, stream=io.StringIO()) as rec:
+            rec.event("serve/arrival", t=0.1, task_id=0)
+        assert main(["replay", "--log", str(tmp_path / "learned.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot replay") and "warm_start" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+
     def test_from_log_rejects_empty_arrivals(self, tmp_path):
         import io
 

@@ -519,18 +519,20 @@ class TestServeConfig:
             ServeConfig(solve_mode="quantum")
         with pytest.raises(ValueError):
             ServeConfig(warm_start="maybe")
-        config = ServeConfig(warm_start="learned", solve_mode="blocks")
+        config = ServeConfig(warm_start="off", solve_mode="blocks")
         params = json.loads(json.dumps(config.to_params()))
         assert params["solve_mode"] == "blocks"
+        assert params["warm_start"] == "off"
         assert ServeConfig.from_params(params) == config
         dcfg = config.dispatcher_config()
         assert dcfg.solve_mode == "blocks"
-        assert dcfg.learned_seeds and dcfg.warm_start
+        assert not dcfg.warm_start
 
     def test_bool_warm_start_rejected(self):
-        # The tri-state string is the only spelling: a boolean fails the
-        # same membership check as any other unknown value.
-        for flag in (True, False):
+        # The string is the only spelling: a boolean fails the same
+        # membership check as any other unknown value, and so does the
+        # retired "learned" seed source.
+        for flag in (True, False, "learned"):
             with pytest.raises(ValueError, match="warm_start"):
                 ServeConfig(warm_start=flag)
         off = ServeConfig(warm_start="off")

@@ -26,6 +26,7 @@ from repro.methods.base import BaseMethod
 from repro.predictors.models import PredictorPair
 from repro.predictors.training import TrainConfig
 from repro.serve import (
+    CHECKPOINT_FORMAT,
     BurstyLoad,
     DiurnalLoad,
     Dispatcher,
@@ -41,6 +42,7 @@ from repro.serve import (
     build_stack,
     make_cache_key,
     make_load,
+    weights_digest,
 )
 from repro.telemetry import recording
 from repro.utils.rng import as_generator
@@ -284,6 +286,44 @@ class TestModelRegistry:
         reg.save([PredictorPair(in_features, rng=0)])
         with pytest.raises(ValueError, match="cluster pairs"):
             reg.load_into(method, "v0001")
+
+    def test_checkpoints_with_a_warm_start_bundle_still_load(self, stack, tmp_path):
+        """Checkpoints written while the registry bundled a learned
+        warm-start head (``warm_start.npz`` plus ``warm_start_digest`` in
+        ``meta.json``) load, promote and roll back; the extra file and
+        key are ignored and the format number is unchanged."""
+        pool, clusters, spec, method = stack
+        reg = ModelRegistry(tmp_path / "reg")
+        reg.save(method, tag="fit")
+        reg.save(method, tag="refit", parent="v0001")
+        rng = np.random.default_rng(0)
+        for version, bundled in (("v0001", True), ("v0002", False)):
+            path = reg.info(version).path
+            digest = None
+            if bundled:
+                np.savez(path / "warm_start.npz", W=rng.normal(size=(4, 3)),
+                         b=np.zeros(3), mean=np.zeros(4), std=np.ones(4),
+                         cluster_ids=np.arange(3, dtype=np.int64),
+                         meta=np.asarray([1e-3, 1.25, 1.0]))
+                digest = hashlib.sha256(b"head").hexdigest()
+            meta = json.loads((path / "meta.json").read_text())
+            meta["warm_start_digest"] = digest
+            (path / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2))
+        assert CHECKPOINT_FORMAT == 1
+        assert reg.info("v0001").meta["format"] == CHECKPOINT_FORMAT
+        assert reg.info("v0001").digest == weights_digest(method.pairs)
+
+        tasks = pool.tasks[:5]
+        want_T, want_A = method.predict(tasks)
+        other = TSM(train_config=TrainConfig(epochs=1))
+        other.fit(FitContext.build(clusters, pool.tasks[:8], spec, rng=99))
+        assert reg.set_live("v0002").version == "v0002"
+        assert reg.load_into(other).version == "v0002"
+        got_T, got_A = other.predict(tasks)
+        np.testing.assert_allclose(got_T, want_T)
+        np.testing.assert_allclose(got_A, want_A)
+        assert reg.rollback().version == "v0001"
+        assert reg.load_into(other).digest == weights_digest(other.pairs)
 
     def test_empty_registry_load_raises(self, stack, tmp_path):
         _, _, _, method = stack
@@ -609,7 +649,7 @@ class TestDispatcher:
 
 
 # --------------------------------------------------------------------- #
-# Block-decomposed serving + learned warm starts (ServeConfig knobs).
+# Block-decomposed serving and seed-source accounting.
 # --------------------------------------------------------------------- #
 
 
@@ -637,32 +677,6 @@ class TestBlocksServing:
         assert sum(stats.seed_sources.values()) == stats.windows
         assert stats.seed_sources.get("cache", 0) > 0
         assert stats.seed_sources.get("cold", 0) > 0
-
-    def test_learned_mode_end_to_end(self):
-        """warm_start="learned": the trainer harvests relaxed solutions,
-        refits mid-run, installs the head on the dispatcher — and the
-        dispatch trace still matches the default cache-mode run."""
-        from repro.serve import ServeConfig, build_platform
-
-        # Pool must exceed the trainer's min_labels=32: labels dedup by
-        # task_id, so a 20-task pool can never accumulate enough.
-        base = ServeConfig(pool_size=40, seed=0, train_epochs=4,
-                           solver_tol=1e-4, solver_max_iters=300, max_batch=8)
-        traces = {}
-        for ws in ("cache", "learned"):
-            config = base.with_overrides(warm_start=ws)
-            platform = build_platform(config)
-            events = platform.load("poisson", 40.0).draw(
-                4.0, as_generator(config.seed + 3))
-            with recording(mode="summary", stream=io.StringIO()):
-                stats = platform.run(events)
-            traces[ws] = stats.trace_bytes()
-            assert stats.conserved
-            if ws == "learned":
-                assert platform.trainer is not None
-                assert platform.trainer.fits > 0
-                assert platform.dispatcher.warm_model is platform.trainer.head
-        assert traces["learned"] == traces["cache"]
 
 
 # --------------------------------------------------------------------- #
@@ -763,44 +777,3 @@ class TestProfiledServing:
         assert platform.dispatcher.profiler is platform.profiler
         off = build_platform(config.with_overrides(profile=False))
         assert off.profiler is None
-
-
-class TestWarmStartRegistry:
-    def _trained_head(self):
-        from repro.serve import WarmStartHead
-
-        rng = np.random.default_rng(0)
-        d = TaskPool(1, rng=0).tasks[0].features.shape[0]
-        Z = rng.normal(size=(48, d))
-        C = rng.dirichlet(np.ones(3) * 0.2, size=48)
-        return WarmStartHead(d, [0, 1, 2]).fit(Z, C)
-
-    def test_checkpoint_bundles_head_with_digest(self, stack, tmp_path):
-        _, _, _, method = stack
-        head = self._trained_head()
-        reg = ModelRegistry(tmp_path / "reg")
-        info = reg.save(method, warm_start=head)
-        assert info.meta["warm_start_digest"] == head.digest()
-        loaded = reg.load_warm_start(info.version)
-        assert loaded is not None and loaded.digest() == head.digest()
-        # latest-resolution works too
-        assert reg.load_warm_start().digest() == head.digest()
-
-    def test_checkpoint_without_head_loads_none(self, stack, tmp_path):
-        _, _, _, method = stack
-        reg = ModelRegistry(tmp_path / "reg")
-        info = reg.save(method)
-        assert info.meta["warm_start_digest"] is None
-        assert reg.load_warm_start(info.version) is None
-
-    def test_tampered_head_fails_digest_check(self, stack, tmp_path):
-        _, _, _, method = stack
-        head = self._trained_head()
-        reg = ModelRegistry(tmp_path / "reg")
-        info = reg.save(method, warm_start=head)
-        # Overwrite the stored npz with a differently-fit head.
-        other = self._trained_head()
-        other.W = other.W + 0.5
-        other.save(info.path / "warm_start.npz")
-        with pytest.raises(ValueError, match="digest"):
-            reg.load_warm_start(info.version)

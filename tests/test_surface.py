@@ -15,7 +15,8 @@ positionals, or through ``dataclasses.replace`` / ``with_overrides`` /
 ``default_config(**overrides)``.  Calls match by name; ``cls(...)`` and
 ``super().__init__(...)`` resolve to the enclosing class, and a subclass
 without a constructor passes its calls on to its base.  An option nobody
-sets becomes a constant, unless ``OPTION_ALLOWED`` gives its reason.
+sets becomes a constant, unless ``OPTION_ALLOWED`` gives its reason.  The
+options only a test sets may not grow past ``TEST_ONLY_OPTIONS``.
 """
 
 from __future__ import annotations
@@ -144,9 +145,9 @@ def _definitions():
     return functions, classes
 
 
-def _calls(classes: dict) -> "tuple[dict[str, list], set[str]]":
-    """name -> [(positional count, keywords)] over every caller file, and the
-    keywords of the ``_REPLACERS`` calls."""
+def _calls(classes: dict, callers) -> "tuple[dict[str, list], set[str]]":
+    """name -> [(positional count, keywords)] over every file under
+    ``callers``, and the keywords of the ``_REPLACERS`` calls."""
     calls: "dict[str, list]" = {}
     replaced: "set[str]" = set()
 
@@ -169,16 +170,20 @@ def _calls(classes: dict) -> "tuple[dict[str, list], set[str]]":
                     calls.setdefault(name, []).append((npos, kws))
             visit(child, child.name if isinstance(child, ast.ClassDef) else cls)
 
-    for top in (SRC, ROOT / "benchmarks", ROOT / "examples", ROOT / "tests"):
+    for top in callers:
         for path in sorted(top.rglob("*.py")):
             visit(ast.parse(path.read_text()), None)
     return calls, replaced
 
 
-def _option_scan() -> "tuple[list[str], list[str]]":
-    """``(every option, the ones no call sets)`` as ``Owner.param``."""
+#: Where the option scan looks for calls: the program, then its tests.
+CALLERS = (SRC, ROOT / "benchmarks", ROOT / "examples", ROOT / "tests")
+
+
+def _option_scan(callers=CALLERS) -> "tuple[list[str], list[str]]":
+    """``(every option, the ones no call under callers sets)`` as ``Owner.param``."""
     functions, classes = _definitions()
-    calls, replaced = _calls(classes)
+    calls, replaced = _calls(classes, callers)
 
     def owner(name: "str | None") -> "str | None":
         """The class up the (single-inheritance) chain that declares the constructor."""
@@ -217,3 +222,18 @@ def test_every_option_is_set_by_some_caller():
     stale = sorted(set(OPTION_ALLOWED) - set(unset))
     assert not stale, f"allow-list entries that are gone or now have a caller: {stale}"
     assert len(OPTION_ALLOWED) <= 15
+
+
+#: Options only a test sets (the scan without ``tests/`` minus the scan with
+#: it).  The count may fall, never rise: a new option needs a caller in the
+#: program, and one that loses its last such caller goes or becomes a constant.
+TEST_ONLY_OPTIONS = 43
+
+
+def test_options_set_only_by_tests_do_not_grow():
+    _, unset = _option_scan()
+    _, unset_by_program = _option_scan(CALLERS[:-1])
+    test_only = sorted(set(unset_by_program) - set(unset))
+    assert len(test_only) <= TEST_ONLY_OPTIONS, (
+        f"{len(test_only)} options are set only by tests "
+        f"(at most {TEST_ONLY_OPTIONS}): {test_only}")
