@@ -38,8 +38,8 @@ from __future__ import annotations
 import glob
 import tempfile
 
-from repro.fleet import FleetConfig, FleetController, FleetReplay, \
-    FleetRetrainController
+from repro.fleet import FleetConfig, FleetController, FleetRetrainController
+from repro.monitor import TraceReplay
 from repro.retrain import RetrainConfig
 from repro.serve import Outage, ServeConfig
 from repro.serve.loadgen import make_load
@@ -98,8 +98,8 @@ def main() -> None:
         # ---------------------------------------------------------------- #
         # 4. Replay: the logs alone rebuild and verify the whole run.
         # ---------------------------------------------------------------- #
-        print("\n== 3. fleet replay from per-shard logs ==")
-        replay = FleetReplay.from_logs(logs)
+        print("\n== 3. replay from per-shard logs ==")
+        replay = TraceReplay.from_logs(logs)
         re_stats = replay.replay(stack=controller.stack)
         problems = replay.verify(re_stats)
         print(f"  replayed {re_stats.arrived} arrivals across "

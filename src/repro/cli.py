@@ -39,10 +39,6 @@ Commands
     (consistent-hash or load-aware routing, replicate or family
     partition) and summarize the merged fleet outcome.
     ``--telemetry jsonl`` writes one replayable log per shard.
-``fleet replay``
-    Rebuild a whole fleet run from its per-shard JSONL logs, re-drive
-    it (router included), and verify counters, routing determinism and
-    conservation.
 ``monitor``
     Render a monitoring snapshot (Prometheus text exposition + alert
     listing) from a JSONL telemetry run log.  Repeat ``--log`` to merge
@@ -50,7 +46,9 @@ Commands
 ``replay``
     Deterministically re-drive a serving run from its JSONL log and
     verify the replay against the logged final counters (including the
-    hot-swap digest sequence for retrain-enabled runs).
+    hot-swap digest sequence for retrain-enabled runs).  Repeat
+    ``--log`` once per shard to rebuild a whole fleet run (router
+    included) and verify routing determinism and conservation too.
 ``retrain``
     Offline closed-loop retraining: re-drive a logged run with the
     retraining controller attached and persist the resulting checkpoint
@@ -267,15 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(routing decision included; stitch with "
                              "'repro trace show --log s0 --log s1 ...')")
 
-    p_freplay = fleet_sub.add_parser(
-        "replay", help="re-drive a fleet run from its per-shard JSONL logs")
-    p_freplay.add_argument("--log", required=True, action="append",
-                           metavar="PATH",
-                           help="per-shard run log (repeat once per shard)")
-    p_freplay.add_argument("--registry", default=None, metavar="DIR",
-                           help="original checkpoint registry (required when "
-                                "the logs contain fleet hot-swaps)")
-
     p_mon = sub.add_parser("monitor",
                            help="monitoring snapshot from JSONL run log(s)")
     p_mon.add_argument("--log", required=True, action="append", metavar="PATH",
@@ -286,13 +275,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the Prometheus text exposition here "
                             "(default: print to stdout)")
 
-    p_replay = sub.add_parser("replay",
-                              help="re-drive a serving run from its JSONL log")
-    p_replay.add_argument("--log", required=True, metavar="PATH",
-                          help="run log written by "
-                               "'repro serve run --telemetry jsonl'")
+    p_replay = sub.add_parser(
+        "replay", help="re-drive a serving run, or a whole fleet run, from "
+                       "its JSONL log(s)")
+    p_replay.add_argument("--log", required=True, action="append",
+                          metavar="PATH",
+                          help="run log written by 'repro serve run "
+                               "--telemetry jsonl' (repeat once per shard "
+                               "to replay a fleet run)")
+    p_replay.add_argument("--registry", default=None, metavar="DIR",
+                          help="original checkpoint registry (required when "
+                               "the log(s) contain schedule-driven hot-swaps)")
     p_replay.add_argument("--monitor", action="store_true",
-                          help="attach the quality monitor during the replay")
+                          help="attach the quality monitor during the replay "
+                               "(one log only)")
     p_replay.add_argument("--alerts-out", default=None, metavar="PATH",
                           help="write the replay monitor's alert log (JSONL)")
     p_replay.add_argument("--telemetry", choices=["off", "summary", "jsonl"],
@@ -394,7 +390,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print(f"wrote {args.output}: {trace.n_tasks} tasks x "
               f"{trace.n_clusters} clusters")
         return 0
-    journeys = _journeys_from_logs(args.log)
+    from repro.telemetry.journey import stitch_journeys
+    from repro.telemetry.jsonl import load_run
+
+    journeys = stitch_journeys(load_run(path) for path in args.log)
     if not journeys:
         print("no journeys in the given log(s) — was the run started with "
               "--journeys (journey_sample > 0)?", file=sys.stderr)
@@ -404,13 +403,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.trace_command == "top":
         return _trace_top(args.slowest, journeys)
     return _trace_grep(args.state, journeys)
-
-
-def _journeys_from_logs(paths) -> "dict[str, list[dict]]":
-    """All journeys across the given logs, shard-stamped and stitched."""
-    from repro.telemetry.journey import stitch_journeys
-
-    return stitch_journeys(paths)
 
 
 def _journey_wait(events: "list[dict]") -> float:
@@ -679,35 +671,6 @@ def _print_retrain_outcome(controller, registry, stats) -> None:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    if args.fleet_command == "replay":
-        from repro.fleet import FleetReplay
-
-        try:
-            replay = FleetReplay.from_logs(args.log)
-        except ValueError as exc:
-            print(f"cannot replay fleet: {exc}", file=sys.stderr)
-            return 2
-        n_arrivals = len(replay.merged_arrivals())
-        print(f"replaying {n_arrivals} arrivals across "
-              f"{replay.config.n_shards} shard(s) from {len(args.log)} "
-              "log(s) ...")
-        try:
-            stats = replay.replay(registry_root=args.registry)
-        except ValueError as exc:
-            print(f"fleet replay refused: {exc}", file=sys.stderr)
-            return 2
-        print(stats.summary())
-        problems = replay.verify(stats)
-        if problems:
-            print("fleet replay verification FAILED:", file=sys.stderr)
-            for p in problems:
-                print(f"  {p}", file=sys.stderr)
-            return 1
-        print("fleet replay verified: per-shard counters, routing "
-              "determinism and fleet conservation match the logs")
-        return 0
-
-    # fleet run
     from repro.fleet import FleetConfig, FleetController
     from repro.utils.rng import as_generator
 
@@ -741,7 +704,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         out = controller.write_flamegraph(args.flamegraph)
         print(f"wrote {out} (collapsed stacks: speedscope / flamegraph.pl)")
     if args.telemetry == "jsonl":
-        print("per-shard logs replay with: repro fleet replay "
+        print("per-shard logs replay with: repro replay "
               "--log <s0.jsonl> --log <s1.jsonl> ...")
     return 0
 
@@ -783,17 +746,24 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     from repro.telemetry import recording
 
     try:
-        replay = TraceReplay.from_log(args.log)
+        replay = TraceReplay.from_logs(args.log)
     except ValueError as exc:
         print(f"cannot replay: {exc}", file=sys.stderr)
         return 2
     monitor = QualityMonitor() if args.monitor or args.alerts_out else None
-    callbacks = [monitor] if monitor else None
+    source = (f"{len(replay.shards)} shard logs" if replay.shards
+              else args.log[0])
     print(f"replaying {len(replay.arrivals)} arrivals "
-          f"({len(replay.outages)} outage(s)) from {args.log} ...")
-    with recording(mode=args.telemetry, run="serve-replay",
-                   meta={"serve": replay.params, "replay_of": str(args.log)}):
-        stats = replay.replay(callbacks=callbacks)
+          f"({len(replay.outages)} outage(s)) from {source} ...")
+    try:
+        with recording(mode=args.telemetry, run="serve-replay",
+                       meta={"serve": replay.params,
+                             "replay_of": " ".join(args.log)}):
+            stats = replay.replay(callbacks=[monitor] if monitor else None,
+                                  registry_root=args.registry)
+    except ValueError as exc:
+        print(f"cannot replay: {exc}", file=sys.stderr)
+        return 2
     print(stats.summary())
     if monitor is not None:
         summary = monitor.summary()
@@ -810,8 +780,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         for p in problems:
             print(f"  {p}", file=sys.stderr)
         return 1
-    print("replay verified: counters, conservation identity and hot-swap "
-          "digests match the log")
+    print("replay verified: " + (
+        "per-shard counters, routing determinism and fleet conservation "
+        "match the logs" if replay.shards else
+        "counters, conservation identity and hot-swap digests match the log"))
     return 0
 
 
@@ -821,7 +793,7 @@ def _cmd_retrain(args: argparse.Namespace) -> int:
     from repro.serve import build_platform
 
     try:
-        replay = TraceReplay.from_log(args.log)
+        replay = TraceReplay.from_logs([args.log])
     except ValueError as exc:
         print(f"cannot retrain from log: {exc}", file=sys.stderr)
         return 2

@@ -8,13 +8,12 @@ merged event trace reproduces byte-for-byte from a seed.
 :class:`FleetRetrainController` closes the learning loop fleet-wide —
 pooled labels, one candidate, a per-shard canary panel, same-epoch
 hot-swap with one weights digest, and an any-shard-degraded rollback.
-:class:`FleetReplay` rebuilds and verifies a whole fleet run from its
-per-shard JSONL logs.
+:class:`repro.monitor.TraceReplay` rebuilds and verifies a whole fleet
+run from its per-shard JSONL logs.
 """
 
 from repro.fleet.config import PARTITIONS, FleetConfig
 from repro.fleet.controller import FleetController, FleetStats
-from repro.fleet.replay import FleetReplay
 from repro.fleet.retrain import FleetRetrainController, FleetRetrainOutcome
 from repro.fleet.router import (
     ROUTING_POLICIES,
@@ -30,7 +29,6 @@ __all__ = [
     "PARTITIONS",
     "FleetController",
     "FleetStats",
-    "FleetReplay",
     "FleetRetrainController",
     "FleetRetrainOutcome",
     "HashRing",

@@ -50,7 +50,24 @@ from repro.serve.dispatcher import Dispatcher, Outage, ServeStats
 from repro.telemetry import recording
 from repro.workloads.taskpool import Task
 
-__all__ = ["FleetStats", "FleetController"]
+__all__ = ["FleetStats", "FleetController", "common_swaps"]
+
+
+def common_swaps(per_shard: "list[list[dict]]") -> "list[dict]":
+    """The one hot-swap sequence every shard applied (or logged).
+
+    Every shard must show the *same* swaps — same window (epoch), same
+    version, same weights digest, same reason — or a ``ValueError``
+    pinpoints the divergence.  Returns one dict of those four keys per
+    fleet-wide swap.
+    """
+    seqs = [[{k: ev.get(k) for k in ("window", "version", "digest", "reason")}
+             for ev in swaps] for swaps in per_shard]
+    for sid, seq in enumerate(seqs[1:], start=1):
+        if seq != seqs[0]:
+            raise ValueError(f"fleet swap divergence: shard 0 applied "
+                             f"{seqs[0]}, shard {sid} applied {seq}")
+    return seqs[0] if seqs else []
 
 
 @dataclass
@@ -156,22 +173,9 @@ class FleetStats:
         return hashlib.sha256(self.trace_bytes()).hexdigest()
 
     def fleet_swaps(self) -> "list[dict]":
-        """The fleet-wide hot-swap sequence, verified consistent.
-
-        Every shard must have applied the *same* swaps — same window
-        (epoch), same version, same weights digest, same reason — or a
-        ``ValueError`` pinpoints the divergence.  Returns the common
-        sequence (one dict per fleet-wide swap).
-        """
-        if not self.per_shard:
-            return []
-        reference = self.per_shard[0].swap_events
-        for sid, stats in enumerate(self.per_shard[1:], start=1):
-            if stats.swap_events != reference:
-                raise ValueError(
-                    f"fleet swap divergence: shard 0 applied {reference}, "
-                    f"shard {sid} applied {stats.swap_events}")
-        return [dict(ev) for ev in reference]
+        """The fleet-wide hot-swap sequence, verified consistent
+        (:func:`common_swaps` over every shard's applied swaps)."""
+        return common_swaps([s.swap_events for s in self.per_shard])
 
     def summary(self) -> str:
         lat = np.concatenate(

@@ -41,16 +41,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.fleet.config import FleetConfig
 from repro.fleet.controller import FleetController, FleetStats
 from repro.retrain.buffer import ReplayBuffer
 from repro.retrain.harvest import WindowHarvester
 from repro.retrain.loop import (
-    GUARD_RATIO,
     RetrainConfig,
     _bootstrap_registry,
+    _guard_verdict,
     _pairs_of_method,
     build_refit,
 )
@@ -59,26 +57,6 @@ from repro.serve.registry import ModelRegistry
 from repro.utils.rng import as_generator
 
 __all__ = ["FleetRetrainController", "FleetRetrainOutcome"]
-
-
-def _guard_verdict(window_mse: "list[tuple[int, float]]", swap_window: int,
-                   config: RetrainConfig) -> dict:
-    """One shard's post-swap guard: post error vs its pre-swap baseline.
-
-    Baseline is the mean served MSE over the last ``guard_windows``
-    windows *before* the swap epoch; post is the first ``guard_windows``
-    windows served by the new weights.  A shard with no post-swap
-    evidence abstains (cannot be degraded).
-    """
-    pre = [m for w, m in window_mse if w < swap_window][-config.guard_windows:]
-    post = [m for w, m in window_mse if w >= swap_window][:config.guard_windows]
-    baseline = float(np.mean(pre)) if pre else float("nan")
-    post_mse = float(np.mean(post)) if post else float("nan")
-    degraded = bool(
-        np.isfinite(baseline) and baseline > 0 and np.isfinite(post_mse)
-        and post_mse > GUARD_RATIO * baseline)
-    return {"baseline_mse": baseline, "post_mse": post_mse,
-            "n_pre": len(pre), "n_post": len(post), "degraded": degraded}
 
 
 @dataclass

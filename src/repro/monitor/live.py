@@ -223,53 +223,37 @@ def merge_snapshots(snaps: "list[dict]") -> dict:
 def snapshot_from_logs(paths) -> dict:
     """A fleet snapshot from JSONL run logs instead of live endpoints.
 
-    The offline twin of merging ``/snapshot`` scrapes: per-shard logs of
-    a finished (or crashed) fleet run rebuild the same dashboard payload
-    ``repro serve top --log`` renders.  Lossless by the same argument —
-    shard-labeled series merge by full series key.  Each log is read
-    once; beyond the metric aggregate this also folds any
-    ``journey_exemplars`` events into one fleet exemplar payload and
-    collects shard identities from the meta headers, so a truncated log
-    whose metric lines were lost (the recorder writes them *last*) still
-    contributes its shard to the dashboard's per-shard table.
+    The offline twin of merging ``/snapshot`` scrapes: each log of a
+    finished (or crashed) run becomes the snapshot its run would have
+    served — metric aggregate, status, its ``journey_exemplars``
+    payload, and its shard identity from the meta header — and
+    :func:`merge_snapshots` folds them into the payload ``repro serve
+    top --log`` renders.  Lossless by the same argument (shard-labeled
+    series merge by full series key), and a truncated log whose metric
+    lines were lost (the recorder writes them *last*) still contributes
+    its shard to the dashboard's per-shard table.
     """
     from pathlib import Path
 
     from repro.telemetry.journey import EXEMPLAR_EVENT, merge_exemplar_payloads
-    from repro.telemetry.jsonl import aggregate_events, load_run, meta_of
+    from repro.telemetry.jsonl import aggregate_events, load_run, meta_of, shard_of
 
-    paths = list(paths)
-    if not paths:
-        raise ValueError("no run logs given")
-    aggs: "list[dict]" = []
-    exemplars: "list[dict]" = []
-    shards_seen: "list[str]" = []
+    snaps: "list[dict]" = []
     for p in paths:
         events = load_run(p)
-        aggs.append(aggregate_events(events))
-        meta = meta_of(events)
-        shard = (meta.get("labels", {}).get("shard")
-                 if isinstance(meta.get("labels"), dict) else None)
-        if shard is None and isinstance(meta.get("serve"), dict):
-            shard = meta["serve"].get("shard")
-        if shard is not None and str(shard) not in shards_seen:
-            shards_seen.append(str(shard))
-        for ev in events:
-            if ev.get("type") == "event" and ev.get("name") == EXEMPLAR_EVENT:
-                exemplars.append(ev)
-    agg = merge_aggregates(aggs)
-    snap = {
-        "time": time.time(),
-        "aggregate": agg,
-        "status": _status_from_aggregate(agg),
-        "run": " + ".join(Path(p).stem for p in paths),
-        "merged_from": len(paths),
-    }
-    if exemplars:
-        snap["journeys"] = merge_exemplar_payloads(exemplars)
-    if shards_seen:
-        snap["shards_seen"] = shards_seen
-    return snap
+        agg = aggregate_events(events)
+        snap = {"time": time.time(), "aggregate": agg,
+                "status": _status_from_aggregate(agg), "run": Path(p).stem}
+        exemplars = merge_exemplar_payloads(
+            ev for ev in events
+            if ev.get("type") == "event" and ev.get("name") == EXEMPLAR_EVENT)
+        if exemplars:
+            snap["journeys"] = exemplars
+        shard = shard_of(meta_of(events))
+        if shard is not None:
+            snap["shards_seen"] = [shard]
+        snaps.append(snap)
+    return merge_snapshots(snaps)
 
 
 def _scrape_aggregate(snap: dict) -> dict:

@@ -1,4 +1,4 @@
-"""Deterministic trace replay from a JSONL serving run log.
+"""Deterministic trace replay from JSONL serving run logs.
 
 A ``repro serve run --telemetry jsonl`` run leaves breadcrumb event
 streams in its log — ``serve/arrival`` (exact arrival hour + task id),
@@ -24,8 +24,17 @@ description of the run:
   scratch registry) and must regenerate checkpoints with the **same
   weights digests** at the **same windows** — which :meth:`TraceReplay.
   verify` checks against the logged breadcrumbs.  Only runs whose swaps
-  came from an *external* ``swap_schedule`` remain non-replayable: their
-  checkpoints live outside the log.
+  came from an *external* ``swap_schedule`` need more than the log: the
+  original registry their checkpoints live in.
+
+A fleet run (``FleetController.run(..., telemetry="jsonl")``) leaves one
+such log per shard, each carrying the fleet parameters in
+``meta["fleet"]``.  Given the whole shard set, the per-shard arrival
+streams merge (sorted by ``(hour, task_id)``; routing partitioned them,
+so the merge is exact), the fleet — router included — re-drives through
+:class:`repro.fleet.FleetController`, and :meth:`TraceReplay.verify`
+adds routing determinism, fleet conservation and the stitched-journey
+audit to every shard's own checks.
 """
 
 from __future__ import annotations
@@ -34,18 +43,12 @@ import tempfile
 from contextlib import nullcontext
 from pathlib import Path
 
+from repro.fleet.config import FleetConfig
+from repro.fleet.controller import FleetController, common_swaps
 from repro.serve.config import ServeConfig
-from repro.serve.config import build_platform as _build_platform
-from repro.serve.config import build_stack as _build_stack
-from repro.serve.dispatcher import (
-    RUN_STAT_FIELDS,
-    Dispatcher,
-    Outage,
-    ServeCallback,
-    ServeStats,
-)
+from repro.serve.dispatcher import RUN_STAT_FIELDS, Dispatcher, Outage, ServeCallback
 from repro.serve.registry import ModelRegistry
-from repro.telemetry.jsonl import load_run, meta_of
+from repro.telemetry.jsonl import load_run, meta_of, shard_of
 from repro.workloads.taskpool import Task, TaskPool
 
 __all__ = ["TraceReplay", "swap_schedule"]
@@ -89,7 +92,8 @@ def swap_schedule(swaps: "list[dict]", registry_root: "str | None"):
 
 
 class TraceReplay:
-    """Reconstruct and re-drive one serving run from its JSONL log."""
+    """Reconstruct and re-drive one serving run — one dispatcher's log, or
+    every shard log of one fleet run."""
 
     def __init__(self, params: dict, arrivals: "list[tuple[float, int]]",
                  outages: "list[Outage]", run_stats: "dict | None",
@@ -104,16 +108,18 @@ class TraceReplay:
         #: Raw ``journey`` event lines from the log (empty for
         #: journey-free runs).  Grouped on demand by :meth:`journeys`.
         self._journey_events: "list[dict]" = []
+        #: A fleet's one-log replays by shard id, and the fleet's
+        #: config; ``{}`` and ``None`` for one dispatcher's log.
+        self.shards: "dict[int, TraceReplay]" = {}
+        self.fleet: "FleetConfig | None" = None
 
     @classmethod
-    def parse(cls, path: "str | Path") -> "TraceReplay":
-        """Parse one run log's meta header and breadcrumb streams.
+    def _parse(cls, path: "str | Path") -> "TraceReplay":
+        """One run log's meta header and breadcrumb streams.
 
-        The one run-log parser: :meth:`from_log` adds the "has arrivals"
-        requirement on top, :class:`repro.fleet.FleetReplay` loads every
-        shard log through it as is (a shard that routed zero arrivals is
-        a legitimate slice of a fleet run).  Raises ``ValueError`` when
-        the meta header is not a serving run's.
+        Accepts a log with no arrivals (a shard that routed none is a
+        legitimate slice of a fleet run); raises ``ValueError`` when the
+        meta header is not a serving run's.
         """
         events = load_run(path)
         meta = meta_of(events)
@@ -153,11 +159,57 @@ class TraceReplay:
         return replay
 
     @classmethod
-    def from_log(cls, path: "str | Path") -> "TraceReplay":
-        """Parse a run log; raises ``ValueError`` when it is not replayable."""
-        replay = cls.parse(path)
-        if not replay.arrivals:
-            raise ValueError(f"{path}: no serve/arrival events — nothing to replay")
+    def from_logs(cls, paths) -> "TraceReplay":
+        """Parse one run log, or every shard log of one fleet run.
+
+        One log replays as its dispatcher's run (a lone shard log of a
+        fleet included) and must carry ``serve/arrival`` events.  Two or
+        more must be one fleet's complete shard set: the same
+        ``meta["fleet"]`` on every log and exactly one log per shard
+        ``0..n_shards-1``.  Raises ``ValueError`` when the log(s) cannot
+        be replayed.
+        """
+        paths = list(paths)
+        if not paths:
+            raise ValueError("no run logs given")
+        logs = [cls._parse(path) for path in paths]
+        if len(logs) == 1:
+            if not logs[0].arrivals:
+                raise ValueError(
+                    f"{paths[0]}: no serve/arrival events — nothing to replay")
+            return logs[0]
+        fleet_params = logs[0].meta.get("fleet")
+        shards: "dict[int, TraceReplay]" = {}
+        for path, log in zip(paths, logs):
+            if not isinstance(log.meta.get("fleet"), dict):
+                raise ValueError(
+                    f"{path}: meta header has no 'fleet' parameter dict — was "
+                    "this log written by FleetController.run(telemetry=...)?")
+            if log.meta["fleet"] != fleet_params:
+                raise ValueError(
+                    f"{path}: fleet params differ from the other shard logs "
+                    "— these logs are not from one fleet run")
+            shard = shard_of(log.meta)
+            if shard is None:
+                raise ValueError(f"{path}: serve params carry no shard identity")
+            if int(shard) in shards:
+                raise ValueError(f"{path}: duplicate log for shard {shard}")
+            shards[int(shard)] = log
+        fleet = FleetConfig.from_params(fleet_params)
+        if set(shards) != set(range(fleet.n_shards)):
+            raise ValueError(
+                f"fleet of {fleet.n_shards} shards needs logs for shards "
+                f"{list(range(fleet.n_shards))}, got {sorted(shards)}")
+        shards = dict(sorted(shards.items()))
+        # Replicated partitions deliver each outage to every shard, so
+        # the logs repeat them; identity is (cluster_id, start, end).
+        outages = sorted({o for log in shards.values() for o in log.outages},
+                         key=lambda o: (o.start, o.cluster_id, o.end))
+        replay = cls(fleet.serve.to_params(),
+                     sorted(p for log in shards.values() for p in log.arrivals),
+                     outages, None, {"fleet": fleet_params})
+        replay.shards, replay.fleet = shards, fleet
+        replay._swaps = common_swaps([log._swaps for log in shards.values()])
         return replay
 
     # ------------------------------------------------------------------ #
@@ -173,19 +225,29 @@ class TraceReplay:
         return float(self.params.get("journey_sample", 0.0))
 
     def journeys(self) -> "dict[str, list[dict]]":
-        """Logged task journeys grouped by trace ID, in causal order."""
-        from repro.telemetry.journey import journeys_from_events
+        """Logged task journeys grouped by trace ID, in causal order.
 
-        return journeys_from_events(self._journey_events)
+        A fleet's are stitched across its shard logs, every event
+        stamped with the shard that logged it.
+        """
+        from repro.telemetry.journey import journeys_from_events, stitch_journeys
+
+        if not self.shards:
+            return journeys_from_events(self._journey_events)
+        return stitch_journeys([[log.meta, *log._journey_events]
+                                for log in self.shards.values()])
 
     def audit_journeys(self) -> "list[str]":
         """Causality audit of the logged journeys (empty = clean).
 
         State-machine transitions, monotone timestamps and trace-ID
-        integrity always; at sampling fraction 1.0 additionally the
-        conservation layer against the logged ``serve/run_stats`` —
-        every admitted task reaches exactly one terminal state and the
-        terminal counts match the run's counters exactly.
+        integrity always; for one dispatcher at sampling fraction 1.0
+        additionally the conservation layer against the logged
+        ``serve/run_stats`` — every admitted task reaches exactly one
+        terminal state and the terminal counts match the run's counters
+        exactly.  For a fleet the stitched journeys must each come from
+        exactly one shard log (conservation runs per shard, in
+        :meth:`verify`).
         """
         from repro.telemetry.journey import audit_journeys
 
@@ -202,8 +264,8 @@ class TraceReplay:
         callbacks: "list[ServeCallback] | None" = None,
         stack=None,
         registry_root: "str | None" = None,
-    ) -> ServeStats:
-        """Re-drive the dispatcher over the logged arrivals.
+    ):
+        """Re-drive the dispatcher — or the whole fleet — over the logged arrivals.
 
         Runs with a retrain section rebuild the *entire* closed loop —
         monitor, controller, and a scratch checkpoint registry (a
@@ -217,35 +279,42 @@ class TraceReplay:
         carry.  For those, ``registry_root`` names the *original*
         registry (or a copy); :func:`swap_schedule` checks it against
         the logged breadcrumbs and the replay re-applies the same swaps
-        at the same windows.  Without ``registry_root`` such logs remain
-        non-replayable.
+        at the same windows — on every shard, for a fleet.
 
-        ``stack`` accepts a prebuilt :func:`repro.serve.build_stack`
-        result so tests replaying one log several times train the
-        predictor once.
+        A fleet re-drives through :class:`repro.fleet.FleetController`
+        and returns its :class:`repro.fleet.FleetStats`; ``callbacks``
+        observe one dispatcher, so a fleet refuses them.  ``stack``
+        accepts a prebuilt :func:`repro.serve.build_stack` result so
+        tests replaying one log several times train the predictor once.
         """
+        from repro.serve.config import build_platform, build_stack
+
+        if self.shards:
+            if callbacks:
+                raise ValueError("callbacks observe one dispatcher — replay "
+                                 "a single log to attach a monitor")
+            registry, schedule = swap_schedule(self._swaps, registry_root)
+            controller = FleetController(self.fleet, stack=stack)
+            return controller.run(self.events(controller.pool),
+                                  outages=self.outages or None,
+                                  swap_schedule=schedule, registry=registry)
         if self.config.retrain is not None:
             scratch = (tempfile.TemporaryDirectory(prefix="replay-registry-")
                        if registry_root is None else nullcontext(registry_root))
             with scratch as root:
-                platform = _build_platform(self.config, stack=stack, registry_root=root)
-                return self._drive(platform.dispatcher, platform.pool,
-                                   list(callbacks or ()))
+                platform = build_platform(self.config, stack=stack, registry_root=root)
+                platform.dispatcher.callbacks.extend(callbacks or ())
+                return platform.run(self.events(platform.pool),
+                                    outages=self.outages)
         registry, schedule = swap_schedule(self._swaps, registry_root)
-        pool, clusters, method, spec, config = stack or _build_stack(self.config)
+        pool, clusters, method, spec, config = stack or build_stack(self.config)
         dispatcher = Dispatcher(clusters, method, spec, config,
                                 registry=registry, swap_schedule=schedule,
                                 callbacks=callbacks)
-        return self._drive(dispatcher, pool, [])
-
-    def _drive(self, dispatcher: Dispatcher, pool: TaskPool,
-               extra_callbacks: "list[ServeCallback]") -> ServeStats:
-        for cb in extra_callbacks:
-            dispatcher.callbacks.append(cb)
         return dispatcher.run(self.events(pool), rng=self.config.seed + 4,
                               outages=self.outages or None)
 
-    def verify(self, stats: ServeStats) -> "list[str]":
+    def verify(self, stats) -> "list[str]":
         """Mismatches between a replay's stats and the logged run's.
 
         Beyond the counter/conservation checks, every applied hot-swap
@@ -253,9 +322,30 @@ class TraceReplay:
         version, same weights digest, same reason — i.e. the replayed
         retraining loop regenerated byte-identical checkpoints.  Logs
         with journeys additionally pass the causality audit
-        (:meth:`audit_journeys`).  Empty list = exact reproduction.
+        (:meth:`audit_journeys`).  A fleet runs those checks per shard
+        against each shard's own log, then routing determinism (the
+        replayed router must send exactly the logged arrival sub-stream
+        to every shard) and fleet conservation.  Empty list = exact
+        reproduction.
         """
         problems: "list[str]" = []
+        if self.shards:
+            if stats.n_shards != self.fleet.n_shards:
+                return [f"shard count: replay {stats.n_shards} != "
+                        f"logged {self.fleet.n_shards}"]
+            for sid, log in self.shards.items():
+                problems.extend(f"shard {sid}: {problem}"
+                                for problem in log.verify(stats.per_shard[sid]))
+                if stats.routes[sid] != log.arrivals:
+                    problems.append(
+                        f"shard {sid}: routing diverged — replay routed "
+                        f"{len(stats.routes[sid])} arrivals, log shows "
+                        f"{len(log.arrivals)} (or different tasks)")
+            if not stats.conserved:
+                problems.append("fleet conservation identity violated in replay")
+            if any(log._journey_events for log in self.shards.values()):
+                problems.extend(self.audit_journeys())
+            return problems
         if not stats.conserved:
             problems.append("conservation identity violated in replay")
         if self._journey_events:

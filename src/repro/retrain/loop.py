@@ -21,8 +21,9 @@ that rides the dispatcher's window stream and closes the learning loop:
    ``canary-rejected`` for audit but the live pointer never moves;
 5. **guard** — for ``guard_windows`` windows after a swap the controller
    watches the served time-prediction error; degradation beyond
-   ``guard_ratio`` × the pre-swap baseline rolls the registry back along
-   the lineage chain and queues a rollback swap.
+   ``GUARD_RATIO`` × the pre-swap baseline (:func:`_guard_verdict`, the
+   rule the fleet controller applies per shard) rolls the registry back
+   along the lineage chain and queues a rollback swap.
 
 Everything the controller does is keyed to simulated time and a config
 seed, so an equal-seed re-run reproduces the identical sequence of
@@ -55,6 +56,26 @@ TRIGGERS = ("drift", "periodic", "both", "manual")
 #: A swap is rolled back when the served error of its guard windows
 #: exceeds this multiple of the pre-swap baseline.
 GUARD_RATIO = 1.5
+
+
+def _guard_verdict(window_mse: "list[tuple[int, float]]", swap_window: int,
+                   config: "RetrainConfig") -> dict:
+    """The post-swap guard: post error vs the pre-swap baseline.
+
+    Baseline is the mean served MSE over the last ``guard_windows``
+    windows *before* the swap epoch; post is the first ``guard_windows``
+    windows served by the new weights.  No post-swap evidence abstains
+    (cannot be degraded).
+    """
+    pre = [m for w, m in window_mse if w < swap_window][-config.guard_windows:]
+    post = [m for w, m in window_mse if w >= swap_window][:config.guard_windows]
+    baseline = float(np.mean(pre)) if pre else float("nan")
+    post_mse = float(np.mean(post)) if post else float("nan")
+    degraded = bool(
+        np.isfinite(baseline) and baseline > 0 and np.isfinite(post_mse)
+        and post_mse > GUARD_RATIO * baseline)
+    return {"baseline_mse": baseline, "post_mse": post_mse,
+            "n_pre": len(pre), "n_post": len(post), "degraded": degraded}
 
 
 @dataclass(frozen=True)
@@ -272,15 +293,6 @@ class RetrainController(ServeCallback):
                       events=[e["kind"] for e in self.events])
 
     # ------------------------------------------------------------------ #
-    # Window bookkeeping.
-    # ------------------------------------------------------------------ #
-
-    def served_mse(self, last: int) -> float:
-        """Mean served time-prediction MSE over the last ``last`` windows."""
-        tail = self.window_errors[-last:]
-        return float(np.mean([m for _, m in tail])) if tail else float("nan")
-
-    # ------------------------------------------------------------------ #
     # Trigger → job.
     # ------------------------------------------------------------------ #
 
@@ -377,9 +389,11 @@ class RetrainController(ServeCallback):
                                   tag=f"refit-{job.mode}", parent=live_version)
         self.registry.set_live(info.version)
         self.dispatcher.request_swap(info.version, reason="retrain")
-        baseline = self.served_mse(cfg.guard_windows)
-        self._guard = {"after_window": snapshot.window, "baseline": baseline,
-                       "collected": [], "version": info.version}
+        baseline = _guard_verdict(self.window_errors, snapshot.window + 1,
+                                  cfg)["baseline_mse"]
+        self._guard = {"after_window": snapshot.window,
+                       "pre_count": len(self.window_errors),
+                       "version": info.version}
         self.state = "guard"
         self.events.append({"kind": "promoted", "window": snapshot.window,
                             "version": info.version, "parent": live_version,
@@ -400,20 +414,15 @@ class RetrainController(ServeCallback):
         cfg = self.config
         # The swap applies at the dispatch *after* the request; only
         # windows served by the new model count toward the verdict.
-        if snapshot.window <= guard["after_window"]:
+        if len(self.window_errors) - guard["pre_count"] < cfg.guard_windows:
             return
-        if self.window_errors and self.window_errors[-1][0] == snapshot.window:
-            guard["collected"].append(self.window_errors[-1][1])
-        if len(guard["collected"]) < cfg.guard_windows:
-            return
-        post = float(np.mean(guard["collected"]))
-        baseline = guard["baseline"]
+        verdict = _guard_verdict(self.window_errors, guard["after_window"] + 1,
+                                 cfg)
+        post, baseline = verdict["post_mse"], verdict["baseline_mse"]
         rec = get_recorder()
-        degraded = (np.isfinite(baseline) and baseline > 0
-                    and post > GUARD_RATIO * baseline)
         self._guard = None
         self.state = "idle"
-        if not degraded:
+        if not verdict["degraded"]:
             self.events.append({"kind": "guard_passed", "window": snapshot.window,
                                 "version": guard["version"], "post_mse": post,
                                 "baseline_mse": baseline})

@@ -185,14 +185,12 @@ class ServeConfig:
         return SolverConfig(tol=self.solver_tol, max_iters=self.solver_max_iters)
 
     def dispatcher_config(self) -> DispatcherConfig:
-        warm = self.warm_start != "off"
         return DispatcherConfig(
             max_batch=self.max_batch,
             max_wait_hours=self.max_wait_hours,
             queue_capacity=self.queue_capacity,
             shed_policy=self.shed_policy,
-            warm_start=warm,
-            memoize_predictions=warm,
+            warm_start=self.warm_start != "off",
             solve_mode=self.solve_mode,
             journey_sample=self.journey_sample,
         )

@@ -119,8 +119,9 @@ class DispatcherConfig:
     dispatch_overhead_hours: float = 0.0
     failures: bool = True
     jitter_std: float = 0.0  # execution-time lognormal jitter (0 = deterministic)
+    #: Seed windows from the last-window cache and memoize predictions
+    #: (:mod:`repro.serve.cache`); both go on and off together.
     warm_start: bool = True
-    memoize_predictions: bool = True
     #: ``"scalar"`` = one dense solve per window (the historical path,
     #: byte-identical traces); ``"blocks"`` = decompose into viability
     #: components and solve them as one batched float32 instance
@@ -411,12 +412,9 @@ class Dispatcher:
         # Explicit None checks: an *empty* cache/memo is falsy (len == 0),
         # so `cache or WarmStartCache()` would discard a caller's instance.
         if not self.config.warm_start:
-            self.cache = None
+            self.cache = self.memo = None
         else:
             self.cache = WarmStartCache() if cache is None else cache
-        if not self.config.memoize_predictions:
-            self.memo = None
-        else:
             self.memo = PredictionMemo() if memo is None else memo
         #: Ground truth per task: its (t, a) columns over ``self.clusters``,
         #: evaluated on first sight.  It lives as long as the memo but is

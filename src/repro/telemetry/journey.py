@@ -310,25 +310,24 @@ def journeys_from_events(events: "Iterable[Mapping]",
     return out
 
 
-def stitch_journeys(paths) -> "dict[str, list[dict]]":
-    """Reassemble task journeys from merged per-shard run logs.
+def stitch_journeys(runs) -> "dict[str, list[dict]]":
+    """Reassemble task journeys from per-shard run logs.
 
-    Each journey lives in exactly one shard's log (the shard that served
-    the task — its ``routed`` event records the ring *home*, which may
-    differ under failover).  Events are stamped with the emitting
-    shard's identity from the log's meta header.  A trace appearing in
-    several logs is kept concatenated (log order per shard) so
-    :func:`audit_journeys` flags the duplication instead of hiding it.
+    ``runs`` are loaded event lists, meta header first
+    (:func:`repro.telemetry.jsonl.load_run`).  Each journey lives in
+    exactly one shard's log (the shard that served the task — its
+    ``routed`` event records the ring *home*, which may differ under
+    failover).  Events are stamped with the emitting shard's identity
+    from the log's meta header.  A trace appearing in several logs is
+    kept concatenated (log order per shard) so :func:`audit_journeys`
+    flags the duplication instead of hiding it.
     """
-    from repro.telemetry.jsonl import load_run, meta_of
+    from repro.telemetry.jsonl import meta_of, shard_of
 
     merged: "dict[str, list[dict]]" = {}
-    for path in paths:
-        events = load_run(path)
-        serve = meta_of(events).get("serve") or {}
-        shard = serve.get("shard")
+    for events in runs:
         for trace, evs in journeys_from_events(
-                events, shard=None if shard is None else str(shard)).items():
+                events, shard=shard_of(meta_of(events))).items():
             merged.setdefault(trace, []).extend(evs)
     return merged
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from repro.telemetry.recorder import SUPPORTED_SCHEMAS
 
-__all__ = ["load_run", "aggregate_events", "meta_of"]
+__all__ = ["load_run", "aggregate_events", "meta_of", "shard_of"]
 
 
 def load_run(path: str | Path) -> list[dict]:
@@ -54,6 +54,15 @@ def load_run(path: str | Path) -> list[dict]:
 def meta_of(events: list[dict]) -> dict:
     """The run-metadata header of a loaded event list."""
     return events[0]
+
+
+def shard_of(meta: dict) -> "str | None":
+    """The shard that wrote a run log: ``labels.shard``, else ``serve.shard``."""
+    labels, serve = meta.get("labels"), meta.get("serve")
+    shard = labels.get("shard") if isinstance(labels, dict) else None
+    if shard is None and isinstance(serve, dict):
+        shard = serve.get("shard")
+    return None if shard is None else str(shard)
 
 
 def aggregate_events(events: list[dict]) -> dict:

@@ -5,7 +5,7 @@ leveling, full-shard outage detection), the fleet controller's core
 invariants (exact stream partition, per-shard conservation, 1-shard
 trace equality with the plain dispatcher, byte-reproducible reruns),
 the merged observability plane (shard-labeled logs summing losslessly,
-snapshot merging), fleet replay, and the fleet-wide hot-swap protocol
+snapshot merging), fleet replay through ``TraceReplay``, and the fleet-wide hot-swap protocol
 (same epoch + same digest on every shard, any-shard-degraded rollback).
 """
 
@@ -18,11 +18,11 @@ import io
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.clusters import make_specialist_pool, shard_pool
 from repro.fleet import (
     FleetConfig,
     FleetController,
-    FleetReplay,
     FleetRetrainController,
     HashRing,
     HashRouter,
@@ -423,11 +423,11 @@ def test_fleet_replay_verifies(stack, tmp_path):
     stats = controller.run(events, outages=outages, telemetry="jsonl",
                            out_dir=tmp_path, run_prefix="fleet-replay")
     logs = sorted(glob.glob(str(tmp_path / "fleet-replay-s*.jsonl")))
-    replay = FleetReplay.from_logs(logs)
-    assert replay.config == cfg
-    assert replay.merged_arrivals() == sorted(
+    replay = TraceReplay.from_logs(logs)
+    assert replay.fleet == cfg
+    assert replay.arrivals == sorted(
         (t, task.task_id) for t, task in events)
-    assert replay.merged_outages() == outages
+    assert replay.outages == outages
     re_stats = replay.replay(stack=stack)
     assert replay.verify(re_stats) == []
     assert re_stats.trace_sha256() == stats.trace_sha256()
@@ -443,10 +443,14 @@ def test_fleet_replay_rejects_mixed_logs(stack, tmp_path):
     FleetController(other, stack=stack).run(
         events, telemetry="jsonl", out_dir=tmp_path / "b", run_prefix="run")
     with pytest.raises(ValueError, match="fleet params differ"):
-        FleetReplay.from_logs([tmp_path / "a" / "run-s0.jsonl",
+        TraceReplay.from_logs([tmp_path / "a" / "run-s0.jsonl",
                                tmp_path / "b" / "run-s1.jsonl"])
+    three = FleetConfig(n_shards=3, serve=SERVE)
+    FleetController(three, stack=stack).run(
+        events, telemetry="jsonl", out_dir=tmp_path / "c", run_prefix="run")
     with pytest.raises(ValueError, match="needs logs for shards"):
-        FleetReplay.from_logs([tmp_path / "a" / "run-s0.jsonl"])
+        TraceReplay.from_logs([tmp_path / "c" / "run-s0.jsonl",
+                               tmp_path / "c" / "run-s2.jsonl"])
 
 
 def test_empty_shard_log_loads_for_fleet_replay_only(stack, tmp_path):
@@ -460,11 +464,11 @@ def test_empty_shard_log_loads_for_fleet_replay_only(stack, tmp_path):
                            run_prefix="lopsided")
     logs = sorted(glob.glob(str(tmp_path / "lopsided-s*.jsonl")))
     (empty,) = [sid for sid, s in enumerate(stats.per_shard) if not s.arrived]
-    replay = FleetReplay.from_logs(logs)
+    replay = TraceReplay.from_logs(logs)
     assert replay.shards[empty].arrivals == []
     assert replay.verify(replay.replay(stack=stack)) == []
     with pytest.raises(ValueError, match="nothing to replay"):
-        TraceReplay.from_log(logs[empty])
+        TraceReplay.from_logs([logs[empty]])
 
 
 def test_changed_checkpoint_fails_both_replays_alike(stack, tmp_path):
@@ -480,12 +484,54 @@ def test_changed_checkpoint_fails_both_replays_alike(stack, tmp_path):
     imposter = ModelRegistry(tmp_path / "imposter")
     imposter.save(build_stack(SERVE.with_overrides(seed=7, train_epochs=1))[2])
     messages = []
-    for replay in (FleetReplay.from_logs(logs), TraceReplay.from_log(logs[0])):
+    for replay in (TraceReplay.from_logs(logs), TraceReplay.from_logs(logs[:1])):
         with pytest.raises(ValueError, match="digest") as exc:
             replay.replay(stack=stack,
                           registry_root=str(tmp_path / "imposter"))
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
+
+
+@pytest.fixture(scope="module")
+def cli_fleet_logs(tmp_path_factory):
+    """Per-shard logs of two small 2-shard fleet runs ('repro fleet run')
+    that differ only in their routing policy."""
+    root = tmp_path_factory.mktemp("cli-fleet")
+    logs = {}
+    for routing in ("hash", "load"):
+        assert main(["fleet", "run", "--shards", "2", "--routing", routing,
+                     "--pool-size", "16", "--rate", "25", "--horizon", "1.5",
+                     "--train-epochs", "4", "--telemetry", "jsonl",
+                     "--out-dir", str(root / routing)]) == 0
+        logs[routing] = sorted(glob.glob(str(root / routing / "fleet-run-s*.jsonl")))
+    return logs
+
+
+def test_cli_replays_a_fleet_from_its_shard_logs(cli_fleet_logs, capsys):
+    capsys.readouterr()
+    argv = ["replay"] + [a for log in cli_fleet_logs["hash"] for a in ("--log", log)]
+    assert main(argv) == 0
+    assert "verified" in capsys.readouterr().out
+
+
+def test_cli_refuses_logs_of_two_fleets(cli_fleet_logs, capsys):
+    capsys.readouterr()
+    assert main(["replay", "--log", cli_fleet_logs["hash"][0],
+                 "--log", cli_fleet_logs["load"][1]]) == 2
+    assert capsys.readouterr().err.startswith("cannot replay")
+
+
+@pytest.mark.parametrize("flag", [["--monitor"], ["--alerts-out", "alerts.jsonl"]])
+def test_cli_fleet_replay_takes_no_monitor(cli_fleet_logs, capsys, flag,
+                                           tmp_path, monkeypatch):
+    """A monitor observes one dispatcher: with several logs it is refused."""
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    argv = ["replay", *flag] + [a for log in cli_fleet_logs["hash"]
+                                for a in ("--log", log)]
+    assert main(argv) == 2
+    assert "one dispatcher" in capsys.readouterr().err
+    assert not (tmp_path / "alerts.jsonl").exists()
 
 
 # --------------------------------------------------------------------- #

@@ -9,7 +9,7 @@ Covers the tracing layer end to end:
   cross-shard consistency, conservation against run counters);
 - byte-identity: journeys on vs. off never perturbs the trace;
 - stitched fleet journeys (every journey opens with its routing
-  decision) and the replay-side audits (TraceReplay / FleetReplay);
+  decision) and the replay-side audits (one log, or a fleet's shard logs);
 - wait-bucket exemplars in /snapshot payloads and ``repro serve top``;
 - the ``repro trace`` CLI (show / top / grep);
 - truncated shard logs: loaders tolerate a trailing partial line,
@@ -27,7 +27,7 @@ from dataclasses import replace
 import pytest
 
 from repro.cli import main
-from repro.fleet import FleetConfig, FleetController, FleetReplay
+from repro.fleet import FleetConfig, FleetController
 from repro.monitor import (
     QualityMonitor,
     TraceReplay,
@@ -320,7 +320,7 @@ def test_shed_journeys_survive_aggressive_sampling(stack, tmp_path, policy):
 
 def test_trace_replay_verify_includes_the_journey_audit(journey_run, stack):
     path, original = journey_run
-    rep = TraceReplay.from_log(path)
+    rep = TraceReplay.from_logs([path])
     assert rep.journey_sample == 1.0
     stats = rep.replay(stack=stack)
     assert rep.verify(stats) == []
@@ -353,7 +353,7 @@ def fleet_run(tmp_path_factory, stack):
 
 def test_fleet_journeys_open_with_routing_and_stitch_cleanly(fleet_run):
     logs, stats = fleet_run
-    journeys = stitch_journeys(logs)
+    journeys = stitch_journeys(load_run(p) for p in logs)
     assert len(journeys) == stats.arrived
     for evs in journeys.values():
         assert evs[0]["state"] == "routed"
@@ -363,7 +363,7 @@ def test_fleet_journeys_open_with_routing_and_stitch_cleanly(fleet_run):
 
 def test_fleet_replay_verify_includes_the_journey_audit(fleet_run, stack):
     logs, _ = fleet_run
-    replay = FleetReplay.from_logs(logs)
+    replay = TraceReplay.from_logs(logs)
     assert replay.audit_journeys() == []
     stats = replay.replay(stack=stack)
     assert replay.verify(stats) == []
@@ -398,6 +398,50 @@ def test_exemplars_merge_and_render_in_top(journey_run):
     journeys = journeys_from_events(load_run(path))
     for b in snap["journeys"]["buckets"]:
         assert b["trace"] in journeys
+
+
+def _ref_snapshot_from_logs(paths) -> dict:
+    """The one-pass log fold ``snapshot_from_logs`` replaced with a fold of
+    per-log snapshots, kept as the reference the dashboard text is held to."""
+    from pathlib import Path
+
+    from repro.monitor.live import _status_from_aggregate
+    from repro.telemetry import merge_aggregates
+    from repro.telemetry.jsonl import aggregate_events, meta_of
+
+    aggs, exemplars, shards_seen = [], [], []
+    for p in paths:
+        events = load_run(p)
+        aggs.append(aggregate_events(events))
+        meta = meta_of(events)
+        shard = (meta.get("labels", {}).get("shard")
+                 if isinstance(meta.get("labels"), dict) else None)
+        if shard is None and isinstance(meta.get("serve"), dict):
+            shard = meta["serve"].get("shard")
+        if shard is not None and str(shard) not in shards_seen:
+            shards_seen.append(str(shard))
+        exemplars += [ev for ev in events if ev.get("type") == "event"
+                      and ev.get("name") == EXEMPLAR_EVENT]
+    agg = merge_aggregates(aggs)
+    snap = {"aggregate": agg, "status": _status_from_aggregate(agg),
+            "run": " + ".join(Path(p).stem for p in paths)}
+    if exemplars:
+        snap["journeys"] = merge_exemplar_payloads(exemplars)
+    if shards_seen:
+        snap["shards_seen"] = shards_seen
+    return snap
+
+
+def test_top_from_logs_renders_like_the_one_pass_fold(journey_run, fleet_run):
+    """One log, one shard log, and a 2-shard fleet's logs render the same
+    dashboard text as before the fold went through merge_snapshots."""
+    path, _ = journey_run
+    logs, _ = fleet_run
+    for paths in ([path], logs[:1], logs):
+        text = render_top(snapshot_from_logs(paths))
+        assert text == render_top(_ref_snapshot_from_logs(paths))
+        assert "wait exemplars" in text
+    assert "shards (2)" in text
 
 
 def test_merge_exemplar_payloads_sums_counts_and_keeps_worst():
@@ -486,7 +530,7 @@ class TestTraceCLI:
                    "--telemetry", "jsonl", "--journeys", "1.0"])
         assert rc == 0
         log = tmp_path / "results" / "telemetry" / "serve-run.jsonl"
-        rep = TraceReplay.from_log(log)
+        rep = TraceReplay.from_logs([log])
         assert rep.journey_sample == 1.0
         assert rep.audit_journeys() == []
         assert main(["trace", "top", "--log", str(log)]) == 0
@@ -540,7 +584,7 @@ class TestTruncatedLogs:
         # Live-recorded spans from BOTH shards survive and merge.
         assert agg["spans"]["serve/solve"]["calls"] > 30
         # Journey lines before the cut still stitch and audit per-journey.
-        journeys = stitch_journeys([intact, broken])
+        journeys = stitch_journeys([load_run(intact), load_run(broken)])
         complete = {t: evs for t, evs in journeys.items()
                     if evs[-1]["state"] in TERMINAL_STATES}
         assert len(complete) > 30

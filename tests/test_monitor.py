@@ -624,7 +624,7 @@ def run_log(tmp_path_factory, replay_stack):
 class TestTraceReplay:
     def test_replay_reproduces_run_exactly(self, run_log, replay_stack):
         path, original = run_log
-        replay = TraceReplay.from_log(path)
+        replay = TraceReplay.from_logs([path])
         stats = replay.replay(stack=replay_stack)
         assert replay.verify(stats) == []
         assert stats.trace_bytes() == original.trace_bytes()
@@ -633,7 +633,7 @@ class TestTraceReplay:
     def test_replay_twice_is_byte_identical_with_same_alerts(
             self, run_log, replay_stack):
         path, _ = run_log
-        replay = TraceReplay.from_log(path)
+        replay = TraceReplay.from_logs([path])
         traces, alert_logs = [], []
         for _ in range(2):
             monitor = QualityMonitor(MonitorConfig(sample_every=2))
@@ -645,7 +645,7 @@ class TestTraceReplay:
 
     def test_monitoring_does_not_change_the_trace(self, run_log, replay_stack):
         path, original = run_log
-        replay = TraceReplay.from_log(path)
+        replay = TraceReplay.from_logs([path])
         monitored = replay.replay(callbacks=[QualityMonitor()],
                                   stack=replay_stack)
         assert monitored.trace_bytes() == original.trace_bytes()
@@ -654,7 +654,7 @@ class TestTraceReplay:
 
     def test_verify_catches_tampered_counters(self, run_log, replay_stack):
         path, _ = run_log
-        replay = TraceReplay.from_log(path)
+        replay = TraceReplay.from_logs([path])
         stats = replay.replay(stack=replay_stack)
         replay.run_stats["completed"] += 1
         problems = replay.verify(stats)
@@ -667,7 +667,7 @@ class TestTraceReplay:
                        stream=io.StringIO()) as rec:
             rec.event("something", x=1)
         with pytest.raises(ValueError, match="serve"):
-            TraceReplay.from_log(tmp_path / "not-serve.jsonl")
+            TraceReplay.from_logs([tmp_path / "not-serve.jsonl"])
         # The command says so in one line and exits 2, like its siblings.
         assert main(["replay", "--log", str(tmp_path / "not-serve.jsonl")]) == 2
         err = capsys.readouterr().err
@@ -679,7 +679,7 @@ class TestTraceReplay:
                        meta={"serve": partial}, stream=io.StringIO()):
             pass
         with pytest.raises(ValueError, match=r"partial\.jsonl.*missing.*warm_start"):
-            TraceReplay.from_log(tmp_path / "partial.jsonl")
+            TraceReplay.from_logs([tmp_path / "partial.jsonl"])
         # A serve dict with a key no field carries (a log another version
         # of the code wrote): refused by file and key, exit code 2.
         foreign = {**REPLAY_PARAMS, "monitor": {"sample_every": 8, "slos": []}}
@@ -687,7 +687,7 @@ class TestTraceReplay:
                        meta={"serve": foreign}, stream=io.StringIO()):
             pass
         with pytest.raises(ValueError, match=r"foreign\.jsonl.*unknown keys \['slos'\]"):
-            TraceReplay.from_log(tmp_path / "foreign.jsonl")
+            TraceReplay.from_logs([tmp_path / "foreign.jsonl"])
         assert main(["replay", "--log", str(tmp_path / "foreign.jsonl")]) == 2
         assert "unknown keys ['slos']" in capsys.readouterr().err
 
@@ -712,7 +712,7 @@ class TestTraceReplay:
                        meta={"serve": REPLAY_PARAMS}, stream=io.StringIO()):
             pass
         with pytest.raises(ValueError, match="nothing to replay"):
-            TraceReplay.from_log(tmp_path / "no-arrivals.jsonl")
+            TraceReplay.from_logs([tmp_path / "no-arrivals.jsonl"])
 
     def test_cli_round_trip(self, tmp_path, monkeypatch, capsys):
         """serve run --telemetry jsonl, then replay + monitor via main()."""
@@ -771,7 +771,7 @@ class TestScheduleSwapReplay:
     def test_without_registry_root_is_rejected(self, swap_run_log,
                                                replay_stack):
         path, _, _ = swap_run_log
-        replay = TraceReplay.from_log(path)
+        replay = TraceReplay.from_logs([path])
         assert replay.swaps and replay.config.retrain is None
         with pytest.raises(ValueError, match="registry_root"):
             replay.replay(stack=replay_stack)
@@ -779,7 +779,7 @@ class TestScheduleSwapReplay:
     def test_registry_root_reapplies_the_logged_swaps(self, swap_run_log,
                                                       replay_stack):
         path, registry_root, original = swap_run_log
-        replay = TraceReplay.from_log(path)
+        replay = TraceReplay.from_logs([path])
         stats = replay.replay(stack=replay_stack,
                               registry_root=str(registry_root))
         assert replay.verify(stats) == []
@@ -789,7 +789,7 @@ class TestScheduleSwapReplay:
     def test_unknown_version_fails_fast(self, swap_run_log, replay_stack,
                                         tmp_path):
         path, _, _ = swap_run_log
-        replay = TraceReplay.from_log(path)
+        replay = TraceReplay.from_logs([path])
         with pytest.raises(ValueError, match="not present"):
             replay.replay(stack=replay_stack, registry_root=str(tmp_path))
 
@@ -803,7 +803,7 @@ class TestScheduleSwapReplay:
         _, _, other_method, _, _ = build_stack(config)
         imposter = ModelRegistry(tmp_path / "imposter")
         imposter.save(other_method, tag="retrained-since")
-        replay = TraceReplay.from_log(path)
+        replay = TraceReplay.from_logs([path])
         with pytest.raises(ValueError, match="digest"):
             replay.replay(stack=replay_stack,
                           registry_root=str(tmp_path / "imposter"))

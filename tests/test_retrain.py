@@ -703,7 +703,7 @@ class TestClosedLoop:
 
     def test_trace_replay_reproduces_retrain_swaps(self, recovery):
         config, platform, stats, root = recovery
-        replay = TraceReplay.from_log(root / "loop.jsonl")
+        replay = TraceReplay.from_logs([root / "loop.jsonl"])
         assert replay.swaps, "log must carry hot-swap breadcrumbs"
         assert replay.config == config.with_overrides(
             registry_root=replay.config.registry_root)

@@ -595,8 +595,7 @@ class TestDispatcher:
         events = _events(pool, rate=40.0, horizon=4.0)
         runs = {}
         for warm in (False, True):
-            cfg = DispatcherConfig(max_batch=8, warm_start=warm,
-                                   memoize_predictions=warm)
+            cfg = DispatcherConfig(max_batch=8, warm_start=warm)
             runs[warm] = _run(stack, events, cfg=cfg)
         cold, warm = runs[False], runs[True]
         assert cold.conserved and warm.conserved
@@ -670,8 +669,7 @@ class TestBlocksServing:
     def test_seed_sources_are_accounted(self, stack):
         pool = stack[0]
         events = _events(pool, rate=40.0, horizon=3.0)
-        cfg = DispatcherConfig(max_batch=8, warm_start=True,
-                               memoize_predictions=True)
+        cfg = DispatcherConfig(max_batch=8, warm_start=True)
         stats = _run(stack, events, cfg=cfg)
         # Every window's opening point is attributed to exactly one source.
         assert sum(stats.seed_sources.values()) == stats.windows
