@@ -21,24 +21,26 @@ Commands
     Run the quickstart end-to-end comparison.
 ``serve run``
     Run the online micro-batching dispatcher over a generated arrival
-    stream and print the serving summary.  ``--retrain`` attaches the
-    closed-loop retraining controller (drift/periodic triggers, canary
-    gate, hot-swap + rollback) against a checkpoint registry.
-    ``--profile`` attaches the stage profiler and prints the latency
-    budget (``--flamegraph`` exports the collapsed-stack profile);
-    ``--metrics-port`` serves live ``/metrics`` + ``/snapshot`` HTTP
-    endpoints during the run (``--metrics-hold`` keeps them up after);
-    ``--shard`` labels every recorded series for fleet aggregation.
+    stream and print the serving summary.  ``--shards N`` (N > 1) routes
+    the stream across N per-shard dispatchers instead (consistent-hash or
+    load-aware ``--routing``, replicate or family ``--partition``) and
+    summarizes the merged fleet outcome; ``--telemetry jsonl`` then
+    writes one replayable log per shard under ``--out-dir``.
+    ``--retrain`` attaches the closed-loop retraining controller
+    (drift/periodic triggers, canary gate, hot-swap + rollback) against
+    a checkpoint registry.  ``--profile`` attaches the stage profiler
+    and prints the latency budget (``--flamegraph`` exports the
+    collapsed-stack profile); ``--metrics-port`` serves live
+    ``/metrics`` + ``/snapshot`` HTTP endpoints during the run
+    (``--metrics-hold`` keeps them up after); ``--shard`` labels every
+    recorded series for fleet aggregation.  The monitor, retrain,
+    metrics and shard-label options observe one dispatcher, so they are
+    refused with ``--shards``.
 ``serve top``
     Terminal dashboard refreshing against one or more ``/snapshot``
     endpoints (several merge into the fleet view with a per-shard
     breakdown; ``--log`` renders from JSONL run logs instead): queue
     depth, seed sources, per-stage latency budgets, SLO burn rates.
-``fleet run``
-    Route one arrival stream across N per-shard dispatchers
-    (consistent-hash or load-aware routing, replicate or family
-    partition) and summarize the merged fleet outcome.
-    ``--telemetry jsonl`` writes one replayable log per shard.
 ``monitor``
     Render a monitoring snapshot (Prometheus text exposition + alert
     listing) from a JSONL telemetry run log.  Repeat ``--log`` to merge
@@ -133,23 +135,38 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_serve = sub.add_parser("serve", help="online serving layer")
     serve_sub = p_serve.add_subparsers(dest="serve_command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--setting", choices=["A", "B", "C"], default="A")
-    common.add_argument("--pattern", choices=["poisson", "bursty", "diurnal"],
-                        default="poisson")
-    common.add_argument("--rate", type=float, default=60.0,
-                        help="mean arrivals per hour")
-    common.add_argument("--horizon", type=float, default=12.0,
-                        help="arrival horizon in hours")
-    common.add_argument("--pool-size", type=int, default=64)
-    common.add_argument("--max-batch", type=int, default=16)
-    common.add_argument("--max-wait", type=float, default=0.25,
-                        help="time trigger: oldest job's max wait (hours)")
-    common.add_argument("--queue-capacity", type=int, default=128)
-    common.add_argument("--seed", type=int, default=0)
-
-    p_run = serve_sub.add_parser("run", parents=[common],
-                                 help="run the dispatcher once and summarize")
+    p_run = serve_sub.add_parser(
+        "run", help="run the dispatcher, or a fleet of N, once and summarize")
+    p_run.add_argument("--setting", choices=["A", "B", "C"], default="A")
+    p_run.add_argument("--pattern", choices=["poisson", "bursty", "diurnal"],
+                       default="poisson")
+    p_run.add_argument("--rate", type=float, default=60.0,
+                       help="mean arrivals per hour")
+    p_run.add_argument("--horizon", type=float, default=12.0,
+                       help="arrival horizon in hours")
+    p_run.add_argument("--pool-size", type=int, default=64)
+    p_run.add_argument("--max-batch", type=int, default=16)
+    p_run.add_argument("--max-wait", type=float, default=0.25,
+                       help="time trigger: oldest job's max wait (hours)")
+    p_run.add_argument("--queue-capacity", type=int, default=128)
+    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--shards", type=int, default=1, metavar="N",
+                       help="route the stream across N dispatcher shards "
+                            "(N > 1 runs a fleet and logs fleet-run-s<k>.jsonl; "
+                            "--monitor, --alerts-out, --retrain, "
+                            "--metrics-port and --shard observe one "
+                            "dispatcher and are refused)")
+    p_run.add_argument("--routing", choices=ROUTING_POLICIES, default="hash",
+                       help="fleet routing: consistent-hash or load-aware")
+    p_run.add_argument("--partition", choices=PARTITIONS, default="replicate",
+                       help="fleet partition: replicate the setting's "
+                            "cluster pool per shard, or family-shard a "
+                            "specialist pool")
+    p_run.add_argument("--pool-m", type=int, default=8,
+                       help="specialist pool size for --partition family")
+    p_run.add_argument("--out-dir", default=None, metavar="DIR",
+                       help="directory of the JSONL run log(s) "
+                            "(default results/telemetry)")
     p_run.add_argument("--shed-policy", choices=SHED_POLICIES, default="reject")
     p_run.add_argument("--warm-start", choices=WARM_STARTS, default="cache",
                        help="window seed source: last-window cache, or cold")
@@ -182,13 +199,15 @@ def build_parser() -> argparse.ArgumentParser:
                             "--retrain; use a fresh directory for replayable "
                             "runs)")
     p_run.add_argument("--telemetry", choices=["off", "summary", "jsonl"],
-                       default="summary")
+                       default="summary",
+                       help="jsonl writes one replayable log per dispatcher")
     p_run.add_argument("--profile", action="store_true",
                        help="attach the stage profiler and print the "
                             "per-window latency budget")
     p_run.add_argument("--flamegraph", default=None, metavar="PATH",
-                       help="write the collapsed-stack profile here "
-                            "(speedscope / flamegraph.pl; implies --profile)")
+                       help="write the collapsed-stack profile here, one "
+                            "shardK root per fleet shard (speedscope / "
+                            "flamegraph.pl; implies --profile)")
     p_run.add_argument("--metrics-port", type=int, default=None, metavar="N",
                        help="serve live /metrics + /snapshot HTTP endpoints "
                             "on this port during the run (0 = ephemeral)")
@@ -198,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "the run drains (for a final scrape / top)")
     p_run.add_argument("--shard", default=None, metavar="ID",
                        help="label every recorded series with shard=ID "
-                            "(fleet runs merge losslessly via "
+                            "(hand-run shards merge losslessly via "
                             "'repro monitor --log a --log b')")
     p_run.add_argument("--instance", default=None, metavar="NAME",
                        help="label every recorded series with instance=NAME "
@@ -207,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="FRACTION",
                        help="per-task journey tracing: keep this fraction of "
                             "uneventful journeys (shed/requeued/long-wait "
-                            "tasks are always kept; query with 'repro trace "
+                            "tasks are always kept; a fleet's open with their "
+                            "routing decision; query with 'repro trace "
                             "show/top/grep')")
 
     p_top = serve_sub.add_parser(
@@ -224,46 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="refresh period in seconds")
     p_top.add_argument("--once", action="store_true",
                        help="render a single frame and exit (scriptable)")
-
-    p_fleet = sub.add_parser("fleet",
-                             help="sharded multi-dispatcher platform")
-    fleet_sub = p_fleet.add_subparsers(dest="fleet_command", required=True)
-    fleet_common = argparse.ArgumentParser(add_help=False)
-    fleet_common.add_argument("--shards", type=int, default=4,
-                              help="number of dispatcher shards")
-    fleet_common.add_argument("--routing", choices=ROUTING_POLICIES,
-                              default="hash",
-                              help="consistent-hash or load-aware routing")
-    fleet_common.add_argument("--partition", choices=PARTITIONS,
-                              default="replicate",
-                              help="replicate the setting's cluster pool per "
-                                   "shard, or family-shard a specialist pool")
-    fleet_common.add_argument("--pool-m", type=int, default=8,
-                              help="specialist pool size for "
-                                   "--partition family")
-
-    p_frun = fleet_sub.add_parser(
-        "run", parents=[common, fleet_common],
-        help="route one arrival stream across N shards and summarize")
-    p_frun.add_argument("--train-epochs", type=int, default=120,
-                        help="TSM predictor training epochs")
-    p_frun.add_argument("--telemetry", choices=["off", "summary", "jsonl"],
-                        default="summary",
-                        help="per-shard recording; jsonl writes one "
-                             "replayable log per shard")
-    p_frun.add_argument("--out-dir", default=None, metavar="DIR",
-                        help="directory for per-shard JSONL logs "
-                             "(default results/telemetry)")
-    p_frun.add_argument("--profile", action="store_true",
-                        help="attach per-shard stage profilers")
-    p_frun.add_argument("--flamegraph", default=None, metavar="PATH",
-                        help="write the merged fleet collapsed-stack "
-                             "profile here (implies --profile)")
-    p_frun.add_argument("--journeys", type=float, default=0.0,
-                        metavar="FRACTION",
-                        help="per-task journey tracing across the fleet "
-                             "(routing decision included; stitch with "
-                             "'repro trace show --log s0 --log s1 ...')")
 
     p_mon = sub.add_parser("monitor",
                            help="monitoring snapshot from JSONL run log(s)")
@@ -505,7 +485,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                    iterations=1 if args.once else None)
 
     # serve run
-    from repro.serve import build_platform
+    from repro.serve import ServeConfig, build_platform
     from repro.telemetry import recording
     from repro.utils.rng import as_generator
 
@@ -530,16 +510,27 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"invalid retrain flags: {exc}", file=sys.stderr)
             return 2
-    config = _serve_config(args).with_overrides(
+    config = ServeConfig(
+        setting=args.setting,
+        pool_size=args.pool_size,
+        seed=args.seed,
+        train_epochs=args.train_epochs,
+        max_batch=args.max_batch,
+        max_wait_hours=args.max_wait,
+        queue_capacity=args.queue_capacity,
         shed_policy=args.shed_policy,
         warm_start=args.warm_start,
         solve_mode=args.solve_mode,
+        profile=args.profile or args.flamegraph is not None,
         monitor=monitor_cfg,
         retrain=retrain_cfg,
         registry_root=args.registry if args.retrain else None,
         shard=args.shard,
         instance=args.instance,
+        journey_sample=args.journeys,
     )
+    if args.shards != 1:
+        return _run_fleet(args, config)
     print(f"training TSM predictors ({args.train_epochs} epochs) ...")
     platform = build_platform(config)
     if platform.registry is not None and len(platform.registry) > 1:
@@ -562,6 +553,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     server = None
     try:
         with recording(mode=args.telemetry, run=run_name,
+                       out_dir=args.out_dir,
                        meta={"serve": config.to_params()},
                        labels=labels) as rec:
             if args.metrics_port is not None:
@@ -629,23 +621,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_config(args: argparse.Namespace):
-    """The :class:`ServeConfig` of the flags ``serve run`` and ``fleet run`` share."""
-    from repro.serve import ServeConfig
-
-    return ServeConfig(
-        setting=args.setting,
-        pool_size=args.pool_size,
-        seed=args.seed,
-        train_epochs=args.train_epochs,
-        max_batch=args.max_batch,
-        max_wait_hours=args.max_wait,
-        queue_capacity=args.queue_capacity,
-        profile=args.profile or args.flamegraph is not None,
-        journey_sample=args.journeys,
-    )
-
-
 def _print_retrain_outcome(controller, registry, stats) -> None:
     print(f"retrain: buffer {controller.buffer.stats()}")
     for ev in controller.events:
@@ -670,17 +645,23 @@ def _print_retrain_outcome(controller, registry, stats) -> None:
           f"{stats.swaps} hot-swap(s) applied")
 
 
-def _cmd_fleet(args: argparse.Namespace) -> int:
+def _run_fleet(args: argparse.Namespace, serve) -> int:
+    """``serve run --shards N``: the same stack on N shards behind a router."""
     from repro.fleet import FleetConfig, FleetController
+    from repro.serve.loadgen import make_load
     from repro.utils.rng import as_generator
 
+    if args.metrics_port is not None:
+        print("--metrics-port serves one dispatcher's endpoint; it cannot "
+              "be used with --shards", file=sys.stderr)
+        return 2
     try:
         config = FleetConfig(
             n_shards=args.shards,
             routing=args.routing,
             partition=args.partition,
             pool_m=args.pool_m,
-            serve=_serve_config(args),
+            serve=serve,
         )
     except ValueError as exc:
         print(f"invalid fleet flags: {exc}", file=sys.stderr)
@@ -688,8 +669,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     print(f"training predictors for {config.n_shards} shard(s) "
           f"({config.partition} partition, {args.train_epochs} epochs) ...")
     controller = FleetController(config)
-    from repro.serve.loadgen import make_load
-
     events = make_load(args.pattern, controller.pool, args.rate).draw(
         args.horizon, as_generator(args.seed + 3))
     stats = controller.run(events, telemetry=args.telemetry,
@@ -830,7 +809,6 @@ def main(argv: "list[str] | None" = None) -> int:
         "trace": _cmd_trace,
         "demo": _cmd_demo,
         "serve": _cmd_serve,
-        "fleet": _cmd_fleet,
         "monitor": _cmd_monitor,
         "replay": _cmd_replay,
         "retrain": _cmd_retrain,

@@ -50,6 +50,7 @@ from repro.retrain.loop import (
     _bootstrap_registry,
     _guard_verdict,
     _pairs_of_method,
+    _register_verdict,
     build_refit,
 )
 from repro.retrain.policy import RefitJob
@@ -248,20 +249,14 @@ class FleetRetrainController:
                          "skipped_clusters": list(job.skipped_clusters)}
         promoted, verdicts = self.canary_panel(job, holdout, harvesters)
         outcome.canary = verdicts
-        live_version = self.registry.live()
+        info, live_version = _register_verdict(self.registry, job, promoted,
+                                               cfg)
         if not promoted:
-            info = self.registry.save(job.pairs, config=cfg,
-                                      tag="canary-rejected",
-                                      parent=live_version)
             outcome.verdict = "rejected"
             outcome.version = info.version
             outcome.events.append({"kind": "rejected",
                                    "version": info.version})
             return outcome
-        info = self.registry.save(job.pairs, config=cfg,
-                                  tag=f"refit-{job.mode}",
-                                  parent=live_version)
-        self.registry.set_live(info.version)
         # The swap epoch: mid-run on the least-loaded shard's horizon so
         # every shard has both pre-swap baseline and post-swap evidence.
         min_windows = min((s.windows for s in observe_stats.per_shard

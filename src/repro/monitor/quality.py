@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -105,12 +105,7 @@ class MonitorConfig:
 class QualityMonitor(ServeCallback):
     """Drift + SLO + regret-attribution observer for the serving loop."""
 
-    def __init__(
-        self,
-        config: MonitorConfig | None = None,
-        *,
-        sinks: "Sequence[AlertSink] | None" = None,
-    ) -> None:
+    def __init__(self, config: MonitorConfig | None = None) -> None:
         self.config = cfg = config or MonitorConfig()
         self.attributor = RegretAttributor(
             sample_every=cfg.sample_every, solver_config=cfg.solver_config
@@ -133,7 +128,7 @@ class QualityMonitor(ServeCallback):
         }
         self.slo = SLOMonitor(list(DEFAULT_SLOS))
         self.alerts: "list[Alert]" = []
-        self.sinks: "list[AlertSink]" = list(sinks or ())
+        self.sinks: "list[AlertSink]" = []
         self.sink_errors: "dict[str, int]" = {}
         self.windows_seen = 0
         self.retrain_suggested_at: "list[int]" = []

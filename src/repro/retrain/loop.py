@@ -78,6 +78,23 @@ def _guard_verdict(window_mse: "list[tuple[int, float]]", swap_window: int,
             "n_pre": len(pre), "n_post": len(post), "degraded": degraded}
 
 
+def _register_verdict(registry: ModelRegistry, job: RefitJob, passed: bool,
+                      config: "RetrainConfig", metrics: "dict | None" = None):
+    """The registry side of a canary verdict, with the live version as parent.
+
+    A failed candidate is kept for audit tagged ``canary-rejected`` and
+    the live pointer stays; a passed one is saved as ``refit-{mode}`` and
+    promoted to live.  Returns ``(info, parent)``.
+    """
+    parent = registry.live()
+    tag = f"refit-{job.mode}" if passed else "canary-rejected"
+    info = registry.save(job.pairs, config=config, metrics=metrics, tag=tag,
+                         parent=parent)
+    if passed:
+        registry.set_live(info.version)
+    return info, parent
+
+
 @dataclass(frozen=True)
 class RetrainConfig:
     """Flat, JSON-safe knobs of the closed retraining loop."""
@@ -364,7 +381,6 @@ class RetrainController(ServeCallback):
         metrics = {**decision.metrics(),
                    "refit_steps": float(job.steps_done),
                    "refit_labels": float(job.n_labels)}
-        live_version = self.registry.live()
         self._job = None
         self._holdout = []
         self._cooldown_until = snapshot.window + cfg.cooldown_windows
@@ -373,9 +389,9 @@ class RetrainController(ServeCallback):
                       passed=decision.passed, reasons=list(decision.reasons),
                       **{k: v for k, v in decision.metrics().items()
                          if k != "canary_passed"})
+        info, live_version = _register_verdict(self.registry, job,
+                                               decision.passed, cfg, metrics)
         if not decision.passed:
-            info = self.registry.save(job.pairs, config=cfg, metrics=metrics,
-                                      tag="canary-rejected", parent=live_version)
             self.state = "idle"
             self.events.append({"kind": "rejected", "window": snapshot.window,
                                 "version": info.version,
@@ -385,9 +401,6 @@ class RetrainController(ServeCallback):
                 rec.event("retrain/rejected", window=snapshot.window,
                           version=info.version, reasons=list(decision.reasons))
             return
-        info = self.registry.save(job.pairs, config=cfg, metrics=metrics,
-                                  tag=f"refit-{job.mode}", parent=live_version)
-        self.registry.set_live(info.version)
         self.dispatcher.request_swap(info.version, reason="retrain")
         baseline = _guard_verdict(self.window_errors, snapshot.window + 1,
                                   cfg)["baseline_mse"]

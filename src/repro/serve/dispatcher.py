@@ -117,8 +117,6 @@ class DispatcherConfig:
     #: being decided the dispatcher accepts no new window, so arrivals pile
     #: up — this is what makes overload (and shedding) reachable.
     dispatch_overhead_hours: float = 0.0
-    failures: bool = True
-    jitter_std: float = 0.0  # execution-time lognormal jitter (0 = deterministic)
     #: Seed windows from the last-window cache and memoize predictions
     #: (:mod:`repro.serve.cache`); both go on and off together.
     warm_start: bool = True
@@ -145,8 +143,8 @@ class DispatcherConfig:
         if not 0.0 <= self.journey_sample <= 1.0:
             raise ValueError(
                 f"journey_sample must be in [0, 1], got {self.journey_sample}")
-        if self.dispatch_overhead_hours < 0 or self.jitter_std < 0:
-            raise ValueError("dispatch_overhead_hours and jitter_std must be >= 0")
+        if self.dispatch_overhead_hours < 0:
+            raise ValueError("dispatch_overhead_hours must be >= 0")
         if self.solve_mode not in ("scalar", "blocks"):
             raise ValueError(f"solve_mode must be 'scalar' or 'blocks', "
                              f"got {self.solve_mode!r}")
@@ -285,8 +283,7 @@ class WindowSnapshot:
     ``T_hat``/``A_hat`` are the predicted matrices the decision used —
     ``None`` for methods with a custom ``decide`` override that never
     predicts.  ``realized_hours`` is the *busy* time each job actually
-    occupied its cluster (execution jitter included; truncated for
-    failed jobs), i.e. what a real platform would observe, while
+    occupied its cluster (truncated for failed jobs), i.e. what a real platform would observe, while
     ``T``/``A`` carry the ground-truth expectations.
     """
 
@@ -843,9 +840,7 @@ class ServeLoop:
                 q = w.batch[j]
                 start = max(free_at[cid], now)
                 duration = float(w.T[i, j])
-                if cfg.jitter_std > 0:
-                    duration *= float(np.exp(rng.normal(0.0, cfg.jitter_std)))
-                success = (not cfg.failures) or (rng.random() < float(w.A[i, j]))
+                success = rng.random() < float(w.A[i, j])
                 busy = duration if success else duration * float(rng.uniform(0.05, 0.95))
                 end = start + busy
                 free_at[cid] = end

@@ -90,7 +90,7 @@ class NullStageProfiler:
     def end_window(self) -> None:
         pass
 
-    def observe_sim(self, name: str, hours: float, n: int = 1) -> None:
+    def observe_sim(self, name: str, hours: float) -> None:
         pass
 
 
@@ -170,12 +170,12 @@ class StageProfiler:
         self._windows_attr.append(self._window_attributed)
         self.events_recorded += 1
 
-    def observe_sim(self, name: str, hours: float, n: int = 1) -> None:
+    def observe_sim(self, name: str, hours: float) -> None:
         """Record a simulated-time stage observation (platform hours)."""
         obs = self._sim.get(name)
         if obs is None:
             obs = self._sim[name] = []
-        obs.extend([float(hours)] * n)
+        obs.append(float(hours))
         self.events_recorded += 1
 
     # ------------------------------------------------------------------ #

@@ -492,16 +492,19 @@ def test_changed_checkpoint_fails_both_replays_alike(stack, tmp_path):
     assert messages[0] == messages[1]
 
 
+#: ``serve run --shards 2`` flags of the CLI fleet runs below, minus routing.
+CLI_FLEET = ["serve", "run", "--shards", "2", "--pool-size", "16",
+             "--rate", "25", "--horizon", "1.5", "--train-epochs", "4"]
+
+
 @pytest.fixture(scope="module")
 def cli_fleet_logs(tmp_path_factory):
-    """Per-shard logs of two small 2-shard fleet runs ('repro fleet run')
-    that differ only in their routing policy."""
+    """Per-shard logs of two small 2-shard fleet runs ('repro serve run
+    --shards 2') that differ only in their routing policy."""
     root = tmp_path_factory.mktemp("cli-fleet")
     logs = {}
     for routing in ("hash", "load"):
-        assert main(["fleet", "run", "--shards", "2", "--routing", routing,
-                     "--pool-size", "16", "--rate", "25", "--horizon", "1.5",
-                     "--train-epochs", "4", "--telemetry", "jsonl",
+        assert main([*CLI_FLEET, "--routing", routing, "--telemetry", "jsonl",
                      "--out-dir", str(root / routing)]) == 0
         logs[routing] = sorted(glob.glob(str(root / routing / "fleet-run-s*.jsonl")))
     return logs
@@ -512,6 +515,52 @@ def test_cli_replays_a_fleet_from_its_shard_logs(cli_fleet_logs, capsys):
     argv = ["replay"] + [a for log in cli_fleet_logs["hash"] for a in ("--log", log)]
     assert main(argv) == 0
     assert "verified" in capsys.readouterr().out
+
+
+def test_cli_fleet_logs_replay_to_a_direct_fleet_run(cli_fleet_logs):
+    """``serve run --shards 2`` is ``FleetController.run`` of the config its
+    flags build: the logs replay verified, to the direct run's fleet SHA."""
+    replay = TraceReplay.from_logs(cli_fleet_logs["hash"])
+    replayed = replay.replay()
+    assert replay.verify(replayed) == []
+    config = FleetConfig(n_shards=2,
+                         serve=ServeConfig(pool_size=16, train_epochs=4))
+    assert replay.fleet == config
+    controller = FleetController(config)
+    events = make_load("poisson", controller.pool, 25.0).draw(
+        1.5, as_generator(config.serve.seed + 3))
+    direct = controller.run(events)
+    assert replayed.trace_sha256() == direct.trace_sha256()
+
+
+def test_cli_fleet_subcommand_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fleet", "run"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'fleet'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, reason", [
+    (["--monitor"], "serve.monitor must be None"),
+    (["--alerts-out", "alerts.jsonl"], "serve.monitor must be None"),
+    (["--retrain", "--registry", "registry"], "serve.retrain must be None"),
+    (["--metrics-port", "0"], "--metrics-port serves one dispatcher"),
+    (["--shard", "3"], "serve.shard must be unset"),
+])
+def test_cli_fleet_refuses_single_dispatcher_options(flag, reason, tmp_path,
+                                                     monkeypatch, capsys):
+    """Options that observe one dispatcher exit 2 with ``--shards 2``,
+    before any predictor trains and without writing a file."""
+    def no_training(config):
+        raise AssertionError("build_stack ran")
+
+    monkeypatch.setattr("repro.serve.config.build_stack", no_training)
+    monkeypatch.setattr("repro.fleet.controller.build_stack", no_training)
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main([*CLI_FLEET, *flag, "--telemetry", "jsonl"]) == 2
+    assert reason in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_refuses_logs_of_two_fleets(cli_fleet_logs, capsys):

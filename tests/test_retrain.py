@@ -582,7 +582,9 @@ def _monitored_run(retrain_stack, sinks):
 
     pool, clusters, spec, method = retrain_stack
     monitor = QualityMonitor(MonitorConfig(sample_every=5, time_threshold=0.5,
-                                           time_delta=0.01), sinks=sinks)
+                                           time_delta=0.01))
+    for sink in sinks:
+        monitor.add_sink(sink)
     dispatcher = Dispatcher(clusters, method, spec,
                             DispatcherConfig(max_batch=8, max_wait_hours=0.25,
                                              queue_capacity=64),

@@ -408,8 +408,7 @@ class TestDispatcher:
     def test_soak_replay_is_byte_identical(self, stack):
         pool = stack[0]
         events = _events(pool)
-        cfg = DispatcherConfig(max_batch=8, max_wait_hours=0.2,
-                               jitter_std=0.05)
+        cfg = DispatcherConfig(max_batch=8, max_wait_hours=0.2)
         a = _run(stack, events, cfg=cfg)
         b = _run(stack, events, cfg=cfg)
         assert a.conserved and b.conserved
@@ -435,8 +434,7 @@ class TestDispatcher:
         # ripen time with no cluster up.
         events = [(0.1, t) for t in pool.tasks[:4]] + [(2.5, pool.tasks[4])]
         outages = [Outage(c.cluster_id, start=0.05, end=2.0) for c in clusters]
-        stats = _run(stack, events, cfg=DispatcherConfig(max_batch=8,
-                                                         failures=False),
+        stats = _run(stack, events, cfg=DispatcherConfig(max_batch=8),
                      outages=outages)
         assert stats.conserved and stats.unserved == 0
         _assert_causal(stats)
@@ -477,7 +475,7 @@ class TestDispatcher:
     def test_outage_requeues_without_losing_tasks(self, stack):
         pool, clusters, spec, method = stack
         events = _events(pool, rate=40.0, horizon=2.0)
-        cfg = DispatcherConfig(max_batch=8, failures=False)
+        cfg = DispatcherConfig(max_batch=8)
         base = _run(stack, events, cfg=cfg)
         # Pick a cluster with work dispatched before t=0.6 but still
         # executing then — exactly the jobs a dropout orphans.
@@ -490,8 +488,8 @@ class TestDispatcher:
         assert stats.conserved
         assert stats.unserved == 0
         assert stats.shed == 0
-        # Every arrival completed (failures off): zero tasks lost.
-        assert stats.completed == stats.arrived
+        # Every arrival ran to an outcome: zero tasks lost.
+        assert stats.completed + stats.failed == stats.arrived
         _assert_causal(stats)
         # Nothing runs on the victim during the outage window.
         for r in stats.records:
@@ -509,7 +507,7 @@ class TestDispatcher:
         # before A's now-phantom end time t_a + d0 on the dead cluster.
         t_down, t_up = t_a + 0.5 * d0, t_a + 0.75 * d0
         t_b = t_a + 0.8 * d0
-        cfg = DispatcherConfig(max_batch=1, failures=False)
+        cfg = DispatcherConfig(max_batch=1)
         d = Dispatcher(clusters, first, spec, cfg)
         stats = d.run(
             [(t_a, a), (t_b, b)], rng=0,
@@ -533,7 +531,6 @@ class TestDispatcher:
         cfg = DispatcherConfig(
             max_batch=4, max_wait_hours=0.1, queue_capacity=4,
             shed_policy="drop_oldest", dispatch_overhead_hours=0.25,
-            failures=False,
         )
         base = _run(stack, events, cfg=cfg)
         victims = [r.cluster_id for r in base.records
@@ -548,7 +545,7 @@ class TestDispatcher:
 
     def test_higher_load_increases_waiting(self, stack):
         pool = stack[0]
-        cfg = DispatcherConfig(max_batch=8, failures=False, jitter_std=0.0)
+        cfg = DispatcherConfig(max_batch=8)
         waits = [
             _run(stack, _events(pool, rate=rate, horizon=8.0, seed=5),
                  cfg=cfg).mean_wait_hours

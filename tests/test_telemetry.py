@@ -675,7 +675,8 @@ class TestStageProfiler:
         prof.begin_window()
         with prof.stage("form"):
             pass
-        prof.observe_sim("admission_wait", 0.25, n=3)
+        for _ in range(3):
+            prof.observe_sim("admission_wait", 0.25)
         prof.observe_sim("batch_wait", 0.1)
         prof.end_window()
         budget = prof.budget()
