@@ -1,7 +1,7 @@
 """P1 — micro-benchmarks of the computational kernels.
 
 These quantify the per-call cost of the pieces Eq. (21)'s complexity
-analysis counts: prediction (MLP forward/backward), one Algorithm-1 solve
+analysis counts: prediction (a predictor training step), one Algorithm-1 solve
 (K₁·MN), one KKT adjoint solve, one zeroth-order estimate (S·K₂·MN), plus
 the substrate (embedding, DES round).
 
@@ -30,7 +30,6 @@ from repro.matching import (
 )
 from repro.matching.rounding import round_assignment
 from repro.methods import TSM, MatchSpec
-from repro.nn import MLP, Adam, Tensor, mse_loss
 from repro.serve import Dispatcher
 from repro.sim import simulate_matching
 from repro.telemetry import Recorder
@@ -290,21 +289,20 @@ def test_zero_order_vjp(benchmark, instance):
     assert np.all(np.isfinite(out.dt))
 
 
-def test_mlp_training_step(benchmark):
-    rng = np.random.default_rng(3)
-    X = rng.normal(size=(56, 16))
-    y = rng.normal(size=(56, 1))
-    model = MLP(16, (32, 32), 1, rng=0)
-    opt = Adam(model.parameters(), lr=1e-3)
+def test_refit_step(benchmark):
+    """One :class:`StepwiseTrainer` step at H = 1, the closed loop's unit
+    of retraining: a minibatch of 32 through a (32, 32) time head, its
+    VJP and the Adam update.  Reports µs per step (``extra_info``)."""
+    from repro.predictors import TimePredictor
+    from repro.predictors.training import StepwiseTrainer, TrainConfig
 
-    def step():
-        opt.zero_grad()
-        loss = mse_loss(model(Tensor(X)), y)
-        loss.backward()
-        opt.step()
-        return loss.item()
-
-    assert np.isfinite(benchmark(step))
+    Z = np.stack([t.features for t in TaskPool(64, rng=0).tasks])
+    t = np.exp(np.random.default_rng(1).normal(size=len(Z)) * 0.4)
+    trainer = StepwiseTrainer(TimePredictor(Z.shape[1], (32, 32), rng=0), Z, t,
+                              TrainConfig(epochs=100_000), rng=2)
+    assert np.isfinite(benchmark(trainer.step))
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        benchmark.extra_info["us_per_step"] = 1e6 * benchmark.stats["min"]
 
 
 def test_pretrain_bank(benchmark):

@@ -4,7 +4,8 @@ Resource Exchange Platforms" (MFCP, ICPP '25).
 Subpackages
 -----------
 ``repro.nn``
-    From-scratch NumPy autograd + MLP substrate for the predictors.
+    From-scratch NumPy MLP substrate for the predictors (layers, flat
+    Adam) and the autograd tape their tests hold them to.
 ``repro.workloads``
     DL task specs, operator graphs, feature embedding, task pools.
 ``repro.clusters``

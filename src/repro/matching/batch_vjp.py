@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.matching.batch import BatchProblem, batch_reliability_slack
 from repro.matching.kkt import RIDGE, _equality_jacobian, _solve_saddle
+from repro.telemetry import counter_add
 
 __all__ = ["BatchKKTGradients", "batch_kkt_vjp"]
 
@@ -106,6 +107,7 @@ def batch_kkt_vjp(
     except np.linalg.LinAlgError:
         # A singular instance poisons the whole stacked factorization; fall
         # back to the scalar least-squares-capable path per instance.
+        counter_add("train/kkt_stacked_fallbacks")
         u = np.stack(
             [_solve_saddle(H[b], D, grad_X[b].ravel(), 0.0) for b in range(B)]
         )

@@ -41,6 +41,7 @@ import scipy.linalg
 
 from repro.matching.objectives import barrier_second_derivatives
 from repro.matching.problem import MatchingProblem
+from repro.telemetry import counter_add
 
 __all__ = ["KKTGradients", "kkt_vjp", "kkt_jacobians"]
 
@@ -81,6 +82,7 @@ def _solve_saddle(
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
             sol = scipy.linalg.solve(K, rhs, assume_a="sym")
     except scipy.linalg.LinAlgError:
+        counter_add("train/kkt_lstsq_fallbacks")
         sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
     return sol[:p]
 

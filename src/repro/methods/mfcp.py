@@ -17,12 +17,12 @@ Training pipeline (Fig. 3 / Algorithm 2):
    - ``gradient="analytic"`` (MFCP-AD): KKT adjoint solve, Eq. (15);
    - ``gradient="forward"`` (MFCP-FG): zeroth-order estimation, Alg. 2.
 
-   The prediction gradients are then backpropagated through the predictor
-   networks by the autograd tape, and ω and φ are updated on alternating
-   epochs ("we fix ω when optimizing φ, and fix φ when optimizing ω").
-   The M same-shape heads of a kind are one stacked
+   The prediction gradients are then pulled back through the predictor
+   networks by their hand-written VJP, and ω and φ are updated on
+   alternating epochs ("we fix ω when optimizing φ, and fix φ when
+   optimizing ω").  The M same-shape heads of a kind are one stacked
    :class:`~repro.predictors.models.HeadBank`: one forward before the
-   round's solves, one backward/clip/Adam step after its pullbacks (the
+   round's solves, one VJP/clip/Adam step after its pullbacks (the
    heads are independent, so this is Algorithm 2's per-cluster update).
 
 **Fused batched round**: Algorithm 2's literal per-cluster loop solves M
@@ -69,7 +69,7 @@ from repro.matching.problem import MatchingProblem
 from repro.matching.relaxed import SolverConfig, solve_relaxed
 from repro.matching.zeroth_order import ZeroOrderConfig, zo_vjp, zo_vjp_cross
 from repro.methods.base import HIDDEN, BaseMethod, FitContext
-from repro.nn import Adam, Tensor
+from repro.nn import Adam
 from repro import telemetry
 from repro.predictors.models import HeadBank, PredictorPair, predict_pairs
 from repro.predictors.training import TrainConfig, fit_pairs
@@ -185,12 +185,11 @@ class MFCP(BaseMethod):
         opt_time = Adam(time_bank.params, lr=cfg.lr)
         opt_rel = Adam(rel_bank.params, lr=cfg.lr)
 
-        def update(bank: HeadBank, opt: Adam, out: Tensor, grad: np.ndarray,
+        def update(bank: HeadBank, opt: Adam, saved: list, grad: np.ndarray,
                    clip: bool = True) -> None:
-            opt.zero_grad()
-            out.backward(grad)
+            bank.backward(grad, saved, opt.grads)
             if clip:
-                bank.clip_grad_norm(GRAD_CLIP)
+                bank.clip_grad_norm(GRAD_CLIP, opt.grads)
             opt.step()
 
         n_train = len(ctx.train_tasks)
@@ -230,16 +229,16 @@ class MFCP(BaseMethod):
             # Alg. 2 line 3 for every cluster at once: row i of (t̂, â) is
             # cluster i's prediction of this round.
             with self._phase("optimizer"):
-                t_hat = time_bank.forward(time_bank.prepare(Z))
-                a_hat = rel_bank.forward(rel_bank.prepare(Z))
-            epoch_loss, dts, das = self._round(ctx, Z, t_hat.data, a_hat.data, true_problem)
+                t_hat, t_saved = time_bank.forward(time_bank.prepare(Z))
+                a_hat, a_saved = rel_bank.forward(rel_bank.prepare(Z))
+            epoch_loss, dts, das = self._round(ctx, Z, t_hat, a_hat, true_problem)
             # Heads are independent, so one update after all M pullbacks is
             # the per-cluster update of Algorithm 2.  ω and φ move jointly:
             # §3.3's alternating schedule was no more stable and half as
             # sample-efficient at small budgets (see DESIGN.md).
             with self._phase("optimizer"):
-                update(time_bank, opt_time, t_hat, dts)
-                update(rel_bank, opt_rel, a_hat, das, clip=self._clip_reliability)
+                update(time_bank, opt_time, t_saved, dts)
+                update(rel_bank, opt_rel, a_saved, das, clip=self._clip_reliability)
             score = None
             self.loss_history.append(epoch_loss)
             telemetry.observe("train/epoch_regret_proxy", epoch_loss)

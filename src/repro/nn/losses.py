@@ -1,9 +1,10 @@
 """Loss functions for predictor training.
 
 The two-stage baseline (TSM) minimizes MSE per Eq. (1) of the paper, for
-both heads.  MFCP replaces it with the matching-regret loss built in
-:mod:`repro.methods.mfcp`, which composes tensors directly — the helper
-remains useful there for warm-start pretraining.
+both heads.  The predictor bank forms that loss and its gradient without a
+tape (:meth:`repro.predictors.training.BankTrainer.step`); this is the
+tape's version, which the per-head oracle of ``tests/test_bank_exact.py``
+and the platform benchmark's ``nn`` probe build.
 """
 
 from __future__ import annotations
@@ -15,15 +16,9 @@ from repro.nn.tensor import Tensor, as_tensor
 __all__ = ["mse_loss"]
 
 
-def mse_loss(
-    pred: Tensor, target: "Tensor | np.ndarray", axis: int | None = None
-) -> Tensor:
-    """Mean squared error, Eq. (1): ``(1/n) ||target − pred||²``.
-
-    ``axis=-1`` on stacked ``(H, n)`` predictions gives one loss per row
-    (the :class:`~repro.predictors.models.HeadBank` training step).
-    """
+def mse_loss(pred: Tensor, target: "Tensor | np.ndarray") -> Tensor:
+    """Mean squared error, Eq. (1): ``(1/n) ||target − pred||²``."""
     pred = as_tensor(pred)
     target = as_tensor(target)
     diff = pred - target.detach()
-    return (diff * diff).mean(axis=axis)
+    return (diff * diff).mean()

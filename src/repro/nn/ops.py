@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.nn.functional import sigmoid_np
 from repro.nn.tensor import Tensor, as_tensor
 
 __all__ = [
@@ -44,12 +45,7 @@ def log(x: Tensor) -> Tensor:
 def sigmoid(x: Tensor) -> Tensor:
     """Numerically stable logistic sigmoid."""
     x = as_tensor(x)
-    z = x.data
-    out_data = np.empty_like(z)
-    pos = z >= 0
-    out_data[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out_data[~pos] = ez / (1.0 + ez)
+    out_data = sigmoid_np(x.data)
 
     def backward(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
         return (g * out_data * (1.0 - out_data),)

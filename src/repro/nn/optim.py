@@ -1,8 +1,21 @@
 """The Adam optimizer and gradient clipping.
 
-All optimizers operate on :class:`~repro.nn.layers.Parameter` leaves and
-mutate their raw ``.data`` buffers between graph constructions — each
-training step builds a fresh tape, so in-place parameter updates are safe.
+Adam keeps parameters, moments and gradients each in one flat ``float64``
+buffer, so a step is a handful of whole-buffer operations however many
+arrays it updates.  Its parameters are either
+
+- the tape's :class:`~repro.nn.layers.Parameter` leaves: unless they
+  already are, their arrays are re-pointed to consecutive views of one
+  buffer on construction, and :meth:`Adam.step` first gathers the
+  ``.grad`` each backward pass left on them — safe because each training
+  step builds a fresh tape; or
+- plain arrays that already are consecutive views of one buffer (a
+  :class:`~repro.predictors.models.HeadBank`'s stacks, built by
+  :func:`flatten`), whose gradients the caller writes into
+  :attr:`Adam.grads` before each step.
+
+Elementwise arithmetic does not depend on layout, so the flat step is,
+bit for bit, Adam run array by array.
 """
 
 from __future__ import annotations
@@ -14,78 +27,116 @@ import numpy as np
 from repro.nn.layers import Parameter
 
 __all__ = [
-    "Optimizer",
     "Adam",
     "clip_grad_norm",
+    "flatten",
 ]
-
-
-class Optimizer:
-    """Base optimizer: holds the parameter list and a mutable learning rate."""
-
-    def __init__(self, params: Iterable[Parameter], lr: float) -> None:
-        self.params: list[Parameter] = list(params)
-        if not self.params:
-            raise ValueError("optimizer received no parameters")
-        if lr <= 0:
-            raise ValueError(f"learning rate must be > 0, got {lr}")
-        self.lr = float(lr)
-        self.steps = 0
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
-    def step(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
 
 #: Denominator floor of the Adam update.
 _EPS = 1e-8
 
 
-class Adam(Optimizer):
-    """Adam with bias correction (Kingma & Ba)."""
+def _views(flat: np.ndarray, shapes: "Sequence[tuple[int, ...]]") -> "list[np.ndarray]":
+    """Consecutive views of ``flat``, one per shape, in order."""
+    out, start = [], 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        out.append(flat[start:start + size].reshape(shape))
+        start += size
+    return out
+
+
+def flatten(arrays: "Sequence[np.ndarray]") -> "list[np.ndarray]":
+    """Copies of ``arrays`` as consecutive views of one new flat buffer."""
+    return _views(np.concatenate([np.ravel(a) for a in arrays]), [np.shape(a) for a in arrays])
+
+
+def _flat_base(arrays: "Sequence[np.ndarray]") -> "np.ndarray | None":
+    """The one 1-D buffer ``arrays`` tile in order, or None."""
+    base = arrays[0].base
+    if (base is None or base.ndim != 1 or base.dtype != np.float64
+            or base.size != sum(a.size for a in arrays)):
+        return None
+    start = base.ctypes.data
+    for a in arrays:
+        if a.base is not base or not a.flags.c_contiguous or a.ctypes.data != start:
+            return None
+        start += a.nbytes
+    return base
+
+
+class Adam:
+    """Adam with bias correction (Kingma & Ba) over one flat buffer."""
 
     def __init__(
         self,
-        params: Iterable[Parameter],
+        params: "Iterable[Parameter] | Iterable[np.ndarray]",
         lr: float = 1e-3,
         betas: tuple[float, float] = (0.9, 0.999),
         weight_decay: float = 0.0,
     ) -> None:
-        super().__init__(params, lr)
+        self.params = list(params)
+        if not self.params:
+            raise ValueError("optimizer received no parameters")
+        if lr <= 0:
+            raise ValueError(f"learning rate must be > 0, got {lr}")
         b1, b2 = betas
         if not (0.0 <= b1 < 1.0 and 0.0 <= b2 < 1.0):
             raise ValueError(f"betas must be in [0, 1), got {betas}")
+        self.lr = float(lr)
         self.betas = (float(b1), float(b2))
         self.weight_decay = float(weight_decay)
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        self.steps = 0
+        self._tape = [p for p in self.params if isinstance(p, Parameter)]
+        if self._tape and len(self._tape) != len(self.params):
+            raise ValueError("pass Parameters or arrays, not both")
+        arrays = [p.data for p in self._tape] or self.params
+        shapes = [a.shape for a in arrays]
+        self.data = _flat_base(arrays)
+        if self.data is None:
+            if not self._tape:
+                raise ValueError("arrays must be consecutive views of one buffer (flatten)")
+            for p, view in zip(self._tape, flatten(arrays)):
+                p.data = view
+            self.data = self._tape[0].data.base
+        self.grad = np.zeros_like(self.data)
+        #: Per-parameter views of :attr:`grad`, in ``params`` order.
+        self.grads = _views(self.grad, shapes)
+        self.m = np.zeros_like(self.data)
+        self.v = np.zeros_like(self.data)
+
+    def zero_grad(self) -> None:
+        """Drop the tape's gradients (a caller writing :attr:`grads`
+        overwrites them whole)."""
+        for p in self._tape:
+            p.zero_grad()
 
     def step(self) -> None:
         self.steps += 1
+        if self._tape:
+            if all(p.grad is None for p in self._tape):
+                return  # nothing was backpropagated
+            if any(p.grad is None for p in self._tape):
+                raise ValueError("every parameter needs a gradient")
+            for view, p in zip(self.grads, self._tape):
+                view[...] = p.grad
         b1, b2 = self.betas
         bc1 = 1.0 - b1**self.steps
         bc2 = 1.0 - b2**self.steps
-        for p, m, v in zip(self.params, self._m, self._v):
-            if p.grad is None:
-                continue
-            g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
+        g = self.grad
+        if self.weight_decay:
+            g = g + self.weight_decay * self.data
+        self.m *= b1
+        self.m += (1.0 - b1) * g
+        self.v *= b2
+        self.v += (1.0 - b2) * (g * g)
+        self.data -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + _EPS)
 
 
 def clip_grad_norm(params: "Sequence[Parameter] | Iterable[Parameter]", max_norm: float) -> float:
-    """Rescale gradients so the global L2 norm is at most ``max_norm``.
-
-    Returns the pre-clip norm; used by the MFCP training loop to tame the
-    occasional large zeroth-order estimate.
+    """Rescale the tape's gradients so their global L2 norm is at most
+    ``max_norm``; returns the pre-clip norm.  (The predictor bank clips per
+    head with the same sums: :meth:`~repro.predictors.models.HeadBank.clip_grad_norm`.)
     """
     if max_norm <= 0:
         raise ValueError(f"max_norm must be > 0, got {max_norm}")

@@ -8,13 +8,16 @@ fully connected layers"):
   times (roofline ratios, affinity multipliers) and keeps t̂ > 0;
 - :class:`ReliabilityPredictor` — ``â = σ(h_φ(z))`` ∈ (0, 1).
 
-Both expose a tape-building ``forward`` (for end-to-end regret training)
-and a tape-free ``predict``.
-
-The M clusters' heads share one architecture, so everything that touches
-all of them runs *stacked*: :class:`HeadBank` holds H heads' layers as
-``(H, in, out)`` parameters for training (one tape, one optimizer), and
-:func:`predict_pairs` is the tape-free stacked forward serving uses.
+Every head is the same fixed function — Linear-ReLU-…-Linear and a
+link — so training and inference run it without a tape: one hand-written
+forward (:func:`_forward`) over 2-D weights (``predict``) or ``(H, in,
+out)`` stacks, and its VJP.  The M clusters' heads of a kind train as one
+:class:`HeadBank` (stacked weights in one flat buffer, one
+:class:`~repro.nn.Adam`), and :func:`predict_pairs` is the stacked
+forward serving uses.  Each operation is the tape's, in the tape's order,
+so weights and predictions are bit for bit those of the per-head tape,
+which survives only as ``forward``: the oracle ``tests/test_bank_exact.py``
+holds the bank to.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.nn import MLP, Tensor, no_grad, ops
-from repro.nn.layers import Linear, Module, Parameter
+from repro.nn import MLP, Tensor, flatten, ops
+from repro.nn.functional import sigmoid_np
+from repro.nn.layers import Linear, Module
 from repro.predictors.dataset import Standardizer
 from repro.utils.rng import as_generator
 
@@ -66,19 +70,24 @@ class _Head(Module):
         return Z
 
     def _link(self, raw: Tensor) -> Tensor:
-        """Map the MLP output to the predicted quantity."""
+        """Map the MLP output to the predicted quantity.  Each kind also
+        has it tapeless, the MLP's output module included, as
+        ``_link_np(raw)``, and its pullback ``_link_vjp(g, raw, out)``."""
         return raw
 
     def forward(self, Z: "np.ndarray | Tensor") -> Tensor:
-        """Differentiable prediction: a length-N tensor."""
+        """Differentiable prediction on the tape: a length-N tensor.  Only
+        the per-head oracle of ``tests/test_bank_exact.py`` builds it;
+        training and inference run tapeless (:class:`HeadBank`,
+        :meth:`predict`)."""
         if isinstance(Z, Tensor):
             raise TypeError("pass raw features; the predictor standardizes internally")
         return self._link(self.net(Tensor(self._prep(Z)))).reshape(-1)
 
     def predict(self, Z: np.ndarray) -> np.ndarray:
-        """Tape-free prediction (shape (N,))."""
-        with no_grad():
-            return self.forward(Z).data.copy()
+        """Tapeless prediction (shape (N,))."""
+        layers = [(m.weight.data, m.bias.data) for (m,) in _linears([self])]
+        return _forward(self._link_np, layers, self._prep(Z)).reshape(-1)
 
 
 class TimePredictor(_Head):
@@ -87,16 +96,60 @@ class TimePredictor(_Head):
     def _link(self, raw: Tensor) -> Tensor:
         return ops.exp(ops.clip(raw, -_LOG_T_CLIP, _LOG_T_CLIP))
 
+    @staticmethod
+    def _link_np(raw: np.ndarray) -> np.ndarray:
+        return np.exp(np.clip(raw, -_LOG_T_CLIP, _LOG_T_CLIP))
+
+    @staticmethod
+    def _link_vjp(g: np.ndarray, raw: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # exp's pullback, then clip's (zero outside the closed clamp range).
+        inside = ((raw >= -_LOG_T_CLIP) & (raw <= _LOG_T_CLIP)).astype(np.float64)
+        return g * out * inside
+
 
 class ReliabilityPredictor(_Head):
     """Reliability head: MLP with a logistic output, â ∈ (0, 1)."""
 
     _output = "sigmoid"
 
+    _link_np = staticmethod(sigmoid_np)
+
+    @staticmethod
+    def _link_vjp(g: np.ndarray, raw: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return g * out * (1.0 - out)
+
 
 # --------------------------------------------------------------------- #
-# Stacked heads.
+# The tapeless network.
 # --------------------------------------------------------------------- #
+
+
+def _linears(heads: "Sequence[_Head]") -> "list[tuple[Linear, ...]]":
+    """The heads' Linear layers, one tuple per layer position."""
+    return [ls for ls in zip(*(h.net.net for h in heads)) if isinstance(ls[0], Linear)]
+
+
+def _forward(link, layers: list, X: np.ndarray, saved: "list | None" = None) -> np.ndarray:
+    """The head network on raw arrays: ``x @ weight + bias`` per ``layers``
+    entry, ReLU between them, ``link`` on the last output.  The weights are
+    2-D for one head, ``(H, in, out)`` / ``(H, 1, out)`` stacks for a bank
+    (lifted over round axes by :func:`predict_pairs`).  These are the
+    tape's operations in the tape's order — ReLU is ``x * (x > 0)`` — so
+    every value is the tape's, bit for bit.  ``saved`` collects what
+    :meth:`HeadBank.backward` reads."""
+    x = X
+    mask = None
+    for k, (weight, bias) in enumerate(layers):
+        if k:
+            mask = (x > 0).astype(np.float64)
+            x = x * mask
+        if saved is not None:
+            saved.append((x, mask))
+        x = x @ weight + bias
+    out = link(x)
+    if saved is not None:
+        saved.append((x, out))
+    return out
 
 
 def _stack_linear(layers: "Sequence[Linear]") -> tuple[np.ndarray, np.ndarray]:
@@ -121,26 +174,22 @@ def _stacked_features(heads: "Sequence[_Head]", Z: np.ndarray) -> np.ndarray:
     return np.stack([h._prep(Z) for h in heads], axis=-3)
 
 
-def _stacked_forward(head: _Head, layers: list, X: np.ndarray) -> Tensor:
-    """``(..., H, N, F)`` standardized features → ``(..., H, N)`` predictions
-    through stacked ``layers`` (``(weight, bias)`` per Linear position, the
-    first head's stateless module elsewhere)."""
-    x = Tensor(X)
-    for layer in layers:
-        x = x @ layer[0] + layer[1] if isinstance(layer, tuple) else layer(x)
-    return head._link(x).reshape(*X.shape[:-1])
-
-
 class HeadBank:
-    """H same-architecture heads trained as one stacked network.
+    """H same-architecture heads trained as one stacked network, with no
+    tape: a hand-written forward (:func:`_forward`), its VJP
+    (:meth:`backward`) and a per-head gradient clip, for an
+    :class:`~repro.nn.Adam` over :attr:`params`.
 
-    The bank's ``(H, in, out)`` parameters *own* the storage: on
-    construction every head's ``Parameter.data`` is re-pointed to a view of
-    its slice, so an optimizer step on the bank is at once visible through
-    the per-head modules (``state_dict``, ``predict``, the registry) and
-    ``load_state_dict`` on a head writes through to the bank.  Per head the
-    arithmetic is that of the head's own tape, bit for bit (DESIGN.md §7b;
-    ``tests/test_bank_exact.py``).
+    :attr:`params` — per Linear position an ``(H, in, out)`` weight and an
+    ``(H, 1, out)`` bias stack, in a head's ``parameters()`` order — are
+    consecutive views of one flat buffer (:func:`~repro.nn.flatten`), and
+    they *own* the storage: on construction every head's
+    ``Parameter.data`` is re-pointed to a view of its slice, so an
+    optimizer step on the bank is at once visible through the per-head
+    modules (``state_dict``, ``predict``, the registry) and
+    ``load_state_dict`` on a head writes through to the bank.  Per head
+    the arithmetic is that of the head's own tape, bit for bit (DESIGN.md
+    §7b; ``tests/test_bank_exact.py``).
 
     A bank must not outlive the training call that built it: the views do
     not survive ``copy.deepcopy``/pickle of the heads, nor a second bank
@@ -152,18 +201,15 @@ class HeadBank:
         self.heads = list(heads)
         if not self.heads or len({type(h) for h in self.heads}) != 1:
             raise ValueError("a bank needs one or more heads of a single kind")
-        self._layers: list = []
-        self.params: list[Parameter] = []
-        for layers in zip(*(h.net.net for h in self.heads)):
-            if not isinstance(layers[0], Linear):
-                self._layers.append(layers[0])
-                continue
-            weight, bias = (Parameter(a) for a in _stack_linear(layers))
+        linears = _linears(self.heads)
+        self.params = flatten([a for ls in linears for a in _stack_linear(ls)])
+        self._layers = list(zip(self.params[::2], self.params[1::2]))
+        for layers, (weight, bias) in zip(linears, self._layers):
             for h, layer in enumerate(layers):
-                layer.weight.data = weight.data[h]
-                layer.bias.data = bias.data[h, 0]
-            self._layers.append((weight, bias))
-            self.params += [weight, bias]  # a head's parameters() order
+                layer.weight.data = weight[h]
+                layer.bias.data = bias[h, 0]
+        kind = type(self.heads[0])
+        self._link, self._link_vjp = kind._link_np, kind._link_vjp
 
     def __len__(self) -> int:
         return len(self.heads)
@@ -172,23 +218,39 @@ class HeadBank:
         """``(H, N, F)`` standardized input for features all heads share."""
         return _stacked_features(self.heads, Z)
 
-    def forward(self, X: np.ndarray) -> Tensor:
-        """Differentiable ``(H, N)`` predictions for standardized ``(H, N, F)``."""
-        return _stacked_forward(self.heads[0], self._layers, X)
+    def forward(self, X: np.ndarray) -> "tuple[np.ndarray, list]":
+        """``(H, N)`` predictions for standardized ``(H, N, F)`` features,
+        and what :meth:`backward` needs of this pass."""
+        saved: list = []
+        return _forward(self._link, self._layers, X, saved).reshape(X.shape[:-1]), saved
 
-    def clip_grad_norm(self, max_norm: float) -> np.ndarray:
-        """Per-head :func:`repro.nn.clip_grad_norm` on the stacked gradients
-        (same sums, in ``parameters()`` order; heads under the norm are
-        untouched).  Returns the ``(H,)`` pre-clip norms."""
+    def backward(self, g: np.ndarray, saved: list, grads: "Sequence[np.ndarray]") -> None:
+        """The VJP of one :meth:`forward`: writes into ``grads`` (one array
+        per :attr:`params` entry, e.g. an Adam's ``grads``) the gradient of
+        ``Σ g ⊙ predictions``, as the tape's backward would compute it."""
+        raw, out = saved[-1]
+        g = self._link_vjp(g.reshape(raw.shape), raw, out)
+        for k in range(len(self._layers) - 1, -1, -1):
+            x, mask = saved[k]
+            np.sum(g, axis=1, keepdims=True, out=grads[2 * k + 1])
+            np.matmul(np.swapaxes(x, -1, -2), g, out=grads[2 * k])
+            if k:
+                g = (g @ np.swapaxes(self._layers[k][0], -1, -2)) * mask
+
+    def clip_grad_norm(self, max_norm: float, grads: "Sequence[np.ndarray]") -> np.ndarray:
+        """Per-head :func:`repro.nn.clip_grad_norm` of the stacked
+        gradients ``grads``, in place (same sums, in ``params`` order; heads
+        under the norm are untouched).  Returns the ``(H,)`` pre-clip
+        norms."""
         if max_norm <= 0:
             raise ValueError(f"max_norm must be > 0, got {max_norm}")
         squares = 0.0
-        for p in self.params:
-            squares = squares + (p.grad**2).reshape(len(self), -1).sum(axis=1)
+        for g in grads:
+            squares = squares + (g**2).reshape(len(self), -1).sum(axis=1)
         total = np.sqrt(squares)
         scale = np.where(total > max_norm, max_norm / (total + 1e-12), 1.0)
-        for p in self.params:
-            p.grad *= scale[:, None, None]
+        for g in grads:
+            g *= scale[:, None, None]
         return total
 
 
@@ -196,7 +258,7 @@ def predict_pairs(
     pairs: "Sequence[PredictorPair]", Z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(T̂, Â)``, each ``(M, N)``: every pair's predictions for one feature
-    matrix, as one stacked tape-free forward per head kind.  ``R`` rounds at
+    matrix, as one stacked tapeless forward per head kind.  ``R`` rounds at
     once, ``Z`` of shape ``(R, N, F)``, give ``(R, M, N)``: every product
     keeps its per-round shape, so — unlike one call on the concatenated
     rows, where the GEMM's edge handling moves with the row count — each
@@ -208,14 +270,10 @@ def predict_pairs(
     """
     lift = (None,) * (np.ndim(Z) - 2)  # round axes, broadcast over the layers
     out = []
-    with no_grad():
-        for heads in ([p.time for p in pairs], [p.reliability for p in pairs]):
-            layers = [
-                tuple(a[lift] for a in _stack_linear(ls)) if isinstance(ls[0], Linear)
-                else ls[0]
-                for ls in zip(*(h.net.net for h in heads))
-            ]
-            out.append(_stacked_forward(heads[0], layers, _stacked_features(heads, Z)).data)
+    for heads in ([p.time for p in pairs], [p.reliability for p in pairs]):
+        layers = [tuple(a[lift] for a in _stack_linear(ls)) for ls in _linears(heads)]
+        X = _stacked_features(heads, Z)
+        out.append(_forward(heads[0]._link_np, layers, X).reshape(X.shape[:-1]))
     return out[0], out[1]
 
 

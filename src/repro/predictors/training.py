@@ -7,12 +7,13 @@ is the paper's MSE loss on the probabilities.
 
 There is one minibatch step, :meth:`BankTrainer.step`, and it is stacked:
 H same-kind heads (a :class:`~repro.predictors.models.HeadBank`) advance
-together, each on its own shuffle of its own dataset, as one tape and one
-Adam update.  A single head is a bank of one: ``train_time_mse``,
-``train_reliability`` and :class:`StepwiseTrainer` — the incremental-refit
-entry point of the online retraining loop (:mod:`repro.retrain`), which
-must interleave training steps with dispatch windows instead of blocking
-the serving loop on a full ``train_*`` call — are its H = 1 callers, while
+together, each on its own shuffle of its own dataset, as one tapeless
+forward, one hand-written VJP of the loss and one flat Adam update.  A
+single head is a bank of one: ``train_time_mse``, ``train_reliability``
+and :class:`StepwiseTrainer` — the incremental-refit entry point of the
+online retraining loop (:mod:`repro.retrain`), which must interleave
+training steps with dispatch windows instead of blocking the serving
+loop on a full ``train_*`` call — are its H = 1 callers, while
 :func:`fit_pairs` trains all M clusters' heads of a kind at once.
 """
 
@@ -23,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.nn import Adam, mse_loss, ops
+from repro.nn import Adam
 from repro.predictors.dataset import ClusterDataset, Standardizer
 from repro.predictors.models import HeadBank, PredictorPair, ReliabilityPredictor, TimePredictor
 from repro.utils.rng import as_generator, spawn
@@ -75,7 +76,9 @@ class BankTrainer:
 
     Head ``h`` trains on ``(Zs[h], ys[h])`` (all of one length), shuffled
     every epoch by its own generator ``rngs[h]``; one :meth:`step` runs the
-    next minibatch of every head as a single stacked tape and Adam update.
+    next minibatch of every head as a single stacked forward, VJP and Adam
+    update.  Targets must be finite — times positive, reliabilities in
+    [0, 1] — and features finite, or the constructor raises ``ValueError``.
     Per head this is bit for bit the optimization a bank of that head
     alone would run, so how heads are grouped never shows in the weights.
 
@@ -100,12 +103,18 @@ class BankTrainer:
         self.config = config or TrainConfig()
         self.loss = loss
         self.rngs = [as_generator(r) for r in rngs]
-        self.bank = HeadBank(heads)
         Y = np.stack([np.asarray(y, dtype=np.float64) for y in ys])
+        Zs = [np.asarray(Z, dtype=np.float64) for Z in Zs]
+        if not all(np.isfinite(Z).all() for Z in Zs) or not np.isfinite(Y).all():
+            raise ValueError("features and targets must be finite")
+        if loss == "log_mse" and (Y <= 0).any():
+            raise ValueError("time targets must be positive")
+        if loss == "mse" and ((Y < 0) | (Y > 1)).any():
+            raise ValueError("reliability targets must lie in [0, 1]")
+        self.bank = HeadBank(heads)
         # Standardized once up front: elementwise, so equal to standardizing
         # each minibatch after the gather.
-        self.X = np.stack([h._prep(np.asarray(Z, dtype=np.float64))
-                           for h, Z in zip(self.bank.heads, Zs)])
+        self.X = np.stack([h._prep(Z) for h, Z in zip(self.bank.heads, Zs)])
         if self.X.shape[:2] != Y.shape:
             raise ValueError("Z and y must have matching lengths")
         if Y.shape[1] == 0:
@@ -146,21 +155,28 @@ class BankTrainer:
             self._order = np.stack([rng.permutation(n) for rng in self.rngs])
             self._epoch_loss = np.zeros(len(self.bank))
         idx = self._order[:, self._cursor : self._cursor + self.config.batch_size]
-        self._cursor += idx.shape[1]
-        self.opt.zero_grad()
-        pred = self.bank.forward(self.X[self._rows, idx])
+        b = idx.shape[1]
+        self._cursor += b
+        pred, saved = self.bank.forward(self.X[self._rows, idx])
+        # Per head Eq. (1)'s mean of (fit − target)², fit = log pred under
+        # log_mse, and its gradient as the tape forms it: (diff·diff)'s
+        # pullback is g·diff + g·diff with g = 1/b, log's divides by pred.
+        fit = np.log(pred) if self.loss == "log_mse" else pred
+        diff = fit - self.Y[self._rows, idx]
+        value = (diff * diff).sum(axis=-1) * (1.0 / b)
+        g = diff * (1.0 / b)
+        g = g + g
         if self.loss == "log_mse":
-            pred = ops.log(pred)
-        value = mse_loss(pred, self.Y[self._rows, idx], axis=-1)
-        value.backward(np.ones(len(self.bank)))  # heads are independent
+            g = g / pred
+        self.bank.backward(g, saved, self.opt.grads)
         self.opt.step()
         self.steps_done += 1
-        self._epoch_loss += value.data * idx.shape[1]
+        self._epoch_loss += value * b
         if self._cursor == n:
             self._cursor = 0
             self.epochs_done += 1
             self.history.append(self._epoch_loss / n)
-        return value.data
+        return value
 
     def run_steps(self, budget: int) -> int:
         """Advance at most ``budget`` minibatches; returns how many ran."""

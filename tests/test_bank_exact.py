@@ -1,8 +1,9 @@
 """The stacked predictor bank must reproduce the per-head loops exactly.
 
 Everything that trains or evaluates the M clusters' same-shape heads now
-runs *stacked* (``HeadBank``: ``(H, in, out)`` parameters, one tape, one
-Adam).  The per-head path it replaced is kept here verbatim as the oracle:
+runs *stacked* and without a tape (``HeadBank``: ``(H, in, out)`` stacks in
+one flat buffer, a hand-written forward and VJP, one flat Adam).  The
+per-head tape path it replaced is kept here verbatim as the oracle:
 
 - ``_oracle_train_time_mse`` / ``_oracle_train_reliability`` — the old
   minibatch loops (one tape and one Adam per head; they additionally
@@ -11,7 +12,8 @@ Adam).  The per-head path it replaced is kept here verbatim as the oracle:
   clip_grad_norm / step" block, one head at a time;
 - ``_OracleMFCP`` — the old ``MFCP._fit`` skeleton (per-head pretraining,
   2M optimizers, per-pair predictions one validation round at a time, the
-  closing validation always re-solved) around the shared round functions.
+  closing validation always re-solved) around the shared round functions;
+- ``_tape_predict`` — a head's prediction as one tape forward.
 
 Weights, Adam moments, loss histories and predictions must match bit for
 bit: stacking is exact because NumPy's batched ``matmul`` runs the same
@@ -33,7 +35,8 @@ from repro.matching.zeroth_order import ZeroOrderConfig
 from repro.methods import MFCP, TSM, FitContext, MatchSpec, MFCPConfig
 from repro.methods.base import HIDDEN
 from repro.methods.mfcp import GRAD_CLIP
-from repro.nn import Adam, clip_grad_norm, mse_loss, ops
+from repro.nn import Adam, Parameter, Tensor, clip_grad_norm, mse_loss, no_grad, ops
+from repro.nn.layers import Linear
 from repro.predictors import (
     BankTrainer,
     HeadBank,
@@ -41,10 +44,13 @@ from repro.predictors import (
     ReliabilityPredictor,
     TimePredictor,
     fit_heads,
+    fit_pairs,
     predict_pairs,
 )
 from repro.predictors.dataset import Standardizer
 from repro.predictors.training import WEIGHT_DECAY, StepwiseTrainer, TrainConfig, TrainResult
+from repro.retrain.buffer import LabelDataset
+from repro.retrain.policy import RefitJob
 from repro.serve.registry import ModelRegistry
 from repro.utils.rng import as_generator, spawn
 from repro.workloads import TaskPool
@@ -117,6 +123,11 @@ def _oracle_regret_update(heads, opts, Z, grads, grad_clip):
     return np.stack(outs)
 
 
+def _tape_predict(head, Z):
+    with no_grad():
+        return head.forward(Z).data.copy()
+
+
 # --------------------------------------------------------------------- #
 # Helpers.
 # --------------------------------------------------------------------- #
@@ -151,12 +162,23 @@ def _assert_same_weights(heads_a, heads_b):
             assert np.array_equal(sa[name], sb[name]), name
 
 
+def _per_param(opt, flat):
+    """One of Adam's flat buffers read as one array per parameter."""
+    out, start = [], 0
+    for p in opt.params:
+        out.append(flat[start:start + p.size].reshape(p.shape))
+        start += p.size
+    return out
+
+
 def _assert_same_moments(bank_opt, head_opts):
     """Bank Adam state (H leading axis) vs the per-head optimizers'."""
+    bank_m, bank_v = _per_param(bank_opt, bank_opt.m), _per_param(bank_opt, bank_opt.v)
     for h, opt in enumerate(head_opts):
         assert opt.steps == bank_opt.steps
+        own_m, own_v = _per_param(opt, opt.m), _per_param(opt, opt.v)
         for k in range(len(opt.params)):
-            for stacked, own in ((bank_opt._m[k], opt._m[k]), (bank_opt._v[k], opt._v[k])):
+            for stacked, own in ((bank_m[k], own_m[k]), (bank_v[k], own_v[k])):
                 assert np.array_equal(stacked[h].reshape(own.shape), own)
 
 
@@ -195,7 +217,7 @@ def test_bank_training_matches_per_head_loops(H, hidden, loss):
     _assert_same_moments(trainer.opt, oracle_opts)
     probe = _data(9, seed=77)[0]
     for head, twin in zip(heads, twins):
-        assert np.array_equal(head.predict(probe), twin.predict(probe))
+        assert np.array_equal(head.predict(probe), _tape_predict(twin, probe))
 
 
 def test_bank_owns_the_storage_during_a_fit():
@@ -207,13 +229,13 @@ def test_bank_owns_the_storage_during_a_fit():
     for h, head in enumerate(heads):
         own = list(head.parameters())
         for k, stacked in enumerate(trainer.bank.params):
-            assert np.shares_memory(own[k].data, stacked.data)
-            assert np.array_equal(own[k].data, stacked.data[h].reshape(own[k].shape))
+            assert np.shares_memory(own[k].data, stacked)
+            assert np.array_equal(own[k].data, stacked[h].reshape(own[k].shape))
     # Writes through a head (model selection restores snapshots mid-fit)
     # land in the bank.
     state = {k: v + 1.0 for k, v in heads[1].state_dict().items()}
     heads[1].load_state_dict(state)
-    assert np.array_equal(trainer.bank.params[0].data[1], state["net.net.m0.weight"])
+    assert np.array_equal(trainer.bank.params[0][1], state["net.net.m0.weight"])
 
 
 def test_stepwise_trainer_in_awkward_budgets_is_the_blocking_loop():
@@ -256,7 +278,7 @@ def test_unequal_dataset_lengths_fall_into_one_bank_per_length():
 
 
 # --------------------------------------------------------------------- #
-# Regret phase: one bank forward + backward((H, N)) + per-head clip + step.
+# Regret phase: one bank forward + VJP((H, N)) + per-head clip + step.
 # --------------------------------------------------------------------- #
 
 
@@ -275,15 +297,14 @@ def test_regret_update_matches_per_head_block(kind, H):
         Z = _data(N, seed=200 + step)[0]
         grads = rng.normal(size=(H, N)) * scale
         clip = grad_clip if step != 2 else None  # step 2: the unclipped variant
-        out = bank.forward(bank.prepare(Z))
-        bank_opt.zero_grad()
-        out.backward(grads)
+        out, saved = bank.forward(bank.prepare(Z))
+        bank.backward(grads, saved, bank_opt.grads)
         if clip is not None:
-            norms = bank.clip_grad_norm(clip)
+            norms = bank.clip_grad_norm(clip, bank_opt.grads)
             assert np.array_equal(norms > clip, np.arange(H) % 2 == 0)
         bank_opt.step()
         expected = _oracle_regret_update(twins, head_opts, Z, grads, clip)
-        assert np.array_equal(out.data, expected)
+        assert np.array_equal(out, expected)
         _assert_same_weights(heads, twins)
     _assert_same_moments(bank_opt, head_opts)
 
@@ -356,7 +377,8 @@ class _OracleMFCP(MFCP):
                 self._restore(best_state)
 
     def _predict_rows(self, Z):
-        rows = [(p.time.predict(Z), p.reliability.predict(Z)) for p in self._pairs]
+        rows = [(_tape_predict(p.time, Z), _tape_predict(p.reliability, Z))
+                for p in self._pairs]
         return np.stack([r[0] for r in rows]), np.stack([r[1] for r in rows])
 
     def _oracle_score(self, ctx, val_rounds):
@@ -458,7 +480,7 @@ def test_predict_pairs_matches_per_pair_predictions(distinct_standardizers):
     for N in (1, 2, 7, 16, 33, 64):
         Z = _data(N, seed=N)[0]
         T_hat, A_hat = predict_pairs(pairs, Z)
-        rows = [p.predict(Z) for p in pairs]
+        rows = [(_tape_predict(p.time, Z), _tape_predict(p.reliability, Z)) for p in pairs]
         assert np.array_equal(T_hat, np.stack([r[0] for r in rows]))
         assert np.array_equal(A_hat, np.stack([r[1] for r in rows]))
     # Held-out rounds as one (R, N, F) call (MFCP validation): each round
@@ -489,7 +511,7 @@ def test_deepcopied_method_reads_the_checkpoint_loaded_into_it(tmp_path):
     for got, want, old in zip(clone.predict(tasks), other.predict(tasks), before):
         assert np.array_equal(got, want)
         assert not np.array_equal(got, old)
-    rows = [p.predict(Z) for p in clone.pairs]
+    rows = [(_tape_predict(p.time, Z), _tape_predict(p.reliability, Z)) for p in clone.pairs]
     assert np.array_equal(clone.predict(tasks)[0], np.stack([r[0] for r in rows]))
     assert np.array_equal(clone.predict(tasks)[1], np.stack([r[1] for r in rows]))
     for got, old in zip(fitted.predict(tasks), before):  # the original is untouched
@@ -503,3 +525,122 @@ def test_bank_rejects_mixed_or_empty_heads():
         HeadBank([TimePredictor(4, rng=0), ReliabilityPredictor(4, rng=0)])
     with pytest.raises(ValueError):
         HeadBank([TimePredictor(4, (8,), rng=0), TimePredictor(4, (16,), rng=0)])
+
+
+# --------------------------------------------------------------------- #
+# Edges of the links, ragged minibatches, round axes.
+# --------------------------------------------------------------------- #
+
+#: (scale of the last layer's weights, its bias) per head, cycled: a wide
+#: spread across the clamp, raw log-times exactly at and beyond ±8; for
+#: the reliability head, inputs on both sigmoid branches, deep in the
+#: negative one and exactly 0.
+_EDGES = {
+    TimePredictor: [(40.0, 0.0), (0.0, 8.0), (0.0, -8.0), (0.0, 9.0), (0.0, -8.5), (1.0, 0.0)],
+    ReliabilityPredictor: [(20.0, -5.0), (0.0, -30.0), (0.0, 0.0), (1.0, -2.0)],
+}
+
+
+def _apply_edges(heads):
+    edges = _EDGES[type(heads[0])]
+    for h, head in enumerate(heads):
+        scale, bias = edges[h % len(edges)]
+        last = [m for m in head.net.net if isinstance(m, Linear)][-1]
+        last.weight.data *= scale
+        last.bias.data[...] = bias
+    return heads
+
+
+@pytest.mark.parametrize("kind", [TimePredictor, ReliabilityPredictor])
+@pytest.mark.parametrize("H", [1, 24])
+def test_link_edges_ragged_batches_and_round_axes_match_the_tape(kind, H):
+    loss, oracle = (("log_mse", _oracle_train_time_mse) if kind is TimePredictor
+                    else ("mse", _oracle_train_reliability))
+    n, cfg = 37, TrainConfig(epochs=2, batch_size=16)  # minibatches of 16, 16, 5
+    heads, twins = (_apply_edges(side) for side in _twin_heads(kind, H, (32, 32)))
+    sets = [_data(n, seed=h) for h in range(H)]
+    Zs = [s[0] for s in sets]
+    ys = [s[1] if kind is TimePredictor else s[2] for s in sets]
+    first = np.stack([_tape_predict(t, Z) for t, Z in zip(twins, Zs)])
+    if kind is TimePredictor:  # the clamp is hit from both sides
+        assert (first == np.exp(8.0)).any() and (first == np.exp(-8.0)).any()
+    else:  # the sigmoid's negative branch is taken
+        assert (first < 0.5).any() and (first > 0.5).any()
+
+    trainer = BankTrainer(heads, Zs, ys, cfg, [as_generator(60 + h) for h in range(H)],
+                          loss=loss)
+    trainer.run_steps(trainer.total_steps)
+    opts = []
+    for h, twin in enumerate(twins):
+        res, opt = oracle(twin, Zs[h], ys[h], cfg, as_generator(60 + h))
+        assert np.array_equal(trainer.results()[h].history, res.history)
+        opts.append(opt)
+    _assert_same_weights(heads, twins)
+    _assert_same_moments(trainer.opt, opts)
+
+    # The regret update from the same edges.
+    heads, twins = (_apply_edges(side) for side in _twin_heads(kind, H, (32, 32)))
+    bank = HeadBank(heads)
+    bank_opt = Adam(bank.params, lr=1e-3)
+    head_opts = [Adam(t.parameters(), lr=1e-3) for t in twins]
+    rng = as_generator(9)
+    for step in range(3):
+        Z = _data(7, seed=400 + step)[0]
+        grads = rng.normal(size=(H, 7)) * 50.0
+        out, saved = bank.forward(bank.prepare(Z))
+        bank.backward(grads, saved, bank_opt.grads)
+        bank.clip_grad_norm(GRAD_CLIP, bank_opt.grads)
+        bank_opt.step()
+        assert np.array_equal(out, _oracle_regret_update(twins, head_opts, Z, grads, GRAD_CLIP))
+    _assert_same_weights(heads, twins)
+    _assert_same_moments(bank_opt, head_opts)
+
+    # (R, N, F) inference: every round of every head is its tape forward.
+    pairs = [PredictorPair(6, (32, 32), rng=h) for h in range(H)]
+    _apply_edges([p.time for p in pairs])
+    _apply_edges([p.reliability for p in pairs])
+    rounds = np.stack([_data(5, seed=500 + r)[0] for r in range(3)])
+    got = predict_pairs(pairs, rounds)[0 if kind is TimePredictor else 1]
+    assert got.shape == (3, H, 5)
+    for r, Z in enumerate(rounds):
+        for h, pair in enumerate(pairs):
+            head = pair.time if kind is TimePredictor else pair.reliability
+            assert np.array_equal(got[r, h], _tape_predict(head, Z))
+            assert np.array_equal(head.predict(Z), _tape_predict(head, Z))
+
+
+# --------------------------------------------------------------------- #
+# No tape anywhere in training or inference.
+# --------------------------------------------------------------------- #
+
+
+def test_training_and_inference_build_no_tape(monkeypatch):
+    """Building a model makes its ``Parameter`` leaves; past that, no
+    pretraining step, refit step, regret update or prediction makes a
+    ``Tensor``."""
+    real_init = Tensor.__init__
+
+    def guarded(self, *args, **kwargs):
+        if not isinstance(self, Parameter):
+            raise AssertionError("a tape node was built")
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", guarded)
+    ctx = _fresh_ctx()
+    pairs = fit_pairs(ctx.datasets, ctx.feature_dim, (8,), ctx.standardizer,
+                      TrainConfig(epochs=1), as_generator(0))
+    Z = ctx.features(ctx.train_tasks[:5])
+    with pytest.raises(AssertionError):  # the guard is live
+        pairs[0].time.forward(Z)
+    predict_pairs(pairs, Z)
+    predict_pairs(pairs, np.stack([Z, Z]))
+    pairs[0].predict(Z)
+    ds = ctx.datasets[0]
+    job = RefitJob.build(pairs, list(range(len(pairs))),
+                         {0: LabelDataset(0, ds.Z, ds.t, ds.Z, ds.a)},
+                         config=TrainConfig(epochs=1, batch_size=8),
+                         rng=as_generator(1), min_cluster_labels=1)
+    assert job.run_steps(3) == 3
+    for gradient in ("analytic", "forward"):
+        fitted = MFCP(gradient, replace(_FIT_CFG, epochs=1, validate_every=1)).fit(_fresh_ctx())
+        assert len(fitted.loss_history) == 1

@@ -37,6 +37,7 @@ from repro.matching.objectives import barrier_value
 from repro.matching.speedup import ExponentialDecaySpeedup
 from repro.methods import MFCP, MFCPConfig, MatchSpec, FitContext
 from repro.predictors.training import TrainConfig
+from repro.telemetry import recording
 from repro.workloads import TaskPool
 
 from tests.conftest import PerClusterMFCP
@@ -146,6 +147,29 @@ class TestBatchKKTAgreement:
             scale_a = max(float(np.abs(sg.dA).max()), 1e-12)
             assert np.abs(kg.dT[b] - sg.dT).max() / scale_t < 1e-4
             assert np.abs(kg.dA[b] - sg.dA).max() / scale_a < 1e-4
+
+    def test_singular_instances_fall_back_and_are_counted(self):
+        """An exactly singular saddle system: equal times of 2^20 swallow
+        the ridge, zero reliabilities null the λ term, and X = 1/2 leaves
+        the log-sum-exp Hessian rank-deficient on the constraint's null
+        space.  The stacked solve falls back once, each of the B scalar
+        solves falls back to least squares, and both are counted."""
+        B, M, N = 3, 2, 2
+        bp = BatchProblem(T=np.full((B, M, N), 2.0**20), A=np.zeros((B, M, N)),
+                          gamma=np.full(B, -0.5), beta=1.0, lam=0.01)
+        gX = np.random.default_rng(2).normal(size=(B, M, N))
+        with recording() as rec:
+            kg = batch_kkt_vjp(np.full((B, M, N), 0.5), bp, gX)
+            counters = rec.aggregate()["counters"]
+        assert counters["train/kkt_stacked_fallbacks"]["value"] == 1
+        assert counters["train/kkt_lstsq_fallbacks"]["value"] == B
+        assert np.isfinite(kg.dT).all() and np.isfinite(kg.dA).all()
+        with recording() as rec:  # a regular batch counts nothing
+            problems, bp, bs, gX = self._solved_batch(0.05)
+            batch_kkt_vjp(bs.X, bp, gX)
+            counters = rec.aggregate()["counters"]
+        assert "train/kkt_stacked_fallbacks" not in counters
+        assert "train/kkt_lstsq_fallbacks" not in counters
 
 
 class TestCrossZeroOrder:

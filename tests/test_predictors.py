@@ -159,6 +159,39 @@ class TestTraining:
         with pytest.raises(ValueError):
             train_time_mse(tp, rng.normal(size=(5, 4)), np.ones(3))
 
+    # Bad inputs fail closed instead of training to NaN weights; the heads
+    # are left as they were.
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_non_positive_time_target_rejected(self, rng, bad):
+        tp = TimePredictor(4, rng=0)
+        before = tp.state_dict()
+        t = np.ones(6)
+        t[3] = bad
+        with pytest.raises(ValueError, match="positive"):
+            train_time_mse(tp, rng.normal(size=(6, 4)), t)
+        assert all(np.array_equal(v, tp.state_dict()[k]) for k, v in before.items())
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5])
+    def test_reliability_target_outside_unit_interval_rejected(self, rng, bad):
+        a = np.full(6, 0.5)
+        a[0] = bad
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            train_reliability(ReliabilityPredictor(4, rng=0), rng.normal(size=(6, 4)), a)
+        a[0] = 1.0  # the closed interval's ends are fine
+        train_reliability(ReliabilityPredictor(4, rng=0), rng.normal(size=(6, 4)), a,
+                          TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("where", ["feature", "time", "reliability"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_feature_or_target_rejected(self, rng, where, bad):
+        Z, t, a = rng.normal(size=(6, 4)), np.ones(6), np.full(6, 0.5)
+        {"feature": Z[2], "time": t, "reliability": a}[where][1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            if where == "reliability":
+                train_reliability(ReliabilityPredictor(4, rng=0), Z, a)
+            else:
+                train_time_mse(TimePredictor(4, rng=0), Z, t)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
