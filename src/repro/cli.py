@@ -1,77 +1,58 @@
-"""Command-line interface: ``python -m repro <command>``.
+"""Command-line interface: ``python -m repro <command>`` (``--help`` on
+any command lists its flags).
 
-Commands
---------
-``experiments {fig2,table1,fig4,fig5,table2,dfl}``
-    Regenerate a paper artifact (``--profile full`` for paper sizes,
-    ``--telemetry {off,summary,jsonl}`` for instrumentation, ``--seeds``
-    to override the seed list).
-``clusters``
-    Print the archetype catalog and the A/B/C settings.
-``pool``
-    Sample a task pool and print workload statistics.
-``trace export``
-    Export a measurement trace (JSON) for a setting and pool.
-``trace show / trace top / trace grep``
-    Query per-task journeys from JSONL run logs recorded with
-    ``--journeys``: render one task's waterfall across the fleet, list
-    the slowest journeys by queue wait, or filter journeys by state
-    (``shed``, ``requeued``, ...) or ``failover`` routing.
-``demo``
-    Run the quickstart end-to-end comparison.
-``serve run``
-    Run the online micro-batching dispatcher over a generated arrival
-    stream and print the serving summary.  ``--shards N`` (N > 1) routes
-    the stream across N per-shard dispatchers instead (consistent-hash or
-    load-aware ``--routing``, replicate or family ``--partition``) and
-    summarizes the merged fleet outcome; ``--telemetry jsonl`` then
-    writes one replayable log per shard under ``--out-dir``.
-    ``--retrain`` attaches the closed-loop retraining controller
-    (drift/periodic triggers, canary gate, hot-swap + rollback) against
-    a checkpoint registry.  ``--profile`` attaches the stage profiler
-    and prints the latency budget (``--flamegraph`` exports the
-    collapsed-stack profile); ``--metrics-port`` serves live
-    ``/metrics`` + ``/snapshot`` HTTP endpoints during the run
-    (``--metrics-hold`` keeps them up after); ``--shard`` labels every
-    recorded series for fleet aggregation.  The monitor, retrain,
-    metrics and shard-label options observe one dispatcher, so they are
-    refused with ``--shards``.
-``serve top``
-    Terminal dashboard refreshing against one or more ``/snapshot``
-    endpoints (several merge into the fleet view with a per-shard
-    breakdown; ``--log`` renders from JSONL run logs instead): queue
-    depth, seed sources, per-stage latency budgets, SLO burn rates.
-``monitor``
-    Render a monitoring snapshot (Prometheus text exposition + alert
-    listing) from a JSONL telemetry run log.  Repeat ``--log`` to merge
-    several shard-labeled runs into one fleet-level view.
-``replay``
-    Deterministically re-drive a serving run from its JSONL log and
-    verify the replay against the logged final counters (including the
-    hot-swap digest sequence for retrain-enabled runs).  Repeat
-    ``--log`` once per shard to rebuild a whole fleet run (router
-    included) and verify routing determinism and conservation too.
-``retrain``
-    Offline closed-loop retraining: re-drive a logged run with the
-    retraining controller attached and persist the resulting checkpoint
-    lineage to a registry directory.
+A flag that sets a config field is declared by that field: its default,
+type and allowed values come from :class:`~repro.serve.ServeConfig`,
+:class:`~repro.fleet.FleetConfig` or :class:`~repro.retrain.RetrainConfig`
+through :func:`_config_flag`; the parser holds only the flag's name and
+help.  Exit codes: 0 on success; 1 when a replay fails verification, a
+``trace show`` matches nothing or ``demo`` runs outside a source
+checkout; 2 for flags or logs that are refused before anything runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
+from dataclasses import fields
 
-import numpy as np
+from repro.utils.validation import FIELD_TYPES
 
 __all__ = ["main", "build_parser"]
 
+#: ``repro experiments`` artifact -> the module under ``repro.experiments``
+#: whose ``main`` regenerates it.
+_ARTIFACTS = {"fig2": "fig2", "table1": "table1", "fig4": "fig4", "fig5": "fig5",
+              "table2": "table2", "dfl": "dfl_landscape"}
+
+
+def _config_flag(parser: argparse.ArgumentParser, flag: str, cls: type,
+                 **kw) -> None:
+    """Add ``flag`` setting the field ``cls.<dest>`` (``dest`` defaults to
+    the flag's name): the field gives the default, the type and the
+    allowed values, and a bool field is a ``store_true`` switch."""
+    dest = kw.setdefault("dest", flag[2:].replace("-", "_"))
+    f = next(f for f in fields(cls) if f.name == dest)
+    kw.setdefault("default", f.default)
+    if f.type == "bool":
+        parser.add_argument(flag, action="store_true", **kw)
+        return
+    kw.setdefault("type", FIELD_TYPES.get(f.type))
+    kw.setdefault("choices", f.metadata.get("choices"))
+    parser.add_argument(flag, **kw)
+
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.fleet.config import PARTITIONS
-    from repro.fleet.router import ROUTING_POLICIES
-    from repro.serve.config import SHED_POLICIES, SOLVE_MODES, WARM_STARTS
+    from repro.clusters import SETTINGS
+    from repro.experiments.config import PROFILES
+    from repro.fleet import FleetConfig
+    from repro.retrain import RetrainConfig
+    from repro.retrain.loop import TRIGGERS
+    from repro.serve import ServeConfig
+    from repro.serve.loadgen import LOAD_PATTERNS
+    from repro.telemetry import MODES
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -81,12 +62,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_exp = sub.add_parser("experiments", help="regenerate a paper artifact")
-    p_exp.add_argument("artifact",
-                       choices=["fig2", "table1", "fig4", "fig5", "table2", "dfl"])
-    p_exp.add_argument("--profile", choices=["fast", "full"], default=None,
+    p_exp.add_argument("artifact", choices=_ARTIFACTS)
+    p_exp.add_argument("--profile", choices=PROFILES, default=None,
                        help="override REPRO_PROFILE")
-    p_exp.add_argument("--telemetry", choices=["off", "summary", "jsonl"],
-                       default=None,
+    p_exp.add_argument("--telemetry", choices=MODES, default=None,
                        help="override REPRO_TELEMETRY (jsonl writes one run "
                             "log per experiment under results/telemetry/)")
     p_exp.add_argument("--seeds", default=None, metavar="S0,S1,...",
@@ -105,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_texport = trace_sub.add_parser(
         "export", help="export a measurement trace (JSON)")
     p_texport.add_argument("output", help="path of the trace file to write")
-    p_texport.add_argument("--setting", choices=["A", "B", "C"], default="A")
+    p_texport.add_argument("--setting", choices=SETTINGS, default="A")
     p_texport.add_argument("--tasks", type=int, default=24)
     p_texport.add_argument("--seed", type=int, default=0)
     trace_logs = argparse.ArgumentParser(add_help=False)
@@ -137,44 +116,47 @@ def build_parser() -> argparse.ArgumentParser:
     serve_sub = p_serve.add_subparsers(dest="serve_command", required=True)
     p_run = serve_sub.add_parser(
         "run", help="run the dispatcher, or a fleet of N, once and summarize")
-    p_run.add_argument("--setting", choices=["A", "B", "C"], default="A")
-    p_run.add_argument("--pattern", choices=["poisson", "bursty", "diurnal"],
-                       default="poisson")
+    _config_flag(p_run, "--setting", ServeConfig)
+    p_run.add_argument("--pattern", choices=LOAD_PATTERNS, default="poisson")
     p_run.add_argument("--rate", type=float, default=60.0,
                        help="mean arrivals per hour")
     p_run.add_argument("--horizon", type=float, default=12.0,
                        help="arrival horizon in hours")
-    p_run.add_argument("--pool-size", type=int, default=64)
-    p_run.add_argument("--max-batch", type=int, default=16)
-    p_run.add_argument("--max-wait", type=float, default=0.25,
-                       help="time trigger: oldest job's max wait (hours)")
-    p_run.add_argument("--queue-capacity", type=int, default=128)
-    p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--shards", type=int, default=1, metavar="N",
-                       help="route the stream across N dispatcher shards "
-                            "(N > 1 runs a fleet and logs fleet-run-s<k>.jsonl; "
-                            "--monitor, --alerts-out, --retrain, "
-                            "--metrics-port and --shard observe one "
-                            "dispatcher and are refused)")
-    p_run.add_argument("--routing", choices=ROUTING_POLICIES, default="hash",
-                       help="fleet routing: consistent-hash or load-aware")
-    p_run.add_argument("--partition", choices=PARTITIONS, default="replicate",
-                       help="fleet partition: replicate the setting's "
-                            "cluster pool per shard, or family-shard a "
-                            "specialist pool")
-    p_run.add_argument("--pool-m", type=int, default=8,
-                       help="specialist pool size for --partition family")
+    _config_flag(p_run, "--pool-size", ServeConfig)
+    _config_flag(p_run, "--max-batch", ServeConfig)
+    _config_flag(p_run, "--max-wait", ServeConfig, dest="max_wait_hours",
+                 metavar="MAX_WAIT",
+                 help="time trigger: oldest job's max wait (hours)")
+    _config_flag(p_run, "--queue-capacity", ServeConfig)
+    _config_flag(p_run, "--seed", ServeConfig)
+    # CLI-only default: one dispatcher unless asked (FleetConfig's default
+    # describes a fleet).
+    _config_flag(p_run, "--shards", FleetConfig, dest="n_shards", default=1,
+                 metavar="N",
+                 help="route the stream across N dispatcher shards "
+                      "(N > 1 runs a fleet and logs fleet-run-s<k>.jsonl; "
+                      "--monitor, --alerts-out, --retrain, "
+                      "--metrics-port and --shard observe one "
+                      "dispatcher and are refused)")
+    _config_flag(p_run, "--routing", FleetConfig,
+                 help="fleet routing: consistent-hash or load-aware")
+    _config_flag(p_run, "--partition", FleetConfig,
+                 help="fleet partition: replicate the setting's "
+                      "cluster pool per shard, or family-shard a "
+                      "specialist pool")
+    _config_flag(p_run, "--pool-m", FleetConfig,
+                 help="specialist pool size for --partition family")
     p_run.add_argument("--out-dir", default=None, metavar="DIR",
                        help="directory of the JSONL run log(s) "
                             "(default results/telemetry)")
-    p_run.add_argument("--shed-policy", choices=SHED_POLICIES, default="reject")
-    p_run.add_argument("--warm-start", choices=WARM_STARTS, default="cache",
-                       help="window seed source: last-window cache, or cold")
-    p_run.add_argument("--solve-mode", choices=SOLVE_MODES, default="scalar",
-                       help="dense per-window solve, or block-decomposed "
-                            "batched solve for large windows")
-    p_run.add_argument("--train-epochs", type=int, default=120,
-                       help="TSM predictor training epochs")
+    _config_flag(p_run, "--shed-policy", ServeConfig)
+    _config_flag(p_run, "--warm-start", ServeConfig,
+                 help="window seed source: last-window cache, or cold")
+    _config_flag(p_run, "--solve-mode", ServeConfig,
+                 help="dense per-window solve, or block-decomposed "
+                      "batched solve for large windows")
+    _config_flag(p_run, "--train-epochs", ServeConfig,
+                 help="TSM predictor training epochs")
     p_run.add_argument("--monitor", action="store_true",
                        help="attach the online quality monitor "
                             "(drift + SLO + regret attribution)")
@@ -184,26 +166,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--retrain", action="store_true",
                        help="attach the closed-loop retraining controller "
                             "(label harvest, canary-gated refits, hot-swap)")
-    p_run.add_argument("--retrain-mode", choices=["incremental", "full"],
-                       default="incremental",
-                       help="warm-started or from-scratch candidate refits")
-    p_run.add_argument("--retrain-trigger",
-                       choices=["drift", "periodic", "both"], default="drift",
-                       help="what arms a refit (drift wires the monitor's "
-                            "retrain_suggested alerts to the controller)")
-    p_run.add_argument("--retrain-period", type=int, default=0, metavar="N",
-                       help="periodic trigger cadence in dispatch windows "
-                            "(required for --retrain-trigger periodic/both)")
-    p_run.add_argument("--registry", default=None, metavar="DIR",
-                       help="checkpoint registry directory (required with "
-                            "--retrain; use a fresh directory for replayable "
-                            "runs)")
-    p_run.add_argument("--telemetry", choices=["off", "summary", "jsonl"],
-                       default="summary",
+    _config_flag(p_run, "--retrain-mode", RetrainConfig, dest="mode",
+                 help="warm-started or from-scratch candidate refits")
+    # "manual" is armed through RetrainController.request_retrain, which
+    # no flag reaches.
+    _config_flag(p_run, "--retrain-trigger", RetrainConfig, dest="trigger",
+                 choices=tuple(t for t in TRIGGERS if t != "manual"),
+                 help="what arms a refit (drift wires the monitor's "
+                      "retrain_suggested alerts to the controller)")
+    _config_flag(p_run, "--retrain-period", RetrainConfig,
+                 dest="period_windows", metavar="N",
+                 help="periodic trigger cadence in dispatch windows "
+                      "(required for --retrain-trigger periodic/both)")
+    _config_flag(p_run, "--registry", ServeConfig, dest="registry_root",
+                 metavar="DIR",
+                 help="checkpoint registry directory (required with "
+                      "--retrain; use a fresh directory for replayable "
+                      "runs)")
+    p_run.add_argument("--telemetry", choices=MODES, default="summary",
                        help="jsonl writes one replayable log per dispatcher")
-    p_run.add_argument("--profile", action="store_true",
-                       help="attach the stage profiler and print the "
-                            "per-window latency budget")
+    _config_flag(p_run, "--profile", ServeConfig,
+                 help="attach the stage profiler and print the "
+                      "per-window latency budget")
     p_run.add_argument("--flamegraph", default=None, metavar="PATH",
                        help="write the collapsed-stack profile here, one "
                             "shardK root per fleet shard (speedscope / "
@@ -215,20 +199,20 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="SECS",
                        help="keep the metrics endpoint up this long after "
                             "the run drains (for a final scrape / top)")
-    p_run.add_argument("--shard", default=None, metavar="ID",
-                       help="label every recorded series with shard=ID "
-                            "(hand-run shards merge losslessly via "
-                            "'repro monitor --log a --log b')")
-    p_run.add_argument("--instance", default=None, metavar="NAME",
-                       help="label every recorded series with instance=NAME "
-                            "(distinguishes replicas of one shard)")
-    p_run.add_argument("--journeys", type=float, default=0.0,
-                       metavar="FRACTION",
-                       help="per-task journey tracing: keep this fraction of "
-                            "uneventful journeys (shed/requeued/long-wait "
-                            "tasks are always kept; a fleet's open with their "
-                            "routing decision; query with 'repro trace "
-                            "show/top/grep')")
+    _config_flag(p_run, "--shard", ServeConfig, metavar="ID",
+                 help="label every recorded series with shard=ID "
+                      "(hand-run shards merge losslessly via "
+                      "'repro monitor --log a --log b')")
+    _config_flag(p_run, "--instance", ServeConfig, metavar="NAME",
+                 help="label every recorded series with instance=NAME "
+                      "(distinguishes replicas of one shard)")
+    _config_flag(p_run, "--journeys", ServeConfig, dest="journey_sample",
+                 metavar="FRACTION",
+                 help="per-task journey tracing: keep this fraction of "
+                      "uneventful journeys (shed/requeued/long-wait "
+                      "tasks are always kept; a fleet's open with their "
+                      "routing decision; query with 'repro trace "
+                      "show/top/grep')")
 
     p_top = serve_sub.add_parser(
         "top", help="terminal dashboard against one or more /snapshot "
@@ -271,8 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "(one log only)")
     p_replay.add_argument("--alerts-out", default=None, metavar="PATH",
                           help="write the replay monitor's alert log (JSONL)")
-    p_replay.add_argument("--telemetry", choices=["off", "summary", "jsonl"],
-                          default="off",
+    p_replay.add_argument("--telemetry", choices=MODES, default="off",
                           help="record the replay itself (run 'serve-replay')")
 
     p_retrain = sub.add_parser(
@@ -284,12 +267,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_retrain.add_argument("--registry", required=True, metavar="DIR",
                            help="checkpoint registry directory to populate "
                                 "(should be empty)")
-    p_retrain.add_argument("--mode", choices=["incremental", "full"],
-                           default="incremental")
-    p_retrain.add_argument("--period", type=int, default=8, metavar="N",
-                           help="periodic refit cadence in dispatch windows")
-    p_retrain.add_argument("--epochs", type=int, default=40,
-                           help="refit epochs over the sampled labels")
+    _config_flag(p_retrain, "--mode", RetrainConfig)
+    # CLI-only default: an offline re-drive refits on a schedule, so it
+    # needs a cadence (the field's 0 means never).
+    _config_flag(p_retrain, "--period", RetrainConfig, dest="period_windows",
+                 default=8, metavar="N",
+                 help="periodic refit cadence in dispatch windows")
+    _config_flag(p_retrain, "--epochs", RetrainConfig,
+                 help="refit epochs over the sampled labels")
     return parser
 
 
@@ -299,26 +284,15 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     if args.telemetry:
         os.environ["REPRO_TELEMETRY"] = args.telemetry
     if args.seeds:
-        try:
-            seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
-        except ValueError:
-            print(f"invalid --seeds value: {args.seeds!r}", file=sys.stderr)
-            return 2
-        if not seeds:
-            print("--seeds needs at least one integer", file=sys.stderr)
-            return 2
-        os.environ["REPRO_SEEDS"] = ",".join(str(s) for s in seeds)
-    from repro.experiments import dfl_landscape, fig2, fig4, fig5, table1, table2
+        from repro.experiments.config import parse_seeds
 
-    mains = {
-        "fig2": fig2.main,
-        "table1": table1.main,
-        "fig4": fig4.main,
-        "fig5": fig5.main,
-        "table2": table2.main,
-        "dfl": dfl_landscape.main,
-    }
-    mains[args.artifact]()
+        try:
+            parse_seeds(args.seeds)
+        except ValueError as exc:
+            print(f"invalid --seeds value: {exc}", file=sys.stderr)
+            return 2
+        os.environ["REPRO_SEEDS"] = args.seeds
+    importlib.import_module(f"repro.experiments.{_ARTIFACTS[args.artifact]}").main()
     return 0
 
 
@@ -497,14 +471,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.retrain:
         from repro.retrain import RetrainConfig
 
-        if args.registry is None:
+        if args.registry_root is None:
             print("--retrain requires --registry DIR", file=sys.stderr)
             return 2
         try:
             retrain_cfg = RetrainConfig(
-                trigger=args.retrain_trigger,
-                period_windows=args.retrain_period,
-                mode=args.retrain_mode,
+                trigger=args.trigger,
+                period_windows=args.period_windows,
+                mode=args.mode,
                 seed=args.seed,
             )
         except ValueError as exc:
@@ -516,7 +490,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         seed=args.seed,
         train_epochs=args.train_epochs,
         max_batch=args.max_batch,
-        max_wait_hours=args.max_wait,
+        max_wait_hours=args.max_wait_hours,
         queue_capacity=args.queue_capacity,
         shed_policy=args.shed_policy,
         warm_start=args.warm_start,
@@ -524,17 +498,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         profile=args.profile or args.flamegraph is not None,
         monitor=monitor_cfg,
         retrain=retrain_cfg,
-        registry_root=args.registry if args.retrain else None,
+        registry_root=args.registry_root if args.retrain else None,
         shard=args.shard,
         instance=args.instance,
-        journey_sample=args.journeys,
+        journey_sample=args.journey_sample,
     )
-    if args.shards != 1:
+    if args.n_shards != 1:
         return _run_fleet(args, config)
     print(f"training TSM predictors ({args.train_epochs} epochs) ...")
     platform = build_platform(config)
     if platform.registry is not None and len(platform.registry) > 1:
-        print(f"note: registry {args.registry} was not empty; version numbers "
+        print(f"note: registry {args.registry_root} was not empty; version numbers "
               "continue the existing sequence (replay assumes a fresh registry)")
     if args.alerts_out and platform.monitor is not None:
         from repro.monitor import FileTailSink
@@ -657,7 +631,7 @@ def _run_fleet(args: argparse.Namespace, serve) -> int:
         return 2
     try:
         config = FleetConfig(
-            n_shards=args.shards,
+            n_shards=args.n_shards,
             routing=args.routing,
             partition=args.partition,
             pool_m=args.pool_m,
@@ -779,7 +753,7 @@ def _cmd_retrain(args: argparse.Namespace) -> int:
     try:
         retrain = RetrainConfig(
             trigger="periodic",
-            period_windows=args.period,
+            period_windows=args.period_windows,
             mode=args.mode,
             epochs=args.epochs,
             seed=replay.config.seed,
@@ -790,7 +764,7 @@ def _cmd_retrain(args: argparse.Namespace) -> int:
     config = replay.config.with_overrides(retrain=retrain,
                                           registry_root=args.registry)
     print(f"re-driving {len(replay.arrivals)} logged arrivals with "
-          f"{args.mode} refits every {args.period} window(s) ...")
+          f"{args.mode} refits every {args.period_windows} window(s) ...")
     platform = build_platform(config)
     stats = platform.run(replay.events(platform.pool),
                          outages=replay.outages or None)

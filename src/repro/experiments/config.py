@@ -12,7 +12,8 @@ identically:
 - ``REPRO_TELEMETRY`` ∈ ``{off, summary, jsonl}`` — telemetry mode
   (:func:`active_telemetry`; the CLI's ``--telemetry`` flag sets it);
 - ``REPRO_SEEDS`` — comma-separated seed override applied by
-  :func:`default_config` (the CLI's ``--seeds`` flag sets it).
+  :func:`default_config` (the CLI's ``--seeds`` flag sets it; both read
+  through :func:`parse_seeds`).
 """
 
 from __future__ import annotations
@@ -26,17 +27,22 @@ from repro.methods.mfcp import MFCPConfig
 from repro.predictors.training import TrainConfig
 from repro.telemetry import MODES
 
-__all__ = ["ExperimentConfig", "active_profile", "active_telemetry", "default_config"]
+__all__ = ["ExperimentConfig", "PROFILES", "active_profile", "active_telemetry",
+           "default_config", "parse_seeds"]
 
 #: N per allocation round (paper: 5 tasks, 3 clusters).
 N_TASKS = 5
 
 
+#: Execution profiles: quick benchmark-friendly sizes, or the paper's.
+PROFILES = ("fast", "full")
+
+
 def active_profile() -> str:
     """"fast" (default) or "full", from the REPRO_PROFILE env var."""
     profile = os.environ.get("REPRO_PROFILE", "fast").lower()
-    if profile not in ("fast", "full"):
-        raise ValueError(f"REPRO_PROFILE must be 'fast' or 'full', got {profile!r}")
+    if profile not in PROFILES:
+        raise ValueError(f"REPRO_PROFILE must be one of {PROFILES}, got {profile!r}")
     return profile
 
 
@@ -48,15 +54,22 @@ def active_telemetry() -> str:
     return mode
 
 
-def _seed_override() -> "tuple[int, ...] | None":
-    """Seeds from REPRO_SEEDS (e.g. ``"0,1,2"``), or None when unset."""
-    raw = os.environ.get("REPRO_SEEDS", "").strip()
-    if not raw:
-        return None
+def parse_seeds(raw: str) -> "tuple[int, ...]":
+    """Seeds from a comma-separated list such as ``"0,1,2"`` (blank
+    entries skipped); ``ValueError`` unless at least one int is given."""
     try:
-        return tuple(int(s) for s in raw.split(","))
+        seeds = tuple(int(s) for s in raw.split(",") if s.strip())
     except ValueError as exc:
-        raise ValueError(f"REPRO_SEEDS must be comma-separated ints, got {raw!r}") from exc
+        raise ValueError(f"seeds must be comma-separated ints, got {raw!r}") from exc
+    if not seeds:
+        raise ValueError(f"at least one seed is required, got {raw!r}")
+    return seeds
+
+
+def _seed_override() -> "tuple[int, ...] | None":
+    """Seeds from REPRO_SEEDS, or None when unset."""
+    raw = os.environ.get("REPRO_SEEDS", "").strip()
+    return parse_seeds(raw) if raw else None
 
 
 @dataclass(frozen=True)

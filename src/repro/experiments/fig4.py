@@ -12,7 +12,7 @@ paper-sized run).
 
 from __future__ import annotations
 
-from repro.clusters.catalog import make_setting
+from repro.clusters.catalog import SETTINGS, make_setting
 from repro.experiments.config import ExperimentConfig, default_config
 from repro.experiments.runner import run_experiment
 from repro.methods import MFCP, TAM, TSM, UCB, MFCPConfig
@@ -20,8 +20,6 @@ from repro.metrics.report import MethodReport, comparison_table
 from repro.predictors.training import TrainConfig
 
 __all__ = ["fig4_methods", "run_fig4", "main"]
-
-SETTINGS = ("A", "B", "C")
 
 
 def fig4_methods(config: ExperimentConfig):

@@ -31,7 +31,7 @@ from typing import Any
 
 from repro.fleet.router import ROUTING_POLICIES
 from repro.serve.config import ServeConfig
-from repro.utils.validation import check_known_keys
+from repro.utils.validation import FIELD_TYPES, check_choices, check_known_keys
 
 __all__ = ["FleetConfig", "PARTITIONS"]
 
@@ -46,8 +46,8 @@ class FleetConfig:
     #: ``"hash"`` = consistent hashing on task identity (cache-affine,
     #: stable under resharding); ``"load"`` = least-loaded with hash
     #: tie-break (levels bursts).  See :mod:`repro.fleet.router`.
-    routing: str = "hash"
-    partition: str = "replicate"
+    routing: str = field(default="hash", metadata={"choices": ROUTING_POLICIES})
+    partition: str = field(default="replicate", metadata={"choices": PARTITIONS})
     #: Specialist-pool size for ``partition="family"`` (ignored for
     #: ``"replicate"``); must be at least ``n_shards``.
     pool_m: int = 8
@@ -65,12 +65,7 @@ class FleetConfig:
     def __post_init__(self) -> None:
         if self.n_shards <= 0:
             raise ValueError(f"n_shards must be positive, got {self.n_shards}")
-        if self.routing not in ROUTING_POLICIES:
-            raise ValueError(
-                f"routing must be one of {ROUTING_POLICIES}, got {self.routing!r}")
-        if self.partition not in PARTITIONS:
-            raise ValueError(
-                f"partition must be one of {PARTITIONS}, got {self.partition!r}")
+        check_choices(self)
         if self.partition == "family" and self.pool_m < self.n_shards:
             raise ValueError(
                 f"family partition needs pool_m >= n_shards "
@@ -94,13 +89,9 @@ class FleetConfig:
 
     def to_params(self) -> dict:
         """The JSON-serializable dict stored in ``meta["fleet"]``."""
-        return {
-            "n_shards": self.n_shards,
-            "routing": self.routing,
-            "partition": self.partition,
-            "pool_m": self.pool_m,
-            "serve": self.serve.to_params(),
-        }
+        params = {f.name: getattr(self, f.name) for f in fields(self)}
+        params["serve"] = self.serve.to_params()
+        return params
 
     @classmethod
     def from_params(cls, params: dict) -> "FleetConfig":
@@ -113,13 +104,9 @@ class FleetConfig:
         # Per-shard logs stamp the shard into meta["serve"]; the
         # fleet-level config is shard-agnostic by construction.
         serve = {**params["serve"], "shard": None, "instance": None}
-        return cls(
-            n_shards=int(params["n_shards"]),
-            routing=str(params["routing"]),
-            partition=str(params["partition"]),
-            pool_m=int(params["pool_m"]),
-            serve=ServeConfig.from_params(serve),
-        )
+        values = {f.name: FIELD_TYPES[f.type](params[f.name])
+                  for f in fields(cls) if f.name != "serve"}
+        return cls(**values, serve=ServeConfig.from_params(serve))
 
     def with_overrides(self, **changes: Any) -> "FleetConfig":
         """A copy with the given fields replaced (frozen-friendly)."""

@@ -46,7 +46,7 @@ import numpy as np
 from repro.fleet.config import FleetConfig
 from repro.fleet.router import full_down_intervals, make_router
 from repro.serve.config import build_stack
-from repro.serve.dispatcher import Dispatcher, Outage, ServeStats
+from repro.serve.dispatcher import RUN_STAT_FIELDS, Dispatcher, Outage, ServeStats
 from repro.telemetry import recording
 from repro.workloads.taskpool import Task
 
@@ -86,49 +86,12 @@ class FleetStats:
     decide_total_s: "list[float]" = field(default_factory=list)
 
     # -------------------------- fleet totals -------------------------- #
-
-    def _sum(self, name: str) -> int:
-        return sum(getattr(s, name) for s in self.per_shard)
+    # ``arrived`` ... ``swaps``: every RUN_STAT_FIELDS counter summed over
+    # the shards, attached below the class.
 
     @property
     def n_shards(self) -> int:
         return len(self.per_shard)
-
-    @property
-    def arrived(self) -> int:
-        return self._sum("arrived")
-
-    @property
-    def matched(self) -> int:
-        return self._sum("matched")
-
-    @property
-    def completed(self) -> int:
-        return self._sum("completed")
-
-    @property
-    def failed(self) -> int:
-        return self._sum("failed")
-
-    @property
-    def shed(self) -> int:
-        return self._sum("shed")
-
-    @property
-    def requeued(self) -> int:
-        return self._sum("requeued")
-
-    @property
-    def unserved(self) -> int:
-        return self._sum("unserved")
-
-    @property
-    def windows(self) -> int:
-        return self._sum("windows")
-
-    @property
-    def swaps(self) -> int:
-        return self._sum("swaps")
 
     @property
     def conserved(self) -> bool:
@@ -190,6 +153,16 @@ class FleetStats:
             f"p95_decide={float(np.percentile(lat, 95)) * 1e3:.1f}ms "
             f"critical_path_tasks_per_s={self.throughput_tasks_per_s():.0f}"
         )
+
+
+def _fleet_total(name: str) -> property:
+    return property(lambda self: sum(getattr(s, name) for s in self.per_shard),
+                    doc=f"``{name}`` summed over the shards.")
+
+
+for _name in RUN_STAT_FIELDS:
+    if _name != "max_queue_depth":  # a maximum does not add up across shards
+        setattr(FleetStats, _name, _fleet_total(_name))
 
 
 class FleetController:

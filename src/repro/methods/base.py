@@ -194,9 +194,10 @@ class BaseMethod(ABC):
             predictor forward passes for repeated task specs and injects
             them here instead of re-running :meth:`predict`.
         solve_mode:
-            ``"scalar"`` (default) runs the dense
-            :func:`~repro.matching.relaxed.solve_relaxed`; ``"blocks"``
-            runs :func:`~repro.matching.blocks.solve_relaxed_blocks` —
+            One of :data:`repro.serve.dispatcher.SOLVE_MODES`, which the
+            dispatcher's config checks.  ``"scalar"`` (default) runs the
+            dense :func:`~repro.matching.relaxed.solve_relaxed`;
+            ``"blocks"`` runs :func:`~repro.matching.blocks.solve_relaxed_blocks` —
             decompose into viability components, solve as one batched
             float32 instance (``block_config`` is its
             :class:`~repro.matching.blocks.BlockConfig`).
@@ -210,8 +211,6 @@ class BaseMethod(ABC):
         """
         if not self._fitted:
             raise RuntimeError(f"{self.name}: decide() called before fit()")
-        if solve_mode not in ("scalar", "blocks"):
-            raise ValueError(f"unknown solve_mode {solve_mode!r}")
         if profiler is None:
             from repro.telemetry.profiler import NULL_PROFILER as profiler
         with profiler.stage("predict"):

@@ -24,6 +24,9 @@ __all__ = [
     "per_task_rank_accuracy",
 ]
 
+#: Equal-width probability bins of the reliability calibration curve.
+CALIBRATION_BINS = 10
+
 
 @dataclass(frozen=True)
 class TimeAccuracy:
@@ -82,16 +85,14 @@ class ReliabilityCalibration:
 def reliability_calibration(
     a_pred: np.ndarray,
     outcomes: np.ndarray,
-    *,
-    bins: int = 10,
 ) -> ReliabilityCalibration:
-    """Brier score / ECE / calibration curve against binary outcomes.
+    """Brier score / ECE / calibration curve against binary outcomes, over
+    ``CALIBRATION_BINS`` equal-width bins.
 
     ``outcomes`` are realized success indicators (0/1), e.g. from the
     discrete-event simulator; ``a_pred`` the predicted probabilities.
     """
-    if bins <= 1:
-        raise ValueError(f"bins must be > 1, got {bins}")
+    bins = CALIBRATION_BINS
     a_pred = check_array(a_pred, name="a_pred").ravel()
     outcomes = check_array(outcomes, name="outcomes").ravel()
     if a_pred.shape != outcomes.shape:

@@ -49,12 +49,12 @@ class MethodReport:
     def utilization(self) -> tuple[float, float]:
         return self._stat("utilization")
 
-    def as_row(self, digits: int = 3) -> list[str]:
+    def as_row(self) -> list[str]:
         return [
             self.method,
-            format_mean_std(*self.regret, digits=digits),
-            format_mean_std(*self.reliability, digits=digits),
-            format_mean_std(*self.utilization, digits=digits),
+            format_mean_std(*self.regret),
+            format_mean_std(*self.reliability),
+            format_mean_std(*self.utilization),
         ]
 
 

@@ -42,16 +42,14 @@ __all__ = ["prometheus_text", "sanitize_name"]
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
 
 
-def sanitize_name(name: str, prefix: str = "repro") -> str:
-    """Map an internal metric path onto a legal Prometheus metric name."""
+def sanitize_name(name: str) -> str:
+    """Map an internal metric path onto a legal Prometheus metric name
+    under the ``repro_`` prefix."""
     flat = _NAME_RE.sub("_", name.strip("/"))
     flat = re.sub(r"_+", "_", flat).strip("_")
     if not flat:
         raise ValueError(f"metric name {name!r} sanitizes to nothing")
-    out = f"{prefix}_{flat}" if prefix else flat
-    if re.match(r"^[0-9]", out):
-        out = f"_{out}"
-    return out
+    return f"repro_{flat}"
 
 
 def _fmt(value: float) -> str:

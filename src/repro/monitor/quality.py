@@ -216,37 +216,35 @@ class QualityMonitor(ServeCallback):
         rec = get_recorder()
 
         # --- drift signals ------------------------------------------- #
-        if snapshot.T_hat is not None:
-            assigned = snapshot.X.argmax(axis=0)  # cluster row per task
-            cols = np.arange(snapshot.X.shape[1])
-            placed = snapshot.X[assigned, cols] > 0  # shed-from-window guard
-            t_hat = snapshot.T_hat[assigned, cols]
-            # Relative time error vs what the cluster actually observed.
-            time_err = np.abs(t_hat - snapshot.realized_hours) / np.maximum(
-                snapshot.realized_hours, 1e-6
-            )
-            # One pass per bank over the placed tasks, then the alarms in
-            # the order a task-by-task feed raises them: by task, its
-            # time-error alarms before its calibration alarms.
-            placed_err = time_err[placed]
-            hits = [(j, 0, "time_error", name, stat) for j, name, stat
-                    in self.banks["time_error"].update_many(placed_err.tolist())]
-            if snapshot.A_hat is not None:
-                # Signed calibration error: â minus the 0/1 outcome.
-                calib = snapshot.A_hat[assigned, cols] - snapshot.success
-                hits += [(j, 1, "reliability_error", name, stat) for j, name, stat
-                         in self.banks["reliability_error"].update_many(
-                             calib[placed].tolist())]
-            hits.sort(key=itemgetter(0, 1))
-            for _, _, signal, name, stat in hits:
-                self._alert(snapshot.window, snapshot.time, "drift", signal, name,
-                            stat, _DRIFT_MESSAGES[signal])
-                self._maybe_suggest_retrain(snapshot, signal, [name])
-            if rec.enabled and placed_err.size:
-                # ``placed_err.mean()``, minus its Python-level wrapper.
-                rec.observe("monitor/time_error",
-                            float(np.add.reduce(placed_err) / placed_err.size),
-                            bounds=_GAP_BUCKETS)
+        assigned = snapshot.X.argmax(axis=0)  # cluster row per task
+        cols = np.arange(snapshot.X.shape[1])
+        placed = snapshot.X[assigned, cols] > 0  # shed-from-window guard
+        t_hat = snapshot.T_hat[assigned, cols]
+        # Relative time error vs what the cluster actually observed.
+        time_err = np.abs(t_hat - snapshot.realized_hours) / np.maximum(
+            snapshot.realized_hours, 1e-6
+        )
+        # One pass per bank over the placed tasks, then the alarms in
+        # the order a task-by-task feed raises them: by task, its
+        # time-error alarms before its calibration alarms.
+        placed_err = time_err[placed]
+        hits = [(j, 0, "time_error", name, stat) for j, name, stat
+                in self.banks["time_error"].update_many(placed_err.tolist())]
+        # Signed calibration error: â minus the 0/1 outcome.
+        calib = snapshot.A_hat[assigned, cols] - snapshot.success
+        hits += [(j, 1, "reliability_error", name, stat) for j, name, stat
+                 in self.banks["reliability_error"].update_many(
+                     calib[placed].tolist())]
+        hits.sort(key=itemgetter(0, 1))
+        for _, _, signal, name, stat in hits:
+            self._alert(snapshot.window, snapshot.time, "drift", signal, name,
+                        stat, _DRIFT_MESSAGES[signal])
+            self._maybe_suggest_retrain(snapshot, signal, [name])
+        if rec.enabled and placed_err.size:
+            # ``placed_err.mean()``, minus its Python-level wrapper.
+            rec.observe("monitor/time_error",
+                        float(np.add.reduce(placed_err) / placed_err.size),
+                        bounds=_GAP_BUCKETS)
 
         # --- regret attribution -------------------------------------- #
         attribution = self.attributor.attribute(snapshot)

@@ -24,15 +24,10 @@ def softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def logsumexp_np(x: np.ndarray, axis: int | None = None) -> np.ndarray:
-    """Tape-free log-sum-exp with max-shift stabilization."""
-    shift = x.max(axis=axis, keepdims=True)
-    out = np.log(np.exp(x - shift).sum(axis=axis, keepdims=True)) + shift
-    if axis is not None:
-        out = np.squeeze(out, axis=axis)
-    else:
-        out = out.reshape(())
-    return out
+def logsumexp_np(x: np.ndarray) -> np.ndarray:
+    """Tape-free log-sum-exp of the whole array (0-d), max-shift stabilized."""
+    shift = x.max(keepdims=True)
+    return (np.log(np.exp(x - shift).sum(keepdims=True)) + shift).reshape(())
 
 
 def sigmoid_np(z: np.ndarray) -> np.ndarray:

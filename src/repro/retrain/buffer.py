@@ -124,11 +124,6 @@ class ReplayBuffer:
 
     def harvest(self, snapshot: WindowSnapshot) -> int:
         """Ingest every task of a dispatched window; returns labels added."""
-        if snapshot.features is None:
-            raise ValueError(
-                "snapshot carries no feature matrix — harvesting needs the "
-                "dispatcher's WindowSnapshot.features"
-            )
         k = len(snapshot.task_ids)
         for j in range(k):
             self.add(Label(

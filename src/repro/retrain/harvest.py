@@ -47,16 +47,13 @@ class WindowHarvester(ServeCallback):
         if snapshot.end.size:
             self.max_label_end = max(self.max_label_end,
                                      float(np.max(snapshot.end)))
-        if snapshot.features is not None:
-            self.windows.append(CanaryWindow(
-                window=snapshot.window,
-                pair_rows=tuple(self.pair_index[cid]
-                                for cid in snapshot.cluster_ids),
-                T=snapshot.T, A=snapshot.A, gamma=snapshot.gamma,
-                Z=snapshot.features,
-            ))
-        if snapshot.T_hat is None:
-            return
+        self.windows.append(CanaryWindow(
+            window=snapshot.window,
+            pair_rows=tuple(self.pair_index[cid]
+                            for cid in snapshot.cluster_ids),
+            T=snapshot.T, A=snapshot.A, gamma=snapshot.gamma,
+            Z=snapshot.features,
+        ))
         rows = np.argmax(snapshot.X, axis=0)
         ok = snapshot.success & (snapshot.realized_hours > 0)
         if not ok.any():

@@ -33,7 +33,7 @@ layer (:mod:`repro.monitor.replay`) verifies for swapped runs.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from repro.serve.dispatcher import Dispatcher, ServeCallback, ServeStats, Window
 from repro.serve.registry import ModelRegistry
 from repro.telemetry import get_recorder
 from repro.utils.rng import as_generator
-from repro.utils.validation import check_known_keys
+from repro.utils.validation import check_choices, check_known_keys
 
 __all__ = ["RetrainConfig", "RetrainController", "build_refit"]
 
@@ -100,7 +100,7 @@ class RetrainConfig:
     """Flat, JSON-safe knobs of the closed retraining loop."""
 
     # Trigger policy.
-    trigger: str = "drift"  # drift | periodic | both | manual
+    trigger: str = field(default="drift", metadata={"choices": TRIGGERS})
     period_windows: int = 0  # periodic cadence (0 = never), used by periodic/both
     cooldown_windows: int = 16  # windows between retrain attempts
     # Label harvesting / sampling.
@@ -109,7 +109,7 @@ class RetrainConfig:
     sample_size: int = 256
     holdout_fraction: float = 0.25
     # Refit optimization (feeds TrainConfig).
-    mode: str = "incremental"  # or "full"
+    mode: str = field(default="incremental", metadata={"choices": REFIT_MODES})
     steps_per_window: int = 8  # cooperative minibatch budget per dispatch
     epochs: int = 40
     lr: float = 5e-3
@@ -122,10 +122,7 @@ class RetrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.trigger not in TRIGGERS:
-            raise ValueError(f"trigger must be one of {TRIGGERS}, got {self.trigger!r}")
-        if self.mode not in REFIT_MODES:
-            raise ValueError(f"mode must be one of {REFIT_MODES}, got {self.mode!r}")
+        check_choices(self)
         if self.trigger in ("periodic", "both") and self.period_windows <= 0:
             raise ValueError("periodic trigger requires period_windows > 0")
         for name in ("min_labels", "min_cluster_labels", "sample_size",
@@ -328,9 +325,19 @@ class RetrainController(ServeCallback):
                 return f"periodic: every {cfg.period_windows} windows"
         return None
 
+    def _verdict(self, kind: str, counter: "str | None" = None,
+                 log_only: "dict | None" = None, **entry) -> None:
+        """Record one verdict: an ``events`` entry and a ``retrain/<kind>``
+        event (plus ``counter``); ``log_only`` fields go to the event only."""
+        self.events.append({"kind": kind, **entry})
+        rec = get_recorder()
+        if rec.enabled:
+            if counter is not None:
+                rec.counter_add(counter)
+            rec.event(f"retrain/{kind}", **entry, **(log_only or {}))
+
     def _start_job(self, snapshot: WindowSnapshot, reason: str) -> None:
         cfg = self.config
-        rec = get_recorder()
         refit = build_refit(
             self.buffer, snapshot.time, _pairs_of_method(self.dispatcher.method),
             self._cluster_ids, cfg, self._rng)
@@ -345,14 +352,10 @@ class RetrainController(ServeCallback):
         self._holdout = holdout
         self._last_trigger_window = snapshot.window
         self.state = "training"
-        self.events.append({"kind": "triggered", "window": snapshot.window,
-                            "reason": reason, "n_train": len(train),
-                            "n_holdout": len(holdout)})
-        if rec.enabled:
-            rec.counter_add("retrain/jobs")
-            rec.event("retrain/triggered", window=snapshot.window, reason=reason,
-                      mode=cfg.mode, n_train=len(train), n_holdout=len(holdout),
-                      total_steps=job.total_steps)
+        self._verdict("triggered", "retrain/jobs",
+                      {"mode": cfg.mode, "total_steps": job.total_steps},
+                      window=snapshot.window, reason=reason,
+                      n_train=len(train), n_holdout=len(holdout))
 
     # ------------------------------------------------------------------ #
     # Training → canary → swap.
@@ -393,13 +396,9 @@ class RetrainController(ServeCallback):
                                                decision.passed, cfg, metrics)
         if not decision.passed:
             self.state = "idle"
-            self.events.append({"kind": "rejected", "window": snapshot.window,
-                                "version": info.version,
-                                "reasons": list(decision.reasons)})
-            if rec.enabled:
-                rec.counter_add("retrain/rejections")
-                rec.event("retrain/rejected", window=snapshot.window,
-                          version=info.version, reasons=list(decision.reasons))
+            self._verdict("rejected", "retrain/rejections",
+                          window=snapshot.window, version=info.version,
+                          reasons=list(decision.reasons))
             return
         self.dispatcher.request_swap(info.version, reason="retrain")
         baseline = _guard_verdict(self.window_errors, snapshot.window + 1,
@@ -408,14 +407,9 @@ class RetrainController(ServeCallback):
                        "pre_count": len(self.window_errors),
                        "version": info.version}
         self.state = "guard"
-        self.events.append({"kind": "promoted", "window": snapshot.window,
-                            "version": info.version, "parent": live_version,
-                            "baseline_mse": baseline})
-        if rec.enabled:
-            rec.counter_add("retrain/promotions")
-            rec.event("retrain/promoted", window=snapshot.window,
-                      version=info.version, parent=live_version,
-                      digest=info.digest, baseline_mse=baseline)
+        self._verdict("promoted", "retrain/promotions", {"digest": info.digest},
+                      window=snapshot.window, version=info.version,
+                      parent=live_version, baseline_mse=baseline)
 
     # ------------------------------------------------------------------ #
     # Post-swap guard.
@@ -432,27 +426,16 @@ class RetrainController(ServeCallback):
         verdict = _guard_verdict(self.window_errors, guard["after_window"] + 1,
                                  cfg)
         post, baseline = verdict["post_mse"], verdict["baseline_mse"]
-        rec = get_recorder()
         self._guard = None
         self.state = "idle"
         if not verdict["degraded"]:
-            self.events.append({"kind": "guard_passed", "window": snapshot.window,
-                                "version": guard["version"], "post_mse": post,
-                                "baseline_mse": baseline})
-            if rec.enabled:
-                rec.event("retrain/guard_passed", window=snapshot.window,
+            self._verdict("guard_passed", window=snapshot.window,
                           version=guard["version"], post_mse=post,
                           baseline_mse=baseline)
             return
         info = self.registry.rollback()
         self.dispatcher.request_swap(info.version, reason="rollback")
         self._cooldown_until = snapshot.window + cfg.cooldown_windows
-        self.events.append({"kind": "rollback", "window": snapshot.window,
-                            "from_version": guard["version"],
-                            "to_version": info.version,
-                            "post_mse": post, "baseline_mse": baseline})
-        if rec.enabled:
-            rec.counter_add("retrain/rollbacks")
-            rec.event("retrain/rollback", window=snapshot.window,
+        self._verdict("rollback", "retrain/rollbacks", window=snapshot.window,
                       from_version=guard["version"], to_version=info.version,
                       post_mse=post, baseline_mse=baseline)

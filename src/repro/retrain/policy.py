@@ -38,7 +38,7 @@ from repro.utils.rng import spawn
 
 __all__ = ["RefitJob"]
 
-REFIT_MODES = ("full", "incremental")
+REFIT_MODES = ("incremental", "full")
 
 
 @dataclass

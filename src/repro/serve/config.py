@@ -22,18 +22,21 @@ touches the higher layers.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Any
 
+from repro.clusters import SETTINGS
 from repro.matching.relaxed import SolverConfig
 from repro.serve.dispatcher import (
+    SHED_POLICIES,
+    SOLVE_MODES,
     Dispatcher,
     DispatcherConfig,
     Outage,
     ServeStats,
 )
 from repro.serve.registry import ModelRegistry
-from repro.utils.validation import check_known_keys
+from repro.utils.validation import FIELD_TYPES, check_choices, check_known_keys
 
 if TYPE_CHECKING:  # layering: monitor/retrain import serve, not vice versa
     from repro.monitor.quality import MonitorConfig, QualityMonitor
@@ -42,11 +45,9 @@ if TYPE_CHECKING:  # layering: monitor/retrain import serve, not vice versa
 
 __all__ = ["ServeConfig", "Platform", "build_platform"]
 
-SHED_POLICIES = ("reject", "drop_oldest")
+#: Window-seed source: ``"cache"`` (last-window columns) or ``"off"``
+#: (always cold).
 WARM_STARTS = ("cache", "off")
-SOLVE_MODES = ("scalar", "blocks")
-#: ``from_params`` coercion by field annotation (the module's annotations are strings).
-_COERCE = {"str": str, "int": int, "float": float, "bool": bool}
 
 
 @dataclass(frozen=True)
@@ -55,10 +56,10 @@ class ServeConfig:
 
     The flat fields are the stack's knobs; the ``monitor``/``retrain``
     sections opt into the observability and closed-loop retraining
-    subsystems.
+    subsystems.  A field's ``metadata["choices"]`` is its allowed set.
     """
 
-    setting: str = "A"
+    setting: str = field(default="A", metadata={"choices": SETTINGS})
     pool_size: int = 64
     seed: int = 0
     train_epochs: int = 120
@@ -67,13 +68,9 @@ class ServeConfig:
     max_batch: int = 16
     max_wait_hours: float = 0.25
     queue_capacity: int = 128
-    shed_policy: str = "reject"
-    #: Window-seed source: ``"cache"`` (last-window columns) or
-    #: ``"off"`` (always cold).
-    warm_start: str = "cache"
-    #: ``"scalar"`` = dense per-window solve (default; byte-identical
-    #: traces), ``"blocks"`` = block-decomposed batched solve.
-    solve_mode: str = "scalar"
+    shed_policy: str = field(default="reject", metadata={"choices": SHED_POLICIES})
+    warm_start: str = field(default="cache", metadata={"choices": WARM_STARTS})
+    solve_mode: str = field(default="scalar", metadata={"choices": SOLVE_MODES})
     #: Attach a :class:`repro.telemetry.StageProfiler` to the dispatcher:
     #: per-stage latency budgets (form/predict/seed/solve/…), flamegraph
     #: export, ``stats.profile``.  Wall-clock only — never perturbs the
@@ -105,15 +102,7 @@ class ServeConfig:
                 raise ValueError(f"{name} must be positive")
         if self.solver_tol <= 0 or self.max_wait_hours <= 0:
             raise ValueError("solver_tol and max_wait_hours must be positive")
-        if self.shed_policy not in SHED_POLICIES:
-            raise ValueError(
-                f"shed_policy must be one of {SHED_POLICIES}, got {self.shed_policy!r}")
-        if self.warm_start not in WARM_STARTS:
-            raise ValueError(
-                f"warm_start must be one of {WARM_STARTS}, got {self.warm_start!r}")
-        if self.solve_mode not in SOLVE_MODES:
-            raise ValueError(
-                f"solve_mode must be one of {SOLVE_MODES}, got {self.solve_mode!r}")
+        check_choices(self)
         for name in ("shard", "instance"):  # label values; normalize to str
             value = getattr(self, name)
             if value is not None and not isinstance(value, str):
@@ -142,7 +131,7 @@ class ServeConfig:
             raise ValueError(f"serve params missing {missing}")
         check_known_keys(cls, params, "serve")
         # Scalars are coerced by their annotation; Optional fields pass through.
-        values = {f.name: _COERCE.get(f.type, lambda v: v)(params[f.name])
+        values = {f.name: FIELD_TYPES.get(f.type, lambda v: v)(params[f.name])
                   for f in fields(cls)}
         if values["monitor"] is not None:
             from repro.monitor.quality import MonitorConfig

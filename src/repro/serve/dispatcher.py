@@ -67,11 +67,14 @@ from repro.telemetry import ITER_BUCKETS, SIZE_BUCKETS, TIME_BUCKETS_S, get_reco
 from repro.telemetry.journey import JourneyRecorder
 from repro.telemetry.profiler import NULL_PROFILER, StageProfiler, budget_gauges
 from repro.utils.rng import as_generator
+from repro.utils.validation import check_choices
 from repro.workloads.taskpool import Task
 
 __all__ = [
     "Outage",
     "RUN_STAT_FIELDS",
+    "SHED_POLICIES",
+    "SOLVE_MODES",
     "DispatcherConfig",
     "ServeRecord",
     "ServeStats",
@@ -90,6 +93,13 @@ RUN_STAT_FIELDS = (
     "arrived", "matched", "completed", "failed", "shed", "requeued",
     "unserved", "windows", "swaps", "max_queue_depth",
 )
+#: Admission shedding: drop the incoming job, or evict the oldest admitted one.
+SHED_POLICIES = ("reject", "drop_oldest")
+#: ``"scalar"`` = one dense solve per window (the historical path,
+#: byte-identical traces); ``"blocks"`` = decompose into viability
+#: components and solve them as one batched float32 instance
+#: (:func:`repro.matching.blocks.solve_relaxed_blocks`).
+SOLVE_MODES = ("scalar", "blocks")
 
 
 @dataclass(frozen=True)
@@ -112,7 +122,7 @@ class DispatcherConfig:
     max_batch: int = 32  # size trigger: dispatch as soon as this many queue up
     max_wait_hours: float = 0.25  # time trigger: oldest admitted job's max wait
     queue_capacity: int = 256  # admission bound (re-queues are exempt)
-    shed_policy: str = "reject"  # "reject" | "drop_oldest"
+    shed_policy: str = field(default="reject", metadata={"choices": SHED_POLICIES})
     #: Simulated platform-side decision cost per window.  While a window is
     #: being decided the dispatcher accepts no new window, so arrivals pile
     #: up — this is what makes overload (and shedding) reachable.
@@ -120,11 +130,7 @@ class DispatcherConfig:
     #: Seed windows from the last-window cache and memoize predictions
     #: (:mod:`repro.serve.cache`); both go on and off together.
     warm_start: bool = True
-    #: ``"scalar"`` = one dense solve per window (the historical path,
-    #: byte-identical traces); ``"blocks"`` = decompose into viability
-    #: components and solve them as one batched float32 instance
-    #: (:func:`repro.matching.blocks.solve_relaxed_blocks`).
-    solve_mode: str = "scalar"
+    solve_mode: str = field(default="scalar", metadata={"choices": SOLVE_MODES})
     #: Per-task journey tracing (:mod:`repro.telemetry.journey`).  The
     #: kept fraction of uneventful journeys; shed / requeued / long-wait
     #: journeys are always kept.  ``0.0`` disables tracing entirely (one
@@ -138,16 +144,12 @@ class DispatcherConfig:
             raise ValueError("max_batch and queue_capacity must be positive")
         if self.max_wait_hours <= 0:
             raise ValueError("max_wait_hours must be positive")
-        if self.shed_policy not in ("reject", "drop_oldest"):
-            raise ValueError(f"unknown shed_policy {self.shed_policy!r}")
+        check_choices(self)
         if not 0.0 <= self.journey_sample <= 1.0:
             raise ValueError(
                 f"journey_sample must be in [0, 1], got {self.journey_sample}")
         if self.dispatch_overhead_hours < 0:
             raise ValueError("dispatch_overhead_hours must be >= 0")
-        if self.solve_mode not in ("scalar", "blocks"):
-            raise ValueError(f"solve_mode must be 'scalar' or 'blocks', "
-                             f"got {self.solve_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -280,9 +282,8 @@ class WindowSnapshot:
     clusters that were up for this window); per-task arrays follow
     ``task_ids`` (the window's batch order).
 
-    ``T_hat``/``A_hat`` are the predicted matrices the decision used —
-    ``None`` for methods with a custom ``decide`` override that never
-    predicts.  ``realized_hours`` is the *busy* time each job actually
+    ``T_hat``/``A_hat`` are the predicted matrices the decision used.
+    ``realized_hours`` is the *busy* time each job actually
     occupied its cluster (truncated for failed jobs), i.e. what a real platform would observe, while
     ``T``/``A`` carry the ground-truth expectations.
     """
@@ -293,8 +294,8 @@ class WindowSnapshot:
     task_ids: tuple[int, ...]
     T: np.ndarray  # true expected times, shape (m, k)
     A: np.ndarray  # true reliabilities, shape (m, k)
-    T_hat: "np.ndarray | None"  # predicted times (m, k) or None
-    A_hat: "np.ndarray | None"
+    T_hat: np.ndarray  # predicted times, shape (m, k)
+    A_hat: np.ndarray  # predicted reliabilities, shape (m, k)
     X: np.ndarray  # executed binary assignment, shape (m, k)
     gamma: float  # reliability threshold of the window's problem
     reliability_slack: float  # g(X, A_true) - gamma of the executed matching
@@ -310,8 +311,8 @@ class WindowSnapshot:
     #: Raw (unstandardized) task feature matrix, shape (k, d) in
     #: ``task_ids`` order — what the label harvester of the retraining
     #: loop pairs with ``realized_hours``/``success`` to form training
-    #: examples.  ``None`` only for snapshots built by old code paths.
-    features: "np.ndarray | None" = None
+    #: examples.
+    features: np.ndarray
 
     @property
     def batch_size(self) -> int:
@@ -440,10 +441,6 @@ class Dispatcher:
                 self.config.journey_sample,
                 slo_wait_hours=4.0 * self.config.max_wait_hours)
         self.callbacks: "list[ServeCallback]" = list(callbacks or ())
-        # The warm-start/memo hooks only apply to methods running the
-        # default predict→solve→round pipeline; custom decide() overrides
-        # (e.g. Oracle) are dispatched as-is.
-        self._default_decide = type(method).decide is BaseMethod.decide
 
     # ------------------------------------------------------------------ #
 
@@ -765,13 +762,9 @@ class ServeLoop:
 
     def _decide(self, w: _Window) -> None:
         """Choose the window's assignment ``w.X`` and account for it."""
-        d, stats, rec = self.dispatcher, self.stats, self.rec
+        stats, rec = self.stats, self.rec
         t0 = time.perf_counter()
-        if d._default_decide:
-            self._decide_default(w)
-        else:
-            with self.prof.stage("solve"):
-                w.X = d.method.decide(w.problem, w.tasks)
+        self._solve(w)
         latency = time.perf_counter() - t0
         k = len(w.batch)
         stats.windows += 1
@@ -782,10 +775,9 @@ class ServeLoop:
             rec.counter_add("serve/windows")
             rec.observe("serve/batch_size", k, bounds=SIZE_BUCKETS)
             rec.observe("serve/assignment_latency_s", latency, bounds=TIME_BUCKETS_S)
-            if d._default_decide:
-                rec.observe("serve/solve_iterations", w.iterations, bounds=ITER_BUCKETS)
+            rec.observe("serve/solve_iterations", w.iterations, bounds=ITER_BUCKETS)
 
-    def _decide_default(self, w: _Window) -> None:
+    def _solve(self, w: _Window) -> None:
         """Predict → seed → solve → commit: the memo and the cache hook in here."""
         d, prof, stats, rec = self.dispatcher, self.prof, self.stats, self.rec
         ups, tasks = w.ups, w.tasks
@@ -881,8 +873,7 @@ class ServeLoop:
                 cluster_ids=tuple(c.cluster_id for c in w.ups),
                 task_ids=tuple(t.task_id for t in w.tasks),
                 T=w.T, A=w.A,
-                T_hat=None if w.predictions is None else w.predictions[0],
-                A_hat=None if w.predictions is None else w.predictions[1],
+                T_hat=w.predictions[0], A_hat=w.predictions[1],
                 X=w.X, gamma=w.problem.gamma,
                 reliability_slack=reliability_value(w.X, w.problem),
                 arrival=np.array([q.arrival for q in batch]),

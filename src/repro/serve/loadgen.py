@@ -31,6 +31,7 @@ __all__ = [
     "BurstyLoad",
     "DiurnalLoad",
     "make_load",
+    "LOAD_PATTERNS",
 ]
 
 
@@ -141,18 +142,22 @@ class DiurnalLoad:
                 events.append((t, self.pool.sample_round(1, rng, replace=True)[0]))
 
 
+#: The load shapes by CLI pattern name, each built at a mean ``rate``.
+LOAD_PATTERNS = {
+    "poisson": lambda pool, rate: PoissonLoad(pool, rate),
+    # Quiet 3/4 of the time at half rate, bursts at 2.5x: mean ≈ rate.
+    "bursty": lambda pool, rate: BurstyLoad(pool, base_rate=0.5 * rate,
+                                            burst_rate=2.5 * rate),
+    # Symmetric swing around the requested mean.
+    "diurnal": lambda pool, rate: DiurnalLoad(pool, peak_rate=1.6 * rate,
+                                              trough_rate=0.4 * rate),
+}
+
+
 def make_load(pattern: str, pool: TaskPool, rate_per_hour: float):
     """Factory keyed by CLI pattern name, normalized to a mean ``rate``."""
     if rate_per_hour <= 0:
         raise ValueError(f"rate_per_hour must be > 0, got {rate_per_hour}")
-    if pattern == "poisson":
-        return PoissonLoad(pool, rate_per_hour)
-    if pattern == "bursty":
-        # Quiet 3/4 of the time at half rate, bursts at 2.5x: mean ≈ rate.
-        return BurstyLoad(pool, base_rate=0.5 * rate_per_hour,
-                          burst_rate=2.5 * rate_per_hour)
-    if pattern == "diurnal":
-        # Symmetric swing around the requested mean.
-        return DiurnalLoad(pool, peak_rate=1.6 * rate_per_hour,
-                           trough_rate=0.4 * rate_per_hour)
-    raise ValueError(f"unknown load pattern {pattern!r}")
+    if pattern not in LOAD_PATTERNS:
+        raise ValueError(f"unknown load pattern {pattern!r}")
+    return LOAD_PATTERNS[pattern](pool, rate_per_hour)

@@ -1,7 +1,7 @@
 """Minimal discrete-event simulation core.
 
-A classic event-queue kernel: events are (time, priority, seq) ordered,
-callbacks may schedule further events.  Deliberately small — the cluster
+A classic event-queue kernel: events are (time, seq) ordered — equal
+times run in the order they were scheduled — and callbacks may schedule further events.  Deliberately small — the cluster
 execution engine (``repro.sim.engine``) is its only in-repo client, but the
 kernel is generic and tested independently.
 """
@@ -17,10 +17,9 @@ __all__ = ["Event", "Simulator"]
 
 @dataclass(order=True)
 class Event:
-    """One scheduled callback; ordering is (time, priority, seq)."""
+    """One scheduled callback; ordering is (time, seq)."""
 
     time: float
-    priority: int
     seq: int
     callback: Callable[["Simulator"], None] = field(compare=False)
     cancelled: bool = field(default=False, compare=False)
@@ -39,14 +38,11 @@ class Simulator:
         self,
         delay: float,
         callback: Callable[["Simulator"], None],
-        *,
-        priority: int = 0,
     ) -> Event:
         """Schedule ``callback`` to run ``delay`` time units from now."""
         if delay < 0:
             raise ValueError(f"delay must be >= 0, got {delay}")
-        event = Event(time=self.now + delay, priority=priority, seq=self._seq,
-                      callback=callback)
+        event = Event(time=self.now + delay, seq=self._seq, callback=callback)
         self._seq += 1
         heapq.heappush(self._queue, event)
         return event

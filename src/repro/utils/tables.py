@@ -13,9 +13,9 @@ from typing import Iterable, Sequence
 __all__ = ["Table", "format_mean_std", "render_series"]
 
 
-def format_mean_std(mean: float, std: float, *, digits: int = 3) -> str:
-    """Render ``mean ± std`` the way the paper's tables do."""
-    return f"{mean:.{digits}f} ± {std:.{digits}f}"
+def format_mean_std(mean: float, std: float) -> str:
+    """Render ``mean ± std`` the way the paper's tables do (3 decimals)."""
+    return f"{mean:.3f} ± {std:.3f}"
 
 
 @dataclass

@@ -18,7 +18,15 @@ __all__ = [
     "check_positive",
     "check_assignment_matrix",
     "check_known_keys",
+    "check_choices",
+    "FIELD_TYPES",
 ]
+
+#: The scalar type a config field's annotation names (annotations are
+#: strings under ``from __future__ import annotations``): what
+#: ``from_params`` coerces a logged value with and what ``repro``'s flag
+#: for the field parses.  Other annotations have no entry.
+FIELD_TYPES = {"str": str, "int": int, "float": float, "bool": bool}
 
 
 def check_array(
@@ -89,3 +97,14 @@ def check_known_keys(cls: type, params: dict, what: str) -> None:
     unknown = sorted(set(params) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"{what} params have unknown keys {unknown}")
+
+
+def check_choices(config: Any) -> None:
+    """Refuse a dataclass holding a value outside a field's allowed set,
+    the field's ``metadata["choices"]``."""
+    for f in fields(config):
+        choices = f.metadata.get("choices")
+        value = getattr(config, f.name)
+        if choices is not None and value not in choices:
+            raise ValueError(
+                f"{f.name} must be one of {tuple(choices)}, got {value!r}")

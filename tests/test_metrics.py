@@ -118,6 +118,6 @@ class TestReporting:
         assert "TSM" in text and "Regret" in text and "±" in text
 
     def test_as_row_format(self):
-        row = aggregate("M", self.samples()).as_row(digits=2)
+        row = aggregate("M", self.samples()).as_row()
         assert row[0] == "M"
-        assert "0.20 ± 0.10" == row[1]
+        assert "0.200 ± 0.100" == row[1]

@@ -385,6 +385,7 @@ def _snapshot(window, T, A, T_hat, A_hat, X, *, realized=None, success=None,
         end=np.full(k, time) + realized, realized_hours=realized,
         success=success, requeues=np.zeros(k, dtype=int), queue_depth=0,
         arrived_total=(window + 1) * k, shed_total=0,
+        features=np.zeros((k, 1)),
     )
 
 
@@ -559,8 +560,8 @@ class TestPrometheusExport:
     def test_sanitize_name(self):
         assert sanitize_name("serve/solve_iterations") == \
             "repro_serve_solve_iterations"
-        assert sanitize_name("a b//c", prefix="") == "a_b_c"
-        assert sanitize_name("9lives", prefix="").startswith("_9")
+        assert sanitize_name("a b//c") == "repro_a_b_c"
+        assert sanitize_name("9lives") == "repro_9lives"
         with pytest.raises(ValueError):
             sanitize_name("///")
 

@@ -81,7 +81,7 @@ class TestFunctional:
     def test_numpy_twins_match_scipy(self):
         x = RNG.normal(size=(3, 5))
         np.testing.assert_allclose(softmax_np(x, axis=0), special.softmax(x, axis=0))
-        np.testing.assert_allclose(logsumexp_np(x, axis=1), special.logsumexp(x, axis=1))
+        np.testing.assert_allclose(logsumexp_np(x), special.logsumexp(x))
 
 
 @settings(max_examples=25)

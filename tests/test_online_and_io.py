@@ -88,7 +88,7 @@ class TestCalibrationMetrics:
     def test_calibration_perfectly_calibrated(self, rng):
         p = rng.uniform(0.1, 0.9, 5000)
         outcomes = (rng.random(5000) < p).astype(float)
-        cal = reliability_calibration(p, outcomes, bins=10)
+        cal = reliability_calibration(p, outcomes)
         assert cal.ece < 0.05
         assert cal.brier < 0.26
 
@@ -103,8 +103,6 @@ class TestCalibrationMetrics:
             reliability_calibration(np.array([0.5]), np.array([0.3]))
         with pytest.raises(ValueError):
             reliability_calibration(np.array([1.5]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            reliability_calibration(np.array([0.5]), np.array([1.0]), bins=1)
 
 
 class TestCLI:

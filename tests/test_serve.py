@@ -387,21 +387,22 @@ def _assert_causal(stats):
         assert r.start <= r.end + 1e-9
 
 
-class _FirstCluster(BaseMethod):
-    """Custom decide() override: everything goes to the first up cluster."""
+class _FirstUp(BaseMethod):
+    """Stub predictor: predicted times grow tenfold per cluster row, so the
+    first cluster that is up is every window's optimum."""
 
-    name = "first"
+    name = "first-up"
+
+    def __init__(self, spec, m):
+        super().__init__()
+        self._spec, self._fitted, self.m = spec, True, m
 
     def _fit(self, ctx):
         pass
 
-    def predict(self, tasks):  # pragma: no cover - not used
-        raise AssertionError("custom decide should not predict")
-
-    def decide(self, problem, tasks):
-        X = np.zeros((problem.M, problem.N))
-        X[0, :] = 1.0
-        return X
+    def predict(self, tasks):
+        T_hat = np.repeat(10.0 ** np.arange(self.m)[:, None], len(tasks), axis=1)
+        return T_hat, np.ones_like(T_hat)
 
 
 class TestDispatcher:
@@ -498,8 +499,7 @@ class TestDispatcher:
 
     def test_rejoined_cluster_starts_clean(self, stack):
         pool, clusters, spec, _ = stack
-        first = _FirstCluster()
-        first._fitted = True
+        first = _FirstUp(spec, len(clusters))
         a, b = pool.tasks[0], pool.tasks[1]
         d0 = clusters[0].true_time(a)
         t_a = 0.1
@@ -632,16 +632,6 @@ class TestDispatcher:
         pool, clusters, spec, method = stack
         with pytest.raises(ValueError, match="registry"):
             Dispatcher(clusters, method, spec, swap_schedule={0: "v0001"})
-
-    def test_custom_decide_method_skips_cache(self, stack):
-        pool, clusters, spec, method = stack
-        first = _FirstCluster()
-        first._fitted = True
-        d = Dispatcher(clusters, first, spec, DispatcherConfig(max_batch=4))
-        stats = d.run(_events(pool, rate=20.0, horizon=1.0), rng=0)
-        assert stats.conserved
-        assert stats.solver_iterations == []
-        assert all(r.cluster_id == clusters[0].cluster_id for r in stats.records)
 
 
 # --------------------------------------------------------------------- #

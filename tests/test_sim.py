@@ -23,13 +23,13 @@ class TestSimulatorKernel:
         assert order == ["a", "b", "c"]
         assert end == 3.0
 
-    def test_priority_breaks_ties(self):
+    def test_ties_run_in_schedule_order(self):
         sim = Simulator()
         order = []
-        sim.schedule(1.0, lambda s: order.append("low"), priority=1)
-        sim.schedule(1.0, lambda s: order.append("high"), priority=0)
+        sim.schedule(1.0, lambda s: order.append("first"))
+        sim.schedule(1.0, lambda s: order.append("second"))
         sim.run()
-        assert order == ["high", "low"]
+        assert order == ["first", "second"]
 
     def test_callbacks_can_schedule(self):
         sim = Simulator()
