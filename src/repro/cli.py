@@ -505,44 +505,52 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     if args.n_shards != 1:
         return _run_fleet(args, config)
-    print(f"training TSM predictors ({args.train_epochs} epochs) ...")
-    platform = build_platform(config)
-    if platform.registry is not None and len(platform.registry) > 1:
-        print(f"note: registry {args.registry_root} was not empty; version numbers "
-              "continue the existing sequence (replay assumes a fresh registry)")
-    if args.alerts_out and platform.monitor is not None:
-        from repro.monitor import FileTailSink
-
-        platform.monitor.add_sink(FileTailSink(args.alerts_out))
-    events = platform.load(args.pattern, args.rate).draw(
-        args.horizon, as_generator(args.seed + 3)
-    )
-    # The meta["serve"] config plus the serve/arrival, serve/outage and
-    # serve/hot_swap breadcrumbs make a jsonl log fully replayable
-    # (``repro replay``), retrain-driven swaps included.
-    labels = config.identity_labels() or None
     # Shard-qualified run name: fleet members each get their own JSONL
     # log, merged later with 'repro monitor --log a --log b'.
     run_name = "serve-run" if args.shard is None else f"serve-run-{args.shard}"
     server = None
+    if args.metrics_port is not None:
+        from repro.monitor import MetricsServer, serve_snapshot
+
+        try:  # bind before training: a busy port fails in a second, not minutes
+            server = MetricsServer(
+                lambda: serve_snapshot(
+                    rec,
+                    profiler=platform.profiler,
+                    monitor=platform.monitor,
+                    journeys=platform.dispatcher.journeys,
+                    extra={"run": run_name},
+                ),
+                port=args.metrics_port,
+            )
+        except (OSError, OverflowError) as exc:  # taken, privileged, > 65535
+            print(f"serve run: cannot serve metrics on port "
+                  f"{args.metrics_port}: {getattr(exc, 'strerror', None) or exc}",
+                  file=sys.stderr)
+            return 2
     try:
+        print(f"training TSM predictors ({args.train_epochs} epochs) ...")
+        platform = build_platform(config)
+        if platform.registry is not None and len(platform.registry) > 1:
+            print(f"note: registry {args.registry_root} was not empty; version numbers "
+                  "continue the existing sequence (replay assumes a fresh registry)")
+        if args.alerts_out and platform.monitor is not None:
+            from repro.monitor import FileTailSink
+
+            platform.monitor.add_sink(FileTailSink(args.alerts_out))
+        events = platform.load(args.pattern, args.rate).draw(
+            args.horizon, as_generator(args.seed + 3)
+        )
+        # The meta["serve"] config plus the serve/arrival, serve/outage and
+        # serve/hot_swap breadcrumbs make a jsonl log fully replayable
+        # (``repro replay``), retrain-driven swaps included.
+        labels = config.identity_labels() or None
         with recording(mode=args.telemetry, run=run_name,
                        out_dir=args.out_dir,
                        meta={"serve": config.to_params()},
                        labels=labels) as rec:
-            if args.metrics_port is not None:
-                from repro.monitor import MetricsServer, serve_snapshot
-
-                server = MetricsServer(
-                    lambda: serve_snapshot(
-                        rec,
-                        profiler=platform.profiler,
-                        monitor=platform.monitor,
-                        journeys=platform.dispatcher.journeys,
-                        extra={"run": run_name},
-                    ),
-                    port=args.metrics_port,
-                ).start()
+            if server is not None:
+                server.start()
                 print(f"metrics: {server.url}/metrics  "
                       f"(dashboard: repro serve top {server.url})")
             stats = platform.run(events)

@@ -1,24 +1,36 @@
 """Live metrics plane: HTTP ``/metrics`` scrape endpoint + terminal top.
 
-PR 4's Prometheus export was an offline text dump — useful after a run,
-invisible during one.  This module puts the same exposition behind a
-stdlib HTTP server that snapshots the *running* recorder, and adds the
-``repro serve top`` terminal dashboard that refreshes against it:
+A *snapshot* is one JSON dict: ``aggregate`` (the recorder's metric
+aggregate), the run identity (``run``, and for fleet views
+``shards_seen`` / ``merged_from``), ``journeys`` (the wait-histogram
+exemplar payload) and a ``time`` stamp.  Everything the dashboard shows
+is a series of that aggregate.  Each observer states its own state as
+gauges once — the stage budget as
+:func:`~repro.telemetry.profiler.budget_gauges`, the SLO state as
+:meth:`~repro.monitor.quality.QualityMonitor.gauges` — and both paths
+read the one generator: the drain path (``ServeLoop.finish``,
+``QualityMonitor.on_finish``) writes the gauges to the run log, and a
+live snapshot folds their current values into its copy of the aggregate
+under the recorder's base labels.  So a mid-run scrape, a drained scrape
+and the run log carry the same series keys, and ``repro serve top
+--log`` renders the frame the live endpoint serves at drain.
 
 - :class:`MetricsServer` — ``http.server.ThreadingHTTPServer`` on a
-  daemon thread serving ``/metrics`` (Prometheus text),
-  ``/snapshot`` (the full JSON status snapshot ``serve top`` renders)
-  and ``/healthz``.  Every request calls the ``snapshot_fn`` closure,
-  which reads the recorder's aggregate *under the registry lock*
-  (``Recorder.aggregate()`` is lock-guarded), so a scrape mid-window
-  always sees a consistent view and never blocks the serving loop for
-  longer than one snapshot copy;
+  daemon thread serving ``/metrics`` (``prometheus_text`` of the
+  snapshot's aggregate), ``/snapshot`` (the JSON snapshot) and
+  ``/healthz``.  The port is bound when the server is built, so a busy
+  port fails before a run starts; every request calls the
+  ``snapshot_fn`` closure, which reads the aggregate under the registry
+  lock, so a scrape mid-window sees a consistent view;
 - :func:`serve_snapshot` — builds that closure's payload from the live
-  recorder / profiler / quality monitor: canonical aggregate, stage
-  budget, queue/seed/SLO status;
+  recorder / profiler / quality monitor / journey recorder;
+- :func:`merge_snapshots` — N snapshots into one fleet snapshot
+  (``merge_aggregates`` plus the exemplar merge), and
+  :func:`snapshot_from_logs`, its offline twin over JSONL run logs;
 - :func:`render_top` — a *pure* snapshot → text function (unit-testable
-  without sockets) showing queue depth, seed sources, per-stage latency
-  budgets and SLO burn rates;
+  without sockets): counters, queue depth, per-shard table, seed
+  sources, latency budget, wait exemplars and SLO burn rates, each read
+  through one label-set fold (:func:`_fold`);
 - :func:`top` — the fetch/clear/redraw loop behind ``repro serve top``.
 
 Layering: this sits in :mod:`repro.monitor` because it imports the
@@ -33,14 +45,15 @@ import json
 import sys
 import threading
 import time
+import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, TextIO
+from typing import Any, Callable
 
 from repro.monitor.export import prometheus_text
 from repro.telemetry.metrics import quantile
 from repro.telemetry.profiler import budget_gauges
-from repro.telemetry.registry import merge_aggregates, series_key
+from repro.telemetry.registry import MetricRegistry, merge_aggregates
 
 __all__ = [
     "MetricsServer",
@@ -52,159 +65,60 @@ __all__ = [
 ]
 
 
-def _fold_histograms(agg: dict, base: str) -> "dict | None":
-    """Fold every label set of histogram ``base`` into one state.
-
-    Shard-labeled recorders write e.g. ``serve/queue_depth{shard="0"}``;
-    a fleet-level quantile needs the bucket counts summed across shards
-    (same bounds by construction — all shards run the same recorder
-    config).  Returns ``None`` when no series matches.
-    """
-    states = [h for key, h in agg.get("histograms", {}).items()
-              if key.split("{", 1)[0] == base]
-    if not states:
-        return None
-    if len(states) == 1:
-        return states[0]
-    merged = merge_aggregates({"histograms": {base: h}} for h in states)
-    return merged["histograms"][base]
-
-
-def _status_from_aggregate(agg: dict) -> "dict[str, Any]":
-    """Queue-depth / seed-source status lines, from an aggregate alone."""
-    status: "dict[str, Any]" = {}
-    qd = _fold_histograms(agg, "serve/queue_depth")
-    if qd is not None:
-        status["queue_depth_p95"] = quantile(qd, 0.95)
-        status["windows_observed"] = qd.get("count", 0)
-    seed: "dict[str, float]" = {}
-    for key, state in agg.get("counters", {}).items():
-        base = key.split("{", 1)[0]
-        if base.startswith("serve/seed_"):
-            src = base.rsplit("_", 1)[-1]
-            seed[src] = seed.get(src, 0.0) + state.get("value", 0.0)
-    if seed:
-        status["seed_sources"] = seed
-    return status
-
-
 def serve_snapshot(recorder=None, *, profiler=None, monitor=None,
                    journeys=None, extra: "dict | None" = None) -> dict:
-    """One consistent status snapshot of a (possibly mid-flight) run.
+    """One consistent snapshot of a (possibly mid-flight) run.
 
-    Keys: ``aggregate`` (canonical telemetry aggregate), ``profile``
-    (stage budget, when a profiler is attached), ``status`` (queue
-    depth / seed sources / SLO burn rates / alert count), ``journeys``
-    (wait-histogram exemplar payload, when a
-    :class:`~repro.telemetry.journey.JourneyRecorder` is attached) and
-    anything in ``extra`` (run identity, config hints).
+    Keys: ``aggregate`` — the recorder's aggregate, with the profiler's
+    :func:`budget_gauges` and the monitor's ``gauges()`` set over it
+    under the recorder's base labels, exactly the series the drain path
+    writes — ``journeys`` (exemplar payload, when a
+    :class:`~repro.telemetry.journey.JourneyRecorder` is attached),
+    ``time``, and anything in ``extra`` (run identity).
     """
-    snap: "dict[str, Any]" = {"time": time.time()}
     agg: "dict[str, Any]" = {}
     if recorder is not None and getattr(recorder, "enabled", False):
         agg = recorder.aggregate()
-    snap["aggregate"] = agg
+    gauges: "list[tuple]" = []
     if profiler is not None and getattr(profiler, "enabled", False):
-        snap["profile"] = profiler.budget()
+        gauges += budget_gauges(profiler.budget())
+    if monitor is not None:
+        gauges += monitor.gauges()
+    if gauges:
+        registry = getattr(recorder, "registry", None)
+        scratch = MetricRegistry(getattr(registry, "base_labels", None))
+        for name, labels, value in gauges:
+            scratch.gauge_set(name, value, labels=labels)
+        agg["gauges"] = dict(sorted(
+            {**agg.get("gauges", {}), **scratch.snapshot()["gauges"]}.items()))
+    snap: "dict[str, Any]" = {"time": time.time(), "aggregate": agg}
     if journeys is not None:
         snap["journeys"] = journeys.exemplar_payload()
-    status = _status_from_aggregate(agg)
-    if monitor is not None:
-        try:
-            status["slo"] = monitor.slo.state()
-            status["alerts"] = len(monitor.alert_log())
-        except Exception:  # monitor mid-mutation: skip, never break a scrape
-            pass
-    snap["status"] = status
     if extra:
         snap.update(extra)
     return snap
-
-
-def _merge_profiles(profiles: "list[dict]") -> dict:
-    """Fold per-shard stage budgets into one fleet budget.
-
-    Totals and call counts are exact sums; per-stage p95 takes the worst
-    shard (conservative — a fleet's tail is at least its worst shard's)
-    and coverage the weakest shard's.  Sim-time stages merge the same
-    way.
-    """
-    def fold(dicts: "list[dict]") -> dict:
-        out: "dict[str, Any]" = {"total_s": 0.0, "calls": 0, "p95": 0.0}
-        for s in dicts:
-            out["total_s"] += s.get("total_s", 0.0)
-            out["calls"] += s.get("calls", 0)
-            out["p95"] = max(out["p95"], s.get("p95", 0.0))
-        return out
-
-    merged: "dict[str, Any]" = {
-        "windows": sum(p.get("windows", 0) for p in profiles),
-        "e2e": fold([p.get("e2e", {}) for p in profiles]),
-        "unattributed": fold([p.get("unattributed", {}) for p in profiles]),
-        "coverage_p95": min((p.get("coverage_p95", 0.0) for p in profiles),
-                            default=0.0),
-    }
-    stage_keys: "list[str]" = []
-    for p in profiles:
-        for path in p.get("stages", {}):
-            if path not in stage_keys:
-                stage_keys.append(path)
-    merged["stages"] = {
-        path: fold([p["stages"][path] for p in profiles
-                    if path in p.get("stages", {})])
-        for path in stage_keys
-    }
-    sim_keys: "list[str]" = []
-    for p in profiles:
-        for name in p.get("sim_stages", {}):
-            if name not in sim_keys:
-                sim_keys.append(name)
-    if sim_keys:
-        merged["sim_stages"] = {}
-        for name in sim_keys:
-            entries = [p["sim_stages"][name] for p in profiles
-                       if name in p.get("sim_stages", {})]
-            merged["sim_stages"][name] = {
-                "p50": max(e.get("p50", 0.0) for e in entries),
-                "p95": max(e.get("p95", 0.0) for e in entries),
-                "calls": sum(e.get("calls", 0) for e in entries),
-            }
-    return merged
 
 
 def merge_snapshots(snaps: "list[dict]") -> dict:
     """Fold N per-shard ``/snapshot`` payloads into one fleet snapshot.
 
     The aggregates merge losslessly (shard-labeled series stay distinct,
-    see :func:`repro.telemetry.merge_aggregates`), the fleet status is
-    recomputed from the *merged* aggregate (queue-depth p95 over the
-    summed bucket counts, seed sources summed), SLO rule states
-    concatenate and alert counts sum, and stage budgets fold per
-    :func:`_merge_profiles`.  The result renders through the same
-    :func:`render_top` as a single-shard snapshot — that is the whole
-    point: ``repro serve top url0 url1 ...`` is the fleet dashboard.
+    see :func:`repro.telemetry.merge_aggregates`), the exemplar tables
+    fold per :func:`~repro.telemetry.journey.merge_exemplar_payloads`,
+    and the run identities concatenate.  The result renders through the
+    same :func:`render_top` as a single-shard snapshot — that is the
+    whole point: ``repro serve top url0 url1 ...`` is the fleet
+    dashboard.
     """
     if not snaps:
         raise ValueError("no snapshots to merge")
     if len(snaps) == 1:
         return dict(snaps[0])
-    agg = merge_aggregates([s.get("aggregate", {}) for s in snaps])
     merged: "dict[str, Any]" = {
         "time": max((s.get("time", 0.0) for s in snaps), default=0.0),
-        "aggregate": agg,
+        "aggregate": merge_aggregates([s.get("aggregate", {}) for s in snaps]),
         "merged_from": len(snaps),
     }
-    profiles = [s["profile"] for s in snaps if s.get("profile")]
-    if profiles:
-        merged["profile"] = _merge_profiles(profiles)
-    status = _status_from_aggregate(agg)
-    if any("alerts" in s.get("status", {}) for s in snaps):
-        status["alerts"] = sum(s.get("status", {}).get("alerts", 0)
-                               for s in snaps)
-    slo = [rule for s in snaps for rule in s.get("status", {}).get("slo", [])]
-    if slo:
-        status["slo"] = slo
-    merged["status"] = status
     journeys = [s["journeys"] for s in snaps if s.get("journeys")]
     if journeys:
         from repro.telemetry.journey import merge_exemplar_payloads
@@ -225,13 +139,13 @@ def snapshot_from_logs(paths) -> dict:
 
     The offline twin of merging ``/snapshot`` scrapes: each log of a
     finished (or crashed) run becomes the snapshot its run would have
-    served — metric aggregate, status, its ``journey_exemplars``
-    payload, and its shard identity from the meta header — and
-    :func:`merge_snapshots` folds them into the payload ``repro serve
-    top --log`` renders.  Lossless by the same argument (shard-labeled
-    series merge by full series key), and a truncated log whose metric
-    lines were lost (the recorder writes them *last*) still contributes
-    its shard to the dashboard's per-shard table.
+    served at drain — metric aggregate (the drained budget and SLO
+    gauges included), its ``journey_exemplars`` payload, and its shard
+    identity from the meta header — and :func:`merge_snapshots` folds
+    them into the payload ``repro serve top --log`` renders.  A
+    truncated log whose metric lines were lost (the recorder writes them
+    *last*) still contributes its shard to the dashboard's per-shard
+    table.
     """
     from pathlib import Path
 
@@ -241,9 +155,8 @@ def snapshot_from_logs(paths) -> dict:
     snaps: "list[dict]" = []
     for p in paths:
         events = load_run(p)
-        agg = aggregate_events(events)
-        snap = {"time": time.time(), "aggregate": agg,
-                "status": _status_from_aggregate(agg), "run": Path(p).stem}
+        snap = {"time": time.time(), "aggregate": aggregate_events(events),
+                "run": Path(p).stem}
         exemplars = merge_exemplar_payloads(
             ev for ev in events
             if ev.get("type") == "event" and ev.get("name") == EXEMPLAR_EVENT)
@@ -256,38 +169,20 @@ def snapshot_from_logs(paths) -> dict:
     return merge_snapshots(snaps)
 
 
-def _scrape_aggregate(snap: dict) -> dict:
-    """The aggregate to expose on ``/metrics``: the recorder's, plus the
-    live stage budget folded in as labeled gauges (the dispatcher only
-    writes its end-of-run stage gauges at drain time — a mid-run scrape
-    must see the budget too)."""
-    agg = dict(snap.get("aggregate", {}))
-    profile = snap.get("profile")
-    drained = any(  # dispatcher already wrote its end-of-run stage gauges
-        key.split("{", 1)[0] == "serve/stage_total_s"
-        for key in agg.get("gauges", {}))
-    if profile and profile.get("windows") and not drained:
-        gauges = dict(agg.get("gauges", {}))
-        for name, labels, value, calls in budget_gauges(profile):
-            gauges[series_key(name, labels)] = {
-                "value": value, "calls": calls, **({"labels": labels} if labels else {})}
-        agg["gauges"] = gauges
-    return agg
-
-
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-metrics/1"
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
+        path = self.path.split("?")[0]
         try:
-            if self.path.split("?")[0] == "/metrics":
-                body = prometheus_text(_scrape_aggregate(self.server.snapshot_fn()))
+            if path == "/metrics":
+                body = prometheus_text(self.server.snapshot_fn()["aggregate"])
                 ctype = "text/plain; version=0.0.4; charset=utf-8"
-            elif self.path.split("?")[0] == "/snapshot":
+            elif path == "/snapshot":
                 body = json.dumps(self.server.snapshot_fn(), sort_keys=True,
                                   default=float)
                 ctype = "application/json"
-            elif self.path.split("?")[0] == "/healthz":
+            elif path == "/healthz":
                 body, ctype = "ok\n", "text/plain"
             else:
                 self.send_error(404, "unknown path (try /metrics, /snapshot)")
@@ -309,52 +204,46 @@ class _Handler(BaseHTTPRequestHandler):
 class MetricsServer:
     """Background ``/metrics`` + ``/snapshot`` HTTP server.
 
-    ``snapshot_fn`` is called once per request from the server thread; it
-    must be thread-safe against the recording run (``serve_snapshot``
-    over a live recorder is — the aggregate is taken under the registry
-    lock).  ``port=0`` picks a free ephemeral port; read ``.port`` after
-    :meth:`start`.
+    The port is bound here (``OSError`` when it is taken; ``port=0``
+    picks a free ephemeral one, read back from ``.port``), but listened
+    on only from :meth:`start`: until then a client is refused at once
+    instead of queueing for a run that has not begun.  ``snapshot_fn``
+    is called once per request from the server thread; it must be
+    thread-safe against the recording run (``serve_snapshot`` over a
+    live recorder is — the aggregate is taken under the registry lock).
     """
 
     def __init__(self, snapshot_fn: "Callable[[], dict]", *,
                  host: str = "127.0.0.1", port: int = 0) -> None:
-        self.snapshot_fn = snapshot_fn
-        self.host = host
-        self._requested_port = port
-        self._httpd: "ThreadingHTTPServer | None" = None
+        self._httpd = ThreadingHTTPServer((host, port), _Handler,
+                                          bind_and_activate=False)
+        try:
+            self._httpd.server_bind()
+        except BaseException:
+            self._httpd.server_close()
+            raise
+        self._httpd.daemon_threads = True
+        self._httpd.snapshot_fn = snapshot_fn  # type: ignore[attr-defined]
         self._thread: "threading.Thread | None" = None
-
-    @property
-    def port(self) -> int:
-        if self._httpd is None:
-            raise RuntimeError("server not started")
-        return self._httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
+        self.port = self._httpd.server_address[1]
+        self.url = f"http://{host}:{self.port}"
 
     def start(self) -> "MetricsServer":
-        if self._httpd is not None:
+        if self._thread is not None:
             raise RuntimeError("server already started")
-        httpd = ThreadingHTTPServer((self.host, self._requested_port), _Handler)
-        httpd.daemon_threads = True
-        httpd.snapshot_fn = self.snapshot_fn  # type: ignore[attr-defined]
-        self._httpd = httpd
+        self._httpd.server_activate()
         self._thread = threading.Thread(
-            target=httpd.serve_forever, name="repro-metrics", daemon=True)
+            target=self._httpd.serve_forever, name="repro-metrics", daemon=True)
         self._thread.start()
         return self
 
     def stop(self) -> None:
-        if self._httpd is None:
-            return
-        self._httpd.shutdown()
-        self._httpd.server_close()
+        """Stop serving and release the port (a never-started server too)."""
         if self._thread is not None:
+            self._httpd.shutdown()
             self._thread.join(timeout=5)
-        self._httpd = None
-        self._thread = None
+            self._thread = None
+        self._httpd.server_close()
 
     def __enter__(self) -> "MetricsServer":
         return self.start()
@@ -371,6 +260,10 @@ class MetricsServer:
 #: Columns of the dashboard's title rule.
 _TOP_WIDTH = 78
 
+#: The per-shard table's counter columns.
+_SHARD_COLUMNS = ("serve/windows", "serve/arrived", "serve/completed",
+                  "serve/failed", "serve/shed", "serve/requeued")
+
 
 def _bar(frac: float, width: int = 24) -> str:
     frac = min(max(frac, 0.0), 1.0)
@@ -378,35 +271,59 @@ def _bar(frac: float, width: int = 24) -> str:
     return "#" * filled + "." * (width - filled)
 
 
+def _fold(agg: dict, name: str, by: "str | None" = None) -> dict:
+    """Series ``name`` folded over its label sets, one value per value of
+    label ``by`` (all under ``None`` without ``by``).
+
+    The fleet rules, stated once: counters, totals and histogram buckets
+    sum; percentiles, burn rates and firing flags take the worst label
+    set's (a fleet's tail is at least its worst shard's); coverage takes
+    the weakest's.  A histogram folds to one merged state.
+    """
+    groups: "dict[Any, list[dict]]" = {}
+    for section in ("counters", "gauges", "histograms"):
+        for key, state in agg.get(section, {}).items():
+            if key.split("{", 1)[0] == name:
+                group = state.get("labels", {}).get(by) if by else None
+                groups.setdefault(group, []).append(state)
+    if "coverage" in name:
+        pick = min
+    elif any(tag in name for tag in ("_p50", "_p95", "_burn", "_firing")):
+        pick = max
+    else:
+        pick = sum
+    return {
+        group: (merge_aggregates({"histograms": {name: s}} for s in states)
+                ["histograms"][name] if "bounds" in states[0]
+                else pick(s.get("value", 0.0) for s in states))
+        for group, states in groups.items()
+    }
+
+
 def render_top(snap: dict) -> str:
     """Render one ``/snapshot`` payload as the terminal dashboard.
 
     Pure text-in/text-out (no sockets, no clearing), so the dashboard
-    layout is unit-testable; :func:`top` owns the refresh loop.
+    layout is unit-testable; :func:`top` owns the refresh loop.  Every
+    number is a series of ``snap["aggregate"]`` read through
+    :func:`_fold`, so a labeled run, an unlabeled one and a merged fleet
+    render alike.
     """
-    lines: "list[str]" = []
-    run = snap.get("run", "serve")
-    lines.append(f"repro serve top — {run}".ljust(_TOP_WIDTH))
-    lines.append("-" * _TOP_WIDTH)
-
-    status = snap.get("status", {})
     agg = snap.get("aggregate", {})
-    counters = agg.get("counters", {})
 
-    def cval(name: str) -> float:
-        # Sum across label sets: a shard-labeled run has no unlabeled key.
-        return sum(state.get("value", 0.0) for key, state in counters.items()
-                   if key.split("{", 1)[0] == name)
+    def total(name: str) -> float:
+        return _fold(agg, name).get(None, 0.0)
 
-    lines.append(
-        f"windows {cval('serve/windows'):>6.0f}   "
-        f"arrived {cval('serve/arrived'):>6.0f}   "
-        f"shed {cval('serve/shed'):>5.0f}   "
-        f"requeued {cval('serve/requeued'):>5.0f}"
-    )
-    if "queue_depth_p95" in status:
-        lines.append(f"queue depth p95: {status['queue_depth_p95']:.0f}  "
-                     f"(over {status.get('windows_observed', 0)} windows)")
+    lines = [f"repro serve top — {snap.get('run', 'serve')}".ljust(_TOP_WIDTH),
+             "-" * _TOP_WIDTH,
+             f"windows {total('serve/windows'):>6.0f}   "
+             f"arrived {total('serve/arrived'):>6.0f}   "
+             f"shed {total('serve/shed'):>5.0f}   "
+             f"requeued {total('serve/requeued'):>5.0f}"]
+    qd = _fold(agg, "serve/queue_depth").get(None)
+    if qd is not None:
+        lines.append(f"queue depth p95: {quantile(qd, 0.95):.0f}  "
+                     f"(over {qd.get('count', 0)} windows)")
 
     # Fleet view: when series carry shard labels, break the totals down
     # per shard (sorted numerically where possible).  Shard identities
@@ -414,81 +331,62 @@ def render_top(snap: dict) -> str:
     # snapshot's ``shards_seen`` meta-header roll call — a shard whose
     # metric lines were lost to truncation (the recorder writes them
     # last) must still get a row rather than silently vanish.
-    shards: "dict[str, dict[str, float]]" = {}
-    for section in ("counters", "gauges", "histograms"):
-        for key, state in agg.get(section, {}).items():
-            shard = state.get("labels", {}).get("shard")
-            if shard is not None:
-                shards.setdefault(str(shard), {})
-    for sid in snap.get("shards_seen", []):
-        shards.setdefault(str(sid), {})
-    for key, state in counters.items():
-        shard = state.get("labels", {}).get("shard")
-        if shard is None:
-            continue
-        base = key.split("{", 1)[0]
-        if base in ("serve/windows", "serve/arrived", "serve/completed",
-                    "serve/failed", "serve/shed", "serve/requeued"):
-            row = shards.setdefault(str(shard), {})
-            row[base] = row.get(base, 0.0) + state.get("value", 0.0)
+    shards = {str(state["labels"]["shard"])
+              for section in ("counters", "gauges", "histograms")
+              for state in agg.get(section, {}).values()
+              if "shard" in state.get("labels", {})}
+    shards.update(str(sid) for sid in snap.get("shards_seen", []))
     if shards:
-        lines.append("")
-        lines.append(f"shards ({len(shards)}):")
-        lines.append("  shard   windows  arrived  completed  failed  "
-                     "shed  requeued  qd_p95")
+        cols = [_fold(agg, name, by="shard") for name in _SHARD_COLUMNS]
+        qds = _fold(agg, "serve/queue_depth", by="shard")
+        lines += ["", f"shards ({len(shards)}):",
+                  "  shard   windows  arrived  completed  failed  "
+                  "shed  requeued  qd_p95"]
         for shard in sorted(shards, key=lambda s: (not s.isdigit(),
                                                    int(s) if s.isdigit() else 0,
                                                    s)):
-            row = shards[shard]
-            qd = next(
-                (h for key, h in agg.get("histograms", {}).items()
-                 if key.split("{", 1)[0] == "serve/queue_depth"
-                 and h.get("labels", {}).get("shard") == shard), None)
-            qd_p95 = f"{quantile(qd, 0.95):.0f}" if qd is not None else "-"
-            lines.append(
-                f"  {shard:<7} {row.get('serve/windows', 0):>7.0f} "
-                f"{row.get('serve/arrived', 0):>8.0f} "
-                f"{row.get('serve/completed', 0):>10.0f} "
-                f"{row.get('serve/failed', 0):>7.0f} "
-                f"{row.get('serve/shed', 0):>5.0f} "
-                f"{row.get('serve/requeued', 0):>9.0f} "
-                f"{qd_p95:>7}")
+            w, a, c, f, sh, rq = (col.get(shard, 0) for col in cols)
+            qd_p95 = f"{quantile(qds[shard], 0.95):.0f}" if shard in qds else "-"
+            lines.append(f"  {shard:<7} {w:>7.0f} {a:>8.0f} {c:>10.0f} "
+                         f"{f:>7.0f} {sh:>5.0f} {rq:>9.0f} {qd_p95:>7}")
 
-    seed = status.get("seed_sources")
+    bases = {key.split("{", 1)[0] for section in ("counters", "gauges")
+             for key in agg.get(section, {})}
+    seed = {base[len("serve/seed_"):]: total(base)
+            for base in bases if base.startswith("serve/seed_")}
     if seed:
-        total = sum(seed.values()) or 1.0
-        lines.append("")
-        lines.append("seed sources:")
+        whole = sum(seed.values()) or 1.0
+        lines += ["", "seed sources:"]
         for src in sorted(seed):
-            frac = seed[src] / total
+            frac = seed[src] / whole
             lines.append(f"  {src:<8} {_bar(frac)} {seed[src]:>6.0f} "
                          f"({100 * frac:5.1f}%)")
 
-    profile = snap.get("profile")
-    if profile and profile.get("windows"):
-        e2e = profile.get("e2e", {})
-        lines.append("")
-        lines.append(f"latency budget over {profile['windows']} windows "
-                     f"(e2e p95 {1e3 * e2e.get('p95', 0.0):.2f} ms, "
-                     f"coverage {100 * profile.get('coverage_p95', 0.0):.1f}%):")
-        total_s = e2e.get("total_s", 0.0) or 1.0
-        for path, s in profile["stages"].items():
-            if ";" in path:
-                continue  # depth-1 budget view; children show in flamegraph
-            frac = s["total_s"] / total_s
-            lines.append(f"  {path:<10} {_bar(frac)} {1e3 * s['p95']:>8.3f} ms p95"
+    windows = total("serve/profile_windows")
+    if windows:
+        lines += ["", f"latency budget over {windows:.0f} windows "
+                      f"(e2e p95 {1e3 * total('serve/window_p95_s'):.2f} ms, "
+                      f"coverage {100 * total('serve/profile_coverage_p95'):.1f}%):"]
+        e2e_s = total("serve/window_total_s") or 1.0
+        stage_s = _fold(agg, "serve/stage_total_s", by="stage")
+        stage_p95 = _fold(agg, "serve/stage_p95_s", by="stage")
+        # Depth-1 budget view, the unattributed residual last; children
+        # show in the flamegraph.
+        for path in [p for p in sorted(stage_s)
+                     if ";" not in p and p != "unattributed"] + ["unattributed"]:
+            frac = stage_s.get(path, 0.0) / e2e_s
+            label = "(unattr)" if path == "unattributed" else path
+            lines.append(f"  {label:<10} {_bar(frac)} "
+                         f"{1e3 * stage_p95.get(path, 0.0):>8.3f} ms p95"
                          f" ({100 * frac:5.1f}%)")
-        unattr = profile.get("unattributed", {})
-        frac = unattr.get("total_s", 0.0) / total_s
-        lines.append(f"  {'(unattr)':<10} {_bar(frac)} "
-                     f"{1e3 * unattr.get('p95', 0.0):>8.3f} ms p95"
-                     f" ({100 * frac:5.1f}%)")
-        sim = profile.get("sim_stages", {})
-        if sim:
+        sim = [_fold(agg, f"serve/sim_stage_{q}", by="stage")
+               for q in ("p50_h", "p95_h", "calls")]
+        if sim[0]:
             lines.append("  simulated-time stages (platform hours):")
-            for name, s in sim.items():
-                lines.append(f"    {name:<16} p50 {s['p50']:.3f}  "
-                             f"p95 {s['p95']:.3f}  calls {s['calls']}")
+            for name in sorted(sim[0]):
+                p50, p95, calls = (col.get(name, 0.0) for col in sim)
+                lines.append(f"    {name:<16} p50 {p50:.3f}  "
+                             f"p95 {p95:.3f}  calls {calls:.0f}")
 
     journeys = snap.get("journeys")
     if journeys and journeys.get("buckets"):
@@ -508,54 +406,61 @@ def render_top(snap: dict) -> str:
                 f"{b.get('task_id', '-')!s:>5}  "
                 f"{b.get('wait_hours', 0.0):>6.3f}")
 
-    slo = status.get("slo")
-    if slo:
-        lines.append("")
-        lines.append(f"SLO burn rates ({status.get('alerts', 0)} alerts):")
-        for s in slo:
-            lines.append(f"  {s.get('name', '?'):<24} "
-                         f"fast {s.get('fast_burn', 0.0):6.2f}  "
-                         f"slow {s.get('slow_burn', 0.0):6.2f}  "
-                         f"{'FIRING' if s.get('firing') else 'ok'}")
+    rules = sorted(base[len("monitor/slo_"):-len("_fast_burn")] for base in bases
+                   if base.startswith("monitor/slo_") and base.endswith("_fast_burn"))
+    if rules:
+        lines += ["", f"SLO burn rates ({total('monitor/alerts_total'):.0f} alerts):"]
+        for name in rules:
+            fast, slow, firing = (total(f"monitor/slo_{name}_{q}")
+                                  for q in ("fast_burn", "slow_burn", "firing"))
+            lines.append(f"  {name:<24} fast {fast:6.2f}  slow {slow:6.2f}  "
+                         f"{'FIRING' if firing else 'ok'}")
     return "\n".join(lines)
 
 
 def fetch_snapshot(url: str, timeout: float = 5.0) -> dict:
-    """GET ``<url>/snapshot`` and parse it."""
+    """GET ``<url>/snapshot`` and parse it (``ValueError`` when the body
+    is not a JSON object)."""
     base = url.rstrip("/")
     if not base.startswith("http"):
         base = f"http://{base}"
     with urllib.request.urlopen(f"{base}/snapshot", timeout=timeout) as resp:
-        return json.loads(resp.read().decode())
+        snap = json.loads(resp.read().decode())
+    if not isinstance(snap, dict):
+        raise ValueError(f"expected a JSON object, got {type(snap).__name__}")
+    return snap
 
 
 def top(url: "str | list[str]", *, interval: float = 2.0,
-        iterations: "int | None" = None,
-        stream: "TextIO | None" = None) -> int:
-    """Refresh loop: fetch ``/snapshot``(s), merge, clear, redraw.
+        iterations: "int | None" = None) -> int:
+    """Refresh loop: fetch ``/snapshot``(s), merge, clear, redraw on stdout.
 
     ``url`` may be one endpoint or a list — several endpoints are the
     fleet view: each refresh scrapes all of them and renders the
     :func:`merge_snapshots` fold (per-shard breakdown included).
     ``iterations=None`` runs until interrupted (Ctrl-C exits cleanly);
     ``iterations=1`` is the scriptable ``--once`` mode.  Returns a shell
-    exit code.
+    exit code: 1 when an endpoint is unreachable or does not answer
+    with a snapshot.
     """
     urls = [url] if isinstance(url, str) else list(url)
-    out = stream or sys.stdout
-    clear = "\x1b[2J\x1b[H" if out.isatty() else ""
+    clear = "\x1b[2J\x1b[H" if sys.stdout.isatty() else ""
     n = 0
     try:
         while iterations is None or n < iterations:
             if n:
                 time.sleep(interval)
-            try:
-                snap = merge_snapshots([fetch_snapshot(u) for u in urls])
-            except OSError as exc:
-                targets = urls[0] if len(urls) == 1 else ", ".join(urls)
-                print(f"serve top: cannot reach {targets}: {exc}", file=out)
-                return 1
-            print(f"{clear}{render_top(snap)}", file=out, flush=True)
+            snaps = []
+            for u in urls:
+                try:
+                    snaps.append(fetch_snapshot(u))
+                except (urllib.error.HTTPError, ValueError) as exc:
+                    print(f"serve top: cannot read snapshot from {u}: {exc}")
+                    return 1
+                except OSError as exc:
+                    print(f"serve top: cannot reach {u}: {exc}")
+                    return 1
+            print(f"{clear}{render_top(merge_snapshots(snaps))}", flush=True)
             n += 1
     except KeyboardInterrupt:
         pass

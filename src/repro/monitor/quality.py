@@ -298,10 +298,25 @@ class QualityMonitor(ServeCallback):
             )
         rec = get_recorder()
         if rec.enabled:
-            rec.gauge_set("monitor/windows_seen", self.windows_seen)
-            rec.gauge_set("monitor/alerts_total", len(self.alerts))
+            for name, labels, value in self.gauges():
+                rec.gauge_set(name, value, labels=labels)
 
     # ------------------------------------------------------------------ #
+
+    def gauges(self):
+        """The monitor's state as gauge series, ``(name, labels, value)``
+        each: windows seen, alert count, and per SLO rule its fast and
+        slow burn rates and firing flag.  :meth:`on_finish` writes them
+        to the run log; a live snapshot sets their current values.  The
+        rule rides in the name (``monitor/slo_<rule>_fast_burn``), not in
+        a label: a labelled series costs a label check and key build per
+        write, and :meth:`on_finish` is timed as callback overhead."""
+        yield "monitor/windows_seen", None, self.windows_seen
+        yield "monitor/alerts_total", None, len(self.alerts)
+        for name, status in self.slo.status.items():
+            yield f"monitor/slo_{name}_fast_burn", None, status.fast_burn
+            yield f"monitor/slo_{name}_slow_burn", None, status.slow_burn
+            yield f"monitor/slo_{name}_firing", None, float(status.breaching)
 
     def alert_log(self) -> "list[dict]":
         """Alerts as plain dicts (JSON-serializable, file order)."""

@@ -647,7 +647,7 @@ class ServeLoop:
             stats.profile = self.prof.budget()
         if rec.enabled:
             if self.prof.enabled:
-                for name, labels, value, _calls in budget_gauges(stats.profile):
+                for name, labels, value in budget_gauges(stats.profile):
                     rec.gauge_set(name, value, labels=labels)
             rec.counter_add("serve/completed", stats.completed)
             rec.counter_add("serve/failed", stats.failed)

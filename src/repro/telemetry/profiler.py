@@ -49,17 +49,25 @@ __all__ = ["StageProfiler", "NullStageProfiler", "NULL_PROFILER", "budget_gauges
 
 def budget_gauges(budget: dict):
     """A :meth:`StageProfiler.budget` as gauge series, ``(name, labels,
-    value, calls)`` each: total and p95 per stage path, the unattributed
-    residual, and the p95 coverage.  Wall-clock values — they live in
-    metrics (the dispatcher writes them when a run drains, the scrape
-    endpoint folds them in mid-run), never in the trace."""
-    for path, s in budget["stages"].items():
-        yield "serve/stage_total_s", {"stage": path}, s["total_s"], s["calls"]
-        yield "serve/stage_p95_s", {"stage": path}, s["p95"], s["calls"]
-    yield ("serve/stage_total_s", {"stage": "unattributed"},
-           budget.get("unattributed", {}).get("total_s", 0.0), budget["windows"])
-    yield ("serve/profile_coverage_p95", None,
-           budget.get("coverage_p95", 0.0), budget["windows"])
+    value)`` each: the window count, the end-to-end window total and p95,
+    the p95 coverage, total and p95 per stage path and for the
+    unattributed residual, and p50/p95/calls per simulated-time stage.
+    Wall-clock values — they live in metrics (the dispatcher writes them
+    when a run drains, a live snapshot sets their current values), never
+    in the trace."""
+    e2e, unattr = budget.get("e2e", {}), budget.get("unattributed", {})
+    yield "serve/profile_windows", None, budget["windows"]
+    yield "serve/window_total_s", None, e2e.get("total_s", 0.0)
+    yield "serve/window_p95_s", None, e2e.get("p95", 0.0)
+    yield "serve/profile_coverage_p95", None, budget.get("coverage_p95", 0.0)
+    stages = {**budget["stages"], "unattributed": unattr}
+    for path, s in stages.items():
+        yield "serve/stage_total_s", {"stage": path}, s.get("total_s", 0.0)
+        yield "serve/stage_p95_s", {"stage": path}, s.get("p95", 0.0)
+    for name, s in budget.get("sim_stages", {}).items():
+        yield "serve/sim_stage_p50_h", {"stage": name}, s["p50"]
+        yield "serve/sim_stage_p95_h", {"stage": name}, s["p95"]
+        yield "serve/sim_stage_calls", {"stage": name}, s["calls"]
 
 
 class _NullStage:

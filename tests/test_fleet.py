@@ -398,6 +398,85 @@ def test_merge_snapshots_and_render(stack, tmp_path):
     assert "shards (2)" in text2
 
 
+def _ref_merge_profiles(profiles: "list[dict]") -> dict:
+    """The per-shard budget fold the dashboard ran before the budget became
+    gauges of the aggregate, kept as the reference the fleet frame's budget
+    rows are held to: totals and calls sum, p95 takes the worst shard,
+    coverage the weakest."""
+    def fold(dicts):
+        out = {"total_s": 0.0, "calls": 0, "p95": 0.0}
+        for s in dicts:
+            out["total_s"] += s.get("total_s", 0.0)
+            out["calls"] += s.get("calls", 0)
+            out["p95"] = max(out["p95"], s.get("p95", 0.0))
+        return out
+
+    merged = {
+        "windows": sum(p.get("windows", 0) for p in profiles),
+        "e2e": fold([p.get("e2e", {}) for p in profiles]),
+        "unattributed": fold([p.get("unattributed", {}) for p in profiles]),
+        "coverage_p95": min((p.get("coverage_p95", 0.0) for p in profiles),
+                            default=0.0),
+    }
+    stage_keys = []
+    for p in profiles:
+        stage_keys += [k for k in p.get("stages", {}) if k not in stage_keys]
+    merged["stages"] = {k: fold([p["stages"][k] for p in profiles
+                                 if k in p.get("stages", {})])
+                        for k in stage_keys}
+    sim_keys = []
+    for p in profiles:
+        sim_keys += [k for k in p.get("sim_stages", {}) if k not in sim_keys]
+    merged["sim_stages"] = {}
+    for k in sim_keys:
+        entries = [p["sim_stages"][k] for p in profiles
+                   if k in p.get("sim_stages", {})]
+        merged["sim_stages"][k] = {
+            "p50": max(e.get("p50", 0.0) for e in entries),
+            "p95": max(e.get("p95", 0.0) for e in entries),
+            "calls": sum(e.get("calls", 0) for e in entries),
+        }
+    return merged
+
+
+def _ref_budget_rows(profile: dict) -> "list[str]":
+    """The dashboard's budget section as drawn from a merged profile."""
+    from repro.monitor.live import _bar
+
+    e2e = profile["e2e"]
+    rows = [f"latency budget over {profile['windows']} windows "
+            f"(e2e p95 {1e3 * e2e['p95']:.2f} ms, "
+            f"coverage {100 * profile['coverage_p95']:.1f}%):"]
+    total_s = e2e["total_s"] or 1.0
+    stages = {k: s for k, s in profile["stages"].items() if ";" not in k}
+    for path, s in [*stages.items(), ("(unattr)", profile["unattributed"])]:
+        frac = s["total_s"] / total_s
+        rows.append(f"  {path:<10} {_bar(frac)} {1e3 * s['p95']:>8.3f} ms p95"
+                    f" ({100 * frac:5.1f}%)")
+    if profile["sim_stages"]:
+        rows.append("  simulated-time stages (platform hours):")
+        for name, s in profile["sim_stages"].items():
+            rows.append(f"    {name:<16} p50 {s['p50']:.3f}  "
+                        f"p95 {s['p95']:.3f}  calls {s['calls']}")
+    return rows
+
+
+def test_fleet_budget_rows_equal_the_per_shard_fold(stack, tmp_path):
+    from repro.monitor import render_top, snapshot_from_logs
+
+    cfg = FleetConfig(n_shards=4, serve=SERVE.with_overrides(profile=True))
+    controller = FleetController(cfg, stack=stack)
+    controller.run(fleet_events(controller.pool), telemetry="jsonl",
+                   out_dir=tmp_path, run_prefix="fleet-budget")
+    logs = sorted(glob.glob(str(tmp_path / "fleet-budget-s*.jsonl")))
+    assert len(logs) == 4
+    sections = render_top(snapshot_from_logs(logs)).split("\n\n")
+    budget = next(s for s in sections if s.startswith("latency budget"))
+    want = _ref_budget_rows(_ref_merge_profiles(
+        [prof.budget() for prof in controller.last_profilers]))
+    assert budget.splitlines() == want
+
+
 def test_fleet_flamegraph_prefixes_shards(stack, tmp_path):
     cfg = FleetConfig(n_shards=2, serve=SERVE.with_overrides(profile=True))
     controller = FleetController(cfg, stack=stack)

@@ -405,7 +405,6 @@ def _ref_snapshot_from_logs(paths) -> dict:
     per-log snapshots, kept as the reference the dashboard text is held to."""
     from pathlib import Path
 
-    from repro.monitor.live import _status_from_aggregate
     from repro.telemetry import merge_aggregates
     from repro.telemetry.jsonl import aggregate_events, meta_of
 
@@ -423,8 +422,7 @@ def _ref_snapshot_from_logs(paths) -> dict:
         exemplars += [ev for ev in events if ev.get("type") == "event"
                       and ev.get("name") == EXEMPLAR_EVENT]
     agg = merge_aggregates(aggs)
-    snap = {"aggregate": agg, "status": _status_from_aggregate(agg),
-            "run": " + ".join(Path(p).stem for p in paths)}
+    snap = {"aggregate": agg, "run": " + ".join(Path(p).stem for p in paths)}
     if exemplars:
         snap["journeys"] = merge_exemplar_payloads(exemplars)
     if shards_seen:

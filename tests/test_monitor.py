@@ -874,6 +874,43 @@ class TestPrometheusEdgeCases:
 # --------------------------------------------------------------------- #
 
 
+@pytest.fixture(scope="module")
+def live_run(tmp_path_factory, replay_stack):
+    """A profiled, monitored, journey-traced run under a shard-labelled
+    JSONL recorder, with the live snapshot taken mid-run and after drain."""
+    import io
+    from dataclasses import replace
+
+    from repro.serve import ServeCallback
+    from repro.telemetry import StageProfiler
+
+    out_dir = tmp_path_factory.mktemp("live")
+    pool, clusters, method, spec, cfg = replay_stack
+    events = _events(pool, rate=30.0, horizon=2.0, seed=3)
+    monitor, prof, snaps = QualityMonitor(), StageProfiler(), {}
+
+    class MidRun(ServeCallback):
+        def on_window(self, snapshot):
+            if snapshot.window == 4:
+                snaps["mid"] = snapshot_fn()
+
+    with recording(mode="jsonl", run="serve-run-0", out_dir=out_dir,
+                   meta={"serve": REPLAY_PARAMS}, labels={"shard": "0"},
+                   stream=io.StringIO()) as rec:
+        dispatcher = Dispatcher(clusters, method, spec,
+                                replace(cfg, journey_sample=1.0),
+                                callbacks=[monitor, MidRun()], profiler=prof)
+
+        def snapshot_fn():
+            return serve_snapshot(rec, profiler=prof, monitor=monitor,
+                                  journeys=dispatcher.journeys,
+                                  extra={"run": "serve-run-0"})
+
+        dispatcher.run(events, rng=REPLAY_PARAMS["seed"] + 4)
+        snaps["drained"] = snapshot_fn()
+    return out_dir / "serve-run-0.jsonl", snaps
+
+
 class TestLivePlane:
     def _snapshot(self):
         from repro.telemetry import Recorder, StageProfiler
@@ -898,13 +935,19 @@ class TestLivePlane:
             return serve_snapshot(rec, profiler=prof, extra={"run": "live"})
 
     def test_serve_snapshot_summarizes_labeled_run(self):
+        from repro.telemetry.metrics import quantile
+
         snap = self._snapshot()
-        status = snap["status"]
-        # Label-suffixed series still feed the status rollup.
-        assert status["seed_sources"] == {"cache": 3.0, "cold": 1.0}
-        assert status["queue_depth_p95"] == 8.0
-        assert snap["profile"]["windows"] == 1
-        assert 'serve/windows{shard="0"}' in snap["aggregate"]["counters"]
+        agg = snap["aggregate"]
+        # One record: the budget is gauges of the aggregate, under the
+        # recorder's base labels; no private status/profile channels.
+        assert "status" not in snap and "profile" not in snap
+        assert agg["counters"]['serve/seed_cache{shard="0"}']["value"] == 3.0
+        assert agg["counters"]['serve/seed_cold{shard="0"}']["value"] == 1.0
+        assert quantile(agg["histograms"]['serve/queue_depth{shard="0"}'],
+                        0.95) == 8.0
+        assert agg["gauges"]['serve/profile_windows{shard="0"}']["value"] == 1
+        assert 'serve/windows{shard="0"}' in agg["counters"]
 
     def test_render_top_is_pure_and_complete(self):
         snap = self._snapshot()
@@ -932,12 +975,15 @@ class TestLivePlane:
                     "text/plain; version=0.0.4")
                 body = resp.read().decode()
             assert 'repro_serve_windows_total{shard="0"} 4' in body
-            # Mid-run scrape folds the live stage budget into gauges.
-            assert 'repro_serve_stage_total_s{stage="solve"}' in body
+            # Mid-run scrape carries the live stage budget as gauges,
+            # under the recorder's shard label like the drained ones.
+            assert 'repro_serve_stage_total_s{shard="0",stage="solve"}' in body
             assert "repro_serve_profile_coverage_p95" in body
             with urllib.request.urlopen(f"{server.url}/snapshot") as resp:
                 parsed = json.loads(resp.read().decode())
-            assert parsed["status"]["seed_sources"] == {"cache": 3, "cold": 1}
+            counters = parsed["aggregate"]["counters"]
+            assert counters['serve/seed_cache{shard="0"}']["value"] == 3
+            assert counters['serve/seed_cold{shard="0"}']["value"] == 1
             with urllib.request.urlopen(f"{server.url}/healthz") as resp:
                 assert resp.read() == b"ok\n"
             with pytest.raises(urllib.error.HTTPError) as err:
@@ -948,38 +994,112 @@ class TestLivePlane:
             urllib.request.urlopen(f"{url}/healthz", timeout=0.5)
 
     def test_top_once_renders_and_exits_clean(self):
+        import contextlib
         import io as _io
 
         from repro.monitor import MetricsServer, top
 
         snap = self._snapshot()
         out = _io.StringIO()
-        with MetricsServer(lambda: snap) as server:
-            assert top(server.url, iterations=1, stream=out) == 0
+        with MetricsServer(lambda: snap) as server, \
+                contextlib.redirect_stdout(out):
+            assert top(server.url, iterations=1) == 0
         text = out.getvalue()
         assert "repro serve top — live" in text
         assert "\x1b[2J" not in text  # no ANSI clear on a non-tty stream
 
     def test_top_unreachable_endpoint_fails_gracefully(self):
+        import contextlib
         import io as _io
 
         out = _io.StringIO()
-        assert top("127.0.0.1:9", iterations=1, stream=out) == 1
+        with contextlib.redirect_stdout(out):
+            assert top("127.0.0.1:9", iterations=1) == 1
         assert "cannot reach" in out.getvalue()
 
-    def test_scrape_skips_fold_when_drained_gauges_present(self):
-        from repro.monitor.live import _scrape_aggregate
+    @pytest.mark.parametrize("status", [200, 404])
+    def test_top_non_json_endpoint_fails_gracefully(self, status):
+        import contextlib
+        import io as _io
+        import threading
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-        snap = {
-            "aggregate": {"gauges": {
-                'serve/stage_total_s{stage="solve"}': {
-                    "value": 1.0, "calls": 1, "labels": {"stage": "solve"}},
-            }},
-            "profile": {"windows": 3, "stages": {"solve": {
-                "total_s": 1.0, "calls": 3, "self_s": 1.0,
-                "p50": 0.3, "p95": 0.4, "p99": 0.4}},
-                "unattributed": {"total_s": 0.0}, "coverage_p95": 1.0},
-        }
-        agg = _scrape_aggregate(snap)
-        # End-of-run gauges already present: the fold must not duplicate.
-        assert list(agg["gauges"]) == ['serve/stage_total_s{stage="solve"}']
+        class Html(BaseHTTPRequestHandler):
+            def do_GET(self):
+                body = b"<html>not a repro endpoint</html>"
+                self.send_response(status)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        httpd = ThreadingHTTPServer(("127.0.0.1", 0), Html)
+        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+        thread.start()
+        url = f"127.0.0.1:{httpd.server_address[1]}"
+        out = _io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out):
+                assert top(url, iterations=1) == 1
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
+        assert out.getvalue().startswith(
+            f"serve top: cannot read snapshot from {url}: ")
+        assert "Traceback" not in out.getvalue()
+
+    def test_live_metrics_keep_their_series_keys_through_drain(self, live_run):
+        """A shard-labelled run's budget and SLO series have the same keys
+        mid-run as after drain: the live snapshot sets the same gauges,
+        under the same base labels, that the drain path writes."""
+        import urllib.request
+
+        from repro.monitor import MetricsServer
+
+        _, snaps = live_run
+        bodies = {}
+        for when in ("mid", "drained"):
+            with MetricsServer(lambda: snaps[when]) as server:
+                with urllib.request.urlopen(f"{server.url}/metrics") as resp:
+                    bodies[when] = resp.read().decode()
+        prefixes = ("repro_serve_stage_", "repro_serve_window_",
+                    "repro_serve_profile_", "repro_serve_sim_stage_",
+                    "repro_monitor_slo_", "repro_monitor_alerts_total")
+
+        def keys(body):
+            return sorted(ln.rsplit(" ", 1)[0] for ln in body.splitlines()
+                          if ln.startswith(prefixes))
+
+        assert keys(bodies["mid"]) == keys(bodies["drained"])
+        assert 'repro_serve_stage_total_s{shard="0",stage="solve"}' \
+            in keys(bodies["mid"])
+        assert 'repro_monitor_slo_wait_fast_burn{shard="0"}' \
+            in keys(bodies["mid"])
+
+    def test_top_from_log_equals_the_drained_live_frame(self, live_run):
+        from repro.monitor import snapshot_from_logs
+
+        log, snaps = live_run
+        frame = render_top(snaps["drained"])
+        assert render_top(snapshot_from_logs([log])) == frame
+        for section in ("seed sources:", "latency budget over",
+                        "simulated-time stages", "wait exemplars",
+                        "SLO burn rates"):
+            assert section in frame
+
+    def test_busy_metrics_port_exits_before_training(self, capsys):
+        import socket
+
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            port = busy.getsockname()[1]
+            code = main(["serve", "run", "--pool-size", "16",
+                         "--train-epochs", "1", "--metrics-port", str(port)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert "training" not in out
+        assert err.strip().splitlines() == [err.strip()]
+        assert f"port {port}" in err and "Traceback" not in err
