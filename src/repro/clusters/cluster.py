@@ -88,7 +88,7 @@ class Cluster:
         """
         rng = as_generator(rng)
         t = self.true_time(task)
-        a = self.true_reliability(task)
+        a = self.rel.reliability(task.spec, t)
         t_obs = t * float(np.exp(rng.normal(0.0, self.timing_noise_std)))
         successes = int(np.sum(rng.random(self.reliability_trials) < a))
         a_obs = float(np.clip(successes / self.reliability_trials, 0.02, 0.995))

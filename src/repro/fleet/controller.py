@@ -260,12 +260,15 @@ class FleetController:
         per_shard_routes: "list[list[tuple[float, int]]]" = [
             [] for _ in range(cfg.n_shards)]
         route_journeys: "list[list[dict]]" = [[] for _ in range(cfg.n_shards)]
+        journeys = self.dcfg.journey_sample > 0.0
         ordered = sorted(events, key=lambda e: (e[0], e[1].task_id))
         for t, task in ordered:
             up = {s for s in range(cfg.n_shards) if shard_up(s, t)}
             sid = router.route(task.task_id, t, up)
             per_shard_events[sid].append((t, task))
             per_shard_routes[sid].append((t, task.task_id))
+            if not journeys:
+                continue
             # Journey preamble for the chosen shard's dispatcher: the
             # ring home and why this shard got the task (home pick, ring
             # failover past a down shard, or load-aware override).

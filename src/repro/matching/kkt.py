@@ -37,7 +37,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from repro.matching.objectives import barrier_second_derivatives
 from repro.matching.problem import MatchingProblem
@@ -69,6 +68,8 @@ def _solve_saddle(
     H: np.ndarray, D: np.ndarray, rhs_top: np.ndarray, ridge: float
 ) -> np.ndarray:
     """Solve the symmetric saddle system for the top block ``u``."""
+    import scipy.linalg  # the scalar and fallback paths only: keeps serving NumPy-only
+
     p, n = H.shape[0], D.shape[0]
     K = np.zeros((p + n, p + n))
     K[:p, :p] = H + ridge * np.eye(p)
@@ -121,6 +122,8 @@ def kkt_jacobians(X_star: np.ndarray, problem: MatchingProblem) -> tuple[np.ndar
     O((MN)³) — used by tests and the gradient-quality ablation, not by the
     training loop (which uses :func:`kkt_vjp`).
     """
+    import scipy.linalg
+
     M, N = problem.M, problem.N
     P = M * N
     deriv = barrier_second_derivatives(X_star, problem)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
 
 from repro.utils.validation import check_array
 
@@ -40,6 +39,8 @@ class TimeAccuracy:
 
 def time_accuracy(t_pred: np.ndarray, t_true: np.ndarray) -> TimeAccuracy:
     """Error summary for positive execution-time predictions."""
+    import scipy.stats  # here, not at module level: `repro.metrics` loads with serving
+
     t_pred = check_array(t_pred, name="t_pred")
     t_true = check_array(t_true, name="t_true")
     if t_pred.shape != t_true.shape:

@@ -104,6 +104,9 @@ class Adam:
         self.grads = _views(self.grad, shapes)
         self.m = np.zeros_like(self.data)
         self.v = np.zeros_like(self.data)
+        # Two step-to-step scratch buffers: a step allocates nothing.
+        self._s1 = np.empty_like(self.data)
+        self._s2 = np.empty_like(self.data)
 
     def zero_grad(self) -> None:
         """Drop the tape's gradients (a caller writing :attr:`grads`
@@ -123,14 +126,22 @@ class Adam:
         b1, b2 = self.betas
         bc1 = 1.0 - b1**self.steps
         bc2 = 1.0 - b2**self.steps
+        # m += (1-b1) g;  v += (1-b2) g²;  data -= lr (m/bc1) / (sqrt(v/bc2) + eps),
+        # with g = grad + wd·data: the same ufuncs in the same order as the
+        # expressions, written into the two scratch buffers.
+        s1, s2 = self._s1, self._s2
         g = self.grad
         if self.weight_decay:
-            g = g + self.weight_decay * self.data
+            np.multiply(self.weight_decay, self.data, out=s1)
+            g = np.add(g, s1, out=s1)
         self.m *= b1
-        self.m += (1.0 - b1) * g
+        self.m += np.multiply(1.0 - b1, g, out=s2)
         self.v *= b2
-        self.v += (1.0 - b2) * (g * g)
-        self.data -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + _EPS)
+        np.multiply(g, g, out=s2)
+        self.v += np.multiply(1.0 - b2, s2, out=s2)
+        step = np.multiply(self.lr, np.divide(self.m, bc1, out=s2), out=s2)
+        denom = np.add(np.sqrt(np.divide(self.v, bc2, out=s1), out=s1), _EPS, out=s1)
+        self.data -= np.divide(step, denom, out=s2)
 
 
 def clip_grad_norm(params: "Sequence[Parameter] | Iterable[Parameter]", max_norm: float) -> float:

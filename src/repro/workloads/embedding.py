@@ -21,11 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from repro.utils.rng import as_generator
-from repro.workloads.graphs import OP_TYPES, build_graph, node_feature_matrix
+from repro.workloads.graphs import OP_TYPES, OpGraph, build_graph, node_feature_matrix
 from repro.workloads.specs import ModelSpec
 
 __all__ = ["GraphEmbedder", "DEFAULT_FEATURE_DIM"]
@@ -86,11 +85,11 @@ class GraphEmbedder:
     def feature_dim(self) -> int:
         return DEFAULT_FEATURE_DIM
 
-    def embed_graph(self, g: nx.DiGraph) -> np.ndarray:
+    def embed_graph(self, g: OpGraph) -> np.ndarray:
         """Structural embedding of an operator graph (no attributes)."""
         x = node_feature_matrix(g)
         # Symmetric normalized adjacency (undirected view) for propagation.
-        adj = nx.to_numpy_array(g)
+        adj = g.adjacency()
         adj = adj + adj.T
         deg = adj.sum(axis=1)
         inv_sqrt = 1.0 / np.sqrt(np.maximum(deg, 1.0))

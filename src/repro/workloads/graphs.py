@@ -3,8 +3,10 @@
 The paper cites graph-based task embeddings (BRP-NAS, Liang et al.) and
 "used a Graph Neural Network to transform these deep learning tasks into
 features".  This module builds the computational graph a GNN would consume:
-a :class:`networkx.DiGraph` whose nodes are operators annotated with FLOPs,
+an :class:`OpGraph` whose nodes are operators annotated with FLOPs,
 parameter counts and output memory, and whose edges are data dependencies.
+Every builder numbers nodes in topological order, so "each edge goes from a
+lower id to a higher one" is the graph's own invariant and makes it a DAG.
 
 Topologies per family:
 
@@ -19,12 +21,11 @@ Topologies per family:
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
 from repro.workloads.specs import Family, ModelSpec
 
-__all__ = ["OP_TYPES", "build_graph"]
+__all__ = ["OP_TYPES", "OpGraph", "build_graph"]
 
 #: Operator vocabulary — index order defines the one-hot layout used by the
 #: feature embedding, so it must stay stable.
@@ -48,8 +49,41 @@ OP_TYPES: tuple[str, ...] = (
 _OP_INDEX = {name: i for i, name in enumerate(OP_TYPES)}
 
 
+class OpGraph:
+    """A small operator DAG.
+
+    ``nodes`` maps node id to its attribute dict in insertion order;
+    ``edges`` lists ``(src, dst)`` pairs, each from a lower id to a higher
+    one (so no cycle can form).
+    """
+
+    def __init__(self) -> None:
+        self.nodes: "dict[int, dict[str, object]]" = {}
+        self.edges: "list[tuple[int, int]]" = []
+
+    def add_node(self, idx: int, **attrs: object) -> None:
+        if idx in self.nodes:
+            raise ValueError(f"node {idx} already exists")
+        self.nodes[idx] = attrs
+
+    def add_edge(self, src: int, dst: int) -> None:
+        if src not in self.nodes or dst not in self.nodes:
+            raise ValueError(f"edge ({src}, {dst}) names a missing node")
+        if src >= dst:
+            raise ValueError(f"edge ({src}, {dst}) must go from a lower id to a higher one")
+        self.edges.append((src, dst))
+
+    def adjacency(self) -> np.ndarray:
+        """Directed 0/1 adjacency matrix, rows and columns in node order."""
+        row = {idx: i for i, idx in enumerate(self.nodes)}
+        adj = np.zeros((len(row), len(row)))
+        for src, dst in self.edges:
+            adj[row[src], row[dst]] = 1.0
+        return adj
+
+
 def _node(
-    g: nx.DiGraph,
+    g: OpGraph,
     idx: int,
     op: str,
     *,
@@ -63,7 +97,7 @@ def _node(
     return idx
 
 
-def build_graph(spec: ModelSpec) -> nx.DiGraph:
+def build_graph(spec: ModelSpec) -> OpGraph:
     """Build the operator graph for ``spec``.
 
     Node FLOPs sum (approximately) to ``spec.flops_per_sample`` and node
@@ -76,14 +110,11 @@ def build_graph(spec: ModelSpec) -> nx.DiGraph:
         Family.RNN: _build_rnn,
         Family.MLP: _build_mlp,
     }
-    g = builders[spec.family](spec)
-    if not nx.is_directed_acyclic_graph(g):  # pragma: no cover - structural invariant
-        raise RuntimeError("operator graph must be a DAG")
-    return g
+    return builders[spec.family](spec)
 
 
-def _build_conv(spec: ModelSpec) -> nx.DiGraph:
-    g = nx.DiGraph()
+def _build_conv(spec: ModelSpec) -> OpGraph:
+    g = OpGraph()
     per_block_flops = spec.flops_per_sample / max(spec.depth, 1)
     per_block_params = spec.params / max(spec.depth, 1)
     act_mem = spec.activation_mem_gb / max(spec.depth, 1)
@@ -119,8 +150,8 @@ def _build_conv(spec: ModelSpec) -> nx.DiGraph:
     return g
 
 
-def _build_transformer(spec: ModelSpec) -> nx.DiGraph:
-    g = nx.DiGraph()
+def _build_transformer(spec: ModelSpec) -> OpGraph:
+    g = OpGraph()
     d = max(spec.depth, 1)
     attn_flops = 2.0 * spec.depth * 2.0 * (spec.seq_length**2) * spec.width / d
     ffn_flops = 2.0 * spec.depth * 4.0 * spec.seq_length * spec.width**2 / d
@@ -162,8 +193,8 @@ def _build_transformer(spec: ModelSpec) -> nx.DiGraph:
     return g
 
 
-def _build_rnn(spec: ModelSpec) -> nx.DiGraph:
-    g = nx.DiGraph()
+def _build_rnn(spec: ModelSpec) -> OpGraph:
+    g = OpGraph()
     d = max(spec.depth, 1)
     per_layer_flops = spec.flops_per_sample / d
     per_layer_params = spec.params / d
@@ -189,8 +220,8 @@ def _build_rnn(spec: ModelSpec) -> nx.DiGraph:
     return g
 
 
-def _build_mlp(spec: ModelSpec) -> nx.DiGraph:
-    g = nx.DiGraph()
+def _build_mlp(spec: ModelSpec) -> OpGraph:
+    g = OpGraph()
     d = max(spec.depth, 1)
     per_layer_flops = spec.flops_per_sample / d
     per_layer_params = spec.params / d
@@ -214,15 +245,14 @@ def _build_mlp(spec: ModelSpec) -> nx.DiGraph:
     return g
 
 
-def node_feature_matrix(g: nx.DiGraph) -> np.ndarray:
+def node_feature_matrix(g: OpGraph) -> np.ndarray:
     """Per-node features: one-hot op type ⊕ log1p(flops, params, mem).
 
     Rows follow the graph's node insertion order (stable for our builders).
     Shape: (num_nodes, len(OP_TYPES) + 3).
     """
-    n = g.number_of_nodes()
-    feats = np.zeros((n, len(OP_TYPES) + 3))
-    for row, (_, data) in enumerate(g.nodes(data=True)):
+    feats = np.zeros((len(g.nodes), len(OP_TYPES) + 3))
+    for row, data in enumerate(g.nodes.values()):
         feats[row, _OP_INDEX[data["op"]]] = 1.0
         feats[row, len(OP_TYPES) + 0] = np.log1p(data["flops"])
         feats[row, len(OP_TYPES) + 1] = np.log1p(data["params"])

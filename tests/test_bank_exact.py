@@ -36,6 +36,7 @@ from repro.methods import MFCP, TSM, FitContext, MatchSpec, MFCPConfig
 from repro.methods.base import HIDDEN
 from repro.methods.mfcp import GRAD_CLIP
 from repro.nn import Adam, Parameter, Tensor, clip_grad_norm, mse_loss, no_grad, ops
+from repro.nn.optim import flatten
 from repro.nn.layers import Linear
 from repro.predictors import (
     BankTrainer,
@@ -644,3 +645,49 @@ def test_training_and_inference_build_no_tape(monkeypatch):
     for gradient in ("analytic", "forward"):
         fitted = MFCP(gradient, replace(_FIT_CFG, epochs=1, validate_every=1)).fit(_fresh_ctx())
         assert len(fitted.loss_history) == 1
+
+
+# --------------------------------------------------------------------- #
+# The flat Adam step: scratch buffers, same bits as the expressions.
+# --------------------------------------------------------------------- #
+
+
+def _ref_adam_step(data, grad, m, v, steps, lr, betas, weight_decay):
+    """The Adam step as whole-buffer expressions (the previous code)."""
+    b1, b2 = betas
+    bc1 = 1.0 - b1**steps
+    bc2 = 1.0 - b2**steps
+    g = grad
+    if weight_decay:
+        g = g + weight_decay * data
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * (g * g)
+    data -= lr * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, WEIGHT_DECAY])
+def test_adam_step_matches_the_expressions_and_allocates_nothing(weight_decay):
+    import tracemalloc
+
+    rng = as_generator(3)
+    size = 13_000  # the 104 kB buffer of a TSM fit's bank
+    opt = Adam(flatten([rng.normal(size=(100, 65)), rng.normal(size=6500)]),
+               lr=3e-3, weight_decay=weight_decay)
+    data, m, v = opt.data.copy(), np.zeros(size), np.zeros(size)
+    for step in range(1, 41):
+        # Gradients spanning magnitudes, with exact zeros and sign flips.
+        g = rng.normal(size=size) * 10.0 ** rng.integers(-12, 6, size=size)
+        g[rng.random(size) < 0.05] = 0.0
+        opt.grad[...] = g
+        tracemalloc.start()
+        opt.step()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 4096, f"step {step} allocated {peak} bytes"
+        _ref_adam_step(data, g, m, v, step, 3e-3, opt.betas, weight_decay)
+        assert opt.data.tobytes() == data.tobytes()
+        assert opt.m.tobytes() == m.tobytes() and opt.v.tobytes() == v.tobytes()
+    assert opt.grad.tobytes() == g.tobytes()  # the step leaves gradients alone
+

@@ -23,6 +23,7 @@ from repro.clusters import (
     make_setting,
     make_specialist_pool,
 )
+from repro.predictors.dataset import build_datasets
 from repro.workloads import Family, ModelSpec, TaskPool, sample_spec, sample_specs
 
 
@@ -157,6 +158,24 @@ class TestClusterAndRegistry:
         assert abs(np.median(times) - t_true) / t_true < 0.1
         rels = np.array([m.reliability for m in ms])
         assert abs(rels.mean() - cluster.true_reliability(task)) < 0.1
+
+    @pytest.mark.parametrize("make_clusters,digest", [
+        pytest.param(lambda: make_pool(8, rng=0),
+                     "df1474aa652daeaf7f7968dcfd142676938e4e66b6c6ee70c14df9e45b71d968",
+                     id="make_pool(8)"),
+        pytest.param(lambda: make_specialist_pool(24),
+                     "ba29abffd41caec192d94abbec62170b1854b09e8cd374dbffcbf7c5741bf373",
+                     id="make_specialist_pool(24)"),
+    ])
+    def test_build_datasets_frozen(self, make_clusters, digest):
+        # Recorded when `measure` still evaluated the time model twice per
+        # call: reusing the first time keeps every measurement bit-identical.
+        h = hashlib.sha256()
+        for ds in build_datasets(make_clusters(), TaskPool(48, rng=0).tasks, rng=1):
+            h.update(str(ds.cluster_id).encode())
+            for arr in (ds.Z, ds.t, ds.a):
+                h.update(np.ascontiguousarray(arr).tobytes())
+        assert h.hexdigest() == digest
 
     def test_cluster_requires_shared_hardware(self):
         hw1, hw2 = _hw(name="a"), _hw(name="b")

@@ -256,6 +256,8 @@ def test_routes_exactly_partition_stream(stack):
     merged = sorted((t, task.task_id)
                     for shard in per_shard for t, task in shard)
     assert merged == sorted((t, task.task_id) for t, task in events)
+    # Journeys are off: no routed-journey preamble is built.
+    assert controller.last_route_journeys == [[], [], [], []]
     # Routing is a pure function of the stream: identical on re-route.
     per_shard2, routes2, _ = controller.route(events)
     assert routes2 == routes

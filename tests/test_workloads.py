@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-import networkx as nx
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from repro.workloads import (
     sample_spec,
     sample_specs,
 )
-from repro.workloads.graphs import OP_TYPES, node_feature_matrix
+from repro.workloads.graphs import OP_TYPES, OpGraph, node_feature_matrix
 
 
 def spec_strategy():
@@ -93,28 +94,68 @@ class TestSampling:
             assert 100 <= s.train_epochs <= 400
 
 
+def _networkx(g: OpGraph):
+    """``g`` rebuilt as a ``networkx.DiGraph`` (networkx is a test-only
+    dependency: the package never imports it)."""
+    import networkx as nx
+
+    out = nx.DiGraph()
+    for idx, data in g.nodes.items():
+        out.add_node(idx, **data)
+    out.add_edges_from(g.edges)
+    return out
+
+
 class TestGraphs:
     @pytest.mark.parametrize("family", list(FAMILY_LIST))
     def test_graph_is_dag_with_io(self, family):
+        import networkx as nx
+
         spec = sample_spec(5, family=family)
         g = build_graph(spec)
-        assert nx.is_directed_acyclic_graph(g)
-        ops = [d["op"] for _, d in g.nodes(data=True)]
+        assert nx.is_directed_acyclic_graph(_networkx(g))
+        assert nx.is_weakly_connected(_networkx(g))
+        ops = [d["op"] for d in g.nodes.values()]
         assert ops.count("input") == 1
         assert ops.count("output") == 1
-        assert nx.is_weakly_connected(g)
+
+    @pytest.mark.parametrize("family", list(FAMILY_LIST))
+    @pytest.mark.parametrize("depth", [1, 2, 5, 12])
+    def test_adjacency_matches_networkx(self, family, depth):
+        import networkx as nx
+
+        spec = ModelSpec(family, depth=depth, width=64, batch_size=32,
+                         dataset_samples=1000, seq_length=16)
+        g = build_graph(spec)
+        adj, want = g.adjacency(), nx.to_numpy_array(_networkx(g))
+        assert adj.dtype == want.dtype and adj.tobytes() == want.tobytes()
+
+    def test_op_graph_rejects_non_forward_edges(self):
+        g = OpGraph()
+        g.add_node(0, op="input")
+        g.add_node(1, op="output")
+        with pytest.raises(ValueError, match="lower id"):
+            g.add_edge(1, 0)
+        with pytest.raises(ValueError, match="lower id"):
+            g.add_edge(1, 1)
+        with pytest.raises(ValueError, match="missing node"):
+            g.add_edge(0, 2)
+        with pytest.raises(ValueError, match="already exists"):
+            g.add_node(1, op="output")
+        g.add_edge(0, 1)
+        assert g.edges == [(0, 1)]
 
     @pytest.mark.parametrize("family", list(FAMILY_LIST))
     def test_graph_flops_consistent_with_spec(self, family):
         spec = sample_spec(7, family=family)
-        flops = sum(data["flops"] for _, data in build_graph(spec).nodes(data=True))
+        flops = sum(data["flops"] for data in build_graph(spec).nodes.values())
         # Node FLOPs should be the same order as the spec's per-sample FLOPs.
         assert flops == pytest.approx(spec.flops_per_sample, rel=0.35)
 
     def test_node_feature_matrix_shape(self):
         g = build_graph(sample_spec(2))
         feats = node_feature_matrix(g)
-        assert feats.shape == (g.number_of_nodes(), len(OP_TYPES) + 3)
+        assert feats.shape == (len(g.nodes), len(OP_TYPES) + 3)
         # one-hot block: exactly one 1 per row
         np.testing.assert_allclose(feats[:, : len(OP_TYPES)].sum(axis=1), 1.0)
 
@@ -122,7 +163,7 @@ class TestGraphs:
         spec = ModelSpec(Family.CONV, depth=8, width=32, batch_size=32,
                          dataset_samples=1000, seq_length=32)
         g = build_graph(spec)
-        assert any(d["op"] == "add" for _, d in g.nodes(data=True))
+        assert any(d["op"] == "add" for d in g.nodes.values())
 
 
 class TestEmbedding:
@@ -188,6 +229,17 @@ class TestTaskPool:
             task_pool.sample_round(0)
         with pytest.raises(ValueError):
             task_pool.sample_round(1000)
+
+    @pytest.mark.parametrize("size,digest", [
+        (64, "c9f97f5d32def5d79b7902e6cd24319d1502eefc0917c79b25fa275b9c06738d"),
+        (160, "3d44caaedef8700cf4bdaa55a232e394d6d2eaa42601d9308b274953da0012f9"),
+        (256, "7b6d4a95e843e199a11deed5dfa8ca9388b34d949b5dab6fcc26a7d37ad1e6d2"),
+    ])
+    def test_features_frozen(self, size, digest):
+        # Recorded with the networkx-built graphs: the operator DAG and its
+        # NumPy adjacency reproduce every feature byte for byte.
+        features = TaskPool(size, rng=0).features()
+        assert hashlib.sha256(features.tobytes()).hexdigest() == digest
 
     def test_pool_determinism(self):
         p1, p2 = TaskPool(8, rng=5), TaskPool(8, rng=5)
