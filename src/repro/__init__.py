@@ -11,7 +11,7 @@ Subpackages
 ``repro.clusters``
     Heterogeneous cluster ground-truth performance/reliability models.
 ``repro.sim``
-    Discrete-event execution engine (sequential & parallel modes).
+    Execution simulator: per-cluster FIFO chains or parallel batches.
 ``repro.matching``
     Eq. (2) problem, smoothing/barrier objectives, Algorithm 1 solver,
     exact solvers, KKT differentiation (Eq. 15), zeroth-order gradients

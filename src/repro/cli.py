@@ -168,8 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(label harvest, canary-gated refits, hot-swap)")
     _config_flag(p_run, "--retrain-mode", RetrainConfig, dest="mode",
                  help="warm-started or from-scratch candidate refits")
-    # "manual" is armed through RetrainController.request_retrain, which
-    # no flag reaches.
+    # "manual" never self-triggers: it is the API-only setting of a
+    # FleetRetrainController, which starts its refits centrally.
     _config_flag(p_run, "--retrain-trigger", RetrainConfig, dest="trigger",
                  choices=tuple(t for t in TRIGGERS if t != "manual"),
                  help="what arms a refit (drift wires the monitor's "

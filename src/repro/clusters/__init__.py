@@ -16,7 +16,7 @@ from repro.clusters.catalog import (
     make_specialist_pool,
     shard_pool,
 )
-from repro.clusters.reliability import ReliabilityModel
+from repro.clusters.reliability import ReliabilityModel, draw_attempt
 
 __all__ = [
     "Cluster",
@@ -25,6 +25,7 @@ __all__ = [
     "PerfModel",
     "ResponseShape",
     "ReliabilityModel",
+    "draw_attempt",
     "ARCHETYPES",
     "SETTINGS",
     "archetype_names",

@@ -20,12 +20,24 @@ from repro.clusters.hardware import HardwareProfile
 from repro.clusters.perf_models import PerfModel
 from repro.workloads.specs import ModelSpec
 
-__all__ = ["ReliabilityModel"]
+__all__ = ["ReliabilityModel", "draw_attempt"]
 
 #: Reliability floor — even the flakiest assignment has some chance.
 _MIN_RELIABILITY = 0.05
 #: Ceiling below 1: no distributed execution is certain.
 _MAX_RELIABILITY = 0.999
+
+
+def draw_attempt(a: float, rng: np.random.Generator) -> tuple[bool, float]:
+    """One execution attempt under reliability ``a``: ``(success, fraction)``.
+
+    A success runs its whole duration (fraction 1.0); a failure aborts at a
+    uniform fraction in [0.05, 0.95) of it, wasting that cluster time.  The
+    execution simulator and the serving loop both draw through here.
+    """
+    if rng.random() < a:
+        return True, 1.0
+    return False, float(rng.uniform(0.05, 0.95))
 
 
 @dataclass(frozen=True)

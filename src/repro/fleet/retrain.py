@@ -49,12 +49,11 @@ from repro.retrain.loop import (
     RetrainConfig,
     _bootstrap_registry,
     _guard_verdict,
-    _pairs_of_method,
     _register_verdict,
     build_refit,
 )
 from repro.retrain.policy import RefitJob
-from repro.serve.registry import ModelRegistry
+from repro.serve.registry import ModelRegistry, _pairs_of
 from repro.utils.rng import as_generator
 
 __all__ = ["FleetRetrainController", "FleetRetrainOutcome"]
@@ -141,7 +140,7 @@ class FleetRetrainController:
         ``(None, [])`` when the evidence floor is not met.
         """
         cfg = self.retrain
-        refit = build_refit(buffer, now, _pairs_of_method(self._base_method),
+        refit = build_refit(buffer, now, _pairs_of(self._base_method),
                             self._cluster_ids, cfg, as_generator(cfg.seed))
         if refit is None:
             return None, []
@@ -159,7 +158,7 @@ class FleetRetrainController:
         evidence.  Shards that routed no traffic abstain.
         """
         gate = self.retrain.canary_gate(self.config.serve.solver_config())
-        live_pairs = _pairs_of_method(self._base_method)
+        live_pairs = _pairs_of(self._base_method)
         verdicts: "list[dict]" = []
         evaluated = False
         passed_all = True

@@ -124,10 +124,6 @@ class BlockStructure:
     def shapes(self) -> tuple[tuple[int, int], ...]:
         return tuple(b.shape for b in self.blocks)
 
-    @property
-    def largest(self) -> tuple[int, int]:
-        return max(self.shapes, key=lambda s: s[0] * s[1])
-
 
 @dataclass(frozen=True)
 class BlockSolution(RelaxedSolution):

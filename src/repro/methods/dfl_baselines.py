@@ -44,9 +44,9 @@ import numpy as np
 from repro.matching.objectives import linear_cost, smooth_cost
 from repro.matching.problem import MatchingProblem
 from repro.matching.relaxed import solve_relaxed
-from repro.matching.rounding import round_assignment
 from repro.methods.base import FitContext
 from repro.methods.mfcp import MFCP, MFCPConfig
+from repro.metrics.regret import deployment_matching
 from repro.utils.rng import spawn
 
 __all__ = ["SPOPlus", "BlackboxDiff", "PerturbedOpt", "make_dfl_methods"]
@@ -96,8 +96,8 @@ class SPOPlus(MFCP):
         return total_loss / M, grad_t, 2.0 * (a_hat - A_true) / N
 
     def _oracle(self, problem: MatchingProblem) -> np.ndarray:
-        sol = solve_relaxed(problem, self._spec.solver if self._spec else None)
-        return round_assignment(sol.X, problem)
+        return deployment_matching(
+            problem, solver_config=self._spec.solver if self._spec else None)
 
 
 class BlackboxDiff(MFCP):

@@ -7,9 +7,10 @@ carries and decomposes the realized gap into two causes:
 - **prediction gap** — ``f(X_exec, T) − f(X_oracle, T)``: the makespan
   the executed (prediction-driven) assignment paid over the assignment
   the same relax-and-round pipeline would have produced from the truth.
-  This is exactly the paper's Eq. (6) regret numerator, reusing
-  :func:`repro.metrics.regret.deployment_matching` so offline and
-  online regret are computed by the same code path.
+  This is exactly the paper's Eq. (6) regret numerator: the oracle runs
+  the same two steps as :func:`repro.metrics.regret.deployment_matching`
+  (relaxed solve, then rounding), spelled out here because the slack
+  below needs the fractional ``X`` as well.
 - **rounding slack** — ``f(X_oracle, T) − f(X_frac, T)``: what the
   rounding step itself costs relative to the fractional relaxed optimum.
   This part is *not* the predictor's fault; separating it keeps drift

@@ -41,7 +41,7 @@ import numpy as np
 from repro.matching.relaxed import SolverConfig
 from repro.monitor.attribution import RegretAttributor
 from repro.monitor.drift import Cusum, DriftBank, PageHinkley, QuantileWindow
-from repro.monitor.sinks import AlertSink
+from repro.monitor.sinks import AlertSink, alert_to_dict
 from repro.monitor.slo import SLOMonitor, SLORule
 from repro.serve.dispatcher import ServeCallback, ServeStats, WindowSnapshot
 from repro.telemetry import get_recorder
@@ -182,10 +182,7 @@ class QualityMonitor(ServeCallback):
             # series get them from base labels, event lines do not.
             identity = {k: v for k, v in rec.registry.base_labels.items()
                         if k in ("shard", "instance")}
-            rec.event("alert", window=alert.window, t=alert.time,
-                      kind=alert.kind, signal=alert.signal,
-                      detector=alert.detector, value=alert.value,
-                      message=alert.message, **identity)
+            rec.event("alert", **alert_to_dict(alert), **identity)
         self._fan_out(alert)
         return alert
 
@@ -320,12 +317,7 @@ class QualityMonitor(ServeCallback):
 
     def alert_log(self) -> "list[dict]":
         """Alerts as plain dicts (JSON-serializable, file order)."""
-        return [
-            {"window": a.window, "t": a.time, "kind": a.kind,
-             "signal": a.signal, "detector": a.detector,
-             "value": a.value, "message": a.message}
-            for a in self.alerts
-        ]
+        return [alert_to_dict(a) for a in self.alerts]
 
     def summary(self) -> dict:
         """One dict describing everything the monitor saw."""

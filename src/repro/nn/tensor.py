@@ -395,9 +395,6 @@ class Tensor:
 
         return Tensor._from_op(out_data, (a,), backward)
 
-    def dot(self, other: "Tensor | np.ndarray") -> "Tensor":
-        return self.__matmul__(other)
-
 
 def _topo_sort(root: Tensor) -> list[Tensor]:
     """Return tensors reachable from ``root`` in reverse topological order.

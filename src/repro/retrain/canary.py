@@ -34,8 +34,8 @@ import numpy as np
 
 from repro.matching.objectives import makespan
 from repro.matching.problem import MatchingProblem
-from repro.matching.relaxed import SolverConfig, solve_relaxed
-from repro.matching.rounding import round_assignment
+from repro.matching.relaxed import SolverConfig
+from repro.metrics.regret import deployment_matching
 from repro.predictors.models import PredictorPair
 from repro.retrain.buffer import Label
 
@@ -131,8 +131,7 @@ def _decision_cost(
         A_hat = np.stack([r[1] for r in rows])
         truth = MatchingProblem(T=w.T, A=w.A, gamma=w.gamma)
         decision = truth.with_predictions(T_hat, A_hat)
-        sol = solve_relaxed(decision, solver)
-        X = round_assignment(sol.X, decision)
+        X = deployment_matching(decision, solver_config=solver)
         costs.append(makespan(X, truth) / truth.N)
     return float(np.mean(costs)) if costs else float("nan")
 

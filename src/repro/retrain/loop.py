@@ -7,8 +7,10 @@ that rides the dispatcher's window stream and closes the learning loop:
    :class:`~repro.retrain.buffer.ReplayBuffer` (orphaned dispatches are
    voided through ``on_requeue`` before they can poison a training set);
 2. **trigger** — a drift alert from :class:`repro.monitor.quality.
-   QualityMonitor` (wired via ``notify_drift``), a periodic schedule, or
-   an explicit ``request_retrain`` arms a refit;
+   QualityMonitor` (wired via ``notify_drift``) or a periodic schedule
+   arms a refit; ``trigger="manual"`` never self-triggers — the setting
+   :class:`~repro.fleet.FleetRetrainController` runs with, since it
+   starts its refits centrally;
 3. **refit** — a :class:`~repro.retrain.policy.RefitJob` trains candidate
    pairs cooperatively, ``steps_per_window`` minibatches per dispatched
    window, so training never blocks matching and the event loop stays
@@ -45,7 +47,7 @@ from repro.retrain.canary import CanaryGate
 from repro.retrain.harvest import WindowHarvester
 from repro.retrain.policy import REFIT_MODES, RefitJob
 from repro.serve.dispatcher import Dispatcher, ServeCallback, ServeStats, WindowSnapshot
-from repro.serve.registry import ModelRegistry
+from repro.serve.registry import ModelRegistry, _pairs_of
 from repro.telemetry import get_recorder
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_choices, check_known_keys
@@ -150,17 +152,6 @@ class RetrainConfig:
                           solver_config=solver_config)
 
 
-def _pairs_of_method(method: object) -> "list[PredictorPair]":
-    for attr in ("pairs", "_pairs"):
-        pairs = getattr(method, attr, None)
-        if pairs:
-            return list(pairs)
-    raise TypeError(
-        f"{type(method).__name__} exposes no predictor pairs; the retraining "
-        "loop needs a prediction-driven method (TSM/MFCP)"
-    )
-
-
 def _bootstrap_registry(registry: ModelRegistry, method: object,
                         config: RetrainConfig) -> None:
     """Give every later refit a parent to record — and a rollback target.
@@ -168,7 +159,7 @@ def _bootstrap_registry(registry: ModelRegistry, method: object,
     An empty registry gets the currently fitted model registered and
     promoted; a populated one without a live pointer promotes its latest.
     """
-    _pairs_of_method(method)  # fail fast on oracle-style methods
+    _pairs_of(method)  # fail fast on oracle-style methods
     if not registry.versions():
         info = registry.save(method, config=config, tag="bootstrap")
         registry.set_live(info.version)
@@ -227,7 +218,6 @@ class RetrainController(ServeCallback):
         self.dispatcher: "Dispatcher | None" = None
         self._cluster_ids: "list[int]" = []
         self._drift_reason: "str | None" = None
-        self._manual_reason: "str | None" = None
         self._cooldown_until = 0  # window number before which no trigger arms
         self._last_trigger_window = 0
         self._job: "RefitJob | None" = None
@@ -267,10 +257,6 @@ class RetrainController(ServeCallback):
         reason = getattr(alert, "message", None) or (
             alert.get("message") if isinstance(alert, dict) else None)
         self._drift_reason = f"drift: {reason}" if reason else "drift"
-
-    def request_retrain(self) -> None:
-        """Arm a refit regardless of the trigger policy (CLI/operator)."""
-        self._manual_reason = "manual"
 
     # ------------------------------------------------------------------ #
     # Serve callbacks.
@@ -313,9 +299,6 @@ class RetrainController(ServeCallback):
     def _trigger_reason(self, window: int) -> "str | None":
         if window < self._cooldown_until:
             return None
-        if self._manual_reason is not None:
-            reason, self._manual_reason = self._manual_reason, None
-            return reason
         cfg = self.config
         if cfg.trigger in ("drift", "both") and self._drift_reason is not None:
             reason, self._drift_reason = self._drift_reason, None
@@ -339,7 +322,7 @@ class RetrainController(ServeCallback):
     def _start_job(self, snapshot: WindowSnapshot, reason: str) -> None:
         cfg = self.config
         refit = build_refit(
-            self.buffer, snapshot.time, _pairs_of_method(self.dispatcher.method),
+            self.buffer, snapshot.time, _pairs_of(self.dispatcher.method),
             self._cluster_ids, cfg, self._rng)
         if refit is None:
             # Not enough evidence yet; retry after a short backoff rather
@@ -375,7 +358,7 @@ class RetrainController(ServeCallback):
     def _finish_job(self, snapshot: WindowSnapshot, job: RefitJob) -> None:
         cfg = self.config
         rec = get_recorder()
-        live_pairs = _pairs_of_method(self.dispatcher.method)
+        live_pairs = _pairs_of(self.dispatcher.method)
         holdout = [l for l in self._holdout if l.end <= snapshot.time]
         decision = self.gate.evaluate(
             job.pairs, live_pairs, self.evidence.pair_index, holdout,

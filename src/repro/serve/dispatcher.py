@@ -6,8 +6,10 @@ module provides that loop over simulated time:
 
 - **admission control** — a bounded queue with two deterministic shedding
   policies (``"reject"`` drops the incoming job, ``"drop_oldest"`` evicts
-  the longest-waiting admitted job), so the queue depth is bounded by
-  construction under any overload;
+  the longest-waiting admitted job), so the *admission* queue's depth is
+  bounded by construction under any overload.  The per-cluster backlogs
+  behind it are not: a dispatched job waits for its cluster however long
+  that cluster's committed work runs, and admission never looks there;
 - **micro-batching windows** — a window closes on whichever trigger fires
   first: the queue reaching ``max_batch`` (size trigger) or the oldest
   queued job waiting ``max_wait_hours`` (time trigger).  A configurable
@@ -18,7 +20,8 @@ module provides that loop over simulated time:
   the matchable set; jobs scheduled on it that had not finished are
   *orphaned* and re-queued at the front of the admission queue (re-queues
   bypass the capacity check and are never shed, so dropout loses zero
-  tasks).  On rejoin the cluster starts clean at the rejoin time;
+  tasks).  Overlapping outages of one cluster hold it down until the last
+  one ends; on rejoin the cluster starts clean at the rejoin time;
 - **warm-started solves** — each window's relaxed solve is seeded from the
   :class:`~repro.serve.cache.WarmStartCache` (previous window's columns +
   step memory) and predictor forwards come from the
@@ -57,6 +60,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.clusters.cluster import Cluster
+from repro.clusters.reliability import draw_attempt
 from repro.matching.objectives import reliability_value
 from repro.matching.problem import MatchingProblem
 from repro.matching.rounding import labels_from_assignment
@@ -223,13 +227,6 @@ class ServeStats:
         if served == 0:
             raise ValueError("no served jobs")
         return self.total_wait_hours / served
-
-    @property
-    def mean_flow_hours(self) -> float:
-        served = self.completed + self.failed
-        if served == 0:
-            raise ValueError("no served jobs")
-        return self.total_flow_hours / served
 
     @property
     def mean_solver_iterations(self) -> float:
@@ -522,7 +519,7 @@ class ServeLoop:
         self.prof = dispatcher.profiler or NULL_PROFILER
         self.jt = dispatcher.journeys
         self.queue: "deque[_Queued]" = deque()
-        self.down: "set[int]" = set()
+        self.down: "dict[int, int]" = {}  # cluster -> outages open on it
         self.free_at = {c.cluster_id: 0.0 for c in dispatcher.clusters}
         #: Per cluster, its jobs not orphaned since: (task, record-to-be).
         self.schedule: "dict[int, list[tuple[Task, ServeRecord]]]" = {
@@ -583,7 +580,7 @@ class ServeLoop:
         """Dropout: the cluster's unfinished jobs re-queue at the front."""
         cid = self._known(cluster_id)
         self.advance(t)
-        self.down.add(cid)
+        self.down[cid] = self.down.get(cid, 0) + 1
         self.fleet_changed_at = t
         jobs = self.schedule[cid]
         self.schedule[cid] = [job for job in jobs if job[1].end <= t + _EPS]
@@ -603,10 +600,15 @@ class ServeLoop:
             self.stats.max_queue_depth = max(self.stats.max_queue_depth, len(self.queue))
 
     def cluster_up(self, t: float, cluster_id: int) -> None:
-        """Return a cluster to the matchable set."""
+        """End one outage; the cluster rejoins when its last one ends."""
         cid = self._known(cluster_id)
+        if cid not in self.down:
+            raise ValueError(f"rejoin of cluster {cluster_id}, which is not down")
         self.advance(t)
-        self.down.discard(cid)
+        self.down[cid] -= 1
+        if self.down[cid]:
+            return  # an overlapping outage still holds it down
+        del self.down[cid]
         self.fleet_changed_at = t
         # Every job kept through the outage ended at or before its
         # start, and the orphans were re-queued to run elsewhere —
@@ -832,9 +834,8 @@ class ServeLoop:
                 q = w.batch[j]
                 start = max(free_at[cid], now)
                 duration = float(w.T[i, j])
-                success = rng.random() < float(w.A[i, j])
-                busy = duration if success else duration * float(rng.uniform(0.05, 0.95))
-                end = start + busy
+                success, frac = draw_attempt(float(w.A[i, j]), rng)
+                end = start + duration * frac
                 free_at[cid] = end
                 starts[j], ends[j], successes[j] = start, end, success
                 self.schedule[cid].append((q.task, ServeRecord(

@@ -1,12 +1,9 @@
-"""Discrete-event execution substrate: event kernel, cluster engine, traces."""
+"""Execution substrate: run a matching on the clusters and trace it."""
 
 from repro.sim.engine import ExecutionConfig, simulate_matching
-from repro.sim.events import Event, Simulator
 from repro.sim.trace import SimulationResult, TaskOutcome, TaskRecord
 
 __all__ = [
-    "Event",
-    "Simulator",
     "ExecutionConfig",
     "simulate_matching",
     "SimulationResult",

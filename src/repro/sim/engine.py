@@ -1,4 +1,4 @@
-"""Execute a matching on the synthetic clusters as a discrete-event run.
+"""Execute a matching on the synthetic clusters.
 
 Two execution modes mirroring the paper's two settings:
 
@@ -8,10 +8,16 @@ Two execution modes mirroring the paper's two settings:
   malleable batch, finishing after ``ζ(k) · Σ t`` — each task's realized
   span is the batch window (fair-share scheduling).
 
+Clusters never interact, so each one is a FIFO chain starting at t = 0;
+a single heap of running tasks keyed ``(end, seq)`` only fixes the order
+of the random draws across clusters: a task draws when it starts, which
+is when its predecessor finishes, and finishes that tie go in start order.
+
 Failures: each (task, cluster) pair fails with probability ``1 − a`` (the
-ground-truth reliability); a failed task aborts at a uniformly random
-fraction of its nominal duration, wasting that cluster time, and may be
-retried up to ``max_retries`` times.
+ground-truth reliability, drawn by :func:`repro.clusters.draw_attempt`);
+a failed task aborts at a uniformly random fraction of its nominal
+duration, wasting that cluster time, and may be retried up to
+``max_retries`` times.
 
 With jitter and failures disabled, the sequential simulator's makespan is
 *exactly* the analytic ``makespan(X, problem)`` — the integration tests
@@ -21,14 +27,16 @@ substrate.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
 from repro.clusters.cluster import Cluster
+from repro.clusters.reliability import draw_attempt
 from repro.matching.rounding import labels_from_assignment
 from repro.matching.speedup import IdentitySpeedup, SpeedupFunction
-from repro.sim.events import Simulator
 from repro.sim.trace import SimulationResult, TaskOutcome, TaskRecord
 from repro.telemetry import SIZE_BUCKETS, TIME_BUCKETS_S, get_recorder, span
 from repro.utils.rng import as_generator
@@ -69,20 +77,15 @@ def simulate_matching(
     X = np.asarray(X, dtype=np.float64)
     if X.shape != (len(clusters), len(tasks)):
         raise ValueError(f"X must have shape {(len(clusters), len(tasks))}, got {X.shape}")
-    labels = labels_from_assignment(X)
+    result = SimulationResult(cluster_busy={c.cluster_id: 0.0 for c in clusters})
+    # Each cluster's tasks, in assignment order.
+    queues: list[list[int]] = [[] for _ in clusters]
+    for j, lbl in enumerate(labels_from_assignment(X)):
+        queues[int(lbl)].append(j)
 
-    result = SimulationResult()
-    sim = Simulator()
-    per_cluster: dict[int, list[int]] = {c.cluster_id: [] for c in clusters}
-    for j, lbl in enumerate(labels):
-        per_cluster[clusters[int(lbl)].cluster_id].append(j)
-
+    run = _run_sequential if cfg.mode == "sequential" else _run_parallel
     with span("sim/run"):
-        if cfg.mode == "sequential":
-            _run_sequential(sim, clusters, tasks, per_cluster, cfg, rng, result)
-        else:
-            _run_parallel(sim, clusters, tasks, per_cluster, cfg, rng, result)
-        end = sim.run()
+        end = run(clusters, tasks, queues, cfg, rng, result)
     result.makespan = max(end, max(result.cluster_busy.values(), default=0.0))
     rec = get_recorder()
     if rec.enabled:
@@ -107,104 +110,75 @@ def _draw_outcome(
     """(outcome, completed_fraction_of_duration)."""
     if not cfg.failures:
         return TaskOutcome.SUCCESS, 1.0
-    a = cluster.true_reliability(task)
-    if rng.random() < a:
-        return TaskOutcome.SUCCESS, 1.0
-    return TaskOutcome.FAILED, float(rng.uniform(0.05, 0.95))
+    success, frac = draw_attempt(cluster.true_reliability(task), rng)
+    return (TaskOutcome.SUCCESS if success else TaskOutcome.FAILED), frac
 
 
-def _run_sequential(
-    sim: Simulator,
-    clusters: "list[Cluster]",
-    tasks: "list[Task]",
-    per_cluster: dict[int, list[int]],
-    cfg: ExecutionConfig,
-    rng: np.random.Generator,
-    result: SimulationResult,
-) -> None:
+def _run_sequential(clusters, tasks, queues, cfg, rng, result) -> float:
+    """Run every cluster's queue back to back; returns the last finish."""
     rec = get_recorder()
     tele = rec.enabled
+    attempts = [0] * len(tasks)
+    running: list[tuple] = []  # (end, seq, cluster index, task index, start, outcome, busy)
+    seq = count()
 
-    def make_worker(cluster: Cluster, queue: list[int]):
-        """Build the FIFO worker chain for one cluster (factory avoids the
-        classic late-binding-in-a-loop closure bug)."""
-        attempts: dict[int, int] = {}
+    def start(i: int, now: float) -> None:
+        if not queues[i]:
+            return
+        j = queues[i].pop(0)
+        attempts[j] += 1
+        duration = _duration(clusters[i], tasks[j], cfg, rng)
+        outcome, frac = _draw_outcome(clusters[i], tasks[j], cfg, rng)
+        busy = duration * frac
+        if tele:
+            # Depth of the cluster's remaining queue and how long this
+            # task waited for the cluster (t=0 is the assignment instant,
+            # so the wait IS the start time).
+            rec.observe("sim/queue_depth", len(queues[i]), bounds=SIZE_BUCKETS)
+            rec.observe("sim/task_wait", now, bounds=TIME_BUCKETS_S)
+        heapq.heappush(running, (now + busy, next(seq), i, j, now, outcome, busy))
 
-        def start_next(s: Simulator) -> None:
-            if not queue:
-                return
-            j = queue.pop(0)
-            task = tasks[j]
-            attempts[j] = attempts.get(j, 0) + 1
-            duration = _duration(cluster, task, cfg, rng)
-            outcome, frac = _draw_outcome(cluster, task, cfg, rng)
-            task_span = duration * frac
-            start_time = s.now
+    for i in range(len(clusters)):
+        start(i, 0.0)
+    now = 0.0
+    while running:
+        now, _, i, j, begun, outcome, busy = heapq.heappop(running)
+        cid = clusters[i].cluster_id
+        result.cluster_busy[cid] += busy
+        if outcome is TaskOutcome.FAILED and attempts[j] <= cfg.max_retries:
+            queues[i].append(j)  # re-queue at the back
             if tele:
-                # Per-event state: depth of the cluster's remaining queue
-                # and how long this task waited for the cluster (t=0 is
-                # the assignment instant, so the wait IS the start time).
-                rec.observe("sim/queue_depth", len(queue), bounds=SIZE_BUCKETS)
-                rec.observe("sim/task_wait", start_time, bounds=TIME_BUCKETS_S)
-
-            def finish(s2: Simulator) -> None:
-                result.cluster_busy[cluster.cluster_id] += task_span
-                if outcome is TaskOutcome.FAILED and attempts[j] <= cfg.max_retries:
-                    queue.append(j)  # re-queue at the back
-                    if tele:
-                        rec.counter_add("sim/retries")
-                else:
-                    result.records.append(
-                        TaskRecord(task.task_id, cluster.cluster_id,
-                                   start_time, s2.now, outcome, attempts[j])
-                    )
-                    if tele and outcome is TaskOutcome.FAILED:
-                        rec.counter_add("sim/failures")
-                start_next(s2)
-
-            s.schedule(task_span, finish)
-
-        return start_next
-
-    for cluster in clusters:
-        result.cluster_busy[cluster.cluster_id] = 0.0
-        # Sequential clusters serve their tasks in assignment order.
-        sim.schedule(0.0, make_worker(cluster, list(per_cluster[cluster.cluster_id])))
+                rec.counter_add("sim/retries")
+        else:
+            result.records.append(
+                TaskRecord(tasks[j].task_id, cid, begun, now, outcome, attempts[j]))
+            if tele and outcome is TaskOutcome.FAILED:
+                rec.counter_add("sim/failures")
+        start(i, now)
+    return now
 
 
-def _run_parallel(
-    sim: Simulator,
-    clusters: "list[Cluster]",
-    tasks: "list[Task]",
-    per_cluster: dict[int, list[int]],
-    cfg: ExecutionConfig,
-    rng: np.random.Generator,
-    result: SimulationResult,
-) -> None:
+def _run_parallel(clusters, tasks, queues, cfg, rng, result) -> float:
+    """Run each cluster's tasks as one batch; returns the longest window."""
     zeta: SpeedupFunction = cfg.speedup or IdentitySpeedup()
     rec = get_recorder()
-    tele = rec.enabled
-    for cluster in clusters:
-        assigned = per_cluster[cluster.cluster_id]
-        result.cluster_busy[cluster.cluster_id] = 0.0
+    batches = []  # (window, order, cluster, assigned)
+    for cluster, assigned in zip(clusters, queues):
         if not assigned:
             continue
-        durations = {j: _duration(cluster, tasks[j], cfg, rng) for j in assigned}
-        k = len(assigned)
-        window = float(zeta.value(np.array(float(k)))) * sum(durations.values())
+        durations = [_duration(cluster, tasks[j], cfg, rng) for j in assigned]
+        window = float(zeta.value(np.array(float(len(assigned))))) * sum(durations)
         result.cluster_busy[cluster.cluster_id] = window
-        if tele:
-            rec.observe("sim/queue_depth", k, bounds=SIZE_BUCKETS)
+        if rec.enabled:
+            rec.observe("sim/queue_depth", len(assigned), bounds=SIZE_BUCKETS)
             rec.observe("sim/batch_window", window, bounds=TIME_BUCKETS_S)
-
-        def finish_batch(s: Simulator, cluster=cluster, assigned=assigned,
-                         window=window) -> None:
-            for j in assigned:
-                outcome, frac = _draw_outcome(cluster, tasks[j], cfg, rng)
-                end = s.now if outcome is TaskOutcome.SUCCESS else s.now - window * (1 - frac)
-                result.records.append(
-                    TaskRecord(tasks[j].task_id, cluster.cluster_id,
-                               s.now - window, max(end, s.now - window), outcome)
-                )
-
-        sim.schedule(window, finish_batch)
+        batches.append((window, len(batches), cluster, assigned))
+    # Outcomes draw as the batches finish: shortest window first.
+    window = 0.0
+    for window, _, cluster, assigned in sorted(batches):
+        for j in assigned:
+            outcome, frac = _draw_outcome(cluster, tasks[j], cfg, rng)
+            end = window if outcome is TaskOutcome.SUCCESS else window - window * (1 - frac)
+            result.records.append(
+                TaskRecord(tasks[j].task_id, cluster.cluster_id, 0.0, max(end, 0.0), outcome))
+    return window

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
 __all__ = ["TaskOutcome", "TaskRecord", "SimulationResult"]
 
 
@@ -53,9 +51,6 @@ class SimulationResult:
             raise ValueError("utilization undefined for an empty simulation")
         total = sum(self.cluster_busy.values())
         return total / (len(self.cluster_busy) * self.makespan)
-
-    def records_for(self, cluster_id: int) -> list[TaskRecord]:
-        return [r for r in self.records if r.cluster_id == cluster_id]
 
     def summary(self) -> str:
         busy = ", ".join(f"c{cid}={b:.2f}h" for cid, b in sorted(self.cluster_busy.items()))

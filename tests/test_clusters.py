@@ -18,6 +18,7 @@ from repro.clusters import (
     ReliabilityModel,
     ResponseShape,
     archetype_names,
+    draw_attempt,
     make_cluster,
     make_pool,
     make_setting,
@@ -145,6 +146,19 @@ class TestReliabilityModel:
         rm = ReliabilityModel(hardware=_hw())
         r = rm.reliability(sample_spec(3), hours)
         assert 0.05 <= r <= 0.999
+
+    def test_draw_attempt_is_the_serving_loops_old_draw(self):
+        """``(success, duration * fraction)`` and the generator's state
+        equal the serving loop's former inline draw, bit for bit."""
+        durations = np.random.default_rng(0).uniform(0.01, 9.0, 400)
+        for a in (0.0, 0.3, 0.77, 0.999, 1.0):
+            old, new = np.random.default_rng(5), np.random.default_rng(5)
+            for duration in durations.tolist():
+                success = old.random() < a
+                busy = duration if success else duration * float(old.uniform(0.05, 0.95))
+                ok, frac = draw_attempt(a, new)
+                assert (ok, (duration * frac).hex()) == (success, busy.hex())
+            assert old.random() == new.random()
 
 
 class TestClusterAndRegistry:

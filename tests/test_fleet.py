@@ -32,7 +32,7 @@ from repro.fleet import (
 )
 from repro.monitor import MonitorConfig, TraceReplay
 from repro.nn.layers import Linear
-from repro.retrain.loop import RetrainConfig, _pairs_of_method
+from repro.retrain.loop import RetrainConfig
 from repro.serve import (
     Dispatcher,
     ModelRegistry,
@@ -41,6 +41,7 @@ from repro.serve import (
     build_stack,
 )
 from repro.serve.loadgen import make_load
+from repro.serve.registry import _pairs_of
 from repro.utils.rng import as_generator
 from repro.workloads.specs import Family
 
@@ -671,7 +672,7 @@ def test_cli_fleet_replay_takes_no_monitor(cli_fleet_logs, capsys, flag,
 
 def _corrupted_version(frc):
     """Register a noise-corrupted copy of the live pairs (canary bypass)."""
-    pairs = copy.deepcopy(_pairs_of_method(frc._base_method))
+    pairs = copy.deepcopy(_pairs_of(frc._base_method))
     rng = np.random.default_rng(0)
     for p in pairs:
         for m in p.time.net.net:
@@ -688,7 +689,7 @@ def test_fleet_swap_same_epoch_same_digest(stack, tmp_path):
     frc.fleet = FleetController(cfg, stack=stack)  # reuse trained stack
     frc._base_method = frc.fleet.shard_methods[0]
     events = fleet_events(frc.fleet.pool)
-    info = frc.registry.save(_pairs_of_method(frc._base_method),
+    info = frc.registry.save(_pairs_of(frc._base_method),
                              tag="candidate", parent=frc.registry.live())
     stats = frc.fleet.run(events, registry=frc.registry,
                           swap_schedule={3: info.version})

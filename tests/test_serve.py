@@ -525,6 +525,17 @@ class TestDispatcher:
         assert rec_b.dispatched == pytest.approx(t_b)
         assert rec_b.start == pytest.approx(rec_b.dispatched)
 
+    def test_overlapping_outages_hold_the_cluster_down_until_the_last_ends(self, stack):
+        pool, clusters, _, _ = stack
+        events = _events(pool, rate=30.0, horizon=9.0)
+        c0 = clusters[0].cluster_id
+        both = _run(stack, events, outages=[Outage(c0, 1.0, 5.0), Outage(c0, 3.0, 7.0)])
+        assert not [r for r in both.records
+                    if r.cluster_id == c0 and 1.0 <= r.dispatched < 7.0]
+        # The same run as one outage over their union.
+        union = _run(stack, events, outages=[Outage(c0, 1.0, 7.0)])
+        assert both.trace_bytes() == union.trace_bytes()
+
     def test_requeued_tasks_survive_drop_oldest_overload(self, stack):
         pool = stack[0]
         events = _events(pool, rate=80.0, horizon=2.0)

@@ -167,7 +167,7 @@ class ServeLoopMachine(RuleBasedStateMachine):
         assert stats.arrived == len(loop.queue) + len(scheduled) + stats.shed
         assert len(loop.queue) <= self.cfg.queue_capacity + stats.requeued
         assert all(r.dispatched >= r.arrival for r in scheduled)
-        assert loop.down == set(self.down_since)
+        assert loop.down == dict.fromkeys(self.down_since, 1)
         # Orphans wait in front of everything admitted since ...
         orphan = [q.requeues > 0 for q in loop.queue]
         assert orphan == sorted(orphan, reverse=True)
@@ -219,6 +219,7 @@ def test_loop_rejects_backwards_time_and_unknown_clusters():
                  lambda: loop.cluster_down(0.9, clusters[0].cluster_id),
                  lambda: loop.cluster_down(2.0, 99),
                  lambda: loop.cluster_up(2.0, 99),
+                 lambda: loop.cluster_up(2.0, clusters[0].cluster_id),  # not down
                  lambda: dispatcher.start(outages=[Outage(99, 0.0, 1.0)])):
         with pytest.raises(ValueError):
             call()

@@ -1,4 +1,4 @@
-"""Tests for the discrete-event kernel and the cluster execution engine."""
+"""Tests for the cluster execution engine and its traces."""
 
 from __future__ import annotations
 
@@ -8,73 +8,22 @@ import pytest
 from repro.matching import MatchingProblem, feasible_gamma, makespan
 from repro.matching.rounding import assignment_from_labels
 from repro.matching.speedup import ExponentialDecaySpeedup
-from repro.sim import ExecutionConfig, Simulator, TaskOutcome, simulate_matching
+from repro.sim import ExecutionConfig, TaskOutcome, simulate_matching
 from repro.sim.trace import SimulationResult, TaskRecord
 
 
-class TestSimulatorKernel:
-    def test_events_run_in_time_order(self):
-        sim = Simulator()
-        order = []
-        sim.schedule(2.0, lambda s: order.append("b"))
-        sim.schedule(1.0, lambda s: order.append("a"))
-        sim.schedule(3.0, lambda s: order.append("c"))
-        end = sim.run()
-        assert order == ["a", "b", "c"]
-        assert end == 3.0
+class _FlatCluster:
+    """A stand-in cluster with round durations, so finishes tie across
+    clusters and the order of the draws made at a tie shows."""
 
-    def test_ties_run_in_schedule_order(self):
-        sim = Simulator()
-        order = []
-        sim.schedule(1.0, lambda s: order.append("first"))
-        sim.schedule(1.0, lambda s: order.append("second"))
-        sim.run()
-        assert order == ["first", "second"]
+    def __init__(self, cluster_id: int, hours: float, a: float = 1.0, spread: int = 2):
+        self.cluster_id, self.hours, self.a, self.spread = cluster_id, hours, a, spread
 
-    def test_callbacks_can_schedule(self):
-        sim = Simulator()
-        hits = []
+    def true_time(self, task) -> float:
+        return self.hours * (1 + task.task_id % self.spread)
 
-        def chain(s):
-            hits.append(s.now)
-            if len(hits) < 3:
-                s.schedule(1.0, chain)
-
-        sim.schedule(0.0, chain)
-        sim.run()
-        assert hits == [0.0, 1.0, 2.0]
-
-    def test_cancel(self):
-        sim = Simulator()
-        hits = []
-        ev = sim.schedule(1.0, lambda s: hits.append(1))
-        sim.cancel(ev)
-        sim.run()
-        assert hits == []
-        assert sim.pending == 0
-
-    def test_until_pauses_and_resumes(self):
-        sim = Simulator()
-        hits = []
-        sim.schedule(5.0, lambda s: hits.append(5))
-        assert sim.run(until=2.0) == 2.0
-        assert hits == []
-        sim.run()
-        assert hits == [5]
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ValueError):
-            Simulator().schedule(-1.0, lambda s: None)
-
-    def test_runaway_guard(self):
-        sim = Simulator()
-
-        def forever(s):
-            s.schedule(0.0, forever)
-
-        sim.schedule(0.0, forever)
-        with pytest.raises(RuntimeError):
-            sim.run(max_events=100)
+    def true_reliability(self, task) -> float:
+        return self.a
 
 
 class TestTrace:
@@ -160,6 +109,37 @@ class TestEngine:
         ]
         assert np.mean(spans) == pytest.approx(makespan(X, problem), rel=0.1)
 
+    def test_records_come_in_finish_order(self, task_pool):
+        clusters = [_FlatCluster(0, 3.0, spread=1), _FlatCluster(1, 1.0, spread=1)]
+        X = assignment_from_labels(np.array([0, 1, 1, 1, 1]), 2)
+        res = simulate_matching(clusters, task_pool.tasks[:5], X)
+        assert [(r.task_id, r.end) for r in res.records] == [
+            (1, 1.0), (2, 2.0), (0, 3.0), (3, 3.0), (4, 4.0)]
+        assert res.makespan == 4.0
+
+    def test_finish_ties_go_in_start_order(self, task_pool):
+        # Every task takes 1 h, so the clusters finish together at each
+        # hour; the cluster that started first records (and draws) first.
+        clusters = [_FlatCluster(c, 1.0, spread=1) for c in (7, 3, 5)]
+        X = assignment_from_labels(np.arange(9) % 3, 3)
+        res = simulate_matching(clusters, task_pool.tasks[:9], X)
+        assert [(r.task_id, r.cluster_id) for r in res.records] == [
+            (j, (7, 3, 5)[j % 3]) for j in range(9)]
+
+    def test_cluster_chain_runs_back_to_back(self, task_pool, setting_a):
+        tasks = task_pool.tasks[:12]
+        X = assignment_from_labels(np.arange(12) % 3, 3)
+        cfg = ExecutionConfig(jitter_std=0.1, failures=True, max_retries=3)
+        res = simulate_matching(setting_a, tasks, X, cfg, rng=2)
+        assert sorted(r.task_id for r in res.records) == [t.task_id for t in tasks]
+        for c in setting_a:
+            mine = sorted((r for r in res.records if r.cluster_id == c.cluster_id),
+                          key=lambda r: r.start)
+            assert mine[0].start == 0.0
+            # Records never overlap; a gap is a failed attempt that was retried.
+            assert all(a.end <= b.start for a, b in zip(mine, mine[1:]))
+            assert mine[-1].end == pytest.approx(res.cluster_busy[c.cluster_id])
+
     def test_shape_validation(self, scenario):
         clusters, tasks, X, _ = scenario
         with pytest.raises(ValueError):
@@ -168,3 +148,55 @@ class TestEngine:
             ExecutionConfig(mode="warp")
         with pytest.raises(ValueError):
             ExecutionConfig(jitter_std=-1)
+
+
+#: SHA-256 of ``_grid_digest``'s runs, recorded on the event-kernel engine
+#: the per-cluster loops replaced: records, busy time, makespan and the
+#: ``sim/*`` telemetry must not move by one bit or one draw.
+FROZEN_GRID_SHA256 = "4576eeb9ba40c9ae62fea99cbce1f3ae0710f98636cb89a66ee3054350d6c6a6"
+
+_GRID_CONFIGS = (
+    ExecutionConfig(),
+    ExecutionConfig(jitter_std=0.08, failures=True, max_retries=2),
+    ExecutionConfig(failures=True),
+    ExecutionConfig(mode="parallel", speedup=ExponentialDecaySpeedup()),
+    ExecutionConfig(mode="parallel", speedup=ExponentialDecaySpeedup(),
+                    jitter_std=0.08, failures=True),
+)
+
+
+def _grid_digest(task_pool, settings) -> str:
+    import hashlib
+    import json
+
+    from repro.telemetry.recorder import Recorder
+
+    h = hashlib.sha256()
+    rec = Recorder()
+    with rec.activate():
+        for clusters in settings:
+            for seed in range(8):
+                n = 8 + 2 * seed
+                tasks = task_pool.tasks[:n]
+                labels = np.random.default_rng(100 + seed).integers(0, len(clusters), n)
+                X = assignment_from_labels(labels, len(clusters))
+                for cfg in _GRID_CONFIGS:
+                    res = simulate_matching(clusters, tasks, X, cfg, rng=seed)
+                    h.update(repr([
+                        [(r.task_id, r.cluster_id, r.start.hex(), r.end.hex(),
+                          r.outcome.value, r.attempts) for r in res.records],
+                        [(c, b.hex()) for c, b in sorted(res.cluster_busy.items())],
+                        res.makespan.hex(),
+                    ]).encode())
+    agg = rec.aggregate()
+    sim = {sec: {k: v for k, v in agg[sec].items() if k.startswith("sim/")}
+           for sec in ("counters", "gauges", "histograms")}
+    h.update(json.dumps(sim, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+class TestFrozenGrid:
+    def test_grid_digest_is_frozen(self, task_pool, setting_a, setting_b):
+        flat = [_FlatCluster(i, 0.5, 0.7) for i in range(3)]
+        digest = _grid_digest(task_pool, (setting_a, setting_b, flat))
+        assert digest == FROZEN_GRID_SHA256
