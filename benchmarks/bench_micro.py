@@ -30,9 +30,10 @@ from repro.matching import (
 )
 from repro.matching.rounding import round_assignment
 from repro.methods import TSM, MatchSpec
-from repro.serve import Dispatcher
+from repro.serve import Dispatcher, make_load
 from repro.sim import simulate_matching
 from repro.telemetry import Recorder
+from repro.utils.rng import as_generator
 from repro.workloads import GraphEmbedder, TaskPool, sample_specs
 
 
@@ -242,6 +243,42 @@ def test_decide_path_cost():
     T_hat, A_hat = tsm.predict(tasks)
     assert T_hat.shape == A_hat.shape == (8, 3)
     lines.append(f"TSM.predict 8x3: {1e6 * best_s(lambda: tsm.predict(tasks)):.1f} us/call")
+    print("\n" + "\n".join(lines))
+
+
+def test_load_draw():
+    """What set-up's per-item draws cost: µs per arrival of each load
+    shape at ``serve_steady``'s pool (64 tasks) and rate (60/h), and the
+    seconds of one ``FitContext.build`` measuring 154 tasks on the 24
+    specialist clusters (``serve_wide``'s set-up).  Printed (``-s``), best
+    of five; asserted is that every repeat draws and measures the same
+    values, not the times."""
+    from repro.methods import FitContext
+
+    def best_s(fn) -> float:
+        return min(timeit.repeat(fn, number=1, repeat=5))
+
+    pool = TaskPool(64, rng=0)
+    lines = []
+    for pattern in ("poisson", "bursty", "diurnal"):
+        load = make_load(pattern, pool, 60.0)
+        events = [(t, task.task_id) for t, task in load.draw(120.0, as_generator(3))]
+        assert len(events) > 3000 and events == [
+            (t, task.task_id) for t, task in load.draw(120.0, as_generator(3))]
+        us = 1e6 * best_s(lambda: load.draw(120.0, as_generator(3))) / len(events)
+        lines.append(f"{pattern} draw: {us:.2f} us/arrival ({len(events)} arrivals)")
+
+    train, _ = TaskPool(256, rng=0).split(0.6, rng=1)
+    clusters = make_specialist_pool(24)
+
+    def build():
+        return FitContext.build(clusters, train, MatchSpec(), rng=2)
+
+    first, again = build(), build()
+    assert len(train) == 154 and all(
+        x.t.tobytes() == y.t.tobytes() and x.a.tobytes() == y.a.tobytes()
+        for x, y in zip(first.datasets, again.datasets))
+    lines.append(f"FitContext.build 24x154: {1e3 * best_s(build):.1f} ms")
     print("\n" + "\n".join(lines))
 
 

@@ -90,8 +90,8 @@ class Cluster:
         t = self.true_time(task)
         a = self.rel.reliability(task.spec, t)
         t_obs = t * float(np.exp(rng.normal(0.0, self.timing_noise_std)))
-        successes = int(np.sum(rng.random(self.reliability_trials) < a))
-        a_obs = float(np.clip(successes / self.reliability_trials, 0.02, 0.995))
+        successes = np.count_nonzero(rng.random(self.reliability_trials) < a)
+        a_obs = min(max(successes / self.reliability_trials, 0.02), 0.995)
         return Measurement(task.task_id, self.cluster_id, t_obs, a_obs)
 
     def measure_batch(

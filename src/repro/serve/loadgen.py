@@ -12,8 +12,13 @@ platform sees in production:
 
 A load is anything with ``draw(horizon_hours, rng) -> [(hour, task), ...]``;
 :class:`repro.serve.dispatcher.Dispatcher` consumes the drawn list, and
-all draws are fully determined by the passed generator.  Throughput and
-latency are measured by ``python3 -m benchmarks.platform``, not here.
+all draws are fully determined by the passed generator, in this order
+(``TestLoadgen::test_draw_schedule_frozen`` pins it): per arrival one
+exponential gap, for a diurnal load one uniform for thinning, then one
+``rng.integers(len(pool))`` for the task; a bursty load adds one
+exponential per phase.  Drawing them in blocks would move every serve
+digest.  Throughput and latency are measured by
+``python3 -m benchmarks.platform``, not here.
 """
 
 from __future__ import annotations
@@ -50,13 +55,15 @@ class PoissonLoad:
         if horizon_hours <= 0:
             raise ValueError("horizon must be positive")
         rng = as_generator(rng)
+        tasks, pick, gap = self.pool.tasks, rng.integers, rng.exponential
+        n, scale = len(tasks), 1.0 / self.rate_per_hour
         events: list[tuple[float, Task]] = []
         t = 0.0
         while True:
-            t += float(rng.exponential(1.0 / self.rate_per_hour))
+            t += gap(scale)
             if t >= horizon_hours:
                 return events
-            events.append((t, self.pool.sample_round(1, rng, replace=True)[0]))
+            events.append((t, tasks[pick(n)]))
 
 
 @dataclass(frozen=True)
@@ -85,19 +92,21 @@ class BurstyLoad:
         if horizon_hours <= 0:
             raise ValueError("horizon must be positive")
         rng = as_generator(rng)
+        tasks, pick, gap = self.pool.tasks, rng.integers, rng.exponential
+        n = len(tasks)
         events: list[tuple[float, Task]] = []
         t = 0.0
         bursting = False
         while t < horizon_hours:
             mean = self.mean_burst_hours if bursting else self.mean_quiet_hours
-            phase_end = min(t + float(rng.exponential(mean)), horizon_hours)
-            rate = self.burst_rate if bursting else self.base_rate
+            phase_end = min(t + gap(mean), horizon_hours)
+            scale = 1.0 / (self.burst_rate if bursting else self.base_rate)
             s = t
             while True:
-                s += float(rng.exponential(1.0 / rate))
+                s += gap(scale)
                 if s >= phase_end:
                     break
-                events.append((s, self.pool.sample_round(1, rng, replace=True)[0]))
+                events.append((s, tasks[pick(n)]))
             t = phase_end
             bursting = not bursting
         return events
@@ -132,14 +141,16 @@ class DiurnalLoad:
         if horizon_hours <= 0:
             raise ValueError("horizon must be positive")
         rng = as_generator(rng)
+        tasks, pick, gap, uniform = self.pool.tasks, rng.integers, rng.exponential, rng.random
+        n, scale = len(tasks), 1.0 / self.peak_rate
         events: list[tuple[float, Task]] = []
         t = 0.0
         while True:
-            t += float(rng.exponential(1.0 / self.peak_rate))
+            t += gap(scale)
             if t >= horizon_hours:
                 return events
-            if rng.random() < self.rate_at(t) / self.peak_rate:
-                events.append((t, self.pool.sample_round(1, rng, replace=True)[0]))
+            if uniform() < self.rate_at(t) / self.peak_rate:
+                events.append((t, tasks[pick(n)]))
 
 
 #: The load shapes by CLI pattern name, each built at a mean ``rate``.

@@ -3,8 +3,8 @@
 §3.1 of the paper: "the pipeline first samples N deep learning tasks z from
 the task pool Z to simulate the workload the platform must allocate within
 a given time period."  A :class:`TaskPool` owns a fixed population of
-embedded tasks and supplies the train/test splits and per-round samples the
-training loop consumes.
+embedded tasks and supplies the train/test splits; the serving tier's load
+generators (:mod:`repro.serve.loadgen`) draw their arrivals from it.
 """
 
 from __future__ import annotations
@@ -103,15 +103,3 @@ class TaskPool:
         train = [self._tasks[i] for i in order[:cut]]
         test = [self._tasks[i] for i in order[cut:]]
         return train, test
-
-    def sample_round(
-        self, n: int, rng: np.random.Generator | int | None = None, *, replace: bool = False
-    ) -> list[Task]:
-        """Sample the N tasks of one allocation round."""
-        if n <= 0:
-            raise ValueError(f"n must be positive, got {n}")
-        if not replace and n > len(self._tasks):
-            raise ValueError(f"cannot sample {n} tasks from a pool of {len(self._tasks)}")
-        rng = as_generator(rng)
-        idx = rng.choice(len(self._tasks), size=n, replace=replace)
-        return [self._tasks[int(i)] for i in idx]

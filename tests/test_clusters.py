@@ -191,6 +191,41 @@ class TestClusterAndRegistry:
                 h.update(np.ascontiguousarray(arr).tobytes())
         assert h.hexdigest() == digest
 
+    @pytest.mark.parametrize("make_clusters,pool_size,digest", [
+        pytest.param(lambda: make_setting("A"), 64,
+                     "f33836a7b5ac50c931344251192a6ee0c4465446097c69054739829ff9c597dd",
+                     id="setting-A"),
+        pytest.param(lambda: make_specialist_pool(24), 256,
+                     "e224b26a2987105efbdd0e8a259b3c1ce0e51734b1c1d33334f3b1267bb6e600",
+                     id="specialist-24"),
+    ])
+    def test_fit_context_measurements_frozen(self, make_clusters, pool_size, digest):
+        """``FitContext.build``'s measured ``t`` and ``a`` at ``serve_steady``'s
+        and ``serve_wide``'s set-up shapes (38 and 154 tasks), byte for byte.
+        Recorded when ``measure`` counted with ``np.sum`` and clipped with
+        ``np.clip``."""
+        from repro.methods import FitContext, MatchSpec
+
+        train, _ = TaskPool(pool_size, rng=0).split(0.6, rng=1)
+        ctx = FitContext.build(make_clusters(), train, MatchSpec(), rng=2)
+        h = hashlib.sha256()
+        for ds in ctx.datasets:
+            h.update(ds.t.tobytes())
+            h.update(ds.a.tobytes())
+        assert h.hexdigest() == digest
+
+    def test_measured_reliability_at_a_clip_bound_is_a_float(self):
+        flaky = _hw(name="flaky", base_reliability=0.5, hazard_per_hour=50.0)
+        solid = _hw(name="solid", base_reliability=1.0, hazard_per_hour=0.0,
+                    memory_gb=4096.0)
+        task = TaskPool(4, rng=0)[0]
+        rng = np.random.default_rng(0)
+        for hw, bound in ((flaky, 0.02), (solid, 0.995)):
+            cluster = Cluster(0, PerfModel(hardware=hw), ReliabilityModel(hardware=hw))
+            clipped = [m.reliability for m in cluster.measure_batch([task] * 20, rng)
+                       if m.reliability == bound]
+            assert clipped and all(type(r) is float for r in clipped)
+
     def test_cluster_requires_shared_hardware(self):
         hw1, hw2 = _hw(name="a"), _hw(name="b")
         with pytest.raises(ValueError):

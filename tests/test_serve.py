@@ -94,6 +94,23 @@ class TestLoadgen:
         assert all(0.0 < t < 4.0 for t in times)
         assert len(events) > 0
 
+    def test_draw_schedule_frozen(self):
+        """One SHA-256 over every drawn ``(hour, task_id)`` and each
+        generator's state after its draw, for the three shapes x pools of
+        7, 64 and 256 x seeds 0-5: any change to what is drawn, or in what
+        order, from the shared generator fails it."""
+        h = hashlib.sha256()
+        for pattern in ("poisson", "bursty", "diurnal"):
+            for size in (7, 64, 256):
+                load = make_load(pattern, TaskPool(size, rng=0), 40.0)
+                for seed in range(6):
+                    rng = as_generator(seed)
+                    for hour, task in load.draw(30.0, rng):
+                        h.update(f"{hour!r},{task.task_id};".encode())
+                    h.update(repr(rng.bit_generator.state).encode())
+        assert h.hexdigest() == (
+            "74f441b1c9bb08c7b63dada89ee3ad28c58958f4c644d0a3e44392c5fd927672")
+
     def test_make_load_unknown_pattern(self):
         with pytest.raises(ValueError, match="unknown load pattern"):
             make_load("square-wave", TaskPool(4, rng=0), 10.0)

@@ -219,17 +219,6 @@ class TestTaskPool:
         with pytest.raises(ValueError):
             task_pool.split(1.5)
 
-    def test_sample_round(self, task_pool):
-        tasks = task_pool.sample_round(5, rng=1)
-        assert len(tasks) == 5
-        assert len({t.task_id for t in tasks}) == 5  # no replacement
-
-    def test_sample_round_validates(self, task_pool):
-        with pytest.raises(ValueError):
-            task_pool.sample_round(0)
-        with pytest.raises(ValueError):
-            task_pool.sample_round(1000)
-
     @pytest.mark.parametrize("size,digest", [
         (64, "c9f97f5d32def5d79b7902e6cd24319d1502eefc0917c79b25fa275b9c06738d"),
         (160, "3d44caaedef8700cf4bdaa55a232e394d6d2eaa42601d9308b274953da0012f9"),
