@@ -32,6 +32,8 @@ __all__ = ["ExperimentConfig", "PROFILES", "active_profile", "active_telemetry",
 
 #: N per allocation round (paper: 5 tasks, 3 clusters).
 N_TASKS = 5
+#: Share of each seed's task pool the methods train on; the rest is test.
+TRAIN_FRACTION = 0.7
 
 
 #: Execution profiles: quick benchmark-friendly sizes, or the paper's.
@@ -77,22 +79,16 @@ class ExperimentConfig:
     """Sizes and hyperparameters of one experiment run."""
 
     pool_size: int = 80
-    train_fraction: float = 0.7
     eval_rounds: int = 12  # test rounds per seed
     seeds: tuple[int, ...] = (0, 1, 2)
     spec: MatchSpec = field(default_factory=MatchSpec)
     mfcp: MFCPConfig = field(default_factory=lambda: MFCPConfig(epochs=50))
     supervised: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=200))
     ucb_ensemble: int = 4
-    #: Exact-oracle node budget; beyond it the oracle falls back to the
-    #: deployment pipeline (documented in EXPERIMENTS.md).
-    oracle_node_limit: int = 400_000
 
     def __post_init__(self) -> None:
         if self.pool_size <= 0 or self.eval_rounds <= 0:
             raise ValueError("pool_size and eval_rounds must be positive")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must be in (0, 1)")
         if not self.seeds:
             raise ValueError("at least one seed is required")
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.clusters.catalog import make_setting
-from repro.experiments.config import N_TASKS, ExperimentConfig, default_config
+from repro.experiments.config import N_TASKS, TRAIN_FRACTION, default_config
 from repro.experiments.runner import oracle_matching
 from repro.matching.objectives import makespan
 from repro.methods import MFCP, TSM, FitContext
@@ -37,21 +37,22 @@ from repro.workloads.taskpool import TaskPool
 __all__ = ["DiagnosticsRow", "run_diagnostics", "main"]
 
 SETTING = "B"
+#: Seed of the one fit and its evaluation rounds.
+SEED = 0
 
 
 class DiagnosticsRow(dict):
     """One method's diagnostics (a dict with fixed keys, kept simple)."""
 
 
-def run_diagnostics(
-    config: ExperimentConfig | None = None, seed: int = 0
-) -> dict[str, DiagnosticsRow]:
-    """Fit TSM and MFCP-AD once and measure both accuracy families."""
-    config = config or default_config()
-    rng = as_generator(seed)
+def run_diagnostics() -> dict[str, DiagnosticsRow]:
+    """Fit TSM and MFCP-AD once, on the profile's :func:`default_config`,
+    and measure both accuracy families."""
+    config = default_config()
+    rng = as_generator(SEED)
     pool = TaskPool(config.pool_size, rng=spawn(rng))
     clusters = make_setting(SETTING)
-    train, test = pool.split(config.train_fraction, rng=spawn(rng))
+    train, test = pool.split(TRAIN_FRACTION, rng=spawn(rng))
     ctx = FitContext.build(clusters, train, config.spec, rng=spawn(rng))
 
     methods = [TSM(train_config=config.supervised).fit(ctx),

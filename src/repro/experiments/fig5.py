@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.clusters.catalog import make_setting
-from repro.experiments.config import ExperimentConfig, default_config
+from repro.experiments.config import TRAIN_FRACTION, ExperimentConfig, default_config
 from repro.experiments.fig4 import fig4_methods
 from repro.experiments.runner import run_experiment
 from repro.metrics.report import MethodReport
@@ -53,7 +53,7 @@ def run_fig5(
         rng = as_generator(seed)
         pool = TaskPool(config.pool_size, rng=spawn(rng))
         clusters = make_setting(SETTING)
-        train, test = pool.split(config.train_fraction, rng=spawn(rng))
+        train, test = pool.split(TRAIN_FRACTION, rng=spawn(rng))
         ctx = FitContext.build(clusters, train, config.spec, rng=spawn(rng))
         methods = factory()
         for method in methods:

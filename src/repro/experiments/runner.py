@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.clusters.cluster import Cluster
-from repro.experiments.config import N_TASKS, ExperimentConfig, active_telemetry
+from repro.experiments.config import N_TASKS, TRAIN_FRACTION, ExperimentConfig, active_telemetry
 from repro.matching.exact import solve_branch_and_bound
 from repro.matching.objectives import makespan, reliability_value
 from repro.matching.problem import MatchingProblem
@@ -37,6 +37,10 @@ __all__ = ["oracle_matching", "evaluate_round", "run_seed", "run_experiment", "S
 MethodFactory = Callable[[], "list[BaseMethod]"]
 ClusterFactory = Callable[[], "list[Cluster]"]
 
+#: Exact-oracle node budget; beyond it the oracle falls back to the
+#: deployment pipeline (documented in EXPERIMENTS.md).
+ORACLE_NODE_LIMIT = 400_000
+
 
 def oracle_matching(
     problem: MatchingProblem,
@@ -50,7 +54,7 @@ def oracle_matching(
     """
     candidates: list[np.ndarray] = []
     try:
-        exact = solve_branch_and_bound(problem, node_limit=config.oracle_node_limit)
+        exact = solve_branch_and_bound(problem, node_limit=ORACLE_NODE_LIMIT)
         if exact.feasible and exact.X is not None:
             candidates.append(exact.X)
     except RuntimeError:
@@ -107,7 +111,7 @@ def run_seed(
     rng = as_generator(seed)
     pool = TaskPool(config.pool_size, rng=spawn(rng))
     clusters = cluster_factory()
-    train, test = pool.split(config.train_fraction, rng=spawn(rng))
+    train, test = pool.split(TRAIN_FRACTION, rng=spawn(rng))
     ctx = FitContext.build(clusters, train, config.spec, rng=spawn(rng))
     methods = method_factory()
     with telemetry.span("seed"):

@@ -47,7 +47,6 @@ def _run_with_spec(
 
 def run_gamma_sweep(
     config: ExperimentConfig | None = None,
-    quantiles: tuple[float, ...] = GAMMA_QUANTILES,
 ) -> dict[float, dict[str, MethodReport]]:
     config = config or default_config()
     return {
@@ -55,7 +54,7 @@ def run_gamma_sweep(
             replace(config, spec=replace(config.spec, gamma_quantile=q)),
             run_name=f"sensitivity_gamma{q:g}",
         )
-        for q in quantiles
+        for q in GAMMA_QUANTILES
     }
 
 

@@ -285,7 +285,7 @@ def batch_barrier_gradient(
 
     ``slack`` overrides the reliability slack used by the barrier term —
     the training loop passes a floored slack so gradients stay finite at
-    mildly infeasible iterates (see ``MFCPConfig.slack_floor``).
+    mildly infeasible iterates (see ``repro.methods.mfcp.SLACK_FLOOR``).
     """
     ev = BatchBarrierEval(p)
     state = ev.value(X)[1]

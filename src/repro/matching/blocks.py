@@ -71,22 +71,20 @@ _PAD_BUCKETS = (0.0, 0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0)
 #: of the task's best time.  Large values keep the graph dense (one
 #: block = exact dense solve); small values split aggressively.
 TIME_DOMINANCE = 4.0
+#: Each task keeps its ``MIN_VIABLE`` fastest clusters viable, whatever
+#: the dominance rule says — no task may end up isolated.
+MIN_VIABLE = 2
 
 
 @dataclass(frozen=True)
 class BlockConfig:
-    """Knobs of the structure analyzer and the batched block driver."""
+    """Knob of the batched block driver."""
 
-    #: Always keep each task's ``min_viable`` fastest clusters viable,
-    #: whatever the dominance rule says — no task may end up isolated.
-    min_viable: int = 2
     #: Batch precision: "float32" halves memory traffic of large windows;
     #: "float64" for bit-level comparisons against the scalar path.
     dtype: str = "float32"
 
     def __post_init__(self) -> None:
-        if self.min_viable < 1:
-            raise ValueError("min_viable must be >= 1")
         if self.dtype not in ("float32", "float64"):
             raise ValueError("dtype must be 'float32' or 'float64'")
 
@@ -144,28 +142,24 @@ class BlockSolution(RelaxedSolution):
     scalar_fallback: bool = False
 
 
-def viability_mask(
-    T: np.ndarray, *, time_dominance: float = TIME_DOMINANCE, min_viable: int = 2
-) -> np.ndarray:
+def viability_mask(T: np.ndarray) -> np.ndarray:
     """Boolean (M, N) mask of non-dominated task–cluster edges.
 
-    An edge survives when the cluster's time is within ``time_dominance``
+    An edge survives when the cluster's time is within :data:`TIME_DOMINANCE`
     of the task's best time; each task additionally keeps its
-    ``min_viable`` fastest clusters so no column can go empty.
+    :data:`MIN_VIABLE` fastest clusters so no column can go empty.
     """
     T = np.asarray(T)
     M, N = T.shape
-    viable = T <= time_dominance * T.min(axis=0, keepdims=True)
-    keep = min(min_viable, M)
+    viable = T <= TIME_DOMINANCE * T.min(axis=0, keepdims=True)
+    keep = min(MIN_VIABLE, M)
     if keep > 0:
         fastest = np.argsort(T, axis=0, kind="stable")[:keep]
         viable[fastest, np.arange(N)[None, :]] = True
     return viable
 
 
-def analyze_blocks(
-    problem: MatchingProblem, config: BlockConfig | None = None
-) -> BlockStructure:
+def analyze_blocks(problem: MatchingProblem) -> BlockStructure:
     """Split a problem into the connected components of its viability graph.
 
     The per-block split of the reliability constraint (see
@@ -178,9 +172,8 @@ def analyze_blocks(
     left alone, since the unconditional argmax edge would glue otherwise
     independent components (reliability does not track hardware class).
     """
-    cfg = config or BlockConfig()
     M, N = problem.M, problem.N
-    viable = viability_mask(problem.T, min_viable=cfg.min_viable)
+    viable = viability_mask(problem.T)
     mass = float(np.where(viable, problem.A, 0.0).max(axis=0).sum())
     if mass <= problem.gamma * M * N * (1.0 + 1e-9):
         viable[problem.A.argmax(axis=0), np.arange(N)] = True
@@ -244,7 +237,6 @@ def solve_relaxed_blocks(
     *,
     block_config: BlockConfig | None = None,
     x0: np.ndarray | None = None,
-    structure: BlockStructure | None = None,
 ) -> BlockSolution:
     """Decompose, batch-solve, and reassemble one window's relaxed program.
 
@@ -280,7 +272,7 @@ def solve_relaxed_blocks(
             batched_groups=0, scalar_fallback=True,
         )
 
-    structure = structure or analyze_blocks(problem, bcfg)
+    structure = analyze_blocks(problem)
     gammas = _block_gammas(problem, structure)
     if x0 is not None:
         x0 = np.asarray(x0, dtype=np.float64)

@@ -24,20 +24,19 @@ from repro.matching.relaxed import RelaxedSolution
 
 __all__ = ["FrankWolfeConfig", "solve_frank_wolfe"]
 
+#: Stop when the Frank–Wolfe duality gap falls below this.
+TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class FrankWolfeConfig:
     """Hyperparameters of the conditional-gradient solver."""
 
     max_iters: int = 300
-    tol: float = 1e-8  # stop when the FW duality gap falls below this
-    init_step: float = 1.0  # initial step before backtracking (γ_k ≤ 1)
 
     def __post_init__(self) -> None:
         if self.max_iters <= 0:
             raise ValueError(f"max_iters must be > 0, got {self.max_iters}")
-        if not 0.0 < self.init_step <= 1.0:
-            raise ValueError(f"init_step must be in (0, 1], got {self.init_step}")
 
 
 def _vertex_oracle(grad: np.ndarray) -> np.ndarray:
@@ -54,7 +53,8 @@ def solve_frank_wolfe(
     """Minimize the barrier objective by conditional gradient.
 
     Stops when the Frank–Wolfe duality gap ``⟨∇F, X − V⟩`` — an upper bound
-    on the optimality gap for convex F — drops below ``tol``.
+    on the optimality gap for convex F — drops below :data:`TOL`.  Each
+    iteration tries the full step to the vertex first, then halves it.
     """
     cfg = config or FrankWolfeConfig()
     X = problem.feasible_start()
@@ -69,11 +69,11 @@ def solve_frank_wolfe(
         V = _vertex_oracle(grad)
         direction = V - X
         gap = float(-np.sum(grad * direction))  # ⟨∇F, X − V⟩ ≥ 0
-        if gap < cfg.tol:
+        if gap < TOL:
             history = history[:it]
             return RelaxedSolution(X=X, objective=f_cur, iterations=it - 1,
                                    converged=True, history=history.copy())
-        step = cfg.init_step
+        step = 1.0
         accepted = False
         for _ in range(25):  # step halvings per iteration
             X_new = X + step * direction

@@ -113,9 +113,13 @@ def solve_relaxed(
     config:
         Solver hyperparameters; defaults to :class:`SolverConfig`.
     x0:
-        Warm start (must be strictly feasible); defaults to the uniform
-        assignment.  Warm starting from a previous solve is how the
-        zeroth-order estimator keeps its perturbed solves cheap.
+        Warm start; defaults to the uniform assignment.  It must be
+        column-stochastic — no negative entry, every column summing to 1
+        within 1e-9 — or ``ValueError`` is raised (it is not
+        renormalised).  One that violates the reliability constraint of
+        this instance is blended toward the cold start.  Warm starting
+        from a previous solve is how the zeroth-order estimator keeps its
+        perturbed solves cheap.
 
     Each trial's :meth:`BarrierEval.value` state is carried into the next
     iteration's gradient, so F's intermediates are evaluated once per
@@ -129,6 +133,11 @@ def solve_relaxed(
     X = cold if x0 is None else np.array(x0, dtype=np.float64)
     if X.shape != (problem.M, problem.N):
         raise ValueError(f"x0 must have shape {(problem.M, problem.N)}, got {X.shape}")
+    if x0 is not None and not (X.min() >= 0.0 and abs(X.sum(axis=0) - 1.0).max() <= 1e-9):
+        # Off the simplices, every mirror step renormalises upward and is
+        # rejected: the descent would stop at x0 and call it converged.
+        raise ValueError("x0 must be column-stochastic: entries >= 0, "
+                         "every column summing to 1 within 1e-9")
     if not problem.is_strictly_feasible(X):
         # A warm start from a neighbouring instance can be (mildly)
         # infeasible for this one.  The reliability slack is linear in a

@@ -184,8 +184,10 @@ class BaseMethod(ABC):
         x0:
             Warm start for the relaxed solve (e.g. the previous window's
             iterate from :class:`repro.serve.cache.WarmStartCache`); must
-            be column-stochastic, falls back to the cold interior start if
-            infeasible for this instance.
+            be column-stochastic (entries >= 0, every column summing to 1
+            within 1e-9; the scalar solve raises ``ValueError`` otherwise),
+            falls back to the cold interior start if infeasible for this
+            instance.
         solver:
             Override of the spec's solver config (step-memory consumers
             reopen at a remembered learning rate).

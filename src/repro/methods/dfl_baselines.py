@@ -45,11 +45,17 @@ from repro.matching.objectives import linear_cost, smooth_cost
 from repro.matching.problem import MatchingProblem
 from repro.matching.relaxed import solve_relaxed
 from repro.methods.base import FitContext
-from repro.methods.mfcp import MFCP, MFCPConfig
+from repro.methods.mfcp import MFCP, SLACK_FLOOR, MFCPConfig
 from repro.metrics.regret import deployment_matching
 from repro.utils.rng import spawn
 
 __all__ = ["SPOPlus", "BlackboxDiff", "PerturbedOpt", "make_dfl_methods"]
+
+#: DBB's interpolation strength ``λ_int``.
+INTERPOLATION = 5.0
+#: DPO's perturbation scale σ and its number of samples S per cluster.
+SIGMA = 0.05
+SAMPLES = 8
 
 
 class SPOPlus(MFCP):
@@ -115,13 +121,9 @@ class BlackboxDiff(MFCP):
 
     _clip_reliability = False  # plain MSE-anchor step
 
-    def __init__(self, config: MFCPConfig | None = None,
-                 interpolation: float = 5.0) -> None:
+    def __init__(self, config: MFCPConfig | None = None) -> None:
         super().__init__("forward", config)
-        if interpolation <= 0:
-            raise ValueError(f"interpolation must be > 0, got {interpolation}")
         self.name = "DBB"
-        self.interpolation = interpolation
 
     def _round(self, ctx: FitContext, Z, t_hat, a_hat, true_problem):
         M, N = true_problem.M, true_problem.N
@@ -142,7 +144,7 @@ class BlackboxDiff(MFCP):
             total_loss += self._regret_proxy(sol.X, oracle_sol.X, true_problem)
 
             # DBB backward: one extra solve at the gradient-informed point.
-            lam = self.interpolation
+            lam = INTERPOLATION
             T_pert = T_hat.copy()
             T_pert[i] = np.maximum(T_hat[i] + lam * g_X[i] * N, 1e-4)
             sol_pert = solve_relaxed(
@@ -165,14 +167,9 @@ class PerturbedOpt(MFCP):
     too — unlike SPO+/DBB, this estimator handles constraint variables.
     """
 
-    def __init__(self, config: MFCPConfig | None = None,
-                 sigma: float = 0.05, samples: int = 8) -> None:
+    def __init__(self, config: MFCPConfig | None = None) -> None:
         super().__init__("forward", config)
-        if sigma <= 0 or samples <= 1:
-            raise ValueError("sigma must be > 0 and samples > 1")
         self.name = "DPO"
-        self.sigma = sigma
-        self.samples = samples
 
     def _round(self, ctx: FitContext, Z, t_hat, a_hat, true_problem):
         M, N = true_problem.M, true_problem.N
@@ -185,14 +182,14 @@ class PerturbedOpt(MFCP):
         grad_t, grad_a = np.empty((M, N)), np.empty((M, N))
 
         for i in range(M):
-            losses = np.empty(self.samples)
-            Zt = rng.normal(size=(self.samples, N))
-            Za = rng.normal(size=(self.samples, N))
-            for s in range(self.samples):
+            losses = np.empty(SAMPLES)
+            Zt = rng.normal(size=(SAMPLES, N))
+            Za = rng.normal(size=(SAMPLES, N))
+            for s in range(SAMPLES):
                 T_hat = T_true.copy()
                 A_hat = A_true.copy()
-                T_hat[i] = np.maximum(t_hat[i] + self.sigma * Zt[s], 1e-4)
-                A_hat[i] = np.clip(a_hat[i] + self.sigma * Za[s], 0.0, 1.0)
+                T_hat[i] = np.maximum(t_hat[i] + SIGMA * Zt[s], 1e-4)
+                A_hat[i] = np.clip(a_hat[i] + SIGMA * Za[s], 0.0, 1.0)
                 pred = true_problem.with_predictions(T_hat, A_hat)
                 sol = solve_relaxed(pred, ctx.spec.solver, x0=oracle_sol.X)
                 # Loss of the perturbed decision under the truth; the slack
@@ -200,8 +197,8 @@ class PerturbedOpt(MFCP):
                 losses[s] = self._perturbed_loss(sol.X, true_problem, oracle_cost)
             baseline = losses.mean()
             total_loss += baseline
-            grad_t[i] = ((losses - baseline)[:, None] * Zt).mean(axis=0) / self.sigma
-            grad_a[i] = ((losses - baseline)[:, None] * Za).mean(axis=0) / self.sigma
+            grad_t[i] = ((losses - baseline)[:, None] * Zt).mean(axis=0) / SIGMA
+            grad_a[i] = ((losses - baseline)[:, None] * Za).mean(axis=0) / SIGMA
         return total_loss / M, grad_t, grad_a
 
     def _perturbed_loss(
@@ -209,11 +206,8 @@ class PerturbedOpt(MFCP):
     ) -> float:
         slack = true_problem.reliability_slack(X)
         problem = true_problem
-        if slack < self.config.slack_floor:
-            problem = replace(
-                true_problem,
-                gamma=true_problem.gamma - (self.config.slack_floor - slack),
-            )
+        if slack < SLACK_FLOOR:
+            problem = replace(true_problem, gamma=true_problem.gamma - (SLACK_FLOOR - slack))
         from repro.matching.objectives import barrier_value
 
         return (barrier_value(X, problem) - oracle_cost) / true_problem.N

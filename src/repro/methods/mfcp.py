@@ -81,6 +81,16 @@ __all__ = ["MFCPConfig", "MFCP"]
 #: Per-head gradient-norm clip of the regret updates.
 GRAD_CLIP = 5.0
 
+#: Floor on the true-problem slack when forming the upstream regret
+#: gradient: a predicted matching that is infeasible under the *true*
+#: reliabilities would make Eq. (12)'s barrier infinite; flooring the
+#: slack keeps the gradient finite and pointing back into feasibility.
+SLACK_FLOOR = 1e-3
+
+#: Epochs between two validation scores of the regret phase
+#: (``MFCPConfig.validation_rounds``).
+VALIDATE_EVERY = 5
+
 
 @dataclass(frozen=True)
 class MFCPConfig:
@@ -94,29 +104,21 @@ class MFCPConfig:
     #: on convex instances (identical estimates, ~5-10x faster); the
     #: non-convex ζ objective falls back to scalar solves automatically.
     zero_order: ZeroOrderConfig = ZeroOrderConfig(samples=8, delta=0.05, vectorized=True)
-    #: Floor on the true-problem slack when forming the upstream regret
-    #: gradient: a predicted matching that is infeasible under the *true*
-    #: reliabilities would make Eq. (12)'s barrier infinite; flooring the
-    #: slack keeps the gradient finite and pointing back into feasibility.
-    slack_floor: float = 1e-3
-    #: Validation-based model selection: every ``validate_every`` epochs,
+    #: Validation-based model selection: every :data:`VALIDATE_EVERY` epochs,
     #: score the current predictors by deployment regret on
     #: ``validation_rounds`` held-out rounds sampled from the training set,
     #: and keep the best snapshot (restored at the end of fit).  Guards
     #: against the regret-SGD drift occasionally degrading a good warm
     #: start; 0 disables.
     validation_rounds: int = 4
-    validate_every: int = 5
 
     def __post_init__(self) -> None:
         if self.epochs <= 0 or self.round_size <= 0:
             raise ValueError("epochs and round_size must be positive")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
-        if self.slack_floor <= 0:
-            raise ValueError("slack_floor must be positive")
-        if self.validation_rounds < 0 or self.validate_every <= 0:
-            raise ValueError("validation_rounds must be >= 0, validate_every > 0")
+        if self.validation_rounds < 0:
+            raise ValueError("validation_rounds must be >= 0")
 
 
 class MFCP(BaseMethod):
@@ -242,7 +244,7 @@ class MFCP(BaseMethod):
             score = None
             self.loss_history.append(epoch_loss)
             telemetry.observe("train/epoch_regret_proxy", epoch_loss)
-            if val_problems and (epoch + 1) % cfg.validate_every == 0:
+            if val_problems and (epoch + 1) % VALIDATE_EVERY == 0:
                 score = self._validation_score(ctx, val_Z, val_problems)
                 if score < best_score:  # type: ignore[operator]
                     best_score = score
@@ -383,7 +385,7 @@ class MFCP(BaseMethod):
         )
         slack = np.einsum("bmn,mn->b", X, A_true) / (M * N) - true_problem.gamma
         g_X = batch_barrier_gradient(
-            X, true_batch, slack=np.maximum(slack, cfg.slack_floor)
+            X, true_batch, slack=np.maximum(slack, SLACK_FLOOR)
         ) / N
 
         # Monitoring loss: batched Eq. (12) regret proxy on the relaxed
@@ -464,11 +466,9 @@ class MFCP(BaseMethod):
         """
         slack = reliability_value(X_star, true_problem)
         problem = true_problem
-        if slack < self.config.slack_floor:
+        if slack < SLACK_FLOOR:
             # Shift γ so the floored slack is attained exactly at X*.
-            problem = replace(
-                true_problem, gamma=true_problem.gamma - (self.config.slack_floor - slack)
-            )
+            problem = replace(true_problem, gamma=true_problem.gamma - (SLACK_FLOOR - slack))
         return barrier_gradient(X_star, problem) / true_problem.N
 
     @staticmethod

@@ -26,22 +26,22 @@ from repro.workloads.taskpool import Task
 
 __all__ = ["UCB"]
 
+#: Confidence multiplier κ: predictions are shifted by κ ensemble
+#: standard deviations.
+KAPPA = 1.0
+
 
 class UCB(BaseMethod):
     name = "UCB"
 
     def __init__(
         self,
-        kappa: float = 1.0,
         ensemble_size: int = 5,
         train_config: TrainConfig | None = None,
     ) -> None:
         super().__init__()
-        if kappa < 0:
-            raise ValueError(f"kappa must be >= 0, got {kappa}")
         if ensemble_size <= 1:
             raise ValueError("ensemble_size must be > 1 for a usable std estimate")
-        self.kappa = kappa
         self.ensemble_size = ensemble_size
         self.train_config = train_config or TrainConfig(epochs=150)
         self._time_ens: list[EnsembleTimePredictor] = []
@@ -73,6 +73,6 @@ class UCB(BaseMethod):
         for te, re in zip(self._time_ens, self._rel_ens):
             t_mean, t_std = te.predict_with_std(Z)
             a_mean, a_std = re.predict_with_std(Z)
-            T_rows.append(t_mean + self.kappa * t_std)
-            A_rows.append(np.clip(a_mean - self.kappa * a_std, 0.0, 1.0))
+            T_rows.append(t_mean + KAPPA * t_std)
+            A_rows.append(np.clip(a_mean - KAPPA * a_std, 0.0, 1.0))
         return np.stack(T_rows), np.stack(A_rows)

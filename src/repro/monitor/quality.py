@@ -61,6 +61,10 @@ _DRIFT_MESSAGES = {
 
 #: Wait-SLO bad-event bound, in platform hours.
 WAIT_BOUND_HOURS = 2.0
+#: Suppress further ``retrain_suggested`` alerts for this many windows
+#: after one fires (drift on several signals at once should page once,
+#: not once per detector).
+COOLDOWN_WINDOWS = 50
 
 DEFAULT_SLOS: "tuple[SLORule, ...]" = (
     # At most 10% of tasks may wait longer than the wait bound.
@@ -93,10 +97,6 @@ class MonitorConfig:
     sample_every: int = 8
     #: Solver for hindsight re-solves; ``None`` = attributor default.
     solver_config: "SolverConfig | None" = None
-    #: Suppress further ``retrain_suggested`` alerts for this many
-    #: windows after one fires (drift on several signals at once should
-    #: page once, not once per detector).
-    cooldown_windows: int = 50
     #: Page–Hinkley knobs of the time-error bank.
     time_delta: float = 0.05
     time_threshold: float = 4.0
@@ -189,7 +189,7 @@ class QualityMonitor(ServeCallback):
     def _maybe_suggest_retrain(self, snapshot: WindowSnapshot,
                                signal: str, detectors: "list[str]") -> None:
         last = self._last_retrain_window
-        if last is not None and snapshot.window - last < self.config.cooldown_windows:
+        if last is not None and snapshot.window - last < COOLDOWN_WINDOWS:
             return
         self._last_retrain_window = snapshot.window
         self.retrain_suggested_at.append(snapshot.window)

@@ -35,6 +35,9 @@ __all__ = [
 #: Denominator floor of the Adam update.
 _EPS = 1e-8
 
+#: Adam's moment decay rates ``(beta1, beta2)``.
+BETAS = (0.9, 0.999)
+
 
 def _views(flat: np.ndarray, shapes: "Sequence[tuple[int, ...]]") -> "list[np.ndarray]":
     """Consecutive views of ``flat``, one per shape, in order."""
@@ -72,7 +75,6 @@ class Adam:
         self,
         params: "Iterable[Parameter] | Iterable[np.ndarray]",
         lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
         weight_decay: float = 0.0,
     ) -> None:
         self.params = list(params)
@@ -80,11 +82,7 @@ class Adam:
             raise ValueError("optimizer received no parameters")
         if lr <= 0:
             raise ValueError(f"learning rate must be > 0, got {lr}")
-        b1, b2 = betas
-        if not (0.0 <= b1 < 1.0 and 0.0 <= b2 < 1.0):
-            raise ValueError(f"betas must be in [0, 1), got {betas}")
         self.lr = float(lr)
-        self.betas = (float(b1), float(b2))
         self.weight_decay = float(weight_decay)
         self.steps = 0
         self._tape = [p for p in self.params if isinstance(p, Parameter)]
@@ -123,7 +121,7 @@ class Adam:
                 raise ValueError("every parameter needs a gradient")
             for view, p in zip(self.grads, self._tape):
                 view[...] = p.grad
-        b1, b2 = self.betas
+        b1, b2 = BETAS
         bc1 = 1.0 - b1**self.steps
         bc2 = 1.0 - b2**self.steps
         # m += (1-b1) g;  v += (1-b2) g²;  data -= lr (m/bc1) / (sqrt(v/bc2) + eps),

@@ -90,19 +90,23 @@ class LabelDataset:
 #: Recency half-life of :meth:`ReplayBuffer.sample`'s weights, in hours.
 HALF_LIFE_HOURS = 8.0
 
+#: Labels a :class:`ReplayBuffer` keeps; the oldest by ``end`` go first.
+CAPACITY = 4096
+
+#: Share of a refit's sample :meth:`ReplayBuffer.split_holdout` holds out
+#: for the canary gate.
+HOLDOUT_FRACTION = 0.25
+
 
 class ReplayBuffer:
     """Bounded, deduplicated store of realized execution labels."""
 
-    def __init__(self, capacity: int = 4096) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
+    def __init__(self) -> None:
         self._labels: "dict[tuple[int, float], Label]" = {}
         self.harvested = 0  # labels ingested (before dedup/eviction)
         self.superseded = 0  # overwrites of an earlier dispatch's label
         self.discarded = 0  # labels voided by on_requeue
-        self.evicted = 0  # labels dropped by the capacity bound
+        self.evicted = 0  # labels dropped by the CAPACITY bound
 
     # ------------------------------------------------------------------ #
     # Ingest.
@@ -117,7 +121,7 @@ class ReplayBuffer:
                 return  # out-of-order duplicate of an already-superseded run
             self.superseded += 1
         self._labels[label.key] = label
-        if len(self._labels) > self.capacity:
+        if len(self._labels) > CAPACITY:
             oldest = min(self._labels.values(), key=lambda l: (l.end, l.key))
             del self._labels[oldest.key]
             self.evicted += 1
@@ -185,20 +189,16 @@ class ReplayBuffer:
         idx = rng.choice(len(pool), size=size, replace=False, p=weights)
         return [pool[i] for i in sorted(idx)]
 
-    def split_holdout(
-        self, labels: "Iterable[Label]", fraction: float
-    ) -> "tuple[list[Label], list[Label]]":
-        """(train, holdout): the *newest* ``fraction`` by ``end`` held out.
+    def split_holdout(self, labels: "Iterable[Label]") -> "tuple[list[Label], list[Label]]":
+        """(train, holdout): the *newest* :data:`HOLDOUT_FRACTION` by ``end`` held out.
 
         The canary gate scores candidates on the freshest slice — the
         traffic most like what the candidate will serve next — while the
         refit trains on the remainder, so the gate never grades a model
         on data it trained on.
         """
-        if not 0.0 < fraction < 1.0:
-            raise ValueError("fraction must be in (0, 1)")
         ordered = sorted(labels, key=lambda l: (l.end, l.key))
-        n_hold = max(1, int(round(len(ordered) * fraction))) if ordered else 0
+        n_hold = max(1, int(round(len(ordered) * HOLDOUT_FRACTION))) if ordered else 0
         cut = len(ordered) - n_hold
         return ordered[:cut], ordered[cut:]
 

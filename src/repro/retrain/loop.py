@@ -109,7 +109,6 @@ class RetrainConfig:
     min_labels: int = 32  # observable labels required to arm a refit
     min_cluster_labels: int = 8
     sample_size: int = 256
-    holdout_fraction: float = 0.25
     # Refit optimization (feeds TrainConfig).
     mode: str = field(default="incremental", metadata={"choices": REFIT_MODES})
     steps_per_window: int = 8  # cooperative minibatch budget per dispatch
@@ -132,8 +131,6 @@ class RetrainConfig:
                      "canary_min_holdout", "guard_windows"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if not 0.0 < self.holdout_fraction < 1.0:
-            raise ValueError("holdout_fraction must be in (0, 1)")
 
     # JSON round-trip (serving params in run logs; CLI flag parsing).
     def to_params(self) -> dict:
@@ -186,7 +183,7 @@ def build_refit(
     if len(buffer.ready(now)) < config.min_labels:
         return None
     sampled = buffer.sample(now, config.sample_size, rng)
-    train, holdout = buffer.split_holdout(sampled, config.holdout_fraction)
+    train, holdout = buffer.split_holdout(sampled)
     try:
         job = RefitJob.build(
             live_pairs, cluster_ids, ReplayBuffer.datasets(train),

@@ -55,6 +55,9 @@ __all__ = [
 #: Strictly positive floor applied to seeded columns so every coordinate
 #: stays alive under the multiplicative mirror update.
 _COL_FLOOR = 1e-6
+#: Task entries a :class:`ColumnTable` (and so a :class:`PredictionMemo`)
+#: holds before the least recently used leave.
+CAPACITY = 4096
 
 CacheKey = tuple[tuple[int, ...], int]
 
@@ -223,13 +226,10 @@ class ColumnTable:
     with another owner is a miss, never the old entry's answer.  With
     ``repeat`` a task that is missing in several slots of one list is
     handed to ``compute`` once per slot, otherwise once.  Entries leave
-    least-recently-used first once ``capacity`` is exceeded.
+    least-recently-used first once :data:`CAPACITY` is exceeded.
     """
 
-    def __init__(self, capacity: int = 4096, owner=None, repeat: bool = False) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
+    def __init__(self, owner=None, repeat: bool = False) -> None:
         self.hits = 0  # task slots served from the table
         self.misses = 0  # task slots that waited for ``compute``
         self._owner = owner or (lambda task: None)
@@ -276,7 +276,7 @@ class ColumnTable:
         # LRU recency + capacity bound.
         for task in tasks:
             cols[task.task_id] = cols.pop(task.task_id)
-        while len(cols) > self.capacity:
+        while len(cols) > CAPACITY:
             cols.pop(next(iter(cols)))
         return out
 
@@ -301,14 +301,14 @@ class PredictionMemo(ColumnTable):
     post-swap window.
     """
 
-    def __init__(self, capacity: int = 4096) -> None:
+    def __init__(self) -> None:
         # ``repeat``: a forward pass is not bitwise batch-invariant (BLAS
         # picks its kernel by batch size: 83 of 200 random serving batches
         # moved T̂ by an ulp when their repeated ids were dropped), and an
         # ulp decides which of two identical tasks of one window goes where
         # — the trace digests.  So ``method.predict`` keeps getting one row
         # per missing slot, as it always has.
-        super().__init__(capacity, repeat=True)
+        super().__init__(repeat=True)
         self.version = 0
 
     def bump(self) -> None:

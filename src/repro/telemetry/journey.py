@@ -139,20 +139,17 @@ class JourneyRecorder:
 
     ``sample`` is the kept fraction for uneventful journeys; shed,
     requeued and long-wait (``wait >= slo_wait_hours``) journeys are
-    always kept.  ``keep=True`` additionally retains flushed journeys in
-    :attr:`kept` for in-process audits (benchmarks, tests) — recorder
-    output is unaffected.
+    always kept.  Flushed journeys go to the active recorder's events;
+    :func:`journeys_from_events` groups them back by trace.
     """
 
-    def __init__(self, sample: float, *, slo_wait_hours: float = 1.0,
-                 keep: bool = False) -> None:
+    def __init__(self, sample: float, *, slo_wait_hours: float = 1.0) -> None:
         if not 0.0 <= sample <= 1.0:
             raise ValueError(f"journey sample must be in [0, 1], got {sample}")
         if slo_wait_hours <= 0:
             raise ValueError("slo_wait_hours must be positive")
         self.sample = float(sample)
         self.slo_wait_hours = float(slo_wait_hours)
-        self.keep = bool(keep)
         #: journey key -> buffered event dicts (insertion order = causal
         #: order; the dispatcher only ever appends forward in time).
         self._pending: "dict[tuple[int, float], list[dict]]" = {}
@@ -162,8 +159,6 @@ class JourneyRecorder:
         self._max_wait: "dict[tuple[int, float], float]" = {}
         #: wait-bucket exemplars: index -> {"count", "trace", ...}.
         self._exemplars: "dict[int, dict]" = {}
-        #: Flushed journeys retained when ``keep`` is set: trace -> events.
-        self.kept: "dict[str, list[dict]]" = {}
         # Hook-call counter for the overhead gate (mirrors
         # ``StageProfiler.events_recorded``).
         self.events_recorded = 0
@@ -225,8 +220,6 @@ class JourneyRecorder:
         if rec.enabled:
             for ev in events:
                 rec.event(JOURNEY_EVENT, **ev)
-        if self.keep:
-            self.kept[trace] = events
 
     def _note_exemplar(self, trace: str, task_id: int, wait: float) -> None:
         """Track the worst kept journey per wait bucket.

@@ -37,6 +37,11 @@ _ROUNDS = 3
 _NUM_ATTRS = 6
 #: Default total feature dimension exposed to predictors.
 DEFAULT_FEATURE_DIM = _STRUCT_DIM + _NUM_ATTRS
+#: Node state width during message passing.
+HIDDEN_DIM = 32
+#: Seed of the fixed projection weights: every embedder computes the same
+#: features.
+SEED = 7
 
 
 @dataclass
@@ -49,34 +54,18 @@ class _MPWeights:
 
 
 class GraphEmbedder:
-    """Deterministic message-passing graph encoder producing feature vectors.
+    """Deterministic message-passing graph encoder producing feature vectors
+    (width :data:`HIDDEN_DIM`, projection weights drawn from :data:`SEED`)."""
 
-    Parameters
-    ----------
-    hidden_dim:
-        Node state width during message passing.
-    seed:
-        Seed for the fixed projection weights.  Two embedders with the same
-        seed and hyperparameters compute identical features.
-    """
-
-    def __init__(
-        self,
-        hidden_dim: int = 32,
-        seed: int = 7,
-    ) -> None:
-        if hidden_dim <= 0:
-            raise ValueError("hidden_dim must be positive")
-        self.hidden_dim = hidden_dim
-        self.seed = seed
-        rng = as_generator(seed)
+    def __init__(self) -> None:
+        rng = as_generator(SEED)
         in_dim = len(OP_TYPES) + 3
         scale_in = 1.0 / np.sqrt(in_dim)
-        scale_h = 1.0 / np.sqrt(hidden_dim)
+        scale_h = 1.0 / np.sqrt(HIDDEN_DIM)
         self._weights = _MPWeights(
-            w_self=rng.normal(0.0, scale_in, size=(in_dim, hidden_dim)),
-            w_neigh=rng.normal(0.0, scale_h, size=(hidden_dim, hidden_dim)),
-            w_readout=rng.normal(0.0, scale_h, size=(2 * hidden_dim, _STRUCT_DIM)),
+            w_self=rng.normal(0.0, scale_in, size=(in_dim, HIDDEN_DIM)),
+            w_neigh=rng.normal(0.0, scale_h, size=(HIDDEN_DIM, HIDDEN_DIM)),
+            w_readout=rng.normal(0.0, scale_h, size=(2 * HIDDEN_DIM, _STRUCT_DIM)),
         )
 
     # ------------------------------------------------------------------ #

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -9,6 +11,7 @@ from hypothesis import settings
 from repro.clusters import make_setting
 from repro.matching import MatchingProblem, feasible_gamma
 from repro.methods import MFCP
+from repro.telemetry.recorder import Recorder
 from repro.workloads import TaskPool
 
 
@@ -77,3 +80,13 @@ def setting_a_problem(task_pool, setting_a) -> MatchingProblem:
     T = np.stack([c.true_times(tasks) for c in setting_a])
     A = np.stack([c.true_reliabilities(tasks) for c in setting_a])
     return MatchingProblem(T=T, A=A, gamma=feasible_gamma(T, A, quantile=0.5))
+
+
+@contextmanager
+def journey_log():
+    """Make an in-memory JSONL recorder active for the body and yield the
+    events it buffers (it is never closed, so nothing is written):
+    ``journeys_from_events`` groups the flushed journeys back by trace."""
+    rec = Recorder("jsonl")
+    with rec.activate():
+        yield rec._lines

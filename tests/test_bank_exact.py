@@ -34,9 +34,10 @@ from repro.clusters import make_setting
 from repro.matching.zeroth_order import ZeroOrderConfig
 from repro.methods import MFCP, TSM, FitContext, MatchSpec, MFCPConfig
 from repro.methods.base import HIDDEN
+from repro.methods import mfcp as mfcp_module
 from repro.methods.mfcp import GRAD_CLIP
 from repro.nn import Adam, Parameter, Tensor, clip_grad_norm, mse_loss, no_grad, ops
-from repro.nn.optim import flatten
+from repro.nn.optim import BETAS, flatten
 from repro.nn.layers import Linear
 from repro.predictors import (
     BankTrainer,
@@ -367,7 +368,7 @@ class _OracleMFCP(MFCP):
                 clip_grad_norm(opt_rel[i].params, GRAD_CLIP)
                 opt_rel[i].step()
             self.loss_history.append(loss)
-            if val_rounds and (epoch + 1) % cfg.validate_every == 0:
+            if val_rounds and (epoch + 1) % mfcp_module.VALIDATE_EVERY == 0:
                 score = self._oracle_score(ctx, val_rounds)
                 if score < best_score:
                     best_score = score
@@ -423,10 +424,16 @@ def _fresh_ctx():
 
 
 _FIT_CFG = MFCPConfig(
-    epochs=4, round_size=6, pretrain=TrainConfig(epochs=3), validate_every=2,
+    epochs=4, round_size=6, pretrain=TrainConfig(epochs=3),
     validation_rounds=2,
     zero_order=ZeroOrderConfig(samples=4, delta=0.05, warm_start_iters=40, vectorized=True),
 )
+
+
+@pytest.fixture(autouse=True)
+def _validate_every_other_epoch(monkeypatch):
+    """The fits here run 1-4 epochs: score every second one."""
+    monkeypatch.setattr(mfcp_module, "VALIDATE_EVERY", 2)
 
 
 @pytest.mark.parametrize("gradient,batched", [
@@ -441,7 +448,7 @@ def test_mfcp_fit_matches_per_head_fit(gradient, batched):
     assert got.loss_history == want.loss_history
     for p, q in zip(got._pairs, want._pairs):
         _assert_same_weights([p.time, p.reliability], [q.time, q.reliability])
-    # epochs % validate_every == 0: the closing validation is the last
+    # epochs % VALIDATE_EVERY == 0: the closing validation is the last
     # epoch's, reused (the oracle solved it twice).
     assert want.validations == 1 + 2 + 1
     # No bank outlives the fit, and the fitted method survives a pickle.
@@ -642,8 +649,9 @@ def test_training_and_inference_build_no_tape(monkeypatch):
                          config=TrainConfig(epochs=1, batch_size=8),
                          rng=as_generator(1), min_cluster_labels=1)
     assert job.run_steps(3) == 3
+    monkeypatch.setattr(mfcp_module, "VALIDATE_EVERY", 1)
     for gradient in ("analytic", "forward"):
-        fitted = MFCP(gradient, replace(_FIT_CFG, epochs=1, validate_every=1)).fit(_fresh_ctx())
+        fitted = MFCP(gradient, replace(_FIT_CFG, epochs=1)).fit(_fresh_ctx())
         assert len(fitted.loss_history) == 1
 
 
@@ -686,7 +694,7 @@ def test_adam_step_matches_the_expressions_and_allocates_nothing(weight_decay):
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak < 4096, f"step {step} allocated {peak} bytes"
-        _ref_adam_step(data, g, m, v, step, 3e-3, opt.betas, weight_decay)
+        _ref_adam_step(data, g, m, v, step, 3e-3, BETAS, weight_decay)
         assert opt.data.tobytes() == data.tobytes()
         assert opt.m.tobytes() == m.tobytes() and opt.v.tobytes() == v.tobytes()
     assert opt.grad.tobytes() == g.tobytes()  # the step leaves gradients alone

@@ -32,6 +32,7 @@ from repro.matching import (
     solve_relaxed_blocks,
     viability_mask,
 )
+from repro.matching import blocks as blocks_module
 from repro.matching.blocks import Block, BlockStructure, _block_gammas
 from repro.workloads import TaskPool
 
@@ -54,13 +55,12 @@ def _specialist_problem(n_tasks: int = 48, m_clusters: int = 12,
     return MatchingProblem(T=T, A=A, gamma=feasible_gamma(T, A, quantile=0.5))
 
 
-def _union_find_blocks(problem, config=None) -> BlockStructure:
+def _union_find_blocks(problem) -> BlockStructure:
     """``analyze_blocks`` as it was: a Python union-find over the clusters,
     each task joining its viable rows.  Kept verbatim as the oracle for the
     array-op component search that replaced it."""
-    cfg = config or BlockConfig()
     M, N = problem.M, problem.N
-    viable = viability_mask(problem.T, min_viable=cfg.min_viable)
+    viable = viability_mask(problem.T)
     mass = float(np.where(viable, problem.A, 0.0).max(axis=0).sum())
     if mass <= problem.gamma * M * N * (1.0 + 1e-9):
         viable[problem.A.argmax(axis=0), np.arange(N)] = True
@@ -108,8 +108,8 @@ def _union_find_blocks(problem, config=None) -> BlockStructure:
     )
 
 
-def _assert_same_structure(problem, config=None) -> BlockStructure:
-    got, ref = analyze_blocks(problem, config), _union_find_blocks(problem, config)
+def _assert_same_structure(problem) -> BlockStructure:
+    got, ref = analyze_blocks(problem), _union_find_blocks(problem)
     assert np.array_equal(got.viable, ref.viable)
     assert got.n_blocks == ref.n_blocks
     for g, r in zip(got.blocks, ref.blocks):
@@ -152,21 +152,21 @@ class TestComponentsAreTheUnionFind:
         got = _assert_same_structure(_dense_problem(1))
         assert got.n_blocks == 1 and got.idle_clusters.size == 0
 
-    def test_fully_disconnected(self):
+    def test_fully_disconnected(self, monkeypatch):
         # Task j runs 100x faster on cluster j % M than anywhere else.
         M, N = 5, 11
         T = np.full((M, N), 100.0)
         T[np.arange(N) % M, np.arange(N)] = 1.0
-        got = _assert_same_structure(
-            _problem_from_times(T), BlockConfig(min_viable=1))
+        monkeypatch.setattr(blocks_module, "MIN_VIABLE", 1)
+        got = _assert_same_structure(_problem_from_times(T))
         assert got.n_blocks == M
         assert [b.cluster_idx.tolist() for b in got.blocks] == [[i] for i in range(M)]
 
-    def test_all_idle_but_one(self):
+    def test_all_idle_but_one(self, monkeypatch):
         T = np.full((6, 9), 100.0)
         T[3] = 1.0
-        got = _assert_same_structure(
-            _problem_from_times(T), BlockConfig(min_viable=1))
+        monkeypatch.setattr(blocks_module, "MIN_VIABLE", 1)
+        got = _assert_same_structure(_problem_from_times(T))
         assert got.n_blocks == 1 and got.blocks[0].cluster_idx.tolist() == [3]
         assert got.idle_clusters.tolist() == [0, 1, 2, 4, 5]
 
@@ -184,7 +184,7 @@ class TestComponentsAreTheUnionFind:
         assert [b.shape[0] for b in got.blocks] == [18, 19]
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_random_sparse_masks(self, seed):
+    def test_random_sparse_masks(self, seed, monkeypatch):
         rng = np.random.default_rng(seed)
         M, N = int(rng.integers(2, 30)), int(rng.integers(1, 40))
         T = np.where(rng.random((M, N)) < 0.12, 1.0, 100.0) * rng.uniform(1, 1.5, (M, N))
@@ -192,8 +192,8 @@ class TestComponentsAreTheUnionFind:
         # cluster is re-added to the mask before the components are read.
         problem = _problem_from_times(
             T, rng.uniform(0.5, 0.99, (M, N)), gamma=0.6 if seed % 2 else 0.01)
-        _assert_same_structure(
-            problem, BlockConfig(min_viable=int(rng.integers(1, 3))))
+        monkeypatch.setattr(blocks_module, "MIN_VIABLE", int(rng.integers(1, 3)))
+        _assert_same_structure(problem)
 
 
 def test_fixed_block_options_hold_the_defaults_they_had():
@@ -207,19 +207,22 @@ def test_fixed_block_options_hold_the_defaults_they_had():
            "adaptive_trials": True, "dtype": "float32"}
     assert asdict(BlockConfig()).items() <= was.items()
     assert blocks.TIME_DOMINANCE == was["time_dominance"]
+    assert blocks.MIN_VIABLE == was["min_viable"]
     assert batch.HALVINGS == was["halvings"]  # and solve_relaxed_batch's own default
 
 
 class TestStructureAnalyzer:
-    def test_viability_mask_keeps_min_viable_fastest(self):
+    def test_viability_mask_keeps_min_viable_fastest(self, monkeypatch):
         T = np.array([[1.0, 9.0], [2.0, 1.0], [50.0, 50.0]])
-        mask = viability_mask(T, time_dominance=3.0, min_viable=2)
+        monkeypatch.setattr(blocks_module, "TIME_DOMINANCE", 3.0)
+        mask = viability_mask(T)
         # Every task keeps at least its two fastest clusters.
         assert mask.sum(axis=0).min() >= 2
         # The uniformly dominated cluster is nowhere viable.
         assert not mask[2].any()
-        # min_viable beyond M clamps instead of raising.
-        assert viability_mask(T, min_viable=10).all()
+        # MIN_VIABLE beyond M clamps instead of raising.
+        monkeypatch.setattr(blocks_module, "MIN_VIABLE", 10)
+        assert viability_mask(T).all()
 
     def test_dense_instance_is_one_block(self):
         problem = _dense_problem(0)
@@ -292,7 +295,7 @@ class TestBlockSolveEquivalence:
         assert (sol.X >= 0).all()
         assert problem.is_strictly_feasible(sol.X)
 
-    def test_singleton_and_degenerate_blocks(self):
+    def test_singleton_and_degenerate_blocks(self, monkeypatch):
         # Cluster 0 alone serves tasks 0-2 (singleton-cluster block),
         # clusters 1+2 serve task 3 (single-task block), cluster 3 is
         # uniformly dominated (idle).
@@ -302,12 +305,11 @@ class TestBlockSolveEquivalence:
         A = np.full((4, 4), 0.9)
         problem = MatchingProblem(T=T, A=A,
                                   gamma=feasible_gamma(T, A, quantile=0.2))
-        bcfg = BlockConfig(min_viable=1)
-        structure = analyze_blocks(problem, bcfg)
+        monkeypatch.setattr(blocks_module, "MIN_VIABLE", 1)
+        structure = analyze_blocks(problem)
         assert structure.shapes in (((1, 3), (2, 1)), ((2, 1), (1, 3)))
         assert structure.idle_clusters.tolist() == [3]
-        sol = solve_relaxed_blocks(problem, SolverConfig(max_iters=400),
-                                   block_config=bcfg, structure=structure)
+        sol = solve_relaxed_blocks(problem, SolverConfig(max_iters=400))
         np.testing.assert_allclose(sol.X.sum(axis=0), 1.0, atol=1e-5)
         # Singleton block: its tasks land entirely on the lone cluster.
         np.testing.assert_allclose(sol.X[0, :3], 1.0, atol=1e-5)

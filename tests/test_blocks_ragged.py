@@ -47,7 +47,7 @@ SERVING = SolverConfig(tol=1e-4, max_iters=400)
 
 def _per_shape_blocks(problem, cfg, bcfg, x0=None):
     """``solve_relaxed_blocks`` as it was: one unpadded batch per (m, k)."""
-    structure = analyze_blocks(problem, bcfg)
+    structure = analyze_blocks(problem)
     gammas = _block_gammas(problem, structure)
     groups: dict[tuple[int, int], list[int]] = {}
     for b, blk in enumerate(structure.blocks):
@@ -201,9 +201,9 @@ def test_equal_shape_groups_and_single_block_windows_keep_their_bytes():
     A = rng.uniform(0.55, 0.99, (4, 10))
     single = MatchingProblem(T=T, A=A, gamma=feasible_gamma(T, A, quantile=0.35))
     for problem, n_blocks in ((equal, None), (single, 1)):
-        shapes = set(analyze_blocks(problem, bcfg).shapes)
+        shapes = set(analyze_blocks(problem).shapes)
         if n_blocks is None:
-            assert len(shapes) == 1 and analyze_blocks(problem, bcfg).n_blocks > 1
+            assert len(shapes) == 1 and analyze_blocks(problem).n_blocks > 1
         x0 = None
         for _ in range(2):
             ref_X, ref_f, ref_it, ref_conv, _ = _per_shape_blocks(problem, SERVING, bcfg, x0)

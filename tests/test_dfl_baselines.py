@@ -103,11 +103,3 @@ class TestConstruction:
     def test_lineup(self):
         names = [m.name for m in make_dfl_methods(FAST)]
         assert names == ["SPO+", "DBB", "DPO", "MFCP-AD", "MFCP-FG"]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BlackboxDiff(FAST, interpolation=0.0)
-        with pytest.raises(ValueError):
-            PerturbedOpt(FAST, sigma=0.0)
-        with pytest.raises(ValueError):
-            PerturbedOpt(FAST, samples=1)

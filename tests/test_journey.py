@@ -60,6 +60,7 @@ from repro.telemetry.journey import (
     trace_id,
 )
 from repro.utils.rng import as_generator
+from tests.conftest import journey_log
 
 #: Small-but-real serving knobs shared by the integration tests.
 SERVE = ServeConfig(pool_size=40, train_epochs=12, max_wait_hours=0.25,
@@ -154,19 +155,21 @@ def _complete(rec, tid, arrival, *, wait=0.01):
 
 
 def test_recorder_samples_out_uneventful_but_forces_shed():
-    rec = JourneyRecorder(0.0, keep=True)
-    _complete(rec, 1, 0.25)
-    assert rec.journeys_sampled_out == 1 and not rec.kept
-    rec.record(2, 0.5, "shed", 0.5, reason="reject")
+    rec = JourneyRecorder(0.0)
+    with journey_log() as log:
+        _complete(rec, 1, 0.25)
+        assert rec.journeys_sampled_out == 1 and not journeys_from_events(log)
+        rec.record(2, 0.5, "shed", 0.5, reason="reject")
     assert rec.journeys_forced == 1
-    assert list(rec.kept) == [trace_id(2, 0.5)]
+    assert list(journeys_from_events(log)) == [trace_id(2, 0.5)]
 
 
 def test_recorder_forces_long_wait_journeys():
-    rec = JourneyRecorder(0.0, slo_wait_hours=1.0, keep=True)
-    _complete(rec, 3, 0.0, wait=2.0)  # waits past the SLO bound
+    rec = JourneyRecorder(0.0, slo_wait_hours=1.0)
+    with journey_log() as log:
+        _complete(rec, 3, 0.0, wait=2.0)  # waits past the SLO bound
     assert rec.journeys_forced == 1
-    assert trace_id(3, 0.0) in rec.kept
+    assert trace_id(3, 0.0) in journeys_from_events(log)
 
 
 def test_recorder_flushes_contiguous_blocks_to_the_log(tmp_path):
@@ -194,12 +197,13 @@ def test_recorder_flushes_contiguous_blocks_to_the_log(tmp_path):
 
 
 def test_finish_force_flushes_residue_for_the_auditor():
-    rec = JourneyRecorder(0.0, keep=True)
-    rec.record(9, 1.0, "admitted", 1.0)  # never reaches a terminal state
-    assert not rec.kept
-    rec.finish()
+    rec = JourneyRecorder(0.0)
+    with journey_log() as log:
+        rec.record(9, 1.0, "admitted", 1.0)  # never reaches a terminal state
+        assert not journeys_from_events(log)
+        rec.finish()
     assert rec.journeys_forced == 1
-    problems = audit_journeys(rec.kept)
+    problems = audit_journeys(journeys_from_events(log))
     assert any("no terminal state" in p for p in problems)
 
 

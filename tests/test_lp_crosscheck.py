@@ -25,6 +25,7 @@ from repro.matching import (
     solve_frank_wolfe,
     solve_relaxed,
 )
+from repro.matching import frank_wolfe
 
 
 def _linprog_reference(problem: MatchingProblem) -> tuple[np.ndarray, float]:
@@ -69,7 +70,9 @@ def test_linear_cost_solver_matches_scipy_lp(seed):
     # Frank-Wolfe carries a duality-gap certificate and its vertex oracle
     # is exact for linear objectives — the right solver to compare against
     # an LP reference.
-    X_ours = solve_frank_wolfe(problem, FrankWolfeConfig(max_iters=2000, tol=1e-10)).X
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(frank_wolfe, "TOL", 1e-10)
+        X_ours = solve_frank_wolfe(problem, FrankWolfeConfig(max_iters=2000)).X
     assert linear_cost(X_ours, problem) <= 1.02 * lp_value + 1e-6
 
 

@@ -58,8 +58,6 @@ class TestFrankWolfe:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             FrankWolfeConfig(max_iters=0)
-        with pytest.raises(ValueError):
-            FrankWolfeConfig(init_step=1.5)
 
 
 class TestBatchSolver:

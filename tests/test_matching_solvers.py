@@ -90,6 +90,21 @@ class TestRelaxedSolver:
         with pytest.raises(ValueError):
             solve_relaxed(p, x0=np.ones((2, 2)))
 
+    def test_off_simplex_warm_start_is_refused(self):
+        # Half the interior start: reliability-feasible and cheaper than
+        # the cold start, so the hedge would keep it, and every mirror step
+        # from it renormalises upward and is rejected — it used to come
+        # back "converged" after one iteration with columns summing to 0.75.
+        rng = np.random.default_rng(0)
+        p = MatchingProblem(T=rng.uniform(0.5, 3.0, (3, 6)),
+                            A=rng.uniform(0.9, 0.99, (3, 6)), gamma=0.2)
+        with pytest.raises(ValueError, match="column-stochastic"):
+            solve_relaxed(p, SolverConfig(), x0=0.5 * p.feasible_start())
+        negative = p.feasible_start()
+        negative[:, 0] = [1.5, -0.25, -0.25]
+        with pytest.raises(ValueError, match="column-stochastic"):
+            solve_relaxed(p, x0=negative)
+
     def test_infeasible_warm_start_falls_back(self, rng):
         p = random_problem(rng, gamma_quantile=0.6)
         bad = p.uniform_assignment()  # may violate at q=0.6

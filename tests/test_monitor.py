@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
+from repro.monitor import quality
 from repro.monitor import (
     Cusum,
     DriftBank,
@@ -453,7 +454,6 @@ def test_fixed_monitor_options_hold_the_defaults_they_had():
     their defaults, the ones that became constants keep their values."""
     from dataclasses import asdict
 
-    from repro.monitor import quality
     from repro.monitor.drift import Cusum, PageHinkley, QuantileWindow
 
     slo = {"fast_windows": 6, "slow_windows": 30, "burn_threshold": 2.0}
@@ -472,6 +472,7 @@ def test_fixed_monitor_options_hold_the_defaults_they_had():
     assert now.items() <= {k: v for k, v in was.items() if k != "slos"}.items()
     assert len(now) <= 6
     assert quality.WAIT_BOUND_HOURS == was["wait_bound_hours"]
+    assert quality.COOLDOWN_WINDOWS == was["cooldown_windows"]
     assert tuple(asdict(r) for r in quality.DEFAULT_SLOS) == was["slos"]
     banks = QualityMonitor().banks
     assert banks["time_error"].detectors == {
@@ -508,8 +509,9 @@ class TestQualityMonitor:
             det = monitor.banks[a.signal].detectors[a.detector]
             assert a.value > (det.factor if a.detector == "quantile_window" else det.threshold)
 
-    def test_retrain_cooldown_suppresses_duplicates(self):
-        monitor = QualityMonitor(MonitorConfig(cooldown_windows=1000))
+    def test_retrain_cooldown_suppresses_duplicates(self, monkeypatch):
+        monkeypatch.setattr(quality, "COOLDOWN_WINDOWS", 1000)
+        monitor = QualityMonitor()
         rng = np.random.default_rng(0)
         _feed(monitor, n_windows=40, err=0.02, rng=rng)
         _feed(monitor, n_windows=60, err=2.0, rng=rng)

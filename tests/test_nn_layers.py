@@ -129,8 +129,6 @@ class TestOptimizers:
             Adam([], lr=0.1)
         with pytest.raises(ValueError):
             Adam(p, lr=-1)
-        with pytest.raises(ValueError):
-            Adam(p, betas=(1.0, 0.9))
 
     def test_clip_grad_norm(self):
         p = Parameter(np.zeros(3))

@@ -53,6 +53,7 @@ from repro.retrain import (
     ReplayBuffer,
     RetrainConfig,
 )
+from repro.retrain import buffer as buffer_module
 from repro.serve import (
     Dispatcher,
     DispatcherConfig,
@@ -119,8 +120,9 @@ class TestReplayBuffer:
         assert [l.task_id for l in buf.ready(2.0)] == [0]
         assert [l.task_id for l in buf.ready(3.0)] == [0, 1]
 
-    def test_capacity_evicts_oldest_by_end(self):
-        buf = ReplayBuffer(capacity=2)
+    def test_capacity_evicts_oldest_by_end(self, monkeypatch):
+        monkeypatch.setattr(buffer_module, "CAPACITY", 2)
+        buf = ReplayBuffer()
         for tid, end in ((0, 5.0), (1, 1.0), (2, 9.0)):
             buf.add(_label(task_id=tid, end=end))
         assert sorted(l.task_id for l in buf.labels()) == [0, 2]
@@ -138,7 +140,7 @@ class TestReplayBuffer:
     def test_split_holdout_takes_newest(self):
         buf = ReplayBuffer()
         labels = [_label(task_id=tid, end=float(tid)) for tid in range(8)]
-        train, hold = buf.split_holdout(labels, 0.25)
+        train, hold = buf.split_holdout(labels)
         assert [l.task_id for l in hold] == [6, 7]
         assert [l.task_id for l in train] == [0, 1, 2, 3, 4, 5]
 
@@ -454,7 +456,8 @@ def test_fixed_retrain_options_hold_the_defaults_they_had():
     }
     now = asdict(RetrainConfig())
     assert now.items() <= was.items() and len(now) <= 15
-    assert ReplayBuffer().capacity == was["capacity"]
+    assert buffer.CAPACITY == was["capacity"]
+    assert buffer.HOLDOUT_FRACTION == was["holdout_fraction"]
     assert buffer.HALF_LIFE_HOURS == was["half_life_hours"]
     train = RetrainConfig().train_config()
     assert (train.batch_size, train.epochs, train.lr) == (was["batch_size"], 40, 0.005)
@@ -473,8 +476,6 @@ class TestServeConfig:
             ServeConfig(shed_policy="panic")
         with pytest.raises(ValueError):
             RetrainConfig(trigger="hope")
-        with pytest.raises(ValueError):
-            RetrainConfig(holdout_fraction=1.5)
 
     def test_json_round_trip_with_subsystems(self):
         config = ServeConfig(

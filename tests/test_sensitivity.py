@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.experiments import ExperimentConfig
+from repro.experiments import ExperimentConfig, sensitivity
 from repro.experiments.sensitivity import (
     BETAS,
     LAMBDAS,
@@ -30,11 +30,12 @@ TINY = ExperimentConfig(
 
 
 @pytest.mark.parametrize("runner,values", [
-    (lambda config: run_gamma_sweep(config, (0.2, 0.8)), (0.2, 0.8)),
+    (run_gamma_sweep, (0.2, 0.8)),
     (run_beta_sweep, BETAS),
     (run_lambda_sweep, LAMBDAS),
 ], ids=["run_gamma_sweep-values0", "run_beta_sweep-values1", "run_lambda_sweep-values2"])
-def test_sweeps_produce_reports(runner, values):
+def test_sweeps_produce_reports(runner, values, monkeypatch):
+    monkeypatch.setattr(sensitivity, "GAMMA_QUANTILES", (0.2, 0.8))
     results = runner(TINY)
     assert set(results) == set(values)
     for reports in results.values():
@@ -44,8 +45,9 @@ def test_sweeps_produce_reports(runner, values):
             assert 0.0 <= report.reliability[0] <= 1.0
 
 
-def test_gamma_changes_threshold_behaviour():
-    results = run_gamma_sweep(TINY, (0.1, 0.9))
+def test_gamma_changes_threshold_behaviour(monkeypatch):
+    monkeypatch.setattr(sensitivity, "GAMMA_QUANTILES", (0.1, 0.9))
+    results = run_gamma_sweep(TINY)
     # Tighter γ should not make assignments *less* reliable.
     lo = results[0.1]["MFCP-AD"].reliability[0]
     hi = results[0.9]["MFCP-AD"].reliability[0]

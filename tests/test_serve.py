@@ -25,6 +25,7 @@ from repro.methods import TSM, Decision, FitContext, MatchSpec
 from repro.methods.base import BaseMethod
 from repro.predictors.models import PredictorPair
 from repro.predictors.training import TrainConfig
+from repro.serve import cache as cache_module
 from repro.serve import (
     CHECKPOINT_FORMAT,
     BurstyLoad,
@@ -248,9 +249,10 @@ class TestPredictionMemo:
         memo.predict(method, tasks)
         assert memo.misses == 10
 
-    def test_capacity_bound(self, stack):
+    def test_capacity_bound(self, stack, monkeypatch):
         pool, clusters, spec, method = stack
-        memo = PredictionMemo(capacity=3)
+        monkeypatch.setattr(cache_module, "CAPACITY", 3)
+        memo = PredictionMemo()
         memo.predict(method, pool.tasks[:8])
         assert len(memo) == 3
 

@@ -15,6 +15,7 @@ the same events and outages returns the same trace, byte for byte.
 from __future__ import annotations
 
 import functools
+from contextlib import ExitStack
 
 import numpy as np
 import pytest
@@ -33,8 +34,9 @@ from repro.matching.relaxed import SolverConfig
 from repro.methods import TSM, FitContext, MatchSpec
 from repro.predictors.training import TrainConfig
 from repro.serve import Dispatcher, DispatcherConfig, Outage
-from repro.telemetry import JourneyRecorder, audit_journeys
+from repro.telemetry import audit_journeys, journeys_from_events
 from repro.workloads import TaskPool
+from tests.conftest import journey_log
 
 #: Gaps between events: zero (simultaneous events), well inside and well
 #: beyond the 0.1 h window wait and the dispatcher's busy time.
@@ -55,15 +57,12 @@ def _stack():
 
 def _dispatcher(cfg: DispatcherConfig) -> Dispatcher:
     _, clusters, spec, method = _stack()
-    dispatcher = Dispatcher(clusters, method, spec, cfg)
-    # Same tracer the dispatcher built, but keeping what it flushes.
-    dispatcher.journeys = JourneyRecorder(
-        1.0, slo_wait_hours=4.0 * cfg.max_wait_hours, keep=True)
-    return dispatcher
+    return Dispatcher(clusters, method, spec, cfg)
 
 
-def _close_the_books(loop, dispatcher):
-    """``finish()`` and every end-of-run identity; returns the stats."""
+def _close_the_books(loop, log):
+    """``finish()`` and every end-of-run identity, the journeys read back
+    from ``log`` (the active recorder's events); returns the stats."""
     stranded = len(loop.queue) if len(loop.down) == len(loop.free_at) else 0
     stats = loop.finish()
     assert stats.conserved
@@ -71,7 +70,7 @@ def _close_the_books(loop, dispatcher):
     assert stats.unserved == stranded
     expect = {name: getattr(stats, name) for name in (
         "arrived", "matched", "completed", "failed", "shed", "requeued", "unserved")}
-    assert audit_journeys(dispatcher.journeys.kept, expect=expect, sample=1.0) == []
+    assert audit_journeys(journeys_from_events(log), expect=expect, sample=1.0) == []
     return stats
 
 
@@ -88,6 +87,8 @@ class ServeLoopMachine(RuleBasedStateMachine):
             max_batch=max_batch, max_wait_hours=0.1, queue_capacity=capacity,
             shed_policy=policy, dispatch_overhead_hours=overhead, journey_sample=1.0)
         self.seed = seed
+        self.stack = ExitStack()
+        self.log = self.stack.enter_context(journey_log())
         self.dispatcher = _dispatcher(self.cfg)
         self.loop = self.dispatcher.start(rng=seed)
         self.loop._form = self._checked_form(self.loop._form)
@@ -180,7 +181,8 @@ class ServeLoopMachine(RuleBasedStateMachine):
     def teardown(self):
         if not hasattr(self, "loop"):
             return
-        stats = _close_the_books(self.loop, self.dispatcher)
+        with self.stack:
+            stats = _close_the_books(self.loop, self.log)
         if not self.down_since:  # run() ends every outage it is given
             again = _dispatcher(self.cfg).run(
                 self.events, rng=self.seed, outages=self.outages)
@@ -197,14 +199,14 @@ def test_finish_with_every_cluster_down_strands_the_queue():
     cfg = DispatcherConfig(max_batch=2, max_wait_hours=0.1, queue_capacity=2,
                            shed_policy="drop_oldest", dispatch_overhead_hours=1.0,
                            journey_sample=1.0)
-    dispatcher = _dispatcher(cfg)
-    loop = dispatcher.start(rng=0)
-    loop.arrive(0.0, pool.tasks[0])
-    loop.arrive(0.01, pool.tasks[1])  # a full window: dispatched, busy until 1.01
-    for c in clusters:
-        loop.cluster_down(0.02, c.cluster_id)  # both jobs come back as orphans
-    loop.arrive(0.03, pool.tasks[2])  # queue full of orphans: nothing to evict
-    stats = _close_the_books(loop, dispatcher)
+    loop = _dispatcher(cfg).start(rng=0)
+    with journey_log() as log:
+        loop.arrive(0.0, pool.tasks[0])
+        loop.arrive(0.01, pool.tasks[1])  # a full window: dispatched, busy until 1.01
+        for c in clusters:
+            loop.cluster_down(0.02, c.cluster_id)  # both jobs come back as orphans
+        loop.arrive(0.03, pool.tasks[2])  # queue full of orphans: nothing to evict
+        stats = _close_the_books(loop, log)
     assert (stats.unserved, stats.requeued, stats.shed) == (2, 2, 1)
     assert stats.windows == 1 and not stats.records
 

@@ -14,7 +14,6 @@ import functools
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from repro.clusters import make_pool, make_setting, make_specialist_pool
 from repro.matching.relaxed import SolverConfig
@@ -29,6 +28,7 @@ from repro.serve import (
     ServeCallback,
     make_load,
 )
+from repro.serve import cache
 from repro.serve.cache import ColumnTable
 from repro.utils.rng import as_generator
 from repro.workloads import TaskPool
@@ -262,8 +262,9 @@ def test_no_view_of_the_table_reaches_an_observer():
     assert (dirty.true_matrices(pool.tasks)[0] > 0).all()
 
 
-def test_capacity_evicts_the_least_recently_used():
-    table = ColumnTable(capacity=3)
+def test_capacity_evicts_the_least_recently_used(monkeypatch):
+    monkeypatch.setattr(cache, "CAPACITY", 3)
+    table = ColumnTable()
     tasks = _stack("A")[0].tasks
 
     def compute(missing):
@@ -279,5 +280,3 @@ def test_capacity_evicts_the_least_recently_used():
     assert table.misses == 4 and table.hits == 3
     table.gather([tasks[1]], compute)
     assert table.misses == 5
-    with pytest.raises(ValueError):
-        ColumnTable(capacity=0)

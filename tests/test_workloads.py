@@ -177,7 +177,7 @@ class TestEmbedding:
     def test_same_seed_same_embedder(self):
         spec = sample_spec(9)
         np.testing.assert_allclose(
-            GraphEmbedder(seed=7).embed_spec(spec), GraphEmbedder(seed=7).embed_spec(spec)
+            GraphEmbedder().embed_spec(spec), GraphEmbedder().embed_spec(spec)
         )
 
     def test_different_specs_different_embeddings(self):
@@ -199,8 +199,6 @@ class TestEmbedding:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             GraphEmbedder().embed_specs([])
-        with pytest.raises(ValueError):
-            GraphEmbedder(hidden_dim=0)
 
 
 class TestTaskPool:
