@@ -282,6 +282,62 @@ def test_load_draw():
     print("\n" + "\n".join(lines))
 
 
+def test_journey_emission(tmp_path):
+    """What a journey costs from its first event to the run log: µs per
+    journey event (``record_many`` + flush into a JSONL recorder, five
+    events per task as the closed loop records them: admitted,
+    dispatched, scheduled, harvested, completed; 200 windows of 8 tasks)
+    and µs per line of the run-log write (encode + file).  Printed
+    (``-s``), best of five; asserted are the event and line counts, not
+    the times."""
+    import io
+
+    from repro.telemetry.journey import JourneyRecorder
+
+    windows, k = 200, 8
+
+    def record():
+        rec = Recorder("jsonl", run="journeys", out_dir=tmp_path, stream=io.StringIO())
+        jt = JourneyRecorder(1.0)
+        with rec.activate():
+            for w in range(windows):
+                keys = [(w * k + j, w + j / k) for j in range(k)]
+                for tid, arrival in keys:
+                    jt.record(tid, arrival, "admitted", arrival, queue_depth=1)
+                decided = {"window": w, "batch": k, "seed": "cache",
+                           "solve_mode": "scalar", "iterations": 40}
+                jt.record_many((tid, arrival, "dispatched", w + 1.0,
+                                {**decided, "wait_hours": w + 1.0 - arrival})
+                               for tid, arrival in keys)
+                jt.record_many((tid, arrival, "scheduled", w + 1.0,
+                                {"window": w, "cluster_id": 1, "start": w + 1.0,
+                                 "end": w + 1.5, "requeues": 0})
+                               for tid, arrival in keys)
+                harvested = {"window": w, "buffer_size": w * k}
+                jt.record_many((tid, arrival, "harvested", w + 1.0, harvested)
+                               for tid, arrival in keys)
+                jt.record_many((tid, arrival, "completed", w + 1.5,
+                                {"window": w, "cluster_id": 1, "requeues": 0})
+                               for tid, arrival in keys)
+        return rec, jt
+
+    events = windows * k * 5
+    record_s = write_s = float("inf")
+    for _ in range(5):
+        t0 = time.perf_counter()
+        rec, jt = record()
+        t1 = time.perf_counter()
+        path = rec.close()
+        record_s, write_s = min(record_s, t1 - t0), min(write_s, time.perf_counter() - t1)
+        assert jt.events_recorded == rec.events_recorded == events
+        assert jt.journeys_emitted == windows * k
+        assert len(path.read_text().splitlines()) == events + 1  # + the meta header
+    record_us, line_us = 1e6 * record_s / events, 1e6 * write_s / (events + 1)
+    print(f"\njourney event (record + flush): {record_us:.2f} us"
+          f"\nrun-log line (encode + write): {line_us:.2f} us"
+          f"\njourney event, record to file: {record_us + line_us:.2f} us")
+
+
 def test_rounding(benchmark, instance):
     p, sol = instance
     X = benchmark(lambda: round_assignment(sol.X, p))

@@ -240,7 +240,7 @@ class QualityMonitor(ServeCallback):
         if rec.enabled and placed_err.size:
             # ``placed_err.mean()``, minus its Python-level wrapper.
             rec.observe("monitor/time_error",
-                        float(np.add.reduce(placed_err) / placed_err.size),
+                        float(np.add.reduce(placed_err)) / placed_err.size,
                         bounds=_GAP_BUCKETS)
 
         # --- regret attribution -------------------------------------- #

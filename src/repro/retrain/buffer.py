@@ -34,8 +34,9 @@ buffers and samples.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -44,9 +45,12 @@ from repro.serve.dispatcher import WindowSnapshot
 __all__ = ["Label", "LabelDataset", "ReplayBuffer"]
 
 
-@dataclass(frozen=True)
-class Label:
-    """One realized execution: the training example a served task yields."""
+class Label(NamedTuple):
+    """One realized execution: the training example a served task yields.
+
+    Immutable like the other records, but a named tuple: every harvested
+    task builds one, and a frozen dataclass costs several times as much.
+    """
 
     task_id: int
     arrival: float  # together with task_id: the logical-arrival key
@@ -103,6 +107,10 @@ class ReplayBuffer:
 
     def __init__(self) -> None:
         self._labels: "dict[tuple[int, float], Label]" = {}
+        #: ``(end, key, n, label)`` per stored label, oldest on top; an
+        #: entry whose label was since superseded or discarded is stale
+        #: and skipped when it surfaces (``n`` orders equal ``(end, key)``).
+        self._by_end: "list[tuple[float, tuple[int, float], int, Label]]" = []
         self.harvested = 0  # labels ingested (before dedup/eviction)
         self.superseded = 0  # overwrites of an earlier dispatch's label
         self.discarded = 0  # labels voided by on_requeue
@@ -113,37 +121,40 @@ class ReplayBuffer:
     # ------------------------------------------------------------------ #
 
     def add(self, label: Label) -> None:
-        """Insert one label; a later dispatch supersedes an earlier one."""
+        """Insert one label; a later dispatch supersedes an earlier one.
+
+        Past :data:`CAPACITY` the label with the least ``(end, key)`` is
+        evicted — popped off a heap, not found by a scan.
+        """
         self.harvested += 1
-        prior = self._labels.get(label.key)
+        key = label.key
+        prior = self._labels.get(key)
         if prior is not None:
             if label.dispatched < prior.dispatched:
                 return  # out-of-order duplicate of an already-superseded run
             self.superseded += 1
-        self._labels[label.key] = label
+        self._labels[key] = label
+        heapq.heappush(self._by_end, (label.end, key, self.harvested, label))
         if len(self._labels) > CAPACITY:
-            oldest = min(self._labels.values(), key=lambda l: (l.end, l.key))
-            del self._labels[oldest.key]
+            while True:
+                _, oldest, _, stored = heapq.heappop(self._by_end)
+                if self._labels.get(oldest) is stored:
+                    break
+            del self._labels[oldest]
             self.evicted += 1
 
     def harvest(self, snapshot: WindowSnapshot) -> int:
-        """Ingest every task of a dispatched window; returns labels added."""
-        k = len(snapshot.task_ids)
-        for j in range(k):
-            self.add(Label(
-                task_id=int(snapshot.task_ids[j]),
-                arrival=float(snapshot.arrival[j]),
-                cluster_id=int(snapshot.cluster_ids[
-                    int(np.argmax(snapshot.X[:, j]))]),
-                window=snapshot.window,
-                dispatched=snapshot.time,
-                end=float(snapshot.end[j]),
-                realized_hours=float(snapshot.realized_hours[j]),
-                success=bool(snapshot.success[j]),
-                requeues=int(snapshot.requeues[j]),
-                features=snapshot.features[j],
-            ))
-        return k
+        """Ingest every task of a dispatched window, in one pass over its
+        columns; returns labels added."""
+        cluster_ids = snapshot.cluster_ids
+        for task_id, arrival, row, end, hours, success, requeues, features in zip(
+                snapshot.task_ids, snapshot.arrival.tolist(),
+                snapshot.X.argmax(axis=0).tolist(), snapshot.end.tolist(),
+                snapshot.realized_hours.tolist(), snapshot.success.tolist(),
+                snapshot.requeues.tolist(), snapshot.features):
+            self.add(Label(int(task_id), arrival, cluster_ids[row], snapshot.window,
+                           snapshot.time, end, hours, success, requeues, features))
+        return len(snapshot.task_ids)
 
     def discard(self, task_id: int, arrival: float) -> bool:
         """Void the label of an orphaned (re-queued) dispatch, if present."""

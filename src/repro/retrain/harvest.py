@@ -44,9 +44,9 @@ class WindowHarvester(ServeCallback):
 
     def on_window(self, snapshot: WindowSnapshot) -> None:
         self.buffer.harvest(snapshot)
-        if snapshot.end.size:
-            self.max_label_end = max(self.max_label_end,
-                                     float(np.max(snapshot.end)))
+        end = snapshot.end
+        if end.size:
+            self.max_label_end = max(self.max_label_end, float(end.max()))
         self.windows.append(CanaryWindow(
             window=snapshot.window,
             pair_rows=tuple(self.pair_index[cid]
@@ -54,10 +54,11 @@ class WindowHarvester(ServeCallback):
             T=snapshot.T, A=snapshot.A, gamma=snapshot.gamma,
             Z=snapshot.features,
         ))
-        rows = np.argmax(snapshot.X, axis=0)
-        ok = snapshot.success & (snapshot.realized_hours > 0)
+        hours = snapshot.realized_hours
+        ok = snapshot.success & (hours > 0)
         if not ok.any():
             return
-        t_hat = snapshot.T_hat[rows[ok], np.flatnonzero(ok)]
-        err = np.log(np.maximum(t_hat, 1e-12)) - np.log(snapshot.realized_hours[ok])
-        self.window_mse.append((snapshot.window, float(np.mean(err ** 2))))
+        tasks = ok.nonzero()[0]
+        t_hat = snapshot.T_hat[snapshot.X.argmax(axis=0)[tasks], tasks]
+        err = np.log(np.maximum(t_hat, 1e-12)) - np.log(hours[tasks])
+        self.window_mse.append((snapshot.window, float((err ** 2).mean())))

@@ -269,10 +269,10 @@ class RetrainController(ServeCallback):
             # Retrain provenance: each batch member's label entered the
             # replay buffer from this window (a later requeue discards
             # it again — the ``requeued`` journey event marks that).
-            for j, tid in enumerate(snapshot.task_ids):
-                jt.record(int(tid), float(snapshot.arrival[j]), "harvested",
-                          snapshot.time, window=snapshot.window,
-                          buffer_size=len(self.buffer))
+            fields = {"window": snapshot.window, "buffer_size": len(self.buffer)}
+            jt.record_many((tid, arrival, "harvested", snapshot.time, fields)
+                           for tid, arrival in zip(snapshot.task_ids,
+                                                   snapshot.arrival.tolist()))
         if self.state == "training":
             self._advance_training(snapshot)
         elif self.state == "guard":

@@ -622,19 +622,18 @@ class ServeLoop:
             self._dispatch(max(self._ripe_at(), self.now))
         stats.unserved = len(self.queue)
         if jt is not None:
-            for q in self.queue:
-                jt.record(q.task.task_id, q.arrival, "unserved", self.now,
-                          requeues=q.requeues)
+            jt.record_many((q.task.task_id, q.arrival, "unserved", self.now,
+                            {"requeues": q.requeues}) for q in self.queue)
         for jobs in self.schedule.values():
             for _task, r in jobs:
                 stats.records.append(r)
-                if jt is not None:
-                    jt.record(r.task_id, r.arrival,
-                              "completed" if r.success else "failed", r.end,
-                              window=r.window, cluster_id=r.cluster_id,
-                              requeues=r.requeues)
                 stats.total_wait_hours += r.start - r.arrival
                 stats.total_flow_hours += r.end - r.arrival
+        if jt is not None:
+            jt.record_many((r.task_id, r.arrival, "completed" if r.success else "failed",
+                            r.end, {"window": r.window, "cluster_id": r.cluster_id,
+                                    "requeues": r.requeues})
+                           for r in stats.records)
         stats.completed = sum(r.success for r in stats.records)
         stats.failed = len(stats.records) - stats.completed
         # Deterministic order: by task id, then window.
@@ -853,18 +852,21 @@ class ServeLoop:
             # decision (membership, wait, seed source, solve shape)
             # and the committed schedule.  Recorded before callbacks
             # run so a harvest lands after its window's schedule.
-            blocks = (getattr(w.relaxed, "n_blocks", None)
-                      if cfg.solve_mode == "blocks" else None)
-            for j, q in enumerate(batch):
-                jt.record(q.task.task_id, q.arrival, "dispatched", now,
-                          window=w.index, wait_hours=now - q.enqueued_at,
-                          batch=len(batch), seed=w.seed_src,
-                          solve_mode=cfg.solve_mode, iterations=w.iterations,
-                          blocks=blocks)
-                jt.record(q.task.task_id, q.arrival, "scheduled", now, window=w.index,
-                          cluster_id=w.ups[int(w.labels[j])].cluster_id,
-                          start=float(w.starts[j]), end=float(w.ends[j]),
-                          requeues=q.requeues)
+            decided = {"window": w.index, "batch": len(batch), "seed": w.seed_src,
+                       "solve_mode": cfg.solve_mode, "iterations": w.iterations}
+            if cfg.solve_mode == "blocks":
+                blocks = getattr(w.relaxed, "n_blocks", None)
+                if blocks is not None:
+                    decided["blocks"] = blocks
+            jt.record_many((q.task.task_id, q.arrival, "dispatched", now,
+                            {**decided, "wait_hours": now - q.enqueued_at})
+                           for q in batch)
+            ups = w.ups
+            jt.record_many((q.task.task_id, q.arrival, "scheduled", now,
+                            {"window": w.index, "cluster_id": ups[i].cluster_id,
+                             "start": start, "end": end, "requeues": q.requeues})
+                           for q, i, start, end in zip(batch, w.labels.tolist(),
+                                                       w.starts.tolist(), w.ends.tolist()))
         if not self.dispatcher.callbacks:
             return  # no observer: no snapshot is built
         t0 = time.perf_counter()

@@ -44,6 +44,8 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Iterable, Mapping
 
+from repro.telemetry.recorder import get_recorder
+
 __all__ = [
     "JOURNEY_EVENT",
     "EXEMPLAR_EVENT",
@@ -86,6 +88,10 @@ TRANSITIONS: "dict[str, tuple[str, ...]]" = {
 }
 
 STATES: "tuple[str, ...]" = tuple(s for s in TRANSITIONS if s)
+#: States that keep their journey whatever the sampling fraction: shed
+#: tasks (rejects and drop_oldest evictions), requeued orphans and
+#: stranded queues — the journeys worth explaining never fall to sampling.
+_FORCING_STATES = frozenset(("shed", "requeued", "unserved"))
 #: States a journey ends in (exactly one per journey, as the last event).
 TERMINAL_STATES = frozenset(s for s, nxt in TRANSITIONS.items() if s and not nxt)
 
@@ -170,7 +176,23 @@ class JourneyRecorder:
 
     def record(self, task_id: int, arrival: float, state: str, t: float,
                **fields: Any) -> None:
-        """Append one journey event; flushes if ``state`` is terminal."""
+        """Append one journey event (``None`` fields left out); flushes
+        if ``state`` is terminal."""
+        if None in fields.values():
+            fields = {k: v for k, v in fields.items() if v is not None}
+        self._add(task_id, arrival, state, t, fields)
+
+    def record_many(self, events: "Iterable[tuple[int, float, str, float, dict]]",
+                    ) -> None:
+        """:meth:`record` for a batch of ``(task_id, arrival, state, t,
+        fields)`` events, in order — one call per window, not per task.
+        ``fields`` holds no ``None`` and may be shared between events."""
+        add = self._add
+        for task_id, arrival, state, t, fields in events:
+            add(task_id, arrival, state, t, fields)
+
+    def _add(self, task_id: int, arrival: float, state: str, t: float,
+             fields: dict) -> None:
         self.events_recorded += 1
         key = (int(task_id), float(arrival))
         events = self._pending.get(key)
@@ -179,19 +201,16 @@ class JourneyRecorder:
             trace = trace_id(*key)
         else:  # the ID is a function of the key: hash it once per journey
             trace = events[0]["trace"]
-        ev = {"trace": trace, "task_id": key[0], "arrival": key[1], "state": state,
-              "t": float(t)}
-        ev.update({k: v for k, v in fields.items() if v is not None})
-        events.append(ev)
-        if state in ("shed", "requeued", "unserved"):
-            # Shed tasks (rejects and drop_oldest evictions), requeued
-            # orphans and stranded queues are always kept — the journeys
-            # worth explaining never fall to sampling.
+        # Built once, as the run-log line it becomes: the flush hands the
+        # journey's dicts to the recorder, which only stamps ``seq``.
+        events.append({"type": "event", "name": JOURNEY_EVENT, "trace": trace,
+                       "task_id": key[0], "arrival": key[1], "state": state,
+                       "t": float(t), **fields})
+        if state in _FORCING_STATES:
             self._forced.add(key)
-        if state == "dispatched" and "wait_hours" in fields:
+        elif state == "dispatched" and "wait_hours" in fields:
             wait = float(fields["wait_hours"])
-            prev = self._max_wait.get(key, 0.0)
-            if wait > prev:
+            if wait > self._max_wait.get(key, 0.0):
                 self._max_wait[key] = wait
             if wait >= self.slo_wait_hours:
                 self._forced.add(key)
@@ -214,12 +233,9 @@ class JourneyRecorder:
         self.journeys_emitted += 1
         if wait is not None:
             self._note_exemplar(trace, events[0]["task_id"], wait)
-        from repro.telemetry.recorder import get_recorder
-
         rec = get_recorder()
         if rec.enabled:
-            for ev in events:
-                rec.event(JOURNEY_EVENT, **ev)
+            rec.extend(events)
 
     def _note_exemplar(self, trace: str, task_id: int, wait: float) -> None:
         """Track the worst kept journey per wait bucket.
@@ -269,8 +285,6 @@ class JourneyRecorder:
             self._forced.add(key)
             self._flush(key)
         payload = self.exemplar_payload()
-        from repro.telemetry.recorder import get_recorder
-
         rec = get_recorder()
         if rec.enabled:
             rec.event(EXEMPLAR_EVENT, **payload)

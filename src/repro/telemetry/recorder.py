@@ -47,8 +47,9 @@ import subprocess
 import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Iterator, TextIO
+from typing import Any, Callable, Iterator, TextIO
 
 from repro.telemetry.metrics import quantile
 from repro.telemetry.registry import MetricRegistry
@@ -200,6 +201,19 @@ class Recorder:
         if self.mode == "jsonl":
             self._emit({"type": "event", "name": name, **fields})
 
+    def extend(self, events: "list[dict]") -> None:
+        """Emit a block of events built as their lines (``type`` and
+        ``name`` included; a flushed journey): :meth:`event` for each,
+        in one call that stamps ``seq`` and keeps the dicts."""
+        self.events_recorded += len(events)
+        if self.mode == "jsonl":
+            seq = self._seq
+            for payload in events:
+                payload["seq"] = seq
+                seq += 1
+            self._seq = seq
+            self._lines.extend(events)
+
     # ------------------------------------------------------------------ #
     # Lifecycle.
     # ------------------------------------------------------------------ #
@@ -298,16 +312,28 @@ class Recorder:
                     **self.meta}
             self.out_dir.mkdir(parents=True, exist_ok=True)
             path = self.jsonl_path
+            encode = _line_encoder()
             with open(path, "w") as fh:
-                fh.write(json.dumps(head, sort_keys=True) + "\n")
-                for line in self._lines:
-                    fh.write(json.dumps(line, sort_keys=True) + "\n")
+                fh.writelines(f"{encode(line)}\n" for line in [head, *self._lines])
         stream = self.stream or sys.stdout
         print(f"\n== telemetry summary ({self.mode}) ==", file=stream)
         print(self.summary_table(), file=stream)
         if path is not None:
             print(f"telemetry run log: {path}", file=stream)
         return path
+
+
+def _line_encoder() -> "Callable[[dict], str]":
+    """``json.dumps(line, sort_keys=True)``, byte for byte, as one encoder
+    for a whole run log: the C encoder ``dumps`` builds per call, built
+    once (plain ``encode`` where the interpreter has none)."""
+    enc = json.JSONEncoder(sort_keys=True)
+    if c_make_encoder is None:
+        return enc.encode
+    chunks = c_make_encoder({}, enc.default, encode_basestring_ascii, enc.indent,
+                            enc.key_separator, enc.item_separator, enc.sort_keys,
+                            enc.skipkeys, enc.allow_nan)
+    return lambda line: "".join(chunks(line, 0))
 
 
 # --------------------------------------------------------------------- #

@@ -128,6 +128,35 @@ class TestReplayBuffer:
         assert sorted(l.task_id for l in buf.labels()) == [0, 2]
         assert buf.stats()["evicted"] == 1
 
+    def test_heap_eviction_matches_the_scan(self, monkeypatch):
+        """10 000 labels with supersedes, out-of-order phantoms, discards
+        and ``end`` ties: the heap evicts exactly the labels a scan for
+        the least ``(end, key)`` evicts, and keeps the same counters."""
+        monkeypatch.setattr(buffer_module, "CAPACITY", 256)
+        rng = np.random.default_rng(5)
+        buf, scan = ReplayBuffer(), _ScanBuffer()
+        keys: "list[tuple[int, float]]" = []
+        for i in range(10_000):
+            u = rng.random()
+            if u < 0.05 and keys:
+                tid, arrival = keys[rng.integers(len(keys))]
+                assert buf.discard(tid, arrival) == scan.discard(tid, arrival)
+                continue
+            if u < 0.15 and keys:  # a later (or out-of-order) dispatch
+                tid, arrival = keys[rng.integers(len(keys))]
+            else:
+                tid, arrival = i, float(rng.integers(400)) / 8
+                keys.append((tid, arrival))
+            label = _label(task_id=tid, arrival=arrival,
+                           dispatched=float(rng.integers(400)) / 8,
+                           end=float(rng.integers(400)) / 8)
+            buf.add(label)
+            scan.add(label)
+            assert buf._labels.keys() == scan._labels.keys()
+        assert all(buf._labels[k] is scan._labels[k] for k in scan._labels)
+        assert buf.stats() == scan.stats()
+        assert min(buf.stats()[c] for c in ("superseded", "discarded", "evicted")) > 0
+
     def test_sample_is_deterministic_and_causal(self):
         buf = ReplayBuffer()
         for tid in range(20):
@@ -153,17 +182,56 @@ class TestReplayBuffer:
         assert ds.a.tolist() == [1.0, 0.0]
 
 
+class _ScanBuffer(ReplayBuffer):
+    """The buffer as it was: an eviction scans every label for the least
+    ``(end, key)``, and a harvest builds each label from NumPy scalars."""
+
+    def add(self, label):
+        self.harvested += 1
+        prior = self._labels.get(label.key)
+        if prior is not None:
+            if label.dispatched < prior.dispatched:
+                return
+            self.superseded += 1
+        self._labels[label.key] = label
+        if len(self._labels) > buffer_module.CAPACITY:
+            oldest = min(self._labels.values(), key=lambda l: (l.end, l.key))
+            del self._labels[oldest.key]
+            self.evicted += 1
+
+    def harvest(self, snapshot):
+        k = len(snapshot.task_ids)
+        for j in range(k):
+            self.add(Label(
+                task_id=int(snapshot.task_ids[j]),
+                arrival=float(snapshot.arrival[j]),
+                cluster_id=int(snapshot.cluster_ids[
+                    int(np.argmax(snapshot.X[:, j]))]),
+                window=snapshot.window,
+                dispatched=snapshot.time,
+                end=float(snapshot.end[j]),
+                realized_hours=float(snapshot.realized_hours[j]),
+                success=bool(snapshot.success[j]),
+                requeues=int(snapshot.requeues[j]),
+                features=snapshot.features[j],
+            ))
+        return k
+
+
 class _Harvester(ServeCallback):
-    """Minimal harvesting callback: the controller's buffer wiring alone."""
+    """Minimal harvesting callback: the controller's buffer wiring alone,
+    with a per-task-loop buffer fed beside it."""
 
     def __init__(self):
         self.buffer = ReplayBuffer()
+        self.per_task = _ScanBuffer()
 
     def on_window(self, snapshot):
-        self.buffer.harvest(snapshot)
+        assert self.buffer.harvest(snapshot) == self.per_task.harvest(snapshot)
 
     def on_requeue(self, task_id, arrival, t):
         self.buffer.discard(task_id, arrival)
+        self.per_task.discard(task_id, arrival)
 
 
 class TestHarvestFromDispatcher:
@@ -184,19 +252,32 @@ class TestHarvestFromDispatcher:
         stats = dispatcher.run(
             events, rng=4,
             outages=[Outage(cluster_id=0, start=0.6, end=1.4)])
-        return harvester.buffer, stats
+        return harvester.buffer, stats, harvester.per_task
 
     def test_outage_run_requeues(self, harvested):
-        _, stats = harvested
+        _, stats, _ = harvested
         assert stats.requeued > 0, "fixture must exercise the orphan path"
 
+    def test_window_harvest_builds_the_per_task_labels(self, harvested):
+        buf, _, twin = harvested
+        labels, per_task = buf.labels(), twin.labels()
+        assert len(labels) == len(per_task) > 0
+        for got, want in zip(labels, per_task):
+            for name in Label._fields:
+                a, b = getattr(got, name), getattr(want, name)
+                if name == "features":
+                    assert a.tobytes() == b.tobytes()
+                else:
+                    assert (type(a), a) == (type(b), b), name
+        assert buf.stats() == twin.stats()
+
     def test_no_duplicate_logical_arrivals(self, harvested):
-        buf, _ = harvested
+        buf, _, _ = harvested
         keys = [l.key for l in buf.labels()]
         assert len(keys) == len(set(keys))
 
     def test_requeued_labels_resolve_to_final_dispatch(self, harvested):
-        buf, stats = harvested
+        buf, stats, _ = harvested
         final = {(r.task_id, r.arrival): r for r in stats.records}
         requeued = [l for l in buf.labels() if l.requeues > 0]
         assert requeued, "orphaned tasks must re-appear with requeues > 0"
@@ -207,12 +288,12 @@ class TestHarvestFromDispatcher:
             assert label.requeues == rec.requeues
 
     def test_no_time_travelling_labels(self, harvested):
-        buf, _ = harvested
+        buf, _, _ = harvested
         for label in buf.labels():
             assert label.end >= label.dispatched >= label.arrival
 
     def test_conservation_buffer_matches_run_counters(self, harvested):
-        buf, stats = harvested
+        buf, stats, _ = harvested
         # Every executed logical arrival yields exactly one surviving
         # label; phantoms from pre-outage dispatches are superseded or
         # discarded, never double-counted.
