@@ -96,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
         "show", parents=[trace_logs],
         help="waterfall of one task's journey across the fleet")
     p_tshow.add_argument("task", metavar="TASK",
-                         help="task id, or a (prefix of a) 16-hex trace id")
+                         help="task id or prefix of a 16-hex trace id "
+                              "(every journey either matches)")
     p_ttop = trace_sub.add_parser(
         "top", parents=[trace_logs],
         help="slowest journeys by queue wait")
@@ -378,13 +379,10 @@ def _journey_line(trace: str, events: "list[dict]") -> str:
 def _trace_show(needle: str, journeys: "dict[str, list[dict]]") -> int:
     from repro.telemetry.journey import render_waterfall
 
-    if needle.isdigit():
-        tid = int(needle)
-        matches = {t: evs for t, evs in journeys.items()
-                   if any(e["task_id"] == tid for e in evs)}
-    else:
-        matches = {t: evs for t, evs in journeys.items()
-                   if t.startswith(needle.lower())}
+    tid = int(needle) if needle.isdigit() else None
+    matches = {t: evs for t, evs in journeys.items()
+               if t.startswith(needle.lower())
+               or any(e["task_id"] == tid for e in evs)}
     if not matches:
         print(f"no journey matches {needle!r}", file=sys.stderr)
         return 1

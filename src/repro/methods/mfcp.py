@@ -18,9 +18,9 @@ Training pipeline (Fig. 3 / Algorithm 2):
    - ``gradient="forward"`` (MFCP-FG): zeroth-order estimation, Alg. 2.
 
    The prediction gradients are then pulled back through the predictor
-   networks by their hand-written VJP, and ω and φ are updated on
-   alternating epochs ("we fix ω when optimizing φ, and fix φ when
-   optimizing ω").  The M same-shape heads of a kind are one stacked
+   networks by their hand-written VJP, and ω and φ are updated jointly
+   (the paper's §3.3 alternates them; DESIGN.md §7 says why not).  The M
+   same-shape heads of a kind are one stacked
    :class:`~repro.predictors.models.HeadBank`: one forward before the
    round's solves, one VJP/clip/Adam step after its pullbacks (the
    heads are independent, so this is Algorithm 2's per-cluster update).

@@ -65,6 +65,8 @@ class ServeConfig:
     train_epochs: int = 120
     solver_tol: float = 1e-4
     solver_max_iters: int = 400
+    #: ``max_batch`` … ``solve_mode`` are :class:`DispatcherConfig`'s knobs,
+    #: validated there; ``warm_start`` is its bool as a choice.
     max_batch: int = 16
     max_wait_hours: float = 0.25
     queue_capacity: int = 128
@@ -88,28 +90,21 @@ class ServeConfig:
     #: recorder's base labels via :meth:`identity_labels`.
     shard: "str | None" = None
     instance: "str | None" = None
-    #: Per-task journey tracing (:mod:`repro.telemetry.journey`): the
-    #: kept fraction of uneventful journeys (shed / requeued / long-wait
-    #: tasks are always kept).  ``0.0`` = off.  Journeys draw no
-    #: randomness and never enter the records, so the assignment trace
-    #: is byte-identical at any setting.
+    #: See :attr:`DispatcherConfig.journey_sample`.
     journey_sample: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("pool_size", "train_epochs", "solver_max_iters",
-                     "max_batch", "queue_capacity"):
+        for name in ("pool_size", "train_epochs", "solver_max_iters"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.solver_tol <= 0 or self.max_wait_hours <= 0:
-            raise ValueError("solver_tol and max_wait_hours must be positive")
+        if self.solver_tol <= 0:
+            raise ValueError("solver_tol must be positive")
         check_choices(self)
+        self.dispatcher_config()  # validates the knobs it carries
         for name in ("shard", "instance"):  # label values; normalize to str
             value = getattr(self, name)
             if value is not None and not isinstance(value, str):
                 object.__setattr__(self, name, str(value))
-        if not 0.0 <= self.journey_sample <= 1.0:
-            raise ValueError(
-                f"journey_sample must be in [0, 1], got {self.journey_sample}")
 
     # ------------------------------------------------------------------ #
     # JSON round-trip (meta["serve"] in run logs; CLI flag plumbing).

@@ -154,7 +154,7 @@ _DATASETS: dict[Family, list[tuple[str, int, int]]] = {
     # (name, samples/epoch, seq_length-or-resolution).  Ranges are chosen so
     # total training FLOPs across all families span roughly [3e14, 4e17] —
     # wide enough that matching matters, narrow enough that no single task
-    # dwarfs every other (see DESIGN.md §5 on calibration).
+    # dwarfs every other.
     Family.CONV: [("cifar10", 50_000, 32), ("imagenet-100", 30_000, 48)],
     Family.TRANSFORMER: [("europarl", 60_000, 128), ("europarl-long", 30_000, 256)],
     Family.RNN: [("europarl", 200_000, 64), ("europarl-long", 100_000, 128)],

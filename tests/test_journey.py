@@ -508,6 +508,17 @@ class TestTraceCLI:
         assert trace in capsys.readouterr().out
         assert main(["trace", "show", "--log", str(path), "zzzz"]) == 1
 
+    def test_show_finds_an_all_digit_trace_prefix(self, journey_run, capsys):
+        path, _ = journey_run
+        journeys = journeys_from_events(load_run(path))
+        tids = {e["task_id"] for evs in journeys.values() for e in evs}
+        prefixes = [(t[:k], t) for t in sorted(journeys)
+                    for k in range(3, 17) if t[:k].isdigit()]
+        needle, trace = next((p, t) for p, t in prefixes
+                             if int(p) not in tids)
+        assert main(["trace", "show", "--log", str(path), needle]) == 0
+        assert trace in capsys.readouterr().out
+
     def test_grep_filters_by_state(self, journey_run, capsys):
         path, stats = journey_run
         assert main(["trace", "grep", "--log", str(path),
