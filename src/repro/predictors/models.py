@@ -13,8 +13,10 @@ link — so training and inference run it without a tape: one hand-written
 forward (:func:`_forward`) over 2-D weights (``predict``) or ``(H, in,
 out)`` stacks, and its VJP.  The M clusters' heads of a kind train as one
 :class:`HeadBank` (stacked weights in one flat buffer, one
-:class:`~repro.nn.Adam`), and :func:`predict_pairs` is the stacked
-forward serving uses.  Each operation is the tape's, in the tape's order,
+:class:`~repro.nn.Adam`, and one minibatch's workspace for its forward
+and VJP, so a training step allocates nothing and one forward is in
+flight per bank), and :func:`predict_pairs` is the stacked forward
+serving uses.  Each operation is the tape's, in the tape's order,
 so weights and predictions are bit for bit those of the per-head tape,
 which survives only as ``forward``: the oracle ``tests/test_bank_exact.py``
 holds the bank to.
@@ -72,7 +74,10 @@ class _Head(Module):
     def _link(self, raw: Tensor) -> Tensor:
         """Map the MLP output to the predicted quantity.  Each kind also
         has it tapeless, the MLP's output module included, as
-        ``_link_np(raw)``, and its pullback ``_link_vjp(g, raw, out)``."""
+        ``_link_np(raw, out=None, tmp=None)`` (into ``out`` when given),
+        and its pullback ``_link_vjp(g, raw, out, into, tmp, flag)``,
+        which writes into ``into`` (``raw`` itself may be it) with ``tmp``
+        / ``flag`` (float / bool, shaped like ``raw``) as scratch."""
         return raw
 
     def forward(self, Z: "np.ndarray | Tensor") -> Tensor:
@@ -97,14 +102,19 @@ class TimePredictor(_Head):
         return ops.exp(ops.clip(raw, -_LOG_T_CLIP, _LOG_T_CLIP))
 
     @staticmethod
-    def _link_np(raw: np.ndarray) -> np.ndarray:
-        return np.exp(np.clip(raw, -_LOG_T_CLIP, _LOG_T_CLIP))
+    def _link_np(raw: np.ndarray, out: "np.ndarray | None" = None,
+                 tmp: "np.ndarray | None" = None) -> np.ndarray:
+        clipped = raw.clip(-_LOG_T_CLIP, _LOG_T_CLIP, out=out)
+        return np.exp(clipped, out=clipped)
 
     @staticmethod
-    def _link_vjp(g: np.ndarray, raw: np.ndarray, out: np.ndarray) -> np.ndarray:
-        # exp's pullback, then clip's (zero outside the closed clamp range).
-        inside = ((raw >= -_LOG_T_CLIP) & (raw <= _LOG_T_CLIP)).astype(np.float64)
-        return g * out * inside
+    def _link_vjp(g: np.ndarray, raw: np.ndarray, out: np.ndarray, into: np.ndarray,
+                  tmp: np.ndarray, flag: np.ndarray) -> None:
+        # exp's pullback, then clip's: zero outside the closed clamp range,
+        # |raw| <= clip being (raw >= -clip) & (raw <= clip).
+        np.less_equal(np.abs(raw, out=tmp), _LOG_T_CLIP, out=flag)
+        np.copyto(tmp, flag)
+        np.multiply(np.multiply(g, out, out=into), tmp, out=into)
 
 
 class ReliabilityPredictor(_Head):
@@ -112,11 +122,16 @@ class ReliabilityPredictor(_Head):
 
     _output = "sigmoid"
 
-    _link_np = staticmethod(sigmoid_np)
+    @staticmethod
+    def _link_np(raw: np.ndarray, out: "np.ndarray | None" = None,
+                 tmp: "np.ndarray | None" = None) -> np.ndarray:
+        return sigmoid_np(raw, out=out, tmp=tmp)
 
     @staticmethod
-    def _link_vjp(g: np.ndarray, raw: np.ndarray, out: np.ndarray) -> np.ndarray:
-        return g * out * (1.0 - out)
+    def _link_vjp(g: np.ndarray, raw: np.ndarray, out: np.ndarray, into: np.ndarray,
+                  tmp: np.ndarray, flag: np.ndarray) -> None:
+        np.subtract(1.0, out, out=tmp)
+        np.multiply(np.multiply(g, out, out=into), tmp, out=into)
 
 
 # --------------------------------------------------------------------- #
@@ -129,27 +144,20 @@ def _linears(heads: "Sequence[_Head]") -> "list[tuple[Linear, ...]]":
     return [ls for ls in zip(*(h.net.net for h in heads)) if isinstance(ls[0], Linear)]
 
 
-def _forward(link, layers: list, X: np.ndarray, saved: "list | None" = None) -> np.ndarray:
+def _forward(link, layers: list, X: np.ndarray) -> np.ndarray:
     """The head network on raw arrays: ``x @ weight + bias`` per ``layers``
     entry, ReLU between them, ``link`` on the last output.  The weights are
     2-D for one head, ``(H, in, out)`` / ``(H, 1, out)`` stacks for a bank
     (lifted over round axes by :func:`predict_pairs`).  These are the
     tape's operations in the tape's order — ReLU is ``x * (x > 0)`` — so
-    every value is the tape's, bit for bit.  ``saved`` collects what
-    :meth:`HeadBank.backward` reads."""
+    every value is the tape's, bit for bit.  :meth:`HeadBank.forward` is
+    the same pass into a workspace."""
     x = X
-    mask = None
     for k, (weight, bias) in enumerate(layers):
         if k:
-            mask = (x > 0).astype(np.float64)
-            x = x * mask
-        if saved is not None:
-            saved.append((x, mask))
+            x = x * (x > 0).astype(np.float64)
         x = x @ weight + bias
-    out = link(x)
-    if saved is not None:
-        saved.append((x, out))
-    return out
+    return link(x)
 
 
 def _stack_linear(layers: "Sequence[Linear]") -> tuple[np.ndarray, np.ndarray]:
@@ -195,6 +203,20 @@ class HeadBank:
     not survive ``copy.deepcopy``/pickle of the heads, nor a second bank
     over the same heads, after which this one would train storage nobody
     reads.  Inference therefore never keeps one (:func:`predict_pairs`).
+
+    **Workspace.**  :meth:`forward` and :meth:`backward` allocate no array
+    after a bank's first minibatch.  One minibatch's buffers, sized by the
+    most rows seen so far, hold per layer its product (activated in place,
+    later overwritten by the gradient passed back through it) and its
+    ReLU mask (first the broadcast bias), and the link's output and
+    scratch: what a pass keeps for its VJP anyway.  A pass over fewer rows
+    (a ragged tail minibatch) runs on leading views of them, laid out as a
+    fresh array of its shape would be, so the GEMMs and ufuncs see the
+    operands they saw when every pass allocated; the views of each row
+    count are built once.  The price is one forward in flight per bank:
+    the next :meth:`forward` overwrites the predictions and what ``saved``
+    refers to, so a caller reads the predictions and runs
+    :meth:`backward` first.
     """
 
     def __init__(self, heads: "Sequence[_Head]") -> None:
@@ -208,8 +230,29 @@ class HeadBank:
             for h, layer in enumerate(layers):
                 layer.weight.data = weight[h]
                 layer.bias.data = bias[h, 0]
+        self._weights_t = [np.swapaxes(weight, -1, -2) for weight, _ in self._layers]
         kind = type(self.heads[0])
         self._link, self._link_vjp = kind._link_np, kind._link_vjp
+        self._rows = 0  # rows the workspace holds
+        self._views: "dict[int, tuple]" = {}  # row count -> its workspace views
+
+    def _workspace(self, n: int) -> "tuple[list, list]":
+        """``(floats, flags)`` for an ``n``-row pass: per layer its output
+        and its mask (the last layer's "mask" is the link's output), then
+        the link's scratch; and per layer a bool scratch.  The buffers grow
+        (and the cached views go) only past the most rows seen."""
+        views = self._views.get(n)
+        if views is None:
+            H, widths = len(self), [weight.shape[-1] for weight, _ in self._layers]
+            floats = [w for w in widths for _ in range(2)] + [1]
+            if n > self._rows:
+                self._rows, self._views = n, {}
+                self._floats = [np.empty(H * n * w) for w in floats]
+                self._flags = [np.empty(H * n * w, dtype=bool) for w in widths]
+            views = self._views[n] = tuple(
+                [buf[:H * n * w].reshape(H, n, w) for buf, w in zip(bufs, ws)]
+                for bufs, ws in ((self._floats, floats), (self._flags, widths)))
+        return views
 
     def __len__(self) -> int:
         return len(self.heads)
@@ -218,24 +261,45 @@ class HeadBank:
         """``(H, N, F)`` standardized input for features all heads share."""
         return _stacked_features(self.heads, Z)
 
-    def forward(self, X: np.ndarray) -> "tuple[np.ndarray, list]":
+    def forward(self, X: np.ndarray) -> "tuple[np.ndarray, tuple]":
         """``(H, N)`` predictions for standardized ``(H, N, F)`` features,
-        and what :meth:`backward` needs of this pass."""
-        saved: list = []
-        return _forward(self._link, self._layers, X, saved).reshape(X.shape[:-1]), saved
+        and what :meth:`backward` needs of this pass — both views of the
+        workspace, valid until the next :meth:`forward`.  :func:`_forward`'s
+        operations in its order; the bias is added from a broadcast copy
+        (in the mask buffer, free until the mask is taken), since a ufunc
+        broadcasting it would allocate an iteration buffer."""
+        floats, flags = ws = self._workspace(X.shape[-2])
+        x, last = X, len(self._layers) - 1
+        for k, (weight, bias) in enumerate(self._layers):
+            z, mask = floats[2 * k:2 * k + 2]
+            np.matmul(x, weight, out=z)
+            np.copyto(mask, bias)
+            np.add(z, mask, out=z)
+            if k < last:
+                np.copyto(mask, np.greater(z, 0, out=flags[k]))
+                np.multiply(z, mask, out=z)
+            x = z
+        out = self._link(x, floats[-2], floats[-1])
+        return out.reshape(X.shape[:-1]), (X, ws)
 
-    def backward(self, g: np.ndarray, saved: list, grads: "Sequence[np.ndarray]") -> None:
-        """The VJP of one :meth:`forward`: writes into ``grads`` (one array
-        per :attr:`params` entry, e.g. an Adam's ``grads``) the gradient of
+    def backward(self, g: np.ndarray, saved: tuple, grads: "Sequence[np.ndarray]") -> None:
+        """The VJP of the last :meth:`forward` (``saved`` is its second
+        result; once per forward, as each layer's gradient overwrites its
+        output): writes into ``grads`` (one array per :attr:`params`
+        entry, e.g. an Adam's ``grads``) the gradient of
         ``Σ g ⊙ predictions``, as the tape's backward would compute it."""
-        raw, out = saved[-1]
-        g = self._link_vjp(g.reshape(raw.shape), raw, out)
-        for k in range(len(self._layers) - 1, -1, -1):
-            x, mask = saved[k]
-            np.sum(g, axis=1, keepdims=True, out=grads[2 * k + 1])
+        X, (floats, flags) = saved
+        last = len(self._layers) - 1
+        raw, out = floats[-3:-1]
+        self._link_vjp(g.reshape(raw.shape), raw, out, raw, floats[-1], flags[last])
+        g = raw
+        for k in range(last, -1, -1):
+            np.add.reduce(g, axis=1, keepdims=True, out=grads[2 * k + 1])
+            x = floats[2 * k - 2] if k else X
             np.matmul(np.swapaxes(x, -1, -2), g, out=grads[2 * k])
-            if k:
-                g = (g @ np.swapaxes(self._layers[k][0], -1, -2)) * mask
+            if k:  # x is read: its buffer takes the gradient it passes back
+                np.matmul(g, self._weights_t[k], out=x)
+                g = np.multiply(x, floats[2 * k - 1], out=x)
 
     def clip_grad_norm(self, max_norm: float, grads: "Sequence[np.ndarray]") -> np.ndarray:
         """Per-head :func:`repro.nn.clip_grad_norm` of the stacked

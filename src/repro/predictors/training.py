@@ -15,6 +15,14 @@ online retraining loop (:mod:`repro.retrain`), which must interleave
 training steps with dispatch windows instead of blocking the serving
 loop on a full ``train_*`` call — are its H = 1 callers, while
 :func:`fit_pairs` trains all M clusters' heads of a kind at once.
+
+A step allocates no array once the first minibatch has run: the trainer
+gathers each minibatch's features and targets with ``take(..., out=)``
+into one minibatch's buffers (a ragged tail minibatch uses leading views
+of them) and the bank runs its forward and VJP in its own workspace
+(:class:`~repro.predictors.models.HeadBank`: one forward in flight per
+bank).  So a fit's page faults do not hang on the allocator's trim
+threshold, which the import graph and the environment move.
 """
 
 from __future__ import annotations
@@ -124,10 +132,24 @@ class BankTrainer:
         self.steps_done = 0
         self.epochs_done = 0
         self.history: "list[np.ndarray]" = []  # per epoch: (H,) mean sample losses
-        self._rows = np.arange(len(heads))[:, None]
-        self._order = np.empty((len(heads), 0), dtype=np.intp)  # this epoch's shuffles
+        (H, n), F = self.Y.shape, self.X.shape[-1]
+        self._samples = self.X.reshape(H * n, F)
+        # This epoch's shuffles as indices into the flattened samples: row h
+        # is h·n plus a permutation of range(n).
+        self._unshuffled = np.arange(H * n).reshape(H, n)
+        self._order = self._unshuffled.copy()
         self._cursor = 0  # samples of this epoch already used
-        self._epoch_loss = np.zeros(len(heads))
+        self._epoch_loss = np.zeros(H)
+        # One minibatch's indices, features, targets, residuals and loss
+        # gradient; the tail minibatch runs on leading views of them.
+        b = min(self.config.batch_size, n)
+        idx, X, y, diff, g = (np.empty(H * b, dtype=np.intp), np.empty(H * b * F),
+                              np.empty(H * b), np.empty(H * b), np.empty(H * b))
+        self._batches = {
+            rows: (idx[:H * rows].reshape(H, rows), X[:H * rows * F].reshape(H, rows, F),
+                   y[:H * rows].reshape(H, rows), diff[:H * rows].reshape(H, rows),
+                   g[:H * rows].reshape(H, rows))
+            for rows in {b, n % b or b}}
 
     # ------------------------------------------------------------------ #
 
@@ -152,22 +174,29 @@ class BankTrainer:
             raise RuntimeError("trainer already finished its epoch budget")
         n = self.Y.shape[1]
         if self._cursor == 0:
-            self._order = np.stack([rng.permutation(n) for rng in self.rngs])
-            self._epoch_loss = np.zeros(len(self.bank))
-        idx = self._order[:, self._cursor : self._cursor + self.config.batch_size]
-        b = idx.shape[1]
+            # Generator.permutation(n) shuffles arange(n) in place: the same
+            # draw, here on each head's row.
+            np.copyto(self._order, self._unshuffled)
+            for order, rng in zip(self._order, self.rngs):
+                rng.shuffle(order)
+            self._epoch_loss.fill(0.0)
+        b = min(self.config.batch_size, n - self._cursor)
+        idx, X, y, diff, g = self._batches[b]
+        np.copyto(idx, self._order[:, self._cursor:self._cursor + b])
         self._cursor += b
-        pred, saved = self.bank.forward(self.X[self._rows, idx])
+        # mode="clip" (the indices are in range) spares take's copy of out.
+        pred, saved = self.bank.forward(self._samples.take(idx, 0, X, "clip"))
+        self.Y.take(idx, None, y, "clip")
         # Per head Eq. (1)'s mean of (fit − target)², fit = log pred under
         # log_mse, and its gradient as the tape forms it: (diff·diff)'s
         # pullback is g·diff + g·diff with g = 1/b, log's divides by pred.
-        fit = np.log(pred) if self.loss == "log_mse" else pred
-        diff = fit - self.Y[self._rows, idx]
-        value = (diff * diff).sum(axis=-1) * (1.0 / b)
-        g = diff * (1.0 / b)
-        g = g + g
+        fit = np.log(pred, out=diff) if self.loss == "log_mse" else pred
+        np.subtract(fit, y, out=diff)
+        value = np.add.reduce(np.multiply(diff, diff, out=g), axis=-1) * (1.0 / b)
+        np.multiply(diff, 1.0 / b, out=g)
+        np.add(g, g, out=g)
         if self.loss == "log_mse":
-            g = g / pred
+            np.divide(g, pred, out=g)
         self.bank.backward(g, saved, self.opt.grads)
         self.opt.step()
         self.steps_done += 1

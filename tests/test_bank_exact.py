@@ -699,3 +699,27 @@ def test_adam_step_matches_the_expressions_and_allocates_nothing(weight_decay):
         assert opt.m.tobytes() == m.tobytes() and opt.v.tobytes() == v.tobytes()
     assert opt.grad.tobytes() == g.tobytes()  # the step leaves gradients alone
 
+
+@pytest.mark.parametrize("kind", [TimePredictor, ReliabilityPredictor])
+def test_bank_step_allocates_nothing_after_warm_up(kind):
+    """A training step runs in the trainer's and the bank's workspaces: after
+    one epoch has sized them, 20 steps — full and tail minibatches of 32
+    and 6 rows, ten epoch starts — hold under 4 kB at peak (the loss each
+    step returns and the per-epoch history included)."""
+    import tracemalloc
+
+    loss = "log_mse" if kind is TimePredictor else "mse"
+    H, n = 8, 38
+    sets = [_data(n, seed=h) for h in range(H)]
+    heads = [kind(6, HIDDEN, rng=h) for h in range(H)]
+    trainer = BankTrainer(heads, [s[0] for s in sets],
+                          [s[1] if loss == "log_mse" else s[2] for s in sets],
+                          TrainConfig(epochs=12, batch_size=32),
+                          [as_generator(h) for h in range(H)], loss=loss)
+    assert trainer.run_steps(trainer.steps_per_epoch) == 2
+    tracemalloc.start()
+    assert trainer.run_steps(20) == 20
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 4096, f"20 steps allocated {peak} bytes at peak"
+

@@ -112,6 +112,10 @@ SERVING_STACK = ("repro.serve", "repro.fleet", "repro.retrain", "repro.monitor",
 #: Top-level packages that stay out of those processes (scipy is imported
 #: inside the few functions that call it; networkx only by tests).
 FOREIGN = ("scipy", "networkx")
+#: The HTTP stack (and what it drags in): only a process that serves
+#: ``/metrics`` or runs ``serve top`` loads it.
+HTTP_STACK = ("http.server", "http.client", "urllib.request", "ssl", "email",
+              "socketserver")
 #: The one third-party package a module under ``src/repro`` may import at
 #: module level.
 MODULE_LEVEL_THIRD_PARTY = {"numpy"}
@@ -122,12 +126,37 @@ import importlib, json, sys
 names, run, foreign = json.loads(sys.argv[1])
 
 def loaded():
-    return sorted(m for m in sys.modules if m.partition(".")[0] in foreign)
+    return sorted(m for m in sys.modules
+                  if any(m == f or m.startswith(f + ".") for f in foreign))
 
 for name in names:
     importlib.import_module(name)
 report = {"import": loaded()}
-if run:
+if run == "closed_loop":
+    # A short soak with every observer on: monitor, periodic retraining
+    # into a registry, full journeys and a JSONL run log.
+    import contextlib, tempfile
+    from repro.monitor import MonitorConfig
+    from repro.retrain import RetrainConfig
+    from repro.serve import ServeConfig, build_platform
+    from repro.telemetry.recorder import Recorder
+    from repro.utils.rng import as_generator
+
+    config = ServeConfig(
+        pool_size=24, train_epochs=4, max_batch=8, journey_sample=1.0,
+        monitor=MonitorConfig(sample_every=5),
+        retrain=RetrainConfig(trigger="periodic", period_windows=6, min_labels=16,
+                              min_cluster_labels=4, epochs=2, steps_per_window=32))
+    with tempfile.TemporaryDirectory() as root:
+        platform = build_platform(config, registry_root=root)
+        events = platform.load("poisson", 30.0).draw(4.0, as_generator(3))
+        recorder = Recorder("jsonl", run="soak", out_dir=root)
+        with recorder.activate():
+            platform.run(events)
+        with contextlib.redirect_stdout(sys.stderr):  # the run summary
+            recorder.close()
+    report["run"] = loaded()
+elif run:
     # A short soak, then one batched MFCP-AD and one MFCP-FG epoch, each
     # scored by deployment regret on a held-out round.
     import numpy as np
@@ -156,12 +185,15 @@ json.dump(report, sys.stdout)
 """
 
 
-def _footprint(src: Path, names, *, run: bool) -> dict:
-    """Foreign modules a fresh process holds after importing ``names``
-    (and, with ``run``, after serving and training) from ``src``."""
+def _footprint(src: Path, names, *, run: "bool | str",
+               foreign: "tuple[str, ...]" = FOREIGN) -> dict:
+    """Modules in (or under) ``foreign`` a fresh process holds after
+    importing ``names`` (and, with ``run``, after serving and training;
+    with ``run="closed_loop"``, after a soak with every observer on) from
+    ``src``."""
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run(
-        [sys.executable, "-c", _FOOTPRINT, json.dumps([list(names), run, FOREIGN])],
+        [sys.executable, "-c", _FOOTPRINT, json.dumps([list(names), run, foreign])],
         capture_output=True, text=True, timeout=300, env=env,
     )
     assert proc.returncode == 0, f"footprint child failed:\n{proc.stderr}"
@@ -213,6 +245,12 @@ def planted_src(tmp_path) -> Path:
 class TestImportFootprint:
     def test_serving_stack_imports_and_runs_without_scipy_or_networkx(self):
         report = _footprint(SRC, SERVING_STACK, run=True)
+        assert report == {"import": [], "run": []}
+
+    def test_serving_stack_and_closed_loop_load_no_http_stack(self):
+        report = _footprint(SRC, ("repro.serve", "repro.fleet", "repro.monitor",
+                                  "repro.retrain"),
+                            run="closed_loop", foreign=HTTP_STACK)
         assert report == {"import": [], "run": []}
 
     def test_only_numpy_is_imported_at_module_level(self):
