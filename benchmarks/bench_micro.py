@@ -16,7 +16,7 @@ import timeit
 import numpy as np
 import pytest
 
-from repro.clusters import make_pool, make_setting, make_specialist_pool
+from repro.clusters import make_pool, make_setting, make_specialist_pool, truth_matrices
 from repro.matching import (
     MatchingProblem,
     SolverConfig,
@@ -65,8 +65,7 @@ def test_relaxed_solve_serve_shape(benchmark):
     problems = []
     for _ in range(20):
         tasks = [pool.tasks[i] for i in rng.choice(len(pool.tasks), 16, replace=False)]
-        T = np.stack([c.true_times(tasks) for c in clusters])
-        A = np.stack([c.true_reliabilities(tasks) for c in clusters])
+        T, A = truth_matrices(clusters, tasks)
         problems.append(MatchingProblem(T=T, A=A, gamma=feasible_gamma(T, A, quantile=0.4)))
     cfg = SolverConfig(tol=1e-4, max_iters=400)
 
@@ -97,8 +96,7 @@ def test_blocks_ragged_window(benchmark, m_clusters, n_tasks, pool_size):
     ``--benchmark-disable`` it runs once: the CI non-timing smoke."""
     clusters = make_specialist_pool(m_clusters)
     pool = TaskPool(pool_size, rng=0).tasks
-    T_all = np.stack([c.true_times(pool) for c in clusters])
-    A_all = np.stack([c.true_reliabilities(pool) for c in clusters])
+    T_all, A_all = truth_matrices(clusters, pool)
     rng = np.random.default_rng(1)
     problems = []
     for _ in range(5):
@@ -177,8 +175,7 @@ def _chain(clusters, n_tasks: int, windows: int = 20) -> "list[MatchingProblem]"
     problems = []
     for _ in range(windows):
         tasks = [pool.tasks[i] for i in rng.choice(len(pool.tasks), n_tasks, replace=False)]
-        T = np.stack([c.true_times(tasks) for c in clusters])
-        A = np.stack([c.true_reliabilities(tasks) for c in clusters])
+        T, A = truth_matrices(clusters, tasks)
         problems.append(MatchingProblem(T=T, A=A, gamma=feasible_gamma(T, A, quantile=0.4)))
     return problems
 
@@ -349,8 +346,7 @@ def wide_instance():
     """The serve_wide window shape: 24 specialist clusters x 64 tasks."""
     clusters = make_specialist_pool(24)
     tasks = TaskPool(64, rng=0).tasks
-    T = np.stack([c.true_times(tasks) for c in clusters])
-    A = np.stack([c.true_reliabilities(tasks) for c in clusters])
+    T, A = truth_matrices(clusters, tasks)
     p = MatchingProblem(T=T, A=A, gamma=feasible_gamma(T, A, quantile=0.4))
     return p, solve_relaxed(p, SolverConfig(max_iters=400))
 

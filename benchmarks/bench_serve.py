@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.clusters import make_specialist_pool
+from repro.clusters import make_specialist_pool, truth_matrices
 from repro.matching import SolverConfig, solve_relaxed, solve_relaxed_blocks
 from repro.methods import MatchSpec
 from repro.monitor import MonitorConfig, QualityMonitor
@@ -143,8 +143,7 @@ def _scaling_entry(n_tasks: int, m_clusters: int) -> dict:
     splits into components: the window the block decomposition targets."""
     tasks = TaskPool(n_tasks, rng=0).tasks
     clusters = make_specialist_pool(m_clusters)
-    T = np.stack([c.true_times(tasks) for c in clusters])
-    A = np.stack([c.true_reliabilities(tasks) for c in clusters])
+    T, A = truth_matrices(clusters, tasks)
     problem = MatchSpec(solver=SCALING_SOLVER).build_problem(T, A)
     scalar = solve_relaxed(problem, SCALING_SOLVER)
     blocks = solve_relaxed_blocks(problem, SCALING_SOLVER)

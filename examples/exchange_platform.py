@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.clusters import make_setting
+from repro.clusters import make_setting, truth_matrices
 from repro.matching import makespan
 from repro.methods import MFCP, MFCPConfig, FitContext, MatchSpec
 from repro.sim import ExecutionConfig, simulate_matching
@@ -54,8 +54,7 @@ def main() -> None:
     for r in range(N_ROUNDS):
         idx = rng.choice(len(live_tasks), TASKS_PER_ROUND, replace=False)
         tasks = [live_tasks[int(i)] for i in idx]
-        T = np.stack([c.true_times(tasks) for c in clusters])
-        A = np.stack([c.true_reliabilities(tasks) for c in clusters])
+        T, A = truth_matrices(clusters, tasks)
         problem = spec.build_problem(T, A)
 
         # The platform only sees its own predictions when deciding.

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.clusters import make_setting
+from repro.clusters import make_setting, truth_matrices
 from repro.experiments import default_config, oracle_matching
 from repro.matching import makespan
 from repro.matching.speedup import ExponentialDecaySpeedup
@@ -54,8 +54,7 @@ def main() -> None:
     for r in range(5):
         idx = rng.choice(len(test_tasks), 8, replace=False)
         tasks = [test_tasks[int(i)] for i in idx]
-        T = np.stack([c.true_times(tasks) for c in clusters])
-        A = np.stack([c.true_reliabilities(tasks) for c in clusters])
+        T, A = truth_matrices(clusters, tasks)
         problem = spec.build_problem(T, A)
         X_oracle = oracle_matching(problem, config)
         base = makespan(X_oracle, problem)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.clusters import make_setting
+from repro.clusters import make_setting, truth_matrices
 from repro.experiments import default_config, oracle_matching
 from repro.matching import makespan
 from repro.methods import MFCP, MFCPConfig, FitContext, MatchSpec, TSM
@@ -46,8 +46,7 @@ def main() -> None:
     # --- 4. One allocation round ----------------------------------------
     rng = np.random.default_rng(3)
     tasks = [test_tasks[int(i)] for i in rng.choice(len(test_tasks), 5, replace=False)]
-    T = np.stack([c.true_times(tasks) for c in clusters])
-    A = np.stack([c.true_reliabilities(tasks) for c in clusters])
+    T, A = truth_matrices(clusters, tasks)
     problem = spec.build_problem(T, A)
 
     X_oracle = oracle_matching(problem, default_config())

@@ -3,7 +3,7 @@ reliability models, and the archetype catalog with the paper's settings
 A/B/C.  Replaces the proprietary Xirang platform measurements (DESIGN.md §2).
 """
 
-from repro.clusters.cluster import Cluster, Measurement
+from repro.clusters.cluster import Cluster, Measurement, truth_matrices
 from repro.clusters.hardware import HardwareProfile
 from repro.clusters.perf_models import PerfModel, ResponseShape
 from repro.clusters.catalog import (
@@ -21,6 +21,7 @@ from repro.clusters.reliability import ReliabilityModel, draw_attempt
 __all__ = [
     "Cluster",
     "Measurement",
+    "truth_matrices",
     "HardwareProfile",
     "PerfModel",
     "ResponseShape",

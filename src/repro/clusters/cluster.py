@@ -11,7 +11,8 @@ A :class:`Cluster` answers two questions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from repro.clusters.reliability import ReliabilityModel
 from repro.utils.rng import as_generator
 from repro.workloads.taskpool import Task
 
-__all__ = ["Cluster", "Measurement"]
+__all__ = ["Cluster", "Measurement", "truth_matrices"]
 
 
 @dataclass(frozen=True)
@@ -80,22 +81,42 @@ class Cluster:
     # -- noisy measurement ------------------------------------------------ #
 
     def measure(self, task: Task, rng: np.random.Generator | int | None = None) -> Measurement:
-        """Run ``task`` once and observe noisy (time, reliability) values.
+        """Run ``task`` once and observe noisy (time, reliability) values."""
+        return self.measure_batch((task,), rng)[0]
+
+    def measure_batch(
+        self, tasks: "Sequence[Task]", rng: np.random.Generator | int | None = None
+    ) -> list[Measurement]:
+        """Run each of ``tasks`` once, in order, on one generator.
 
         Timing noise is multiplicative log-normal (run-to-run jitter);
         reliability is the empirical success fraction over
         ``reliability_trials`` Bernoulli runs, clipped away from {0, 1}.
+        The truth comes from the models' loops; the draws are per task, a
+        normal then the trials, so a batch draws what its tasks measured
+        one by one would.
         """
         rng = as_generator(rng)
-        t = self.true_time(task)
-        a = self.rel.reliability(task.spec, t)
-        t_obs = t * float(np.exp(rng.normal(0.0, self.timing_noise_std)))
-        successes = np.count_nonzero(rng.random(self.reliability_trials) < a)
-        a_obs = min(max(successes / self.reliability_trials, 0.02), 0.995)
-        return Measurement(task.task_id, self.cluster_id, t_obs, a_obs)
+        specs = [t.spec for t in tasks]
+        times = self.perf.execution_times(specs)
+        rels = self.rel.reliabilities(specs, times)
+        trials = self.reliability_trials
+        out = []
+        for task, t, a in zip(tasks, times.tolist(), rels.tolist()):
+            t_obs = t * float(np.exp(rng.normal(0.0, self.timing_noise_std)))
+            successes = np.count_nonzero(rng.random(trials) < a)
+            a_obs = min(max(successes / trials, 0.02), 0.995)
+            out.append(Measurement(task.task_id, self.cluster_id, t_obs, a_obs))
+        return out
 
-    def measure_batch(
-        self, tasks: "list[Task]", rng: np.random.Generator | int | None = None
-    ) -> list[Measurement]:
-        rng = as_generator(rng)
-        return [self.measure(task, rng) for task in tasks]
+
+def truth_matrices(
+    clusters: "Sequence[Cluster]", tasks: "list[Task]"
+) -> "tuple[np.ndarray, np.ndarray]":
+    """True ``(T, A)`` of ``tasks`` on ``clusters``: one row per cluster.
+
+    Reads each cluster through ``true_times`` and ``true_reliabilities``
+    only, so a wrapper that times or counts those two calls sees every read.
+    """
+    return (np.stack([c.true_times(tasks) for c in clusters]),
+            np.stack([c.true_reliabilities(tasks) for c in clusters]))

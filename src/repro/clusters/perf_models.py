@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -77,61 +78,73 @@ class PerfModel:
 
     # ------------------------------------------------------------------ #
 
-    def utilization(self, spec: ModelSpec) -> float:
-        """Achieved fraction of the roofline ceiling for this workload."""
-        batch_factor = spec.batch_size / (spec.batch_size + self.batch_half_point)
-        affinity = self.hardware.affinity(spec.family)
-        return min(1.0, self.base_utilization * batch_factor * affinity * 2.0)
-
-    def attainable_flops(self, spec: ModelSpec) -> float:
-        """Roofline ceiling: min(peak compute, intensity × bandwidth), in FLOP/s."""
-        peak = self.hardware.peak_tflops * 1e12
-        bw_bound = spec.arithmetic_intensity * self.hardware.mem_bandwidth_gbs * 1e9
-        return min(peak, bw_bound)
-
-    def memory_pressure(self, spec: ModelSpec) -> float:
-        """Task memory demand relative to device memory (can exceed 1)."""
-        return spec.memory_gb / self.hardware.memory_gb
-
-    def base_time_hours(self, spec: ModelSpec) -> float:
-        """Roofline time before archetype distortion."""
-        throughput = self.attainable_flops(spec) * self.utilization(spec)
-        return spec.total_flops / (throughput * 3600.0)
-
     def execution_time(self, spec: ModelSpec) -> float:
-        """Ground-truth execution time in hours (strictly positive).
+        """Ground-truth execution time in hours (strictly positive)."""
+        return self._hours((spec,))[0]
 
-        Applies the archetype response shape to the dimensionless work
-        ratio so that shapes cross within the realistic workload range
-        (Fig. 2's motivating example).
+    def execution_times(self, specs: "Sequence[ModelSpec]") -> np.ndarray:
+        """Ground-truth execution times (hours) of ``specs``, one per spec."""
+        return np.array(self._hours(specs))
+
+    def _hours(self, specs: "Sequence[ModelSpec]") -> "list[float]":
+        """The time model, one loop over ``specs``.
+
+        Roofline base time: the training run's FLOPs over the attainable
+        throughput, ``min(peak, intensity × bandwidth)`` scaled by the
+        achieved utilization (base utilization × batch factor × family
+        affinity × 2, capped at 1).  The archetype response shape then
+        distorts it so that shapes cross within the realistic workload
+        range (Fig. 2's motivating example), and a mild penalty applies
+        once the task's memory pressure (demand over device memory) passes
+        0.8.
+
+        Only whole sub-expressions of the per-spec formula are hoisted, and
+        ``min(a, b)`` / ``max(a, b)`` are spelled ``b if b < a else a`` /
+        ``b if b > a else a`` (their tie and NaN rule), so every value has
+        the bits of the formula evaluated spec by spec
+        (``tests/test_truth_exact.py``).
         """
-        t = self.base_time_hours(spec)
-        pressure = self.memory_pressure(spec)
-        if self.shape is ResponseShape.LINEAR:
-            out = t
-        elif self.shape is ResponseShape.MEMORY_EXP:
+        hw = self.hardware
+        affinity = hw.family_affinity.get
+        half_point = self.batch_half_point
+        base_util = self.base_utilization
+        peak = hw.peak_tflops * 1e12
+        bandwidth = hw.mem_bandwidth_gbs
+        memory = hw.memory_gb
+        shape = self.shape
+        memory_exp = shape is ResponseShape.MEMORY_EXP
+        exponent = None
+        if memory_exp:
             # Exponential blow-up as the task approaches device memory
             # (capped: beyond ~100% pressure the job thrashes but the
             # scheduler shards it rather than slowing down further).  The
             # strength is calibrated so the worst cliff is ~3x, matching
             # observed swap/recompute penalties rather than a pathological
             # 10x that would make single mispredictions dominate regret.
-            out = t * math.exp(self.shape_strength * 1.0 * min(pressure, 1.0))
-        elif self.shape is ResponseShape.SATURATING:
+            strength = self.shape_strength * 1.0
+        elif shape is ResponseShape.SATURATING:
             # Sublinear: pipelining hides a growing fraction of the work.
             exponent = 1.0 / (1.0 + 0.18 * self.shape_strength)
-            out = t**exponent
-        elif self.shape is ResponseShape.CONGESTED:
+        elif shape is ResponseShape.CONGESTED:
             # Superlinear: shared interconnect congests on big jobs.
             exponent = 1.0 + 0.15 * self.shape_strength
-            out = t**exponent
-        else:  # pragma: no cover - exhaustive over enum
-            raise ValueError(f"unknown shape {self.shape}")
-        # Universal mild memory penalty (swapping starts before exhaustion).
-        if pressure > 0.8:
-            out *= 1.0 + 0.5 * (pressure - 0.8)
-        return max(out, 1e-4)
-
-    def execution_times(self, specs: "list[ModelSpec] | tuple[ModelSpec, ...]") -> np.ndarray:
-        """Vectorized convenience over a task list."""
-        return np.array([self.execution_time(s) for s in specs])
+        elif shape is not ResponseShape.LINEAR:  # pragma: no cover - exhaustive over enum
+            raise ValueError(f"unknown shape {shape}")
+        out = []
+        append = out.append
+        for spec in specs:
+            batch = spec.batch_size
+            util = base_util * (batch / (batch + half_point)) * affinity(spec.family, 1.0) * 2.0
+            util = util if util < 1.0 else 1.0
+            bw_bound = spec.arithmetic_intensity * bandwidth * 1e9
+            t = spec.total_flops / ((bw_bound if bw_bound < peak else peak) * util * 3600.0)
+            pressure = spec.memory_gb / memory
+            if memory_exp:
+                t = t * math.exp(strength * (1.0 if 1.0 < pressure else pressure))
+            elif exponent is not None:
+                t = t**exponent
+            # Universal mild memory penalty (swapping starts before exhaustion).
+            if pressure > 0.8:
+                t *= 1.0 + 0.5 * (pressure - 0.8)
+            append(1e-4 if 1e-4 > t else t)
+        return out

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.clusters.hardware import HardwareProfile
-from repro.clusters.perf_models import PerfModel
 from repro.workloads.specs import ModelSpec
 
 __all__ = ["ReliabilityModel", "draw_attempt"]
@@ -62,16 +62,41 @@ class ReliabilityModel:
 
     def reliability(self, spec: ModelSpec, exec_time_hours: float) -> float:
         """Ground-truth success probability of one task on this cluster."""
-        if exec_time_hours < 0:
-            raise ValueError("execution time must be non-negative")
-        survival = math.exp(-self.hardware.hazard_per_hour * exec_time_hours)
-        pressure = spec.memory_gb / self.hardware.memory_gb
-        mem_ok = math.exp(-self.memory_fail_scale * max(0.0, pressure - 0.7) * 10.0)
-        a = self.hardware.base_reliability * survival * mem_ok
-        return min(max(a, _MIN_RELIABILITY), _MAX_RELIABILITY)
+        return self._probabilities((spec,), (exec_time_hours,))[0]
 
-    def reliabilities(self, specs: "list[ModelSpec]", times: np.ndarray) -> np.ndarray:
-        """Vectorized convenience over a task list."""
+    def reliabilities(self, specs: "Sequence[ModelSpec]", times: np.ndarray) -> np.ndarray:
+        """Ground-truth success probabilities of ``specs`` run for ``times`` hours."""
         if len(specs) != len(times):
             raise ValueError("specs and times must have matching lengths")
-        return np.array([self.reliability(s, t) for s, t in zip(specs, times.tolist())])
+        return np.array(self._probabilities(specs, times.tolist()))
+
+    def _probabilities(
+        self, specs: "Sequence[ModelSpec]", times: "Sequence[float]"
+    ) -> "list[float]":
+        """The reliability model, one loop over ``(spec, hours)`` pairs.
+
+        Base reliability × survival ``exp(-hazard · t)`` × the memory
+        failure factor ``exp(-scale · max(0, pressure - 0.7) · 10)``,
+        clamped to ``[_MIN_RELIABILITY, _MAX_RELIABILITY]``.  As in
+        :meth:`PerfModel._hours`, only whole sub-expressions are hoisted and
+        ``min`` / ``max`` keep their tie and NaN rule, so every value has the
+        bits of the formula evaluated pair by pair.  Below 0.7 pressure the
+        memory factor is the exponential of a constant, taken once per call.
+        """
+        hw = self.hardware
+        neg_hazard = -hw.hazard_per_hour
+        memory = hw.memory_gb
+        neg_scale = -self.memory_fail_scale
+        base = hw.base_reliability
+        calm = math.exp(neg_scale * 0.0 * 10.0)
+        out = []
+        append = out.append
+        for spec, t in zip(specs, times):
+            if t < 0:
+                raise ValueError("execution time must be non-negative")
+            excess = spec.memory_gb / memory - 0.7
+            mem_ok = math.exp(neg_scale * excess * 10.0) if excess > 0.0 else calm
+            a = base * math.exp(neg_hazard * t) * mem_ok
+            a = _MIN_RELIABILITY if _MIN_RELIABILITY > a else a
+            append(_MAX_RELIABILITY if _MAX_RELIABILITY < a else a)
+        return out

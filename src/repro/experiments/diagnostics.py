@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.clusters.catalog import make_setting
+from repro.clusters.cluster import truth_matrices
 from repro.experiments.config import N_TASKS, TRAIN_FRACTION, default_config
 from repro.experiments.runner import oracle_matching
 from repro.matching.objectives import makespan
@@ -58,8 +59,7 @@ def run_diagnostics() -> dict[str, DiagnosticsRow]:
     methods = [TSM(train_config=config.supervised).fit(ctx),
                MFCP("analytic", config.mfcp).fit(ctx)]
 
-    T_true = np.stack([c.true_times(test) for c in clusters])
-    A_true = np.stack([c.true_reliabilities(test) for c in clusters])
+    T_true, A_true = truth_matrices(clusters, test)
     outcome_rng = spawn(rng)
 
     # Regret over evaluation rounds.

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.clusters.cluster import Cluster
+from repro.clusters.cluster import Cluster, truth_matrices
 from repro.experiments.config import N_TASKS, TRAIN_FRACTION, ExperimentConfig, active_telemetry
 from repro.matching.exact import solve_branch_and_bound
 from repro.matching.objectives import makespan, reliability_value
@@ -72,8 +72,7 @@ def evaluate_round(
     config: ExperimentConfig,
 ) -> dict[str, MetricSample]:
     """Score every method on one allocation round of ground-truth tasks."""
-    T = np.stack([c.true_times(tasks) for c in clusters])
-    A = np.stack([c.true_reliabilities(tasks) for c in clusters])
+    T, A = truth_matrices(clusters, tasks)
     true_problem = config.spec.build_problem(T, A)
     X_oracle = oracle_matching(true_problem, config)
     cost_oracle = makespan(X_oracle, true_problem)

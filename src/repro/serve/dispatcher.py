@@ -59,7 +59,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.clusters.cluster import Cluster
+from repro.clusters.cluster import Cluster, truth_matrices
 from repro.clusters.reliability import draw_attempt
 from repro.matching.objectives import reliability_value
 from repro.matching.problem import MatchingProblem
@@ -464,8 +464,7 @@ class Dispatcher:
 
     def _read_truth(self, tasks: "list[Task]") -> "tuple[np.ndarray, np.ndarray]":
         # The one place serving evaluates the cluster models.
-        return (np.stack([c.true_times(tasks) for c in self.clusters]),
-                np.stack([c.true_reliabilities(tasks) for c in self.clusters]))
+        return truth_matrices(self.clusters, tasks)
 
     def start(self, rng=None, outages: "Sequence[Outage] | None" = None) -> "ServeLoop":
         """Open one run; ``outages`` are validated and logged, not delivered."""

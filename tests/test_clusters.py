@@ -106,11 +106,6 @@ class TestPerfModel:
             lin_ratio = lin.execution_time(big) / lin.execution_time(small)
             assert compare(ratio, lin_ratio)
 
-    def test_utilization_bounded(self):
-        pm = PerfModel(hardware=_hw())
-        for spec in sample_specs(10, rng=4):
-            assert 0 < pm.utilization(spec) <= 1.0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             PerfModel(hardware=_hw(), base_utilization=0.0)
