@@ -4,8 +4,9 @@ Resource Exchange Platforms" (MFCP, ICPP '25).
 Subpackages
 -----------
 ``repro.nn``
-    From-scratch NumPy MLP substrate for the predictors (layers, flat
-    Adam) and the autograd tape their tests hold them to.
+    From-scratch NumPy substrate: the predictors' initializer, checkpoint
+    format and flat Adam, and an autograd tape kept for the platform
+    benchmark's ``nn`` probe and the per-head test oracle.
 ``repro.workloads``
     DL task specs, operator graphs, feature embedding, task pools.
 ``repro.clusters``
@@ -17,7 +18,8 @@ Subpackages
     exact solvers, KKT differentiation (Eq. 15), zeroth-order gradients
     (Algorithm 2).
 ``repro.predictors``
-    Per-cluster time/reliability MLP heads, training, ensembles.
+    Per-cluster time/reliability MLP heads as plain arrays with one
+    forward, stacked training, ensembles.
 ``repro.methods``
     TAM / TSM / UCB / MFCP-AD / MFCP-FG and the Table 1 ablations.
 ``repro.metrics``

@@ -65,9 +65,6 @@ class PerfModel:
     batch_half_point: float = 24.0
     shape_strength: float = 1.0
 
-    #: Reference work unit: one "hour" of a 100-TFLOPs cluster at 35% util.
-    _REF_FLOPS_PER_HOUR: float = 100e12 * 0.35 * 3600.0
-
     def __post_init__(self) -> None:
         if not 0.0 < self.base_utilization <= 1.0:
             raise ValueError("base_utilization must be in (0, 1]")

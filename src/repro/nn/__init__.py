@@ -1,33 +1,24 @@
 """From-scratch NumPy neural-network substrate.
 
 The MFCP paper's predictors are small fully-connected networks trained by
-backpropagating a matching-regret loss (Eq. 7).  This package holds their
-layers (``MLP``: the per-head ``Parameter`` storage), initializers,
-checkpointing and the flat :class:`Adam` every training step uses.
+backpropagating a matching-regret loss (Eq. 7).  This package holds what
+they share with the rest of the code: the He-uniform initializer, the
+``.npz`` checkpoint format and the flat :class:`Adam` every training step
+uses.
 
-Training and inference do not build a tape: every head is one fixed
-Linear-ReLU-…-Linear-link function, and
-:class:`~repro.predictors.models.HeadBank` runs it through a hand-written
-stacked forward and VJP.  The reverse-mode engine (:class:`Tensor`,
-:mod:`~repro.nn.ops`, the layers' ``forward``, :func:`mse_loss`), with
-gradients property-tested against finite differences in
-``tests/test_nn_*``, remains for two users: the per-head oracle
-``_Head.forward`` that ``tests/test_bank_exact.py`` holds the bank to, and
-the platform benchmark's ``nn`` probe.
+The predictor heads themselves are plain arrays run by one hand-written
+forward and its VJP (:mod:`repro.predictors.models`), with no tape.  The
+reverse-mode engine (:class:`Tensor`, :mod:`~repro.nn.ops`, the
+``Module`` layers and :class:`MLP`, :func:`mse_loss`), with gradients
+property-tested against finite differences in ``tests/test_nn_*``,
+remains for two users: the platform benchmark's ``nn`` probe
+(``probe_nn``) and the per-head tape oracle that ``tests/test_bank_exact.py``
+holds the heads to.  It goes once that probe times an H = 1 bank step
+instead, a change to the benchmark itself.
 """
 
 from repro.nn import functional, init, ops
-from repro.nn.layers import (
-    MLP,
-    Identity,
-    Linear,
-    Module,
-    Parameter,
-    ReLU,
-    Sequential,
-    Sigmoid,
-    Softplus,
-)
+from repro.nn.layers import MLP, Linear, Module, Parameter, ReLU, Sequential
 from repro.nn.losses import mse_loss
 from repro.nn.optim import Adam, clip_grad_norm, flatten
 from repro.nn.serialization import load_module, save_module
@@ -44,9 +35,6 @@ __all__ = [
     "Parameter",
     "Linear",
     "ReLU",
-    "Sigmoid",
-    "Softplus",
-    "Identity",
     "Sequential",
     "MLP",
     "mse_loss",

@@ -2,7 +2,8 @@
 
 Each function builds the forward value with vectorized NumPy and registers a
 backward closure computing the vector-Jacobian product.  These are the
-primitives the MLP layers and the smoothed matching objectives compose.
+primitives the tape's layers and the per-head oracle of
+``tests/test_bank_exact.py`` compose.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ __all__ = [
     "log",
     "sigmoid",
     "relu",
-    "softplus",
     "clip",
 ]
 
@@ -62,23 +62,6 @@ def relu(x: Tensor) -> Tensor:
         return (g * mask,)
 
     return Tensor._from_op(x_data * mask, (x,), backward)
-
-
-def softplus(x: Tensor) -> Tensor:
-    """``log(1 + exp(x))`` — smooth positive output head.
-
-    Used by the execution-time predictor so predicted times stay strictly
-    positive.  Stable form avoids overflow for large ``x``.
-    """
-    x = as_tensor(x)
-    z = x.data
-    out_data = np.logaddexp(0.0, z)
-    sig = 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
-
-    def backward(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
-        return (g * sig,)
-
-    return Tensor._from_op(out_data, (x,), backward)
 
 
 def clip(x: Tensor, lo: float, hi: float) -> Tensor:

@@ -1,23 +1,22 @@
 """Saving and loading predictor parameters.
 
 Uses ``numpy.savez`` so checkpoints are portable, dependency-free, and
-human-inspectable (``np.load`` shows the dotted parameter names).
+human-inspectable (``np.load`` shows the dotted parameter names).  A
+"module" here is anything with ``state_dict()`` / ``load_state_dict()``:
+the predictor heads.
 """
 
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING
+from typing import Any
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.nn.layers import Module
 
 __all__ = ["save_module", "load_module"]
 
 
-def save_module(module: "Module", path: str | os.PathLike[str]) -> None:
+def save_module(module: Any, path: str | os.PathLike[str]) -> None:
     """Write ``module``'s state dict to ``path`` (``.npz`` appended if absent)."""
     state = module.state_dict()
     if not state:
@@ -25,7 +24,7 @@ def save_module(module: "Module", path: str | os.PathLike[str]) -> None:
     np.savez(os.fspath(path), **state)
 
 
-def load_module(module: "Module", path: str | os.PathLike[str]) -> "Module":
+def load_module(module: Any, path: str | os.PathLike[str]) -> Any:
     """Load a state dict saved by :func:`save_module` into ``module`` in place.
 
     The module must already have the right architecture; shape mismatches

@@ -1,6 +1,6 @@
-"""Cluster performance predictors: datasets, MLP heads (singly and stacked
-into banks), training loops, ensemble uncertainty (the m_ω / m_φ stack of
-paper §2.1)."""
+"""Cluster performance predictors: datasets, plain-array network heads (singly
+and stacked into banks), training loops, ensemble uncertainty (the m_ω /
+m_φ stack of paper §2.1)."""
 
 from repro.predictors.dataset import ClusterDataset, Standardizer, build_datasets
 from repro.predictors.models import (

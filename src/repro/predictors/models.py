@@ -1,25 +1,27 @@
 """Cluster-specific performance predictors (paper §2.1).
 
-Two MLP heads per cluster, matching the paper's setup ("we only utilized
-fully connected layers"):
+Two heads per cluster, fully connected as in the paper ("we only
+utilized fully connected layers"):
 
 - :class:`TimePredictor` — ``t̂ = exp(h_ω(z))``: the network regresses
   log-time, which linearizes the multiplicative structure of execution
   times (roofline ratios, affinity multipliers) and keeps t̂ > 0;
 - :class:`ReliabilityPredictor` — ``â = σ(h_φ(z))`` ∈ (0, 1).
 
-Every head is the same fixed function — Linear-ReLU-…-Linear and a
-link — so training and inference run it without a tape: one hand-written
-forward (:func:`_forward`) over 2-D weights (``predict``) or ``(H, in,
-out)`` stacks, and its VJP.  The M clusters' heads of a kind train as one
-:class:`HeadBank` (stacked weights in one flat buffer, one
-:class:`~repro.nn.Adam`, and one minibatch's workspace for its forward
-and VJP, so a training step allocates nothing and one forward is in
-flight per bank), and :func:`predict_pairs` is the stacked forward
-serving uses.  Each operation is the tape's, in the tape's order,
-so weights and predictions are bit for bit those of the per-head tape,
-which survives only as ``forward``: the oracle ``tests/test_bank_exact.py``
-holds the bank to.
+Every head is the same fixed function — affine-ReLU-…-affine layers and
+a link — held as plain ``float64`` arrays (:attr:`_Head.params`: per
+layer its ``(in, out)`` weight and ``(out,)`` bias).  One function,
+:func:`_forward`, computes it: over a head's own 2-D arrays
+(:meth:`_Head.predict`), over ``(H, in, out)`` stacks for inference
+(:func:`predict_pairs`, round axes included) and into a
+:class:`HeadBank`'s workspace for training.  The M clusters' heads of a
+kind train as one bank (stacked weights in one flat buffer, one
+:class:`~repro.nn.Adam`, the forward's VJP, and one minibatch's
+workspace, so a training step allocates nothing and one forward is in
+flight per bank).  Each operation is the per-head tape's, in the tape's
+order, so weights and predictions are bit for bit those of that tape,
+which survives only as the oracle ``tests/test_bank_exact.py`` holds the
+heads to.
 """
 
 from __future__ import annotations
@@ -28,11 +30,11 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.nn import MLP, Tensor, flatten, ops
+from repro.nn import flatten
 from repro.nn.functional import sigmoid_np
-from repro.nn.layers import Linear, Module
+from repro.nn.init import he_uniform
 from repro.predictors.dataset import Standardizer
-from repro.utils.rng import as_generator
+from repro.utils.rng import as_generator, spawn
 
 __all__ = [
     "TimePredictor",
@@ -47,10 +49,22 @@ __all__ = [
 _LOG_T_CLIP = 8.0
 
 
-class _Head(Module):
-    """One scalar predictor: standardize → MLP → output link → ``(N,)``."""
+class _Head:
+    """One scalar predictor: standardize → network → output link → ``(N,)``.
 
-    _output = "identity"  # the MLP's output head
+    :attr:`params` holds per layer its weight and its bias, in that
+    order.  The weights are He-uniform draws, each from a child generator
+    spawned from ``rng`` layer by layer; the biases start at zero.  Their
+    checkpoint names (:meth:`state_dict`) are those of the ``Sequential``
+    the heads once were, ``net.net.m0.weight`` … ``net.net.m{2k}.bias``, so
+    digests and saved checkpoints carry over.
+
+    Each kind adds its link, the network's output included:
+    ``_link_np(raw, out, tmp)`` writes into ``out`` with ``tmp`` (both
+    shaped like ``raw``) as scratch, and its pullback ``_link_vjp(g, raw,
+    out, into, tmp, flag)`` writes into ``into`` (``raw`` itself may be
+    it) with ``tmp`` / ``flag`` (float / bool, shaped like ``raw``) as
+    scratch."""
 
     def __init__(
         self,
@@ -60,10 +74,42 @@ class _Head(Module):
         standardizer: Standardizer | None = None,
         rng: np.random.Generator | int | None = None,
     ) -> None:
-        super().__init__()
-        self.net = MLP(in_features, hidden, 1, activation="relu", output=self._output,
-                       rng=as_generator(rng))
+        rng = as_generator(rng)
+        dims = [in_features, *hidden, 1]
+        self.params: list[np.ndarray] = []
+        for fan_in, fan_out in zip(dims, dims[1:]):
+            self.params += [he_uniform((fan_in, fan_out), spawn(rng)), np.zeros(fan_out)]
         self.standardizer = standardizer
+
+    @property
+    def layers(self) -> "list[tuple[np.ndarray, np.ndarray]]":
+        """``(weight, bias)`` per layer."""
+        return list(zip(self.params[::2], self.params[1::2]))
+
+    def _names(self) -> "list[str]":
+        return [f"net.net.m{k - k % 2}.{'bias' if k % 2 else 'weight'}"
+                for k in range(len(self.params))]
+
+    def state_dict(self) -> dict[str, np.ndarray]:
+        """Copy of every parameter array, keyed by its checkpoint name."""
+        return {name: p.copy() for name, p in zip(self._names(), self.params)}
+
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Load parameter arrays in place (so into a training bank's
+        storage too); names and shapes must match exactly."""
+        own = dict(zip(self._names(), self.params))
+        missing, unexpected = set(own) - set(state), set(state) - set(own)
+        if missing or unexpected:
+            raise KeyError(f"state dict mismatch: missing={sorted(missing)}, "
+                           f"unexpected={sorted(unexpected)}")
+        for name, p in own.items():
+            arr = np.asarray(state[name], dtype=np.float64)
+            if arr.shape != p.shape:
+                raise ValueError(f"shape mismatch for {name}: {arr.shape} vs {p.shape}")
+            p[...] = arr
+
+    def num_parameters(self) -> int:
+        return sum(p.size for p in self.params)
 
     def _prep(self, Z: np.ndarray) -> np.ndarray:
         Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
@@ -71,39 +117,16 @@ class _Head(Module):
             Z = self.standardizer.transform(Z)
         return Z
 
-    def _link(self, raw: Tensor) -> Tensor:
-        """Map the MLP output to the predicted quantity.  Each kind also
-        has it tapeless, the MLP's output module included, as
-        ``_link_np(raw, out=None, tmp=None)`` (into ``out`` when given),
-        and its pullback ``_link_vjp(g, raw, out, into, tmp, flag)``,
-        which writes into ``into`` (``raw`` itself may be it) with ``tmp``
-        / ``flag`` (float / bool, shaped like ``raw``) as scratch."""
-        return raw
-
-    def forward(self, Z: "np.ndarray | Tensor") -> Tensor:
-        """Differentiable prediction on the tape: a length-N tensor.  Only
-        the per-head oracle of ``tests/test_bank_exact.py`` builds it;
-        training and inference run tapeless (:class:`HeadBank`,
-        :meth:`predict`)."""
-        if isinstance(Z, Tensor):
-            raise TypeError("pass raw features; the predictor standardizes internally")
-        return self._link(self.net(Tensor(self._prep(Z)))).reshape(-1)
-
     def predict(self, Z: np.ndarray) -> np.ndarray:
-        """Tapeless prediction (shape (N,))."""
-        layers = [(m.weight.data, m.bias.data) for (m,) in _linears([self])]
-        return _forward(self._link_np, layers, self._prep(Z)).reshape(-1)
+        """Prediction for a feature matrix (shape (N,))."""
+        return _forward(self._link_np, self.layers, self._prep(Z)).reshape(-1)
 
 
 class TimePredictor(_Head):
-    """Execution-time head: MLP in log-time space, exponentiated output."""
-
-    def _link(self, raw: Tensor) -> Tensor:
-        return ops.exp(ops.clip(raw, -_LOG_T_CLIP, _LOG_T_CLIP))
+    """Execution-time head: network in log-time space, exponentiated output."""
 
     @staticmethod
-    def _link_np(raw: np.ndarray, out: "np.ndarray | None" = None,
-                 tmp: "np.ndarray | None" = None) -> np.ndarray:
+    def _link_np(raw: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
         clipped = raw.clip(-_LOG_T_CLIP, _LOG_T_CLIP, out=out)
         return np.exp(clipped, out=clipped)
 
@@ -118,13 +141,10 @@ class TimePredictor(_Head):
 
 
 class ReliabilityPredictor(_Head):
-    """Reliability head: MLP with a logistic output, â ∈ (0, 1)."""
-
-    _output = "sigmoid"
+    """Reliability head: network with a logistic output, â ∈ (0, 1)."""
 
     @staticmethod
-    def _link_np(raw: np.ndarray, out: "np.ndarray | None" = None,
-                 tmp: "np.ndarray | None" = None) -> np.ndarray:
+    def _link_np(raw: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
         return sigmoid_np(raw, out=out, tmp=tmp)
 
     @staticmethod
@@ -135,38 +155,60 @@ class ReliabilityPredictor(_Head):
 
 
 # --------------------------------------------------------------------- #
-# The tapeless network.
+# The network.
 # --------------------------------------------------------------------- #
 
 
-def _linears(heads: "Sequence[_Head]") -> "list[tuple[Linear, ...]]":
-    """The heads' Linear layers, one tuple per layer position."""
-    return [ls for ls in zip(*(h.net.net for h in heads)) if isinstance(ls[0], Linear)]
+def _widths(layers: list) -> "tuple[list[int], list[int]]":
+    """Last-axis widths of a pass's buffers: float, per layer its product
+    and its mask (the last layer's "mask" is the link's output), then the
+    link's scratch; bool, per layer a flag."""
+    widths = [weight.shape[-1] for weight, _ in layers]
+    return [w for w in widths for _ in range(2)] + [1], widths
 
 
-def _forward(link, layers: list, X: np.ndarray) -> np.ndarray:
-    """The head network on raw arrays: ``x @ weight + bias`` per ``layers``
-    entry, ReLU between them, ``link`` on the last output.  The weights are
-    2-D for one head, ``(H, in, out)`` / ``(H, 1, out)`` stacks for a bank
-    (lifted over round axes by :func:`predict_pairs`).  These are the
-    tape's operations in the tape's order — ReLU is ``x * (x > 0)`` — so
-    every value is the tape's, bit for bit.  :meth:`HeadBank.forward` is
-    the same pass into a workspace."""
-    x = X
+def _forward(link, layers: list, X: np.ndarray, ws: "tuple | None" = None) -> np.ndarray:
+    """The head network: ``x @ weight + bias`` per ``layers`` entry, ReLU
+    between them, ``link`` on the last output.  The weights are 2-D for
+    one head, ``(H, in, out)`` / ``(H, 1, out)`` stacks for a bank (lifted
+    over round axes by :func:`predict_pairs`), and ``X`` is ``(..., N,
+    in)``; the result, ``(..., N, 1)``, is a buffer of the workspace ``ws``:
+    ``(floats, flags)`` laid out by :func:`_widths`, each buffer shaped
+    ``(..., N, width)``, fresh when not given.
+
+    These are the tape's operations in the tape's order — ReLU is ``x *
+    (x > 0)`` as float — so every value is the tape's, bit for bit.  The
+    bias is added from a copy broadcast into the mask buffer (free until
+    the mask is taken): a ufunc broadcasting it would allocate an
+    iteration buffer the size of the product.  So a pass allocates nothing
+    past its workspace but the sigmoid link's branch mask."""
+    if ws is None:
+        shape = X.shape[:-1]
+        floats, flags = _widths(layers)
+        ws = ([np.empty((*shape, w)) for w in floats],
+              [np.empty((*shape, w), dtype=bool) for w in flags])
+    floats, flags = ws
+    x, last = X, len(layers) - 1
     for k, (weight, bias) in enumerate(layers):
-        if k:
-            x = x * (x > 0).astype(np.float64)
-        x = x @ weight + bias
-    return link(x)
+        z, mask = floats[2 * k:2 * k + 2]
+        np.matmul(x, weight, out=z)
+        np.copyto(mask, bias)
+        np.add(z, mask, out=z)
+        if k < last:
+            np.copyto(mask, np.greater(z, 0, out=flags[k]))
+            np.multiply(z, mask, out=z)
+        x = z
+    return link(x, floats[-2], floats[-1])
 
 
-def _stack_linear(layers: "Sequence[Linear]") -> tuple[np.ndarray, np.ndarray]:
-    """Copies of one layer position across heads: ``(H, in, out)`` weights
-    and ``(H, 1, out)`` biases (so the bias gradient sums the sample axis).
-    ``np.array`` of equal-shape arrays is ``np.stack``'s result without its
-    per-array Python checks."""
-    return (np.array([m.weight.data for m in layers]),
-            np.array([m.bias.data for m in layers])[:, None, :])
+def _stack(heads: "Sequence[_Head]") -> "list[np.ndarray]":
+    """Copies of the heads' :attr:`~_Head.params`, stacked per position:
+    ``(H, in, out)`` weights and ``(H, 1, out)`` biases (so the bias
+    gradient sums the sample axis).  ``np.array`` of equal-shape arrays is
+    ``np.stack``'s result without its per-array Python checks."""
+    stacks = [np.array(ps) for ps in zip(*(h.params for h in heads))]
+    stacks[1::2] = [bias[:, None, :] for bias in stacks[1::2]]
+    return stacks
 
 
 def _stacked_features(heads: "Sequence[_Head]", Z: np.ndarray) -> np.ndarray:
@@ -183,21 +225,21 @@ def _stacked_features(heads: "Sequence[_Head]", Z: np.ndarray) -> np.ndarray:
 
 
 class HeadBank:
-    """H same-architecture heads trained as one stacked network, with no
-    tape: a hand-written forward (:func:`_forward`), its VJP
+    """H same-architecture heads trained as one stacked network:
+    :func:`_forward` over ``(H, in, out)`` stacks, its VJP
     (:meth:`backward`) and a per-head gradient clip, for an
     :class:`~repro.nn.Adam` over :attr:`params`.
 
-    :attr:`params` — per Linear position an ``(H, in, out)`` weight and an
-    ``(H, 1, out)`` bias stack, in a head's ``parameters()`` order — are
-    consecutive views of one flat buffer (:func:`~repro.nn.flatten`), and
-    they *own* the storage: on construction every head's
-    ``Parameter.data`` is re-pointed to a view of its slice, so an
-    optimizer step on the bank is at once visible through the per-head
-    modules (``state_dict``, ``predict``, the registry) and
-    ``load_state_dict`` on a head writes through to the bank.  Per head
-    the arithmetic is that of the head's own tape, bit for bit (DESIGN.md
-    §7b; ``tests/test_bank_exact.py``).
+    :attr:`params` — per layer position an ``(H, in, out)`` weight and an
+    ``(H, 1, out)`` bias stack, in a head's :attr:`~_Head.params` order —
+    are consecutive views of one flat buffer (:func:`~repro.nn.flatten`),
+    and they *own* the storage: on construction every head's
+    :attr:`~_Head.params` entries are replaced by views of its slice, so
+    an optimizer step on the bank is at once visible through the heads
+    (``state_dict``, ``predict``, the registry) and ``load_state_dict`` on
+    a head writes through to the bank.  Per head the arithmetic is that of
+    the head's own tape, bit for bit (DESIGN.md §7b;
+    ``tests/test_bank_exact.py``).
 
     A bank must not outlive the training call that built it: the views do
     not survive ``copy.deepcopy``/pickle of the heads, nor a second bank
@@ -205,31 +247,26 @@ class HeadBank:
     reads.  Inference therefore never keeps one (:func:`predict_pairs`).
 
     **Workspace.**  :meth:`forward` and :meth:`backward` allocate no array
-    after a bank's first minibatch.  One minibatch's buffers, sized by the
-    most rows seen so far, hold per layer its product (activated in place,
-    later overwritten by the gradient passed back through it) and its
-    ReLU mask (first the broadcast bias), and the link's output and
-    scratch: what a pass keeps for its VJP anyway.  A pass over fewer rows
-    (a ragged tail minibatch) runs on leading views of them, laid out as a
-    fresh array of its shape would be, so the GEMMs and ufuncs see the
-    operands they saw when every pass allocated; the views of each row
-    count are built once.  The price is one forward in flight per bank:
-    the next :meth:`forward` overwrites the predictions and what ``saved``
-    refers to, so a caller reads the predictions and runs
-    :meth:`backward` first.
+    after a bank's first minibatch: :func:`_forward` runs in one
+    minibatch's buffers, sized by the most rows seen so far, and the VJP
+    overwrites each product with the gradient passed back through it.  A
+    pass over fewer rows (a ragged tail minibatch) runs on leading views
+    of them, laid out as a fresh array of its shape would be, so the GEMMs
+    and ufuncs see the operands they saw when every pass allocated.  The
+    price is one forward in flight per bank: the next :meth:`forward`
+    overwrites the predictions and what ``saved`` refers to, so a caller
+    reads the predictions and runs :meth:`backward` first.
     """
 
     def __init__(self, heads: "Sequence[_Head]") -> None:
         self.heads = list(heads)
         if not self.heads or len({type(h) for h in self.heads}) != 1:
             raise ValueError("a bank needs one or more heads of a single kind")
-        linears = _linears(self.heads)
-        self.params = flatten([a for ls in linears for a in _stack_linear(ls)])
+        self.params = flatten(_stack(self.heads))
+        for h, head in enumerate(self.heads):
+            head.params = [stack[h] if k % 2 == 0 else stack[h, 0]
+                           for k, stack in enumerate(self.params)]
         self._layers = list(zip(self.params[::2], self.params[1::2]))
-        for layers, (weight, bias) in zip(linears, self._layers):
-            for h, layer in enumerate(layers):
-                layer.weight.data = weight[h]
-                layer.bias.data = bias[h, 0]
         self._weights_t = [np.swapaxes(weight, -1, -2) for weight, _ in self._layers]
         kind = type(self.heads[0])
         self._link, self._link_vjp = kind._link_np, kind._link_vjp
@@ -237,21 +274,19 @@ class HeadBank:
         self._views: "dict[int, tuple]" = {}  # row count -> its workspace views
 
     def _workspace(self, n: int) -> "tuple[list, list]":
-        """``(floats, flags)`` for an ``n``-row pass: per layer its output
-        and its mask (the last layer's "mask" is the link's output), then
-        the link's scratch; and per layer a bool scratch.  The buffers grow
-        (and the cached views go) only past the most rows seen."""
+        """:func:`_forward`'s workspace for an ``n``-row pass, as views of
+        the bank's buffers.  The buffers grow (and the cached views go)
+        only past the most rows seen."""
         views = self._views.get(n)
         if views is None:
-            H, widths = len(self), [weight.shape[-1] for weight, _ in self._layers]
-            floats = [w for w in widths for _ in range(2)] + [1]
+            H, (floats, flags) = len(self), _widths(self._layers)
             if n > self._rows:
                 self._rows, self._views = n, {}
                 self._floats = [np.empty(H * n * w) for w in floats]
-                self._flags = [np.empty(H * n * w, dtype=bool) for w in widths]
+                self._flags = [np.empty(H * n * w, dtype=bool) for w in flags]
             views = self._views[n] = tuple(
                 [buf[:H * n * w].reshape(H, n, w) for buf, w in zip(bufs, ws)]
-                for bufs, ws in ((self._floats, floats), (self._flags, widths)))
+                for bufs, ws in ((self._floats, floats), (self._flags, flags)))
         return views
 
     def __len__(self) -> int:
@@ -264,23 +299,9 @@ class HeadBank:
     def forward(self, X: np.ndarray) -> "tuple[np.ndarray, tuple]":
         """``(H, N)`` predictions for standardized ``(H, N, F)`` features,
         and what :meth:`backward` needs of this pass — both views of the
-        workspace, valid until the next :meth:`forward`.  :func:`_forward`'s
-        operations in its order; the bias is added from a broadcast copy
-        (in the mask buffer, free until the mask is taken), since a ufunc
-        broadcasting it would allocate an iteration buffer."""
-        floats, flags = ws = self._workspace(X.shape[-2])
-        x, last = X, len(self._layers) - 1
-        for k, (weight, bias) in enumerate(self._layers):
-            z, mask = floats[2 * k:2 * k + 2]
-            np.matmul(x, weight, out=z)
-            np.copyto(mask, bias)
-            np.add(z, mask, out=z)
-            if k < last:
-                np.copyto(mask, np.greater(z, 0, out=flags[k]))
-                np.multiply(z, mask, out=z)
-            x = z
-        out = self._link(x, floats[-2], floats[-1])
-        return out.reshape(X.shape[:-1]), (X, ws)
+        workspace, valid until the next :meth:`forward`."""
+        ws = self._workspace(X.shape[-2])
+        return _forward(self._link, self._layers, X, ws).reshape(X.shape[:-1]), (X, ws)
 
     def backward(self, g: np.ndarray, saved: tuple, grads: "Sequence[np.ndarray]") -> None:
         """The VJP of the last :meth:`forward` (``saved`` is its second
@@ -322,7 +343,7 @@ def predict_pairs(
     pairs: "Sequence[PredictorPair]", Z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(T̂, Â)``, each ``(M, N)``: every pair's predictions for one feature
-    matrix, as one stacked tapeless forward per head kind.  ``R`` rounds at
+    matrix, as one stacked :func:`_forward` per head kind.  ``R`` rounds at
     once, ``Z`` of shape ``(R, N, F)``, give ``(R, M, N)``: every product
     keeps its per-round shape, so — unlike one call on the concatenated
     rows, where the GEMM's edge handling moves with the row count — each
@@ -335,8 +356,9 @@ def predict_pairs(
     lift = (None,) * (np.ndim(Z) - 2)  # round axes, broadcast over the layers
     out = []
     for heads in ([p.time for p in pairs], [p.reliability for p in pairs]):
-        layers = [tuple(a[lift] for a in _stack_linear(ls)) for ls in _linears(heads)]
+        stacks = [a[lift] for a in _stack(heads)]
         X = _stacked_features(heads, Z)
+        layers = list(zip(stacks[::2], stacks[1::2]))
         out.append(_forward(heads[0]._link_np, layers, X).reshape(X.shape[:-1]))
     return out[0], out[1]
 
@@ -368,30 +390,27 @@ class PredictorPair:
 
     @property
     def in_features(self) -> int:
-        return self.time.net.in_features
+        return self.time.params[0].shape[0]
 
     @property
     def hidden_sizes(self) -> tuple[int, ...]:
-        """Hidden layer widths, read back from the time head's MLP."""
-        linears = [m for m in self.time.net.net if isinstance(m, Linear)]
-        return tuple(layer.out_features for layer in linears[:-1])
+        """Hidden layer widths, read back from the time head's weights."""
+        return tuple(weight.shape[1] for weight in self.time.params[:-2:2])
 
     def clone(self, rng: np.random.Generator | int | None = None) -> "PredictorPair":
         """An independent pair with the same architecture and weights.
 
         The online refit policy trains *candidate* weights while the live
-        pair keeps serving; cloning (same standardizer reference, deep-
-        copied parameters) is how an incremental refit warm-starts from
-        the live checkpoint without aliasing it.
+        pair keeps serving; cloning (same standardizer reference, copied
+        parameters) is how an incremental refit warm-starts from the live
+        checkpoint without aliasing it.
         """
         fresh = PredictorPair(
             self.in_features, self.hidden_sizes,
             standardizer=self.time.standardizer, rng=rng,
         )
-        fresh.time.load_state_dict(
-            {k: v.copy() for k, v in self.time.state_dict().items()})
-        fresh.reliability.load_state_dict(
-            {k: v.copy() for k, v in self.reliability.state_dict().items()})
+        fresh.time.load_state_dict(self.time.state_dict())
+        fresh.reliability.load_state_dict(self.reliability.state_dict())
         # The heads may carry distinct standardizers after a registry load.
         fresh.reliability.standardizer = self.reliability.standardizer
         return fresh

@@ -2,9 +2,13 @@
 
 Everything that trains or evaluates the M clusters' same-shape heads now
 runs *stacked* and without a tape (``HeadBank``: ``(H, in, out)`` stacks in
-one flat buffer, a hand-written forward and VJP, one flat Adam).  The
-per-head tape path it replaced is kept here verbatim as the oracle:
+one flat buffer, the one hand-written forward and its VJP, one flat Adam)
+on heads that are plain arrays.  The per-head tape path it replaced is
+kept here verbatim as the oracle:
 
+- ``_TapeHead`` / ``_TapePair`` — a head as it was: an ``nn.MLP`` of
+  ``Parameter`` leaves (here holding copies of an array head's weights)
+  and its link on the tape (``forward``);
 - ``_oracle_train_time_mse`` / ``_oracle_train_reliability`` — the old
   minibatch loops (one tape and one Adam per head; they additionally
   return their optimizer so Adam moments can be compared);
@@ -36,9 +40,8 @@ from repro.methods import MFCP, TSM, FitContext, MatchSpec, MFCPConfig
 from repro.methods.base import HIDDEN
 from repro.methods import mfcp as mfcp_module
 from repro.methods.mfcp import GRAD_CLIP
-from repro.nn import Adam, Parameter, Tensor, clip_grad_norm, mse_loss, no_grad, ops
+from repro.nn import MLP, Adam, Linear, Tensor, clip_grad_norm, mse_loss, no_grad, ops
 from repro.nn.optim import BETAS, flatten
-from repro.nn.layers import Linear
 from repro.predictors import (
     BankTrainer,
     HeadBank,
@@ -49,7 +52,9 @@ from repro.predictors import (
     fit_pairs,
     predict_pairs,
 )
+from repro.predictors import models
 from repro.predictors.dataset import Standardizer
+from repro.predictors.models import _LOG_T_CLIP
 from repro.predictors.training import WEIGHT_DECAY, StepwiseTrainer, TrainConfig, TrainResult
 from repro.retrain.buffer import LabelDataset
 from repro.retrain.policy import RefitJob
@@ -60,8 +65,52 @@ from repro.workloads import TaskPool
 from tests.conftest import PerClusterMFCP
 
 # --------------------------------------------------------------------- #
-# Oracles: the per-head code this PR replaced, verbatim.
+# Oracles: the per-head code the bank replaced, verbatim.
 # --------------------------------------------------------------------- #
+
+
+class _TapeHead:
+    """A head on the tape, as ``_Head.forward`` computed it: an ``nn.MLP``
+    whose ``Parameter`` leaves hold copies of ``head``'s weights,
+    ``head``'s standardizer, and the link as tape ops — exp∘clip for a
+    time head, sigmoid (once the MLP's output module) for a reliability
+    head."""
+
+    def __init__(self, head):
+        self.kind, self.standardizer = type(head), head.standardizer
+        hidden = tuple(weight.shape[1] for weight in head.params[:-2:2])
+        self.net = MLP(head.params[0].shape[0], hidden, 1, activation="relu",
+                       output="identity", rng=0)
+        for p, w in zip(self.net.parameters(), head.params):
+            p.data = w.copy()
+
+    def parameters(self):
+        return self.net.parameters()
+
+    def state_dict(self):
+        return {f"net.net.m{i}.{name}": getattr(m, name).data.copy()
+                for i, m in enumerate(self.net.net) if isinstance(m, Linear)
+                for name in ("weight", "bias")}
+
+    def load_state_dict(self, state):
+        for p, arr in zip(self.parameters(), state.values()):
+            p.data[...] = arr
+
+    def _link(self, raw):
+        if self.kind is TimePredictor:
+            return ops.exp(ops.clip(raw, -_LOG_T_CLIP, _LOG_T_CLIP))
+        return ops.sigmoid(raw)
+
+    def forward(self, Z):
+        Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
+        if self.standardizer is not None:
+            Z = self.standardizer.transform(Z)
+        return self._link(self.net(Tensor(Z))).reshape(-1)
+
+
+class _TapePair:
+    def __init__(self, pair):
+        self.time, self.reliability = _TapeHead(pair.time), _TapeHead(pair.reliability)
 
 
 def _minibatches(n, batch_size, rng):
@@ -126,8 +175,9 @@ def _oracle_regret_update(heads, opts, Z, grads, grad_clip):
 
 
 def _tape_predict(head, Z):
+    tape = head if isinstance(head, _TapeHead) else _TapeHead(head)
     with no_grad():
-        return head.forward(Z).data.copy()
+        return tape.forward(Z).data.copy()
 
 
 # --------------------------------------------------------------------- #
@@ -143,8 +193,10 @@ def _data(n, d=6, seed=0):
     return Z, t, a
 
 
-def _twin_heads(kind, H, hidden, d=6, distinct_standardizers=False):
-    """Two identically initialised lists of H heads (bank side, oracle side)."""
+def _twin_heads(kind, H, hidden, d=6, distinct_standardizers=False, edges=False):
+    """Two identically initialised lists of H heads: array heads (bank side)
+    and their tape twins (oracle side); ``edges`` applies :func:`_apply_edges`
+    to both."""
     def build():
         heads = []
         for h in range(H):
@@ -152,8 +204,8 @@ def _twin_heads(kind, H, hidden, d=6, distinct_standardizers=False):
             if distinct_standardizers:
                 std = Standardizer.fit(_data(40, d, seed=100 + h)[0])
             heads.append(kind(d, hidden, standardizer=std, rng=1000 + h))
-        return heads
-    return build(), build()
+        return _apply_edges(heads) if edges else heads
+    return build(), [_TapeHead(head) for head in build()]
 
 
 def _assert_same_weights(heads_a, heads_b):
@@ -229,10 +281,9 @@ def test_bank_owns_the_storage_during_a_fit():
                           [0, 1, 2])
     trainer.run_steps(2)
     for h, head in enumerate(heads):
-        own = list(head.parameters())
-        for k, stacked in enumerate(trainer.bank.params):
-            assert np.shares_memory(own[k].data, stacked)
-            assert np.array_equal(own[k].data, stacked[h].reshape(own[k].shape))
+        for own, stacked in zip(head.params, trainer.bank.params):
+            assert np.shares_memory(own, stacked)
+            assert np.array_equal(own, stacked[h].reshape(own.shape))
     # Writes through a head (model selection restores snapshots mid-fit)
     # land in the bank.
     state = {k: v + 1.0 for k, v in heads[1].state_dict().items()}
@@ -325,8 +376,8 @@ class _OracleMFCP(MFCP):
         self._phase_totals = {}
         self._pairs = []
         for ds in ctx.datasets:
-            pair = PredictorPair(ctx.feature_dim, HIDDEN,
-                                 standardizer=ctx.standardizer, rng=spawn(ctx.rng))
+            pair = _TapePair(PredictorPair(ctx.feature_dim, HIDDEN,
+                                           standardizer=ctx.standardizer, rng=spawn(ctx.rng)))
             _oracle_train_time_mse(pair.time, ds.Z, ds.t, cfg.pretrain, spawn(ctx.rng))
             _oracle_train_reliability(pair.reliability, ds.Z, ds.a, cfg.pretrain,
                                       spawn(ctx.rng))
@@ -535,6 +586,81 @@ def test_bank_rejects_mixed_or_empty_heads():
         HeadBank([TimePredictor(4, (8,), rng=0), TimePredictor(4, (16,), rng=0)])
 
 
+@pytest.mark.parametrize("hidden", [(8,), (32, 32), ()])
+def test_heads_draw_the_tape_mlps_initial_weights(hidden):
+    """A head's initial weights are the tape MLP's, bit for bit: per layer a
+    child generator spawned from ``rng``, then the He-uniform draw; zero
+    biases.  A pair's two heads draw from one generator in turn."""
+    for kind in (TimePredictor, ReliabilityPredictor):
+        head, net = kind(7, hidden, rng=3), MLP(7, hidden, 1, rng=3)
+        assert [p.tobytes() for p in head.params] == [p.data.tobytes() for p in net.parameters()]
+    pair, rng = PredictorPair(7, hidden, rng=as_generator(4)), as_generator(4)
+    for head in (pair.time, pair.reliability):
+        want = MLP(7, hidden, 1, rng=rng).parameters()
+        assert [p.tobytes() for p in head.params] == [p.data.tobytes() for p in want]
+    assert pair.in_features == 7 and pair.hidden_sizes == tuple(hidden)
+
+
+def test_state_dict_keys_digest_and_old_checkpoints_hold(tmp_path):
+    """Checkpoint names and order are the ``Sequential`` the heads once were;
+    the weights digest is the one those modules gave; and a checkpoint
+    written from the tape module's state loads into an array head."""
+    from repro.nn import load_module
+    from repro.serve.registry import weights_digest
+
+    Z = _data(40)[0]
+    rng = as_generator(7)
+    pairs = [PredictorPair(6, (32, 32), standardizer=Standardizer.fit(Z), rng=rng)
+             for _ in range(3)]
+    assert weights_digest(pairs) == (
+        "4917584429b94060f2c3f9210bc0f85521a472c7ab961dd7bce8eeb358641ddc")
+    for head in (pairs[0].time, pairs[0].reliability):
+        assert list(head.state_dict()) == list(_TapeHead(head).state_dict()) == [
+            "net.net.m0.weight", "net.net.m0.bias", "net.net.m2.weight",
+            "net.net.m2.bias", "net.net.m4.weight", "net.net.m4.bias"]
+        assert head.num_parameters() == 6 * 32 + 32 + 32 * 32 + 32 + 32 + 1
+
+    tape = _TapeHead(pairs[1].time)
+    np.savez(tmp_path / "old.npz", **tape.state_dict())
+    head = load_module(TimePredictor(6, (32, 32), standardizer=tape.standardizer, rng=0),
+                       tmp_path / "old")
+    _assert_same_weights([head], [tape])
+    assert np.array_equal(head.predict(Z), _tape_predict(tape, Z))
+    with pytest.raises(KeyError):
+        head.load_state_dict({"bogus": np.zeros(3)})
+    with pytest.raises(ValueError):
+        head.load_state_dict({**head.state_dict(), "net.net.m0.bias": np.zeros(3)})
+
+
+def test_one_forward_serves_the_bank_predict_and_predict_pairs(monkeypatch):
+    """``_forward`` is the one head network: ``predict_pairs`` and a head's
+    ``predict`` run it once per head kind in a fresh workspace, a bank's
+    training pass in the bank's, and all read the same weights into the
+    same bits."""
+    workspaces = []
+    real = models._forward
+
+    def spy(link, layers, X, ws=None):
+        workspaces.append("fresh" if ws is None else "bank")
+        return real(link, layers, X, ws)
+
+    monkeypatch.setattr(models, "_forward", spy)
+    pairs = [PredictorPair(6, (32, 32), standardizer=Standardizer.fit(_data(40)[0]), rng=i)
+             for i in range(5)]
+    Z = _data(9, seed=4)[0]
+    T_hat, A_hat = predict_pairs(pairs, Z)
+    rows = [p.predict(Z) for p in pairs]
+    assert workspaces == ["fresh"] * (2 + 2 * len(pairs))
+    for kind, P in ((0, T_hat), (1, A_hat)):
+        assert np.array_equal(P, np.stack([r[kind] for r in rows]))
+        heads = [(p.time, p.reliability)[kind] for p in pairs]
+        bank = HeadBank(heads)
+        out, _ = bank.forward(bank.prepare(Z))
+        assert workspaces[-1] == "bank"
+        assert np.array_equal(out, P)
+        assert np.array_equal(heads[2].predict(Z), P[2])  # read through the bank's views
+
+
 # --------------------------------------------------------------------- #
 # Edges of the links, ragged minibatches, round axes.
 # --------------------------------------------------------------------- #
@@ -553,9 +679,8 @@ def _apply_edges(heads):
     edges = _EDGES[type(heads[0])]
     for h, head in enumerate(heads):
         scale, bias = edges[h % len(edges)]
-        last = [m for m in head.net.net if isinstance(m, Linear)][-1]
-        last.weight.data *= scale
-        last.bias.data[...] = bias
+        head.params[-2] *= scale
+        head.params[-1][...] = bias
     return heads
 
 
@@ -565,7 +690,7 @@ def test_link_edges_ragged_batches_and_round_axes_match_the_tape(kind, H):
     loss, oracle = (("log_mse", _oracle_train_time_mse) if kind is TimePredictor
                     else ("mse", _oracle_train_reliability))
     n, cfg = 37, TrainConfig(epochs=2, batch_size=16)  # minibatches of 16, 16, 5
-    heads, twins = (_apply_edges(side) for side in _twin_heads(kind, H, (32, 32)))
+    heads, twins = _twin_heads(kind, H, (32, 32), edges=True)
     sets = [_data(n, seed=h) for h in range(H)]
     Zs = [s[0] for s in sets]
     ys = [s[1] if kind is TimePredictor else s[2] for s in sets]
@@ -587,7 +712,7 @@ def test_link_edges_ragged_batches_and_round_axes_match_the_tape(kind, H):
     _assert_same_moments(trainer.opt, opts)
 
     # The regret update from the same edges.
-    heads, twins = (_apply_edges(side) for side in _twin_heads(kind, H, (32, 32)))
+    heads, twins = _twin_heads(kind, H, (32, 32), edges=True)
     bank = HeadBank(heads)
     bank_opt = Adam(bank.params, lr=1e-3)
     head_opts = [Adam(t.parameters(), lr=1e-3) for t in twins]
@@ -623,15 +748,11 @@ def test_link_edges_ragged_batches_and_round_axes_match_the_tape(kind, H):
 
 
 def test_training_and_inference_build_no_tape(monkeypatch):
-    """Building a model makes its ``Parameter`` leaves; past that, no
-    pretraining step, refit step, regret update or prediction makes a
-    ``Tensor``."""
-    real_init = Tensor.__init__
-
+    """No model construction, pretraining step, refit step, regret update
+    or prediction makes a ``Tensor`` (heads are plain arrays: not even a
+    ``Parameter`` leaf)."""
     def guarded(self, *args, **kwargs):
-        if not isinstance(self, Parameter):
-            raise AssertionError("a tape node was built")
-        real_init(self, *args, **kwargs)
+        raise AssertionError("a tape node was built")
 
     monkeypatch.setattr(Tensor, "__init__", guarded)
     ctx = _fresh_ctx()
@@ -639,7 +760,7 @@ def test_training_and_inference_build_no_tape(monkeypatch):
                       TrainConfig(epochs=1), as_generator(0))
     Z = ctx.features(ctx.train_tasks[:5])
     with pytest.raises(AssertionError):  # the guard is live
-        pairs[0].time.forward(Z)
+        _TapeHead(pairs[0].time)
     predict_pairs(pairs, Z)
     predict_pairs(pairs, np.stack([Z, Z]))
     pairs[0].predict(Z)
@@ -723,3 +844,47 @@ def test_bank_step_allocates_nothing_after_warm_up(kind):
     tracemalloc.stop()
     assert peak < 4096, f"20 steps allocated {peak} bytes at peak"
 
+
+
+class _TracedLayers(list):
+    """Layers that record, as a pass walks them, the bytes traced at peak
+    while each layer ran, above what was traced when it began (between two
+    steps of the iteration).  ``tracemalloc`` must be tracing."""
+
+    def __iter__(self):
+        import tracemalloc
+
+        self.allocated = []
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        for layer in super().__iter__():
+            yield layer
+            now, peak = tracemalloc.get_traced_memory()
+            self.allocated.append(peak - start)
+            tracemalloc.reset_peak()
+            start = now
+
+
+@pytest.mark.parametrize("kind", [TimePredictor, ReliabilityPredictor])
+def test_inference_layers_allocate_nothing(kind):
+    """At a serving shape (8 heads x 6 tasks), an inference pass's layers
+    allocate no array: products, masks and the bias copy go into buffers
+    sized before the first layer.  In particular the bias add allocates no
+    iteration buffer, which ``x @ weight + bias`` (a ufunc broadcasting the
+    ``(H, 1, out)`` bias) does: a full product-sized one, 12 kB here."""
+    import tracemalloc
+
+    H, N = 8, 6
+    heads = [kind(6, HIDDEN, rng=h) for h in range(H)]
+    states = [h.state_dict() for h in heads]
+    stacks = [np.array([state[name] for state in states]) for name in states[0]]
+    layers = _TracedLayers(
+        (weight, bias[:, None, :]) for weight, bias in zip(stacks[::2], stacks[1::2]))
+    X = np.broadcast_to(_data(N, seed=5)[0][None], (H, N, 6))
+    tracemalloc.start()
+    try:
+        models._forward(kind._link_np, layers, X)
+    finally:
+        tracemalloc.stop()
+    assert len(layers.allocated) == len(HIDDEN) + 1
+    assert max(layers.allocated) < 1024, layers.allocated

@@ -2,8 +2,8 @@
 
 The relaxed solve (``BarrierEval`` + ``solve_relaxed``, ``BatchBarrierEval``
 + ``solve_relaxed_batch``), the rounding's ``_local_search``, the solver's
-interior start ``feasible_start`` and the predictor restack
-``_stack_linear`` were rewritten so a window at serving shapes pays fewer
+interior start ``feasible_start`` and the predictor restack ``_stack``
+were rewritten so a window at serving shapes pays fewer
 Python wrappers: the ufuncs' own ``reduce`` in place of ``.sum()`` /
 ``.max()``, Python-float scalars in place of NumPy ones, ``np.einsum``'s C
 kernel, in-place mirror updates and ``np.array`` in place of ``np.stack``.
@@ -53,8 +53,7 @@ from repro.matching.objectives import (
 )
 from repro.matching.relaxed import BACKTRACK, RelaxedSolution, _project
 from repro.matching.rounding import MAX_MOVES, _local_search, _repair_reliability
-from repro.nn.layers import Linear
-from repro.predictors.models import ReliabilityPredictor, TimePredictor, _stack_linear
+from repro.predictors.models import ReliabilityPredictor, TimePredictor, _stack
 from repro.telemetry import (
     ITER_BUCKETS,
     LEVEL_BUCKETS,
@@ -512,8 +511,8 @@ def _ref_local_search(X: np.ndarray, problem: MatchingProblem, max_moves: int) -
 
 
 def _ref_stack_linear(layers):
-    return (np.stack([m.weight.data for m in layers]),
-            np.stack([m.bias.data for m in layers])[:, None, :])
+    return (np.stack([weight for weight, _ in layers]),
+            np.stack([bias for _, bias in layers])[:, None, :])
 
 
 # --------------------------------------------------------------------- #
@@ -845,11 +844,10 @@ def test_local_search_at_wide_shapes_is_the_reference(start):
 @pytest.mark.parametrize("heads", [1, 3, 8])
 def test_stack_linear_is_np_stack(kind, heads):
     rng = np.random.default_rng(heads)
-    nets = [kind(12, (32, 32), rng=rng).net.net for _ in range(heads)]
-    for layers in zip(*nets):
-        if not isinstance(layers[0], Linear):
-            continue
-        for got, want in zip(_stack_linear(layers), _ref_stack_linear(layers)):
+    built = [kind(12, (32, 32), rng=rng) for _ in range(heads)]
+    stacks = _stack(built)
+    for k, layers in enumerate(zip(*(h.layers for h in built))):
+        for got, want in zip(stacks[2 * k:2 * k + 2], _ref_stack_linear(layers)):
             assert _same(got, want) and got.strides == want.strides
             assert got.flags.c_contiguous == want.flags.c_contiguous
-            assert not np.shares_memory(got, layers[0].weight.data)
+            assert not np.shares_memory(got, layers[0][0])

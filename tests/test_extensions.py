@@ -95,8 +95,8 @@ class TestMFCPModelSelection:
         before = m._pairs[0].time.predict(Z)
         state = m._snapshot()
         # Perturb weights, then restore.
-        for p in m._pairs[0].time.parameters():
-            p.data += 1.0
+        for p in m._pairs[0].time.params:
+            p += 1.0
         assert not np.allclose(m._pairs[0].time.predict(Z), before)
         m._restore(state)
         np.testing.assert_allclose(m._pairs[0].time.predict(Z), before)

@@ -31,7 +31,6 @@ from repro.fleet import (
     make_router,
 )
 from repro.monitor import MonitorConfig, TraceReplay
-from repro.nn.layers import Linear
 from repro.retrain.loop import RetrainConfig
 from repro.serve import (
     Dispatcher,
@@ -675,9 +674,8 @@ def _corrupted_version(frc):
     pairs = copy.deepcopy(_pairs_of(frc._base_method))
     rng = np.random.default_rng(0)
     for p in pairs:
-        for m in p.time.net.net:
-            if isinstance(m, Linear):
-                m.weight.data += rng.normal(0.0, 5.0, m.weight.data.shape)
+        for weight in p.time.params[::2]:
+            weight += rng.normal(0.0, 5.0, weight.shape)
     return frc.registry.save(pairs, tag="corrupted",
                              parent=frc.registry.live())
 

@@ -42,7 +42,6 @@ class TestElementwiseGradients:
             (ops.exp, (-2, 2)),
             (ops.log, (0.5, 5)),
             (ops.sigmoid, (-5, 5)),
-            (ops.softplus, (-5, 5)),
         ],
     )
     def test_grad_matches_fd(self, op, domain):
@@ -62,11 +61,6 @@ class TestElementwiseGradients:
         out = ops.sigmoid(Tensor([-800.0, 800.0]))
         assert np.all(np.isfinite(out.data))
         np.testing.assert_allclose(out.data, [0.0, 1.0], atol=1e-12)
-
-    def test_softplus_extreme_stability(self):
-        out = ops.softplus(Tensor([-800.0, 800.0]))
-        assert np.all(np.isfinite(out.data))
-        assert out.data[1] == pytest.approx(800.0)
 
 
 class TestFunctional:

@@ -19,7 +19,6 @@ from repro.predictors import (
     train_reliability,
     train_time_mse,
 )
-from repro.nn import Tensor
 
 
 @pytest.fixture(scope="module")
@@ -102,19 +101,6 @@ class TestPredictorHeads:
         rp = ReliabilityPredictor(6, (8,), rng=0)
         out = rp.predict(rng.normal(size=(5, 6)))
         assert np.all((out > 0) & (out < 1))
-
-    def test_forward_returns_differentiable_tensor(self, rng):
-        tp = TimePredictor(4, (8,), rng=0)
-        out = tp.forward(rng.normal(size=(3, 4)))
-        assert isinstance(out, Tensor)
-        assert out.requires_grad
-        out.backward(np.ones(3))
-        assert any(p.grad is not None for p in tp.parameters())
-
-    def test_forward_rejects_tensor_input(self, rng):
-        tp = TimePredictor(4, rng=0)
-        with pytest.raises(TypeError):
-            tp.forward(Tensor(np.ones((2, 4))))
 
     def test_standardizer_applied(self, rng):
         Z = rng.normal(100.0, 50.0, size=(30, 4))  # wild scale

@@ -35,8 +35,7 @@ SRC = ROOT / "src" / "repro"
 ALLOWED = {
     "solve_bruteforce": "reference enumeration tests/test_matching_solvers.py holds branch-and-bound to",
     "kkt_jacobians": "dense Eq.-15 Jacobians tests/test_matching_gradients.py holds kkt_vjp to",
-    "he_uniform": "reached by string key: MLP passes init='he_uniform' to Linear's getattr lookup",
-    "xavier_uniform": "reached by string key: MLP's initializer for a non-ReLU activation",
+    "sigmoid": "the tape's reliability link in the per-head oracle tests/test_bank_exact.py holds the heads to",
     "load_trace": "workloads/io.py is the one door for measured platform traces; no such data is committed yet",
     "trace_to_datasets": "second half of that door: turns a loaded trace into per-cluster training sets",
 }
