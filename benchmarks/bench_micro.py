@@ -401,11 +401,17 @@ def test_refit_step(benchmark):
 
 def test_pretrain_bank(benchmark):
     """The ``train_mfcp`` warm start: 8 clusters x 2 heads as two stacked
-    banks, n = 112 measured tasks, 10 epochs of 4 minibatches.  Reports µs
-    per head per minibatch step (``extra_info``).  With
+    banks, n = 112 measured tasks, 10 epochs of 4 minibatches.  The timed
+    call is ``fit_pairs``, which trains a reliability bank of at least
+    ``FORK_HEAD_STEPS`` head-steps in a forked worker (this one, 320, stays
+    in process), so ``extra_info`` reports its wall (``fit_ms``) apart from
+    µs per head per minibatch step of one bank's ``run_steps`` in this
+    process, its heads and trainer built outside the clock
+    (``us_per_head_step``): a fit's wall over both banks' steps would halve
+    wherever the fork runs while no step got cheaper.  With
     ``--benchmark-disable`` it runs once: the CI non-timing smoke."""
     from repro.methods import FitContext, MatchSpec
-    from repro.predictors import fit_pairs
+    from repro.predictors import BankTrainer, TimePredictor, fit_pairs
     from repro.predictors.training import TrainConfig
 
     train, _ = TaskPool(160, rng=0).split(0.7, rng=1)
@@ -419,8 +425,21 @@ def test_pretrain_bank(benchmark):
     Z = ctx.features(train[:5])
     assert all(np.isfinite(p.predict(Z)).all() for p in pairs)
     if benchmark.stats is not None:  # None under --benchmark-disable
-        head_steps = 2 * len(pairs) * cfg.epochs * -(-len(train) // cfg.batch_size)
-        benchmark.extra_info["us_per_head_step"] = 1e6 * benchmark.stats["min"] / head_steps
+        benchmark.extra_info["fit_ms"] = 1e3 * benchmark.stats["min"]
+
+        def time_bank_s():
+            heads = [TimePredictor(ctx.feature_dim, (32, 32), standardizer=ctx.standardizer,
+                                   rng=h) for h in range(len(pairs))]
+            trainer = BankTrainer(heads, [ds.Z for ds in ctx.datasets],
+                                  [ds.t for ds in ctx.datasets], cfg,
+                                  list(range(len(pairs))), loss="log_mse")
+            t0 = time.perf_counter()
+            trainer.run_steps(trainer.total_steps)
+            return time.perf_counter() - t0
+
+        head_steps = len(pairs) * cfg.epochs * -(-len(train) // cfg.batch_size)
+        best = min(time_bank_s() for _ in range(5))
+        benchmark.extra_info["us_per_head_step"] = 1e6 * best / head_steps
 
 
 def test_graph_embedding(benchmark):

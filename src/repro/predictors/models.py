@@ -108,6 +108,15 @@ class _Head:
                 raise ValueError(f"shape mismatch for {name}: {arr.shape} vs {p.shape}")
             p[...] = arr
 
+    def copy(self) -> "_Head":
+        """A head of the same kind with copies of :attr:`params` and the
+        same standardizer (heads after a registry load may each have
+        their own)."""
+        twin = type(self).__new__(type(self))
+        twin.params = [p.copy() for p in self.params]
+        twin.standardizer = self.standardizer
+        return twin
+
     def num_parameters(self) -> int:
         return sum(p.size for p in self.params)
 
@@ -397,20 +406,14 @@ class PredictorPair:
         """Hidden layer widths, read back from the time head's weights."""
         return tuple(weight.shape[1] for weight in self.time.params[:-2:2])
 
-    def clone(self, rng: np.random.Generator | int | None = None) -> "PredictorPair":
+    def clone(self) -> "PredictorPair":
         """An independent pair with the same architecture and weights.
 
         The online refit policy trains *candidate* weights while the live
-        pair keeps serving; cloning (same standardizer reference, copied
-        parameters) is how an incremental refit warm-starts from the live
-        checkpoint without aliasing it.
+        pair keeps serving; cloning (copied parameter arrays, the same
+        standardizer references) is how an incremental refit warm-starts
+        from the live checkpoint without aliasing it.  It draws nothing.
         """
-        fresh = PredictorPair(
-            self.in_features, self.hidden_sizes,
-            standardizer=self.time.standardizer, rng=rng,
-        )
-        fresh.time.load_state_dict(self.time.state_dict())
-        fresh.reliability.load_state_dict(self.reliability.state_dict())
-        # The heads may carry distinct standardizers after a registry load.
-        fresh.reliability.standardizer = self.reliability.standardizer
+        fresh = PredictorPair.__new__(PredictorPair)
+        fresh.time, fresh.reliability = self.time.copy(), self.reliability.copy()
         return fresh

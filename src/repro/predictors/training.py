@@ -14,7 +14,11 @@ and :class:`StepwiseTrainer` — the incremental-refit entry point of the
 online retraining loop (:mod:`repro.retrain`), which must interleave
 training steps with dispatch windows instead of blocking the serving
 loop on a full ``train_*`` call — are its H = 1 callers, while
-:func:`fit_pairs` trains all M clusters' heads of a kind at once.
+:func:`fit_pairs` trains all M clusters' heads of a kind at once.  Its
+two banks are independent, so when two CPUs are free and the
+reliability bank's work repays a fork, that bank trains in a forked
+worker beside the time bank and hands its weight bytes back
+(:func:`_run_beside`).
 
 A step allocates no array once the first minibatch has run: the trainer
 gathers each minibatch's features and targets with ``take(..., out=)``
@@ -27,8 +31,13 @@ threshold, which the import graph and the environment move.
 
 from __future__ import annotations
 
+import gc
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -54,6 +63,14 @@ __all__ = [
 _LOSSES = ("log_mse", "mse")
 #: L2 penalty of every supervised fit's Adam.
 WEIGHT_DECAY = 1e-5
+#: Reliability-bank work (heads × minibatch steps) from which
+#: :func:`fit_pairs` trains that bank in a forked worker.  A head-step
+#: costs ~55 µs at ``HIDDEN`` on a 2-core VM, and a fork of a ~45 MB
+#: process ~30 ms (copied page tables, then one copy-on-write fault per
+#: page either process writes), so a bank under ~550 head-steps cannot
+#: repay it: ``train_mfcp``'s warm start (8 heads × 40 steps = 320) runs
+#: ~6 % slower forked, while every serve set-up (720–1 920) gains.
+FORK_HEAD_STEPS = 512
 
 
 @dataclass(frozen=True)
@@ -255,6 +272,135 @@ class StepwiseTrainer(BankTrainer):
         return self.results()[0]
 
 
+def _bank_trainers(
+    heads: "Sequence[TimePredictor | ReliabilityPredictor]",
+    Zs: "Sequence[np.ndarray]",
+    ys: "Sequence[np.ndarray]",
+    config: TrainConfig | None,
+    rngs: "Sequence[np.random.Generator | int | None]",
+    *,
+    loss: str,
+) -> "list[tuple[list[int], BankTrainer]]":
+    """One :class:`BankTrainer` per dataset length, with the indices of its
+    heads.  Heads whose datasets have the same length share one bank; that
+    is the only grouping rule, and (heads being independent) it never
+    shows in the result."""
+    groups: "dict[int, list[int]]" = {}
+    for h, Z in enumerate(Zs):
+        groups.setdefault(len(Z), []).append(h)
+    return [(members, BankTrainer(*([seq[h] for h in members] for seq in (heads, Zs, ys)),
+                                  config, [rngs[h] for h in members], loss=loss))
+            for members in groups.values()]
+
+
+def _can_fork() -> bool:
+    """Whether a second process can train beside this one: ``fork`` exists,
+    two or more CPUs are ours, and no other thread runs (a thread's held
+    locks would be copied into the child, held forever)."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1)
+
+
+def _run_beside(trainers: "Sequence[BankTrainer]", beside: "Sequence[BankTrainer]") -> None:
+    """Run every trainer to completion: ``beside`` in a forked child while
+    this process runs ``trainers``, when ``beside`` holds at least
+    :data:`FORK_HEAD_STEPS` head-steps and :func:`_can_fork` says so; all
+    of them here, one after another, otherwise.
+
+    The child starts from a copy of every trainer, generator and weight,
+    runs the steps this process would have run, and sends each ``beside``
+    trainer's epoch history, step count and flat parameter buffer (its
+    Adam ``data``, which the heads' views live in) back through a pipe;
+    the buffers are copied into this process's, so the weights are the
+    same bytes on either path.  Those trainers end ``done`` with the
+    child's weights, history and step count; their optimizer moments and
+    shuffle generators stay as they were before training.
+
+    The child is always reaped before this returns: if this process's
+    own training raises (or is interrupted) the child is killed first.
+    An exception in the child is raised here with its type and message;
+    a child that leaves no readable result raises ``RuntimeError``.  The
+    child leaves by ``os._exit``, so no inherited buffer (stdout's
+    included) is flushed twice.
+    """
+    if sum(t.Y.shape[0] * t.total_steps for t in beside) >= FORK_HEAD_STEPS and _can_fork():
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to be had: train here
+            os.close(read_fd)
+            os.close(write_fd)
+        else:
+            if pid == 0:
+                os.close(read_fd)
+                _child(beside, write_fd)
+            os.close(write_fd)
+            _join(pid, read_fd, trainers, beside)
+            return
+    for trainer in (*trainers, *beside):
+        trainer.run_steps(trainer.total_steps)
+
+
+def _join(pid: int, read_fd: int, trainers: "Sequence[BankTrainer]",
+          beside: "Sequence[BankTrainer]") -> None:
+    """The parent's half of :func:`_run_beside`: train ``trainers``, then
+    read the child's report, reap the child and take over its results."""
+    report = unreadable = None
+    with os.fdopen(read_fd, "rb") as pipe:
+        try:
+            for trainer in trainers:
+                trainer.run_steps(trainer.total_steps)
+            try:
+                report = pickle.load(pipe)
+            except Exception as exc:  # a dead child, or a report cut short
+                unreadable = exc
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            _, status = os.waitpid(pid, 0)
+    if report is None:
+        raise RuntimeError("the training worker left no result "
+                           f"(exit code {os.waitstatus_to_exitcode(status)})") from unreadable
+    ok, payload = report
+    if not ok:
+        error, trace = payload
+        raise error from RuntimeError(f"in the training worker:\n{trace}")
+    for trainer, (history, steps, data) in zip(beside, payload):
+        np.copyto(trainer.opt.data, data)
+        trainer.history = history
+        trainer.steps_done, trainer.epochs_done = steps, len(history)
+
+
+def _child(trainers: "Sequence[BankTrainer]", write_fd: int) -> NoReturn:
+    """The forked worker of :func:`_run_beside`: train, send one pickled
+    report — ``(True, [(history, steps_done, parameter buffer)] per
+    trainer)`` or ``(False, (exception, traceback))`` — and ``os._exit``.
+    Its collector is off, so no cyclic garbage inherited from the parent
+    is finalized here (a buffered file's flush would be written twice)."""
+    gc.disable()
+    code = 1
+    try:
+        try:
+            for trainer in trainers:
+                trainer.run_steps(trainer.total_steps)
+            report = (True, [(t.history, t.steps_done, t.opt.data) for t in trainers])
+        except BaseException as exc:  # every failure goes to the parent
+            import traceback  # only a failing worker needs it
+
+            report = (False, (exc, traceback.format_exc()))
+        try:
+            blob = pickle.dumps(report)
+        except Exception:  # an exception object that does not pickle
+            error, trace = report[1]
+            blob = pickle.dumps((False, (RuntimeError(repr(error)), trace)))
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(blob)
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def fit_heads(
     heads: "Sequence[TimePredictor | ReliabilityPredictor]",
     Zs: "Sequence[np.ndarray]",
@@ -264,20 +410,10 @@ def fit_heads(
     *,
     loss: str,
 ) -> "list[TrainResult]":
-    """Train same-kind heads to completion, stacked.
-
-    Heads whose datasets have the same length share one bank; that is the
-    only grouping rule, and (heads being independent) it never shows in
-    the result.
-    """
-    groups: "dict[int, list[int]]" = {}
-    for h, Z in enumerate(Zs):
-        groups.setdefault(len(Z), []).append(h)
+    """Train same-kind heads to completion, stacked (one bank per dataset
+    length, in this process)."""
     results: "dict[int, TrainResult]" = {}
-    for members in groups.values():
-        heads_g, Zs_g, ys_g, rngs_g = (
-            [seq[h] for h in members] for seq in (heads, Zs, ys, rngs))
-        trainer = BankTrainer(heads_g, Zs_g, ys_g, config, rngs_g, loss=loss)
+    for members, trainer in _bank_trainers(heads, Zs, ys, config, rngs, loss=loss):
         trainer.run_steps(trainer.total_steps)
         results.update(zip(members, trainer.results()))
     return [results[h] for h in range(len(Zs))]
@@ -318,7 +454,11 @@ def fit_pairs(
     as another.
 
     Child generators are spawned from ``rng`` cluster by cluster in the
-    order (pair init, time shuffle, reliability shuffle).
+    order (pair init, time shuffle, reliability shuffle).  Both banks are
+    built (and their inputs checked) here; the reliability bank then
+    trains in a forked worker beside the time bank when two CPUs are free
+    and its work repays the fork (:func:`_run_beside`), to the same
+    weight bytes.
     """
     pairs, time_rngs, rel_rngs = [], [], []
     for _ in datasets:
@@ -327,8 +467,9 @@ def fit_pairs(
         time_rngs.append(spawn(rng))
         rel_rngs.append(spawn(rng))
     Zs = [ds.Z for ds in datasets]
-    fit_heads([p.time for p in pairs], Zs, [ds.t for ds in datasets], config,
-              time_rngs, loss="log_mse")
-    fit_heads([p.reliability for p in pairs], Zs, [ds.a for ds in datasets], config,
-              rel_rngs, loss="mse")
+    time_banks = _bank_trainers([p.time for p in pairs], Zs, [ds.t for ds in datasets],
+                                config, time_rngs, loss="log_mse")
+    rel_banks = _bank_trainers([p.reliability for p in pairs], Zs, [ds.a for ds in datasets],
+                               config, rel_rngs, loss="mse")
+    _run_beside([t for _, t in time_banks], [t for _, t in rel_banks])
     return pairs

@@ -91,19 +91,23 @@ class RefitJob:
         n_labels = 0
         for live, cid in zip(live_pairs, cluster_ids):
             ds = datasets.get(cid)
+            # Each cluster's first child of ``rng`` seeds a fresh candidate;
+            # a clone draws nothing, but the child is spent all the same, so
+            # the later children are those of every mode.
+            candidate_rng = spawn(rng)
             # The time head needs uncensored (successful) examples; the
             # reliability head trains on every outcome.  Gate on the time
             # count — it is the scarcer of the two.
             if ds is None or ds.n_time < min_cluster_labels:
-                pairs.append(live.clone(rng=spawn(rng)))
+                pairs.append(live.clone())
                 skipped.append(cid)
                 continue
             if mode == "incremental":
-                cand = live.clone(rng=spawn(rng))
+                cand = live.clone()
             else:
                 cand = PredictorPair(
                     live.in_features, live.hidden_sizes,
-                    standardizer=live.time.standardizer, rng=spawn(rng),
+                    standardizer=live.time.standardizer, rng=candidate_rng,
                 )
                 cand.reliability.standardizer = live.reliability.standardizer
             pairs.append(cand)

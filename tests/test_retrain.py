@@ -422,7 +422,7 @@ class TestRegistryPromotion:
         _, _, _, method = retrain_stack
         d1, d2 = weights_digest(method), weights_digest(method)
         assert d1 == d2 and len(d1) == 64
-        other = [p.clone(rng=as_generator(0)) for p in method.pairs]
+        other = [p.clone() for p in method.pairs]
         trainer = StepwiseTrainer(other[0].time, *_toy_data(d=other[0].in_features)[:2],
                                   TrainConfig(epochs=1, batch_size=8),
                                   as_generator(0))
