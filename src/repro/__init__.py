@@ -4,9 +4,9 @@ Resource Exchange Platforms" (MFCP, ICPP '25).
 Subpackages
 -----------
 ``repro.nn``
-    From-scratch NumPy substrate: the predictors' initializer, checkpoint
-    format and flat Adam, and an autograd tape kept for the platform
-    benchmark's ``nn`` probe and the per-head test oracle.
+    From-scratch NumPy substrate: the predictors' one network and its
+    VJP, initializer, checkpoint format and flat Adam, and the call shape
+    of the platform benchmark's ``nn`` probe run on that network.
 ``repro.workloads``
     DL task specs, operator graphs, feature embedding, task pools.
 ``repro.clusters``

@@ -3,8 +3,7 @@
 - :func:`logsumexp_np` — the Eq. (8) smoothing
   ``f̃(X,T) = (1/β) log Σ_i exp(β x_iᵀ t_i)``;
 - :func:`softmax_np` — the per-task projection used by Algorithm 1;
-- :func:`sigmoid_np` — the reliability head's output, shared by the tape's
-  :func:`repro.nn.ops.sigmoid` and the tapeless predictor bank.
+- :func:`sigmoid_np` — the reliability head's output link.
 
 The first two use the standard max-shift trick for numerical stability;
 none builds a tape.

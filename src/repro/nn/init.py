@@ -1,5 +1,5 @@
-"""He-uniform weight initialization, shared by the predictor heads and the
-tape's :class:`~repro.nn.layers.Linear`."""
+"""He-uniform weight initialization of the network's weights (the
+predictor heads' and :class:`~repro.nn.MLP`'s)."""
 
 from __future__ import annotations
 

@@ -1,21 +1,16 @@
-"""The Adam optimizer and gradient clipping.
+"""The Adam optimizer over one flat buffer.
 
 Adam keeps parameters, moments and gradients each in one flat ``float64``
 buffer, so a step is a handful of whole-buffer operations however many
-arrays it updates.  Its parameters are either
-
-- the tape's :class:`~repro.nn.layers.Parameter` leaves: unless they
-  already are, their arrays are re-pointed to consecutive views of one
-  buffer on construction, and :meth:`Adam.step` first gathers the
-  ``.grad`` each backward pass left on them — safe because each training
-  step builds a fresh tape; or
-- plain arrays that already are consecutive views of one buffer (a
-  :class:`~repro.predictors.models.HeadBank`'s stacks, built by
-  :func:`flatten`), whose gradients the caller writes into
-  :attr:`Adam.grads` before each step.
-
-Elementwise arithmetic does not depend on layout, so the flat step is,
-bit for bit, Adam run array by array.
+arrays it updates.  Its parameters are either plain arrays that already
+are consecutive views of one buffer (a
+:class:`~repro.predictors.models.HeadBank`'s stacks, built by
+:func:`flatten`), whose gradients the caller writes into
+:attr:`Adam.grads`; or leaves with ``.data``, ``.grad`` and
+``zero_grad()`` (an :class:`~repro.nn.MLP`'s parameters), re-pointed to
+views of one buffer unless they already are, whose ``.grad`` a step
+gathers first.  Elementwise arithmetic does not depend on layout, so the
+flat step is, bit for bit, Adam run array by array.
 """
 
 from __future__ import annotations
@@ -24,13 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.nn.layers import Parameter
-
-__all__ = [
-    "Adam",
-    "clip_grad_norm",
-    "flatten",
-]
+__all__ = ["Adam", "flatten"]
 
 #: Denominator floor of the Adam update.
 _EPS = 1e-8
@@ -73,7 +62,7 @@ class Adam:
 
     def __init__(
         self,
-        params: "Iterable[Parameter] | Iterable[np.ndarray]",
+        params: "Iterable[np.ndarray] | Iterable",
         lr: float = 1e-3,
         weight_decay: float = 0.0,
     ) -> None:
@@ -85,18 +74,18 @@ class Adam:
         self.lr = float(lr)
         self.weight_decay = float(weight_decay)
         self.steps = 0
-        self._tape = [p for p in self.params if isinstance(p, Parameter)]
-        if self._tape and len(self._tape) != len(self.params):
+        self._leaves = [p for p in self.params if not isinstance(p, np.ndarray)]
+        if self._leaves and len(self._leaves) != len(self.params):
             raise ValueError("pass Parameters or arrays, not both")
-        arrays = [p.data for p in self._tape] or self.params
+        arrays = [p.data for p in self._leaves] or self.params
         shapes = [a.shape for a in arrays]
         self.data = _flat_base(arrays)
         if self.data is None:
-            if not self._tape:
+            if not self._leaves:
                 raise ValueError("arrays must be consecutive views of one buffer (flatten)")
-            for p, view in zip(self._tape, flatten(arrays)):
+            for p, view in zip(self._leaves, flatten(arrays)):
                 p.data = view
-            self.data = self._tape[0].data.base
+            self.data = self._leaves[0].data.base
         self.grad = np.zeros_like(self.data)
         #: Per-parameter views of :attr:`grad`, in ``params`` order.
         self.grads = _views(self.grad, shapes)
@@ -107,19 +96,19 @@ class Adam:
         self._s2 = np.empty_like(self.data)
 
     def zero_grad(self) -> None:
-        """Drop the tape's gradients (a caller writing :attr:`grads`
+        """Drop the leaves' gradients (a caller writing :attr:`grads`
         overwrites them whole)."""
-        for p in self._tape:
+        for p in self._leaves:
             p.zero_grad()
 
     def step(self) -> None:
         self.steps += 1
-        if self._tape:
-            if all(p.grad is None for p in self._tape):
+        if self._leaves:
+            if all(p.grad is None for p in self._leaves):
                 return  # nothing was backpropagated
-            if any(p.grad is None for p in self._tape):
+            if any(p.grad is None for p in self._leaves):
                 raise ValueError("every parameter needs a gradient")
-            for view, p in zip(self.grads, self._tape):
+            for view, p in zip(self.grads, self._leaves):
                 view[...] = p.grad
         b1, b2 = BETAS
         bc1 = 1.0 - b1**self.steps
@@ -141,20 +130,3 @@ class Adam:
         denom = np.add(np.sqrt(np.divide(self.v, bc2, out=s1), out=s1), _EPS, out=s1)
         self.data -= np.divide(step, denom, out=s2)
 
-
-def clip_grad_norm(params: "Sequence[Parameter] | Iterable[Parameter]", max_norm: float) -> float:
-    """Rescale the tape's gradients so their global L2 norm is at most
-    ``max_norm``; returns the pre-clip norm.  (The predictor bank clips per
-    head with the same sums: :meth:`~repro.predictors.models.HeadBank.clip_grad_norm`.)
-    """
-    if max_norm <= 0:
-        raise ValueError(f"max_norm must be > 0, got {max_norm}")
-    params = [p for p in params if p.grad is not None]
-    if not params:
-        return 0.0
-    total = float(np.sqrt(sum(float(np.sum(p.grad**2)) for p in params)))
-    if total > max_norm:
-        scale = max_norm / (total + 1e-12)
-        for p in params:
-            p.grad *= scale
-    return total

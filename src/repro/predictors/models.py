@@ -11,16 +11,17 @@ utilized fully connected layers"):
 Every head is the same fixed function — affine-ReLU-…-affine layers and
 a link — held as plain ``float64`` arrays (:attr:`_Head.params`: per
 layer its ``(in, out)`` weight and ``(out,)`` bias).  One function,
-:func:`_forward`, computes it: over a head's own 2-D arrays
-(:meth:`_Head.predict`), over ``(H, in, out)`` stacks for inference
-(:func:`predict_pairs`, round axes included) and into a
+:func:`repro.nn.network.forward`, computes it: over a head's own 2-D
+arrays (:meth:`_Head.predict`), over ``(H, in, out)`` stacks for
+inference (:func:`predict_pairs`, round axes included) and into a
 :class:`HeadBank`'s workspace for training.  The M clusters' heads of a
 kind train as one bank (stacked weights in one flat buffer, one
-:class:`~repro.nn.Adam`, the forward's VJP, and one minibatch's
+:class:`~repro.nn.Adam`, the network's VJP
+:func:`~repro.nn.network.backward` after the link's, and one minibatch's
 workspace, so a training step allocates nothing and one forward is in
 flight per bank).  Each operation is the per-head tape's, in the tape's
 order, so weights and predictions are bit for bit those of that tape,
-which survives only as the oracle ``tests/test_bank_exact.py`` holds the
+which lives on only as the oracle ``tests/test_bank_exact.py`` holds the
 heads to.
 """
 
@@ -30,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.nn import flatten
+from repro.nn import flatten, network
 from repro.nn.functional import sigmoid_np
 from repro.nn.init import he_uniform
 from repro.predictors.dataset import Standardizer
@@ -128,7 +129,7 @@ class _Head:
 
     def predict(self, Z: np.ndarray) -> np.ndarray:
         """Prediction for a feature matrix (shape (N,))."""
-        return _forward(self._link_np, self.layers, self._prep(Z)).reshape(-1)
+        return network.forward(self._link_np, self.layers, self._prep(Z)).reshape(-1)
 
 
 class TimePredictor(_Head):
@@ -163,53 +164,6 @@ class ReliabilityPredictor(_Head):
         np.multiply(np.multiply(g, out, out=into), tmp, out=into)
 
 
-# --------------------------------------------------------------------- #
-# The network.
-# --------------------------------------------------------------------- #
-
-
-def _widths(layers: list) -> "tuple[list[int], list[int]]":
-    """Last-axis widths of a pass's buffers: float, per layer its product
-    and its mask (the last layer's "mask" is the link's output), then the
-    link's scratch; bool, per layer a flag."""
-    widths = [weight.shape[-1] for weight, _ in layers]
-    return [w for w in widths for _ in range(2)] + [1], widths
-
-
-def _forward(link, layers: list, X: np.ndarray, ws: "tuple | None" = None) -> np.ndarray:
-    """The head network: ``x @ weight + bias`` per ``layers`` entry, ReLU
-    between them, ``link`` on the last output.  The weights are 2-D for
-    one head, ``(H, in, out)`` / ``(H, 1, out)`` stacks for a bank (lifted
-    over round axes by :func:`predict_pairs`), and ``X`` is ``(..., N,
-    in)``; the result, ``(..., N, 1)``, is a buffer of the workspace ``ws``:
-    ``(floats, flags)`` laid out by :func:`_widths`, each buffer shaped
-    ``(..., N, width)``, fresh when not given.
-
-    These are the tape's operations in the tape's order — ReLU is ``x *
-    (x > 0)`` as float — so every value is the tape's, bit for bit.  The
-    bias is added from a copy broadcast into the mask buffer (free until
-    the mask is taken): a ufunc broadcasting it would allocate an
-    iteration buffer the size of the product.  So a pass allocates nothing
-    past its workspace but the sigmoid link's branch mask."""
-    if ws is None:
-        shape = X.shape[:-1]
-        floats, flags = _widths(layers)
-        ws = ([np.empty((*shape, w)) for w in floats],
-              [np.empty((*shape, w), dtype=bool) for w in flags])
-    floats, flags = ws
-    x, last = X, len(layers) - 1
-    for k, (weight, bias) in enumerate(layers):
-        z, mask = floats[2 * k:2 * k + 2]
-        np.matmul(x, weight, out=z)
-        np.copyto(mask, bias)
-        np.add(z, mask, out=z)
-        if k < last:
-            np.copyto(mask, np.greater(z, 0, out=flags[k]))
-            np.multiply(z, mask, out=z)
-        x = z
-    return link(x, floats[-2], floats[-1])
-
-
 def _stack(heads: "Sequence[_Head]") -> "list[np.ndarray]":
     """Copies of the heads' :attr:`~_Head.params`, stacked per position:
     ``(H, in, out)`` weights and ``(H, 1, out)`` biases (so the bias
@@ -235,7 +189,7 @@ def _stacked_features(heads: "Sequence[_Head]", Z: np.ndarray) -> np.ndarray:
 
 class HeadBank:
     """H same-architecture heads trained as one stacked network:
-    :func:`_forward` over ``(H, in, out)`` stacks, its VJP
+    :func:`~repro.nn.network.forward` over ``(H, in, out)`` stacks, its VJP
     (:meth:`backward`) and a per-head gradient clip, for an
     :class:`~repro.nn.Adam` over :attr:`params`.
 
@@ -256,8 +210,8 @@ class HeadBank:
     reads.  Inference therefore never keeps one (:func:`predict_pairs`).
 
     **Workspace.**  :meth:`forward` and :meth:`backward` allocate no array
-    after a bank's first minibatch: :func:`_forward` runs in one
-    minibatch's buffers, sized by the most rows seen so far, and the VJP
+    after a bank's first minibatch: the forward runs in one minibatch's
+    buffers, sized by the most rows seen so far, and the VJP
     overwrites each product with the gradient passed back through it.  A
     pass over fewer rows (a ragged tail minibatch) runs on leading views
     of them, laid out as a fresh array of its shape would be, so the GEMMs
@@ -275,20 +229,21 @@ class HeadBank:
         for h, head in enumerate(self.heads):
             head.params = [stack[h] if k % 2 == 0 else stack[h, 0]
                            for k, stack in enumerate(self.params)]
+        #: The flat buffer :attr:`params` are views of.
+        self.data = self.params[0].base
         self._layers = list(zip(self.params[::2], self.params[1::2]))
-        self._weights_t = [np.swapaxes(weight, -1, -2) for weight, _ in self._layers]
         kind = type(self.heads[0])
         self._link, self._link_vjp = kind._link_np, kind._link_vjp
         self._rows = 0  # rows the workspace holds
         self._views: "dict[int, tuple]" = {}  # row count -> its workspace views
 
     def _workspace(self, n: int) -> "tuple[list, list]":
-        """:func:`_forward`'s workspace for an ``n``-row pass, as views of
-        the bank's buffers.  The buffers grow (and the cached views go)
-        only past the most rows seen."""
+        """The forward's workspace for an ``n``-row pass, as views of the
+        bank's buffers.  The buffers grow (and the cached views go) only
+        past the most rows seen."""
         views = self._views.get(n)
         if views is None:
-            H, (floats, flags) = len(self), _widths(self._layers)
+            H, (floats, flags) = len(self), network.widths(self._layers)
             if n > self._rows:
                 self._rows, self._views = n, {}
                 self._floats = [np.empty(H * n * w) for w in floats]
@@ -310,7 +265,7 @@ class HeadBank:
         and what :meth:`backward` needs of this pass — both views of the
         workspace, valid until the next :meth:`forward`."""
         ws = self._workspace(X.shape[-2])
-        return _forward(self._link, self._layers, X, ws).reshape(X.shape[:-1]), (X, ws)
+        return network.forward(self._link, self._layers, X, ws).reshape(X.shape[:-1]), (X, ws)
 
     def backward(self, g: np.ndarray, saved: tuple, grads: "Sequence[np.ndarray]") -> None:
         """The VJP of the last :meth:`forward` (``saved`` is its second
@@ -318,24 +273,16 @@ class HeadBank:
         output): writes into ``grads`` (one array per :attr:`params`
         entry, e.g. an Adam's ``grads``) the gradient of
         ``Σ g ⊙ predictions``, as the tape's backward would compute it."""
-        X, (floats, flags) = saved
-        last = len(self._layers) - 1
-        raw, out = floats[-3:-1]
-        self._link_vjp(g.reshape(raw.shape), raw, out, raw, floats[-1], flags[last])
-        g = raw
-        for k in range(last, -1, -1):
-            np.add.reduce(g, axis=1, keepdims=True, out=grads[2 * k + 1])
-            x = floats[2 * k - 2] if k else X
-            np.matmul(np.swapaxes(x, -1, -2), g, out=grads[2 * k])
-            if k:  # x is read: its buffer takes the gradient it passes back
-                np.matmul(g, self._weights_t[k], out=x)
-                g = np.multiply(x, floats[2 * k - 1], out=x)
+        X, ws = saved
+        (*_, raw, out, tmp), flags = ws
+        self._link_vjp(g.reshape(raw.shape), raw, out, raw, tmp, flags[-1])
+        network.backward(self._layers, X, ws, raw, grads)
 
     def clip_grad_norm(self, max_norm: float, grads: "Sequence[np.ndarray]") -> np.ndarray:
-        """Per-head :func:`repro.nn.clip_grad_norm` of the stacked
-        gradients ``grads``, in place (same sums, in ``params`` order; heads
-        under the norm are untouched).  Returns the ``(H,)`` pre-clip
-        norms."""
+        """Per head, rescale the stacked gradients ``grads`` in place so
+        their global L2 norm is at most ``max_norm`` (the per-head tape's
+        ``clip_grad_norm``, same sums in ``params`` order; heads under the
+        norm are untouched).  Returns the ``(H,)`` pre-clip norms."""
         if max_norm <= 0:
             raise ValueError(f"max_norm must be > 0, got {max_norm}")
         squares = 0.0
@@ -352,7 +299,7 @@ def predict_pairs(
     pairs: "Sequence[PredictorPair]", Z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(T̂, Â)``, each ``(M, N)``: every pair's predictions for one feature
-    matrix, as one stacked :func:`_forward` per head kind.  ``R`` rounds at
+    matrix, as one stacked network forward per head kind.  ``R`` rounds at
     once, ``Z`` of shape ``(R, N, F)``, give ``(R, M, N)``: every product
     keeps its per-round shape, so — unlike one call on the concatenated
     rows, where the GEMM's edge handling moves with the row count — each
@@ -368,7 +315,7 @@ def predict_pairs(
         stacks = [a[lift] for a in _stack(heads)]
         X = _stacked_features(heads, Z)
         layers = list(zip(stacks[::2], stacks[1::2]))
-        out.append(_forward(heads[0]._link_np, layers, X).reshape(X.shape[:-1]))
+        out.append(network.forward(heads[0]._link_np, layers, X).reshape(X.shape[:-1]))
     return out[0], out[1]
 
 

@@ -108,7 +108,8 @@ class BankTrainer:
     alone would run, so how heads are grouped never shows in the weights.
 
     The trainer owns a :class:`HeadBank` over ``heads`` for its lifetime —
-    see there for what must not happen to the heads meanwhile.
+    see there for what must not happen to the heads meanwhile.  Its
+    optimizer and buffers come with the first :meth:`step`.
     """
 
     def __init__(
@@ -129,33 +130,41 @@ class BankTrainer:
         self.loss = loss
         self.rngs = [as_generator(r) for r in rngs]
         Y = np.stack([np.asarray(y, dtype=np.float64) for y in ys])
-        Zs = [np.asarray(Z, dtype=np.float64) for Z in Zs]
-        if not all(np.isfinite(Z).all() for Z in Zs) or not np.isfinite(Y).all():
+        self._Zs = [np.asarray(Z, dtype=np.float64) for Z in Zs]
+        if not all(np.isfinite(Z).all() for Z in self._Zs) or not np.isfinite(Y).all():
             raise ValueError("features and targets must be finite")
         if loss == "log_mse" and (Y <= 0).any():
             raise ValueError("time targets must be positive")
         if loss == "mse" and ((Y < 0) | (Y > 1)).any():
             raise ValueError("reliability targets must lie in [0, 1]")
-        self.bank = HeadBank(heads)
-        # Standardized once up front: elementwise, so equal to standardizing
-        # each minibatch after the gather.
-        self.X = np.stack([h._prep(Z) for h, Z in zip(self.bank.heads, Zs)])
-        if self.X.shape[:2] != Y.shape:
+        if any(len(np.atleast_2d(Z)) != Y.shape[1] for Z in self._Zs):
             raise ValueError("Z and y must have matching lengths")
         if Y.shape[1] == 0:
             raise ValueError("need at least one training sample")
+        self.bank = HeadBank(heads)
         self.Y = np.log(Y) if loss == "log_mse" else Y
-        self.opt = Adam(self.bank.params, lr=self.config.lr, weight_decay=WEIGHT_DECAY)
+        self.opt: "Adam | None" = None  # built by the first step (_start)
         self.steps_done = 0
         self.epochs_done = 0
         self.history: "list[np.ndarray]" = []  # per epoch: (H,) mean sample losses
+        self._cursor = 0  # samples of this epoch already used
+
+    def _start(self) -> None:
+        """Build what training needs besides the weights: standardized
+        features, the optimizer and one minibatch's buffers.  The first
+        step does, so a trainer that never steps in this process (the
+        bank :func:`_run_beside` trains in a worker) holds only its
+        checked inputs and the bank's weights."""
+        # Standardized once up front: elementwise, so equal to standardizing
+        # each minibatch after the gather.
+        self.X = np.stack([h._prep(Z) for h, Z in zip(self.bank.heads, self._Zs)])
+        self.opt = Adam(self.bank.params, lr=self.config.lr, weight_decay=WEIGHT_DECAY)
         (H, n), F = self.Y.shape, self.X.shape[-1]
         self._samples = self.X.reshape(H * n, F)
         # This epoch's shuffles as indices into the flattened samples: row h
         # is h·n plus a permutation of range(n).
         self._unshuffled = np.arange(H * n).reshape(H, n)
         self._order = self._unshuffled.copy()
-        self._cursor = 0  # samples of this epoch already used
         self._epoch_loss = np.zeros(H)
         # One minibatch's indices, features, targets, residuals and loss
         # gradient; the tail minibatch runs on leading views of them.
@@ -189,6 +198,8 @@ class BankTrainer:
         Raises when done."""
         if self.done:
             raise RuntimeError("trainer already finished its epoch budget")
+        if self.opt is None:
+            self._start()
         n = self.Y.shape[1]
         if self._cursor == 0:
             # Generator.permutation(n) shuffles arange(n) in place: the same
@@ -310,11 +321,13 @@ def _run_beside(trainers: "Sequence[BankTrainer]", beside: "Sequence[BankTrainer
     The child starts from a copy of every trainer, generator and weight,
     runs the steps this process would have run, and sends each ``beside``
     trainer's epoch history, step count and flat parameter buffer (its
-    Adam ``data``, which the heads' views live in) back through a pipe;
+    bank's ``data``, which the heads' views live in) back through a pipe;
     the buffers are copied into this process's, so the weights are the
     same bytes on either path.  Those trainers end ``done`` with the
-    child's weights, history and step count; their optimizer moments and
-    shuffle generators stay as they were before training.
+    child's weights, history and step count.  They never step here, so
+    this process never builds their training buffers (features,
+    optimizer, minibatch and bank workspaces: :meth:`BankTrainer._start`)
+    and their shuffle generators stay as they were before training.
 
     The child is always reaped before this returns: if this process's
     own training raises (or is interrupted) the child is killed first.
@@ -367,7 +380,7 @@ def _join(pid: int, read_fd: int, trainers: "Sequence[BankTrainer]",
         error, trace = payload
         raise error from RuntimeError(f"in the training worker:\n{trace}")
     for trainer, (history, steps, data) in zip(beside, payload):
-        np.copyto(trainer.opt.data, data)
+        np.copyto(trainer.bank.data, data)
         trainer.history = history
         trainer.steps_done, trainer.epochs_done = steps, len(history)
 
@@ -384,7 +397,7 @@ def _child(trainers: "Sequence[BankTrainer]", write_fd: int) -> NoReturn:
         try:
             for trainer in trainers:
                 trainer.run_steps(trainer.total_steps)
-            report = (True, [(t.history, t.steps_done, t.opt.data) for t in trainers])
+            report = (True, [(t.history, t.steps_done, t.bank.data) for t in trainers])
         except BaseException as exc:  # every failure goes to the parent
             import traceback  # only a failing worker needs it
 

@@ -1,34 +1,34 @@
-"""Reverse-mode automatic differentiation on NumPy arrays.
+"""The reverse-mode tape the predictor heads are held to, bit for bit.
 
-This is the neural-network substrate for the MFCP reproduction: the paper's
-predictors are small fully-connected networks, and MFCP backpropagates a
-matching-regret loss through them (Eq. 7 of the paper).  The engine is a
-classic define-by-run tape:
+The heads (``repro.predictors.models``) train and predict through one
+hand-written forward and its VJP (``repro.nn.network``).  Before that
+they ran on this define-by-run tape — a :class:`Tensor` recording a
+backward closure per operation, :mod:`ops`-style elementwise functions,
+``Module`` layers, :func:`mse_loss` and :func:`clip_grad_norm` — and it is
+kept here, verbatim, as the oracle ``tests/test_bank_exact.py`` compares
+them with.  ``tests/test_nn_tensor.py``, ``test_nn_ops.py``,
+``test_nn_edge_cases.py`` and ``test_nn_layers.py`` hold it to finite
+differences: the first link of the chain "tape ops match finite
+differences, and the bank equals the tape".
 
-- a :class:`Tensor` wraps a ``numpy.ndarray`` plus an optional gradient;
-- every differentiable operation records its inputs and a backward closure
-  that maps the output gradient to input-gradient contributions;
-- :meth:`Tensor.backward` topologically sorts the tape and accumulates.
-
-Design notes (kept deliberately close to what the paper needs, no more):
-
-- Gradients are dense ``float64`` arrays of the same shape as their tensor.
-- Broadcasting in forward ops is mirrored by *unbroadcasting* (summation
-  over broadcast axes) in backward closures — see :func:`unbroadcast`.
-- The tape is garbage-collected naturally: a backward pass does not mutate
-  graph structure, and tensors drop their parents when Python frees them.
-- No in-place mutation of tensors that require grad; optimizers mutate raw
-  ``.data`` buffers between graph constructions, which is safe because each
-  training step builds a fresh graph.
+Parameters train with :class:`repro.nn.Adam`, which takes any leaves with
+``.data``, ``.grad`` and ``zero_grad()``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["Tensor", "unbroadcast", "as_tensor", "no_grad"]
+from repro.nn.functional import sigmoid_np
+from repro.nn.init import he_uniform
+from repro.utils.rng import as_generator, spawn
+
+# --------------------------------------------------------------------- #
+# The tensor.
+# --------------------------------------------------------------------- #
+
 
 ArrayLike = "np.ndarray | float | int | Sequence[float] | Tensor"
 
@@ -423,3 +423,242 @@ def _topo_sort(root: Tensor) -> list[Tensor]:
 def as_tensor(x: "Tensor | np.ndarray | float | Sequence[float]") -> Tensor:
     """Coerce ``x`` to a constant :class:`Tensor` (no copy for Tensors)."""
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+# --------------------------------------------------------------------- #
+# Elementwise operations (``from tests import _tape as ops``: ``ops.exp``).
+# --------------------------------------------------------------------- #
+
+
+def exp(x: Tensor) -> Tensor:
+    x = as_tensor(x)
+    out_data = np.exp(x.data)
+
+    def backward(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
+        return (g * out_data,)
+
+    return Tensor._from_op(out_data, (x,), backward)
+
+
+def log(x: Tensor) -> Tensor:
+    x = as_tensor(x)
+    x_data = x.data
+
+    def backward(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
+        return (g / x_data,)
+
+    return Tensor._from_op(np.log(x_data), (x,), backward)
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    """Numerically stable logistic sigmoid."""
+    x = as_tensor(x)
+    out_data = sigmoid_np(x.data)
+
+    def backward(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
+        return (g * out_data * (1.0 - out_data),)
+
+    return Tensor._from_op(out_data, (x,), backward)
+
+
+def relu(x: Tensor) -> Tensor:
+    x = as_tensor(x)
+    x_data = x.data
+    mask = (x_data > 0).astype(np.float64)
+
+    def backward(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
+        return (g * mask,)
+
+    return Tensor._from_op(x_data * mask, (x,), backward)
+
+
+def clip(x: Tensor, lo: float, hi: float) -> Tensor:
+    """Clamp with zero gradient outside [lo, hi]."""
+    x = as_tensor(x)
+    x_data = x.data
+    mask = ((x_data >= lo) & (x_data <= hi)).astype(np.float64)
+
+    def backward(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
+        return (g * mask,)
+
+    return Tensor._from_op(np.clip(x_data, lo, hi), (x,), backward)
+
+
+# --------------------------------------------------------------------- #
+# Modules: parameters, layers and a ReLU MLP.
+# --------------------------------------------------------------------- #
+
+
+class Parameter(Tensor):
+    """A trainable leaf tensor (``requires_grad=True`` by construction)."""
+
+    def __init__(self, data: np.ndarray, *, name: str | None = None) -> None:
+        super().__init__(data, requires_grad=True, name=name)
+
+
+class Module:
+    """Base class: parameter and submodule registration."""
+
+    def __init__(self) -> None:
+        self._parameters: dict[str, Parameter] = {}
+        self._modules: dict[str, Module] = {}
+
+    # -- registration (attribute assignment auto-registers) ------------- #
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if isinstance(value, Parameter):
+            self.__dict__.setdefault("_parameters", {})[name] = value
+        elif isinstance(value, Module):
+            self.__dict__.setdefault("_modules", {})[name] = value
+        object.__setattr__(self, name, value)
+
+    def parameters(self) -> Iterator[Parameter]:
+        """Yield all trainable parameters, depth-first, deterministic order."""
+        for p in self._parameters.values():
+            yield p
+        for m in self._modules.values():
+            yield from m.parameters()
+
+    # -- forward ------------------------------------------------------------ #
+
+    def forward(self, x: Tensor) -> Tensor:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def __call__(self, x: Tensor) -> Tensor:
+        return self.forward(x)
+
+
+class Linear(Module):
+    """Affine layer ``y = x W + b``, He-uniform weights and zero bias.
+
+    ``x`` may be a single feature vector (1-D) or a batch (2-D, samples in
+    rows) — the matmul handles both.
+    """
+
+    def __init__(
+        self,
+        in_features: int,
+        out_features: int,
+        *,
+        rng: np.random.Generator | int | None = None,
+    ) -> None:
+        super().__init__()
+        if in_features <= 0 or out_features <= 0:
+            raise ValueError("feature counts must be positive")
+        self.in_features = in_features
+        self.out_features = out_features
+        self.weight = Parameter(he_uniform((in_features, out_features), rng), name="weight")
+        self.bias = Parameter(np.zeros(out_features), name="bias")
+
+    def forward(self, x: Tensor) -> Tensor:
+        return x @ self.weight + self.bias
+
+    def __repr__(self) -> str:
+        return f"Linear(in={self.in_features}, out={self.out_features})"
+
+
+class ReLU(Module):
+    def forward(self, x: Tensor) -> Tensor:
+        return relu(x)
+
+
+class Sequential(Module):
+    """Chain of modules applied in order."""
+
+    def __init__(self, *modules: Module) -> None:
+        super().__init__()
+        self._order: list[str] = []
+        for i, m in enumerate(modules):
+            name = f"m{i}"
+            setattr(self, name, m)
+            self._order.append(name)
+
+    def forward(self, x: Tensor) -> Tensor:
+        for name in self._order:
+            x = self._modules[name](x)
+        return x
+
+    def __iter__(self) -> Iterator[Module]:
+        return (self._modules[name] for name in self._order)
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+
+class MLP(Module):
+    """Fully-connected network ``d → hidden… → out``.
+
+    Parameters
+    ----------
+    in_features:
+        Input (task feature) dimension.
+    hidden:
+        Sizes of hidden layers; may be empty for a linear model.
+    out_features:
+        Output dimension (1 for the paper's scalar predictors).
+    activation:
+        Hidden activation name; ``relu`` is the one there is.
+    output:
+        Output head; ``identity`` (the last Linear's output) is the one
+        there is.
+    """
+
+    def __init__(
+        self,
+        in_features: int,
+        hidden: Sequence[int] = (32, 32),
+        out_features: int = 1,
+        *,
+        activation: str = "relu",
+        output: str = "identity",
+        rng: np.random.Generator | int | None = None,
+    ) -> None:
+        super().__init__()
+        if activation != "relu":
+            raise ValueError(f"unknown activation {activation!r}; options: ['relu']")
+        if output != "identity":
+            raise ValueError(f"unknown output head {output!r}; options: ['identity']")
+        rng = as_generator(rng)
+        dims = [in_features, *hidden, out_features]
+        layers: list[Module] = []
+        for i in range(len(dims) - 1):
+            layers.append(Linear(dims[i], dims[i + 1], rng=spawn(rng)))
+            if i < len(dims) - 2:
+                layers.append(ReLU())
+        self.net = Sequential(*layers)
+        self.in_features = in_features
+        self.out_features = out_features
+
+    def forward(self, x: Tensor) -> Tensor:
+        return self.net(x)
+
+
+# --------------------------------------------------------------------- #
+# The loss of Eq. (1), and the gradient clip of the regret update.
+# --------------------------------------------------------------------- #
+
+
+def mse_loss(pred: Tensor, target: "Tensor | np.ndarray") -> Tensor:
+    """Mean squared error, Eq. (1): ``(1/n) ||target − pred||²``."""
+    pred = as_tensor(pred)
+    target = as_tensor(target)
+    diff = pred - target.detach()
+    return (diff * diff).mean()
+
+
+def clip_grad_norm(params: "Sequence[Parameter] | Iterable[Parameter]", max_norm: float) -> float:
+    """Rescale the tape's gradients so their global L2 norm is at most
+    ``max_norm``; returns the pre-clip norm.  (The predictor bank clips per
+    head with the same sums: :meth:`~repro.predictors.models.HeadBank.clip_grad_norm`.)
+    """
+    if max_norm <= 0:
+        raise ValueError(f"max_norm must be > 0, got {max_norm}")
+    params = [p for p in params if p.grad is not None]
+    if not params:
+        return 0.0
+    total = float(np.sqrt(sum(float(np.sum(p.grad**2)) for p in params)))
+    if total > max_norm:
+        scale = max_norm / (total + 1e-12)
+        for p in params:
+            p.grad *= scale
+    return total

@@ -11,6 +11,7 @@ from hypothesis import settings
 from repro.clusters import make_setting
 from repro.matching import MatchingProblem, feasible_gamma
 from repro.methods import MFCP
+from repro.predictors.models import _Head
 from repro.telemetry.recorder import Recorder
 from repro.workloads import TaskPool
 
@@ -20,6 +21,19 @@ from repro.workloads import TaskPool
 # deadline on this shared machine.
 settings.register_profile("tier1", derandomize=True, deadline=None)
 settings.load_profile("tier1")
+
+
+class IdentityHead(_Head):
+    """A head whose link is the identity: what ``repro.nn.MLP`` is, run as
+    a :class:`~repro.predictors.HeadBank` of its own."""
+
+    @staticmethod
+    def _link_np(raw, out, tmp):
+        return raw
+
+    @staticmethod
+    def _link_vjp(g, raw, out, into, tmp, flag):
+        np.copyto(into, g)
 
 
 class PerClusterMFCP(MFCP):

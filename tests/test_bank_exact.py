@@ -2,9 +2,9 @@
 
 Everything that trains or evaluates the M clusters' same-shape heads now
 runs *stacked* and without a tape (``HeadBank``: ``(H, in, out)`` stacks in
-one flat buffer, the one hand-written forward and its VJP, one flat Adam)
-on heads that are plain arrays.  The per-head tape path it replaced is
-kept here verbatim as the oracle:
+one flat buffer, the one hand-written network ``repro.nn.network`` and its
+VJP, one flat Adam) on heads that are plain arrays.  The per-head tape path
+it replaced is kept as the oracle, on the tape of ``tests/_tape.py``:
 
 - ``_TapeHead`` / ``_TapePair`` — a head as it was: an ``nn.MLP`` of
   ``Parameter`` leaves (here holding copies of an array head's weights)
@@ -40,7 +40,8 @@ from repro.methods import MFCP, TSM, FitContext, MatchSpec, MFCPConfig
 from repro.methods.base import HIDDEN
 from repro.methods import mfcp as mfcp_module
 from repro.methods.mfcp import GRAD_CLIP
-from repro.nn import MLP, Adam, Linear, Tensor, clip_grad_norm, mse_loss, no_grad, ops
+from repro import nn
+from repro.nn import Adam, network
 from repro.nn.optim import BETAS, flatten
 from repro.predictors import (
     BankTrainer,
@@ -52,7 +53,6 @@ from repro.predictors import (
     fit_pairs,
     predict_pairs,
 )
-from repro.predictors import models
 from repro.predictors.dataset import Standardizer
 from repro.predictors.models import _LOG_T_CLIP
 from repro.predictors.training import WEIGHT_DECAY, StepwiseTrainer, TrainConfig, TrainResult
@@ -62,6 +62,8 @@ from repro.serve.registry import ModelRegistry
 from repro.utils.rng import as_generator, spawn
 from repro.workloads import TaskPool
 
+from tests import _tape as ops
+from tests._tape import MLP, Linear, Tensor, clip_grad_norm, mse_loss, no_grad
 from tests.conftest import PerClusterMFCP
 
 # --------------------------------------------------------------------- #
@@ -633,18 +635,18 @@ def test_state_dict_keys_digest_and_old_checkpoints_hold(tmp_path):
 
 
 def test_one_forward_serves_the_bank_predict_and_predict_pairs(monkeypatch):
-    """``_forward`` is the one head network: ``predict_pairs`` and a head's
+    """``network.forward`` is the one head network: ``predict_pairs`` and a head's
     ``predict`` run it once per head kind in a fresh workspace, a bank's
     training pass in the bank's, and all read the same weights into the
     same bits."""
     workspaces = []
-    real = models._forward
+    real = network.forward
 
     def spy(link, layers, X, ws=None):
         workspaces.append("fresh" if ws is None else "bank")
         return real(link, layers, X, ws)
 
-    monkeypatch.setattr(models, "_forward", spy)
+    monkeypatch.setattr(network, "forward", spy)
     pairs = [PredictorPair(6, (32, 32), standardizer=Standardizer.fit(_data(40)[0]), rng=i)
              for i in range(5)]
     Z = _data(9, seed=4)[0]
@@ -749,18 +751,21 @@ def test_link_edges_ragged_batches_and_round_axes_match_the_tape(kind, H):
 
 def test_training_and_inference_build_no_tape(monkeypatch):
     """No model construction, pretraining step, refit step, regret update
-    or prediction makes a ``Tensor`` (heads are plain arrays: not even a
-    ``Parameter`` leaf)."""
+    or prediction makes a ``Tensor``, the test tape's or ``repro.nn``'s
+    (heads are plain arrays: not even a ``Parameter`` leaf)."""
     def guarded(self, *args, **kwargs):
         raise AssertionError("a tape node was built")
 
     monkeypatch.setattr(Tensor, "__init__", guarded)
+    monkeypatch.setattr(nn.Tensor, "__init__", guarded)
     ctx = _fresh_ctx()
     pairs = fit_pairs(ctx.datasets, ctx.feature_dim, (8,), ctx.standardizer,
                       TrainConfig(epochs=1), as_generator(0))
     Z = ctx.features(ctx.train_tasks[:5])
-    with pytest.raises(AssertionError):  # the guard is live
+    with pytest.raises(AssertionError):  # the guards are live
         _TapeHead(pairs[0].time)
+    with pytest.raises(AssertionError):
+        nn.MLP(4, (8,), rng=0)(nn.Tensor(np.ones((2, 4))))
     predict_pairs(pairs, Z)
     predict_pairs(pairs, np.stack([Z, Z]))
     pairs[0].predict(Z)
@@ -883,7 +888,7 @@ def test_inference_layers_allocate_nothing(kind):
     X = np.broadcast_to(_data(N, seed=5)[0][None], (H, N, 6))
     tracemalloc.start()
     try:
-        models._forward(kind._link_np, layers, X)
+        network.forward(kind._link_np, layers, X)
     finally:
         tracemalloc.stop()
     assert len(layers.allocated) == len(HIDDEN) + 1

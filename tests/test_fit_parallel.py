@@ -141,7 +141,7 @@ def test_forked_fit_equals_in_process_fit(shape, forks):
         assert np.array_equal(got[1], want[1])
     for got, want in zip(rel, rel_here):
         assert got.steps_done == want.steps_done == got.total_steps
-        assert np.array_equal(got.opt.data, want.opt.data)
+        assert np.array_equal(got.bank.data, want.bank.data)
     _assert_no_child_left()
 
 
@@ -170,6 +170,37 @@ def test_non_finite_inputs_raise_before_any_fork(field, forks):
         fit_pairs(datasets, ctx.feature_dim, HIDDEN, ctx.standardizer, _cfg(ctx),
                   as_generator(7))
     assert forks == []
+
+
+def test_parent_holds_only_the_forked_banks_weights():
+    """While the worker trains the reliability bank, this process holds of
+    it only the weights the worker's bytes are copied into: at
+    ``serve_wide``'s shape (24 specialists, 15 epochs) a forking
+    ``fit_pairs`` peaks less than twice the reliability bank's weights
+    above building the pairs and fitting the time bank alone.  Building
+    that bank's features, optimizer and minibatch buffers here as well
+    costs about eight times its weights."""
+    import tracemalloc
+
+    ctx = _ctx(make_specialist_pool(24), pool=256)
+    cfg = TrainConfig(epochs=15)
+    Zs, ts = [ds.Z for ds in ctx.datasets], [ds.t for ds in ctx.datasets]
+    tracemalloc.start()
+    try:
+        pairs = [PredictorPair(ctx.feature_dim, HIDDEN, standardizer=ctx.standardizer, rng=h)
+                 for h in range(len(ctx.datasets))]
+        training.fit_heads([p.time for p in pairs], Zs, ts, cfg,
+                           [as_generator(h) for h in range(len(pairs))], loss="log_mse")
+        alone = tracemalloc.get_traced_memory()[1]
+        weights = 8 * sum(p.reliability.num_parameters() for p in pairs)
+        del pairs
+        tracemalloc.reset_peak()
+        _fit(ctx, cfg)
+        forked = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert forked < alone + 2 * weights, (forked, alone, weights)
+    _assert_no_child_left()
 
 
 def _plant(monkeypatch, where, action):

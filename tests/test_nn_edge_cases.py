@@ -1,4 +1,5 @@
-"""Edge-case and regression tests for the autograd engine.
+"""Edge-case and regression tests for the reverse-mode tape the predictor
+heads are held to (``tests/_tape.py``).
 
 These cover the seams the main test files don't: reflected operators,
 fancy indexing, deep graphs, graph reuse, and numerical extremes — the
@@ -10,8 +11,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn import MLP, Adam, Tensor, mse_loss, no_grad, ops
+from repro.nn import Adam
 from repro.nn.functional import logsumexp_np, softmax_np
+from tests._tape import MLP, Tensor, mse_loss, no_grad
 
 
 class TestReflectedOperators:

@@ -1,25 +1,19 @@
-"""Tests for Module/Linear/MLP, losses, optimizers, init, serialization,
-and the platform benchmark's probe of them."""
+"""Tests for what ``repro.nn`` keeps — the probe-shaped ``MLP`` over the
+heads' own network, Adam, init and serialization — and for the test tape's
+Module/Linear/MLP, losses and gradient clip (``tests/_tape.py``)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.nn import (
-    MLP,
-    Adam,
-    Linear,
-    Parameter,
-    Sequential,
-    Tensor,
-    clip_grad_norm,
-    load_module,
-    mse_loss,
-    save_module,
-)
+from repro import nn
+from repro.nn import Adam, Parameter, load_module, save_module
 from repro.nn import init as initializers
-from repro.predictors import TimePredictor
+from repro.predictors import HeadBank, TimePredictor
+from tests._tape import MLP, Linear, Sequential, Tensor, clip_grad_norm, mse_loss
+from tests._tape import Parameter as TapeParameter
+from tests.conftest import IdentityHead
 
 
 class TestLinearAndMLP:
@@ -35,32 +29,32 @@ class TestLinearAndMLP:
             Linear(3, 0)
 
     def test_mlp_output_heads(self):
-        """The identity head returns the last Linear's output: ReLU between
-        layers, nothing after the last."""
+        """``nn.MLP``'s identity head returns the last layer's output: ReLU
+        between layers, nothing after the last."""
         x = np.random.default_rng(0).normal(size=(10, 6))
-        model = MLP(6, (8,), 1, activation="relu", output="identity", rng=1)
-        w0, b0, w1, b1 = (p.data for p in model.parameters())
+        model = nn.MLP(6, (8,), 1, activation="relu", output="identity", rng=1)
+        w0, b0, w1, b1 = (p.data[0] for p in model.parameters())
         h = x @ w0 + b0
-        np.testing.assert_allclose(model(Tensor(x)).data, (h * (h > 0)) @ w1 + b1)
+        np.testing.assert_allclose(model(nn.Tensor(x)).data, (h * (h > 0)) @ w1 + b1)
 
     def test_mlp_rejects_unknown_options(self):
         with pytest.raises(ValueError):
-            MLP(4, activation="swish")
+            nn.MLP(4, activation="swish")
         with pytest.raises(ValueError):
-            MLP(4, output="tanh")
+            nn.MLP(4, output="tanh")
 
     def test_mlp_learns_linear_function(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(128, 4))
         y = (X @ np.array([1.0, -2.0, 0.5, 3.0]))[:, None]
-        model = MLP(4, (16,), 1, rng=0)
+        model = nn.MLP(4, (16,), 1, rng=0)
         opt = Adam(model.parameters(), lr=1e-2)
         for _ in range(600):
             opt.zero_grad()
-            loss = mse_loss(model(Tensor(X)), y)
+            loss = nn.mse_loss(model(nn.Tensor(X)), y)
             loss.backward()
             opt.step()
-        assert loss.item() < 5e-2  # y has variance ~14; this is R² > 0.996
+        assert float(loss.data) < 5e-2  # y has variance ~14; this is R² > 0.996
 
     def test_parameter_registration(self):
         m = MLP(4, (8, 8), 1, rng=0)
@@ -89,10 +83,12 @@ class TestLinearAndMLP:
         with pytest.raises(KeyError):
             m.load_state_dict({"bogus": np.zeros(3)})
 
+
 class TestLosses:
     def test_mse_zero_at_target(self):
         p = Tensor([1.0, 2.0])
         assert mse_loss(p, np.array([1.0, 2.0])).item() == 0.0
+        assert float(nn.mse_loss(nn.Tensor([1.0, 2.0]), np.array([1.0, 2.0])).data) == 0.0
 
     def test_losses_backprop(self):
         t = Tensor([0.3, 0.7], requires_grad=True)
@@ -101,16 +97,11 @@ class TestLosses:
 
 
 class TestOptimizers:
-    def quad_problem(self):
-        p = Parameter(np.array([5.0, -3.0]))
-        return p
-
     def run(self, opt_factory, steps=200):
-        p = self.quad_problem()
+        p = Parameter(np.array([5.0, -3.0]))
         opt = opt_factory([p])
         for _ in range(steps):
             opt.zero_grad()
-            loss = (Tensor(p.data) * 0).sum()  # placeholder; grad set manually
             p.grad = 2.0 * p.data  # ∇ of ||p||²
             opt.step()
         return p.data
@@ -125,16 +116,20 @@ class TestOptimizers:
             Adam([], lr=0.1)
         with pytest.raises(ValueError):
             Adam(p, lr=-1)
+        with pytest.raises(ValueError):
+            Adam([np.zeros(2), Parameter(np.zeros(2))])
+        with pytest.raises(ValueError):
+            Adam([np.zeros(2), np.zeros(3)])  # not views of one buffer
 
     def test_clip_grad_norm(self):
-        p = Parameter(np.zeros(3))
+        p = TapeParameter(np.zeros(3))
         p.grad = np.array([3.0, 4.0, 0.0])  # norm 5
         norm = clip_grad_norm([p], max_norm=1.0)
         assert norm == pytest.approx(5.0)
         assert np.linalg.norm(p.grad) == pytest.approx(1.0, rel=1e-6)
 
     def test_clip_grad_norm_noop_below(self):
-        p = Parameter(np.zeros(2))
+        p = TapeParameter(np.zeros(2))
         p.grad = np.array([0.1, 0.1])
         clip_grad_norm([p], max_norm=10.0)
         np.testing.assert_allclose(p.grad, [0.1, 0.1])
@@ -158,9 +153,61 @@ class TestInitializers:
         np.testing.assert_allclose(a, b)
 
 
-def test_platform_nn_probe_runs_on_the_tape():
-    """The platform benchmark's traced pass times forward and train steps of
-    an ``nn.MLP`` on the tape (``probe_nn``); what it calls must stay."""
+# --------------------------------------------------------------------- #
+# One network: the probe's calls are an identity-link bank of one head.
+# --------------------------------------------------------------------- #
+
+
+def test_probe_calls_are_an_identity_bank_of_one():
+    """``nn.MLP`` draws a head's weights, and its forward and the probe's
+    train step (MLP → reshape → ``mse_loss`` → backward → Adam) are those
+    of an identity-link ``HeadBank`` of one head, bit for bit: the output,
+    the loss, the weights and the Adam moments, over full and ragged
+    minibatches."""
+    F, hidden = 12, (32, 32)
+    net = nn.MLP(F, hidden, 1, activation="relu", output="identity", rng=5)
+    head = IdentityHead(F, hidden, rng=5)
+    assert [p.data.tobytes() for p in net.parameters()] == [p.tobytes() for p in head.params]
+    bank = HeadBank([head])
+    net_opt, bank_opt = Adam(net.parameters(), lr=1e-3), Adam(bank.params, lr=1e-3)
+    rng = np.random.default_rng(0)
+    for n in (32, 32, 7, 32):
+        x, y = rng.normal(size=(n, F)), rng.normal(size=n)
+        with nn.no_grad():
+            out = net(nn.Tensor(x))
+        pred, saved = bank.forward(x[None])
+        assert out.data.reshape(-1).tobytes() == pred[0].tobytes()
+
+        net_opt.zero_grad()
+        loss = nn.mse_loss(net(nn.Tensor(x)).reshape(-1), y)
+        loss.backward()
+        net_opt.step()
+        # BankTrainer.step's "mse" arithmetic, on the bank of one.
+        diff = pred - y
+        value = np.add.reduce(diff * diff, axis=-1) * (1.0 / n)
+        g = np.multiply(diff, 1.0 / n)
+        bank.backward(g + g, saved, bank_opt.grads)
+        bank_opt.step()
+        assert loss.data.tobytes() == value[0].tobytes()
+        assert net_opt.data.tobytes() == bank_opt.data.tobytes()
+        assert net_opt.m.tobytes() == bank_opt.m.tobytes()
+        assert net_opt.v.tobytes() == bank_opt.v.tobytes()
+    assert [p.data.tobytes() for p in net.parameters()] == [p.tobytes() for p in head.params]
+
+
+def test_mse_loss_backward_needs_a_network_output_of_the_targets_shape():
+    net = nn.MLP(3, (4,), 1, rng=0)
+    out = net(nn.Tensor(np.ones((2, 3))))
+    with pytest.raises(RuntimeError):
+        nn.mse_loss(nn.Tensor(out.data.reshape(-1)), np.zeros(2)).backward()
+    with pytest.raises(ValueError):
+        nn.mse_loss(out, np.zeros(2))  # (2, 1) against (2,)
+
+
+def test_platform_nn_probe_runs_on_the_head_network():
+    """The platform benchmark's traced pass times a forward and a train step
+    of an ``nn.MLP`` (``probe_nn``), now the heads' own network at H = 1;
+    what it calls must stay."""
     from benchmarks.platform.tracing import probe_nn
 
     numbers = probe_nn(12)

@@ -1,4 +1,5 @@
-"""Unit and property tests for the autograd Tensor core."""
+"""Unit and property tests for the core of the reverse-mode tape the
+predictor heads are held to (``tests/_tape.py``)."""
 
 from __future__ import annotations
 
@@ -8,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.nn import Tensor, no_grad
-from repro.nn.tensor import unbroadcast
+from tests._tape import Tensor, no_grad, unbroadcast
 
 
 def numeric_grad(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:

@@ -35,7 +35,6 @@ SRC = ROOT / "src" / "repro"
 ALLOWED = {
     "solve_bruteforce": "reference enumeration tests/test_matching_solvers.py holds branch-and-bound to",
     "kkt_jacobians": "dense Eq.-15 Jacobians tests/test_matching_gradients.py holds kkt_vjp to",
-    "sigmoid": "the tape's reliability link in the per-head oracle tests/test_bank_exact.py holds the heads to",
     "load_trace": "workloads/io.py is the one door for measured platform traces; no such data is committed yet",
     "trace_to_datasets": "second half of that door: turns a loaded trace into per-cluster training sets",
 }
