@@ -30,9 +30,10 @@ relaxed instances (plus, for MFCP-FG, M×2S perturbed ones) sequentially —
 yet they are same-shape copies of the identical convex barrier program.
 The batched path assembles all of them into one
 :class:`repro.matching.batch.BatchProblem`, solves them in a single
-vectorized mirror-descent program, pulls all M upstream gradients back in
-one stacked KKT adjoint (:func:`repro.matching.batch_vjp.batch_kkt_vjp`)
-or one cross-cluster zeroth-order batch
+vectorized mirror-descent program, pulls all M upstream gradients back
+through the KKT adjoint (:func:`repro.matching.batch_vjp.batch_kkt_vjp`,
+one saddle solve per instance in one workspace) or one cross-cluster
+zeroth-order batch
 (:func:`repro.matching.zeroth_order.zo_vjp_cross`).  :meth:`MFCP._round`
 picks it per round exactly when the batch kernel expresses the round's
 program (:func:`repro.matching.batch.batchable`); non-convex ζ objectives

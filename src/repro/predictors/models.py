@@ -253,6 +253,10 @@ class HeadBank:
                 for bufs, ws in ((self._floats, floats), (self._flags, flags)))
         return views
 
+    def drop_workspace(self) -> None:
+        """Free the workspace; a later :meth:`forward` builds it again."""
+        self._rows, self._views, self._floats, self._flags = 0, {}, [], []
+
     def __len__(self) -> int:
         return len(self.heads)
 

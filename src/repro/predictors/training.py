@@ -243,6 +243,17 @@ class BankTrainer:
             ran += 1
         return ran
 
+    def release(self) -> None:
+        """Drop what a finished trainer no longer needs: the standardized
+        features, optimizer and minibatch buffers :meth:`_start` built and
+        the bank's workspace.  The weights, :attr:`history` and the step
+        and epoch counts stay, and :meth:`step` still raises."""
+        if not self.done:
+            raise RuntimeError("trainer has not finished yet")
+        self.opt = None
+        del self.X, self._samples, self._unshuffled, self._order, self._epoch_loss, self._batches
+        self.bank.drop_workspace()
+
     def results(self) -> "list[TrainResult]":
         """The finished run, one :class:`TrainResult` per head (requires
         ``done``)."""
@@ -327,7 +338,10 @@ def _run_beside(trainers: "Sequence[BankTrainer]", beside: "Sequence[BankTrainer
     child's weights, history and step count.  They never step here, so
     this process never builds their training buffers (features,
     optimizer, minibatch and bank workspaces: :meth:`BankTrainer._start`)
-    and their shuffle generators stay as they were before training.
+    and their shuffle generators stay as they were before training.  On
+    the in-process path each trainer releases those buffers as soon as it
+    finishes (:meth:`BankTrainer.release`), so one bank's are alive at a
+    time.
 
     The child is always reaped before this returns: if this process's
     own training raises (or is interrupted) the child is killed first.
@@ -352,6 +366,7 @@ def _run_beside(trainers: "Sequence[BankTrainer]", beside: "Sequence[BankTrainer
             return
     for trainer in (*trainers, *beside):
         trainer.run_steps(trainer.total_steps)
+        trainer.release()
 
 
 def _join(pid: int, read_fd: int, trainers: "Sequence[BankTrainer]",

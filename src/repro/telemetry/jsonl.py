@@ -20,6 +20,15 @@ __all__ = ["load_run", "aggregate_events", "meta_of", "shard_of"]
 def load_run(path: str | Path) -> list[dict]:
     """All events of one run log, in file order; validates the header.
 
+    The non-blank lines are decoded as one JSON array in one decoder
+    pass, whose memo gives every event the same key strings.  When that
+    array does not decode to one value per line, the file is read again
+    and decoded a line at a time (:func:`_decode_lines`), which tells a
+    truncated tail from corruption.  A log whose lines are each one JSON
+    value (what the :class:`Recorder` writes) gives the same events
+    either way; damaged lines that happen to join into as many values as
+    there are lines would be read as joined.
+
     An empty (or whitespace-only) file raises a clear ``ValueError``
     rather than surfacing downstream ``IndexError``s.  A *trailing*
     partial line — the signature of a run killed mid-write — is dropped
@@ -28,18 +37,21 @@ def load_run(path: str | Path) -> list[dict]:
     truncation).
     """
     with open(path) as fh:
-        lines = fh.readlines()
-    payload = [(i, raw.strip()) for i, raw in enumerate(lines) if raw.strip()]
+        payload = [raw for raw in fh.read().split("\n") if raw.strip()]
     if not payload:
         raise ValueError(f"{path}: empty run log (no events)")
-    events: list[dict] = []
-    for pos, (lineno, raw) in enumerate(payload):
-        try:
-            events.append(json.loads(raw))
-        except json.JSONDecodeError as exc:
-            if pos == len(payload) - 1:
-                break  # truncated tail from a crashed run: tolerate
-            raise ValueError(f"{path}:{lineno + 1}: invalid JSON line") from exc
+    count = len(payload)
+    payload[0] = "[" + payload[0]
+    payload[-1] += "]"
+    text = ",".join(payload)
+    del payload  # the array's text copies the lines: hold one of them
+    try:
+        events = json.loads(text)
+    except json.JSONDecodeError:
+        events = None
+    del text
+    if events is None or len(events) != count:
+        events = _decode_lines(path)
     if not events:
         raise ValueError(f"{path}: empty run log (no complete events)")
     if events[0].get("type") != "meta":
@@ -48,6 +60,23 @@ def load_run(path: str | Path) -> list[dict]:
     if schema not in SUPPORTED_SCHEMAS:
         raise ValueError(f"{path}: unsupported schema {schema!r} "
                          f"(expected one of {SUPPORTED_SCHEMAS})")
+    return events
+
+
+def _decode_lines(path: str | Path) -> list[dict]:
+    """:func:`load_run`'s events one non-blank line at a time: an invalid
+    last line is dropped, an invalid earlier one raises ``path:line``."""
+    with open(path) as fh:
+        lines = fh.readlines()
+    payload = [(i, raw.strip()) for i, raw in enumerate(lines) if raw.strip()]
+    events: list[dict] = []
+    for pos, (lineno, raw) in enumerate(payload):
+        try:
+            events.append(json.loads(raw))
+        except json.JSONDecodeError as exc:
+            if pos == len(payload) - 1:
+                break  # truncated tail from a crashed run: tolerate
+            raise ValueError(f"{path}:{lineno + 1}: invalid JSON line") from exc
     return events
 
 

@@ -7,7 +7,8 @@ Three layers are pinned down here:
    with entropy regularization, infeasible warm starts (repair), float32
    batches, and the adaptive trial policy.
 2. :func:`batch_kkt_vjp` agrees with the scalar :func:`kkt_vjp` per
-   instance (one stacked saddle solve vs B independent ones).
+   instance (the closed-form contractions vs the explicit cross-derivative
+   blocks).
 3. The MFCP fused round: the batched path trains to the same losses as
    the scalar (paper-literal) round within stochastic tolerance, and
    automatically falls back to the scalar round for the non-convex
@@ -125,7 +126,7 @@ class TestBatchScalarEquivalence:
 
 
 class TestBatchKKTAgreement:
-    """One stacked saddle solve ≡ B scalar Eq. (15) solves."""
+    """The batched adjoint ≡ B scalar Eq. (15) solves."""
 
     def _solved_batch(self, entropy: float):
         problems = _random_problems(3, B=6, entropy=entropy)

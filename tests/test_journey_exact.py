@@ -13,7 +13,12 @@ by one encoder.  These tests hold that path to the one it replaced:
   journey event dicts in the same line order with the same ``seq``;
 - the counters (``events_recorded``, ``journeys_emitted``,
   ``journeys_sampled_out``, ``journeys_forced``) and the journey lines'
-  digest equal what the per-event path recorded on this soak.
+  digest equal what the per-event path recorded on this soak;
+- ``load_run``, which decodes a log's lines as one JSON array, returns
+  the events (or raises the error, word for word) of the per-line loader
+  it replaced, kept below as ``_ref_load_run``: on the soak's log, with
+  blank and CRLF lines, a truncated tail, an invalid middle line, and on
+  empty, header-less and wrong-schema files.
 """
 
 from __future__ import annotations
@@ -39,7 +44,8 @@ from repro.telemetry.journey import (
     journey_sampled,
     trace_id,
 )
-from repro.telemetry.recorder import SCHEMA_VERSION, Recorder, _line_encoder
+from repro.telemetry.jsonl import load_run
+from repro.telemetry.recorder import SCHEMA_VERSION, SUPPORTED_SCHEMAS, Recorder, _line_encoder
 from repro.utils.rng import as_generator
 
 #: A closed loop with every observer on, sized for tests: monitor,
@@ -282,3 +288,95 @@ def test_run_log_writer_is_json_dumps(events):
         lines = [head, *rec._lines]
         text = rec.close().read_text()
     assert _first_difference(text, lines) is None
+
+
+# --------------------------------------------------------------------- #
+# The run-log loader, held to the per-line loader it replaced.
+# --------------------------------------------------------------------- #
+
+
+def _ref_load_run(path) -> list[dict]:
+    """``load_run`` as it was: one ``json.loads`` per stripped line."""
+    with open(path) as fh:
+        lines = fh.readlines()
+    payload = [(i, raw.strip()) for i, raw in enumerate(lines) if raw.strip()]
+    if not payload:
+        raise ValueError(f"{path}: empty run log (no events)")
+    events: list[dict] = []
+    for pos, (lineno, raw) in enumerate(payload):
+        try:
+            events.append(json.loads(raw))
+        except json.JSONDecodeError as exc:
+            if pos == len(payload) - 1:
+                break  # truncated tail from a crashed run: tolerate
+            raise ValueError(f"{path}:{lineno + 1}: invalid JSON line") from exc
+    if not events:
+        raise ValueError(f"{path}: empty run log (no complete events)")
+    if events[0].get("type") != "meta":
+        raise ValueError(f"{path}: missing meta header line")
+    schema = events[0].get("schema")
+    if schema not in SUPPORTED_SCHEMAS:
+        raise ValueError(f"{path}: unsupported schema {schema!r} "
+                         f"(expected one of {SUPPORTED_SCHEMAS})")
+    return events
+
+
+def _loaded(loader, path) -> "tuple[str, str]":
+    """What ``loader`` makes of ``path``: the events as JSON in their key
+    order (NaN-safe), or the ``ValueError``'s message."""
+    try:
+        return "events", json.dumps(loader(path))
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def _lines_of(text: str) -> "list[str]":
+    return text.splitlines(keepends=True)
+
+
+#: Damage done to a well-formed run log, by name.
+_DAMAGE = {
+    "as written": lambda text: text,
+    "blank and CRLF lines": lambda text: "".join(
+        (line.replace("\n", "\r\n") if i % 2 else line) + ("\n  \n" if i % 7 == 3 else "")
+        for i, line in enumerate(_lines_of(text))),
+    "no final newline": lambda text: text.rstrip("\n"),
+    "truncated tail": lambda text: text + '{"type": "event", "name": "alert", "trunc',
+    "cut inside its last line": lambda text: text[:-40],
+    "invalid middle line": lambda text: "".join(
+        _lines_of(text)[:5] + ["not json\n"] + _lines_of(text)[5:]),
+    "one value over two lines": lambda text: "".join(
+        _lines_of(text)[:5] + ['{"type": "event", "x": [1\n', '2]}\n'] + _lines_of(text)[5:]),
+    "two values on one line": lambda text: "".join(
+        _lines_of(text)[:5] + ['{"a": 1}, {"b": 2}\n'] + _lines_of(text)[5:]),
+    "empty": lambda text: "",
+    "whitespace only": lambda text: "\n   \n\t\n",
+    "only a partial line": lambda text: '{"schema": 3, "type": "me',
+    "header-less": lambda text: "".join(_lines_of(text)[1:]),
+    "wrong schema": lambda text: '{"type": "meta", "schema": 99}\n' + "".join(
+        _lines_of(text)[1:]),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(_DAMAGE))
+def test_load_run_is_the_per_line_loader(soaks, tmp_path, damage):
+    path = tmp_path / "run.jsonl"
+    path.write_bytes(_DAMAGE[damage](soaks["path"].read_text()).encode())
+    assert _loaded(load_run, path) == _loaded(_ref_load_run, path)
+
+
+def test_load_run_shares_key_strings(soaks):
+    events = load_run(soaks["path"])
+    keys = [key for ev in events for key in ev]
+    assert len({id(key) for key in keys}) == len(set(keys))
+
+
+@given(st.lists(st.dictionaries(st.text(max_size=8), _VALUES, max_size=6),
+                max_size=4))
+def test_load_run_reads_what_the_writer_wrote(events):
+    with tempfile.TemporaryDirectory() as out:
+        rec = Recorder("jsonl", run="probe", out_dir=out, stream=io.StringIO())
+        for fields in events:
+            rec.event("probe", **fields)
+        path = rec.close()
+        assert _loaded(load_run, path) == _loaded(_ref_load_run, path)
