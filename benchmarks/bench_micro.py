@@ -383,6 +383,51 @@ def test_zero_order_vjp(benchmark, instance):
     assert np.all(np.isfinite(out.dt))
 
 
+def test_zo_vjp_cross():
+    """MFCP-FG's adjoint at ``train_mfcp``'s shape: K = 8 base instances
+    of 8 clusters x 20 tasks (instance k predicts cluster k's rows), S = 8
+    samples, one float32 batch of 128 perturbed solves warm-started for 60
+    iterations.  Printed (``-s``): µs per call, best of five, and one
+    call's tracemalloc peak; asserted are the solve count and that
+    repeated calls return the same bytes, not the figures."""
+    import tracemalloc
+
+    from repro.matching import BatchProblem, clamp_predictions_batch, solve_relaxed_batch
+    from repro.matching import zo_vjp_cross
+
+    rng = np.random.default_rng(0)
+    K = M = 8
+    N = 20
+    T_true, A_true = rng.uniform(0.2, 2.5, (M, N)), rng.uniform(0.55, 0.99, (M, N))
+    truth = MatchSpec().build_problem(T_true, A_true, training=True)
+    T, A = np.broadcast_to(T_true, (K, M, N)).copy(), np.broadcast_to(A_true, (K, M, N)).copy()
+    diag = np.arange(K)
+    T[diag, diag] *= rng.uniform(0.7, 1.3, (K, N))
+    A[diag, diag] += rng.normal(0.0, 0.05, (K, N))
+    T_b, A_b, gammas = clamp_predictions_batch(T, A, truth.gamma)
+    batch = BatchProblem(T=T_b, A=A_b, gamma=gammas, beta=truth.beta, lam=truth.lam,
+                         entropy=truth.entropy)
+    scfg = MatchSpec().solver
+    X = solve_relaxed_batch(batch, lr=scfg.lr, max_iters=scfg.max_iters, tol=scfg.tol,
+                            patience=scfg.patience).X
+    gX = rng.normal(size=X.shape) / N
+    cfg = ZeroOrderConfig(samples=8, delta=0.05, warm_start_iters=60)
+
+    def call():
+        return zo_vjp_cross(batch, X, diag, gX, cfg, solver_config=scfg, rng=2)
+
+    first = call()
+    tracemalloc.start()
+    again = call()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert first.solves == 128
+    assert (again.dt.tobytes(), again.da.tobytes()) == (first.dt.tobytes(), first.da.tobytes())
+    us = 1e6 * min(timeit.repeat(call, number=1, repeat=5))
+    print(f"\nzo_vjp_cross (8 instances x 8 clusters x 20 tasks, 128 float32 solves): "
+          f"{us:.0f} us/call, tracemalloc peak {peak / 1e6:.2f} MB")
+
+
 def test_refit_step(benchmark):
     """One :class:`StepwiseTrainer` step at H = 1, the closed loop's unit
     of retraining: a minibatch of 32 through a (32, 32) time head, its

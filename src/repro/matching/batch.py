@@ -23,6 +23,16 @@ Semantics match :func:`repro.matching.relaxed.solve_relaxed` with the
   no step is *frozen* — it is removed from the active set and pays no
   further gradient or value work while the rest of the batch runs on.
 
+One solve allocates its working set once: every ``(·, M, N)`` array of
+the descent (iterates and trial, gradient, cascade-retry trial, ``log X``
+of each, the active set's ``T``/``A``/``λA``) is a view of one workspace
+at the batch's full shape, and every iteration, retry and compaction runs
+in its leading rows.  Compaction gathers the survivors into the other
+buffer of a pair, so an instance may change rows: exact, because no
+kernel reads across instances (``tests/test_batch_workspace.py``).
+Per-iteration arrays whose leading dimension shrank with the active set
+fragmented the heap.
+
 Supported objective: the sequential (convex) makespan barrier — exactly
 what the training loop batches in the convex benchmarks.  :func:`batchable`
 is the one test of that, and every call site that may batch (MFCP's fused
@@ -184,8 +194,16 @@ def clamp_predictions_batch(
     if T_hat.dtype != np.float32:
         T_hat = T_hat.astype(np.float64, copy=False)
         A_hat = A_hat.astype(np.float64, copy=False)
-    T = np.maximum(T_hat, 1e-4)
-    A = np.clip(A_hat, 0.0, 1.0)
+    return _clamp(T_hat, A_hat, gamma, None, None)
+
+
+def _clamp(T_hat: np.ndarray, A_hat: np.ndarray, gamma: np.ndarray | float,
+           T_out: np.ndarray | None, A_out: np.ndarray | None) -> tuple:
+    """:func:`clamp_predictions_batch`'s rule, writing the clamped times
+    and reliabilities into ``T_out``/``A_out`` (which may be ``T_hat`` and
+    ``A_hat`` themselves; ``None`` allocates)."""
+    T = np.maximum(T_hat, 1e-4, out=T_out)
+    A = np.clip(A_hat, 0.0, 1.0, out=A_out)
     if T.ndim != 3 or A.shape != T.shape:
         raise ValueError("T_hat and A_hat must be (B, M, N) arrays of equal shape")
     M = A.shape[1]
@@ -206,24 +224,36 @@ class BatchBarrierEval:
     sum, and ``log max(X, ε)`` (``None`` when τ = 0, zero on padding
     columns) — and ``gradient(state)`` builds ∇F from them instead of
     recomputing loads, softmax or logs (LSE and softmax share
-    ``e``/``esum``).  Every state array leads with the instance axis, so a
-    line search scatters an accepted retry's state with ``s[acc] = r[ok]``
-    and the active set compacts it with ``s[keep]`` (:meth:`take` does the
-    same for the constants).
+    ``e``/``esum``).  Every state array leads with the instance axis, so
+    the active set compacts state and constants alike by rows
+    (:meth:`take`).
+
+    ``λA/(M·width)`` and ``tmp``, a ``(B, M, N)`` scratch for gathered
+    rows of ``A``/``T`` and the temporaries of ``value`` and ``gradient``,
+    are one allocation; ``X`` is in the batch's dtype.  ``value`` and
+    ``gradient`` allocate the ``(·, M, N)`` arrays they return;
+    ``_value`` and ``_gradient`` write them where the caller says.
     """
 
     def __init__(self, p: BatchProblem) -> None:
         self.T, self.A, self.gamma, self.mn, self.real = p.T, p.A, p.gamma, p.mn, p.real
         self.beta, self.lam, self.tau = p.beta, p.lam, p.entropy
+        own = np.empty((2,) + p.T.shape, p.dtype)
         # λ/(M·width) divided in float64, then cast: on an unpadded batch
         # the bits of the weak-scalar product ``(lam / (M * N)) * A``.
-        self.lamA = (p.lam / (p.M * p.widths)).astype(p.dtype)[:, None, None] * p.A
+        self.lamA = np.multiply((p.lam / (p.M * p.widths)).astype(p.dtype)[:, None, None],
+                                p.A, out=own[0])
+        self.tmp = own[1]
 
-    def take(self, idx: np.ndarray) -> "BatchBarrierEval":
-        """The evaluator of instances ``idx`` only."""
+    def take(self, idx: np.ndarray, into: np.ndarray) -> "BatchBarrierEval":
+        """The evaluator of instances ``idx`` (integers), its ``T``, ``A``
+        and ``λA/(M·width)`` gathered into the leading rows of ``into[0]``,
+        ``into[1]`` and ``into[2]``, which must not hold this evaluator's
+        own; ``tmp`` is shared."""
         sub = copy.copy(self)
-        sub.T, sub.A, sub.gamma = self.T[idx], self.A[idx], self.gamma[idx]
-        sub.mn, sub.lamA = self.mn[idx], self.lamA[idx]
+        sub.T, sub.A, sub.lamA = (_rows(a, idx, out)
+                                  for a, out in zip((self.T, self.A, self.lamA), into))
+        sub.gamma, sub.mn = self.gamma[idx], self.mn[idx]
         if self.real is not None:
             sub.real = self.real[idx]
         return sub
@@ -231,26 +261,31 @@ class BatchBarrierEval:
     def slack(self, X: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         """Eq. (4) reliability surplus ``Σ x·a / (M·width) − γ``."""
         A, mn, gamma = (self.A, self.mn, self.gamma) if rows is None else (
-            self.A[rows], self.mn[rows], self.gamma[rows])
+            _rows(self.A, rows, self.tmp), self.mn[rows], self.gamma[rows])
         return c_einsum("...mn,...mn->...", X, A) / mn - gamma
 
-    def value(self, X: np.ndarray, rows: np.ndarray | None = None) -> tuple[np.ndarray, tuple]:
-        """``(F, state)`` of iterates ``X`` for instances ``rows`` (all when
-        ``None``); ``F`` is ``+inf`` where g ≤ 0.  ``X`` may carry extra
-        leading dimensions (einsum broadcasts the ellipsis axes).  As in
-        :meth:`BarrierEval.value`, reductions are the ufuncs' ``reduce``
-        over the method forms' axes; ``esum`` keeps its reduced axis."""
+    def value(self, X: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """``(F, state)`` of iterates ``X``; ``F`` is ``+inf`` where g ≤ 0.
+        As in :meth:`BarrierEval.value`, reductions are the ufuncs'
+        ``reduce`` over the method forms' axes; ``esum`` keeps its reduced
+        axis."""
+        return self._value(X, None, np.empty_like(X) if self.tau else None)
+
+    def _value(self, X: np.ndarray, rows: np.ndarray | None,
+               logX: np.ndarray | None) -> tuple[np.ndarray, tuple]:
+        """:meth:`value` of iterates ``X`` of instances ``rows`` (all when
+        ``None``), writing ``log max(X, ε)`` into ``logX``."""
         slack = self.slack(X, rows)
-        z = self.beta * c_einsum("...mn,...mn->...m", X, self.T if rows is None else self.T[rows])
+        T = self.T if rows is None else _rows(self.T, rows, self.tmp)
+        z = self.beta * c_einsum("...mn,...mn->...m", X, T)
         shift = np.maximum.reduce(z, -1, keepdims=True)
         e = np.exp(z - shift)
         esum = np.add.reduce(e, -1, keepdims=True)
         lse = ((np.log(esum) + shift) / self.beta)[..., 0]
         f = np.where(slack > 0, lse - self.lam * np.log(np.maximum(slack, _XEPS)), np.inf)
-        logX = None
         if self.tau:
-            Xc = np.maximum(X, _XEPS)
-            logX = np.log(Xc)
+            Xc = np.maximum(X, _XEPS, out=self.tmp[:len(X)])
+            logX = np.log(Xc, out=logX)
             if self.real is not None:
                 logX *= self.real if rows is None else self.real[rows]
             f = f + self.tau * c_einsum("...mn,...mn->...", Xc, logX)
@@ -260,11 +295,16 @@ class BatchBarrierEval:
         """∇_X F from the state ``value(X)`` returned: ``softmax(βc)_i·t_ij −
         λ a_ij / (M·width·g)`` plus the entropy term on real columns.
         ``slack`` overrides the state's reliability slack."""
+        return self._gradient(state, slack, np.empty(self.T.shape, self.T.dtype))
+
+    def _gradient(self, state: tuple, slack: np.ndarray | None, out: np.ndarray) -> np.ndarray:
+        """:meth:`gradient`, written into ``out``."""
         s, e, esum, logX = state
-        grad = (e / esum)[..., None] * self.T
-        grad -= self.lamA / (s if slack is None else slack)[..., None, None]
+        tmp = self.tmp[:len(out)]
+        grad = np.multiply((e / esum)[..., None], self.T, out=out)
+        grad -= np.divide(self.lamA, (s if slack is None else slack)[..., None, None], out=tmp)
         if self.tau:
-            ent = self.tau * (1.0 + logX)
+            ent = np.multiply(self.tau, np.add(1.0, logX, out=tmp), out=tmp)
             if self.real is not None:
                 ent *= self.real
             grad += ent
@@ -326,16 +366,26 @@ def _feasible_start_batch(p: BatchProblem) -> np.ndarray:
     return _reset_padding((1.0 - alpha) * uniform + alpha * greedy, p)
 
 
-def _scatter(dst: tuple, i: np.ndarray, src: tuple, j: np.ndarray) -> None:
-    """``dst[i] = src[j]`` through every array of an Eq.-9 state."""
+def _rows(a: np.ndarray, idx: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """``a[idx]`` along the instance axis, written into ``buf``'s leading
+    rows (``mode="clip"``: with ``"raise"`` NumPy would copy through a
+    temporary; ``idx`` is always in range here)."""
+    return a.take(idx, 0, buf[:len(idx)], "clip")
+
+
+def _scatter(dst: tuple, i: np.ndarray, src: tuple, j: np.ndarray, tmp: np.ndarray) -> None:
+    """``dst[i] = src[j]`` through every array of an Eq.-9 state; a
+    ``(·, M, N)`` one is gathered into ``tmp`` first."""
     for d, s in zip(dst, src):
         if d is not None:
-            d[i] = s[j]
+            d[i] = _rows(s, j, tmp) if s.ndim == 3 else s[j]
 
 
-def _mirror_step(X: np.ndarray, grad: np.ndarray, neg_step: np.ndarray) -> np.ndarray:
-    """``X·exp(−step·∇F)`` per instance, renormalized per task column."""
-    Z = grad * neg_step[:, None, None]
+def _mirror_step(X: np.ndarray, grad: np.ndarray, neg_step: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
+    """``X·exp(−step·∇F)`` per instance, renormalized per task column,
+    written into ``out`` (which may be ``grad``)."""
+    Z = np.multiply(grad, neg_step[:, None, None], out=out)
     np.exp(Z, out=Z)
     Z *= X
     Z /= np.add.reduce(Z, 1, keepdims=True)
@@ -377,21 +427,33 @@ def solve_relaxed_batch(
         raise ValueError("lr and max_iters must be > 0")
     if tol < 0 or patience < 1:
         raise ValueError("tol must be >= 0 and patience >= 1")
+    # The workspace (module docstring).  Pairs alternate: the trial is
+    # written beside the iterates it may replace, and compaction gathers
+    # the survivors into the other buffer.
+    B, tau = problem.B, problem.entropy
+    work = np.empty((13 if tau else 10,) + problem.T.shape, problem.T.dtype)
+    Xs = [work[0], work[1]]  # current iterates, trial
+    G, R = work[2], work[3]  # gradient, cascade-retry trial
+    consts = [work[4:7], work[7:10]]  # T, A, λA/(M·width) of the active set
+    Ls = [work[10], work[11]] if tau else [None, None]  # log X of Xs
+    LR = work[12] if tau else None  # log X of R
+
+    X = Xs[0]
     if x0 is None:
-        X = _feasible_start_batch(problem)
+        X[...] = _feasible_start_batch(problem)
     else:
-        X = np.array(x0, dtype=problem.T.dtype)
-        if X.shape != problem.T.shape:
-            raise ValueError(f"x0 must have shape {problem.T.shape}, got {X.shape}")
+        x0 = np.asarray(x0)
+        if x0.shape != problem.T.shape:
+            raise ValueError(f"x0 must have shape {problem.T.shape}, got {x0.shape}")
+        X[...] = x0
         _reset_padding(X, problem)
     ev = BatchBarrierEval(problem)
-    fa, st = ev.value(X)
+    fa, st = ev._value(X, None, Ls[0])
     if (st[0] <= 0).any():
         # Repair any infeasible warm starts by swapping in the blend start.
-        X = np.where((st[0] <= 0)[:, None, None], _feasible_start_batch(problem), X)
-        fa, st = ev.value(X)
+        np.copyto(X, _feasible_start_batch(problem), where=(st[0] <= 0)[:, None, None])
+        fa, st = ev._value(X, None, Ls[0])
 
-    B = problem.B
     out_X, out_f = X.copy(), fa.copy()
     converged = np.zeros(B, dtype=bool)
     max_it_used = trials = 0
@@ -409,23 +471,25 @@ def solve_relaxed_batch(
     tele = rec.enabled
     ls_time = 0.0
 
-    # Active-set state (compacted copies; `active` maps back to batch slots).
-    # `ev` and the Eq.-9 state `st` of the current iterates ride along, so
-    # the accepted trial's pieces feed the next iteration's gradient.
+    # Active-set state (`active` maps rows back to batch slots).  `ev` and
+    # the Eq.-9 state `st` of the current iterates ride along, so the
+    # accepted trial's pieces feed the next iteration's gradient.
     active = np.arange(B)
     Xa = X
     stall = np.zeros(B, dtype=np.int64)
 
     for it in range(max_iters):
-        if active.size == 0:
+        n = active.size
+        if n == 0:
             break
         # Accepted iterates always have slack > 0 (the value is +inf
         # otherwise), so the barrier term divides by it directly.
-        grad = ev.gradient(st)
+        grad = ev._gradient(st, None, G[:n])
         # Normalized steps (as in solve_relaxed's mirror rule): bound the
         # multiplicative update per instance regardless of barrier stiffness.
         # They also bound |expo| by lr, so no overflow clamp is needed below.
-        scale = np.maximum(np.maximum.reduce(np.abs(grad).reshape(active.size, -1), 1), 1e-9)
+        scale = np.maximum(
+            np.maximum.reduce(np.abs(grad, out=ev.tmp[:n]).reshape(n, -1), 1), 1e-9)
         if tele:
             ls_t0 = time.perf_counter()
         # Two-stage trial cascade.  Stage 1: the first-trial step for
@@ -433,9 +497,9 @@ def solve_relaxed_batch(
         # only.  Cascade mode always opens at the full step; adaptive
         # mode opens at each instance's remembered level.
         neg_s1 = -steps_arr[k] if adaptive_trials else -steps[0]
-        Z = _mirror_step(Xa, grad, neg_s1 / scale)
-        f_new, st_new = ev.value(Z)  # (b,)
-        trials += active.size
+        Z = _mirror_step(Xa, grad, neg_s1 / scale, Xs[1][:n])
+        f_new, st_new = ev._value(Z, None, None if Ls[1] is None else Ls[1][:n])
+        trials += n
         any_ok = f_new <= fa + 1e-12
         lvl = k.copy() if adaptive_trials else None  # accepted level
         # Cascade-mode accepted-level tracking (telemetry only; adaptive
@@ -459,15 +523,16 @@ def solve_relaxed_batch(
                 if r.size == 0:
                     break
                 neg_s = -steps_arr[lvl_r] if adaptive_trials else -steps[h]
-                Zr = _mirror_step(Xa[r], grad[r], neg_s / scale[r])
-                f_r, st_r = ev.value(Zr, r)
+                gr = _rows(grad, r, R)
+                Zr = _mirror_step(_rows(Xa, r, ev.tmp), gr, neg_s / scale[r], gr)
+                f_r, st_r = ev._value(Zr, r, None if LR is None else LR[:r.size])
                 trials += r.size
                 ok = f_r <= fa[r] + 1e-12
                 if ok.any():
-                    acc = r[ok]
-                    Z[acc] = Zr[ok]
+                    acc, j = r[ok], ok.nonzero()[0]
+                    Z[acc] = _rows(Zr, j, ev.tmp)
                     f_new[acc] = f_r[ok]
-                    _scatter(st_new, acc, st_r, ok)
+                    _scatter(st_new, acc, st_r, j, ev.tmp)
                     any_ok[acc] = True
                     if adaptive_trials:
                         lvl[acc] = lvl_r[ok]
@@ -480,9 +545,9 @@ def solve_relaxed_batch(
             rem = (~any_ok).nonzero()[0]
             if rem.size:
                 # No trial improved: keep the current iterate (frozen below).
-                Z[rem] = Xa[rem]
+                Z[rem] = _rows(Xa, rem, ev.tmp)
                 f_new[rem] = fa[rem]
-                _scatter(st_new, rem, st, rem)
+                _scatter(st_new, rem, st, rem, ev.tmp)
         if tele:
             ls_time += time.perf_counter() - ls_t0
             acc_lvls = (lvl if adaptive_trials else lvl_rec)[any_ok]
@@ -508,15 +573,22 @@ def solve_relaxed_batch(
         else:
             frozen = ~any_ok
         Xa, fa, st = Z, f_new, st_new
+        Xs.reverse()
+        Ls.reverse()
         if frozen.any():
             done = active[frozen]
-            out_X[done] = Xa[frozen]
+            out_X[done] = _rows(Xa, frozen.nonzero()[0], ev.tmp)
             out_f[done] = fa[frozen]
             converged[done] = True
-            keep = ~frozen
-            active, Xa, fa, stall = active[keep], Xa[keep], fa[keep], stall[keep]
-            st = tuple(None if s is None else s[keep] for s in st)
-            ev = ev.take(keep)
+            keep = (~frozen).nonzero()[0]
+            active, fa, stall = active[keep], fa[keep], stall[keep]
+            Xa = _rows(Xa, keep, Xs[1])
+            st = (st[0][keep], st[1][keep], st[2][keep],
+                  None if st[3] is None else _rows(st[3], keep, Ls[1]))
+            ev = ev.take(keep, consts[1])
+            Xs.reverse()
+            Ls.reverse()
+            consts.reverse()
             if adaptive_trials:
                 k = k[keep]
 

@@ -10,8 +10,13 @@ dense Hessians, their temporaries and LAPACK's copy of the stack at once
 — in ``train_mfcp`` the largest allocation of an episode — for no fewer
 factorizations: a stacked ``solve`` runs the same LAPACK call per
 instance, so the bytes are the same either way.  Each ``H`` is written
-in place with the elementwise operations, order and operands of the
-stacked form, which ``tests/test_kkt_exact.py`` keeps as its oracle.
+with the elementwise operations, order and operands of the stacked form,
+which ``tests/test_kkt_exact.py`` keeps as its oracle, into contiguous
+``(P, P)`` scratch and copied into the workspace once: on NumPy 2.4 a
+ufunc that broadcasts an operand or writes a strided view runs through
+an iteration buffer (~130 KB and ~3x the time at P = 160), so every
+outer product multiplies two materialized copies, and ``δ_c w`` is the
+``w_i`` column copied onto the diagonal blocks of ``−wwᵀ``.
 
 The downstream contractions ``dT = −C_Tᵀ u`` and ``dA = −C_Aᵀ u`` are
 evaluated in closed form instead of materializing the B×P×P cross-
@@ -92,31 +97,44 @@ def batch_kkt_vjp(
     t_flat = T.reshape(B, P)
     a_flat = A.reshape(B, P)
     w_row = np.repeat(w, N, axis=1)  # (B, P)
-    cluster_of = np.repeat(np.arange(M), N)
-    same_cluster = (cluster_of[:, None] == cluster_of[None, :]).astype(np.float64)
     aa_scale = lam / mn_s**2  # (B,)
     if problem.entropy:
         entropy_diag = problem.entropy / np.maximum(X_star.reshape(B, P), 1e-12)
 
-    # The saddle matrix [[H, Dᵀ], [D, 0]]: D once, H rewritten per instance.
+    # The saddle matrix [[H, Dᵀ], [D, 0]]: D once, H copied in per instance.
     D = _equality_jacobian(M, N)
     K = np.zeros((P + N, P + N))
     K[:P, P:] = D.T
     K[P:, :P] = D
-    H = K[:P, :P]
-    H_diag = K.reshape(-1)[:P * (P + N + 1):P + N + 1]
-    tmp = np.empty((P, P))
+    # H is built in contiguous (P, P) scratch: a ufunc that broadcasts an
+    # operand or writes a strided view runs through a NumPy iteration
+    # buffer, so every outer product multiplies two materialized copies.
+    H, rows, cols = np.empty((3, P, P))
+    H_diag = H.reshape(-1)[::P + 1]
+    # The (M, N, N) diagonal blocks of a (P, P) array: same_cluster's ones.
+    step = H.strides[1]
+    blocks_of = [np.lib.stride_tricks.as_strided(
+        a, (M, N, N), ((N * P + N) * step, P * step, step)) for a in (H, cols)]
+
+    def outer(v: np.ndarray) -> np.ndarray:
+        """``v[:, None] * v[None, :]`` in ``rows``."""
+        np.copyto(rows, v)
+        np.copyto(cols, v[:, None])
+        return np.multiply(cols, rows, out=rows)
 
     def hessian(b: int) -> np.ndarray:
         """Write instance ``b``'s H = β(δ_c w − wwᵀ) ∘ ttᵀ + λ aaᵀ/(MNs)²
-        (+ entropy diagonal) + ridge into ``K``'s top-left block."""
+        (+ entropy diagonal) + ridge into ``H``; ``δ_c w`` is ``w_i`` on the
+        diagonal blocks and ``0.0`` off them."""
         w_b, t_b, a_b = w_row[b], t_flat[b], a_flat[b]
-        np.multiply(same_cluster, w_b[:, None], out=H)
-        np.subtract(H, np.multiply(w_b[:, None], w_b[None, :], out=tmp), out=H)
+        ww = outer(w_b)
+        np.subtract(0.0, ww, out=H)
+        np.subtract(cols, ww, out=cols)
+        np.copyto(blocks_of[0], blocks_of[1])
         np.multiply(beta, H, out=H)
-        np.multiply(H, np.multiply(t_b[:, None], t_b[None, :], out=tmp), out=H)
-        np.multiply(aa_scale[b], np.multiply(a_b[:, None], a_b[None, :], out=tmp), out=tmp)
-        np.add(H, tmp, out=H)
+        np.multiply(H, outer(t_b), out=H)
+        aa = outer(a_b)
+        np.add(H, np.multiply(aa_scale[b], aa, out=aa), out=H)
         if problem.entropy:
             np.add(H_diag, entropy_diag[b], out=H_diag)
         np.add(H_diag, RIDGE, out=H_diag)
@@ -127,7 +145,7 @@ def batch_kkt_vjp(
     u = np.empty((B, P))
     try:
         for b in range(B):
-            hessian(b)
+            K[:P, :P] = hessian(b)
             rhs[:P, 0] = g_flat[b]
             u[b] = np.linalg.solve(K, rhs)[:P, 0]
     except np.linalg.LinAlgError:

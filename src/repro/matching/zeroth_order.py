@@ -26,8 +26,8 @@ import numpy as np
 
 from repro.matching.batch import (
     BatchProblem,
+    _clamp,
     batchable,
-    clamp_predictions_batch,
     solve_relaxed_batch,
 )
 from repro.matching.problem import MatchingProblem
@@ -270,12 +270,14 @@ def zo_vjp_cross(
 
     # Layout (instance, draw, sign, kind): kind 0 perturbs the time row,
     # kind 1 the reliability row of instance k's cluster.  The stack is
-    # assembled directly in cross_dtype so no full-size casts follow.
+    # assembled once, in cross_dtype, and clamped in place, so no
+    # unclamped or full-size float64 copy is alive during the solve.
     shape = (K, n_draws, G, 2, M, N)
-    T_base = batch.T.astype(cfg.cross_dtype, copy=False)
-    A_base = batch.A.astype(cfg.cross_dtype, copy=False)
-    T_big = np.broadcast_to(T_base[:, None, None, None], shape).copy()
-    A_big = np.broadcast_to(A_base[:, None, None, None], shape).copy()
+    B = K * n_draws * G * 2
+    T_big = np.empty(shape, cfg.cross_dtype)
+    A_big = np.empty(shape, cfg.cross_dtype)
+    T_big[...] = batch.T[:, None, None, None]
+    A_big[...] = batch.A[:, None, None, None]
     base_t_rows = batch.T[np.arange(K), clusters]  # (K, N)
     base_a_rows = batch.A[np.arange(K), clusters]
     t_pert = base_t_rows[:, None, None, :] + (
@@ -290,21 +292,17 @@ def zo_vjp_cross(
     T_big[idx_k, idx_d, idx_g, 0, clusters[:, None, None], :] = t_pert
     A_big[idx_k, idx_d, idx_g, 1, clusters[:, None, None], :] = a_pert
 
-    B = K * n_draws * G * 2
     gamma_big = np.broadcast_to(batch.gamma[:, None, None, None], shape[:4]).reshape(B)
-    T_arr, A_arr, gammas = clamp_predictions_batch(
-        T_big.reshape(B, M, N), A_big.reshape(B, M, N), gamma_big
-    )
+    T_arr, A_arr = T_big.reshape(B, M, N), A_big.reshape(B, M, N)
+    _, _, gammas = _clamp(T_arr, A_arr, gamma_big, T_arr, A_arr)
     big = BatchProblem(
         T=T_arr, A=A_arr, gamma=gammas,
         beta=batch.beta, lam=batch.lam, entropy=batch.entropy,
         dtype=cfg.cross_dtype,
     )
-    x0 = (
-        np.broadcast_to(X_base.astype(cfg.cross_dtype, copy=False)[:, None, None, None], shape)
-        .reshape(B, M, N)
-        .copy()
-    )
+    # Each base solution warm-starts its 2·2S perturbed instances; the
+    # solver copies x0 into its workspace.
+    x0 = np.repeat(X_base.astype(cfg.cross_dtype, copy=False), B // K, axis=0)
     # Adaptive trials: the warm-started perturbation stack sits near its
     # optima, where the full-lr trial is rejected almost every iteration;
     # step memory skips those doomed evaluations.  Fine for a smoothed

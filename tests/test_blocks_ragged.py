@@ -231,8 +231,10 @@ def test_wrappers_are_the_evaluator(entropy):
         # same gradient rows (what the active-set compaction relies on).
         keep = np.array([0, 2, 3])
         sub = tuple(None if s is None else s[keep] for s in state)
-        assert np.array_equal(ev.take(keep).gradient(sub), ev.gradient(state)[keep])
-        assert np.array_equal(ev.value(X[keep], keep)[0], f[keep])
+        into = np.empty((3,) + X.shape, dtype)
+        assert np.array_equal(ev.take(keep, into).gradient(sub), ev.gradient(state)[keep])
+        logX = np.empty_like(X[keep]) if entropy else None
+        assert np.array_equal(ev._value(X[keep], keep, logX)[0], f[keep])
 
 
 @pytest.mark.parametrize("entropy", [0.0, 0.05])

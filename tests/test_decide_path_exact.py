@@ -42,7 +42,6 @@ from repro.matching.batch import (
     BatchSolution,
     _feasible_start_batch,
     _reset_padding,
-    _scatter,
 )
 from repro.matching.objectives import (
     BarrierEval,
@@ -300,6 +299,12 @@ class _RefBatchBarrierEval:
                 ent *= self.real
             grad += ent
         return grad
+
+
+def _scatter(dst: tuple, i: np.ndarray, src: tuple, j: np.ndarray) -> None:
+    for d, s in zip(dst, src):
+        if d is not None:
+            d[i] = s[j]
 
 
 def _ref_feasible_start_batch(p: BatchProblem) -> np.ndarray:
@@ -763,8 +768,11 @@ def test_batch_evaluator_is_the_reference():
         floor = np.full(p.B, 0.05, dtype=dtype)
         assert _same(ev.gradient(st, floor), ref.gradient(rst, floor))
         rows = np.array([0, 2, 3])
-        (f, st), (rf, rst) = ev.value(X[rows], rows), ref.value(X[rows], rows)
-        assert _same(f, rf) and _same(ev.take(rows).gradient(st), ref.take(rows).gradient(rst))
+        logX = np.empty_like(X[rows]) if entropy else None
+        (f, st), (rf, rst) = ev._value(X[rows], rows, logX), ref.value(X[rows], rows)
+        into = np.empty((3,) + X.shape, dtype)
+        assert _same(f, rf) and _same(ev.take(rows, into).gradient(st),
+                                      ref.take(rows).gradient(rst))
 
 
 # --------------------------------------------------------------------- #
