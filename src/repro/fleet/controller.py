@@ -37,9 +37,10 @@ from __future__ import annotations
 import copy
 import hashlib
 import os
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -47,6 +48,7 @@ from repro.fleet.config import FleetConfig
 from repro.fleet.router import full_down_intervals, make_router
 from repro.serve.config import build_stack
 from repro.serve.dispatcher import RUN_STAT_FIELDS, Dispatcher, Outage, ServeStats
+from repro.serve.loadgen import Schedule, as_schedule
 from repro.telemetry import recording
 from repro.workloads.taskpool import Task
 
@@ -75,10 +77,11 @@ class FleetStats:
     """Merged outcome of one fleet run (per-shard stats + routing)."""
 
     per_shard: "list[ServeStats]"
-    #: Per-shard routed arrivals ``(hour, task_id)`` in admission order —
-    #: the routing decision record replay verifies against logged
-    #: ``serve/arrival`` streams.
-    routes: "list[list[tuple[float, int]]]"
+    #: Per-shard routed arrivals ``(hour, task_id)`` in admission order,
+    #: one :class:`~repro.serve.loadgen.Schedule` each (equal to the list
+    #: of those pairs) — the routing decision record replay verifies
+    #: against logged ``serve/arrival`` streams.
+    routes: "list[Schedule]"
     #: Arrivals that missed their consistent-hash home (outage failover
     #: or load-aware spill).
     rerouted: int = 0
@@ -233,16 +236,19 @@ class FleetController:
                     per_shard[sid].append(o)
         return per_shard
 
-    def route(self, events: "Sequence[tuple[float, Task]]",
+    def route(self, events: "Iterable[tuple[float, Task]]",
               outages: "Sequence[Outage] | None" = None):
         """Split an arrival stream across shards.
 
-        Returns ``(per_shard_events, per_shard_routes, rerouted)`` where
-        ``per_shard_events`` are ``(hour, task)`` sub-streams in fleet
-        admission order and ``per_shard_routes`` the matching
-        ``(hour, task_id)`` record.  Deterministic: arrivals are
-        processed in ``(hour, task_id)`` order and the router sees only
-        simulated time, so the same stream always splits the same way.
+        Returns ``(per_shard_events, per_shard_routes, rerouted)``: per
+        shard a :class:`~repro.serve.loadgen.Schedule` of its ``(hour,
+        task)`` arrivals in fleet admission order, indexing the stream's
+        own task list, and a schedule over the same two arrays reading
+        ``(hour, task_id)``, the routing record.  Deterministic:
+        arrivals are processed in ``(hour, task_id)`` order (one stable
+        lexsort, so exact ties keep the stream's order) and the router
+        sees only simulated time, so the same stream always splits the
+        same way.
         """
         cfg = self.config
         router = make_router(cfg.routing, cfg.n_shards,
@@ -255,18 +261,17 @@ class FleetController:
         def shard_up(sid: int, t: float) -> bool:
             return not any(start <= t < end for start, end in shard_down[sid])
 
-        per_shard_events: "list[list[tuple[float, Task]]]" = [
-            [] for _ in range(cfg.n_shards)]
-        per_shard_routes: "list[list[tuple[float, int]]]" = [
-            [] for _ in range(cfg.n_shards)]
+        stream = as_schedule(events)
+        task_ids = [task.task_id for task in stream.items]
+        ordered = stream.take(np.lexsort(
+            (np.array(task_ids, dtype=np.int64)[stream.index], stream.hours)))
+        positions = [array("q") for _ in range(cfg.n_shards)]
         route_journeys: "list[list[dict]]" = [[] for _ in range(cfg.n_shards)]
         journeys = self.dcfg.journey_sample > 0.0
-        ordered = sorted(events, key=lambda e: (e[0], e[1].task_id))
-        for t, task in ordered:
+        for k, (t, task) in enumerate(ordered):
             up = {s for s in range(cfg.n_shards) if shard_up(s, t)}
             sid = router.route(task.task_id, t, up)
-            per_shard_events[sid].append((t, task))
-            per_shard_routes[sid].append((t, task.task_id))
+            positions[sid].append(k)
             if not journeys:
                 continue
             # Journey preamble for the chosen shard's dispatcher: the
@@ -284,6 +289,8 @@ class FleetController:
                 "home": int(home), "shard": sid, "reason": reason,
                 "policy": cfg.routing,
             })
+        per_shard_events = [ordered.take(np.frombuffer(p, np.int64)) for p in positions]
+        per_shard_routes = [Schedule(s.hours, s.index, task_ids) for s in per_shard_events]
         self.last_route_journeys = route_journeys
         return per_shard_events, per_shard_routes, router.rerouted
 
@@ -293,7 +300,7 @@ class FleetController:
 
     def run(
         self,
-        events: "Sequence[tuple[float, Task]]",
+        events: "Iterable[tuple[float, Task]]",
         *,
         outages: "Sequence[Outage] | None" = None,
         swap_schedule: "dict[int, str] | None" = None,

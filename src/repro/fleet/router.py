@@ -78,18 +78,27 @@ class HashRing:
         points.sort()
         self._points = points
         self._hashes = [h for h, _ in points]
+        # The ring never changes, so neither does a key's preference; the
+        # keys are task ids of a finite pool.
+        self._preferences: "dict[str, tuple[int, ...]]" = {}
 
     def owner(self, key: str) -> int:
         """The shard owning ``key`` (its ring home)."""
-        i = bisect_right(self._hashes, _hash64(key)) % len(self._points)
-        return self._points[i][1]
+        return self.preference(key)[0]
 
     def preference(self, key: str) -> "tuple[int, ...]":
         """All shards in ring-walk order from ``key`` (home first).
 
         The deterministic failover order: a task whose home shard is
         fully down goes to the next *distinct* shard along the ring.
+        Computed once per key.
         """
+        pref = self._preferences.get(key)
+        if pref is None:
+            pref = self._preferences[key] = self._walk(key)
+        return pref
+
+    def _walk(self, key: str) -> "tuple[int, ...]":
         start = bisect_right(self._hashes, _hash64(key))
         seen: "list[int]" = []
         member = set()

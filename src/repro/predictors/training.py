@@ -338,10 +338,10 @@ def _run_beside(trainers: "Sequence[BankTrainer]", beside: "Sequence[BankTrainer
     child's weights, history and step count.  They never step here, so
     this process never builds their training buffers (features,
     optimizer, minibatch and bank workspaces: :meth:`BankTrainer._start`)
-    and their shuffle generators stay as they were before training.  On
-    the in-process path each trainer releases those buffers as soon as it
-    finishes (:meth:`BankTrainer.release`), so one bank's are alive at a
-    time.
+    and their shuffle generators stay as they were before training.  Each
+    trainer this process runs releases those buffers as soon as it
+    finishes (:meth:`BankTrainer.release`), before the child's report is
+    read, so one bank's are alive here at a time on either path.
 
     The child is always reaped before this returns: if this process's
     own training raises (or is interrupted) the child is killed first.
@@ -378,6 +378,7 @@ def _join(pid: int, read_fd: int, trainers: "Sequence[BankTrainer]",
         try:
             for trainer in trainers:
                 trainer.run_steps(trainer.total_steps)
+                trainer.release()
             try:
                 report = pickle.load(pipe)
             except Exception as exc:  # a dead child, or a report cut short

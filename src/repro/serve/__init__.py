@@ -11,7 +11,8 @@ service (ROADMAP north star; see DESIGN.md §10):
 - :mod:`repro.serve.registry` — versioned predictor checkpoint registry
   with mid-run hot-swap;
 - :mod:`repro.serve.loadgen` — Poisson/bursty/diurnal load generation
-  (speed is measured by ``python3 -m benchmarks.platform``);
+  into flat :class:`Schedule` arrays (speed is measured by
+  ``python3 -m benchmarks.platform``);
 - :mod:`repro.serve.config` — the typed :class:`ServeConfig` facade and
   :func:`build_platform`, the one-call constructor wiring dispatcher,
   quality monitor, checkpoint registry, and the closed-loop retraining
@@ -38,6 +39,7 @@ from repro.serve.loadgen import (
     BurstyLoad,
     DiurnalLoad,
     PoissonLoad,
+    Schedule,
     make_load,
 )
 from repro.serve.config import Platform, ServeConfig, build_platform, build_stack
@@ -72,5 +74,6 @@ __all__ = [
     "PoissonLoad",
     "BurstyLoad",
     "DiurnalLoad",
+    "Schedule",
     "make_load",
 ]

@@ -41,7 +41,8 @@ module provides that loop over simulated time:
 
 The loop is an explicit state machine, :class:`ServeLoop` — per-run state
 plus ``arrive`` / ``cluster_down`` / ``cluster_up`` / ``advance`` /
-``finish`` handlers; :meth:`Dispatcher.run` sorts a stream and delivers it.
+``finish`` handlers; :meth:`Dispatcher.run` walks an arrival schedule and
+delivers it.
 Everything is driven by seeded RNG streams and processed in a fixed event
 order, so a run is bit-reproducible: :meth:`ServeStats.trace_bytes` is the
 canonical assignment trace two equal-seed runs must agree on byte-for-byte
@@ -66,6 +67,7 @@ from repro.matching.problem import MatchingProblem
 from repro.matching.rounding import labels_from_assignment
 from repro.methods.base import BaseMethod, MatchSpec
 from repro.serve.cache import ColumnTable, PredictionMemo, WarmStartCache, make_cache_key
+from repro.serve.loadgen import as_schedule
 from repro.serve.registry import ModelRegistry
 from repro.telemetry import ITER_BUCKETS, SIZE_BUCKETS, TIME_BUCKETS_S, get_recorder
 from repro.telemetry.journey import JourneyRecorder
@@ -478,23 +480,34 @@ class Dispatcher:
     ) -> ServeStats:
         """Consume an arrival stream to exhaustion and return statistics.
 
-        ``events`` is a time-ordered (or orderable) iterable of
-        ``(arrival_hour, task)`` pairs, e.g. from
-        :mod:`repro.serve.loadgen`; ``outages`` take clusters down and
-        back up at fixed times.  The queue is flushed at the end of the
-        stream; only tasks with no up cluster left remain ``unserved``.
+        ``events`` is a :class:`~repro.serve.loadgen.Schedule` (what a
+        load draws) or any iterable of ``(arrival_hour, task)`` pairs,
+        which is packed into one and sorted stably by hour
+        (:func:`~repro.serve.loadgen.as_schedule`); ``outages`` take
+        clusters down and back up at fixed times.  Arrivals are walked in
+        place and the outage events merged in by ``(hour, priority)``.
+        The queue is flushed at the end of the stream; only tasks with no
+        up cluster left remain ``unserved``.
         """
         loop = self.start(rng, outages)
+        arrivals = as_schedule(events)
         # Priority orders simultaneous events deterministically: rejoins
-        # first (capacity returns), then arrivals, then dropouts.
-        evs = [(float(t), 1, i, loop.arrive, task)
-               for i, (t, task) in enumerate(events)]
-        for i, o in enumerate(outages or ()):
-            evs.append((o.end, 0, i, loop.cluster_up, o.cluster_id))
-            evs.append((o.start, 2, i, loop.cluster_down, o.cluster_id))
-        evs.sort(key=itemgetter(0, 1, 2))
-        for t, _prio, _seq, handler, payload in evs:
-            handler(t, payload)
+        # (0) first, as capacity returns, then arrivals (1), then dropouts
+        # (2); outages of one hour and priority in their given order.
+        marks = [(o.end, 0, i, loop.cluster_up, o.cluster_id)
+                 for i, o in enumerate(outages or ())]
+        marks += [(o.start, 2, i, loop.cluster_down, o.cluster_id)
+                  for i, o in enumerate(outages or ())]
+        marks.sort(key=itemgetter(0, 1, 2))
+        k, n, arrive = 0, len(marks), loop.arrive
+        for t, task in arrivals:
+            while k < n and (marks[k][0] < t or (marks[k][0] == t and marks[k][1] == 0)):
+                hour, _prio, _i, handler, cluster_id = marks[k]
+                handler(hour, cluster_id)
+                k += 1
+            arrive(t, task)
+        for hour, _prio, _i, handler, cluster_id in marks[k:]:
+            handler(hour, cluster_id)
         return loop.finish()
 
 
@@ -502,7 +515,7 @@ class ServeLoop:
     """The state of one serving run and the handlers that move it.
 
     Call the handlers in non-decreasing time order, simultaneous events as
-    rejoins, arrivals, dropouts (what :meth:`Dispatcher.run` sorts into);
+    rejoins, arrivals, dropouts (the order :meth:`Dispatcher.run` keeps);
     each first dispatches every window ripe by its time, so between calls
     nothing is lost and nothing was dispatched before it arrived.  Weights,
     cache, memo and observers stay on the dispatcher, where serve callbacks

@@ -239,6 +239,24 @@ def test_in_process_fit_releases_each_bank_when_it_finishes(forks):
     _assert_no_child_left()
 
 
+def test_forking_fit_releases_the_parents_trainers(forks):
+    """On the forking path too, each trainer this process runs drops its
+    features, optimizer, minibatch buffers and bank workspace when it
+    finishes, before the worker's report is read; the forked banks never
+    built theirs here."""
+    ctx = _SHAPES["pool_8"]()
+    timed, rel = _banks(ctx)
+    training._run_beside(timed, rel)
+    assert len(forks) == 1
+    for trainer in timed + rel:
+        assert trainer.done and trainer.opt is None
+        assert not hasattr(trainer, "X") and not hasattr(trainer, "_batches")
+        assert trainer.bank._rows == 0 and trainer.bank._views == {}
+        with pytest.raises(RuntimeError, match="trainer already finished"):
+            trainer.step()
+    _assert_no_child_left()
+
+
 def _plant(monkeypatch, where, action):
     """Make ``BankTrainer.run_steps`` call ``action`` in the worker only
     (``where == "child"``) or in this process only (``"parent"``)."""
